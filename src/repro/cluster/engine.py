@@ -3,19 +3,22 @@
 A :class:`ClusterEngine` is the simulated analogue of a Ray-Serve-style
 LLM deployment: N identical replicas (each a continuous-batching
 endpoint with its own scheduler and device group) behind a router.  The
-global event order is the arrival stream; before each request is routed,
-every replica is advanced to the arrival instant so the router's load
-snapshot is current.  Replica iterations are indivisible, exactly as in
-:class:`repro.serving.engine.ServingEngine`, so a single-replica cluster
-reproduces the single-engine results.
+global event order is the arrival stream, pulled one request at a time
+and merged with a heap of crash retries and parked requests; before each
+request is routed, every replica is advanced to the event instant so the
+router's load snapshot is current.  One event loop
+(:meth:`ClusterEngine.run`) serves every mode: a fixed fleet is a fleet
+with no autoscaler policy, and a fault-free run has no fault plans and
+makes no call into :mod:`repro.cluster.faults`.
 
-Per-iteration timing is delegated to each replica's ``ServingEngine`` —
-one source of truth for the HDA overlap model and device estimators.
-The replica stepper shares the engine's decode fast-forward (pure-decode
-runs apply in one shot, bit-identically), idle replicas skip their
-advance/snapshot bookkeeping entirely, and an already-sorted arrival
-stream is not re-sorted — together the per-arrival cost of a mostly-idle
-fleet drops to the router call itself.
+A replica (:class:`ReplicaSim`) is a :class:`repro.serving.engine.Endpoint`
+— the same iteration body, decode fast-forward and timing model as
+:class:`~repro.serving.engine.ServingEngine`, so a single-replica cluster
+reproduces the single-engine results.  Inside a slowdown window the same
+body runs with every step time scaled by the window's factor.  Idle
+replicas skip their advance/snapshot bookkeeping entirely, and an
+already-sorted arrival list is not re-sorted — together the per-arrival
+cost of a mostly-idle fleet drops to the router call itself.
 
 With an :class:`~repro.cluster.autoscaler.AutoscaleSpec` the fleet is
 *dynamic*: an autoscaler policy is evaluated on a fixed decision
@@ -41,12 +44,7 @@ from repro.cluster.autoscaler import (
     FleetObservation,
     make_autoscaler,
 )
-from repro.cluster.faults import (
-    FaultInjector,
-    FaultSpec,
-    FaultTrace,
-    ReplicaFaultPlan,
-)
+from repro.cluster.faults import FaultInjector, FaultSpec, ReplicaFaultPlan
 from repro.cluster.report import (
     AutoscaleTrace,
     ClusterResult,
@@ -59,18 +57,14 @@ from repro.cluster.report import (
 from repro.cluster.router import ReplicaSnapshot, RouterPolicy, make_router
 from repro.models.config import ModelConfig
 from repro.perf.baselines import DeviceModel
-from repro.serving.engine import (
-    ServingEngine,
-    SimulationResult,
-    run_decode_burst,
-)
+from repro.serving.engine import Endpoint, ServingEngine, SimulationResult
 from repro.serving.prefix_cache import PrefixCacheStats
 from repro.serving.request import Request
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
 from repro.serving.stream import RequestStream, as_stream
 
 
-class ReplicaSim:
+class ReplicaSim(Endpoint):
     """One steppable replica: a continuous-batching endpoint with a
     local clock that the cluster advances between arrivals.
 
@@ -85,20 +79,14 @@ class ReplicaSim:
     """
 
     def __init__(self, replica_id: int, engine: ServingEngine) -> None:
-        self.replica_id = replica_id
-        self.engine = engine
         # each replica owns its cache and paged pool — prefix residency
         # is per-endpoint, which is exactly what makes the router
         # choice (session-affinity vs round-robin) show up in hit rates
-        self.prefix_cache = engine.build_prefix_cache()
-        self.scheduler = ContinuousBatchingScheduler(
-            engine.model, engine.limits, prefix_cache=self.prefix_cache)
-        self.now = 0.0
-        self.pending: deque[Request] = deque()  # routed, not yet enqueued
-        self.finished: list[Request] = []
+        # ``pending`` holds routed requests not yet enqueued
+        super().__init__(engine, deque(), [])
+        self.replica_id = replica_id
         # --- group identity (set by the cluster engine on hetero fleets;
         # the defaults keep a directly-built replica homogeneous) ---
-        self.group: "EngineGroup | None" = None
         self.group_index = 0
         self.chip_label = ""
         self.prefill_rate = 0.0
@@ -106,11 +94,6 @@ class ReplicaSim:
         self.assigned_requests = 0
         self.assigned_tokens = 0
         self._outstanding_tokens = 0
-        self.iterations = 0
-        self.decode_steps = 0
-        self.busy = 0.0
-        self.decode_time = 0.0
-        self.prefill_time = 0.0
         self._snapshot: ReplicaSnapshot | None = None
         # --- lifecycle (managed by the cluster engine) ---
         self.launched_at = 0.0
@@ -120,7 +103,7 @@ class ReplicaSim:
         self.drain_started_at: float | None = None
         self.retired_at: float | None = None
         self.reported_finished = 0  # completions already seen by a decision
-        # --- faults (armed only on the fault-enabled run paths) ---
+        # --- faults (armed only when the run injects faults) ---
         self.fault_plan: ReplicaFaultPlan | None = None
         self.restart_at = 0.0  # crashed-until instant; 0.0 = never down
         self._prior_cache_stats: list[PrefixCacheStats] = []
@@ -132,10 +115,6 @@ class ReplicaSim:
     @property
     def outstanding_requests(self) -> int:
         return self.assigned_requests - len(self.finished)
-
-    @property
-    def outstanding_tokens(self) -> int:
-        return self._outstanding_tokens
 
     @property
     def has_work(self) -> bool:
@@ -170,8 +149,7 @@ class ReplicaSim:
     # Simulation                                                           #
     # ------------------------------------------------------------------ #
 
-    def _note_finished(self, request: Request) -> None:
-        """Per-completion hook for the shared decode burst."""
+    def on_finish(self, request: Request) -> None:
         self._outstanding_tokens -= (request.input_tokens
                                      + request.output_tokens)
 
@@ -188,14 +166,16 @@ class ReplicaSim:
         self._outstanding_tokens += tokens
         self._snapshot = None
 
-    def advance_to(self, target: float, horizon: float) -> None:
+    def advance_to(self, target: float, horizon: float,
+                   factor: float = 1.0) -> None:
         """Run iterations until the clock reaches ``min(target, horizon)``
         or the replica goes idle with nothing arriving before then.
 
-        Mirrors ``ServingEngine.run``: an iteration starts whenever the
-        clock is still below the limit, even if it ends past it, and an
-        idle replica's clock stays at its last event (never inflated to
-        the horizon).
+        The same iteration body as ``ServingEngine.run``
+        (:meth:`Endpoint.advance`), with every step time multiplied by
+        ``factor``: an iteration starts whenever the clock is still below
+        the limit, even if it ends past it, and an idle replica's clock
+        stays at its last event (never inflated to the horizon).
         """
         if not self.has_work:
             return
@@ -208,75 +188,18 @@ class ReplicaSim:
             # fleets where arrivals outpace the iteration clock.
             return
         self._snapshot = None
-        scheduler = self.scheduler
-        pending = self.pending
-        engine = self.engine
-        device = engine.device
-        model = engine.model
-        num_devices = engine.num_devices
-        fast_forward = engine.fast_forward
-        while self.now < limit:
-            while pending and pending[0].arrival_time <= self.now:
-                scheduler.enqueue(pending.popleft())
-            plan = scheduler.plan_iteration()
-            if not plan.has_work:
-                if not pending:
-                    break
-                # idle-jump to the next routed arrival, clamped to the
-                # limit — the same rule as ServingEngine.run, so a
-                # post-horizon arrival leaves the clock at the horizon,
-                # never past it
-                self.now = min(pending[0].arrival_time, limit)
-                continue
-            if fast_forward and plan.decode_batch \
-                    and plan.prefill_tokens == 0:
-                # same pure-decode fast-forward as ServingEngine.run,
-                # additionally bounded by the advance limit
-                self.now, steps, self.busy, self.decode_time = \
-                    run_decode_burst(
-                        scheduler, plan, pending, device, model,
-                        num_devices, self.now, limit, self.busy,
-                        self.decode_time, self.finished,
-                        on_finish=self._note_finished)
-                self.iterations += steps
-                self.decode_steps += steps
-                continue
-            step, decode_part, prefill_part = \
-                engine._iteration_seconds(plan)
-            self.now += step
-            self.busy += step
-            self.decode_time += decode_part
-            self.prefill_time += prefill_part
-            self.iterations += 1
-            if plan.decode_batch:
-                self.decode_steps += 1
-                finished_now: list[Request] = []
-                for request in plan.decode_requests:
-                    request.record_token(self.now)
-                    if request.done:
-                        self.finished.append(request)
-                        finished_now.append(request)
-                        self._outstanding_tokens -= (
-                            request.input_tokens + request.output_tokens)
-                plan.finished_decodes = finished_now
-            scheduler.complete_iteration(plan)
-
-    # ------------------------------------------------------------------ #
-    # Fault-aware stepping (only entered when faults are enabled)          #
-    # ------------------------------------------------------------------ #
+        self.advance(limit, factor)
 
     def advance_faulty(self, target: float, horizon: float) -> None:
-        """Fault-aware :meth:`advance_to`: honors the replica's stall
-        windows, slowdown multipliers and next crash boundary.
+        """Plan-aware :meth:`advance_to`: honors the replica's stall
+        windows, slowdown factors and next crash boundary.
 
         The clock never crosses the plan's ``crash_at`` — the cluster
-        fires the crash there — and inside clean segments the advance
-        delegates to the plain path (same fast-forward, same timing).
+        fires the crash there.  Between window edges the advance runs
+        the plain stepper, scaled by the slowdown factor inside a
+        slowdown window (decode bursts included).
         """
         plan = self.fault_plan
-        if plan is None:
-            self.advance_to(target, horizon)
-            return
         limit = min(target, horizon)
         crash = plan.crash_at
         if crash is not None:
@@ -301,58 +224,12 @@ class ReplicaSim:
                 continue
             segment = plan.next_boundary(self.now, limit)
             before = self.now
-            if window is None:
-                self.advance_to(segment, horizon)
-            else:
-                self._advance_slow(segment, window.factor)
+            self.advance_to(segment, horizon,
+                            1.0 if window is None else window.factor)
             if not self.now > before:
                 # idle with nothing arriving before the boundary — the
                 # inner advance already concluded there is no progress
                 return
-
-    def _advance_slow(self, limit: float, factor: float) -> None:
-        """Straggler window: per-iteration advance with every step time
-        multiplied by ``factor``.
-
-        No decode fast-forward here — a burst is timed at full speed and
-        would cross the window boundary at the wrong rate.  The loop is
-        otherwise the same iteration body as :meth:`advance_to`.
-        """
-        self._snapshot = None
-        scheduler = self.scheduler
-        pending = self.pending
-        engine = self.engine
-        while self.now < limit:
-            while pending and pending[0].arrival_time <= self.now:
-                scheduler.enqueue(pending.popleft())
-            plan = scheduler.plan_iteration()
-            if not plan.has_work:
-                if not pending:
-                    return
-                self.now = min(pending[0].arrival_time, limit)
-                continue
-            step, decode_part, prefill_part = \
-                engine._iteration_seconds(plan)
-            step *= factor
-            decode_part *= factor
-            prefill_part *= factor
-            self.now += step
-            self.busy += step
-            self.decode_time += decode_part
-            self.prefill_time += prefill_part
-            self.iterations += 1
-            if plan.decode_batch:
-                self.decode_steps += 1
-                finished_now: list[Request] = []
-                for request in plan.decode_requests:
-                    request.record_token(self.now)
-                    if request.done:
-                        self.finished.append(request)
-                        finished_now.append(request)
-                        self._outstanding_tokens -= (
-                            request.input_tokens + request.output_tokens)
-                plan.finished_decodes = finished_now
-            scheduler.complete_iteration(plan)
 
     def crash_reset(self, when: float, restart_at: float) -> list[Request]:
         """Crash at ``when``: every in-flight request loses its generated
@@ -386,28 +263,13 @@ class ReplicaSim:
 
     def result(self) -> SimulationResult:
         """This replica's outcome in the single-engine result shape."""
-        unfinished = (self.scheduler.prefilling + self.scheduler.decoding
-                      + list(self.scheduler.queued) + list(self.pending))
-        cache_stats = None
-        if self.prefix_cache is not None:
+        result = super().result()
+        if self._prior_cache_stats:
             # a crash restarts the cache cold; pre-crash stats are
             # stashed so the replica's reuse history stays complete
-            if self._prior_cache_stats:
-                cache_stats = PrefixCacheStats.merged(
-                    self._prior_cache_stats + [self.prefix_cache.stats])
-            else:
-                cache_stats = self.prefix_cache.stats
-        return SimulationResult(
-            finished=list(self.finished),
-            unfinished=unfinished,
-            total_time_s=self.now,
-            iterations=self.iterations,
-            decode_steps=self.decode_steps,
-            busy_time_s=self.busy,
-            decode_time_s=self.decode_time,
-            prefill_time_s=self.prefill_time,
-            prefix_cache=cache_stats,
-        )
+            result.prefix_cache = PrefixCacheStats.merged(
+                self._prior_cache_stats + [self.prefix_cache.stats])
+        return result
 
 
 def _sorted_by_arrival(requests):
@@ -606,44 +468,18 @@ class ClusterEngine:
                 if decode_s > 0 else 0.0
 
     def _new_replica(self, replica_id: int,
-                     group: EngineGroup | None = None) -> ReplicaSim:
-        if group is None:
-            group = self.groups[0]
+                     group: EngineGroup) -> ReplicaSim:
         replica = ReplicaSim(
             replica_id,
             ServingEngine(group.device, group.model,
                           group.limits, group.num_devices,
                           fast_forward=self.fast_forward,
                           prefix_cache=self.prefix_cache))
-        replica.group = group
         replica.group_index = group.index
         replica.chip_label = group.name
         replica.prefill_rate = group.prefill_tokens_per_s
         replica.decode_rate = group.decode_tokens_per_s
         return replica
-
-    def _initial_fleet(self) -> list[ReplicaSim]:
-        """Replica ids run 0..N-1 group by group, in spec order."""
-        fleet: list[ReplicaSim] = []
-        for group in self.groups:
-            for _ in range(group.count):
-                fleet.append(self._new_replica(len(fleet), group))
-        return fleet
-
-    def _static_breakdowns(
-            self, fleet: list[ReplicaSim],
-            results: list[SimulationResult],
-    ) -> tuple[tuple[GroupBreakdown, ...] | None, tuple[int, ...] | None]:
-        """Per-group shares of a fixed-fleet run (hetero fleets only)."""
-        if len(self.groups) == 1:
-            return None, None
-        wall = max(result.total_time_s for result in results)
-        group_ids = tuple(replica.group_index for replica in fleet)
-        meta = [(g.name, g.chip, g.cost_per_replica_s)
-                for g in self.groups]
-        seconds = [wall * g.count for g in self.groups]
-        return group_breakdowns(results, group_ids, meta,
-                                seconds), group_ids
 
     @staticmethod
     def _route(router: RouterPolicy, request: Request,
@@ -667,317 +503,94 @@ class ClusterEngine:
             progress=None) -> ClusterResult:
         """Route the arrival stream, drain every replica, aggregate.
 
-        ``requests`` is a list (the classic path) or a lazy iterable /
-        :class:`~repro.serving.stream.RequestStream`, consumed one
-        arrival at a time — bit-identical results either way (the
-        fault paths buffer arrivals in their event heap regardless).
-        ``progress`` is called as ``progress(sim_time, done_count)``
-        once per routed arrival; wall-clock throttling lives in the
-        caller, keeping the engine deterministic.
+        One event loop serves every mode.  ``requests`` is a list (the
+        classic path) or a lazy iterable /
+        :class:`~repro.serving.stream.RequestStream`, pulled one arrival
+        at a time and merged with the retry heap — bit-identical results
+        either way, and the stream is never more than one request ahead
+        of routing, faults or not.  Before each routing event every
+        replica is advanced to its instant (and, on an autoscaled fleet,
+        every decision due by then runs first).  ``progress`` is called
+        as ``progress(sim_time, done_count)`` once per routed request;
+        wall-clock throttling lives in the caller, keeping the engine
+        deterministic.
         """
+        horizon = max_sim_seconds
         router = make_router(self.router)
+        policy = None
+        if self.autoscale is not None:
+            policy = self.autoscaler if self.autoscaler is not None \
+                else make_autoscaler(self.autoscale.policy)
         faults = self.faults \
             if self.faults is not None and self.faults.enabled else None
-        if faults is None:
-            # the fault-free paths are byte-identical to the pre-fault
-            # engine: a disabled spec enters zero new code
-            if self.autoscale is None:
-                return self._run_static(requests, max_sim_seconds, router,
-                                        progress)
-            return self._run_autoscaled(requests, max_sim_seconds, router,
-                                        progress)
-        if self.autoscale is None:
-            return self._run_static_faulty(requests, max_sim_seconds,
-                                           router, faults, progress)
-        return self._run_autoscaled_faulty(requests, max_sim_seconds,
-                                           router, faults, progress)
-
-    def _run_static(self, requests, max_sim_seconds: float,
-                    router: RouterPolicy, progress=None) -> ClusterResult:
-        fleet = self._initial_fleet()
-        for request in _sorted_by_arrival(requests):
-            arrival = request.arrival_time
-            for replica in fleet:
-                replica.advance_to(arrival, max_sim_seconds)
-            self._route(router, request, fleet).submit(request)
-            if progress is not None:
-                progress(arrival, sum(len(r.finished) for r in fleet))
-        for replica in fleet:
-            replica.advance_to(float("inf"), max_sim_seconds)
-        results = [r.result() for r in fleet]
-        breakdowns, group_ids = self._static_breakdowns(fleet, results)
-        return aggregate_cluster(results, groups=breakdowns,
-                                 group_ids=group_ids)
-
-    def _run_autoscaled(self, requests, max_sim_seconds: float,
-                        router: RouterPolicy,
-                        progress=None) -> ClusterResult:
-        spec = self.autoscale
-        policy = self.autoscaler if self.autoscaler is not None \
-            else make_autoscaler(spec.policy)
-        fleet = _DynamicFleet(self._new_replica, spec, self.groups)
-        next_decision = spec.decision_interval_s
-        for request in _sorted_by_arrival(requests):
-            arrival = request.arrival_time
-            while next_decision <= arrival \
-                    and next_decision <= max_sim_seconds:
-                fleet.decide(next_decision, max_sim_seconds, policy)
-                next_decision += spec.decision_interval_s
-            for replica in fleet.live:
-                replica.advance_to(arrival, max_sim_seconds)
-            routable = fleet.routable(arrival)
-            if not routable:
-                # structurally unreachable: scale-down cancels
-                # provisioning replicas before draining ready ones and
-                # clamps at min_replicas >= 1, so at least one ready,
-                # non-draining replica always exists
-                raise RuntimeError(
-                    "no routable replica in the autoscaled fleet")
-            self._route(router, request, routable).submit(request)
-            fleet.note_arrival()
-            if progress is not None:
-                progress(arrival,
-                         sum(len(r.finished) for r in fleet.live))
-        # keep the control loop ticking until the fleet drains, so
-        # post-traffic scale-downs (and their replica-second savings)
-        # are part of the simulated history
-        while fleet.has_work() and next_decision <= max_sim_seconds:
-            fleet.decide(next_decision, max_sim_seconds, policy)
-            next_decision += spec.decision_interval_s
-        return fleet.finalize(max_sim_seconds)
-
-    # ------------------------------------------------------------------ #
-    # Fault-enabled run paths (never entered with faults disabled)         #
-    # ------------------------------------------------------------------ #
-
-    def _run_static_faulty(self, requests, max_sim_seconds: float,
-                           router: RouterPolicy, spec: FaultSpec,
-                           progress=None) -> ClusterResult:
-        """Fixed fleet under fault injection: event-driven routing.
-
-        The arrival stream seeds a time-ordered event heap; crashes push
-        retries back onto it, so routing, retries and failures interleave
-        in one deterministic order.  Crashed replicas restart in place
-        after ``restart_delay_s`` — the fleet size is fixed, the machine
-        reboots — and are unroutable while down.
-        """
-        injector = FaultInjector(spec, max_sim_seconds)
-        coordinator = _FaultCoordinator(spec, injector)
-        fleet = self._initial_fleet()
-        for replica in fleet:
-            replica.fault_plan = injector.plan_for(replica.replica_id, 0.0)
-        for request in _sorted_by_arrival(requests):
-            coordinator.push(request.arrival_time, request)
+        fleet = _Fleet(self._new_replica, self.groups, self.autoscale,
+                       policy, faults, horizon)
+        arrivals = as_stream(_sorted_by_arrival(requests))
+        retries = fleet.retries
         last = 0.0
         while True:
-            while coordinator.events:
-                now, seq, request = heapq.heappop(coordinator.events)
+            while True:
+                # the earlier of the stream head and the retry heap; an
+                # arrival keys as (t, 0, stream index), so it wins ties
+                if arrivals and (not retries or (
+                        arrivals[0].arrival_time, 0, arrivals.emitted)
+                        < retries[0]):
+                    kind, order = 0, arrivals.emitted
+                    request = arrivals.popleft()
+                    now = request.arrival_time
+                elif retries:
+                    now, kind, order, request = heapq.heappop(retries)
+                else:
+                    break
                 last = max(last, now)
-                for replica in fleet:
-                    replica.advance_faulty(now, max_sim_seconds)
-                coordinator.fire(fleet, now)
-                if coordinator.events and coordinator.events[0][0] < now:
+                fleet.decide_due(now, horizon)
+                fleet.advance(now, horizon)
+                fleet.fire(now)
+                if retries and retries[0][0] < now:
                     # a crash pushed retries behind this event in time:
-                    # requeue it (original seq) and serve them first
-                    heapq.heappush(coordinator.events,
-                                   (now, seq, request))
+                    # requeue it under its own key and serve them first
+                    heapq.heappush(retries, (now, kind, order, request))
                     continue
-                if coordinator.timed_out(request, now):
-                    continue
-                routable = [r for r in fleet if r.restart_at <= now]
-                if not routable:
-                    # whole fleet down: park the request until the first
-                    # restart, or give up if that lies past the horizon
-                    wake = min(r.restart_at for r in fleet)
-                    if wake > max_sim_seconds:
-                        injector.fail(request, now)
-                        continue
-                    coordinator.push(wake, request)
-                    continue
-                self._route(router, request, routable).submit(request)
-                if progress is not None:
-                    progress(now, sum(len(r.finished) for r in fleet))
-            for replica in fleet:
-                replica.advance_faulty(float("inf"), max_sim_seconds)
-            if not coordinator.fire(fleet, last):
-                break
-        results = [r.result() for r in fleet]
-        wall = max(result.total_time_s for result in results)
-        breakdowns, group_ids = self._static_breakdowns(fleet, results)
-        return aggregate_cluster(results, faults=injector.trace(wall),
-                                 groups=breakdowns, group_ids=group_ids)
-
-    def _run_autoscaled_faulty(self, requests, max_sim_seconds: float,
-                               router: RouterPolicy, spec: FaultSpec,
-                               progress=None) -> ClusterResult:
-        """Elastic fleet under fault injection.
-
-        Crashed replicas retire immediately (dead hardware is not a warm
-        machine) and the very next decision sees the capacity loss as
-        ``launched < desired``, replacing them through the normal
-        provisioning/warm-pool lifecycle.  Unlike the fault-free path,
-        crashes can leave the routable set empty, so requests park until
-        provisioning capacity arrives or fail when none can.
-        """
-        autoscale = self.autoscale
-        policy = self.autoscaler if self.autoscaler is not None \
-            else make_autoscaler(autoscale.policy)
-        injector = FaultInjector(spec, max_sim_seconds)
-        coordinator = _FaultCoordinator(spec, injector)
-        fleet = _FaultyDynamicFleet(self._new_replica, autoscale,
-                                    self.groups, coordinator)
-        interval = autoscale.decision_interval_s
-        next_decision = interval
-        for request in _sorted_by_arrival(requests):
-            coordinator.push(request.arrival_time, request)
-        last = 0.0
-        while True:
-            while coordinator.events:
-                now, seq, request = heapq.heappop(coordinator.events)
-                last = max(last, now)
-                while next_decision <= now \
-                        and next_decision <= max_sim_seconds:
-                    fleet.decide(next_decision, max_sim_seconds, policy)
-                    next_decision += interval
-                for replica in list(fleet.live):
-                    fleet._advance(replica, now, max_sim_seconds)
-                fleet.fire_crashes(now)
-                if coordinator.events and coordinator.events[0][0] < now:
-                    heapq.heappush(coordinator.events,
-                                   (now, seq, request))
-                    continue
-                if coordinator.timed_out(request, now):
+                if fleet.timed_out(request, now):
                     continue
                 routable = fleet.routable(now)
                 if not routable:
-                    wake = fleet.next_capacity_at(now, next_decision,
-                                                  max_sim_seconds)
-                    if wake is None:
-                        injector.fail(request, now)
-                        continue
-                    coordinator.push(wake, request)
+                    fleet.park(request, now, horizon)
                     continue
                 self._route(router, request, routable).submit(request)
                 fleet.note_arrival()
                 if progress is not None:
-                    progress(now,
-                             sum(len(r.finished) for r in fleet.live))
-            if fleet.has_work() and next_decision <= max_sim_seconds:
-                # keep the control loop ticking while draining, exactly
-                # like the fault-free path — crashes during the tail are
-                # fired inside decide() and feed the event heap above
-                fleet.decide(next_decision, max_sim_seconds, policy)
-                next_decision += interval
+                    progress(now, sum(len(r.finished) for r in fleet.live))
+            if policy is not None and fleet.next_decision <= horizon \
+                    and any(r.has_work for r in fleet.live):
+                # keep the control loop ticking while the fleet drains,
+                # so post-traffic scale-downs (and their replica-second
+                # savings) are part of the simulated history
+                fleet.decide_due(fleet.next_decision, horizon)
                 continue
-            for replica in list(fleet.live):
-                fleet._advance(replica, float("inf"), max_sim_seconds)
-            if not fleet.fire_crashes(last):
+            fleet.advance(float("inf"), horizon)
+            if not fleet.fire(last):
                 break
-        return fleet.finalize(max_sim_seconds)
+        return fleet.finalize(arrivals.emitted)
 
 
-class _FaultCoordinator:
-    """Retry heap + crash firing for one fault-injected cluster run.
+class _Fleet:
+    """Replica lifecycle, crash handling and the retry heap for one
+    cluster run — every mode in one class.
 
-    ``events`` holds ``(time, seq, request)`` routing events — arrivals
-    and crash retries — in one deterministic total order; ``seq`` is a
-    monotonic tiebreaker, so equal-time events keep insertion order and
-    the heap never compares two :class:`Request` objects.
-    """
-
-    def __init__(self, spec: FaultSpec, injector: FaultInjector) -> None:
-        self.spec = spec
-        self.injector = injector
-        self.events: list[tuple[float, int, Request]] = []
-        self._seq = 0
-
-    def push(self, time: float, request: Request) -> None:
-        heapq.heappush(self.events, (time, self._seq, request))
-        self._seq += 1
-
-    def timed_out(self, request: Request, now: float) -> bool:
-        """Deadline check at routing time; a missed deadline is a
-        recorded terminal failure, not a silent drop."""
-        timeout = self.spec.request_timeout_s
-        if timeout is not None and now - request.arrival_time > timeout:
-            self.injector.fail(request, now)
-            return True
-        return False
-
-    def fire(self, replicas, global_now: float, on_crash=None) -> bool:
-        """Fire every due crash; returns whether any fired.
-
-        A crash is due once the run's event clock passes it, or — for a
-        replica that stopped at its crash boundary with work in hand —
-        as soon as the replica's own clock reaches it.  An idle
-        replica's *future* crash never fires during the drain: nothing
-        is there to lose and nothing waits on the machine.
-
-        ``on_crash`` selects the recovery model: ``None`` restarts the
-        machine in place after ``restart_delay_s`` (fixed fleet); a
-        callback retires it (autoscaled fleet — replacement capacity
-        comes from the policy).
-        """
-        spec = self.spec
-        fired = False
-        for replica in list(replicas):
-            plan = replica.fault_plan
-            if plan is None or plan.crash_at is None:
-                continue
-            crash = plan.crash_at
-            if crash > self.injector.horizon:
-                continue
-            due = crash <= global_now \
-                or (replica.has_work and replica.now >= crash)
-            if not due:
-                continue
-            # iterations are indivisible: a crash mid-iteration takes
-            # effect when the iteration ends (replica.now), never before
-            # the scheduled instant itself
-            when = max(crash, replica.now)
-            fired = True
-            if on_crash is None:
-                restart = when + spec.restart_delay_s
-                lost = replica.crash_reset(when, restart)
-                plan.note_crash(restart)
-                downtime = spec.restart_delay_s
-            else:
-                lost = replica.crash_reset(when, float("inf"))
-                plan.note_crash(float("inf"))
-                on_crash(replica, when)
-                downtime = 0.0
-            self.injector.record_crash(replica.replica_id, when,
-                                       len(lost), downtime)
-            for request in lost:
-                self._requeue(request, when)
-        return fired
-
-    def _requeue(self, request: Request, when: float) -> None:
-        """Retry a crash-lost request, or record it failed when its
-        retry budget or deadline is spent."""
-        spec = self.spec
-        if request.retries >= spec.max_retries:
-            self.injector.fail(request, when)
-        elif spec.request_timeout_s is not None \
-                and when - request.arrival_time > spec.request_timeout_s:
-            self.injector.fail(request, when)
-        else:
-            request.reset_for_retry()
-            self.injector.retries += 1
-            self.push(when, request)
-
-
-class _DynamicFleet:
-    """Replica lifecycle bookkeeping for one autoscaled cluster run.
-
-    Owns the live fleet, the warm pool stock, the scale-event log and
-    the per-interval timeline; :class:`ClusterEngine` drives it at
-    arrivals and decision instants.  Scale-ups pay the cold provision
-    latency unless warm stock is available; scale-downs cancel
-    still-provisioning replicas first (newest first — they hold no
-    work), then drain the ready replica with the fewest outstanding
+    A *fixed* fleet has no autoscaler policy: it never decides, its
+    replicas stay ready for the whole run, and a crashed replica
+    restarts in place after ``restart_delay_s`` (the machine reboots;
+    it is unroutable while down).  An *autoscaled* fleet runs the
+    policy every ``decision_interval_s``; scale-ups pay the cold
+    provision latency unless warm stock is available; scale-downs
+    cancel still-provisioning replicas first (newest first — they hold
+    no work), then drain the ready replica with the fewest outstanding
     requests (ties to the newest id).  Retiring a replica returns one
-    slot to the warm pool, capped at ``warm_pool_size``.
+    slot to the warm pool, capped at ``warm_pool_size``.  A crashed
+    replica retires on the spot — dead hardware is not a warm machine,
+    so the pool is *not* refilled — and the next decision sees the loss
+    as ``launched < desired``.
 
     On a multi-group fleet the same lifecycle runs per group: each
     scale-up unit launches into the *cheapest* group still under its
@@ -986,14 +599,33 @@ class _DynamicFleet:
     (ties to the latest group), a group-level ``provision_latency_s``
     overrides the fleet-wide cold latency, and warm stock is kept per
     group (a warm GPU is not a warm ADOR).  With one group every choice
-    collapses to the legacy single-pool behavior, bit for bit.
+    collapses to the single-pool behavior, bit for bit.
+
+    With faults off ``injector`` is ``None`` and nothing here calls into
+    :mod:`repro.cluster.faults`.  With faults on, each replica's fault
+    plan is armed at its first advance, once its launch time is known,
+    so its schedule is independent of fleet dynamics.  ``retries`` is
+    the heap of routing events that did not come straight from the
+    arrival stream: ``(t, 1, push count, request)`` for crash retries
+    and parked requests, ``(t, 0, stream index, request)`` for an
+    arrival requeued behind them — together with the stream's
+    ``(t, 0, index)`` keys one deterministic total order that never
+    compares two :class:`Request` objects.
     """
 
-    def __init__(self, new_replica, spec: AutoscaleSpec,
-                 groups: list[EngineGroup]) -> None:
+    def __init__(self, new_replica, groups: list[EngineGroup],
+                 spec: AutoscaleSpec | None,
+                 policy: AutoscalerPolicy | None,
+                 faults: FaultSpec | None, horizon: float) -> None:
         self.new_replica = new_replica
-        self.spec = spec
         self.groups = groups
+        self.spec = spec
+        self.policy = policy
+        self.injector = FaultInjector(faults, horizon) \
+            if faults is not None else None
+        self.retries: list[tuple[float, int, int, Request]] = []
+        self._pushes = 0
+        # the initial fleet: ids run 0..N-1 group by group, in spec order
         self.live: list[ReplicaSim] = []
         for group in groups:
             for _ in range(group.count):
@@ -1001,7 +633,11 @@ class _DynamicFleet:
         self.everyone: list[ReplicaSim] = list(self.live)
         self.initial = len(self.live)
         self.next_id = self.initial
-        self.warm_stock = [spec.warm_pool_size for _ in groups]
+        # a fixed fleet's next decision never comes
+        self.next_decision = spec.decision_interval_s \
+            if policy is not None else float("inf")
+        self.warm_stock = [spec.warm_pool_size if spec else 0
+                           for _ in groups]
         self.events: list[ScaleEvent] = []
         self.samples: list[FleetSample] = []
         self.warm_launches = 0
@@ -1016,12 +652,11 @@ class _DynamicFleet:
     # ------------------------------------------------------------------ #
 
     def routable(self, now: float) -> list[ReplicaSim]:
-        """Ready, non-draining replicas — what the router may target."""
+        """Ready, non-draining replicas that are not down after a crash
+        — what the router may target."""
         return [r for r in self.live
-                if not r.draining and r.ready_at <= now]
-
-    def has_work(self) -> bool:
-        return any(r.has_work for r in self.live)
+                if not r.draining and r.ready_at <= now
+                and r.restart_at <= now]
 
     def note_arrival(self) -> None:
         self._interval_arrivals += 1
@@ -1037,24 +672,137 @@ class _DynamicFleet:
             counts[replica.group_index] += 1
         return counts
 
-    def _advance(self, replica: ReplicaSim, target: float,
-                 horizon: float) -> None:
-        """Advance hook — the fault-injected fleet overrides this."""
-        replica.advance_to(target, horizon)
-
-    def _fault_trace(self, wall: float) -> FaultTrace | None:
-        """Fault-log hook — ``None`` on fault-free runs."""
-        return None
-
     # ------------------------------------------------------------------ #
-    # One decision instant                                                 #
+    # Stepping, crashes and retries                                        #
     # ------------------------------------------------------------------ #
 
-    def decide(self, now: float, horizon: float,
-               policy: AutoscalerPolicy) -> None:
-        spec = self.spec
+    def advance(self, target: float, horizon: float) -> None:
+        injector = self.injector
+        if injector is None:
+            for replica in self.live:
+                replica.advance_to(target, horizon)
+            return
         for replica in self.live:
-            self._advance(replica, now, horizon)
+            if replica.fault_plan is None:
+                replica.fault_plan = injector.plan_for(
+                    replica.replica_id, replica.launched_at)
+            replica.advance_faulty(target, horizon)
+
+    def fire(self, global_now: float) -> bool:
+        """Fire every due crash; returns whether any fired.
+
+        A crash is due once the run's event clock passes it, or — for a
+        replica that stopped at its crash boundary with work in hand —
+        as soon as the replica's own clock reaches it.  An idle
+        replica's *future* crash never fires during the drain: nothing
+        is there to lose and nothing waits on the machine.
+        """
+        injector = self.injector
+        if injector is None:
+            return False
+        fired = False
+        for replica in list(self.live):
+            plan = replica.fault_plan
+            if plan is None or plan.crash_at is None:
+                continue
+            crash = plan.crash_at
+            if crash > injector.horizon:
+                continue
+            due = crash <= global_now \
+                or (replica.has_work and replica.now >= crash)
+            if not due:
+                continue
+            # iterations are indivisible: a crash mid-iteration takes
+            # effect when the iteration ends (replica.now), never before
+            # the scheduled instant itself
+            when = max(crash, replica.now)
+            fired = True
+            if self.policy is None:
+                # a fixed fleet's machine reboots in place
+                downtime = injector.spec.restart_delay_s
+                restart = when + downtime
+            else:
+                # an elastic fleet retires dead hardware and the policy
+                # replaces the capacity
+                downtime, restart = 0.0, float("inf")
+                replica.retired_at = when
+                self._retired_busy += replica.busy
+                self.live.remove(replica)
+            lost = replica.crash_reset(when, restart)
+            plan.note_crash(restart)
+            injector.record_crash(replica.replica_id, when, len(lost),
+                                  downtime)
+            for request in lost:
+                self._requeue(request, when)
+        return fired
+
+    def push(self, time: float, request: Request) -> None:
+        heapq.heappush(self.retries, (time, 1, self._pushes, request))
+        self._pushes += 1
+
+    def _requeue(self, request: Request, when: float) -> None:
+        """Retry a crash-lost request, or record it failed when its
+        retry budget or deadline is spent."""
+        spec = self.injector.spec
+        if request.retries >= spec.max_retries \
+                or (spec.request_timeout_s is not None and when
+                    - request.arrival_time > spec.request_timeout_s):
+            self.injector.fail(request, when)
+        else:
+            request.reset_for_retry()
+            self.injector.retries += 1
+            self.push(when, request)
+
+    def timed_out(self, request: Request, now: float) -> bool:
+        """Deadline check at routing time; a missed deadline is a
+        recorded terminal failure, not a silent drop."""
+        if self.injector is None:
+            return False
+        timeout = self.injector.spec.request_timeout_s
+        if timeout is not None and now - request.arrival_time > timeout:
+            self.injector.fail(request, now)
+            return True
+        return False
+
+    def park(self, request: Request, now: float, horizon: float) -> None:
+        """No routable replica: defer ``request`` to the next instant
+        capacity can appear — a restart within the horizon, a
+        provisioning replica becoming ready, or the next decision (which
+        can launch replacements) — or record it failed when none can.
+
+        Without faults capacity always appears: scale-downs clamp at
+        ``min_replicas >= 1`` non-draining replicas, so when none is
+        ready one is provisioning (a mixed fleet can drain its last
+        ready replica in an expensive group while a cheap replacement
+        still provisions).  Only a fault run can fail a request here.
+        """
+        candidates = [r.ready_at for r in self.live
+                      if not r.draining and r.ready_at > now]
+        candidates += [r.restart_at for r in self.live
+                       if now < r.restart_at <= horizon]
+        if self.policy is not None and self.next_decision <= horizon:
+            candidates.append(self.next_decision)
+        if candidates:
+            self.push(min(candidates), request)
+        else:
+            self.injector.fail(request, now)
+
+    # ------------------------------------------------------------------ #
+    # Decision instants                                                    #
+    # ------------------------------------------------------------------ #
+
+    def decide_due(self, now: float, horizon: float) -> None:
+        """Run every decision instant at or before ``now``."""
+        while self.next_decision <= now and self.next_decision <= horizon:
+            self.decide(self.next_decision, horizon)
+            self.next_decision += self.spec.decision_interval_s
+
+    def decide(self, now: float, horizon: float) -> None:
+        spec = self.spec
+        self.advance(now, horizon)
+        # fire due crashes before the policy looks: lost capacity must
+        # be visible as launched < desired at this very decision
+        self.fire(now)
         interval_ttfts = self._collect_interval_ttfts()
         self._retire_drained()
         routable = self.routable(now)
@@ -1070,7 +818,7 @@ class _DynamicFleet:
             interval_arrivals=self._interval_arrivals,
             interval_ttft_s=tuple(interval_ttfts),
         )
-        desired = int(policy.desired_replicas(observation))
+        desired = int(self.policy.desired_replicas(observation))
         desired = min(max(desired, spec.min_replicas), spec.max_replicas)
         delta = desired - len(launched)
         if delta > 0:
@@ -1255,19 +1003,30 @@ class _DynamicFleet:
     # End of run                                                           #
     # ------------------------------------------------------------------ #
 
-    def finalize(self, horizon: float) -> ClusterResult:
-        for replica in self.live:
-            self._advance(replica, float("inf"), horizon)
+    def finalize(self, pulled: int) -> ClusterResult:
+        """Aggregate the run, checking that every request pulled from
+        the arrival stream ended finished, unfinished or failed."""
         self._retire_drained()
-        # the fleet wall clock: a never-ready replica never worked, so
-        # its zero-valued clock cannot set it
         outcomes = [(replica, replica.result())
                     for replica in self.everyone]
         wall = max((result.total_time_s for _, result in outcomes),
                    default=0.0)
+        # a replica holding routed work is reported even when it only
+        # became ready after the wall clock of a truncated run
         served = [(replica, result) for replica, result in outcomes
-                  if self._ever_ready(replica, wall)]
+                  if replica.assigned_requests
+                  or self._ever_ready(replica, wall)]
         results = [result for _, result in served]
+        faults = self.injector.trace(wall) \
+            if self.injector is not None else None
+        accounted = sum(len(result.finished) + len(result.unfinished)
+                        for result in results) \
+            + (len(faults.failed) if faults is not None else 0)
+        if accounted != pulled:
+            raise RuntimeError(
+                f"request conservation broken: the report accounts for "
+                f"{accounted} requests, {pulled} were pulled from the "
+                f"arrival stream")
         breakdowns: tuple[GroupBreakdown, ...] | None = None
         group_ids: tuple[int, ...] | None = None
         if len(self.groups) > 1:
@@ -1275,96 +1034,41 @@ class _DynamicFleet:
                               for replica, _ in served)
             meta = [(g.name, g.chip, g.cost_per_replica_s)
                     for g in self.groups]
-            seconds = [self._alive_seconds(0.0, wall, group=g.index)
-                       for g in self.groups]
+            if self.policy is None:
+                seconds = [wall * g.count for g in self.groups]
+            else:
+                seconds = [self._alive_seconds(0.0, wall, group=g.index)
+                           for g in self.groups]
             breakdowns = group_breakdowns(results, group_ids, meta,
                                           seconds)
-        trace = AutoscaleTrace(
-            events=tuple(self.events),
-            timeline=tuple(self.samples),
-            replica_seconds=self._alive_seconds(0.0, wall),
-            launched=len(self.everyone),
-            retired=sum(1 for r in self.everyone
-                        if r.retired_at is not None),
-            # the timeline samples post-decision states only, so the
-            # fleet that ran before the first decision is the floor
-            peak_replicas=max([self.initial]
-                              + [s.ready + s.provisioning
-                                 for s in self.samples]),
-            warm_launches=self.warm_launches,
-            cold_launches=self.cold_launches,
-        )
-        return aggregate_cluster(results, autoscale=trace,
-                                 faults=self._fault_trace(wall),
+        trace = None
+        if self.policy is not None:
+            trace = AutoscaleTrace(
+                events=tuple(self.events),
+                timeline=tuple(self.samples),
+                replica_seconds=self._alive_seconds(0.0, wall),
+                launched=len(self.everyone),
+                retired=sum(1 for r in self.everyone
+                            if r.retired_at is not None),
+                # the timeline samples post-decision states only, so the
+                # fleet that ran before the first decision is the floor
+                peak_replicas=max([self.initial]
+                                  + [s.ready + s.provisioning
+                                     for s in self.samples]),
+                warm_launches=self.warm_launches,
+                cold_launches=self.cold_launches,
+            )
+        return aggregate_cluster(results, autoscale=trace, faults=faults,
                                  groups=breakdowns, group_ids=group_ids)
 
     @staticmethod
     def _ever_ready(replica: ReplicaSim, wall: float) -> bool:
         """False for replicas that never finished provisioning — whether
         cancelled by a scale-down or still mid-provision when the run
-        ended.  They never existed from the traffic's point of view, so
-        they carry no per-replica result (an all-zero entry would skew
-        the load-imbalance stats); they still cost replica-seconds."""
+        ended.  Without routed work they never existed from the
+        traffic's point of view, so they carry no per-replica result (an
+        all-zero entry would skew the load-imbalance stats); they still
+        cost replica-seconds."""
         end = replica.retired_at if replica.retired_at is not None \
             else wall
         return replica.ready_at <= end
-
-
-class _FaultyDynamicFleet(_DynamicFleet):
-    """A dynamic fleet whose replicas can crash, straggle and stall.
-
-    A crashed replica retires on the spot — dead hardware is not a warm
-    machine, so the warm pool is *not* refilled — and the next decision
-    sees the loss as ``launched < desired``, replacing it through the
-    normal provisioning/warm-pool path.  Fault plans are armed lazily at
-    a replica's first advance, once its launch time is known, so a
-    replica's schedule is independent of fleet dynamics.
-    """
-
-    def __init__(self, new_replica, spec: AutoscaleSpec,
-                 groups: list[EngineGroup],
-                 coordinator: _FaultCoordinator) -> None:
-        self.coordinator = coordinator
-        super().__init__(new_replica, spec, groups)
-
-    def _advance(self, replica: ReplicaSim, target: float,
-                 horizon: float) -> None:
-        if replica.fault_plan is None:
-            replica.fault_plan = self.coordinator.injector.plan_for(
-                replica.replica_id, replica.launched_at)
-        replica.advance_faulty(target, horizon)
-
-    def decide(self, now: float, horizon: float,
-               policy: AutoscalerPolicy) -> None:
-        # fire due crashes before the policy looks: lost capacity must
-        # be visible as launched < desired at this very decision
-        for replica in list(self.live):
-            self._advance(replica, now, horizon)
-        self.fire_crashes(now)
-        super().decide(now, horizon, policy)
-
-    def fire_crashes(self, global_now: float) -> bool:
-        return self.coordinator.fire(self.live, global_now,
-                                     on_crash=self._crash_retire)
-
-    def _crash_retire(self, replica: ReplicaSim, when: float) -> None:
-        replica.retired_at = when
-        self._retired_busy += replica.busy
-        self.live.remove(replica)
-
-    def next_capacity_at(self, now: float, next_decision: float,
-                         horizon: float) -> float | None:
-        """When routable capacity can next appear: the earliest
-        still-provisioning replica, or the next decision instant (which
-        can launch replacements).  ``None`` when neither exists within
-        the horizon — the fleet can never serve the request."""
-        candidates = [r.ready_at for r in self.live
-                      if not r.draining and r.ready_at > now]
-        if next_decision <= horizon:
-            candidates.append(next_decision)
-        if not candidates:
-            return None
-        return min(candidates)
-
-    def _fault_trace(self, wall: float) -> FaultTrace:
-        return self.coordinator.injector.trace(wall)

@@ -28,8 +28,9 @@ Semantics, matched to what the serving layer can honestly model:
   Stalled replicas stay routable — a router cannot see a stall that has
   not happened yet, only the queue it causes.
 
-The cluster engine consults the spec only on its fault-enabled run
-paths; ``faults=None`` (or ``enabled=False``) enters zero new code.
+The cluster engine consults the spec only when faults are enabled;
+with ``faults=None`` (or ``enabled=False``) a run makes zero calls into
+this module.
 """
 
 from __future__ import annotations
@@ -423,8 +424,8 @@ class FaultInjector:
     """Fault bookkeeping for one cluster run.
 
     Owns the per-replica plans (one rng substream each), the crash log,
-    and the retry/failure counters; the engine's fault-enabled run paths
-    drive it and collect the final :class:`FaultTrace`.
+    and the retry/failure counters; the cluster engine drives it on
+    fault-injected runs and collects the final :class:`FaultTrace`.
     """
 
     def __init__(self, spec: FaultSpec, horizon: float) -> None:

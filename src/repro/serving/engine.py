@@ -8,6 +8,14 @@ almost completely.  Iteration latency comes from the same
 :class:`~repro.perf.baselines.DeviceModel` estimators as every other
 experiment, so the serving results are consistent with Figs. 11 and 15.
 
+The continuous-batching iteration body exists once, in
+:meth:`Endpoint.advance`: enqueue due arrivals, plan, then idle-jump,
+run a decode burst or time one iteration and stamp its tokens, then
+complete.  :meth:`ServingEngine.run` drives one endpoint to the horizon;
+the cluster's replicas (``repro.cluster.engine.ReplicaSim``) are
+endpoints driven arrival by arrival, and a slowdown window drives the
+same body with a step-time factor.
+
 Two coordinated fast paths keep simulated iterations near-free without
 changing a single result bit:
 
@@ -40,7 +48,7 @@ from repro.serving.prefix_cache import (
     PrefixCacheStats,
 )
 from repro.serving.request import Request, RequestState
-from repro.serving.stream import RequestStream, as_stream
+from repro.serving.stream import as_stream
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
     IterationPlan,
@@ -220,24 +228,21 @@ class SimulationResult:
 
 def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
                      now, limit, busy, decode_time, finished,
-                     on_finish=None):
+                     on_finish=None, factor=1.0):
     """Fast-forward one pure-decode run and apply it, in one place.
 
     Steps a fixed decode batch until the earliest completion
     (``until_finish`` steps), the clock passing ``limit`` (checked
-    before each step, like the plain loops), or the next pending arrival
+    before each step, like the plain loop), or the next pending arrival
     landing (checked after each step, so the step that overruns it still
-    executes — the plain loops only see arrivals at the next iteration
-    top).  ``busy``/``decode_time`` are threaded through and accumulated
-    per step, preserving the reference float-summation order bit for
-    bit.  Completions are appended to ``finished`` in batch order
-    (``on_finish`` is an optional extra per-completion hook) and the
-    scheduler state is advanced via ``complete_burst``.  Returns
-    ``(now, steps, busy, decode_time)``.
-
-    Shared by :meth:`ServingEngine.run` and
-    ``repro.cluster.engine.ReplicaSim.advance_to`` so the burst
-    semantics cannot drift between the single-engine and cluster paths.
+    executes — the plain loop only sees arrivals at the next iteration
+    top).  Every step time is multiplied by ``factor`` (a slowdown
+    window's; exact at 1.0).  ``busy``/``decode_time`` are threaded
+    through and accumulated per step, preserving the reference
+    float-summation order bit for bit.  Completions are appended to
+    ``finished`` in batch order (``on_finish`` is an optional extra
+    per-completion hook) and the scheduler state is advanced via
+    ``complete_burst``.  Returns ``(now, steps, busy, decode_time)``.
     """
     batch = plan.decode_requests
     size = plan.decode_batch
@@ -248,7 +253,7 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     times: list[float] = []
     steps = 0
     seconds_map = getattr(device, "decode_seconds_map", None)
-    if seconds_map is not None:
+    if seconds_map is not None and factor <= 1.0:
         # raw-context -> seconds map: one dict probe per step instead of
         # a decode_step_time call (re-bucketing + key tuple + breakdown
         # fetch).  Misses are filled *through* decode_step_time so the
@@ -275,10 +280,12 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
         if steps > fills:
             device.stats.decode_hits += steps - fills
     else:
+        # one device call per step: the reference device models, and
+        # slowdown windows (the seconds map holds unscaled step times)
         while steps < until_finish and now < limit:
             mean_context = max(1, int(ctx_sum / size))
             step = device.decode_step_time(
-                model, size, mean_context, num_devices).seconds
+                model, size, mean_context, num_devices).seconds * factor
             now += step
             busy += step
             decode_time += step
@@ -350,6 +357,155 @@ class _FinishedSink:
 
     def __len__(self) -> int:
         return self.count
+
+
+class Endpoint:
+    """One endpoint's run state, stepped by the one iteration body.
+
+    Holds the scheduler and prefix cache, the pending arrivals (a deque
+    or :class:`~repro.serving.stream.RequestStream`), the finished sink
+    and the clock and counters.  :meth:`ServingEngine.run` drives one
+    to the horizon; ``repro.cluster.engine.ReplicaSim`` extends it with
+    routing and lifecycle state and drives it arrival by arrival.
+    """
+
+    #: per-completion hook, called after the request joins ``finished``
+    on_finish = None
+
+    def __init__(self, engine: "ServingEngine", pending, finished) -> None:
+        self.engine = engine
+        self.prefix_cache = engine.build_prefix_cache()
+        self.scheduler = ContinuousBatchingScheduler(
+            engine.model, engine.limits, prefix_cache=self.prefix_cache)
+        self.pending = pending
+        self.finished = finished
+        self.now = 0.0
+        self.iterations = 0
+        self.decode_steps = 0
+        self.busy = 0.0
+        self.decode_time = 0.0
+        self.prefill_time = 0.0
+
+    def advance(self, limit: float, factor: float = 1.0,
+                monitor: InstabilityMonitor | None = None,
+                progress=None) -> Saturated | None:
+        """Run iterations while the clock is below ``limit``.
+
+        Each pass enqueues the arrivals due by now, then plans; an idle
+        endpoint jumps to its next arrival (clamped to ``limit``, so a
+        late arrival never inflates the clock) or stops when none is
+        pending.  A pure-decode plan runs as one decode burst when the
+        engine fast-forwards; any other plan runs one timed iteration.
+        An iteration starts whenever the clock is below ``limit``, even
+        if it ends past it.  ``factor`` multiplies every step time (a
+        slowdown window).  ``progress(now, done)`` and the monitor are
+        called once per pass; the monitor's verdict is returned when it
+        stops the run.
+        """
+        scheduler = self.scheduler
+        pending = self.pending
+        finished = self.finished
+        on_finish = self.on_finish
+        engine = self.engine
+        device = engine.device
+        model = engine.model
+        num_devices = engine.num_devices
+        fast_forward = engine.fast_forward
+        now = self.now
+        busy = self.busy
+        decode_time = self.decode_time
+        prefill_time = self.prefill_time
+        iterations = self.iterations
+        decode_steps = self.decode_steps
+        saturated = None
+        while now < limit:
+            while pending and pending[0].arrival_time <= now:
+                scheduler.enqueue(pending.popleft())
+            if progress is not None:
+                progress(now, len(finished))
+            # backlog = arrived requests still waiting for a first token
+            # (admission may be generous, so saturation can pile up in
+            # the prefill queue rather than the admission queue)
+            if monitor is not None and monitor.observe(
+                    now, len(scheduler.queued) + len(scheduler.prefilling),
+                    finished):
+                saturated = monitor.verdict
+                break
+            plan = scheduler.plan_iteration()
+            if not plan.has_work:
+                if not pending:
+                    break
+                # idle until the next arrival, never past the limit (a
+                # late arrival must not inflate the clock)
+                now = min(pending[0].arrival_time, limit)
+                continue
+            if fast_forward and plan.decode_batch \
+                    and plan.prefill_tokens == 0:
+                # Pure decode: nothing prefilling, and anything still
+                # queued stayed blocked during _admit, which only
+                # unblocks after a completion.  Fast-forward whole steps
+                # until the earliest completion, the next arrival, or
+                # the limit — whichever the per-step clock hits first.
+                now, steps, busy, decode_time = run_decode_burst(
+                    scheduler, plan, pending, device, model, num_devices,
+                    now, limit, busy, decode_time, finished, on_finish,
+                    factor)
+                iterations += steps
+                decode_steps += steps
+                continue
+            step, decode_part, prefill_part = engine._iteration_seconds(plan)
+            step *= factor
+            now += step
+            busy += step
+            decode_time += decode_part * factor
+            prefill_time += prefill_part * factor
+            iterations += 1
+            if plan.decode_batch:
+                decode_steps += 1
+                finished_now: list[Request] = []
+                for request in plan.decode_requests:
+                    request.record_token(now)
+                    if request.done:
+                        finished.append(request)
+                        finished_now.append(request)
+                        if on_finish is not None:
+                            on_finish(request)
+                plan.finished_decodes = finished_now
+            scheduler.complete_iteration(plan)
+        self.now = now
+        self.busy = busy
+        self.decode_time = decode_time
+        self.prefill_time = prefill_time
+        self.iterations = iterations
+        self.decode_steps = decode_steps
+        return saturated
+
+    def result(self, saturated: Saturated | None = None) -> SimulationResult:
+        """The run so far in the :class:`SimulationResult` shape; the
+        unfinished list drains whatever the pending stream still holds."""
+        scheduler = self.scheduler
+        unfinished = scheduler.prefilling + scheduler.decoding \
+            + list(scheduler.queued) + list(self.pending)
+        finished = self.finished
+        sunk_finished = sunk_tokens = 0
+        if isinstance(finished, _FinishedSink):
+            sunk_finished, sunk_tokens = finished.count, finished.tokens
+            finished = []
+        cache = self.prefix_cache
+        return SimulationResult(
+            finished=finished,
+            unfinished=unfinished,
+            total_time_s=self.now,
+            iterations=self.iterations,
+            decode_steps=self.decode_steps,
+            busy_time_s=self.busy,
+            decode_time_s=self.decode_time,
+            prefill_time_s=self.prefill_time,
+            saturated=saturated,
+            prefix_cache=cache.stats if cache is not None else None,
+            sunk_finished=sunk_finished,
+            sunk_tokens=sunk_tokens,
+        )
 
 
 class ServingEngine:
@@ -443,9 +599,7 @@ class ServingEngine:
         caller (see ``repro.perf.scale.ProgressReporter``) so the engine
         itself stays deterministic.
         """
-        if isinstance(requests, RequestStream):
-            pending = requests
-        elif isinstance(requests, (list, tuple)):
+        if isinstance(requests, (list, tuple)):
             pending = deque(sorted(requests, key=lambda r: r.arrival_time))
         else:
             pending = as_stream(requests)
@@ -454,91 +608,11 @@ class ServingEngine:
                 "a finished-request sink cannot be combined with an "
                 "InstabilityMonitor: the monitor inspects the retained "
                 "finished list the sink exists to avoid")
-        cache = self.build_prefix_cache()
-        scheduler = ContinuousBatchingScheduler(self.model, self.limits,
-                                                prefix_cache=cache)
-        now = 0.0
-        finished = _FinishedSink(sink) if sink is not None else []
-        iterations = 0
-        decode_steps = 0
-        busy = 0.0
-        decode_time = 0.0
-        prefill_time = 0.0
-        saturated: Saturated | None = None
-        device = self.device
-        model = self.model
-        num_devices = self.num_devices
-
-        while now < max_sim_seconds:
-            while pending and pending[0].arrival_time <= now:
-                scheduler.enqueue(pending.popleft())
-            if progress is not None:
-                progress(now, len(finished))
-            # backlog = arrived requests still waiting for a first token
-            # (admission may be generous, so saturation can pile up in
-            # the prefill queue rather than the admission queue)
-            if monitor is not None and monitor.observe(
-                    now, len(scheduler.queued) + len(scheduler.prefilling),
-                    finished):
-                saturated = monitor.verdict
-                break
-            plan = scheduler.plan_iteration()
-            if not plan.has_work:
-                if not pending:
-                    break
-                # idle until the next arrival, never past the horizon
-                # (a late arrival must not inflate total_time_s)
-                now = min(pending[0].arrival_time, max_sim_seconds)
-                continue
-            if self.fast_forward and plan.decode_batch \
-                    and plan.prefill_tokens == 0:
-                # Pure decode: nothing prefilling, and anything still
-                # queued stayed blocked during _admit, which only
-                # unblocks after a completion.  Fast-forward whole steps
-                # until the earliest completion, the next arrival, or
-                # the horizon — whichever the per-step clock hits first.
-                now, steps, busy, decode_time = run_decode_burst(
-                    scheduler, plan, pending, device, model, num_devices,
-                    now, max_sim_seconds, busy, decode_time, finished)
-                iterations += steps
-                decode_steps += steps
-                continue
-            step, decode_part, prefill_part = self._iteration_seconds(plan)
-            now += step
-            busy += step
-            decode_time += decode_part
-            prefill_time += prefill_part
-            iterations += 1
-            if plan.decode_batch:
-                decode_steps += 1
-                finished_now: list[Request] = []
-                for request in plan.decode_requests:
-                    request.record_token(now)
-                    if request.done:
-                        finished.append(request)
-                        finished_now.append(request)
-                plan.finished_decodes = finished_now
-            scheduler.complete_iteration(plan)
-
-        unfinished = scheduler.prefilling + scheduler.decoding \
-            + list(scheduler.queued) + list(pending)
+        endpoint = Endpoint(
+            self, pending, _FinishedSink(sink) if sink is not None else [])
+        saturated = endpoint.advance(max_sim_seconds, monitor=monitor,
+                                     progress=progress)
+        result = endpoint.result(saturated)
         if progress is not None:
-            progress(now, len(finished))
-        sunk_finished = sunk_tokens = 0
-        if isinstance(finished, _FinishedSink):
-            sunk_finished, sunk_tokens = finished.count, finished.tokens
-            finished = []
-        return SimulationResult(
-            finished=finished,
-            unfinished=unfinished,
-            total_time_s=now,
-            iterations=iterations,
-            decode_steps=decode_steps,
-            busy_time_s=busy,
-            decode_time_s=decode_time,
-            prefill_time_s=prefill_time,
-            saturated=saturated,
-            prefix_cache=cache.stats if cache is not None else None,
-            sunk_finished=sunk_finished,
-            sunk_tokens=sunk_tokens,
-        )
+            progress(endpoint.now, len(endpoint.finished))
+        return result

@@ -13,6 +13,7 @@ from repro.api import (
     Experiment,
     ServingReport,
     WorkloadSpec,
+    build_cluster_engine,
     run_experiment,
     simulate,
     simulate_cluster,
@@ -27,6 +28,7 @@ from repro.cluster import (
     make_autoscaler,
     make_router,
 )
+from repro.cluster.engine import EngineGroup
 from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
@@ -903,3 +905,68 @@ class TestAutoscaledCluster:
         assert result.load.request_imbalance == 1.0
         # the ghosts' provisioning time is still paid for
         assert trace.replica_seconds > result.merged.total_time_s
+
+    @pytest.mark.parametrize("horizon", [5.0, 60.0])
+    def test_truncated_run_reports_late_ready_replicas(self, horizon):
+        """A replica that only became ready after a truncated run's wall
+        clock still holds the requests routed to it after the horizon:
+        the report accounts for every one of them."""
+        deployment = DeploymentSpec(
+            chip="ador", max_batch=1, replicas=1,
+            autoscale=AutoscaleSpec(policy="slo-attainment",
+                                    max_replicas=4))
+        workload = WorkloadSpec(arrival="sessions", session=SessionConfig(),
+                                num_requests=5, seed=0)
+        requests = workload.build_requests()
+        assert len(requests) == 27
+        result = build_cluster_engine(deployment).run(
+            requests, max_sim_seconds=horizon)
+        seen = result.merged.finished + result.merged.unfinished
+        assert len(seen) == 27
+        assert len(set(seen)) == 27
+
+    def test_conservation_is_checked_at_the_end_of_every_run(
+            self, ador_device, llama3, monkeypatch):
+        """A report that loses a request fails the run loudly, naming
+        both counts, instead of quietly under-counting the QoS."""
+        from repro.cluster.engine import ReplicaSim
+
+        result = ReplicaSim.result
+
+        def leaky(self):
+            outcome = result(self)
+            outcome.finished = outcome.finished[1:]
+            return outcome
+
+        monkeypatch.setattr(ReplicaSim, "result", leaky)
+        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
+                               replicas=1)
+        with pytest.raises(RuntimeError, match=r"\b9\b.*\b10\b"):
+            engine.run(poisson_requests(5.0, 10), max_sim_seconds=600.0)
+
+    def test_mixed_fleet_parks_arrivals_while_replacement_provisions(
+            self, llama3):
+        """A scale-down drains the only ready replica of the expensive
+        group while the cheap group's replacement still provisions: the
+        arrivals in between wait for it instead of failing the run."""
+        limits = SchedulerLimits(max_batch=8)
+        groups = [
+            EngineGroup(0, "a100", "a100",
+                        device_model_for(get_chip("a100")), llama3, limits,
+                        count=1, cost_per_replica_s=2.5),
+            EngineGroup(1, "ador", "ador",
+                        device_model_for(get_chip("ador")), llama3, limits,
+                        count=0, cost_per_replica_s=1.0),
+        ]
+        engine = ClusterEngine.from_groups(
+            groups,
+            autoscale=AutoscaleSpec(min_replicas=1, max_replicas=3,
+                                    decision_interval_s=1.0,
+                                    provision_latency_s=10.0),
+            autoscaler=SchedulePolicy([(1.0, 2), (2.0, 1)]))
+        requests = [request(i, arrival=0.5 * i) for i in range(10)]
+        result = engine.run(requests, max_sim_seconds=60.0)
+        assert len(result.merged.finished) == 10
+        # the A100 drained at t=2; the ADOR replica served the rest
+        assert result.groups[1].finished_requests > 0
+

@@ -15,7 +15,13 @@ import copy
 import numpy as np
 import pytest
 
-from repro.api import DeploymentSpec, WorkloadSpec, simulate
+from repro.api import (
+    DeploymentSpec,
+    FaultEvent,
+    FaultSpec,
+    WorkloadSpec,
+    simulate,
+)
 from repro.api.facade import _device_for
 from repro.cluster.engine import ClusterEngine, _sorted_by_arrival
 from repro.core.scheduling import AdorDeviceModel
@@ -24,7 +30,8 @@ from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
-from repro.serving.engine import ServingEngine
+from repro.serving import engine as serving_engine
+from repro.serving.engine import ServingEngine, run_decode_burst
 from repro.serving.generator import (
     OnOffRequestGenerator,
     PoissonRequestGenerator,
@@ -84,12 +91,20 @@ def run_single(chip_name, requests, fast, horizon=600.0):
     return engine.run(copy.deepcopy(requests), max_sim_seconds=horizon)
 
 
-def run_cluster(chip_name, requests, fast, replicas=4, horizon=600.0):
+def run_cluster(chip_name, requests, fast, replicas=4, horizon=600.0,
+                faults=None):
     chip = get_chip(chip_name)
     device = _device_for(chip, sim_cache=fast, context_bucket=1)
     engine = ClusterEngine(device, MODEL, LIMITS, replicas=replicas,
-                           router="least-outstanding", fast_forward=fast)
+                           router="least-outstanding", fast_forward=fast,
+                           faults=faults)
     return engine.run(copy.deepcopy(requests), max_sim_seconds=horizon)
+
+
+#: x2 straggler windows on replicas 0 and 1, inside the traffic
+SLOWDOWNS = FaultSpec(events=(
+    FaultEvent(kind="slowdown", replica_id=0, time_s=0.3, duration_s=1.5),
+    FaultEvent(kind="slowdown", replica_id=1, time_s=0.8, duration_s=1.2)))
 
 
 class TestParityMatrix:
@@ -121,6 +136,34 @@ class TestParityMatrix:
             assert result_fingerprint(fast_rep) \
                 == result_fingerprint(ref_rep)
         assert fast.load == reference.load
+        assert fast.qos() == reference.qos()
+
+    @pytest.mark.parametrize("replicas", (1, 4))
+    def test_slowdown_windows_fast_forward(self, replicas, monkeypatch):
+        """Slowdown windows run decode bursts with their step-time
+        factor and stay bit-identical to the per-iteration loop."""
+        factors = []
+
+        def recording_burst(*args):
+            factors.append(args[-1])  # the stepper passes factor last
+            return run_decode_burst(*args)
+
+        monkeypatch.setattr(serving_engine, "run_decode_burst",
+                            recording_burst)
+        requests = steady_requests(rate=20.0)
+        fast = run_cluster("ador", requests, fast=True, replicas=replicas,
+                           faults=SLOWDOWNS)
+        reference = run_cluster("ador", requests, fast=False,
+                                replicas=replicas, faults=SLOWDOWNS)
+        assert 2.0 in factors
+        assert result_fingerprint(fast.merged) \
+            == result_fingerprint(reference.merged)
+        for fast_rep, ref_rep in zip(fast.replica_results,
+                                     reference.replica_results):
+            assert result_fingerprint(fast_rep) \
+                == result_fingerprint(ref_rep)
+        assert fast.faults == reference.faults
+        assert fast.faults.slowdowns == min(replicas, 2)
         assert fast.qos() == reference.qos()
 
     def test_single_replica_cluster_matches_engine(self):

@@ -20,7 +20,7 @@ from repro.api import DeploymentSpec, WorkloadSpec, simulate
 from repro.api.facade import _device_for
 from repro.cluster.autoscaler import AutoscaleSpec
 from repro.cluster.engine import ClusterEngine
-from repro.cluster.faults import FaultSpec
+from repro.cluster.faults import FaultEvent, FaultSpec
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.scale import StreamStats
@@ -260,6 +260,40 @@ def test_streaming_cluster_bit_identical(kind, replicas, elastic, seed,
     streamed, materialized = run(True), run(False)
     assert cluster_fingerprint(streamed) == cluster_fingerprint(materialized)
     assert streamed.merged.total_time_s == materialized.merged.total_time_s
+
+
+CRASH = FaultSpec(seed=3, restart_delay_s=5.0, max_retries=3,
+                  events=(FaultEvent(kind="crash", replica_id=0,
+                                     time_s=1.0),))
+
+
+@pytest.mark.parametrize("autoscale", [None, AutoscaleSpec(
+    policy="queue-depth", min_replicas=1, max_replicas=4,
+    decision_interval_s=1.0, provision_latency_s=2.0)])
+def test_fault_runs_pull_arrivals_lazily(autoscale):
+    """Crash retries merge into the arrival stream instead of the whole
+    stream being buffered first: the stream is never more than one
+    request ahead of the requests routed so far."""
+    count = 80
+    stream = as_stream(iter_onoff_requests(BURSTY, 30.0, 2.0, 2.0, 5, count))
+    routed = 0
+    lead = []
+
+    def progress(now, done):
+        nonlocal routed
+        routed += 1
+        lead.append(stream.emitted - routed)
+
+    engine = ClusterEngine(_device(), MODEL, LIMITS, replicas=2,
+                           router="least-outstanding", autoscale=autoscale,
+                           faults=CRASH)
+    result = engine.run(stream, max_sim_seconds=120.0, progress=progress)
+    assert result.faults.crashes == 1
+    assert result.faults.retries > 0
+    assert max(lead) <= 1
+    assert stream.emitted == count
+    assert len(result.merged.finished) + len(result.merged.unfinished) \
+        + result.faults.failed_count == count
 
 
 # --------------------------------------------------------------------- #
