@@ -8,15 +8,21 @@ with a simulation horizon.  All three round-trip through plain dicts
 be generated in Python, checked into a repo as ``experiment.json`` files,
 and replayed bit-identically anywhere (same seed, same report).
 
+The JSON shape is the specs' dataclass fields: every spec here and the
+ones nested in a deployment (autoscale, prefix cache, faults) inherit
+:class:`~repro.spec_codec.SpecCodec`, one codec that emits fields in
+declaration order and rejects unknown keys at every level.
+
 Chips are referenced by registry name (``"ador"``, ``"a100"``, ...) or
 embedded as a full custom :class:`~repro.hardware.chip.ChipSpec`, which
-:func:`chip_to_dict` / :func:`chip_from_dict` serialize field-by-field.
+:func:`chip_to_dict` / :func:`chip_from_dict` serialize field-by-field
+(process node by label, infinite SRAM bandwidth as ``null``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any, Iterator, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
     from repro.serving.stream import RequestStream
@@ -35,8 +41,17 @@ from repro.serving.prefix_cache import PrefixCacheSpec
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.sessions import SessionConfig
 from repro.serving.traces import get_trace
+from repro.spec_codec import (
+    OMIT_DEFAULT,
+    SpecCodec,
+    check_keys,
+    decode,
+    register_format,
+)
 
 _PROCESS_BY_LABEL = {node.label: node for node in ProcessNode}
+
+T = TypeVar("T")
 
 
 # --------------------------------------------------------------------- #
@@ -50,35 +65,20 @@ def _finite(value: float | None) -> float | None:
     return value
 
 
-def _require_mapping(data: Any, context: str) -> dict[str, Any]:
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"{context} section must be a JSON object, "
-            f"got {type(data).__name__}")
-    return data
-
-
-def _reject_unknown_keys(data: dict[str, Any], allowed: frozenset[str],
-                         context: str) -> None:
-    """A typo'd field silently running with defaults would defeat the
-    whole reproducible-config contract — fail loudly instead."""
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown {context} field(s): {', '.join(sorted(unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}")
-
-
 def _sram_to_dict(sram: Sram) -> dict[str, float | None]:
     return {"size_bytes": sram.size_bytes,
             "bandwidth_bytes_per_s": _finite(sram.bandwidth_bytes_per_s)}
 
 
-def _sram_from_dict(data: dict[str, Any]) -> Sram:
-    bandwidth = data.get("bandwidth_bytes_per_s")
+def _sram_from_dict(data: Any) -> Sram:
+    bandwidth = check_keys(Sram, data).get("bandwidth_bytes_per_s")
     return Sram(size_bytes=data["size_bytes"],
                 bandwidth_bytes_per_s=float("inf") if bandwidth is None
                 else bandwidth)
+
+
+def _optional_unit(cls: type[T], data: Any) -> T | None:
+    return decode(cls, data) if data else None
 
 
 def chip_to_dict(chip: ChipSpec) -> dict[str, Any]:
@@ -117,37 +117,44 @@ def chip_to_dict(chip: ChipSpec) -> dict[str, Any]:
 
 
 def chip_from_dict(data: dict[str, Any]) -> ChipSpec:
-    """Rebuild a :class:`ChipSpec` from :func:`chip_to_dict` output."""
+    """Rebuild a :class:`ChipSpec` from :func:`chip_to_dict` output.
+
+    Unknown keys are rejected at the top level and in every section,
+    the same loud-typo contract as the specs that embed a chip.
+    """
+    check_keys(ChipSpec, data)
     process = data["process"]
     if process not in _PROCESS_BY_LABEL:
         known = ", ".join(sorted(_PROCESS_BY_LABEL))
         raise KeyError(f"unknown process node {process!r}; known: {known}")
+    dram = check_keys(Dram, data["dram"])
+    noc = check_keys(NocSpec, data["noc"])
+    p2p = check_keys(P2pSpec, data["p2p"])
     return ChipSpec(
         name=data["name"],
         kind=ChipKind(data["kind"]),
         frequency_hz=data["frequency_hz"],
         cores=data["cores"],
-        systolic_array=SystolicArray(**data["systolic_array"])
-        if data.get("systolic_array") else None,
-        mac_tree=MacTree(**data["mac_tree"]) if data.get("mac_tree") else None,
-        vector_unit=VectorUnit(**data["vector_unit"])
-        if data.get("vector_unit") else None,
+        systolic_array=_optional_unit(SystolicArray,
+                                      data.get("systolic_array")),
+        mac_tree=_optional_unit(MacTree, data.get("mac_tree")),
+        vector_unit=_optional_unit(VectorUnit, data.get("vector_unit")),
         local_memory=_sram_from_dict(data["local_memory"]),
         global_memory=_sram_from_dict(data["global_memory"]),
         dram=Dram(
-            kind=DramKind(data["dram"]["kind"]),
-            size_bytes=data["dram"]["size_bytes"],
-            bandwidth_bytes_per_s=data["dram"]["bandwidth_bytes_per_s"],
-            modules=data["dram"].get("modules", 8),
+            kind=DramKind(dram["kind"]),
+            size_bytes=dram["size_bytes"],
+            bandwidth_bytes_per_s=dram["bandwidth_bytes_per_s"],
+            modules=dram.get("modules", 8),
         ),
         noc=NocSpec(
-            bandwidth_bytes_per_s=data["noc"]["bandwidth_bytes_per_s"],
-            topology=NocTopology(data["noc"].get("topology", "ring")),
-            hop_latency_s=data["noc"].get("hop_latency_s", 2e-9),
+            bandwidth_bytes_per_s=noc["bandwidth_bytes_per_s"],
+            topology=NocTopology(noc.get("topology", "ring")),
+            hop_latency_s=noc.get("hop_latency_s", 2e-9),
         ),
         p2p=P2pSpec(
-            bandwidth_bytes_per_s=data["p2p"]["bandwidth_bytes_per_s"],
-            latency_s=data["p2p"].get("latency_s", 1e-6),
+            bandwidth_bytes_per_s=p2p["bandwidth_bytes_per_s"],
+            latency_s=p2p.get("latency_s", 1e-6),
         ),
         process=_PROCESS_BY_LABEL[process],
         die_area_mm2=data.get("die_area_mm2"),
@@ -156,12 +163,15 @@ def chip_from_dict(data: dict[str, Any]) -> ChipSpec:
     )
 
 
+register_format(ChipSpec, chip_to_dict, chip_from_dict)
+
+
 # --------------------------------------------------------------------- #
 # Workload                                                               #
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(SpecCodec):
     """The load side of an experiment: which requests arrive, and when.
 
     ``trace`` is a registry name (``"ultrachat"``, ``"fixed-512x128"``,
@@ -267,56 +277,13 @@ class WorkloadSpec:
 
         return as_stream(self.iter_requests())
 
-    def to_dict(self) -> dict[str, Any]:
-        trace = self.trace if isinstance(self.trace, str) \
-            else asdict(self.trace)
-        return {
-            "trace": trace,
-            "arrival": self.arrival,
-            "rate_per_s": self.rate_per_s,
-            "num_requests": self.num_requests,
-            "seed": self.seed,
-            "session": asdict(self.session)
-            if self.session is not None else None,
-            "streaming": self.streaming,
-        }
-
-    _FIELDS = frozenset(
-        ("trace", "arrival", "rate_per_s", "num_requests", "seed",
-         "session", "streaming"))
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WorkloadSpec":
-        _require_mapping(data, "workload")
-        _reject_unknown_keys(data, cls._FIELDS, "workload")
-        trace = data.get("trace", "ultrachat")
-        if isinstance(trace, dict):
-            trace = ChatTraceConfig(**trace)
-        session = data.get("session")
-        if session is not None:
-            _require_mapping(session, "workload session")
-            _reject_unknown_keys(
-                session,
-                frozenset(SessionConfig.__dataclass_fields__),
-                "workload session")
-            session = SessionConfig(**session)
-        return cls(
-            trace=trace,
-            arrival=data.get("arrival", "poisson"),
-            rate_per_s=data.get("rate_per_s", 15.0),
-            num_requests=data.get("num_requests", 200),
-            seed=data.get("seed", 7),
-            session=session,
-            streaming=data.get("streaming", True),
-        )
-
 
 # --------------------------------------------------------------------- #
 # Fleet composition                                                      #
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class ReplicaGroupSpec:
+class ReplicaGroupSpec(SpecCodec):
     """One homogeneous slice of a heterogeneous fleet.
 
     A group is ``count`` identical endpoints sharing one hardware and
@@ -397,54 +364,9 @@ class ReplicaGroupSpec:
             kv_budget_bytes=budget,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        chip = self.chip if isinstance(self.chip, str) \
-            else chip_to_dict(self.chip)
-        return {
-            "chip": chip,
-            "model": self.model,
-            "count": self.count,
-            "num_devices": self.num_devices,
-            "max_batch": self.max_batch,
-            "prefill_chunk_tokens": self.prefill_chunk_tokens,
-            "kv_budget_bytes": _finite(self.kv_budget_bytes),
-            "cost_per_replica_s": self.cost_per_replica_s,
-            "min_count": self.min_count,
-            "max_count": self.max_count,
-            "provision_latency_s": self.provision_latency_s,
-            "name": self.name,
-        }
-
-    _FIELDS = frozenset(
-        ("chip", "model", "count", "num_devices", "max_batch",
-         "prefill_chunk_tokens", "kv_budget_bytes", "cost_per_replica_s",
-         "min_count", "max_count", "provision_latency_s", "name"))
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ReplicaGroupSpec":
-        _require_mapping(data, "replica group")
-        _reject_unknown_keys(data, cls._FIELDS, "replica group")
-        chip = data.get("chip", "ador")
-        if isinstance(chip, dict):
-            chip = chip_from_dict(chip)
-        return cls(
-            chip=chip,
-            model=data.get("model", "llama3-8b"),
-            count=data.get("count", 1),
-            num_devices=data.get("num_devices", 1),
-            max_batch=data.get("max_batch", 256),
-            prefill_chunk_tokens=data.get("prefill_chunk_tokens", 512),
-            kv_budget_bytes=data.get("kv_budget_bytes"),
-            cost_per_replica_s=data.get("cost_per_replica_s", 1.0),
-            min_count=data.get("min_count"),
-            max_count=data.get("max_count"),
-            provision_latency_s=data.get("provision_latency_s"),
-            name=data.get("name", ""),
-        )
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(SpecCodec):
     """An explicit fleet composition: an ordered tuple of replica groups.
 
     The heterogeneous generalization of ``DeploymentSpec(replicas=N)``:
@@ -456,7 +378,7 @@ class FleetSpec:
     different order are different specs.
     """
 
-    groups: tuple[ReplicaGroupSpec, ...] = (ReplicaGroupSpec(),)
+    groups: tuple[ReplicaGroupSpec, ...]
 
     def __post_init__(self) -> None:
         # accept any iterable of groups, store a hashable tuple
@@ -477,31 +399,13 @@ class FleetSpec:
         """Initial fleet size: the sum of every group's ``count``."""
         return sum(group.count for group in self.groups)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "groups": [group.to_dict() for group in self.groups],
-        }
-
-    _FIELDS = frozenset(("groups",))
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FleetSpec":
-        _require_mapping(data, "fleet")
-        _reject_unknown_keys(data, cls._FIELDS, "fleet")
-        groups = data.get("groups")
-        if not isinstance(groups, list) or not groups:
-            raise ValueError(
-                "fleet section needs a non-empty 'groups' list")
-        return cls(groups=tuple(
-            ReplicaGroupSpec.from_dict(group) for group in groups))
-
 
 # --------------------------------------------------------------------- #
 # Deployment                                                             #
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class DeploymentSpec:
+class DeploymentSpec(SpecCodec):
     """The endpoint side of an experiment: hardware, model, scheduling.
 
     ``chip`` is a registry name or an inline custom :class:`ChipSpec`;
@@ -649,73 +553,13 @@ class DeploymentSpec:
             kv_budget_bytes=budget,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        chip = self.chip if isinstance(self.chip, str) \
-            else chip_to_dict(self.chip)
-        return {
-            "chip": chip,
-            "model": self.model,
-            "num_devices": self.num_devices,
-            "max_batch": self.max_batch,
-            "prefill_chunk_tokens": self.prefill_chunk_tokens,
-            "kv_budget_bytes": _finite(self.kv_budget_bytes),
-            "batching": self.batching,
-            "replicas": self.replicas,
-            "router": self.router,
-            "autoscale": self.autoscale.to_dict()
-            if self.autoscale is not None else None,
-            "prefix_cache": self.prefix_cache.to_dict()
-            if self.prefix_cache is not None else None,
-            "faults": self.faults.to_dict()
-            if self.faults is not None else None,
-            "fleet": self.fleet.to_dict()
-            if self.fleet is not None else None,
-        }
-
-    _FIELDS = frozenset(
-        ("chip", "model", "num_devices", "max_batch",
-         "prefill_chunk_tokens", "kv_budget_bytes", "batching",
-         "replicas", "router", "autoscale", "prefix_cache", "faults",
-         "fleet"))
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DeploymentSpec":
-        _require_mapping(data, "deployment")
-        _reject_unknown_keys(data, cls._FIELDS, "deployment")
-        chip = data.get("chip", "ador")
-        if isinstance(chip, dict):
-            chip = chip_from_dict(chip)
-        autoscale = data.get("autoscale")
-        prefix_cache = data.get("prefix_cache")
-        faults = data.get("faults")
-        fleet = data.get("fleet")
-        return cls(
-            chip=chip,
-            model=data.get("model", "llama3-8b"),
-            num_devices=data.get("num_devices", 1),
-            max_batch=data.get("max_batch", 256),
-            prefill_chunk_tokens=data.get("prefill_chunk_tokens", 512),
-            kv_budget_bytes=data.get("kv_budget_bytes"),
-            batching=data.get("batching", "continuous"),
-            replicas=data.get("replicas", 1),
-            router=data.get("router", "round-robin"),
-            autoscale=AutoscaleSpec.from_dict(autoscale)
-            if autoscale is not None else None,
-            prefix_cache=PrefixCacheSpec.from_dict(prefix_cache)
-            if prefix_cache is not None else None,
-            faults=FaultSpec.from_dict(faults)
-            if faults is not None else None,
-            fleet=FleetSpec.from_dict(fleet)
-            if fleet is not None else None,
-        )
-
 
 # --------------------------------------------------------------------- #
 # Capacity search                                                        #
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class CapacitySpec:
+class CapacitySpec(SpecCodec):
     """What "capacity" means for an experiment: the SLO and the search.
 
     Attached to an :class:`Experiment`, it turns ``run_experiment`` /
@@ -759,77 +603,26 @@ class CapacitySpec:
         if self.parallel_probes < 1:
             raise ValueError("parallel_probes must be >= 1")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "slo_tbt_s": self.slo_tbt_s,
-            "slo_ttft_s": self.slo_ttft_s,
-            "percentile": self.percentile,
-            "rate_low": self.rate_low,
-            "rate_high": self.rate_high,
-            "iterations": self.iterations,
-            "early_abort": self.early_abort,
-            "reuse_arrivals": self.reuse_arrivals,
-            "parallel_probes": self.parallel_probes,
-        }
-
-    _FIELDS = frozenset(
-        ("slo_tbt_s", "slo_ttft_s", "percentile", "rate_low", "rate_high",
-         "iterations", "early_abort", "reuse_arrivals", "parallel_probes"))
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CapacitySpec":
-        _require_mapping(data, "capacity")
-        _reject_unknown_keys(data, cls._FIELDS, "capacity")
-        return cls(**{key: data[key] for key in cls._FIELDS if key in data})
-
 
 # --------------------------------------------------------------------- #
 # Experiment = deployment + workload + horizon                           #
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class Experiment:
+class Experiment(SpecCodec):
     """A complete, runnable, serializable experiment description.
 
     With a ``capacity`` section the experiment describes a capacity
     search instead of a single fixed-rate simulation.
     """
 
-    deployment: DeploymentSpec
-    workload: WorkloadSpec
+    deployment: DeploymentSpec = DeploymentSpec()
+    workload: WorkloadSpec = WorkloadSpec()
     max_sim_seconds: float = 600.0
-    name: str = ""
-    capacity: CapacitySpec | None = None
+    name: str = field(default="", metadata=OMIT_DEFAULT)
+    capacity: CapacitySpec | None = field(default=None,
+                                          metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.max_sim_seconds <= 0:
             raise ValueError("max_sim_seconds must be positive")
-
-    def to_dict(self) -> dict[str, Any]:
-        data = {
-            "deployment": self.deployment.to_dict(),
-            "workload": self.workload.to_dict(),
-            "max_sim_seconds": self.max_sim_seconds,
-        }
-        if self.name:
-            data["name"] = self.name
-        if self.capacity is not None:
-            data["capacity"] = self.capacity.to_dict()
-        return data
-
-    _FIELDS = frozenset(
-        ("deployment", "workload", "max_sim_seconds", "name", "capacity"))
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Experiment":
-        _require_mapping(data, "experiment")
-        _reject_unknown_keys(data, cls._FIELDS, "experiment")
-        capacity = data.get("capacity")
-        return cls(
-            deployment=DeploymentSpec.from_dict(data.get("deployment", {})),
-            workload=WorkloadSpec.from_dict(data.get("workload", {})),
-            max_sim_seconds=data.get("max_sim_seconds", 600.0),
-            name=data.get("name", ""),
-            capacity=CapacitySpec.from_dict(capacity)
-            if capacity is not None else None,
-        )

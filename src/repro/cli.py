@@ -151,50 +151,11 @@ _AUTOSCALE_KNOBS = (
 )
 
 
-def _autoscale_spec(args: argparse.Namespace) -> AutoscaleSpec | None:
-    """Build an AutoscaleSpec from ``--autoscale*`` flags.
-
-    A knob without ``--autoscale`` is a config mistake, not a default
-    to silently ignore — fail loudly, same contract as the JSON specs.
-    """
-    overrides = {field: getattr(args, arg)
-                 for arg, field in _AUTOSCALE_KNOBS
-                 if getattr(args, arg) is not None}
-    if args.autoscale is None:
-        if overrides:
-            flags = ", ".join("--" + arg.replace("_", "-")
-                              for arg, _ in _AUTOSCALE_KNOBS
-                              if getattr(args, arg) is not None)
-            raise ValueError(
-                f"{flags} require(s) --autoscale <policy>")
-        return None
-    return AutoscaleSpec(policy=args.autoscale, **overrides)
-
-
 _PREFIX_CACHE_KNOBS = (
     ("prefix_cache_fraction", "reclaimable_fraction"),
     ("prefix_cache_eviction", "eviction"),
     ("prefix_cache_block_tokens", "block_tokens"),
 )
-
-
-def _prefix_cache_spec(args: argparse.Namespace) -> PrefixCacheSpec | None:
-    """Build a PrefixCacheSpec from ``--prefix-cache*`` flags.
-
-    A knob without ``--prefix-cache`` is a config mistake, not a default
-    to silently ignore — fail loudly, same contract as the JSON specs.
-    """
-    overrides = {field: getattr(args, arg)
-                 for arg, field in _PREFIX_CACHE_KNOBS
-                 if getattr(args, arg) is not None}
-    if not args.prefix_cache:
-        if overrides:
-            flags = ", ".join("--" + arg.replace("_", "-")
-                              for arg, _ in _PREFIX_CACHE_KNOBS
-                              if getattr(args, arg) is not None)
-            raise ValueError(f"{flags} require(s) --prefix-cache")
-        return None
-    return PrefixCacheSpec(**overrides)
 
 
 _FAULT_KNOBS = (
@@ -209,23 +170,43 @@ _FAULT_KNOBS = (
 )
 
 
-def _faults_spec(args: argparse.Namespace) -> FaultSpec | None:
-    """Build a FaultSpec from ``--fault*`` flags.
+#: ``serve``'s feature sections: the switch flag's attribute (also the
+#: DeploymentSpec field it fills), how an error names the switch, the
+#: spec it builds, and the section's knob table
+_FLAG_SECTIONS = (
+    ("autoscale", "--autoscale <policy>", AutoscaleSpec, _AUTOSCALE_KNOBS),
+    ("prefix_cache", "--prefix-cache", PrefixCacheSpec,
+     _PREFIX_CACHE_KNOBS),
+    ("faults", "--faults", FaultSpec, _FAULT_KNOBS),
+)
 
-    A knob without ``--faults`` is a config mistake, not a default
-    to silently ignore — fail loudly, same contract as the JSON specs.
+
+def _section_specs(args: argparse.Namespace) -> dict[str, object]:
+    """Build each feature section's spec from its flags (``None`` when
+    its switch is off).
+
+    The autoscale switch carries the policy name, the others are plain
+    on/off flags.  A knob without its switch is a config mistake, not a
+    default to silently ignore — fail loudly, same contract as the JSON
+    specs.
     """
-    overrides = {field: getattr(args, arg)
-                 for arg, field in _FAULT_KNOBS
-                 if getattr(args, arg) is not None}
-    if not args.faults:
-        if overrides:
-            flags = ", ".join("--" + arg.replace("_", "-")
-                              for arg, _ in _FAULT_KNOBS
-                              if getattr(args, arg) is not None)
-            raise ValueError(f"{flags} require(s) --faults")
-        return None
-    return FaultSpec(**overrides)
+    specs: dict[str, object] = {}
+    for switch, needs, spec, knobs in _FLAG_SECTIONS:
+        given = [(arg, field) for arg, field in knobs
+                 if getattr(args, arg) is not None]
+        overrides = {field: getattr(args, arg) for arg, field in given}
+        value = getattr(args, switch)
+        if not value:
+            if given:
+                flags = ", ".join("--" + arg.replace("_", "-")
+                                  for arg, _ in given)
+                raise ValueError(f"{flags} require(s) {needs}")
+            specs[switch] = None
+        elif isinstance(value, str):
+            specs[switch] = spec(policy=value, **overrides)
+        else:
+            specs[switch] = spec(**overrides)
+    return specs
 
 
 def _fleet_spec(args: argparse.Namespace) -> FleetSpec | None:
@@ -319,11 +300,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replicas=args.replicas,
             router=_router_name(args),
             fleet=_fleet_spec(args),
-            autoscale=_autoscale_spec(args),
             kv_budget_bytes=float("inf") if args.kv_budget_gb is None
             else args.kv_budget_gb * float(1 << 30),
-            prefix_cache=_prefix_cache_spec(args),
-            faults=_faults_spec(args),
+            **_section_specs(args),
         )
     except ValueError as exc:
         print(f"error: {_exc_message(exc)}", file=sys.stderr)
@@ -418,31 +397,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             overrides["autoscale"] = AutoscaleSpec(policy=args.autoscale) \
                 if base is None \
                 else dataclasses.replace(base, policy=args.autoscale)
-        if args.no_prefix_cache and args.prefix_cache:
-            raise ValueError(
-                "--prefix-cache and --no-prefix-cache are mutually "
-                "exclusive")
-        if args.no_prefix_cache:
-            overrides["prefix_cache"] = None
-        elif args.prefix_cache:
-            # turn reuse on, keeping the experiment's cache knobs when
-            # it already carries a (possibly disabled) spec
-            base = experiment.deployment.prefix_cache
-            overrides["prefix_cache"] = PrefixCacheSpec() \
-                if base is None \
-                else dataclasses.replace(base, enabled=True)
-        if args.no_faults and args.faults:
-            raise ValueError(
-                "--faults and --no-faults are mutually exclusive")
-        if args.no_faults:
-            overrides["faults"] = None
-        elif args.faults:
-            # turn injection on, keeping the experiment's fault knobs
-            # when it already carries a (possibly disabled) spec
-            base = experiment.deployment.faults
-            overrides["faults"] = FaultSpec() \
-                if base is None \
-                else dataclasses.replace(base, enabled=True)
+        for section, spec in (("prefix_cache", PrefixCacheSpec),
+                              ("faults", FaultSpec)):
+            enable = getattr(args, section)
+            strip = getattr(args, "no_" + section)
+            if enable and strip:
+                flag = section.replace("_", "-")
+                raise ValueError(f"--{flag} and --no-{flag} are mutually "
+                                 f"exclusive")
+            if strip:
+                overrides[section] = None
+            elif enable:
+                # turn the feature on, keeping the experiment's knobs
+                # when it already carries a (possibly disabled) spec
+                base = getattr(experiment.deployment, section)
+                overrides[section] = spec() if base is None \
+                    else dataclasses.replace(base, enabled=True)
         if overrides:
             experiment = dataclasses.replace(
                 experiment,

@@ -54,6 +54,7 @@ from typing import Callable, Protocol
 
 from repro.cluster.router import ReplicaSnapshot
 from repro.registry import Registry
+from repro.spec_codec import SpecCodec
 
 
 # --------------------------------------------------------------------- #
@@ -164,7 +165,7 @@ def list_autoscalers() -> list[str]:
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class AutoscaleSpec:
+class AutoscaleSpec(SpecCodec):
     """How a deployment's fleet grows and shrinks (all simulated).
 
     ``policy`` names a registry entry; its decision is evaluated every
@@ -213,37 +214,6 @@ class AutoscaleSpec:
             raise ValueError(
                 "warm_provision_s must not exceed provision_latency_s "
                 "(a warm start cannot be slower than a cold one)")
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "decision_interval_s": self.decision_interval_s,
-            "provision_latency_s": self.provision_latency_s,
-            "warm_pool_size": self.warm_pool_size,
-            "warm_provision_s": self.warm_provision_s,
-        }
-
-    _FIELDS = frozenset(
-        ("policy", "min_replicas", "max_replicas", "decision_interval_s",
-         "provision_latency_s", "warm_pool_size", "warm_provision_s"))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AutoscaleSpec":
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"autoscale section must be a JSON object, "
-                f"got {type(data).__name__}")
-        unknown = set(data) - cls._FIELDS
-        if unknown:
-            # same loud-typo contract as the api specs: a misspelled
-            # knob silently running with defaults would fake a result
-            raise ValueError(
-                f"unknown autoscale field(s): "
-                f"{', '.join(sorted(unknown))}; "
-                f"allowed: {', '.join(sorted(cls._FIELDS))}")
-        return cls(**{key: data[key] for key in cls._FIELDS if key in data})
 
 
 # --------------------------------------------------------------------- #

@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.spec_codec import SpecCodec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.serving.request import Request
@@ -48,7 +50,7 @@ _EVENT_KINDS = ("crash", "slowdown", "stall")
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(SpecCodec):
     """One explicitly scheduled fault, for regression-style specs.
 
     ``duration_s`` is the window length for ``slowdown``/``stall`` and
@@ -87,35 +89,9 @@ class FaultEvent:
                 "slowdown factor must be >= 1 (a straggler is slower, "
                 "not faster)")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "replica_id": self.replica_id,
-            "time_s": self.time_s,
-            "duration_s": self.duration_s,
-            "factor": self.factor,
-        }
-
-    _FIELDS = frozenset(
-        ("kind", "replica_id", "time_s", "duration_s", "factor"))
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultEvent":
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"fault event must be a JSON object, "
-                f"got {type(data).__name__}")
-        unknown = set(data) - cls._FIELDS
-        if unknown:
-            raise ValueError(
-                f"unknown fault event field(s): "
-                f"{', '.join(sorted(unknown))}; "
-                f"allowed: {', '.join(sorted(cls._FIELDS))}")
-        return cls(**{key: data[key] for key in cls._FIELDS if key in data})
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(SpecCodec):
     """What goes wrong, when, and what the serving layer owes each request.
 
     Rates are mean-time-between-failures of independent per-replica
@@ -178,55 +154,6 @@ class FaultSpec:
             if not isinstance(event, FaultEvent):
                 raise ValueError(
                     f"events must hold FaultEvent entries, got {event!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "seed": self.seed,
-            "crash_mtbf_s": self.crash_mtbf_s,
-            "restart_delay_s": self.restart_delay_s,
-            "slowdown_mtbf_s": self.slowdown_mtbf_s,
-            "slowdown_factor": self.slowdown_factor,
-            "slowdown_duration_s": self.slowdown_duration_s,
-            "stall_mtbf_s": self.stall_mtbf_s,
-            "stall_duration_s": self.stall_duration_s,
-            "max_retries": self.max_retries,
-            "request_timeout_s": self.request_timeout_s,
-            "slo_ttft_s": self.slo_ttft_s,
-            "events": [event.to_dict() for event in self.events],
-        }
-
-    _FIELDS = frozenset(
-        ("enabled", "seed", "crash_mtbf_s", "restart_delay_s",
-         "slowdown_mtbf_s", "slowdown_factor", "slowdown_duration_s",
-         "stall_mtbf_s", "stall_duration_s", "max_retries",
-         "request_timeout_s", "slo_ttft_s", "events"))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"faults section must be a JSON object, "
-                f"got {type(data).__name__}")
-        unknown = set(data) - cls._FIELDS
-        if unknown:
-            # same loud-typo contract as the api specs: a misspelled
-            # knob silently running with defaults would fake a result
-            raise ValueError(
-                f"unknown faults field(s): {', '.join(sorted(unknown))}; "
-                f"allowed: {', '.join(sorted(cls._FIELDS))}")
-        kwargs = {key: data[key] for key in cls._FIELDS if key in data}
-        events = kwargs.get("events")
-        if events is not None:
-            if not isinstance(events, (list, tuple)):
-                raise ValueError(
-                    f"faults events must be a JSON array, "
-                    f"got {type(events).__name__}")
-            kwargs["events"] = tuple(
-                event if isinstance(event, FaultEvent)
-                else FaultEvent.from_dict(event)
-                for event in events)
-        return cls(**kwargs)
 
 
 # --------------------------------------------------------------------- #

@@ -20,9 +20,9 @@ The rules:
   clock (``benchmarks/`` and the CLI measure real time by design and
   are path-exempt).
 * **R2 spec-hygiene** — every dataclass in ``repro.api.specs`` is
-  ``frozen=True`` and its ``to_dict`` / ``_FIELDS`` key sets match its
-  field set, so serialized experiments can't silently drop or invent a
-  knob.
+  ``frozen=True``.  Key sets need no check: one codec
+  (:mod:`repro.spec_codec`) derives every spec's JSON keys from its
+  fields, so serialized experiments can't drop or invent a knob.
 * **R3 mutable-default** — no mutable default arguments anywhere in
   ``src/repro``; shared default state is cross-run leakage, the exact
   thing deterministic replay can't tolerate.
@@ -270,28 +270,22 @@ class DeterminismRule(Rule):
 # R2: spec hygiene                                                       #
 # --------------------------------------------------------------------- #
 
-def _dict_literal_keys(node: ast.Dict) -> set[str]:
-    return {key.value for key in node.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)}
-
-
 @register_rule
 class SpecHygieneRule(Rule):
-    """R2: spec dataclasses are frozen and their key sets don't drift.
+    """R2: spec dataclasses are frozen.
 
     For every ``@dataclass`` in ``repro.api.specs``: require
-    ``frozen=True``, and require both the ``to_dict`` output keys (the
-    dict literal(s) it returns plus ``data["key"] = ...`` stores on the
-    returned name) and the ``_FIELDS`` frozenset (the ``from_dict``
-    unknown-key gate) to equal the dataclass field set exactly.
+    ``frozen=True``.  Specs are value objects that hash and compare
+    across JSON round-trips; their key sets are true by construction,
+    since :mod:`repro.spec_codec` derives them from the fields.
     """
 
     id = "R2"
     name = "spec-hygiene"
     rationale = ("experiment specs are the reproducibility contract: a "
-                 "mutable spec or a to_dict/from_dict key set that "
-                 "drifts from the fields silently drops or invents "
-                 "knobs across a JSON round-trip")
+                 "mutable spec can change after it was hashed, compared "
+                 "or serialized; key sets are true by construction (one "
+                 "codec derives them from the fields)")
     include = ("repro/api/specs.py",)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -303,24 +297,7 @@ class SpecHygieneRule(Rule):
             self.report(node, f"dataclass {node.name} must be "
                               f"frozen=True — specs are value objects "
                               f"and hash/compare across round-trips")
-        fields = self._field_names(node)
-        to_dict_keys = self._to_dict_keys(node)
-        if to_dict_keys is not None and to_dict_keys != fields:
-            self.report(node, self._drift_message(
-                node.name, "to_dict keys", to_dict_keys, fields))
-        declared = self._declared_fields(node)
-        if declared is not None and declared != fields:
-            self.report(node, self._drift_message(
-                node.name, "_FIELDS", declared, fields))
         self.generic_visit(node)
-
-    @staticmethod
-    def _drift_message(cls_name: str, what: str, got: set[str],
-                       fields: set[str]) -> str:
-        missing = ", ".join(sorted(fields - got)) or "-"
-        extra = ", ".join(sorted(got - fields)) or "-"
-        return (f"{cls_name}: {what} drift from the dataclass fields "
-                f"(missing: {missing}; extra: {extra})")
 
     @staticmethod
     def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
@@ -345,69 +322,6 @@ class SpecHygieneRule(Rule):
                     and isinstance(keyword.value, ast.Constant):
                 return keyword.value.value is True
         return False
-
-    @staticmethod
-    def _field_names(node: ast.ClassDef) -> set[str]:
-        fields = set()
-        for statement in node.body:
-            if isinstance(statement, ast.AnnAssign) \
-                    and isinstance(statement.target, ast.Name) \
-                    and not statement.target.id.startswith("_"):
-                annotation = statement.annotation
-                base = annotation.value \
-                    if isinstance(annotation, ast.Subscript) else annotation
-                if isinstance(base, ast.Name) and base.id == "ClassVar":
-                    continue
-                fields.add(statement.target.id)
-        return fields
-
-    def _to_dict_keys(self, node: ast.ClassDef) -> set[str] | None:
-        method = self._method(node, "to_dict")
-        if method is None:
-            return None
-        returned_names = {statement.value.id
-                          for statement in ast.walk(method)
-                          if isinstance(statement, ast.Return)
-                          and isinstance(statement.value, ast.Name)}
-        keys: set[str] = set()
-        for statement in ast.walk(method):
-            if isinstance(statement, ast.Return) \
-                    and isinstance(statement.value, ast.Dict):
-                keys |= _dict_literal_keys(statement.value)
-            elif isinstance(statement, ast.Assign):
-                for target in statement.targets:
-                    if isinstance(target, ast.Name) \
-                            and target.id in returned_names \
-                            and isinstance(statement.value, ast.Dict):
-                        keys |= _dict_literal_keys(statement.value)
-                    elif isinstance(target, ast.Subscript) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id in returned_names \
-                            and isinstance(target.slice, ast.Constant) \
-                            and isinstance(target.slice.value, str):
-                        keys.add(target.slice.value)
-        return keys
-
-    def _declared_fields(self, node: ast.ClassDef) -> set[str] | None:
-        for statement in node.body:
-            if isinstance(statement, ast.Assign) \
-                    and any(isinstance(target, ast.Name)
-                            and target.id == "_FIELDS"
-                            for target in statement.targets):
-                strings = {constant.value
-                           for constant in ast.walk(statement.value)
-                           if isinstance(constant, ast.Constant)
-                           and isinstance(constant.value, str)}
-                return strings
-        return None
-
-    @staticmethod
-    def _method(node: ast.ClassDef, name: str) -> ast.FunctionDef | None:
-        for statement in node.body:
-            if isinstance(statement, ast.FunctionDef) \
-                    and statement.name == name:
-                return statement
-        return None
 
 
 # --------------------------------------------------------------------- #

@@ -53,6 +53,7 @@ from repro.registry import Registry
 from repro.serving.kv_allocator import KvBlockConfig, PagedKvAllocator
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
+from repro.spec_codec import SpecCodec
 
 
 # --------------------------------------------------------------------- #
@@ -60,7 +61,7 @@ from repro.serving.scheduler import SchedulerLimits
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class PrefixCacheSpec:
+class PrefixCacheSpec(SpecCodec):
     """How a deployment reuses KV prefixes across session turns.
 
     ``reclaimable_fraction`` caps the share of the paged pool that
@@ -87,33 +88,6 @@ class PrefixCacheSpec:
         # unknown policy names fail here, at spec construction, not
         # deep inside the first engine iteration
         get_eviction_policy(self.eviction)
-
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "reclaimable_fraction": self.reclaimable_fraction,
-            "eviction": self.eviction,
-            "block_tokens": self.block_tokens,
-        }
-
-    _FIELDS = frozenset(
-        ("enabled", "reclaimable_fraction", "eviction", "block_tokens"))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrefixCacheSpec":
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"prefix_cache section must be a JSON object, "
-                f"got {type(data).__name__}")
-        unknown = set(data) - cls._FIELDS
-        if unknown:
-            # same loud-typo contract as the api specs: a misspelled
-            # knob silently running with defaults would fake a result
-            raise ValueError(
-                f"unknown prefix_cache field(s): "
-                f"{', '.join(sorted(unknown))}; "
-                f"allowed: {', '.join(sorted(cls._FIELDS))}")
-        return cls(**{key: data[key] for key in cls._FIELDS if key in data})
 
 
 # --------------------------------------------------------------------- #

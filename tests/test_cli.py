@@ -233,3 +233,35 @@ class TestFaultsCli:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "kv_budget_bytes" in err
+
+
+class TestSectionFlags:
+    """The autoscale, prefix-cache and fault flag sections share one
+    contract: a knob needs its section's switch, and ``run`` rejects a
+    switch together with its ``--no-`` twin."""
+
+    SECTIONS = [
+        pytest.param(["--autoscale-max", "4"], "--autoscale <policy>",
+                     ["--autoscale", "queue-depth", "--no-autoscale"],
+                     id="autoscale"),
+        pytest.param(["--prefix-cache-fraction", "0.3"], "--prefix-cache",
+                     ["--prefix-cache", "--no-prefix-cache"],
+                     id="prefix-cache"),
+        pytest.param(["--fault-crash-mtbf-s", "30"], "--faults",
+                     ["--faults", "--no-faults"], id="faults"),
+    ]
+
+    @pytest.mark.parametrize("knob, switch, pair", SECTIONS)
+    def test_knob_without_switch_exits_2(self, capsys, knob, switch, pair):
+        assert main(["serve", *knob]) == 2
+        err = capsys.readouterr().err
+        assert f"{knob[0]} require(s) {switch}" in err
+
+    @pytest.mark.parametrize("knob, switch, pair", SECTIONS)
+    def test_run_switch_with_its_negation_exits_2(self, capsys, tmp_path,
+                                                  knob, switch, pair):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({"deployment": {"chip": "ador"},
+                                    "workload": {"num_requests": 10}}))
+        assert main(["run", str(path), *pair]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err

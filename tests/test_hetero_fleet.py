@@ -123,7 +123,8 @@ class TestSpecs:
 
     def test_fleet_conflicts_with_replicas(self):
         with pytest.raises(ValueError, match="replicas"):
-            DeploymentSpec(replicas=2, fleet=FleetSpec())
+            DeploymentSpec(replicas=2,
+                           fleet=FleetSpec(groups=(ReplicaGroupSpec(),)))
 
     def test_group_count_bounds_validated(self):
         with pytest.raises(ValueError, match="min_count"):

@@ -1,0 +1,400 @@
+"""The spec codec: one JSON round-trip for every frozen spec dataclass.
+
+``repro.spec_codec.SpecCodec`` derives ``to_dict`` / ``from_dict`` from
+the dataclass fields, so the key set of a spec is true by construction.
+These tests check that behaviourally: drawn nested specs of all ten
+codec classes survive a JSON round-trip with their keys in field order,
+committed experiment files keep every key and value they write, and
+typos are rejected loudly at every level — inline chips and inline
+traces included.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.api import (
+    AutoscaleSpec,
+    CapacitySpec,
+    DeploymentSpec,
+    Experiment,
+    FaultEvent,
+    FaultSpec,
+    FleetSpec,
+    PrefixCacheSpec,
+    ReplicaGroupSpec,
+    SessionConfig,
+    WorkloadSpec,
+    chip_from_dict,
+    chip_to_dict,
+    get_chip,
+    list_autoscalers,
+    list_chips,
+    list_eviction_policies,
+    list_routers,
+    list_traces,
+    load_experiment,
+)
+from repro.hardware.interconnect import NocTopology
+from repro.hardware.memory import Dram, DramKind, Sram
+from repro.hardware.technology import ProcessNode
+from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
+from repro.spec_codec import SpecCodec
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXPERIMENTS = sorted((REPO_ROOT / "experiments").glob("*.json"))
+
+CODEC_CLASSES = (WorkloadSpec, ReplicaGroupSpec, FleetSpec, DeploymentSpec,
+                 CapacitySpec, Experiment, AutoscaleSpec, FaultSpec,
+                 FaultEvent, PrefixCacheSpec)
+
+
+# --------------------------------------------------------------------- #
+# Strategies: valid nested specs of all ten codec classes               #
+# --------------------------------------------------------------------- #
+
+positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False,
+                     allow_infinity=False)
+non_negative = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                         allow_infinity=False)
+at_least_one = st.floats(min_value=1.0, max_value=16.0, allow_nan=False)
+labels = st.text(alphabet="abcdefgh-_ 019", max_size=10)
+
+
+@st.composite
+def inline_chips(draw):
+    chip = get_chip(draw(st.sampled_from(list_chips())))
+    return chip.with_updates(
+        name=draw(labels),
+        cores=draw(st.integers(1, 64)),
+        global_memory=Sram(draw(non_negative),
+                           draw(st.just(float("inf")) | positive)),
+        dram=Dram(draw(st.sampled_from(list(DramKind))), draw(non_negative),
+                  draw(positive), draw(st.integers(1, 16))),
+        noc=dataclasses.replace(
+            chip.noc, topology=draw(st.sampled_from(list(NocTopology)))),
+        process=draw(st.sampled_from(list(ProcessNode))),
+        tdp_w=draw(st.none() | positive),
+    )
+
+
+chips = st.sampled_from(list_chips()) | inline_chips()
+
+chat_traces = st.builds(
+    ChatTraceConfig, name=labels, input_median=positive,
+    input_sigma=non_negative, output_median=positive,
+    output_sigma=non_negative, min_input=st.integers(1, 64),
+    max_input=st.integers(64, 8192), min_output=st.integers(1, 64),
+    max_output=st.integers(64, 4096))
+
+session_configs = st.builds(
+    SessionConfig, mean_turns=at_least_one, question_median=positive,
+    question_sigma=non_negative, answer_median=positive,
+    answer_sigma=non_negative, think_time_mean_s=non_negative,
+    max_context=st.integers(256, 32768))
+
+
+@st.composite
+def workloads(draw):
+    arrival = draw(st.sampled_from(["poisson", "sessions"]))
+    return WorkloadSpec(
+        trace=draw(st.sampled_from(list_traces() + ["fixed-256x64"])
+                   | chat_traces),
+        arrival=arrival,
+        rate_per_s=draw(positive),
+        num_requests=draw(st.integers(1, 100_000)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        session=draw(st.none() | session_configs)
+        if arrival == "sessions" else None,
+        streaming=draw(st.booleans()),
+    )
+
+
+@st.composite
+def groups(draw):
+    min_count = draw(st.none() | st.integers(0, 3))
+    return ReplicaGroupSpec(
+        chip=draw(chips),
+        model=draw(st.sampled_from(["llama3-8b", "llama3-70b"])),
+        count=draw(st.integers(1, 3)),
+        num_devices=draw(st.integers(1, 8)),
+        max_batch=draw(st.integers(1, 512)),
+        prefill_chunk_tokens=draw(st.integers(1, 4096)),
+        kv_budget_bytes=draw(st.none() | positive | st.just(float("inf"))),
+        cost_per_replica_s=draw(positive),
+        min_count=min_count,
+        max_count=draw(st.none() | st.integers(max(min_count or 1, 1), 8)),
+        provision_latency_s=draw(st.none() | non_negative),
+        name=draw(labels),
+    )
+
+
+@st.composite
+def autoscales(draw, total):
+    provision = draw(non_negative)
+    return AutoscaleSpec(
+        policy=draw(st.sampled_from(list_autoscalers())),
+        min_replicas=draw(st.integers(1, total)),
+        max_replicas=draw(st.integers(total, total + 8)),
+        decision_interval_s=draw(positive),
+        provision_latency_s=provision,
+        warm_pool_size=draw(st.integers(0, 4)),
+        warm_provision_s=draw(st.floats(0.0, provision)),
+    )
+
+
+prefix_caches = st.builds(
+    PrefixCacheSpec, enabled=st.booleans(),
+    reclaimable_fraction=st.floats(0.01, 1.0),
+    eviction=st.sampled_from(list_eviction_policies()),
+    block_tokens=st.integers(1, 64))
+
+
+@st.composite
+def fault_events(draw):
+    kind = draw(st.sampled_from(["crash", "slowdown", "stall"]))
+    return FaultEvent(
+        kind=kind, replica_id=draw(st.integers(0, 8)),
+        time_s=draw(non_negative),
+        duration_s=draw(non_negative if kind == "crash" else positive),
+        factor=draw(at_least_one))
+
+
+faults = st.builds(
+    FaultSpec, enabled=st.booleans(), seed=st.integers(0, 2 ** 32),
+    crash_mtbf_s=st.none() | positive, restart_delay_s=non_negative,
+    slowdown_mtbf_s=st.none() | positive, slowdown_factor=at_least_one,
+    slowdown_duration_s=positive, stall_mtbf_s=st.none() | positive,
+    stall_duration_s=positive, max_retries=st.integers(0, 5),
+    request_timeout_s=st.none() | positive, slo_ttft_s=positive,
+    events=st.lists(fault_events(), max_size=3).map(tuple))
+
+
+@st.composite
+def deployments(draw):
+    fleet = draw(st.none() | st.builds(
+        FleetSpec, groups=st.lists(groups(), min_size=1,
+                                   max_size=3).map(tuple)))
+    replicas = 1 if fleet is not None else draw(st.integers(1, 6))
+    total = replicas if fleet is None else fleet.total_replicas
+    prefix_cache = draw(st.none() | prefix_caches)
+    fault_spec = draw(st.none() | faults)
+    continuous_only = fleet is not None \
+        or (prefix_cache is not None and prefix_cache.enabled) \
+        or (fault_spec is not None and fault_spec.enabled)
+    return DeploymentSpec(
+        chip=draw(chips),
+        model=draw(st.sampled_from(["llama3-8b", "llama3-70b"])),
+        num_devices=draw(st.integers(1, 8)),
+        max_batch=draw(st.integers(1, 512)),
+        prefill_chunk_tokens=draw(st.integers(1, 4096)),
+        kv_budget_bytes=draw(st.none() | positive | st.just(float("inf"))),
+        batching="continuous" if continuous_only
+        else draw(st.sampled_from(["continuous", "static"])),
+        replicas=replicas,
+        router=draw(st.sampled_from(list_routers())),
+        autoscale=draw(st.none() | autoscales(total)),
+        prefix_cache=prefix_cache,
+        faults=fault_spec,
+        fleet=fleet,
+    )
+
+
+@st.composite
+def capacities(draw):
+    rate_low = draw(st.floats(0.01, 100.0))
+    return CapacitySpec(
+        slo_tbt_s=draw(positive), slo_ttft_s=draw(st.none() | positive),
+        percentile=draw(st.sampled_from(["mean", "p50", "p95", "p99"])),
+        rate_low=rate_low, rate_high=rate_low + draw(positive),
+        iterations=draw(st.integers(0, 12)),
+        early_abort=draw(st.booleans()),
+        reuse_arrivals=draw(st.booleans()),
+        parallel_probes=draw(st.integers(1, 3)))
+
+
+experiments = st.builds(
+    Experiment, deployment=deployments(), workload=workloads(),
+    max_sim_seconds=positive, name=st.just("") | labels,
+    capacity=st.none() | capacities())
+
+#: One experiment holding every codec class at once, so each example
+#: run covers all ten even when the draws happen not to.
+EVERYTHING = Experiment(
+    deployment=DeploymentSpec(
+        fleet=FleetSpec(groups=(
+            ReplicaGroupSpec(chip=get_chip("ador").with_updates(
+                name="custom", tdp_w=250.0), count=2),
+            ReplicaGroupSpec(chip="a100", count=1, min_count=1,
+                             max_count=3, name="gpu"),
+        )),
+        router="hetero-aware",
+        autoscale=AutoscaleSpec(min_replicas=1, max_replicas=6),
+        prefix_cache=PrefixCacheSpec(eviction="fifo"),
+        faults=FaultSpec(crash_mtbf_s=60.0, events=(
+            FaultEvent("crash", 0, 1.0),
+            FaultEvent("slowdown", 1, 2.0, duration_s=3.0, factor=4.0),
+        )),
+    ),
+    workload=WorkloadSpec(trace=ULTRACHAT_LIKE, arrival="sessions",
+                          session=SessionConfig(mean_turns=2.0)),
+    name="everything",
+    capacity=CapacitySpec(slo_ttft_s=0.5),
+)
+
+
+def nested_specs(spec):
+    """``spec`` and every codec spec nested in it, depth first."""
+    yield spec
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, SpecCodec):
+                yield from nested_specs(item)
+
+
+def expected_keys(spec):
+    """The field names, minus the two ``Experiment`` fields ``to_dict``
+    omits while they hold their defaults."""
+    return [field.name for field in dataclasses.fields(spec)
+            if not (isinstance(spec, Experiment)
+                    and field.name in ("name", "capacity")
+                    and getattr(spec, field.name) == field.default)]
+
+
+# --------------------------------------------------------------------- #
+# The round-trip property                                                #
+# --------------------------------------------------------------------- #
+
+def test_everything_example_covers_all_codec_classes():
+    assert {type(spec) for spec in nested_specs(EVERYTHING)} \
+        == set(CODEC_CLASSES)
+
+
+@settings(max_examples=50, deadline=None)
+@given(experiments)
+@example(EVERYTHING)
+def test_specs_round_trip_with_keys_in_field_order(experiment):
+    for spec in nested_specs(experiment):
+        data = spec.to_dict()
+        assert type(spec).from_dict(json.loads(json.dumps(data))) == spec
+        assert list(data) == expected_keys(spec)
+
+
+def test_a_key_may_be_omitted_exactly_when_its_argument_may_be():
+    assert Experiment.from_dict({}) == Experiment()
+    assert Experiment().deployment == DeploymentSpec()
+    assert Experiment().workload == WorkloadSpec()
+    # a fleet has no default groups, in Python or in JSON
+    with pytest.raises(TypeError):
+        FleetSpec()
+    with pytest.raises(ValueError, match="missing fleet field.*groups"):
+        FleetSpec.from_dict({})
+    with pytest.raises(ValueError,
+                       match="missing fault event field.*replica_id"):
+        FaultEvent.from_dict({"kind": "crash", "time_s": 1.0})
+
+
+# --------------------------------------------------------------------- #
+# Committed experiment files                                             #
+# --------------------------------------------------------------------- #
+
+def assert_survives(written, emitted, where):
+    """Every key and value in ``written`` appears unchanged in
+    ``emitted`` (which may add keys holding defaults)."""
+    if isinstance(written, dict):
+        assert isinstance(emitted, dict), where
+        for key, value in written.items():
+            assert key in emitted, f"{where}.{key} dropped"
+            assert_survives(value, emitted[key], f"{where}.{key}")
+    elif isinstance(written, list):
+        assert isinstance(emitted, list), where
+        assert len(emitted) == len(written), where
+        for index, (item, got) in enumerate(zip(written, emitted)):
+            assert_survives(item, got, f"{where}[{index}]")
+    else:
+        assert type(emitted) is type(written) and emitted == written, \
+            f"{where}: wrote {written!r}, got {emitted!r}"
+
+
+@pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda path: path.name)
+def test_committed_experiment_keys_and_values_survive(path):
+    written = json.loads(path.read_text())
+    assert_survives(written, load_experiment(path).to_dict(), path.name)
+
+
+def test_committed_experiments_found():
+    assert len(EXPERIMENTS) >= 9
+
+
+# --------------------------------------------------------------------- #
+# Typos fail loudly at every level                                       #
+# --------------------------------------------------------------------- #
+
+def test_unknown_inline_trace_key_rejected():
+    trace = dataclasses.asdict(ULTRACHAT_LIKE)
+    trace["input_mean"] = 500.0
+    with pytest.raises(ValueError, match="input_mean"):
+        WorkloadSpec.from_dict({"trace": trace})
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "tdp_W"),
+    ("dram", "modlues"),
+    ("systolic_array", "colls"),
+    ("mac_tree", "tree"),
+    ("vector_unit", "widht"),
+    ("local_memory", "size"),
+    ("global_memory", "bandwidth"),
+    ("noc", "topolgy"),
+    ("p2p", "latency"),
+])
+def test_custom_chip_typo_rejected(section, key):
+    data = chip_to_dict(get_chip("ador"))
+    (data if section is None else data[section])[key] = 300
+    with pytest.raises(ValueError, match=key):
+        chip_from_dict(data)
+    with pytest.raises(ValueError, match=key):
+        DeploymentSpec.from_dict({"chip": data})
+
+
+_EVENT = {"kind": "crash", "replica_id": 0, "time_s": 1.0}
+
+
+@pytest.mark.parametrize("cls, data, match", [
+    # an unknown key at each of the ten levels
+    (WorkloadSpec, {"rate": 99.0}, "unknown workload field.*rate"),
+    (ReplicaGroupSpec, {"chip": "ador", "cheap": True}, "cheap"),
+    (FleetSpec, {"groups": [{}], "spare": 1}, "unknown fleet field"),
+    (DeploymentSpec, {"chp": "h100"}, "unknown deployment field"),
+    (CapacitySpec, {"slo_tbt_s": 0.05, "typo": 1}, "unknown capacity"),
+    (Experiment, {"deploy": {}}, "unknown experiment field"),
+    (AutoscaleSpec, {"polcy": "queue-depth"}, "unknown autoscale field"),
+    (FaultSpec, {"crash_rate": 0.1}, "unknown fault field"),
+    (FaultEvent, dict(_EVENT, severity=2), "unknown fault event field"),
+    (PrefixCacheSpec, {"typo": 1}, "unknown prefix cache field"),
+    # ... and nested inside the sections that carry them
+    (Experiment, {"deployment": {"fleet": {"groups": [{"cheap": 1}]}}},
+     "unknown replica group field"),
+    (DeploymentSpec, {"faults": {"events": [dict(_EVENT, severity=2)]}},
+     "unknown fault event field"),
+    (WorkloadSpec, {"arrival": "sessions", "session": {"turns": 2}},
+     "unknown session config field"),
+    # non-object sections
+    (DeploymentSpec, [1, 2], "JSON object"),
+    (Experiment, {"workload": "ultrachat"}, "JSON object"),
+    (DeploymentSpec, {"autoscale": "queue-depth"}, "JSON object"),
+    (FleetSpec, {"groups": [5]}, "JSON object"),
+    (FaultSpec, {"events": [None]}, "JSON object"),
+    # fleets need groups; events must be a list
+    (FleetSpec, {"groups": []}, "group"),
+    (FleetSpec, {}, "group"),
+    (FaultSpec, {"events": 5}, "JSON array"),
+    (FaultSpec, {"events": _EVENT}, "JSON array"),
+])
+def test_malformed_sections_raise_value_error(cls, data, match):
+    with pytest.raises(ValueError, match=match):
+        cls.from_dict(data)
