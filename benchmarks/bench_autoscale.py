@@ -39,7 +39,7 @@ from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.dataset import ULTRACHAT_LIKE
-from repro.serving.generator import OnOffRequestGenerator
+from repro.serving.generator import iter_onoff_requests
 from repro.serving.scheduler import SchedulerLimits
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -85,13 +85,12 @@ def _autoscale_spec(config) -> AutoscaleSpec:
 
 
 def _stream(config, seed):
-    rng = np.random.default_rng(seed)
-    return OnOffRequestGenerator(
+    return list(iter_onoff_requests(
         ULTRACHAT_LIKE,
         on_rate_per_s=config["on_rate_per_s"],
         off_rate_per_s=config["off_rate_per_s"],
         phase_seconds=config["phase_seconds"],
-        rng=rng).generate(config["num_requests"])
+        seed=seed, count=config["num_requests"]))
 
 
 def _run_pair(config, device, model, seed) -> dict:

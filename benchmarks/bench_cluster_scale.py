@@ -12,10 +12,12 @@ regime and seeds the recorded perf trajectory
    simultaneous cohorts, long outputs) maximizes pure-decode bursts,
    which is where the event-compressed core pays.
 
-2. **parity** — streaming vs. materialized on a 4-replica cluster
-   workload, and ``shards=1`` vs. the unsharded engine: both must be
-   bit-identical (every replica counter, every request timeline) before
-   any number here is trusted.
+2. **parity** — the lazy stream vs. a list of the same request
+   sequence on a 4-replica cluster workload (the engine's two input
+   paths; the JSON key keeps its ``stream_vs_materialized`` name), and
+   ``shards=1`` vs. the unsharded engine: both must be bit-identical
+   (every replica counter, every request timeline) before any number
+   here is trusted.
 
 3. **shard** — ``shards=2`` worker processes vs. the in-process engine
    on the same fixed fleet.  The speedup is recorded *honestly*: on a
@@ -118,7 +120,8 @@ def _measure_stream(count):
 
 
 def _measure_parity(deployment, workload):
-    """Streaming-vs-materialized and shard=1-vs-unsharded bit-identity."""
+    """Stream-vs-list (same sequence) and shard=1-vs-unsharded
+    bit-identity."""
     device = _device_for(get_chip("ador"), True, 1)
     model = get_model(deployment.model)
 

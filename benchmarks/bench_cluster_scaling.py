@@ -23,7 +23,7 @@ from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.serving.dataset import ChatTraceConfig
-from repro.serving.generator import OnOffRequestGenerator
+from repro.serving.generator import iter_onoff_requests
 from repro.serving.scheduler import SchedulerLimits
 
 BASE_RATE = 10.0
@@ -74,10 +74,9 @@ def _bursty_p99(router: str) -> float:
     limits = SchedulerLimits(max_batch=12, prefill_chunk_tokens=512)
     p99s = []
     for seed in BURSTY_SEEDS:
-        rng = np.random.default_rng(seed)
-        requests = OnOffRequestGenerator(
+        requests = list(iter_onoff_requests(
             BURSTY_TRACE, on_rate_per_s=60.0, off_rate_per_s=4.0,
-            phase_seconds=3.0, rng=rng).generate(400)
+            phase_seconds=3.0, seed=seed, count=400))
         engine = ClusterEngine(device, model, limits, replicas=4,
                                router=router)
         result = engine.run(requests, max_sim_seconds=600.0)

@@ -43,7 +43,7 @@ from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.dataset import ULTRACHAT_LIKE
-from repro.serving.generator import PoissonRequestGenerator
+from repro.serving.generator import iter_poisson_requests
 from repro.serving.qos import goodput_per_s
 from repro.serving.scheduler import SchedulerLimits
 
@@ -82,10 +82,8 @@ QUICK = {
 
 
 def _stream(config, seed):
-    rng = np.random.default_rng(seed)
-    return PoissonRequestGenerator(
-        ULTRACHAT_LIKE, config["rate_per_s"], rng).generate(
-        config["num_requests"])
+    return list(iter_poisson_requests(
+        ULTRACHAT_LIKE, config["rate_per_s"], seed, config["num_requests"]))
 
 
 def _limits(config) -> SchedulerLimits:

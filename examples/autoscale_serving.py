@@ -17,8 +17,6 @@ grows and shrinks the fleet instead.  Three things are shown:
 Run:  python examples/autoscale_serving.py
 """
 
-import numpy as np
-
 from repro.api import (
     AutoscaleSpec,
     DeploymentSpec,
@@ -31,7 +29,7 @@ from repro.api import (
 from repro.cluster import ClusterEngine, list_autoscalers
 from repro.serving import SchedulerLimits
 from repro.serving.dataset import ULTRACHAT_LIKE
-from repro.serving.generator import OnOffRequestGenerator
+from repro.serving.generator import iter_onoff_requests
 
 
 def main() -> None:
@@ -74,10 +72,9 @@ def main() -> None:
     limits = SchedulerLimits(max_batch=12, prefill_chunk_tokens=512)
 
     def bursty_stream():
-        rng = np.random.default_rng(3)
-        return OnOffRequestGenerator(
+        return list(iter_onoff_requests(
             ULTRACHAT_LIKE, on_rate_per_s=45.0, off_rate_per_s=0.25,
-            phase_seconds=20.0, rng=rng).generate(500)
+            phase_seconds=20.0, seed=3, count=500))
 
     fixed = ClusterEngine(device, model, limits, replicas=6,
                           router="least-outstanding").run(bursty_stream())

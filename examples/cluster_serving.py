@@ -15,8 +15,6 @@ endpoint.  Three things are shown:
 Run:  python examples/cluster_serving.py
 """
 
-import numpy as np
-
 from repro.analysis.tables import format_table
 from repro.api import (
     DeploymentSpec,
@@ -29,9 +27,9 @@ from repro.api import (
 )
 from repro.cluster import ClusterEngine
 from repro.serving import (
-    MultiTurnSessionGenerator,
     SchedulerLimits,
     SessionConfig,
+    iter_session_requests,
 )
 
 
@@ -64,10 +62,8 @@ def main() -> None:
         rows, title="4x ADOR, ultrachat at 40 req/s"))
 
     # 3) sticky sessions on a multi-turn chat workload
-    rng = np.random.default_rng(11)
-    generator = MultiTurnSessionGenerator(SessionConfig(), rng)
-    requests = generator.generate_stream(sessions=120,
-                                         session_rate_per_s=6.0)
+    requests = list(iter_session_requests(SessionConfig(), sessions=120,
+                                          session_rate_per_s=6.0, seed=11))
     model = get_model("llama3-8b")
     device = device_model_for(get_chip("ador"))
     engine = ClusterEngine(device, model, SchedulerLimits(max_batch=256),

@@ -12,11 +12,9 @@ Run:  python examples/trace_replay.py
 import pathlib
 import tempfile
 
-import numpy as np
-
 from repro.api import device_model_for, get_chip, get_model
 from repro.serving import SchedulerLimits, ServingEngine, compute_qos
-from repro.serving.sessions import MultiTurnSessionGenerator, SessionConfig
+from repro.serving.sessions import SessionConfig, iter_session_requests
 from repro.serving.trace_io import (
     export_timeline,
     load_requests,
@@ -30,9 +28,8 @@ def main() -> None:
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="ador-trace-"))
     trace_path = workdir / "sessions.json"
 
-    generator = MultiTurnSessionGenerator(SessionConfig(),
-                                          np.random.default_rng(11))
-    stream = generator.generate_stream(sessions=40, session_rate_per_s=2.0)
+    stream = list(iter_session_requests(SessionConfig(), sessions=40,
+                                        session_rate_per_s=2.0, seed=11))
     save_requests(stream, trace_path)
     print(f"saved {len(stream)} requests "
           f"({len(stream) / 40:.1f} turns/session) to {trace_path}")

@@ -195,10 +195,10 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     context for higher hit rates at a small, measured latency error
     (see ``benchmarks/bench_sim_speed.py``).
 
-    With ``workload.streaming`` (the default) and continuous batching,
-    arrivals are generated lazily and consumed through a bounded
-    look-ahead window — bit-identical to the materialized list, at
-    constant memory.  ``shards`` (cluster runs only) partitions the
+    With continuous batching, arrivals are generated lazily and
+    consumed through a bounded look-ahead window, at constant memory;
+    the batch policies slice and sort, so they take the materialized
+    list.  ``shards`` (cluster runs only) partitions the
     fleet over worker processes (see
     :func:`repro.perf.scale.run_sharded_cluster`); ``progress`` is a
     ``progress(sim_time, done_count)`` heartbeat callback (see
@@ -224,12 +224,8 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     model = get_model(deployment.model)
     device = _device_for(chip, sim_cache, context_bucket)
     runner = get_policy(deployment.batching)
-    if workload.streaming and deployment.batching == "continuous":
-        # only the continuous engine consumes a lazy stream; the batch
-        # policies slice and sort, so they keep the materialized list
-        requests = workload.request_stream()
-    else:
-        requests = workload.build_requests()
+    requests = workload.request_stream() \
+        if deployment.batching == "continuous" else workload.build_requests()
     extra = {}
     if deployment.prefix_cache is not None \
             and deployment.prefix_cache.enabled:
@@ -707,8 +703,7 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
             cluster=cluster,
             qos=cluster.qos(),
         )
-    requests = workload.request_stream() if workload.streaming \
-        else workload.build_requests()
+    requests = workload.request_stream()
     engine = build_cluster_engine(deployment, sim_cache=sim_cache,
                                   context_bucket=context_bucket)
     cluster = engine.run(requests, max_sim_seconds=max_sim_seconds,

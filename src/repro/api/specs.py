@@ -182,7 +182,7 @@ class WorkloadSpec(SpecCodec):
     * ``"poisson"`` — independent single-turn requests drawn from the
       trace at ``rate_per_s``;
     * ``"sessions"`` — multi-turn chat sessions
-      (:class:`~repro.serving.sessions.MultiTurnSessionGenerator`):
+      (:func:`~repro.serving.sessions.iter_session_requests`):
       ``rate_per_s`` becomes the Poisson *session-start* rate and
       ``num_requests`` the session count; turn lengths come from the
       ``session`` config (the ``trace`` field is unused — session
@@ -191,13 +191,12 @@ class WorkloadSpec(SpecCodec):
       ``history_tokens``, the load shape prefix caching and
       session-affinity routing are about.
 
-    ``streaming`` (default on) lets the facade feed the engines a lazy
-    :meth:`iter_requests` stream instead of a materialized
-    :meth:`build_requests` list.  The two are **bit-identical** — the
-    streaming generators replay the exact draw sequence of the
-    materializing ones — so the knob only changes peak memory, never a
-    result; set it to ``False`` (CLI ``--no-stream``) to force the
-    classic list path.
+    The facade feeds a continuous-batching deployment the lazy
+    :meth:`request_stream` and the batch policies the
+    :meth:`build_requests` list; both hold the same requests.  A
+    ``"streaming"`` key (a retired knob whose two values gave
+    bit-identical results) is accepted and dropped, so older JSON still
+    loads.
     """
 
     trace: str | ChatTraceConfig = "ultrachat"
@@ -206,9 +205,9 @@ class WorkloadSpec(SpecCodec):
     num_requests: int = 200
     seed: int = 7
     session: SessionConfig | None = None
-    streaming: bool = True
 
     _ARRIVALS = ("poisson", "sessions")
+    _RETIRED_KEYS = frozenset({"streaming"})
 
     def __post_init__(self) -> None:
         if self.arrival not in self._ARRIVALS:
@@ -231,33 +230,12 @@ class WorkloadSpec(SpecCodec):
         return get_trace(self.trace)
 
     def build_requests(self) -> list[Request]:
-        """Generate the deterministic request stream this spec describes."""
-        import numpy as np
-
-        rng = np.random.default_rng(self.seed)
-        if self.arrival == "sessions":
-            from repro.serving.sessions import MultiTurnSessionGenerator
-
-            generator = MultiTurnSessionGenerator(
-                self.session if self.session is not None
-                else SessionConfig(), rng)
-            return generator.generate_stream(self.num_requests,
-                                             self.rate_per_s)
-        from repro.serving.generator import PoissonRequestGenerator
-
-        generator = PoissonRequestGenerator(self.trace_config(),
-                                            self.rate_per_s, rng)
-        return generator.generate(self.num_requests)
+        """The deterministic request list this spec describes."""
+        return list(self.iter_requests())
 
     def iter_requests(self) -> Iterator[Request]:
-        """Lazily generate the identical request stream.
-
-        Yields the same requests — same ids, arrival floats and token
-        lengths, bit for bit — as :meth:`build_requests`, at constant
-        memory: the streaming replay generators fast-forward per-role
-        RNGs instead of materializing whole draw arrays (see
-        :mod:`repro.serving.generator`).
-        """
+        """Lazily generate the requests, at constant memory (see
+        :mod:`repro.serving.generator`)."""
         if self.arrival == "sessions":
             from repro.serving.sessions import iter_session_requests
 

@@ -313,7 +313,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_requests=args.requests,
         seed=args.seed,
         arrival=args.arrival,
-        streaming=not args.no_stream,
     )
     try:
         report = simulate(deployment, workload,
@@ -418,11 +417,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 experiment,
                 deployment=dataclasses.replace(experiment.deployment,
                                                **overrides))
-        if args.no_stream:
-            experiment = dataclasses.replace(
-                experiment,
-                workload=dataclasses.replace(experiment.workload,
-                                             streaming=False))
         report = run_experiment(experiment,
                                 sim_cache=not args.no_sim_cache,
                                 context_bucket=args.context_bucket,
@@ -647,11 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sim cache; 1 (default) is exact, larger "
                             "buckets trade a small latency error for "
                             "faster sweeps")
-    serve.add_argument("--no-stream", action="store_true",
-                       help="materialize the full request list up front "
-                            "instead of streaming arrivals lazily "
-                            "(bit-identical results; streaming keeps "
-                            "peak memory constant in request count)")
     serve.add_argument("--shards", type=int, default=1,
                        help="partition a fixed multi-replica fleet over "
                             "N worker processes (modeled per-shard "
@@ -736,9 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--context-bucket", type=int, default=1,
                      help="decode-context quantization bucket for the sim "
                           "cache; 1 (default) is exact")
-    run.add_argument("--no-stream", action="store_true",
-                     help="materialize the request list up front instead "
-                          "of streaming arrivals (bit-identical results)")
     run.add_argument("--shards", type=int, default=1,
                      help="partition a fixed multi-replica fleet over N "
                           "worker processes (modeled per-shard routing; "

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from repro.api.specs import DeploymentSpec, WorkloadSpec
 from repro.cluster.report import ClusterResult, aggregate_cluster
@@ -59,9 +59,7 @@ def shard_requests(workload: WorkloadSpec, shard: int,
     """
     if not 0 <= shard < shards:
         raise ValueError(f"shard index {shard} outside [0, {shards})")
-    source: Iterable[Request] = workload.iter_requests() \
-        if workload.streaming else workload.build_requests()
-    for request in source:
+    for request in workload.iter_requests():
         key = request.session_id if request.session_id is not None \
             else request.request_id
         if key % shards == shard:
@@ -201,9 +199,8 @@ def run_sharded_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
 
         engine = build_cluster_engine(deployment, sim_cache=sim_cache,
                                       context_bucket=context_bucket)
-        requests = workload.request_stream() if workload.streaming \
-            else workload.build_requests()
-        return engine.run(requests, max_sim_seconds=max_sim_seconds)
+        return engine.run(workload.request_stream(),
+                          max_sim_seconds=max_sim_seconds)
     if deployment.fleet is not None:
         if len(deployment.fleet.groups) > 1:
             raise ValueError(

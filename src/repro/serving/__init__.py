@@ -15,9 +15,9 @@ router=...)`` in the declarative API).
 from repro.serving.request import Request, RequestState
 from repro.serving.dataset import ChatTraceConfig, ULTRACHAT_LIKE, sample_trace
 from repro.serving.generator import (
-    OnOffRequestGenerator,
     PoissonArrivalTemplate,
-    PoissonRequestGenerator,
+    iter_onoff_requests,
+    iter_poisson_requests,
 )
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
 from repro.serving.engine import (
@@ -49,6 +49,7 @@ from repro.serving.sessions import (
     MultiTurnSessionGenerator,
     SessionConfig,
     SessionTurn,
+    iter_session_requests,
 )
 from repro.serving.kv_allocator import KvBlockConfig, PagedKvAllocator
 from repro.serving.prefix_cache import (
@@ -90,14 +91,15 @@ __all__ = [
     "MultiTurnSessionGenerator",
     "SessionConfig",
     "SessionTurn",
+    "iter_session_requests",
     "Request",
     "RequestState",
     "ChatTraceConfig",
     "ULTRACHAT_LIKE",
     "sample_trace",
-    "OnOffRequestGenerator",
     "PoissonArrivalTemplate",
-    "PoissonRequestGenerator",
+    "iter_onoff_requests",
+    "iter_poisson_requests",
     "ContinuousBatchingScheduler",
     "SchedulerLimits",
     "InstabilityMonitor",

@@ -48,8 +48,6 @@ import itertools
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.sweep import SweepPool
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import max_batch_for_memory
@@ -62,10 +60,7 @@ from repro.serving.engine import (
     SimulationResult,
     ttft_is_stable,
 )
-from repro.serving.generator import (
-    PoissonArrivalTemplate,
-    PoissonRequestGenerator,
-)
+from repro.serving.generator import PoissonArrivalTemplate
 from repro.serving.qos import QoSReport, compute_qos
 from repro.serving.scheduler import SchedulerLimits
 
@@ -133,12 +128,10 @@ def _simulate_rate(
     workload: PoissonArrivalTemplate | None = None,
     monitor: InstabilityMonitor | None = None,
 ) -> tuple[SimulationResult, QoSReport | None]:
-    if workload is not None:
-        requests = workload.requests_at(rate)
-    else:
-        rng = np.random.default_rng(seed)
-        generator = PoissonRequestGenerator(trace, rate, rng)
-        requests = generator.generate(request_count)
+    if workload is None:
+        # no arrival reuse: draw this probe's workload afresh
+        workload = PoissonArrivalTemplate(trace, request_count, seed)
+    requests = workload.requests_at(rate)
     # the horizon must cover the arrival span plus a generous drain
     max_sim_seconds = max(max_sim_seconds,
                           1.5 * request_count / rate + 120.0)

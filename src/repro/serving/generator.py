@@ -1,25 +1,27 @@
 """Request generation (the Request Generator box of Fig. 14b).
 
-:class:`PoissonRequestGenerator` draws exponential inter-arrival times
-at a fixed rate; :class:`OnOffRequestGenerator` modulates the rate with
+:func:`iter_poisson_requests` draws exponential inter-arrival times at
+a fixed rate; :func:`iter_onoff_requests` modulates the rate with
 alternating on/off phases — the bursty traffic that separates adaptive
 routers from round-robin in the cluster benchmarks.  Token lengths come
-from a :class:`~repro.serving.dataset.ChatTraceConfig`.  All randomness
-flows through one injected ``numpy.random.Generator``.
+from a :class:`~repro.serving.dataset.ChatTraceConfig`.  Each generator
+takes one integer seed and yields its requests lazily, at constant
+memory; ``list(...)`` materializes them.
 
-The ``iter_*`` functions are the **streaming replay** twins of the
-materializing generators: they yield the identical request sequence —
-same ids, same arrival floats, same lengths, bit for bit — at constant
-memory.  The materialized path draws whole arrays in a fixed order
-(e.g. all gaps, then all input lengths, then all output lengths) from
-one seeded generator, so a naive chunked loop would interleave the
-draws and land on different stream positions.  The replay instead runs
-one ``default_rng(seed)`` instance *per draw role*, fast-forwards each
-past the roles drawn before it (chunk-wise, nothing retained), and then
-pulls chunks from every role in lockstep.  numpy's ``Generator``
-distributions consume the underlying bit stream one value at a time,
-so splitting a ``size=n`` draw into chunks reproduces the exact same
-values — the property the parity suite pins down.
+The draw order is fixed: one ``default_rng(seed)`` drawing whole arrays
+in turn (e.g. all gaps, then all input lengths, then all output
+lengths), the order every recorded result depends on.  A naive chunked
+loop would interleave the draws and land on different stream positions.
+The generators instead run one ``default_rng(seed)`` instance *per draw
+role*, fast-forward each past the roles drawn before it (chunk-wise,
+nothing retained), and then pull chunks from every role in lockstep.
+numpy's ``Generator`` distributions consume the underlying bit stream
+one value at a time, so splitting a ``size=n`` draw into chunks
+reproduces the exact same values.
+
+:class:`PoissonArrivalTemplate` draws the same Poisson workload once,
+as whole arrays, and rescales it per probed rate for the capacity
+search.
 """
 
 from __future__ import annotations
@@ -69,55 +71,18 @@ def _skip_lengths(rng: np.random.Generator, count: int,
         rng.standard_normal(size=step)
 
 
-def _requests_from(arrivals, lengths) -> list[Request]:
-    """Zip arrival times and (input, output) lengths into requests —
-    the one place request construction happens, so a new ``Request``
-    field threads through every generator at once."""
-    return [
-        Request(
-            request_id=i,
-            arrival_time=float(arrivals[i]),
-            input_tokens=lengths[i][0],
-            output_tokens=lengths[i][1],
-        )
-        for i in range(len(arrivals))
-    ]
-
-
-class PoissonRequestGenerator:
-    """Generates request arrival schedules."""
-
-    def __init__(self, trace: ChatTraceConfig, rate_per_s: float,
-                 rng: np.random.Generator) -> None:
-        if rate_per_s <= 0:
-            raise ValueError("arrival rate must be positive")
-        self.trace = trace
-        self.rate = rate_per_s
-        self.rng = rng
-
-    def generate(self, count: int, start_time: float = 0.0) -> list[Request]:
-        """``count`` requests with Poisson arrivals from ``start_time``."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return []
-        gaps = self.rng.exponential(1.0 / self.rate, size=count)
-        arrivals = start_time + np.cumsum(gaps)
-        lengths = sample_trace(self.trace, count, self.rng)
-        return _requests_from(arrivals, lengths)
-
-
 class PoissonArrivalTemplate:
     """A Poisson workload drawn once and rescaled per probed rate.
 
     The capacity search probes many arrival rates against *the same*
-    workload.  Regenerating with :class:`PoissonRequestGenerator` per
-    probe redraws identical randomness; this template draws the
-    unit-rate exponential gaps and the token lengths a single time, and
-    :meth:`requests_at` rescales the gaps by ``1 / rate``.
+    workload.  Regenerating it per probe redraws identical randomness;
+    this template draws the unit-rate exponential gaps and the token
+    lengths a single time, and :meth:`requests_at` rescales the gaps by
+    ``1 / rate``.
 
-    The rescaling is draw-for-draw **bit-identical** to fresh
-    generation: numpy's ``Generator.exponential(scale)`` evaluates
+    The rescaling is draw-for-draw **bit-identical** to
+    :func:`iter_poisson_requests` with the same seed and count: numpy's
+    ``Generator.exponential(scale)`` evaluates
     ``scale * standard_exponential()`` per element, so
     ``Exp(1/rate) == Exp(1) * (1/rate)`` on the very same underlying
     uniforms, and the length draws that follow consume the identical
@@ -143,68 +108,37 @@ class PoissonArrivalTemplate:
             raise ValueError("arrival rate must be positive")
         if self.count == 0:
             return []
-        # identical float operations to PoissonRequestGenerator.generate:
+        # identical float operations to drawing exponential(1 / rate):
         # numpy's exponential(scale) multiplies each standard draw by the
         # scale, and IEEE multiplication is commutative bit-for-bit
         gaps = self._unit_gaps * (1.0 / rate_per_s)
         arrivals = start_time + np.cumsum(gaps)
-        return _requests_from(arrivals, self._lengths)
-
-
-class OnOffRequestGenerator:
-    """Bursty arrivals: a Markov-modulated Poisson (on/off) process.
-
-    Time alternates between fixed-length phases; arrivals are Poisson at
-    ``on_rate_per_s`` during even phases and ``off_rate_per_s`` during
-    odd ones.  Real chat traffic shows exactly this regime switching
-    (diurnal peaks, thundering herds), and it is the workload where
-    load-aware routing visibly beats round-robin.
-    """
-
-    def __init__(self, trace: ChatTraceConfig, on_rate_per_s: float,
-                 off_rate_per_s: float, phase_seconds: float,
-                 rng: np.random.Generator) -> None:
-        if on_rate_per_s <= 0 or off_rate_per_s <= 0:
-            raise ValueError("arrival rates must be positive")
-        if phase_seconds <= 0:
-            raise ValueError("phase length must be positive")
-        self.trace = trace
-        self.on_rate = on_rate_per_s
-        self.off_rate = off_rate_per_s
-        self.phase_seconds = phase_seconds
-        self.rng = rng
-
-    def generate(self, count: int, start_time: float = 0.0) -> list[Request]:
-        """``count`` requests with phase-modulated Poisson arrivals."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        lengths = sample_trace(self.trace, count, self.rng)
-        now = start_time
-        arrivals = []
-        for _ in range(count):
-            phase = int(now / self.phase_seconds) % 2
-            rate = self.on_rate if phase == 0 else self.off_rate
-            now += float(self.rng.exponential(1.0 / rate))
-            arrivals.append(now)
-        return _requests_from(arrivals, lengths)
+        return [
+            Request(
+                request_id=i,
+                arrival_time=float(arrivals[i]),
+                input_tokens=length[0],
+                output_tokens=length[1],
+            )
+            for i, length in enumerate(self._lengths)
+        ]
 
 
 # --------------------------------------------------------------------- #
-# Streaming replay generators                                            #
+# Arrival processes                                                      #
 # --------------------------------------------------------------------- #
 
 def iter_poisson_requests(trace: ChatTraceConfig, rate_per_s: float,
                           seed: int, count: int, start_time: float = 0.0,
                           chunk: int = STREAM_CHUNK) -> Iterator[Request]:
-    """Stream the exact request sequence of
-    ``PoissonRequestGenerator(trace, rate, default_rng(seed)).generate(count)``.
+    """``count`` requests with Poisson arrivals from ``start_time``.
 
-    Three replay generators cover the materialized draw order (all
-    gaps, then all inputs, then all outputs): the gap stream starts at
-    position zero, the input stream skips the gaps, the output stream
-    skips gaps and inputs.  Arrival times accumulate in a running
-    float64 sum — ``np.cumsum`` is the same strictly sequential
-    addition chain, so every arrival float matches bit for bit.
+    Three replay generators cover the draw order (all gaps, then all
+    inputs, then all outputs): the gap stream starts at position zero,
+    the input stream skips the gaps, the output stream skips gaps and
+    inputs.  Arrival times accumulate in a running float64 sum — the
+    same strictly sequential addition chain as ``np.cumsum``, so every
+    arrival float matches :class:`PoissonArrivalTemplate` bit for bit.
     """
     if rate_per_s <= 0:
         raise ValueError("arrival rate must be positive")
@@ -238,13 +172,17 @@ def iter_onoff_requests(trace: ChatTraceConfig, on_rate_per_s: float,
                         off_rate_per_s: float, phase_seconds: float,
                         seed: int, count: int, start_time: float = 0.0,
                         chunk: int = STREAM_CHUNK) -> Iterator[Request]:
-    """Stream the exact request sequence of
-    ``OnOffRequestGenerator(trace, on, off, phase, default_rng(seed))
-    .generate(count)``.
+    """Bursty arrivals: a Markov-modulated Poisson (on/off) process.
 
-    The materialized draw order is lengths first (inputs, then
-    outputs), then one scalar exponential per arrival; the replay skips
-    accordingly and walks the same phase-modulated clock.
+    Time alternates between fixed-length phases; arrivals are Poisson at
+    ``on_rate_per_s`` during even phases and ``off_rate_per_s`` during
+    odd ones.  Real chat traffic shows exactly this regime switching
+    (diurnal peaks, thundering herds), and it is the workload where
+    load-aware routing visibly beats round-robin.
+
+    The draw order is lengths first (inputs, then outputs), then one
+    scalar exponential per arrival; the replay skips accordingly and
+    walks the phase-modulated clock.
     """
     if on_rate_per_s <= 0 or off_rate_per_s <= 0:
         raise ValueError("arrival rates must be positive")

@@ -2,9 +2,10 @@
 
 A chat user sends follow-up turns whose prompts carry the running
 conversation; the serving system therefore sees correlated requests with
-growing inputs.  This generator produces such sessions — turn *t*'s
-input length is the accumulated history plus a fresh question — and
-flattens them into the arrival stream the engine consumes.
+growing inputs.  :class:`MultiTurnSessionGenerator` produces such
+sessions — turn *t*'s input length is the accumulated history plus a
+fresh question — and :func:`iter_session_requests` flattens Poisson
+session starts into the time-sorted arrival stream the engine consumes.
 
 The single-turn :class:`~repro.serving.dataset.ChatTraceConfig` marginals
 remain the calibration target: sessions are built so the *aggregate*
@@ -20,6 +21,11 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.serving.generator import (
+    STREAM_CHUNK,
+    _chunk_sizes,
+    _skip_exponential,
+)
 from repro.serving.request import Request
 
 
@@ -55,7 +61,7 @@ class SessionTurn:
 
 
 class MultiTurnSessionGenerator:
-    """Generates sessions and flattens them into request streams."""
+    """Generates one session at a time from an injected RNG."""
 
     def __init__(self, config: SessionConfig,
                  rng: np.random.Generator) -> None:
@@ -95,48 +101,17 @@ class MultiTurnSessionGenerator:
             now += self.rng.exponential(config.think_time_mean_s)
         return out
 
-    def generate_stream(self, sessions: int,
-                        session_rate_per_s: float) -> list[Request]:
-        """Poisson session starts, flattened to a time-sorted request list."""
-        if sessions < 0:
-            raise ValueError("sessions must be non-negative")
-        if session_rate_per_s <= 0:
-            raise ValueError("session rate must be positive")
-        gaps = self.rng.exponential(1.0 / session_rate_per_s, size=sessions)
-        starts = np.cumsum(gaps)
-        turns: list[SessionTurn] = []
-        for sid in range(sessions):
-            turns.extend(self.generate_session(sid, float(starts[sid])))
-        turns.sort(key=lambda t: t.arrival_time)
-        return [
-            Request(
-                request_id=i,
-                arrival_time=turn.arrival_time,
-                input_tokens=turn.input_tokens,
-                output_tokens=turn.output_tokens,
-                session_id=turn.session_id,
-                turn_index=turn.turn_index,
-                history_tokens=turn.history_tokens,
-            )
-            for i, turn in enumerate(turns)
-        ]
-
-    def expected_requests_per_session(self) -> float:
-        return self.config.mean_turns
-
 
 def iter_session_requests(config: SessionConfig, sessions: int,
                           session_rate_per_s: float, seed: int,
-                          chunk: int = 4096) -> Iterator[Request]:
-    """Stream the exact request sequence of
-    ``MultiTurnSessionGenerator(config, default_rng(seed))
-    .generate_stream(sessions, session_rate_per_s)``.
+                          chunk: int = STREAM_CHUNK) -> Iterator[Request]:
+    """Poisson session starts, flattened to a time-sorted request stream.
 
-    The materialized path draws all session-start gaps up front, then
-    each session's body draws in session order, and finally performs a
-    *stable* sort by arrival time.  The replay splits the stream into a
-    start-gap generator and a body generator (fast-forwarded past the
-    gap draws) and merges turns through a heap keyed on
+    The draw order is all session-start gaps up front, then each
+    session's body draws in session order; the turns are then ordered
+    by a *stable* sort on arrival time.  The replay splits the stream
+    into a start-gap generator and a body generator (fast-forwarded
+    past the gap draws) and merges turns through a heap keyed on
     ``(arrival_time, session_id, turn_index)`` — the stable-sort order,
     since sessions are generated in id order and turns in index order.
     Before generating session *s* (starting at time ``start``), every
@@ -151,8 +126,6 @@ def iter_session_requests(config: SessionConfig, sessions: int,
         raise ValueError("sessions must be non-negative")
     if session_rate_per_s <= 0:
         raise ValueError("session rate must be positive")
-    from repro.serving.generator import _chunk_sizes, _skip_exponential
-
     start_rng = np.random.default_rng(seed)
     body_rng = np.random.default_rng(seed)
     _skip_exponential(body_rng, sessions, chunk)

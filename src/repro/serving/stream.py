@@ -2,7 +2,7 @@
 
 A :class:`RequestStream` wraps a lazy request iterator (see
 ``iter_requests`` on :class:`~repro.api.specs.WorkloadSpec` and the
-``iter_*`` generators in :mod:`repro.serving.generator` /
+``iter_*`` arrival generators in :mod:`repro.serving.generator` /
 :mod:`repro.serving.sessions`) and exposes exactly the head-of-queue
 interface the engines already consume — truthiness, ``stream[0]`` and
 ``popleft()`` — so ``ServingEngine.run`` and ``ClusterEngine.run`` pull

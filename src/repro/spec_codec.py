@@ -19,7 +19,9 @@ keep in step.
   ``ValueError`` naming the section, whose label derives from the class
   name (``ReplicaGroupSpec`` -> ``replica group``).  A typo'd knob
   silently running with its default would defeat the
-  reproducible-config contract.
+  reproducible-config contract.  The one exception is a key the class
+  lists in ``_RETIRED_KEYS``: a field since removed, whose old JSON
+  still loads with the key dropped.
 
 Types with a hand-written format (a chip serializes its process node
 by label) plug in through :func:`register_format`.  Type hints resolve
@@ -34,7 +36,7 @@ import functools
 import re
 import types
 import typing
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, ClassVar, Mapping, TypeVar
 
 T = TypeVar("T")
 S = TypeVar("S", bound="SpecCodec")
@@ -58,12 +60,13 @@ def register_format(cls: type[T], encoder: Callable[[T], Any],
 
 def check_keys(cls: type[Any], data: Any) -> dict[str, Any]:
     """``data`` itself, once it is a JSON object whose keys all name
-    fields of dataclass ``cls``."""
+    fields (or retired fields) of dataclass ``cls``."""
     if not isinstance(data, dict):
         raise ValueError(f"{_section_label(cls)} section must be a JSON "
                          f"object, got {type(data).__name__}")
     allowed = {field.name for field in _fields(cls)}
-    unknown = set(data) - allowed
+    unknown = set(data) - allowed - getattr(cls, "_RETIRED_KEYS",
+                                            frozenset())
     if unknown:
         raise ValueError(
             f"unknown {_section_label(cls)} field(s): "
@@ -94,6 +97,9 @@ def decode(cls: type[T], data: Any) -> T:
 
 class SpecCodec:
     """Mixin: the JSON round-trip of a frozen spec dataclass."""
+
+    #: keys of removed fields that ``from_dict`` accepts and drops
+    _RETIRED_KEYS: ClassVar[frozenset[str]] = frozenset()
 
     def to_dict(self) -> dict[str, Any]:
         """The spec as a JSON object, keys in field order."""

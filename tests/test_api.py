@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.api import (
@@ -37,7 +36,7 @@ from repro.hardware.registry import CHIP_REGISTRY
 from repro.models.zoo import get_model
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving.engine import ServingEngine
-from repro.serving.generator import PoissonRequestGenerator
+from repro.serving.generator import iter_poisson_requests
 from repro.serving.policies import POLICY_REGISTRY
 from repro.serving.qos import compute_qos
 from repro.serving.scheduler import SchedulerLimits
@@ -267,9 +266,7 @@ class TestSimulate:
         chip = get_chip("ador")
         model = get_model("llama3-8b")
         device = device_model_for(chip)
-        rng = np.random.default_rng(7)
-        requests = PoissonRequestGenerator(ULTRACHAT_LIKE, 5.0,
-                                           rng).generate(30)
+        requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 5.0, 7, 30))
         engine = ServingEngine(device, model,
                                SchedulerLimits(max_batch=256))
         result = engine.run(requests)

@@ -8,7 +8,6 @@ steady and bursty traces), and speculative parallel bracketing
 behavioral tests live in ``tests/test_serving_capacity.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.scheduling import AdorDeviceModel
@@ -30,9 +29,9 @@ from repro.serving.engine import (
     ttft_is_stable,
 )
 from repro.serving.generator import (
-    OnOffRequestGenerator,
     PoissonArrivalTemplate,
-    PoissonRequestGenerator,
+    iter_onoff_requests,
+    iter_poisson_requests,
 )
 
 
@@ -66,9 +65,7 @@ class TestArrivalReuse:
     @pytest.mark.parametrize("rate", [0.5, 3.7, 23.0, 256.0])
     def test_rescaled_template_is_draw_identical(self, rate):
         template = PoissonArrivalTemplate(ULTRACHAT_LIKE, 200, seed=11)
-        rng = np.random.default_rng(11)
-        fresh = PoissonRequestGenerator(ULTRACHAT_LIKE, rate,
-                                        rng).generate(200)
+        fresh = list(iter_poisson_requests(ULTRACHAT_LIKE, rate, 11, 200))
         reused = template.requests_at(rate)
         assert len(fresh) == len(reused) == 200
         for a, b in zip(fresh, reused):
@@ -176,11 +173,9 @@ class TestEarlyAbort:
     def test_feasible_bursty_trace_never_aborts(self, device, llama3):
         # on/off bursts pile up a transient backlog that then drains —
         # exactly what must NOT trigger the abort
-        rng = np.random.default_rng(3)
-        generator = OnOffRequestGenerator(
+        requests = list(iter_onoff_requests(
             ULTRACHAT_LIKE, on_rate_per_s=18.0, off_rate_per_s=2.0,
-            phase_seconds=5.0, rng=rng)
-        requests = generator.generate(150)
+            phase_seconds=5.0, seed=3, count=150))
         monitor = InstabilityMonitor(150)
         monitored = _run_engine(device, llama3, requests, 150,
                                 monitor=monitor)
@@ -188,15 +183,12 @@ class TestEarlyAbort:
         assert len(monitored.finished) == 150
 
     def test_saturated_bursty_trace_verdict_parity(self, device, llama3):
-        rng = np.random.default_rng(3)
-        generator = OnOffRequestGenerator(
+        requests = list(iter_onoff_requests(
             ULTRACHAT_LIKE, on_rate_per_s=80.0, off_rate_per_s=40.0,
-            phase_seconds=2.0, rng=rng)
-        requests = generator.generate(150)
-        rng = np.random.default_rng(3)
-        same = OnOffRequestGenerator(
+            phase_seconds=2.0, seed=3, count=150))
+        same = list(iter_onoff_requests(
             ULTRACHAT_LIKE, on_rate_per_s=80.0, off_rate_per_s=40.0,
-            phase_seconds=2.0, rng=rng).generate(150)
+            phase_seconds=2.0, seed=3, count=150))
         full = _run_engine(device, llama3, requests, 150)
         monitored = _run_engine(device, llama3, same, 150,
                                 monitor=InstabilityMonitor(150))

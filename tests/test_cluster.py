@@ -4,7 +4,6 @@ import json
 import math
 import pathlib
 
-import numpy as np
 import pytest
 
 from repro.api import (
@@ -35,13 +34,13 @@ from repro.models.zoo import get_model
 from repro.serving.dataset import ChatTraceConfig, ULTRACHAT_LIKE
 from repro.serving.engine import ServingEngine
 from repro.serving.generator import (
-    OnOffRequestGenerator,
-    PoissonRequestGenerator,
+    iter_onoff_requests,
+    iter_poisson_requests,
 )
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
-from repro.serving.sessions import MultiTurnSessionGenerator, SessionConfig
+from repro.serving.sessions import SessionConfig, iter_session_requests
 
 EXPERIMENTS = pathlib.Path(__file__).parent.parent / "experiments"
 
@@ -57,8 +56,7 @@ def ador_device():
 
 
 def poisson_requests(rate, count, seed=7, trace=ULTRACHAT_LIKE):
-    rng = np.random.default_rng(seed)
-    return PoissonRequestGenerator(trace, rate, rng).generate(count)
+    return list(iter_poisson_requests(trace, rate, seed, count))
 
 
 def snapshots(outstanding, tokens=None):
@@ -174,10 +172,8 @@ class TestClusterEngine:
         assert result.load.request_imbalance < 1.25
 
     def test_session_affinity_is_sticky(self, ador_device, llama3):
-        rng = np.random.default_rng(11)
-        requests = MultiTurnSessionGenerator(
-            SessionConfig(), rng).generate_stream(
-            sessions=60, session_rate_per_s=5.0)
+        requests = list(iter_session_requests(
+            SessionConfig(), sessions=60, session_rate_per_s=5.0, seed=11))
         engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
                                replicas=4, router="session-affinity")
         result = engine.run(requests, max_sim_seconds=600.0)
@@ -305,10 +301,9 @@ class TestBurstyRouting:
         def mean_p99(router):
             values = []
             for seed in (3, 7, 19):
-                rng = np.random.default_rng(seed)
-                requests = OnOffRequestGenerator(
+                requests = list(iter_onoff_requests(
                     trace, on_rate_per_s=60.0, off_rate_per_s=4.0,
-                    phase_seconds=3.0, rng=rng).generate(400)
+                    phase_seconds=3.0, seed=seed, count=400))
                 engine = ClusterEngine(ador_device, llama3, limits,
                                        replicas=4, router=router)
                 result = engine.run(requests, max_sim_seconds=600.0)
@@ -456,9 +451,8 @@ class TestRouterContractParity:
 
     @staticmethod
     def _session_stream():
-        rng = np.random.default_rng(23)
-        return MultiTurnSessionGenerator(SessionConfig(), rng) \
-            .generate_stream(sessions=50, session_rate_per_s=6.0)
+        return list(iter_session_requests(
+            SessionConfig(), sessions=50, session_rate_per_s=6.0, seed=23))
 
     @staticmethod
     def _assignment(result):
@@ -743,10 +737,8 @@ class TestAutoscaledCluster:
     def test_scale_down_with_session_affinity_repins(self, ador_device,
                                                      llama3):
         """Sessions homed on a drained replica re-pin and finish."""
-        rng = np.random.default_rng(11)
-        requests = MultiTurnSessionGenerator(
-            SessionConfig(), rng).generate_stream(
-            sessions=60, session_rate_per_s=6.0)
+        requests = list(iter_session_requests(
+            SessionConfig(), sessions=60, session_rate_per_s=6.0, seed=11))
         result = self._engine(ador_device, llama3,
                               router="session-affinity").run(
             requests, max_sim_seconds=600.0)

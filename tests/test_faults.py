@@ -11,7 +11,6 @@ import copy
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,8 +31,8 @@ from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.serving.dataset import ChatTraceConfig, ULTRACHAT_LIKE
 from repro.serving.generator import (
-    OnOffRequestGenerator,
-    PoissonRequestGenerator,
+    iter_onoff_requests,
+    iter_poisson_requests,
 )
 from repro.serving.qos import goodput_per_s
 from repro.serving.request import RequestState
@@ -57,15 +56,13 @@ def ador_device():
 
 
 def steady_requests(count=40, rate=15.0, seed=11):
-    rng = np.random.default_rng(seed)
-    return PoissonRequestGenerator(ULTRACHAT_LIKE, rate, rng).generate(count)
+    return list(iter_poisson_requests(ULTRACHAT_LIKE, rate, seed, count))
 
 
 def bursty_requests(count=40, seed=13):
-    rng = np.random.default_rng(seed)
-    return OnOffRequestGenerator(
+    return list(iter_onoff_requests(
         BURSTY_TRACE, on_rate_per_s=30.0, off_rate_per_s=2.0,
-        phase_seconds=2.0, rng=rng).generate(count)
+        phase_seconds=2.0, seed=seed, count=count))
 
 
 def request_fingerprints(requests):

@@ -37,11 +37,11 @@ from repro.cluster.router import ReplicaSnapshot, make_router
 from repro.serving.capacity import EndpointUnservable, cost_optimal_fleet
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving.generator import (
-    OnOffRequestGenerator,
-    PoissonRequestGenerator,
+    iter_onoff_requests,
+    iter_poisson_requests,
 )
 from repro.serving.request import Request
-from repro.serving.sessions import MultiTurnSessionGenerator, SessionConfig
+from repro.serving.sessions import SessionConfig, iter_session_requests
 
 BURSTY = ChatTraceConfig(
     name="bursty-hetero",
@@ -164,16 +164,14 @@ ELASTIC = {
 
 
 def _trace_requests(kind, seed, count):
-    rng = np.random.default_rng(seed)
     if kind == "steady":
-        return PoissonRequestGenerator(
-            ULTRACHAT_LIKE, 10.0, rng).generate(count)
+        return list(iter_poisson_requests(ULTRACHAT_LIKE, 10.0, seed, count))
     if kind == "bursty":
-        return OnOffRequestGenerator(
+        return list(iter_onoff_requests(
             BURSTY, on_rate_per_s=30.0, off_rate_per_s=2.0,
-            phase_seconds=2.0, rng=rng).generate(count)
-    return list(MultiTurnSessionGenerator(config=SessionConfig(), rng=rng)
-                .generate_stream(max(1, count // 3), 3.0))
+            phase_seconds=2.0, seed=seed, count=count))
+    return list(iter_session_requests(SessionConfig(), max(1, count // 3),
+                                      3.0, seed))
 
 
 @settings(max_examples=12, deadline=None)
@@ -217,9 +215,7 @@ def test_slo_aware_default_threshold_is_the_knob_default():
     # satellite contract: exposing the threshold must not move the
     # default behavior — "slo-aware" and "slo-aware:256" are the same
     # policy, decision for decision
-    rng = np.random.default_rng(11)
-    requests = PoissonRequestGenerator(
-        ULTRACHAT_LIKE, 10.0, rng).generate(80)
+    requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 10.0, 11, 80))
     snapshots = tuple(
         ReplicaSnapshot(replica_id=i, clock_s=0.0,
                         outstanding_requests=int(pick[0]),

@@ -1,6 +1,5 @@
 """Integration tests: the full pipeline from search to serving."""
 
-import numpy as np
 import pytest
 
 from repro.compiler.generator import InstructionGenerator
@@ -17,7 +16,7 @@ from repro.models.layers import Phase
 from repro.models.zoo import get_model
 from repro.serving.dataset import ULTRACHAT_LIKE
 from repro.serving.engine import ServingEngine
-from repro.serving.generator import PoissonRequestGenerator
+from repro.serving.generator import iter_poisson_requests
 from repro.serving.qos import compute_qos
 from repro.serving.scheduler import SchedulerLimits
 
@@ -45,9 +44,7 @@ class TestSearchToServing:
 
     def test_searched_design_serves_under_slo(self, searched_chip, llama3):
         device = device_model_for(searched_chip)
-        rng = np.random.default_rng(11)
-        requests = PoissonRequestGenerator(
-            ULTRACHAT_LIKE, 10.0, rng).generate(120)
+        requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 10.0, 11, 120))
         engine = ServingEngine(device, llama3, SchedulerLimits(max_batch=128))
         result = engine.run(requests)
         assert len(result.finished) == 120
@@ -91,9 +88,7 @@ class TestCrossDesignConsistency:
 
     def test_ador_outperforms_a100_at_load(self, llama3):
         import copy
-        rng = np.random.default_rng(3)
-        requests = PoissonRequestGenerator(
-            ULTRACHAT_LIKE, 12.0, rng).generate(60)
+        requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 12.0, 3, 60))
         outcomes = {}
         for name, chip in (("ADOR", ador_table3()), ("A100", a100())):
             engine = ServingEngine(device_model_for(chip), llama3,
@@ -103,8 +98,7 @@ class TestCrossDesignConsistency:
         assert outcomes["ADOR"].tbt_mean_s < outcomes["A100"].tbt_mean_s
 
     def test_every_table3_design_can_serve(self, llama3):
-        rng = np.random.default_rng(5)
-        requests = PoissonRequestGenerator(ULTRACHAT_LIKE, 4.0, rng).generate(20)
+        requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 4.0, 5, 20))
         import copy
         for name, chip in ader_reference_designs().items():
             engine = ServingEngine(device_model_for(chip), llama3,

@@ -12,6 +12,7 @@ from repro.models.zoo import get_model
 from repro.serving.sessions import (
     MultiTurnSessionGenerator,
     SessionConfig,
+    iter_session_requests,
 )
 
 
@@ -95,22 +96,25 @@ class TestSessions:
             for turn in generator.generate_session(sid, 0.0):
                 assert turn.input_tokens <= 512
 
+    def _stream(self, sessions, session_rate_per_s, seed, **overrides):
+        return list(iter_session_requests(SessionConfig(**overrides),
+                                          sessions, session_rate_per_s,
+                                          seed))
+
     def test_stream_is_time_sorted(self):
-        generator = self._generator(seed=4)
-        stream = generator.generate_stream(50, session_rate_per_s=2.0)
+        stream = self._stream(50, session_rate_per_s=2.0, seed=4)
         arrivals = [r.arrival_time for r in stream]
         assert arrivals == sorted(arrivals)
 
     def test_stream_request_count_scales_with_turns(self):
-        generator = self._generator(seed=5, mean_turns=3.7)
-        stream = generator.generate_stream(500, session_rate_per_s=5.0)
+        stream = self._stream(500, session_rate_per_s=5.0, seed=5,
+                              mean_turns=3.7)
         assert len(stream) == pytest.approx(500 * 3.7, rel=0.15)
 
     def test_multiturn_inputs_heavier_than_single_turn(self):
         """Accumulated history makes the mean effective input much larger
         than one fresh question — the ultrachat calibration story."""
-        generator = self._generator(seed=6)
-        stream = generator.generate_stream(300, session_rate_per_s=5.0)
+        stream = self._stream(300, session_rate_per_s=5.0, seed=6)
         mean_input = np.mean([r.input_tokens for r in stream])
         assert mean_input > 3 * SessionConfig().question_median
 
@@ -118,14 +122,13 @@ class TestSessions:
         with pytest.raises(ValueError):
             SessionConfig(mean_turns=0.5)
         with pytest.raises(ValueError):
-            self._generator().generate_stream(10, 0.0)
+            self._stream(10, 0.0, seed=0)
 
     def test_sessions_run_through_engine(self, llama3):
         from repro.core.scheduling import AdorDeviceModel
         from repro.serving.engine import ServingEngine
         from repro.serving.scheduler import SchedulerLimits
-        generator = self._generator(seed=7)
-        stream = generator.generate_stream(20, session_rate_per_s=2.0)
+        stream = self._stream(20, session_rate_per_s=2.0, seed=7)
         engine = ServingEngine(AdorDeviceModel(ador_table3()), llama3,
                                SchedulerLimits(max_batch=64))
         result = engine.run(stream, max_sim_seconds=600.0)

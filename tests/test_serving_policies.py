@@ -2,14 +2,13 @@
 
 import copy
 
-import numpy as np
 import pytest
 
 from repro.core.scheduling import AdorDeviceModel
 from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
 from repro.serving.dataset import fixed_trace
-from repro.serving.generator import PoissonRequestGenerator
+from repro.serving.generator import iter_poisson_requests
 from repro.serving.policies import BatchingPolicy, simulate_policy
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request
@@ -26,9 +25,8 @@ def device():
 
 
 def make_requests(count=24, rate=6.0, seed=3):
-    rng = np.random.default_rng(seed)
     trace = fixed_trace(256, 64)
-    return PoissonRequestGenerator(trace, rate, rng).generate(count)
+    return list(iter_poisson_requests(trace, rate, seed, count))
 
 
 def run(policy, device, llama3, requests, **kwargs):

@@ -11,7 +11,7 @@ from repro.serving.dataset import (
     fixed_trace,
     sample_trace,
 )
-from repro.serving.generator import PoissonRequestGenerator
+from repro.serving.generator import iter_poisson_requests
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request, RequestState
 
@@ -95,31 +95,24 @@ class TestTraces:
 
 class TestPoissonGenerator:
     def test_arrivals_are_increasing(self):
-        generator = PoissonRequestGenerator(
-            ULTRACHAT_LIKE, 10.0, np.random.default_rng(0))
-        requests = generator.generate(100)
+        requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 10.0, 0, 100))
         arrivals = [r.arrival_time for r in requests]
         assert arrivals == sorted(arrivals)
 
     def test_rate_is_respected(self):
-        generator = PoissonRequestGenerator(
-            ULTRACHAT_LIKE, 20.0, np.random.default_rng(0))
-        requests = generator.generate(4000)
+        requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 20.0, 0, 4000))
         span = requests[-1].arrival_time - requests[0].arrival_time
         assert 4000 / span == pytest.approx(20.0, rel=0.1)
 
     def test_reproducible_with_seed(self):
-        a = PoissonRequestGenerator(ULTRACHAT_LIKE, 5.0,
-                                    np.random.default_rng(42)).generate(10)
-        b = PoissonRequestGenerator(ULTRACHAT_LIKE, 5.0,
-                                    np.random.default_rng(42)).generate(10)
+        a = list(iter_poisson_requests(ULTRACHAT_LIKE, 5.0, 42, 10))
+        b = list(iter_poisson_requests(ULTRACHAT_LIKE, 5.0, 42, 10))
         assert [(r.arrival_time, r.input_tokens) for r in a] \
             == [(r.arrival_time, r.input_tokens) for r in b]
 
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):
-            PoissonRequestGenerator(ULTRACHAT_LIKE, 0.0,
-                                    np.random.default_rng(0))
+            list(iter_poisson_requests(ULTRACHAT_LIKE, 0.0, 0, 10))
 
 
 class TestQosReport:

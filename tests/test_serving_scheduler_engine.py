@@ -1,6 +1,5 @@
 """Unit tests for the continuous-batching scheduler and serving engine."""
 
-import numpy as np
 import pytest
 
 from repro.core.scheduling import AdorDeviceModel
@@ -9,7 +8,7 @@ from repro.models.zoo import get_model
 from repro.perf.baselines import baseline_for
 from repro.serving.dataset import ULTRACHAT_LIKE
 from repro.serving.engine import ServingEngine
-from repro.serving.generator import PoissonRequestGenerator
+from repro.serving.generator import iter_poisson_requests
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
@@ -173,8 +172,7 @@ class TestEngine:
         assert result.busy_time_s < 5.0
 
     def test_gpu_endpoint_slower_than_ador(self, llama3):
-        rng = np.random.default_rng(0)
-        requests = PoissonRequestGenerator(ULTRACHAT_LIKE, 8.0, rng).generate(40)
+        requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 8.0, 0, 40))
         import copy
         ador_result = ServingEngine(
             AdorDeviceModel(ador_table3()), llama3,

@@ -12,7 +12,6 @@ quantization error bounds, and the fast-forward interruption cases.
 
 import copy
 
-import numpy as np
 import pytest
 
 from repro.api import (
@@ -33,8 +32,8 @@ from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving import engine as serving_engine
 from repro.serving.engine import ServingEngine, run_decode_burst
 from repro.serving.generator import (
-    OnOffRequestGenerator,
-    PoissonRequestGenerator,
+    iter_onoff_requests,
+    iter_poisson_requests,
 )
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request
@@ -56,15 +55,13 @@ MODEL = get_model("llama3-8b")
 
 
 def steady_requests(count=36, rate=6.0, seed=11):
-    rng = np.random.default_rng(seed)
-    return PoissonRequestGenerator(ULTRACHAT_LIKE, rate, rng).generate(count)
+    return list(iter_poisson_requests(ULTRACHAT_LIKE, rate, seed, count))
 
 
 def bursty_requests(count=36, seed=13):
-    rng = np.random.default_rng(seed)
-    return OnOffRequestGenerator(
+    return list(iter_onoff_requests(
         BURSTY_TRACE, on_rate_per_s=30.0, off_rate_per_s=2.0,
-        phase_seconds=2.0, rng=rng).generate(count)
+        phase_seconds=2.0, seed=seed, count=count))
 
 
 def request_fingerprints(requests):

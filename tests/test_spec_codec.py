@@ -6,7 +6,8 @@ These tests check that behaviourally: drawn nested specs of all ten
 codec classes survive a JSON round-trip with their keys in field order,
 committed experiment files keep every key and value they write, and
 typos are rejected loudly at every level — inline chips and inline
-traces included.
+traces included.  A retired key (``WorkloadSpec``'s ``streaming``) still
+loads and is dropped.
 """
 
 import dataclasses
@@ -109,7 +110,6 @@ def workloads(draw):
         seed=draw(st.integers(0, 2 ** 32)),
         session=draw(st.none() | session_configs)
         if arrival == "sessions" else None,
-        streaming=draw(st.booleans()),
     )
 
 
@@ -328,6 +328,58 @@ def test_committed_experiment_keys_and_values_survive(path):
 
 def test_committed_experiments_found():
     assert len(EXPERIMENTS) >= 9
+
+
+@pytest.mark.parametrize("name", ["cluster_scale_stream.json",
+                                  "hetero_fleet.json"])
+def test_full_experiment_files_round_trip_byte_identically(name):
+    # these two write every key, so to_dict reproduces the file exactly
+    path = REPO_ROOT / "experiments" / name
+    assert json.dumps(load_experiment(path).to_dict(), indent=2) + "\n" \
+        == path.read_text()
+
+
+# --------------------------------------------------------------------- #
+# The retired ``streaming`` workload key                                 #
+# --------------------------------------------------------------------- #
+
+WORKLOAD_DICT = {"trace": "ultrachat", "arrival": "sessions",
+                 "rate_per_s": 3.0, "num_requests": 12, "seed": 4,
+                 "session": None}
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_retired_streaming_key_is_dropped(value):
+    plain = WorkloadSpec.from_dict(WORKLOAD_DICT)
+    assert WorkloadSpec.from_dict(dict(WORKLOAD_DICT, streaming=value)) \
+        == plain
+    old = {"name": "old", "workload": dict(WORKLOAD_DICT, streaming=value)}
+    assert Experiment.from_dict(old) \
+        == Experiment.from_dict({"name": "old", "workload": WORKLOAD_DICT})
+    assert plain.to_dict() == WORKLOAD_DICT
+
+
+def test_retired_streaming_key_not_offered_as_allowed():
+    with pytest.raises(ValueError, match="unknown workload field") as info:
+        WorkloadSpec.from_dict(dict(WORKLOAD_DICT, streamng=True))
+    unknown, allowed = str(info.value).split("; allowed: ")
+    assert "streamng" in unknown
+    assert "streaming" not in allowed.split(", ")
+
+
+def test_perfbench_spec_sections_load():
+    """Every deployment/workload section of the benchmark definition,
+    which still carries ``"streaming": true``, loads."""
+    path = REPO_ROOT / "perfbench" / "workloads.json"
+    sections = 0
+    for config in json.loads(path.read_text())["workloads"].values():
+        if "deployment" in config:
+            DeploymentSpec.from_dict(config["deployment"])
+            sections += 1
+        if "workload" in config:
+            WorkloadSpec.from_dict(config["workload"])
+            sections += 1
+    assert sections >= 5
 
 
 # --------------------------------------------------------------------- #

@@ -1,13 +1,16 @@
-"""Streaming-arrival suite: lazy generators vs. materialized lists.
+"""Streaming-arrival suite: the lazy generators and the engines'
+stream input.
 
-The streaming generators (:func:`iter_poisson_requests`,
-:func:`iter_onoff_requests`, :func:`iter_session_requests`) replay the
-exact RNG draw sequence of the materializing paths, so every field of
-every request must match bit-for-bit — and a full simulation fed a
-stream must fingerprint identically to one fed the list.  On top of
-parity: the online out-of-order check, the sink/monitor contract, and
-the tracemalloc guarantee that streaming peak memory is flat in the
-request count.
+The arrival generators (:func:`iter_poisson_requests`,
+:func:`iter_onoff_requests`, :func:`iter_session_requests`) replay a
+fixed RNG draw order chunk by chunk.  Each is checked field-wise,
+bit-for-bit, against one reference that draws whole arrays in that
+order: the production :class:`PoissonArrivalTemplate` for Poisson, and
+the array-drawing bodies below for on/off and sessions.  A full
+simulation fed a stream must fingerprint identically to one fed a list
+of the same requests.  On top of parity: the online out-of-order
+check, the sink/monitor contract, and the tracemalloc guarantee that
+streaming peak memory is flat in the request count.
 """
 
 import tracemalloc
@@ -24,11 +27,10 @@ from repro.cluster.faults import FaultEvent, FaultSpec
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.scale import StreamStats
-from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
+from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig, sample_trace
 from repro.serving.engine import ServingEngine
 from repro.serving.generator import (
-    OnOffRequestGenerator,
-    PoissonRequestGenerator,
+    PoissonArrivalTemplate,
     iter_onoff_requests,
     iter_poisson_requests,
 )
@@ -37,6 +39,7 @@ from repro.serving.scheduler import SchedulerLimits
 from repro.serving.sessions import (
     MultiTurnSessionGenerator,
     SessionConfig,
+    SessionTurn,
     iter_session_requests,
 )
 from repro.serving.stream import OutOfOrderArrival, RequestStream, as_stream
@@ -79,15 +82,72 @@ def cluster_fingerprint(result):
 
 
 # --------------------------------------------------------------------- #
+# Reference draw orders                                                  #
+# --------------------------------------------------------------------- #
+# The two bodies below are the array-drawing on/off and session
+# generators the iter_* replays were first written against, kept
+# verbatim (as functions of the seed) as the reference each replay must
+# reproduce.  They are test oracles only; the library has one
+# implementation of each arrival process.
+
+def reference_onoff_requests(trace, on_rate, off_rate, phase_seconds,
+                             seed, count, start_time=0.0):
+    """Reference on/off draw order: all lengths, then one exponential
+    per arrival, from one generator."""
+    rng = np.random.default_rng(seed)
+    lengths = sample_trace(trace, count, rng)
+    now = start_time
+    arrivals = []
+    for _ in range(count):
+        phase = int(now / phase_seconds) % 2
+        rate = on_rate if phase == 0 else off_rate
+        now += float(rng.exponential(1.0 / rate))
+        arrivals.append(now)
+    return [
+        Request(
+            request_id=i,
+            arrival_time=float(arrivals[i]),
+            input_tokens=lengths[i][0],
+            output_tokens=lengths[i][1],
+        )
+        for i in range(len(arrivals))
+    ]
+
+
+def reference_session_requests(config, sessions, session_rate_per_s, seed):
+    """Reference session draw order: all start gaps, then each
+    session's body in id order, then a stable sort by arrival."""
+    rng = np.random.default_rng(seed)
+    generator = MultiTurnSessionGenerator(config, rng)
+    gaps = rng.exponential(1.0 / session_rate_per_s, size=sessions)
+    starts = np.cumsum(gaps)
+    turns: list[SessionTurn] = []
+    for sid in range(sessions):
+        turns.extend(generator.generate_session(sid, float(starts[sid])))
+    turns.sort(key=lambda t: t.arrival_time)
+    return [
+        Request(
+            request_id=i,
+            arrival_time=turn.arrival_time,
+            input_tokens=turn.input_tokens,
+            output_tokens=turn.output_tokens,
+            session_id=turn.session_id,
+            turn_index=turn.turn_index,
+            history_tokens=turn.history_tokens,
+        )
+        for i, turn in enumerate(turns)
+    ]
+
+
+# --------------------------------------------------------------------- #
 # Generator parity (field-wise, every request)                           #
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("count", [0, 1, 7, 500, 5000])
 @pytest.mark.parametrize("chunk", [13, 4096])
 def test_iter_poisson_matches_materialized(count, chunk):
-    rng = np.random.default_rng(23)
-    reference = PoissonRequestGenerator(
-        ULTRACHAT_LIKE, 12.0, rng).generate(count)
+    reference = PoissonArrivalTemplate(
+        ULTRACHAT_LIKE, count, 23).requests_at(12.0)
     streamed = list(iter_poisson_requests(
         ULTRACHAT_LIKE, 12.0, 23, count, chunk=chunk))
     assert [request_fields(r) for r in streamed] \
@@ -97,10 +157,7 @@ def test_iter_poisson_matches_materialized(count, chunk):
 @pytest.mark.parametrize("count", [0, 1, 500, 5000])
 @pytest.mark.parametrize("chunk", [7, 4096])
 def test_iter_onoff_matches_materialized(count, chunk):
-    rng = np.random.default_rng(5)
-    reference = OnOffRequestGenerator(
-        BURSTY, on_rate_per_s=30.0, off_rate_per_s=2.0,
-        phase_seconds=2.0, rng=rng).generate(count)
+    reference = reference_onoff_requests(BURSTY, 30.0, 2.0, 2.0, 5, count)
     streamed = list(iter_onoff_requests(
         BURSTY, 30.0, 2.0, 2.0, 5, count, chunk=chunk))
     assert [request_fields(r) for r in streamed] \
@@ -110,29 +167,40 @@ def test_iter_onoff_matches_materialized(count, chunk):
 @pytest.mark.parametrize("sessions", [0, 1, 40, 300])
 def test_iter_sessions_matches_materialized(sessions):
     config = SessionConfig()
-    reference = MultiTurnSessionGenerator(
-        config, np.random.default_rng(31)).generate_stream(sessions, 4.0)
+    reference = reference_session_requests(config, sessions, 4.0, 31)
     streamed = list(iter_session_requests(config, sessions, 4.0, 31))
     assert [request_fields(r) for r in streamed] \
         == [request_fields(r) for r in reference]
 
 
 def test_workload_spec_iter_matches_build():
-    for spec in (
-        WorkloadSpec(rate_per_s=10.0, num_requests=300, seed=3),
-        WorkloadSpec(arrival="sessions", rate_per_s=3.0,
-                     num_requests=40, seed=9),
+    for spec, reference in (
+        (WorkloadSpec(rate_per_s=10.0, num_requests=300, seed=3),
+         PoissonArrivalTemplate(ULTRACHAT_LIKE, 300, 3).requests_at(10.0)),
+        (WorkloadSpec(arrival="sessions", rate_per_s=3.0,
+                      num_requests=40, seed=9),
+         reference_session_requests(SessionConfig(), 40, 3.0, 9)),
     ):
-        assert [request_fields(r) for r in spec.iter_requests()] \
-            == [request_fields(r) for r in spec.build_requests()]
+        expected = [request_fields(r) for r in reference]
+        assert [request_fields(r) for r in spec.iter_requests()] == expected
+        assert [request_fields(r) for r in spec.build_requests()] \
+            == expected
 
 
 def test_start_time_offset_matches():
-    rng = np.random.default_rng(2)
-    reference = PoissonRequestGenerator(
-        ULTRACHAT_LIKE, 8.0, rng).generate(64, start_time=100.0)
+    reference = PoissonArrivalTemplate(
+        ULTRACHAT_LIKE, 64, 2).requests_at(8.0, start_time=100.0)
     streamed = list(iter_poisson_requests(
         ULTRACHAT_LIKE, 8.0, 2, 64, start_time=100.0))
+    assert [request_fields(r) for r in streamed] \
+        == [request_fields(r) for r in reference]
+
+
+def test_onoff_start_time_offset_matches():
+    reference = reference_onoff_requests(BURSTY, 30.0, 2.0, 2.0, 4, 64,
+                                         start_time=100.0)
+    streamed = list(iter_onoff_requests(BURSTY, 30.0, 2.0, 2.0, 4, 64,
+                                        start_time=100.0))
     assert [request_fields(r) for r in streamed] \
         == [request_fields(r) for r in reference]
 
@@ -191,13 +259,15 @@ def test_engine_list_input_keeps_materialized_path():
 # --------------------------------------------------------------------- #
 
 def test_simulate_streaming_knob_is_bit_identical():
+    """The retired ``streaming`` key: a spec that still carries it
+    (``false`` used to force the list path) runs exactly as one without
+    it."""
     deployment = DeploymentSpec(chip="ador", model="llama3-8b",
                                 max_batch=8)
     workload = WorkloadSpec(rate_per_s=10.0, num_requests=60, seed=17)
     on = simulate(deployment, workload)
-    off = simulate(deployment,
-                   WorkloadSpec(rate_per_s=10.0, num_requests=60, seed=17,
-                                streaming=False))
+    off = simulate(deployment, WorkloadSpec.from_dict(
+        dict(workload.to_dict(), streaming=False)))
     assert request_fingerprints(on.result.finished) \
         == request_fingerprints(off.result.finished)
     assert on.result.total_time_s == off.result.total_time_s
@@ -214,26 +284,13 @@ ELASTIC = {
 }
 
 
-def _trace_requests(kind, seed, count, streaming):
+def _trace_requests(kind, seed, count):
     if kind == "steady":
-        if streaming:
-            return iter_poisson_requests(ULTRACHAT_LIKE, 10.0, seed, count)
-        rng = np.random.default_rng(seed)
-        return PoissonRequestGenerator(
-            ULTRACHAT_LIKE, 10.0, rng).generate(count)
+        return iter_poisson_requests(ULTRACHAT_LIKE, 10.0, seed, count)
     if kind == "bursty":
-        if streaming:
-            return iter_onoff_requests(BURSTY, 30.0, 2.0, 2.0, seed, count)
-        rng = np.random.default_rng(seed)
-        return OnOffRequestGenerator(
-            BURSTY, on_rate_per_s=30.0, off_rate_per_s=2.0,
-            phase_seconds=2.0, rng=rng).generate(count)
-    config = SessionConfig()
-    sessions = max(1, count // 3)
-    if streaming:
-        return iter_session_requests(config, sessions, 3.0, seed)
-    return MultiTurnSessionGenerator(
-        config, np.random.default_rng(seed)).generate_stream(sessions, 3.0)
+        return iter_onoff_requests(BURSTY, 30.0, 2.0, 2.0, seed, count)
+    return iter_session_requests(SessionConfig(), max(1, count // 3), 3.0,
+                                 seed)
 
 
 @settings(max_examples=12, deadline=None)
@@ -246,15 +303,14 @@ def _trace_requests(kind, seed, count, streaming):
 )
 def test_streaming_cluster_bit_identical(kind, replicas, elastic, seed,
                                          count):
-    """The tentpole property: a lazy stream and the materialized list
-    drive any cluster configuration to the same bits — every replica's
-    counters and every request's timeline."""
+    """A lazy stream and a list of the same request sequence drive any
+    cluster configuration to the same bits — every replica's counters
+    and every request's timeline."""
     def run(streaming):
         engine = ClusterEngine(_device(), MODEL, LIMITS, replicas=replicas,
                                **ELASTIC[elastic])
-        requests = _trace_requests(kind, seed, count, streaming)
-        if streaming:
-            requests = as_stream(requests)
+        requests = _trace_requests(kind, seed, count)
+        requests = as_stream(requests) if streaming else list(requests)
         return engine.run(requests, max_sim_seconds=120.0)
 
     streamed, materialized = run(True), run(False)

@@ -1,6 +1,5 @@
 """Unit tests for request-trace serialization and replay determinism."""
 
-import numpy as np
 import pytest
 
 from repro.core.scheduling import AdorDeviceModel
@@ -8,7 +7,7 @@ from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
 from repro.serving.dataset import ULTRACHAT_LIKE
 from repro.serving.engine import ServingEngine
-from repro.serving.generator import PoissonRequestGenerator
+from repro.serving.generator import iter_poisson_requests
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.trace_io import (
     export_timeline,
@@ -20,8 +19,7 @@ from repro.serving.trace_io import (
 
 @pytest.fixture
 def stream():
-    rng = np.random.default_rng(9)
-    return PoissonRequestGenerator(ULTRACHAT_LIKE, 10.0, rng).generate(25)
+    return list(iter_poisson_requests(ULTRACHAT_LIKE, 10.0, 9, 25))
 
 
 class TestRoundTrip:
@@ -76,13 +74,11 @@ class TestRoundTrip:
 
     def test_session_turn_fields_round_trip(self, tmp_path):
         from repro.serving.sessions import (
-            MultiTurnSessionGenerator,
             SessionConfig,
+            iter_session_requests,
         )
 
-        rng = np.random.default_rng(5)
-        generator = MultiTurnSessionGenerator(SessionConfig(), rng)
-        stream = generator.generate_stream(30, 4.0)
+        stream = list(iter_session_requests(SessionConfig(), 30, 4.0, 5))
         path = tmp_path / "sessions.json"
         save_requests(stream, path)
         loaded = load_requests(path)
