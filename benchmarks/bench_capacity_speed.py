@@ -18,11 +18,7 @@ probe) and extends the repo's recorded perf trajectory
 The found rates must be **identical** per scenario (the bench asserts
 it), and a separate untimed pass runs ``early_abort="verify"`` to prove
 per-probe that every abort verdict matches the full simulation — the
-reported parity must be 100%.  A full-mode extra measures speculative
-parallel bracketing (``parallel_probes=3`` over a shared probe pool),
-asserting rate identity only: with memoized ~50-100 ms probes the
-in-process cache usually beats scattering work over worker processes,
-so its wall-clock is informational.
+reported parity must be 100%.
 
 Run standalone for CI smoke: ``python benchmarks/bench_capacity_speed.py
 --quick`` (two scenarios, 150 requests, asserts fast >= reference,
@@ -42,7 +38,6 @@ from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.capacity import (
     max_capacity_under_slo,
-    probe_pool,
     reference_capacity_search,
 )
 from repro.serving.dataset import ULTRACHAT_LIKE
@@ -77,7 +72,7 @@ def _study(scenarios, search, device, **kwargs):
     return results, time.perf_counter() - start
 
 
-def run_capacity_speed(quick: bool = False, workers: int = 3) -> dict:
+def run_capacity_speed(quick: bool = False) -> dict:
     scenarios = QUICK_SCENARIOS if quick else SCENARIOS
     search_kwargs = QUICK_SEARCH if quick else FULL_SEARCH
 
@@ -139,20 +134,6 @@ def run_capacity_speed(quick: bool = False, workers: int = 3) -> dict:
             "parity_rate": matches / aborted if aborted else 1.0,
         },
     }
-
-    if not quick:
-        # speculative parallel bracketing over a shared probe pool:
-        # rate identity asserted, wall-clock informational (see module
-        # docstring)
-        base_device = AdorDeviceModel(ador_table3())
-        with probe_pool(base_device, workers=workers) as pool:
-            parallel, parallel_wall = _study(
-                scenarios, max_capacity_under_slo, base_device,
-                parallel_probes=3, pool=pool, **search_kwargs)
-        payload["parallel_wall_s"] = parallel_wall
-        payload["parallel_rate_identical"] = all(
-            ref.max_requests_per_s == par.max_requests_per_s
-            for ref, par in zip(baseline, parallel))
     return payload
 
 
@@ -180,11 +161,6 @@ def render(payload: dict) -> str:
         f"aborted probes match the full-simulation verdict "
         f"({abort['parity_rate']:.0%}) across {abort['probes']} probes",
     ]
-    if "parallel_wall_s" in payload:
-        lines.append(
-            f"parallel bracketing (3 probes/round): "
-            f"{payload['parallel_wall_s']:.2f} s, rates identical: "
-            f"{payload['parallel_rate_identical']}")
     return "\n\n".join(lines)
 
 
@@ -199,9 +175,6 @@ def check(payload: dict, min_speedup: float) -> None:
         f"early-abort verdict parity {abort['parity_rate']:.0%} < 100%"
     assert payload["speedup"] >= min_speedup, \
         f"capacity speedup {payload['speedup']:.2f}x < {min_speedup:.1f}x"
-    if "parallel_rate_identical" in payload:
-        assert payload["parallel_rate_identical"], \
-            "parallel bracketing diverged from the sequential reference"
 
 
 def test_capacity_speed(benchmark, report):
@@ -222,13 +195,11 @@ def main(argv=None) -> int:
                         help="small config for CI smoke")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
-    parser.add_argument("--workers", type=int, default=3,
-                        help="probe-pool workers for the parallel extra")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail below this study speedup "
                              "(default: 3.0 full, 1.0 quick)")
     args = parser.parse_args(argv)
-    payload = run_capacity_speed(quick=args.quick, workers=args.workers)
+    payload = run_capacity_speed(quick=args.quick)
     print(render(payload))
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"[written to {args.out}]")

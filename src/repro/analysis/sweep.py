@@ -1,4 +1,4 @@
-"""Parameter sweep helpers used by benches and examples."""
+"""Parameter sweep helpers used by benches, examples and sharded runs."""
 
 from __future__ import annotations
 
@@ -19,80 +19,8 @@ def _apply(fn: Callable, value):
         raise RuntimeError(f"{_ANNOTATION}{value!r}: {exc}") from exc
 
 
-def _collect(values: list, futures: list, cancel: Callable) -> list:
-    """Gather futures in input order; first failure cancels the rest."""
-    results = []
-    for value, future in zip(values, futures):
-        try:
-            results.append((value, future.result()))
-        except Exception as exc:
-            # points already in flight still run to completion before the
-            # error surfaces; the rest never start
-            cancel()
-            if isinstance(exc, RuntimeError) \
-                    and str(exc).startswith(_ANNOTATION):
-                raise  # _apply already annotated it in the worker
-            # pool-level failures (broken pool, unpicklable fn) get the
-            # same annotation the in-process path would produce
-            raise RuntimeError(f"{_ANNOTATION}{value!r}: {exc}") from exc
-    return results
-
-
-class SweepPool:
-    """A persistent worker pool reusable across many :func:`sweep` calls.
-
-    ``sweep(values, fn, workers=N)`` spawns and tears down a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor` per call — fine for
-    one sweep, wasteful for a bench that runs dozens.  A ``SweepPool``
-    keeps its workers alive until :meth:`close`, so repeated sweeps skip
-    the executor spawn *and* keep worker-side state warm: the optional
-    ``initializer(*initargs)`` runs once per worker (the capacity search
-    uses it to install a shared
-    :class:`~repro.perf.cache.CachedDeviceModel`), and module-level
-    caches populated by one sweep's tasks serve the next sweep's.
-
-    Failure semantics match :func:`sweep` exactly (same annotated
-    message, input-order results); a failed sweep cancels its own
-    pending points but leaves the pool usable.  Usable as a context
-    manager.
-    """
-
-    def __init__(self, workers: int, initializer: Callable | None = None,
-                 initargs: tuple = ()) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        import concurrent.futures
-
-        self.workers = workers
-        self._executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=initializer,
-            initargs=initargs)
-
-    def sweep(self, values: Iterable, fn: Callable) -> list:
-        """Apply ``fn`` over ``values``; (value, result) pairs in order."""
-        values = list(values)
-        futures = [self._executor.submit(_apply, fn, value)
-                   for value in values]
-
-        def cancel() -> None:
-            for future in futures:
-                future.cancel()
-
-        return _collect(values, futures, cancel)
-
-    def close(self) -> None:
-        """Shut the workers down (pending work is cancelled)."""
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "SweepPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def sweep(values: Iterable, fn: Callable, workers: int | None = None,
-          pool: SweepPool | None = None) -> list:
+def sweep(values: Iterable, fn: Callable,
+          workers: int | None = None) -> list:
     """Apply ``fn`` over ``values`` and return (value, result) pairs.
 
     Trivial but keeps bench code declarative; failures annotate which
@@ -102,13 +30,10 @@ def sweep(values: Iterable, fn: Callable, workers: int | None = None,
     each point through the same ``_apply`` wrapper as the in-process
     path), so callers cannot tell the difference except in wall-clock.
     ``fn`` and the values must be picklable in that mode; the default
-    (``workers=None`` or ``1``) stays in-process.  Passing ``pool=``
-    reuses a persistent :class:`SweepPool` instead of spawning a fresh
-    executor.
+    (``workers=None`` or ``1``) stays in-process.  This is the
+    library's one way to fan work out over processes.
     """
     values = list(values)
-    if pool is not None:
-        return pool.sweep(values, fn)
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     if workers is None or workers == 1 or len(values) <= 1:
@@ -119,6 +44,19 @@ def sweep(values: Iterable, fn: Callable, workers: int | None = None,
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(values))) as executor:
         futures = [executor.submit(_apply, fn, value) for value in values]
-        return _collect(
-            values, futures,
-            lambda: executor.shutdown(wait=False, cancel_futures=True))
+        results = []
+        for value, future in zip(values, futures):
+            try:
+                results.append((value, future.result()))
+            except Exception as exc:
+                # points already in flight still run to completion before
+                # the error surfaces; the rest never start
+                executor.shutdown(wait=False, cancel_futures=True)
+                if isinstance(exc, RuntimeError) \
+                        and str(exc).startswith(_ANNOTATION):
+                    raise  # _apply already annotated it in the worker
+                # pool-level failures (broken pool, unpicklable fn) get
+                # the same annotation the in-process path would produce
+                raise RuntimeError(
+                    f"{_ANNOTATION}{value!r}: {exc}") from exc
+        return results

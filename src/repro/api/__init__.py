@@ -67,7 +67,6 @@ from repro.core.scheduling import device_model_for
 # already initialized by this point, so the import order is cycle-free
 from repro.perf.scale import (
     ProgressReporter,
-    ShardPool,
     StreamStats,
     run_sharded_cluster,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "list_models",
     "device_model_for",
     "run_sharded_cluster",
-    "ShardPool",
     "StreamStats",
     "ProgressReporter",
 ]

@@ -321,7 +321,7 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
                   max_sim_seconds: float = 600.0, *,
                   sim_cache: bool = True,
                   context_bucket: int = 1,
-                  pool=None, **overrides) -> CapacityReport:
+                  **overrides) -> CapacityReport:
     """Search the highest SLO-compliant arrival rate for a deployment.
 
     ``capacity`` carries the SLO and search knobs (keyword
@@ -332,24 +332,14 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
     the capacity engine's memory-derived admission policy (paper
     Fig. 16), not ``deployment.max_batch``.
 
-    ``pool`` accepts a persistent
-    :class:`repro.serving.capacity.CapacityProbePool` so the searches
-    of a sweep share warm worker caches.
-
     A deployment with an explicit ``fleet`` dispatches to
     :func:`find_fleet_capacity` instead: the workload's ``rate_per_s``
     is then the *fixed* demand and the search finds the cheapest group
-    mix sustaining it (``pool`` is rejected — fleet probes are full
-    cluster simulations).
+    mix sustaining it.
     """
     from repro.serving.capacity import max_capacity_under_slo
 
     if deployment.fleet is not None:
-        if pool is not None:
-            raise ValueError(
-                "the probe pool parallelizes single-endpoint rate "
-                "probes; the mixed-fleet search runs full cluster "
-                "simulations and does not take one")
         return find_fleet_capacity(
             deployment, workload, capacity,
             max_sim_seconds=max_sim_seconds, sim_cache=sim_cache,
@@ -404,10 +394,7 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
         rate_bounds=(capacity.rate_low, capacity.rate_high),
         iterations=capacity.iterations,
         max_sim_seconds=max_sim_seconds,
-        reuse_arrivals=capacity.reuse_arrivals,
         early_abort=capacity.early_abort,
-        parallel_probes=capacity.parallel_probes,
-        pool=pool,
         sim_cache=sim_cache,
     )
     return CapacityReport(
@@ -755,7 +742,7 @@ def run_experiment(source: Experiment | str | pathlib.Path, *,
     search and returns a :class:`CapacityReport`; otherwise the fixed-
     rate simulation runs as before.  ``shards`` / ``progress`` forward
     to :func:`simulate` (fixed-rate runs only — the capacity search
-    manages its own probe parallelism).
+    runs in one process).
     """
     experiment = source if isinstance(source, Experiment) \
         else load_experiment(source)
@@ -763,7 +750,7 @@ def run_experiment(source: Experiment | str | pathlib.Path, *,
         if shards != 1:
             raise ValueError(
                 "shards apply to fixed-rate cluster runs; the capacity "
-                "search parallelizes over probes instead (workers=N)")
+                "search runs in one process")
         return find_capacity(experiment.deployment, experiment.workload,
                              experiment.capacity,
                              max_sim_seconds=experiment.max_sim_seconds,

@@ -35,6 +35,7 @@ from repro.hardware.interconnect import NocSpec, NocTopology, P2pSpec
 from repro.hardware.memory import Dram, DramKind, Sram
 from repro.hardware.registry import get_chip
 from repro.hardware.technology import ProcessNode
+from repro.serving.capacity import check_search_inputs
 from repro.serving.dataset import ChatTraceConfig
 from repro.serving.request import Request
 from repro.serving.prefix_cache import PrefixCacheSpec
@@ -547,10 +548,11 @@ class CapacitySpec(SpecCodec):
     optionally TTFT) SLO at ``percentile``.  The workload spec's
     ``rate_per_s`` is ignored — the rate is what's being searched for.
 
-    ``early_abort``, ``reuse_arrivals`` and ``parallel_probes`` are the
-    capacity engine's speed knobs (see
-    :func:`repro.serving.capacity.max_capacity_under_slo`); all of them
-    leave the found rate identical to the sequential reference search.
+    ``early_abort`` is the capacity engine's speed knob (see
+    :func:`repro.serving.capacity.max_capacity_under_slo`); it leaves
+    the found rate identical to the sequential reference search.  The
+    retired ``reuse_arrivals`` and ``parallel_probes`` keys are accepted
+    and dropped, so older JSON still loads.
     """
 
     slo_tbt_s: float = 0.050
@@ -560,26 +562,14 @@ class CapacitySpec(SpecCodec):
     rate_high: float = 256.0
     iterations: int = 9
     early_abort: bool = True
-    reuse_arrivals: bool = True
-    parallel_probes: int = 1
 
-    _PERCENTILES = ("mean", "p50", "p95", "p99")
+    _RETIRED_KEYS = frozenset({"reuse_arrivals", "parallel_probes"})
 
     def __post_init__(self) -> None:
-        if self.slo_tbt_s <= 0:
-            raise ValueError("slo_tbt_s must be positive")
-        if self.slo_ttft_s is not None and self.slo_ttft_s <= 0:
-            raise ValueError("slo_ttft_s must be positive")
-        if self.percentile not in self._PERCENTILES:
-            raise ValueError(
-                f"unknown percentile {self.percentile!r}; "
-                f"supported: {', '.join(self._PERCENTILES)}")
-        if not 0 < self.rate_low < self.rate_high:
-            raise ValueError("need 0 < rate_low < rate_high")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if self.parallel_probes < 1:
-            raise ValueError("parallel_probes must be >= 1")
+        check_search_inputs(self.slo_tbt_s, self.slo_ttft_s,
+                            self.percentile,
+                            (self.rate_low, self.rate_high),
+                            self.iterations)
 
 
 # --------------------------------------------------------------------- #

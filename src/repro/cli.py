@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro`` or ``repro-ador``.
 
-Five subcommands cover the library's main entry points:
+Seven subcommands cover the library's main entry points:
 
 * ``models``   — list the model zoo with key architecture facts;
 * ``evaluate`` — prefill/decode latency of a model on a chip preset;
@@ -356,8 +356,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
             rate_high=args.rate_high,
             iterations=args.iterations,
             early_abort=not args.no_early_abort,
-            reuse_arrivals=not args.no_reuse_arrivals,
-            parallel_probes=args.parallel_probes,
         )
         report = find_capacity(deployment, workload, capacity,
                                sim_cache=not args.no_sim_cache)
@@ -674,18 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--rate-high", type=float, default=256.0)
     capacity.add_argument("--iterations", type=int, default=9,
                           help="bisection steps (rate resolution)")
-    capacity.add_argument("--parallel-probes", type=int, default=1,
-                          help="speculative probes per bisection round "
-                               "(2-3; worker processes, identical found "
-                               "rate)")
     capacity.add_argument("--no-early-abort", action="store_true",
                           help="always simulate saturated probes to the "
                                "full horizon (identical found rate, "
                                "slower)")
-    capacity.add_argument("--no-reuse-arrivals", action="store_true",
-                          help="regenerate the workload per probed rate "
-                               "instead of rescaling one template "
-                               "(bit-identical either way, slower)")
     capacity.add_argument("--no-sim-cache", action="store_true",
                           help="disable device-model memoization "
                                "(bit-identical results, reference speed)")

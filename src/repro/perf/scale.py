@@ -4,9 +4,8 @@ and the long-run progress heartbeat.
 Three pieces, all serving the million-request regime:
 
 * :func:`run_sharded_cluster` partitions a fixed fleet — and its
-  session-affine traffic — across :class:`ShardPool` worker processes
-  (the :class:`~repro.analysis.sweep.SweepPool` idiom) and merges the
-  per-shard replica results into one
+  session-affine traffic — across :func:`~repro.analysis.sweep.sweep`
+  worker processes and merges the per-shard replica results into one
   :class:`~repro.cluster.report.ClusterResult` deterministically.
   Sharding is a **modeled** approximation: each shard routes only its
   own traffic slice over its own replica subset, so cross-shard load
@@ -30,16 +29,16 @@ Three pieces, all serving the million-request regime:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 import time
 from typing import Callable, Iterator, TextIO
 
+from repro.analysis.sweep import sweep
 from repro.api.specs import DeploymentSpec, WorkloadSpec
 from repro.cluster.report import ClusterResult, aggregate_cluster
 from repro.serving.engine import SimulationResult
 from repro.serving.request import Request
-
-_ANNOTATION = "shard failed at index "
 
 
 # --------------------------------------------------------------------- #
@@ -77,16 +76,16 @@ def shard_replica_count(replicas: int, shard: int, shards: int) -> int:
 # Worker side                                                            #
 # --------------------------------------------------------------------- #
 
-def _simulate_shard(task: tuple) -> tuple[SimulationResult, ...]:
+def _simulate_shard(deployment: DeploymentSpec, workload: WorkloadSpec,
+                    max_sim_seconds: float, shards: int, sim_cache: bool,
+                    context_bucket: int,
+                    shard: int) -> tuple[SimulationResult, ...]:
     """Run one shard's replica subset over its traffic slice.
 
-    Module-level so the pool can pickle it; everything it needs rides
-    in the task tuple (frozen specs pickle by value).  Imports stay
-    inside the function so worker start-up does not pay for the full
-    api surface before it must.
+    Module-level so the pool can pickle it (frozen specs pickle by
+    value).  Imports stay inside the function so worker start-up does
+    not pay for the full api surface before it must.
     """
-    (deployment, workload, max_sim_seconds, shard, shards, sim_cache,
-     context_bucket) = task
     from repro.api.facade import _device_for
     from repro.cluster.engine import ClusterEngine
     from repro.models.zoo import get_model
@@ -106,70 +105,14 @@ def _simulate_shard(task: tuple) -> tuple[SimulationResult, ...]:
     return result.replica_results
 
 
-def _apply_shard(task: tuple):
-    """Annotate worker failures with the shard index (SweepPool idiom:
-    the in-process and pooled paths raise the identical message)."""
-    try:
-        return _simulate_shard(task)
-    except Exception as exc:  # pragma: no cover - diagnostic path
-        raise RuntimeError(f"{_ANNOTATION}{task[3]}: {exc}") from exc
-
-
-class ShardPool:
-    """A persistent worker pool reusable across sharded cluster runs.
-
-    Mirrors :class:`~repro.analysis.sweep.SweepPool`: workers stay
-    alive between calls, so a bench that runs many sharded simulations
-    pays the process spawn once; module-level caches populated by one
-    run's shards warm the next run's.  Usable as a context manager.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        import concurrent.futures
-
-        self.workers = workers
-        self._executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers)
-
-    def run_shards(self, tasks: list[tuple]) -> list:
-        """Run every shard task; results in shard order."""
-        futures = [self._executor.submit(_apply_shard, task)
-                   for task in tasks]
-        results = []
-        for task, future in zip(tasks, futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                for pending in futures:
-                    pending.cancel()
-                if isinstance(exc, RuntimeError) \
-                        and str(exc).startswith(_ANNOTATION):
-                    raise
-                raise RuntimeError(
-                    f"{_ANNOTATION}{task[3]}: {exc}") from exc
-        return results
-
-    def close(self) -> None:
-        """Shut the workers down (pending work is cancelled)."""
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 # --------------------------------------------------------------------- #
 # Driver                                                                 #
 # --------------------------------------------------------------------- #
 
 def run_sharded_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
                         max_sim_seconds: float = 600.0, shards: int = 2, *,
-                        sim_cache: bool = True, context_bucket: int = 1,
-                        pool: ShardPool | None = None) -> ClusterResult:
+                        sim_cache: bool = True,
+                        context_bucket: int = 1) -> ClusterResult:
     """Simulate a fixed fleet partitioned over ``shards`` processes.
 
     ``shards=1`` takes the exact unsharded engine path (bit-identical
@@ -235,18 +178,14 @@ def run_sharded_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
         raise ValueError(
             "sharded runs need the router by registry name — a router "
             "instance would be shared mutable state across processes")
-    tasks = [
-        (deployment, workload, max_sim_seconds, shard, shards, sim_cache,
-         context_bucket)
-        for shard in range(shards)
-    ]
-    if pool is not None:
-        shard_results = pool.run_shards(tasks)
-    else:
-        with ShardPool(shards) as scoped:
-            shard_results = scoped.run_shards(tasks)
+    shard_results = sweep(
+        range(shards),
+        functools.partial(_simulate_shard, deployment, workload,
+                          max_sim_seconds, shards, sim_cache,
+                          context_bucket),
+        workers=shards)
     merged: list[SimulationResult] = []
-    for replica_results in shard_results:
+    for _, replica_results in shard_results:
         merged.extend(replica_results)
     return aggregate_cluster(merged)
 

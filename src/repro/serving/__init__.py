@@ -28,12 +28,10 @@ from repro.serving.engine import (
 )
 from repro.serving.qos import QoSReport, compute_qos
 from repro.serving.capacity import (
-    CapacityProbePool,
     CapacityResult,
     EndpointUnservable,
     ProbeOutcome,
     max_capacity_under_slo,
-    probe_pool,
     reference_capacity_search,
 )
 from repro.serving.utilization import UtilizationReport, utilization_report
@@ -108,12 +106,10 @@ __all__ = [
     "SimulationResult",
     "QoSReport",
     "compute_qos",
-    "CapacityProbePool",
     "CapacityResult",
     "EndpointUnservable",
     "ProbeOutcome",
     "max_capacity_under_slo",
-    "probe_pool",
     "reference_capacity_search",
     "UtilizationReport",
     "utilization_report",

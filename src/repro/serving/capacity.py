@@ -7,10 +7,10 @@ under a relaxed SLO on one device.
 
 One capacity point costs a dozen saturated serving simulations, and a
 capacity-vs-SLO or capacity-vs-design sweep multiplies that, so the
-search is engineered to waste none of them.  Five coordinated
+search is engineered to waste none of them.  Four coordinated
 optimizations returning **identical found rates** to the sequential
 reference search (:func:`reference_capacity_search`) — the first,
-second, fourth and fifth exactly by construction, the early-abort by a
+second and fourth exactly by construction, the early-abort by a
 strictly-conservative heuristic whose per-probe verdict parity is
 machine-checked (``early_abort="verify"``) and committed at 100% by
 ``benchmarks/bench_capacity_speed.py``:
@@ -31,24 +31,20 @@ machine-checked (``early_abort="verify"``) and committed at 100% by
   abort condition strictly implies the full run would fail the final
   stability check, and ``early_abort="verify"`` proves the verdict
   parity per probe by also running the full simulation.
-* **speculative parallel bracketing** — ``parallel_probes=2..3`` probes
-  the midpoint plus the next-level midpoints of both possible halves in
-  worker processes, consuming two bisection steps per round while
-  preserving the exact float bracket evolution of sequential bisection.
-* **shared sweep caches** — probes share one memoized
+* **shared device cache** — probes share one memoized
   :class:`~repro.perf.cache.CachedDeviceModel` (arrival reuse makes the
-  same decode contexts recur across probes), in-process and inside the
-  workers of a persistent :class:`~repro.analysis.sweep.SweepPool`.
+  same decode contexts recur across probes); pass the same cached
+  device to every search of a study to keep it warm across searches.
+
+The search runs in one process: probes are sequential bisection steps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 from dataclasses import dataclass
 
-from repro.analysis.sweep import SweepPool
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import max_batch_for_memory
 from repro.perf.baselines import DeviceModel
@@ -63,6 +59,33 @@ from repro.serving.engine import (
 from repro.serving.generator import PoissonArrivalTemplate
 from repro.serving.qos import QoSReport, compute_qos
 from repro.serving.scheduler import SchedulerLimits
+
+#: the QoS percentiles an SLO can be judged at
+_PERCENTILES = ("mean", "p50", "p95", "p99")
+
+
+def check_search_inputs(slo_tbt_s: float, slo_ttft_s: float | None,
+                        percentile: str, rate_bounds: tuple[float, float],
+                        iterations: int) -> None:
+    """Reject an SLO or search bracket no capacity search can answer.
+
+    :class:`~repro.api.specs.CapacitySpec`, :func:`max_capacity_under_slo`
+    and :func:`reference_capacity_search` all call this before any
+    simulation runs.
+    """
+    if slo_tbt_s <= 0:
+        raise ValueError("slo_tbt_s must be positive")
+    if slo_ttft_s is not None and slo_ttft_s <= 0:
+        raise ValueError("slo_ttft_s must be positive")
+    if percentile not in _PERCENTILES:
+        raise ValueError(
+            f"unknown percentile {percentile!r}; "
+            f"supported: {', '.join(_PERCENTILES)}")
+    low, high = rate_bounds
+    if not 0 < low < high:
+        raise ValueError("need 0 < rate_low < rate_high")
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
 
 
 class EndpointUnservable(RuntimeError):
@@ -119,23 +142,17 @@ def _scheduler_limits(device: DeviceModel, model: ModelConfig,
 def _simulate_rate(
     device: DeviceModel,
     model: ModelConfig,
-    trace: ChatTraceConfig,
+    workload: PoissonArrivalTemplate,
     rate: float,
     num_devices: int,
-    request_count: int,
-    seed: int,
     max_sim_seconds: float,
-    workload: PoissonArrivalTemplate | None = None,
     monitor: InstabilityMonitor | None = None,
 ) -> tuple[SimulationResult, QoSReport | None]:
-    if workload is None:
-        # no arrival reuse: draw this probe's workload afresh
-        workload = PoissonArrivalTemplate(trace, request_count, seed)
     requests = workload.requests_at(rate)
     # the horizon must cover the arrival span plus a generous drain
     max_sim_seconds = max(max_sim_seconds,
-                          1.5 * request_count / rate + 120.0)
-    limits = _scheduler_limits(device, model, trace, num_devices)
+                          1.5 * workload.count / rate + 120.0)
+    limits = _scheduler_limits(device, model, workload.trace, num_devices)
     engine = ServingEngine(device, model, limits, num_devices)
     result = engine.run(requests, max_sim_seconds=max_sim_seconds,
                         monitor=monitor)
@@ -168,174 +185,66 @@ def _meets(result: SimulationResult, qos: QoSReport | None,
 
 
 # --------------------------------------------------------------------- #
-# Probe execution (in-process and in SweepPool workers)                  #
+# The search                                                             #
 # --------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class _ProbeContext:
-    """Everything a probe needs, picklable for worker processes.
-
-    ``device`` is ``None`` in payloads destined for a
-    :class:`CapacityProbePool`, whose workers substitute the shared
-    device installed at pool init.
-    """
-
-    device: DeviceModel | None
-    model: ModelConfig
-    trace: ChatTraceConfig
-    num_devices: int
-    request_count: int
-    seed: int
-    max_sim_seconds: float
-    slo_tbt_s: float
-    slo_ttft_s: float | None
-    percentile: str
-    workload: PoissonArrivalTemplate | None
-    early_abort: bool | str
-
-
-def _run_probe(ctx: _ProbeContext, rate: float) -> ProbeOutcome:
-    """One probe: simulate, judge feasibility, optionally verify parity."""
-    monitor = InstabilityMonitor(ctx.request_count) if ctx.early_abort \
-        else None
-    result, qos = _simulate_rate(
-        ctx.device, ctx.model, ctx.trace, rate, ctx.num_devices,
-        ctx.request_count, ctx.seed, ctx.max_sim_seconds,
-        workload=ctx.workload, monitor=monitor)
-    feasible = _meets(result, qos, ctx.request_count, rate, ctx.slo_tbt_s,
-                      ctx.slo_ttft_s, ctx.percentile)
-    parity = None
-    if ctx.early_abort == "verify" and result.saturated is not None:
-        full, full_qos = _simulate_rate(
-            ctx.device, ctx.model, ctx.trace, rate, ctx.num_devices,
-            ctx.request_count, ctx.seed, ctx.max_sim_seconds,
-            workload=ctx.workload)
-        parity = _meets(full, full_qos, ctx.request_count, rate,
-                        ctx.slo_tbt_s, ctx.slo_ttft_s,
-                        ctx.percentile) == feasible
-    return ProbeOutcome(
-        rate=rate,
-        feasible=feasible,
-        qos=qos,
-        finished=len(result.finished),
-        total_time_s=result.total_time_s,
-        aborted=result.saturated is not None,
-        abort_verdict_matches=parity,
-    )
-
-
-#: Worker-side probe context: one slot per worker process, replaced when
-#: a task for a different search arrives.  Reusing the first-unpickled
-#: context keeps the worker's CachedDeviceModel warm across every probe
-#: of a search, which is exactly when arrival reuse makes decode
-#: operating points recur.
-_WORKER_CONTEXT: dict = {"key": None, "ctx": None}
-
-#: Device installed once per worker by :func:`probe_pool`'s initializer —
-#: shared by every probe of every search run on that pool, so its
-#: memoization cache stays warm across the whole capacity study.
-_WORKER_DEVICE: list = [None]
-
-_CONTEXT_COUNTER = itertools.count()
-
-
-def _install_worker_device(device: DeviceModel) -> None:
-    if not isinstance(device, CachedDeviceModel):
-        device = CachedDeviceModel(device)
-    _WORKER_DEVICE[0] = device
-
-
-class CapacityProbePool(SweepPool):
-    """A :class:`~repro.analysis.sweep.SweepPool` for capacity probes.
-
-    The workers are initialized once with a shared memoized device
-    model, so probe tasks ship only the (small) per-search context and
-    every probe of every search warms the same cache.  Reusable across
-    the searches of a whole capacity study as long as they target the
-    same device.
-    """
-
-    def __init__(self, device: DeviceModel, workers: int = 3) -> None:
-        super().__init__(workers, initializer=_install_worker_device,
-                         initargs=(device,))
-        # the unwrapped device the workers were initialized with: probes
-        # for any other device must be rejected, not silently run on
-        # this one
-        self._device = getattr(device, "inner", device)
-
-    def check_device(self, device: DeviceModel) -> None:
-        """Reject probes whose device differs from the workers'."""
-        if getattr(device, "inner", device) is not self._device:
-            raise ValueError(
-                "this CapacityProbePool was initialized for a different "
-                "device; build the pool with probe_pool(device) from the "
-                "same device object the search uses")
-
-
-def probe_pool(device: DeviceModel, workers: int = 3) -> CapacityProbePool:
-    """A persistent probe pool sharing one warm device model."""
-    return CapacityProbePool(device, workers)
-
-
-def _probe_task(payload: tuple) -> ProbeOutcome:
-    key, ctx, rate = payload
-    if _WORKER_CONTEXT["key"] != key:
-        _WORKER_CONTEXT["key"] = key
-        if ctx.device is None:
-            # pool workers hold the shared device installed at init
-            ctx = dataclasses.replace(ctx, device=_WORKER_DEVICE[0])
-            assert ctx.device is not None, \
-                "probe pool worker has no installed device"
-        _WORKER_CONTEXT["ctx"] = ctx
-    return _run_probe(_WORKER_CONTEXT["ctx"], rate)
-
-
 class _ProbeRunner:
-    """Runs, caches and records the probes of one capacity search."""
+    """Runs, caches and records the probes of one capacity search.
 
-    def __init__(self, ctx: _ProbeContext, pool: SweepPool | None) -> None:
-        self.ctx = ctx
-        self.pool = pool
-        self.key = ("capacity", os.getpid(), next(_CONTEXT_COUNTER))
+    Every probe rescales the one arrival template the runner holds.
+    """
+
+    def __init__(self, device: DeviceModel, model: ModelConfig,
+                 workload: PoissonArrivalTemplate, num_devices: int,
+                 max_sim_seconds: float, slo_tbt_s: float,
+                 slo_ttft_s: float | None, percentile: str,
+                 early_abort: bool | str) -> None:
+        self.device = device
+        self.model = model
+        self.workload = workload
+        self.num_devices = num_devices
+        self.max_sim_seconds = max_sim_seconds
+        self.slo = (slo_tbt_s, slo_ttft_s, percentile)
+        self.early_abort = early_abort
         self.outcomes: dict[float, ProbeOutcome] = {}
         self.simulations = 0
 
-    @property
-    def record(self) -> tuple:
-        return tuple(self.outcomes.values())
+    def _simulate(self, rate: float, monitor: InstabilityMonitor | None = None
+                  ) -> tuple[SimulationResult, QoSReport | None]:
+        self.simulations += 1
+        return _simulate_rate(self.device, self.model, self.workload, rate,
+                              self.num_devices, self.max_sim_seconds,
+                              monitor)
 
-    def _count(self, outcome: ProbeOutcome) -> ProbeOutcome:
-        # verify mode re-simulates every aborted probe to the full
-        # horizon; `simulations` reports what actually ran
-        self.simulations += 2 if (self.ctx.early_abort == "verify"
-                                  and outcome.aborted) else 1
-        return outcome
+    def _feasible(self, result: SimulationResult, qos: QoSReport | None,
+                  rate: float) -> bool:
+        return _meets(result, qos, self.workload.count, rate, *self.slo)
 
     def probe(self, rate: float) -> ProbeOutcome:
+        """Simulate one rate (once: outcomes are cached by rate), judge
+        feasibility, and under ``"verify"`` check an abort's verdict."""
         cached = self.outcomes.get(rate)
         if cached is not None:
             return cached
-        outcome = self._count(_run_probe(self.ctx, rate))
+        monitor = InstabilityMonitor(self.workload.count) \
+            if self.early_abort else None
+        result, qos = self._simulate(rate, monitor)
+        feasible = self._feasible(result, qos, rate)
+        parity = None
+        if self.early_abort == "verify" and result.saturated is not None:
+            full, full_qos = self._simulate(rate)
+            parity = self._feasible(full, full_qos, rate) == feasible
+        outcome = ProbeOutcome(
+            rate=rate,
+            feasible=feasible,
+            qos=qos,
+            finished=len(result.finished),
+            total_time_s=result.total_time_s,
+            aborted=result.saturated is not None,
+            abort_verdict_matches=parity,
+        )
         self.outcomes[rate] = outcome
         return outcome
-
-    def probe_many(self, rates: list) -> dict[float, ProbeOutcome]:
-        """Probe several candidate rates, in parallel when pooled."""
-        fresh = [r for r in rates if r not in self.outcomes]
-        if self.pool is not None and len(fresh) > 1:
-            ctx = self.ctx
-            if isinstance(self.pool, CapacityProbePool):
-                # workers hold the shared device; don't re-pickle ours —
-                # but only if it IS ours
-                self.pool.check_device(ctx.device)
-                ctx = dataclasses.replace(ctx, device=None)
-            payloads = [(self.key, ctx, rate) for rate in fresh]
-            for payload, outcome in self.pool.sweep(payloads, _probe_task):
-                self.outcomes[payload[2]] = self._count(outcome)
-        else:
-            for rate in fresh:
-                self.probe(rate)
-        return {rate: self.outcomes[rate] for rate in rates}
 
     def full_qos(self, rate: float) -> QoSReport:
         """The full-run QoS of a *feasible* probed rate.
@@ -353,17 +262,8 @@ class _ProbeRunner:
         outcome = self.outcomes.get(rate)
         if outcome is not None and not outcome.aborted:
             return outcome.qos
-        _, qos = _simulate_rate(
-            self.ctx.device, self.ctx.model, self.ctx.trace, rate,
-            self.ctx.num_devices, self.ctx.request_count, self.ctx.seed,
-            self.ctx.max_sim_seconds, workload=self.ctx.workload)
-        self.simulations += 1
-        return qos
+        return self._simulate(rate)[1]
 
-
-# --------------------------------------------------------------------- #
-# The search                                                             #
-# --------------------------------------------------------------------- #
 
 def max_capacity_under_slo(
     device: DeviceModel,
@@ -379,80 +279,56 @@ def max_capacity_under_slo(
     iterations: int = 9,
     max_sim_seconds: float = 600.0,
     *,
-    reuse_arrivals: bool = True,
     early_abort: bool | str = True,
-    parallel_probes: int = 1,
-    pool: SweepPool | None = None,
     sim_cache: bool = True,
+    reuse_arrivals: bool = True,
+    parallel_probes: int = 1,
 ) -> CapacityResult:
     """Binary search for the highest SLO-compliant arrival rate.
 
     The search brackets on (low = feasible, high = infeasible) and
-    reports the last feasible probe with its QoS.  The knobs change how
-    fast the verdicts are reached, not which rate is found:
-    ``reuse_arrivals``, ``parallel_probes``, ``sim_cache`` and the
-    always-on probe cache are exact by construction; ``early_abort``
-    judges a probe infeasible from a truncated run, which is
-    conservative (an abort implies the truncated prefix already fails
-    the final stability check) but heuristic with respect to the full
-    simulation — use ``"verify"`` to machine-check the per-probe parity
-    (the committed benches record 100%):
+    reports the last feasible probe with its QoS.  Every probe rescales
+    one workload template drawn up front (bit-identical draws, see
+    :class:`~repro.serving.generator.PoissonArrivalTemplate`).  The
+    knobs change how fast the verdicts are reached, not which rate is
+    found:
 
-    * ``reuse_arrivals`` — rescale one workload template per probe
-      instead of regenerating (bit-identical draws, see
-      :class:`~repro.serving.generator.PoissonArrivalTemplate`);
-    * ``early_abort`` — cut clearly saturated probes short
-      (``"verify"`` additionally runs the full simulation per aborted
-      probe and records the verdict parity on each
-      :class:`ProbeOutcome`);
-    * ``parallel_probes`` (2 or 3) — speculative bracketing: probe the
-      midpoint plus the next-level midpoint(s) concurrently, consuming
-      two bisection steps per round with the exact sequential bracket;
-      uses ``pool`` (a :class:`~repro.analysis.sweep.SweepPool`) or a
-      temporary pool when none is given;
+    * ``early_abort`` — cut clearly saturated probes short.  Conservative
+      (an abort implies the truncated prefix already fails the final
+      stability check) but heuristic with respect to the full
+      simulation: ``"verify"`` additionally runs the full simulation per
+      aborted probe and records the verdict parity on each
+      :class:`ProbeOutcome` (the committed benches record 100%);
     * ``sim_cache`` — wrap ``device`` in a
       :class:`~repro.perf.cache.CachedDeviceModel` (exact memoization)
       unless it already is one.
+
+    ``reuse_arrivals`` and ``parallel_probes`` are retired: arrival
+    reuse is always on and probes run one at a time, so each is accepted
+    only at that value (``True`` and ``1``) and any other raises
+    ``ValueError``.
     """
-    if slo_tbt_s <= 0:
-        raise ValueError("TBT SLO must be positive")
-    if parallel_probes < 1:
-        raise ValueError("parallel_probes must be >= 1")
-    parallel_probes = min(parallel_probes, 3)
+    check_search_inputs(slo_tbt_s, slo_ttft_s, percentile, rate_bounds,
+                        iterations)
+    if reuse_arrivals is not True:
+        raise ValueError("reuse_arrivals is retired: every capacity "
+                         "search reuses one arrival template")
+    if parallel_probes != 1:
+        raise ValueError("parallel_probes is retired: the capacity "
+                         "search probes one rate at a time")
     if sim_cache and not isinstance(device, CachedDeviceModel):
         device = CachedDeviceModel(device)
-    low, high = rate_bounds
-    ctx = _ProbeContext(
-        device=device, model=model, trace=trace, num_devices=num_devices,
-        request_count=request_count, seed=seed,
-        max_sim_seconds=max_sim_seconds, slo_tbt_s=slo_tbt_s,
-        slo_ttft_s=slo_ttft_s, percentile=percentile,
-        workload=PoissonArrivalTemplate(trace, request_count, seed)
-        if reuse_arrivals else None,
-        early_abort=early_abort,
-    )
-    owns_pool = False
-    if parallel_probes > 1 and pool is None:
-        pool = probe_pool(device, workers=parallel_probes)
-        owns_pool = True
-    runner = _ProbeRunner(ctx, pool if parallel_probes > 1 else None)
-    try:
-        return _bracketed_search(runner, low, high, slo_tbt_s, slo_ttft_s,
-                                 iterations, parallel_probes)
-    finally:
-        if owns_pool:
-            pool.close()
+    runner = _ProbeRunner(
+        device, model, PoissonArrivalTemplate(trace, request_count, seed),
+        num_devices, max_sim_seconds, slo_tbt_s, slo_ttft_s, percentile,
+        early_abort)
 
-
-def _bracketed_search(runner: _ProbeRunner, low: float, high: float,
-                      slo_tbt_s: float, slo_ttft_s: float | None,
-                      iterations: int,
-                      parallel_probes: int) -> CapacityResult:
     def result(rate: float, qos: QoSReport) -> CapacityResult:
         return CapacityResult(rate, qos, slo_tbt_s, slo_ttft_s,
-                              runner.record, runner.simulations)
+                              tuple(runner.outcomes.values()),
+                              runner.simulations)
 
-    low_bound = low
+    low, high = rate_bounds
     if runner.probe(high).feasible:
         return result(high, runner.full_qos(high))
 
@@ -461,54 +337,20 @@ def _bracketed_search(runner: _ProbeRunner, low: float, high: float,
     # low verdict irrelevant, and the low probe is the single most
     # expensive simulation (its horizon scales as 1/rate).
     best_rate: float | None = None
-    consumed = 0
-    while consumed < iterations:
+    for _ in range(iterations):
         mid = (low + high) / 2.0
-        if parallel_probes > 1 and iterations - consumed >= 2:
-            # Speculative round: evaluate the midpoints of both halves
-            # alongside mid.  Whatever mid's verdict, the follow-up
-            # midpoint was already computed with the same floats the
-            # sequential loop would use, so two steps resolve at the
-            # wall-clock of the slowest probe.
-            candidates = [mid]
-            if parallel_probes >= 3:
-                candidates.append((low + mid) / 2.0)
-            candidates.append((mid + high) / 2.0)
-            outcomes = runner.probe_many(candidates)
-            if outcomes[mid].feasible:
-                low, best_rate = mid, mid
-                consumed += 1
-                follow = (mid + high) / 2.0
-                if outcomes[follow].feasible:
-                    low, best_rate = follow, follow
-                else:
-                    high = follow
-                consumed += 1
-            else:
-                lo_follow = (low + mid) / 2.0
-                high = mid
-                consumed += 1
-                if lo_follow in outcomes:
-                    if outcomes[lo_follow].feasible:
-                        low, best_rate = lo_follow, lo_follow
-                    else:
-                        high = lo_follow
-                    consumed += 1
+        if runner.probe(mid).feasible:
+            low, best_rate = mid, mid
         else:
-            if runner.probe(mid).feasible:
-                low, best_rate = mid, mid
-            else:
-                high = mid
-            consumed += 1
-
+            high = mid
     if best_rate is not None:
         return result(best_rate, runner.full_qos(best_rate))
 
-    # No feasible midpoint: the deferred low endpoint decides between
-    # "capacity = rate_bounds[0]" and "capacity = 0".
-    if runner.probe(low_bound).feasible:
-        return result(low_bound, runner.full_qos(low_bound))
-    qos = runner.full_outcome(low_bound)
+    # No feasible midpoint, so low is still rate_bounds[0]: the deferred
+    # low endpoint decides between "capacity = low" and "capacity = 0".
+    if runner.probe(low).feasible:
+        return result(low, runner.full_qos(low))
+    qos = runner.full_outcome(low)
     if qos is None:
         raise EndpointUnservable(
             "endpoint cannot finish any request at the minimum rate")
@@ -531,14 +373,14 @@ def reference_capacity_search(
 ) -> CapacityResult:
     """The pre-optimization sequential search, kept as the parity oracle.
 
-    Eager endpoint probes, fresh workload generation per probe, full
+    Eager endpoint probes, a fresh workload drawn per probe, full
     simulations, and a final best-rate re-simulation — exactly the
     algorithm :func:`max_capacity_under_slo` must reproduce rate-for-
     rate.  Benchmarked as the baseline by
     ``benchmarks/bench_capacity_speed.py``.
     """
-    if slo_tbt_s <= 0:
-        raise ValueError("TBT SLO must be positive")
+    check_search_inputs(slo_tbt_s, slo_ttft_s, percentile, rate_bounds,
+                        iterations)
     low, high = rate_bounds
     probes: list[ProbeOutcome] = []
     simulations = 0
@@ -546,8 +388,9 @@ def reference_capacity_search(
     def simulate(rate: float):
         nonlocal simulations
         simulations += 1
-        return _simulate_rate(device, model, trace, rate, num_devices,
-                              request_count, seed, max_sim_seconds)
+        workload = PoissonArrivalTemplate(trace, request_count, seed)
+        return _simulate_rate(device, model, workload, rate, num_devices,
+                              max_sim_seconds)
 
     def probe(rate: float) -> bool:
         result, qos = simulate(rate)

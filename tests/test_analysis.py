@@ -8,7 +8,7 @@ from repro.analysis.metrics import (
     normalized_area_efficiency,
     qos_gain,
 )
-from repro.analysis.sweep import SweepPool, sweep
+from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
 from repro.hardware.presets import a100, groq_tsp
 from repro.hardware.technology import ProcessNode
@@ -106,49 +106,3 @@ class TestSweep:
             sweep([1, 2, 3], _fail_at_two, workers=2)
         assert str(in_process.value) == str(pooled.value)
 
-
-_POOL_STATE = {"token": None}
-
-
-def _set_token(value):
-    _POOL_STATE["token"] = value
-
-
-def _read_token(_):
-    return _POOL_STATE["token"]
-
-
-class TestSweepPool:
-    def test_reusable_across_sweeps(self):
-        values = list(range(8))
-        with SweepPool(workers=2) as pool:
-            assert pool.sweep(values, _square) \
-                == [(v, v * v) for v in values]
-            assert sweep(values, _square, pool=pool) \
-                == [(v, v * v) for v in values]
-
-    def test_initializer_runs_once_per_worker(self):
-        with SweepPool(workers=2, initializer=_set_token,
-                       initargs=("warm",)) as pool:
-            results = pool.sweep([1, 2, 3, 4], _read_token)
-        assert all(token == "warm" for _, token in results)
-
-    def test_failure_annotated_and_pool_survives(self):
-        with SweepPool(workers=2) as pool:
-            with pytest.raises(RuntimeError,
-                               match="sweep failed at value 2"):
-                pool.sweep([1, 2, 3], _fail_at_two)
-            # the pool stays usable after a failed sweep
-            assert pool.sweep([3], _square) == [(3, 9)]
-
-    def test_failure_message_identical_to_in_process(self):
-        with pytest.raises(RuntimeError) as in_process:
-            sweep([1, 2], _fail_at_two)
-        with SweepPool(workers=2) as pool:
-            with pytest.raises(RuntimeError) as pooled:
-                pool.sweep([1, 2], _fail_at_two)
-        assert str(in_process.value) == str(pooled.value)
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            SweepPool(workers=0)

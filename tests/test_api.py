@@ -190,8 +190,7 @@ class TestSpecRoundTrip:
             deployment=DeploymentSpec(chip="ador"),
             workload=WorkloadSpec(num_requests=40, seed=9),
             capacity=CapacitySpec(slo_tbt_s=0.025, slo_ttft_s=0.5,
-                                  iterations=4, rate_high=64.0,
-                                  parallel_probes=2),
+                                  iterations=4, rate_high=64.0),
             name="capacity-round-trip",
         )
         clone = Experiment.from_dict(
@@ -208,8 +207,8 @@ class TestSpecRoundTrip:
             CapacitySpec(slo_tbt_s=0.0)
         with pytest.raises(ValueError):
             CapacitySpec(rate_low=2.0, rate_high=1.0)
-        with pytest.raises(ValueError):
-            CapacitySpec(parallel_probes=0)
+        with pytest.raises(ValueError, match="iterations"):
+            CapacitySpec(iterations=-1)
         with pytest.raises(ValueError, match="percentile"):
             CapacitySpec(percentile="p90")
         with pytest.raises(ValueError):

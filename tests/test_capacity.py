@@ -1,15 +1,22 @@
 """Tests for the fast capacity-search engine (paper Fig. 16).
 
-Covers the four optimization pillars: arrival-template reuse
-(draw-identity vs fresh generation), probe caching (no rate simulated
-twice), saturation early-abort (verdict parity vs the full simulation on
-steady and bursty traces), and speculative parallel bracketing
-(identical found rate to sequential bisection).  The slower end-to-end
-behavioral tests live in ``tests/test_serving_capacity.py``.
+Covers the optimizations that keep the found rate identical to the
+reference search: arrival-template reuse (draw-identity vs fresh
+generation), probe caching (no rate simulated twice) and saturation
+early-abort (verdict parity vs the full simulation on steady and bursty
+traces).  Also covers the input checks every search runs before its
+first simulation, and the retired ``reuse_arrivals`` /
+``parallel_probes`` arguments the benchmark definition still passes.
+The slower end-to-end behavioral tests live in
+``tests/test_serving_capacity.py``.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.api import CapacitySpec
 from repro.core.scheduling import AdorDeviceModel
 from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
@@ -19,7 +26,6 @@ from repro.serving.capacity import (
     _scheduler_limits,
     _simulate_rate,
     max_capacity_under_slo,
-    probe_pool,
     reference_capacity_search,
 )
 from repro.serving.dataset import ULTRACHAT_LIKE, fixed_trace
@@ -33,6 +39,7 @@ from repro.serving.generator import (
     iter_onoff_requests,
     iter_poisson_requests,
 )
+from repro.serving.traces import get_trace
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +94,6 @@ class TestArrivalReuse:
         template = PoissonArrivalTemplate(ULTRACHAT_LIKE, 2, seed=1)
         with pytest.raises(ValueError):
             template.requests_at(0.0)
-
-    def test_search_rates_identical_with_and_without_reuse(self, device,
-                                                           llama3):
-        reused = search(device, llama3, 0.050)
-        regenerated = search(device, llama3, 0.050, reuse_arrivals=False)
-        assert reused.max_requests_per_s == regenerated.max_requests_per_s
-        assert reused.qos_at_max == regenerated.qos_at_max
 
 
 # --------------------------------------------------------------------- #
@@ -241,43 +241,6 @@ class TestEarlyAbort:
 
 
 # --------------------------------------------------------------------- #
-# Speculative parallel bracketing                                        #
-# --------------------------------------------------------------------- #
-
-class TestParallelBracketing:
-    def test_parallel_rate_identical_to_sequential(self, device, llama3):
-        sequential = search(device, llama3, 0.050)
-        parallel = search(device, llama3, 0.050, parallel_probes=3)
-        assert parallel.max_requests_per_s \
-            == sequential.max_requests_per_s
-        assert parallel.qos_at_max == sequential.qos_at_max
-
-    def test_shared_pool_reused_across_searches(self, device, llama3):
-        with probe_pool(device, workers=2) as pool:
-            relaxed = search(device, llama3, 0.050, parallel_probes=3,
-                             pool=pool)
-            strict = search(device, llama3, 0.025, parallel_probes=3,
-                            pool=pool)
-        assert strict.max_requests_per_s <= relaxed.max_requests_per_s
-        assert relaxed.max_requests_per_s \
-            == search(device, llama3, 0.050).max_requests_per_s
-
-    def test_rejects_bad_parallel_probes(self, device, llama3):
-        with pytest.raises(ValueError):
-            search(device, llama3, 0.050, parallel_probes=0)
-
-    def test_pool_rejects_a_different_device(self, llama3):
-        # probes must never silently run on the pool's device when the
-        # search was asked about another one
-        pool_device = AdorDeviceModel(ador_table3())
-        other_device = AdorDeviceModel(ador_table3())
-        with probe_pool(pool_device, workers=2) as pool:
-            with pytest.raises(ValueError, match="different device"):
-                search(other_device, llama3, 0.050, parallel_probes=3,
-                       pool=pool)
-
-
-# --------------------------------------------------------------------- #
 # Reference parity (the headline contract)                               #
 # --------------------------------------------------------------------- #
 
@@ -303,11 +266,10 @@ class TestReferenceParity:
     def test_cached_device_probes_match_plain(self, llama3):
         plain = AdorDeviceModel(ador_table3())
         cached = CachedDeviceModel(AdorDeviceModel(ador_table3()))
+        workload = PoissonArrivalTemplate(ULTRACHAT_LIKE, 60, seed=7)
         for rate in (4.0, 24.0):
-            a, qa = _simulate_rate(plain, llama3, ULTRACHAT_LIKE, rate, 1,
-                                   60, 7, 300.0)
-            b, qb = _simulate_rate(cached, llama3, ULTRACHAT_LIKE, rate, 1,
-                                   60, 7, 300.0)
+            a, qa = _simulate_rate(plain, llama3, workload, rate, 1, 300.0)
+            b, qb = _simulate_rate(cached, llama3, workload, rate, 1, 300.0)
             assert qa == qb
             assert a.total_time_s == b.total_time_s
 
@@ -320,3 +282,72 @@ class TestReferenceParity:
             iterations=3, seed=7, rate_bounds=(0.5, 64.0),
             max_sim_seconds=200.0)
         assert result.max_requests_per_s > 0.0
+
+
+# --------------------------------------------------------------------- #
+# Inputs and retired arguments                                           #
+# --------------------------------------------------------------------- #
+
+class _Untouchable:
+    """A device that fails the test if a search simulates anything."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"simulated before checking inputs ({name})")
+
+
+def _spec_search(device, model, trace, *, rate_bounds, request_count,
+                 seed, **knobs):
+    return CapacitySpec(rate_low=rate_bounds[0], rate_high=rate_bounds[1],
+                        **knobs)
+
+
+@pytest.mark.parametrize("check", [
+    max_capacity_under_slo, reference_capacity_search, _spec_search],
+    ids=["search", "reference", "spec"])
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(dict(rate_bounds=(64.0, 1.0)),
+                 "need 0 < rate_low < rate_high", id="reversed-bounds"),
+    pytest.param(dict(rate_bounds=(0.0, 64.0)),
+                 "need 0 < rate_low < rate_high", id="zero-low-bound"),
+    pytest.param(dict(percentile="p90"), "unknown percentile 'p90'",
+                 id="percentile-p90"),
+    pytest.param(dict(slo_tbt_s=0.0), "slo_tbt_s must be positive",
+                 id="zero-tbt-slo"),
+    pytest.param(dict(slo_ttft_s=-1.0), "slo_ttft_s must be positive",
+                 id="negative-ttft-slo"),
+    pytest.param(dict(iterations=-1), "iterations must be non-negative",
+                 id="negative-iterations"),
+])
+def test_bad_inputs_rejected_before_any_simulation(check, bad, message,
+                                                   llama3):
+    kwargs = dict(slo_tbt_s=0.050, request_count=40, iterations=3, seed=7,
+                  rate_bounds=(0.5, 64.0))
+    kwargs.update(bad)
+    with pytest.raises(ValueError, match=message):
+        check(_Untouchable(), llama3, ULTRACHAT_LIKE, **kwargs)
+
+
+def test_benchmark_search_knobs_still_accepted(device):
+    # perfbench/workloads.json passes the retired keyword arguments, so
+    # a signature break must fail here before it fails the benchmark
+    config = json.loads((Path(__file__).resolve().parent.parent
+                         / "perfbench" / "workloads.json").read_text())
+    study = config["workloads"]["capacity-fig16"]
+    scenario = study["scenarios"][0]
+    knobs = dict(study["search"], request_count=40,
+                 rate_bounds=tuple(study["search"]["rate_bounds"]))
+
+    def run(**search):
+        return max_capacity_under_slo(
+            device, get_model(scenario["model"]), get_trace(study["trace"]),
+            slo_tbt_s=scenario["slo_tbt_s"],
+            num_devices=scenario["num_devices"], seed=study["arrival_seed"],
+            **search)
+
+    found = run(**knobs)
+    assert (knobs["reuse_arrivals"], knobs["parallel_probes"]) == (True, 1)
+    del knobs["reuse_arrivals"], knobs["parallel_probes"]
+    assert found == run(**knobs)
+    for retired in (dict(parallel_probes=2), dict(reuse_arrivals=False)):
+        with pytest.raises(ValueError, match="retired"):
+            run(**knobs, **retired)

@@ -81,8 +81,7 @@ class TestCommands:
                 "--rate-low", "0.5", "--rate-high", "64"]
         assert main(base) == 0
         first = capsys.readouterr().out
-        assert main(base + ["--no-early-abort",
-                            "--no-reuse-arrivals"]) == 0
+        assert main(base + ["--no-early-abort"]) == 0
         second = capsys.readouterr().out
         # the knobs change wall-clock, never the found rate or QoS
         assert first.splitlines()[:5] == second.splitlines()[:5]

@@ -24,7 +24,6 @@ from repro.cluster.autoscaler import AutoscaleSpec
 from repro.cluster.faults import FaultSpec
 from repro.perf.scale import (
     ProgressReporter,
-    ShardPool,
     run_sharded_cluster,
     shard_replica_count,
     shard_requests,
@@ -115,13 +114,6 @@ def test_sharded_run_is_deterministic_and_conserves_requests():
     assert first.replica_count == DEPLOYMENT.replicas
     total = len(first.merged.finished) + len(first.merged.unfinished)
     assert total == WORKLOAD.num_requests
-
-
-def test_sharded_pool_reuse_across_runs():
-    with ShardPool(2) as pool:
-        a = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2, pool=pool)
-        b = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2, pool=pool)
-    assert cluster_fingerprint(a) == cluster_fingerprint(b)
 
 
 def test_sharded_facade_returns_cluster_report():
@@ -228,11 +220,6 @@ def test_capacity_experiment_rejects_shards():
                             capacity=CapacitySpec())
     with pytest.raises(ValueError, match="capacity"):
         run_experiment(experiment, shards=2)
-
-
-def test_shard_pool_rejects_zero_workers():
-    with pytest.raises(ValueError, match="workers"):
-        ShardPool(0)
 
 
 # --------------------------------------------------------------------- #

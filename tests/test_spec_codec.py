@@ -6,8 +6,9 @@ These tests check that behaviourally: drawn nested specs of all ten
 codec classes survive a JSON round-trip with their keys in field order,
 committed experiment files keep every key and value they write, and
 typos are rejected loudly at every level — inline chips and inline
-traces included.  A retired key (``WorkloadSpec``'s ``streaming``) still
-loads and is dropped.
+traces included.  Retired keys (``WorkloadSpec``'s ``streaming``,
+``CapacitySpec``'s ``reuse_arrivals`` and ``parallel_probes``) still
+load and are dropped.
 """
 
 import dataclasses
@@ -211,9 +212,7 @@ def capacities(draw):
         percentile=draw(st.sampled_from(["mean", "p50", "p95", "p99"])),
         rate_low=rate_low, rate_high=rate_low + draw(positive),
         iterations=draw(st.integers(0, 12)),
-        early_abort=draw(st.booleans()),
-        reuse_arrivals=draw(st.booleans()),
-        parallel_probes=draw(st.integers(1, 3)))
+        early_abort=draw(st.booleans()))
 
 
 experiments = st.builds(
@@ -340,31 +339,56 @@ def test_full_experiment_files_round_trip_byte_identically(name):
 
 
 # --------------------------------------------------------------------- #
-# The retired ``streaming`` workload key                                 #
+# Retired keys                                                           #
 # --------------------------------------------------------------------- #
 
 WORKLOAD_DICT = {"trace": "ultrachat", "arrival": "sessions",
                  "rate_per_s": 3.0, "num_requests": 12, "seed": 4,
                  "session": None}
+CAPACITY_DICT = {"slo_tbt_s": 0.05, "slo_ttft_s": None, "percentile": "p95",
+                 "rate_low": 0.5, "rate_high": 128.0, "iterations": 5,
+                 "early_abort": True}
+
+#: each spec's JSON section: its key in an experiment, and a full body
+SECTIONS = {WorkloadSpec: ("workload", WORKLOAD_DICT),
+            CapacitySpec: ("capacity", CAPACITY_DICT)}
+
+RETIRED = [
+    (WorkloadSpec, "streaming", True),
+    (WorkloadSpec, "streaming", False),
+    (CapacitySpec, "parallel_probes", 1),
+    (CapacitySpec, "parallel_probes", 3),
+    (CapacitySpec, "reuse_arrivals", True),
+    (CapacitySpec, "reuse_arrivals", False),
+]
 
 
-@pytest.mark.parametrize("value", [True, False])
-def test_retired_streaming_key_is_dropped(value):
-    plain = WorkloadSpec.from_dict(WORKLOAD_DICT)
-    assert WorkloadSpec.from_dict(dict(WORKLOAD_DICT, streaming=value)) \
-        == plain
-    old = {"name": "old", "workload": dict(WORKLOAD_DICT, streaming=value)}
+def retired_id(value):
+    return value.__name__ if isinstance(value, type) else str(value)
+
+
+@pytest.mark.parametrize("spec, key, value", RETIRED, ids=retired_id)
+def test_retired_key_is_dropped(spec, key, value):
+    section, data = SECTIONS[spec]
+    plain = spec.from_dict(data)
+    assert spec.from_dict(dict(data, **{key: value})) == plain
+    old = {"name": "old", section: dict(data, **{key: value})}
     assert Experiment.from_dict(old) \
-        == Experiment.from_dict({"name": "old", "workload": WORKLOAD_DICT})
-    assert plain.to_dict() == WORKLOAD_DICT
+        == Experiment.from_dict({"name": "old", section: data})
+    assert plain.to_dict() == data
 
 
-def test_retired_streaming_key_not_offered_as_allowed():
-    with pytest.raises(ValueError, match="unknown workload field") as info:
-        WorkloadSpec.from_dict(dict(WORKLOAD_DICT, streamng=True))
+@pytest.mark.parametrize(
+    "spec, key", list(dict.fromkeys((spec, key) for spec, key, _ in RETIRED)),
+    ids=retired_id)
+def test_retired_key_not_offered_as_allowed(spec, key):
+    section, data = SECTIONS[spec]
+    typo = key[:-1]
+    with pytest.raises(ValueError, match=f"unknown {section} field") as info:
+        spec.from_dict(dict(data, **{typo: True}))
     unknown, allowed = str(info.value).split("; allowed: ")
-    assert "streamng" in unknown
-    assert "streaming" not in allowed.split(", ")
+    assert typo in unknown
+    assert key not in allowed.split(", ")
 
 
 def test_perfbench_spec_sections_load():
