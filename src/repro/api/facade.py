@@ -63,8 +63,8 @@ def _prefix_cache_lines(stats) -> list[str]:
 
 def _device_for(chip: ChipSpec, sim_cache: bool,
                 context_bucket: int):
-    """The device model for one run: fast path (memoized + compiled
-    decode plans) or the uncompiled reference implementation."""
+    """The device model for one run: fast path (memoized, with compiled
+    decode kernels) or the uncompiled reference implementation."""
     from repro.hardware.chip import ChipKind
 
     if not sim_cache:

@@ -77,22 +77,31 @@ class MultiCoreDataflow:
             return full * (cores - 1) / cores
         return full * (cores - 1)
 
-    def sync_bubble(self, rows: int, output_dim: int,
-                    compute_seconds: float,
-                    method: CoreSyncMethod = CoreSyncMethod.ALL_GATHER,
-                    dtype_bytes: int = 2) -> SyncBubble:
-        """Exposed sync time after overlapping with ``compute_seconds``.
+    def sync_terms(self, rows: int, output_dim: int,
+                   method: CoreSyncMethod = CoreSyncMethod.ALL_GATHER,
+                   dtype_bytes: int = 2) -> tuple[float, float, float]:
+        """``(wire, hideable, hop)`` seconds of one GEMV sync: the terms
+        of :meth:`sync_bubble` that do not depend on the compute time.
 
         All-gather pipelines chunk-by-chunk with the GEMV (Fig. 6d top);
         all-reduce serializes accumulation after transfer (bottom), so
-        only a small fraction hides.
+        only a small fraction of its wire time can hide.
         """
         bytes_moved = self.sync_bytes_per_gemv(rows, output_dim, method,
                                                dtype_bytes)
         wire = bytes_moved / self.chip.noc.bandwidth_bytes_per_s
         hop = self.chip.cores / 2 * self.chip.noc.hop_latency_s
         overlappable = 0.95 if method == CoreSyncMethod.ALL_GATHER else 0.25
-        hidden = min(wire * overlappable, compute_seconds)
+        return wire, wire * overlappable, hop
+
+    def sync_bubble(self, rows: int, output_dim: int,
+                    compute_seconds: float,
+                    method: CoreSyncMethod = CoreSyncMethod.ALL_GATHER,
+                    dtype_bytes: int = 2) -> SyncBubble:
+        """Exposed sync time after overlapping with ``compute_seconds``."""
+        wire, hideable, hop = self.sync_terms(rows, output_dim, method,
+                                              dtype_bytes)
+        hidden = min(hideable, compute_seconds)
         return SyncBubble(wire_seconds=wire,
                           exposed_seconds=wire - hidden + hop)
 

@@ -30,11 +30,15 @@ from repro.models.layers import (
     Operator,
     OperatorKind,
     Phase,
-    attention_operator,
     decoder_layer_operators,
     lm_head_operator,
 )
-from repro.parallel.collectives import layer_sync_plan, visible_collective_time
+from repro.parallel.collectives import (
+    SyncPlan,
+    collective_terms,
+    layer_sync_plan,
+    visible_collective_time,
+)
 from repro.parallel.mapper import ModelParallelMapper
 from repro.perf.baselines import BaselineBreakdown, DeviceModel, baseline_for
 from repro.perf.effective_bandwidth import MT_BANDWIDTH_CURVE
@@ -43,22 +47,8 @@ from repro.perf.systolic import SystolicTimingModel
 from repro.perf.vector import VectorTimingModel
 
 
-@dataclass(frozen=True)
-class _DecodePlan:
-    """Context-independent constants of one decode operating point.
-
-    ``entries`` holds ``(kind, name, value, compute_seconds)`` per layer
-    operator: for GEMMs ``value`` is the TP-sharded weight bytes and
-    ``compute_seconds`` the compute-bound floor; for vector ops ``value``
-    is the finished latency; the attention slot is re-evaluated per call
-    (it is the only context-dependent operator).  ``flops`` mirrors the
-    operator order with ``None`` marking the attention slot, so the
-    step-FLOPs sum reproduces the uncompiled order exactly.
-    """
-
-    entries: list
-    flops: list
-    head_seconds: float
+#: share of a decode step's body that TP sync can hide behind
+_DECODE_TP_OVERLAP = 0.95
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,15 @@ class SchedulerConfig:
 
 
 class HdaScheduler:
-    """Stage-latency estimator for one ADOR HDA chip."""
+    """Stage-latency estimator for one ADOR HDA chip.
+
+    :meth:`layer_breakdown` evaluates one decoder layer operator by
+    operator.  :meth:`decode_step_time` runs the serving hot path
+    through a compiled :class:`_DecodeKernel` per ``(model, batch,
+    devices)`` operating point, built on first use; it is bit-identical
+    to the per-operator reference, which ``compiled_decode=False``
+    keeps.
+    """
 
     def __init__(self, chip: ChipSpec, use_mac_tree: bool = True,
                  config: SchedulerConfig | None = None,
@@ -112,12 +110,19 @@ class HdaScheduler:
             frequency_hz=chip.frequency_hz,
         ) if chip.vector_unit is not None else None
         self.dataflow_latency = MultiCoreDataflow(chip, DataflowKind.LATENCY)
-        # compiled decode-layer plans keyed (model, batch, devices): the
-        # context-independent constants of a decode step, rebuilt only
-        # when the operating point changes (see _build_decode_plan);
-        # compiled_decode=False keeps the reference per-operator path
         self.compiled_decode = compiled_decode
-        self._decode_plans: dict = {}
+        # id(model) -> (model, {(batch, devices): _DecodeKernel}).  An
+        # id key spares hashing the frozen ModelConfig per miss; the
+        # model is pinned next to its kernels so a freed id can never
+        # alias a new config.
+        self._decode_kernels: dict[int, tuple[ModelConfig, dict]] = {}
+
+    def __getstate__(self) -> dict:
+        # object ids do not survive a pickle round-trip: ship the
+        # scheduler without its kernels, which rebuild on first use
+        state = self.__dict__.copy()
+        state["_decode_kernels"] = {}
+        return state
 
     # ------------------------------------------------------------------ #
     # Effective rates                                                     #
@@ -226,11 +231,6 @@ class HdaScheduler:
         """Per-operator seconds for one decoder layer (Fig. 11a bars)."""
         if devices < 1:
             raise ValueError("devices must be >= 1")
-        if phase == Phase.DECODE and query_len == 1 and self.compiled_decode:
-            # the serving hot path: thousands of near-identical decode
-            # steps per simulation — reuse the compiled constants
-            return self._decode_layer_breakdown(model, batch, context_len,
-                                                devices)
         ops = decoder_layer_operators(model, phase, batch, query_len, context_len)
         step_flops = sum(op.flops for op in ops) * model.num_layers
         utilization = self._decode_utilization(step_flops)
@@ -260,101 +260,38 @@ class HdaScheduler:
             + self.config.layer_overhead_s
         return breakdown
 
-    # ------------------------------------------------------------------ #
-    # Compiled decode plans                                                #
-    # ------------------------------------------------------------------ #
-    #
-    # A decode step (query_len == 1) re-derives the same per-operator
-    # constants every call: only the attention operator and the
-    # bandwidth-utilization point depend on the context length.  The
-    # serving simulator evaluates decode_step_time thousands of times per
-    # run, so the context-independent parts are compiled once per
-    # (model, batch, devices) operating point.  Every arithmetic
-    # expression below reproduces the general layer_breakdown() path
-    # operation-for-operation, so the fast path is bit-identical — the
-    # parity suite in tests/test_sim_fastpath.py holds it to that.
+    def _decode_kernel(self, model: ModelConfig, batch: int,
+                       devices: int) -> "_DecodeKernel":
+        entry = self._decode_kernels.get(id(model))
+        if entry is None:
+            entry = self._decode_kernels[id(model)] = (model, {})
+        kernel = entry[1].get((batch, devices))
+        if kernel is None:
+            kernel = entry[1][batch, devices] = _DecodeKernel(
+                self, model, batch, devices)
+        return kernel
 
-    def _decode_plan(self, model: ModelConfig, batch: int,
-                     devices: int) -> "_DecodePlan":
-        key = (model, batch, devices)
-        plan = self._decode_plans.get(key)
-        if plan is None:
-            plan = self._build_decode_plan(model, batch, devices)
-            self._decode_plans[key] = plan
-        return plan
-
-    def _build_decode_plan(self, model: ModelConfig, batch: int,
-                           devices: int) -> "_DecodePlan":
-        # context length 1 is a probe: every cached constant below is
-        # context-independent (the attention operator is rebuilt per call)
-        ops = decoder_layer_operators(model, Phase.DECODE, batch, 1, 1)
-        rates = self.systolic.peak_flops * self.config.sa_efficiency \
-            + self._mt_rate()
-        entries: list = []
-        flops: list = []
-        for op in ops:
-            if op.kind == OperatorKind.GEMM:
-                entries.append(("gemm", op.name, op.weight_bytes / devices,
-                                (op.flops / devices) / rates))
-                flops.append(op.flops)
-            elif op.kind == OperatorKind.ATTENTION:
-                entries.append(("attn", op.name, 0.0, 0.0))
-                flops.append(None)
-            else:
-                entries.append(("vector", op.name,
-                                self._vector_seconds(op, devices), 0.0))
-                flops.append(op.flops)
+    def _lm_head_seconds(self, model: ModelConfig, batch: int,
+                         devices: int) -> float:
+        """The LM head: a weight-streamed GEMM over the vocabulary."""
         head = lm_head_operator(model, Phase.DECODE, batch)
         step_flops = 2.0 * batch * model.active_params_per_token
-        head_seconds = self._decode_gemm_seconds(
+        return self._decode_gemm_seconds(
             head, devices, self._decode_utilization(step_flops))
-        return _DecodePlan(entries=entries, flops=flops,
-                           head_seconds=head_seconds)
 
-    def _decode_layer_breakdown(self, model: ModelConfig, batch: int,
-                                context_len: int,
-                                devices: int) -> dict[str, float]:
-        """layer_breakdown(DECODE, query_len=1) via the compiled plan."""
-        plan = self._decode_plan(model, batch, devices)
-        attn = attention_operator(model, Phase.DECODE, batch, 1, context_len)
-        # same left-to-right order as sum(op.flops for op in ops)
-        total = 0
-        for f in plan.flops:
-            total = total + (attn.flops if f is None else f)
-        step_flops = total * model.num_layers
-        utilization = self._decode_utilization(step_flops)
-        bw_util = self.chip.memory_bandwidth * utilization
-        breakdown: dict[str, float] = {}
-        for kind, name, value, compute_seconds in plan.entries:
-            if kind == "gemm":
-                # value = sharded weight bytes; same expression as
-                # _decode_gemm_seconds with the constants hoisted
-                seconds = max(value / bw_util, compute_seconds)
-            elif kind == "attn":
-                seconds = self._decode_attention_seconds(
-                    attn, devices, utilization, model.dtype_bytes)
-                seconds += self._softmax_seconds(attn, devices)
-            else:
-                seconds = value  # precomputed vector-op seconds
-            breakdown[name] = breakdown.get(name, 0.0) + seconds
-        compute_floor = breakdown.get("out_proj", 0.0)
-        bubble = self.dataflow_latency.sync_bubble(
-            batch, model.hidden_size, compute_floor,
-            CoreSyncMethod.ALL_GATHER)
-        breakdown["core_sync"] = 2 * bubble.exposed_seconds \
-            + self.config.layer_overhead_s
-        return breakdown
+    def _tp_sync_plan(self, model: ModelConfig, rows: int,
+                      devices: int) -> SyncPlan:
+        method = ModelParallelMapper(model).choose_sync_method(devices)
+        tensor_bytes = rows * model.hidden_size * model.dtype_bytes
+        return layer_sync_plan(method, tensor_bytes, devices)
 
     def _tp_sync_seconds(self, model: ModelConfig, rows: int, devices: int,
                          body_seconds: float, overlap_capacity: float) -> float:
         if devices <= 1:
             return 0.0
-        method = ModelParallelMapper(model).choose_sync_method(devices)
-        tensor_bytes = rows * model.hidden_size * model.dtype_bytes
-        plan = layer_sync_plan(method, tensor_bytes, devices)
         return visible_collective_time(
-            plan, self.chip.p2p, model.num_layers,
-            body_seconds * overlap_capacity)
+            self._tp_sync_plan(model, rows, devices), self.chip.p2p,
+            model.num_layers, body_seconds * overlap_capacity)
 
     def prefill_time(self, model: ModelConfig, batch: int, seq_len: int,
                      devices: int = 1) -> BaselineBreakdown:
@@ -382,23 +319,17 @@ class HdaScheduler:
     def decode_step_time(self, model: ModelConfig, batch: int, context_len: int,
                          devices: int = 1) -> BaselineBreakdown:
         """One decode iteration over ``batch`` requests (TBT = 1/this)."""
+        if self.compiled_decode and context_len >= 0:
+            # a negative context is invalid: the reference below raises
+            # (or not) exactly as it always has
+            return self._decode_kernel(model, batch, devices)(context_len)
         layer = self.layer_breakdown(
             model, Phase.DECODE, batch, 1, context_len, devices)
         body = sum(layer.values()) * model.num_layers
-        # LM head: a weight-streamed GEMM over the vocabulary — context-
-        # independent, so the compiled plan carries it precomputed
-        if self.compiled_decode:
-            head_seconds = self._decode_plan(model, batch, devices) \
-                .head_seconds
-        else:
-            head = lm_head_operator(model, Phase.DECODE, batch)
-            step_flops = 2.0 * batch * model.active_params_per_token
-            utilization = self._decode_utilization(step_flops)
-            head_seconds = self._decode_gemm_seconds(head, devices,
-                                                     utilization)
+        head_seconds = self._lm_head_seconds(model, batch, devices)
         body += head_seconds
         comm = self._tp_sync_seconds(model, batch, devices, body,
-                                     overlap_capacity=0.95)
+                                     overlap_capacity=_DECODE_TP_OVERLAP)
         return BaselineBreakdown(
             seconds=body + comm,
             weight_stream=sum(v for k, v in layer.items()
@@ -410,12 +341,171 @@ class HdaScheduler:
         )
 
 
+class _DecodeKernel:
+    """One decode operating point ``(model, batch, devices)``, compiled.
+
+    Only the attention operator depends on the context: its FLOPs move
+    the Fig. 10 utilization point, and with it every GEMM's stream
+    time; its KV stream and softmax grow with it; the core-sync bubble
+    and the TP sync hide behind what it leaves.  Every other term is
+    hoisted here, once.  :meth:`__call__` evaluates one context in the
+    float-operation order of the per-operator reference
+    (``compiled_decode=False``), so its :class:`BaselineBreakdown` is
+    bit-identical to the reference's.  Products that carry the context
+    keep the reference's factor order; the only operations dropped are
+    exact ones: decode's ``* 1.0`` causal factor, the ``0.0 +`` of
+    summing into an empty dict slot and a skipped softmax's ``+ 0.0``.
+    """
+
+    __slots__ = (
+        "num_layers", "curve", "fixed_utilization", "attn_flops",
+        "heads", "batch", "flops_pre", "flops_post", "bandwidth", "ops",
+        "slot", "out_proj", "kv_batch", "kv_heads", "head_dim",
+        "dtype_bytes", "devices", "mt_flops", "mt_rereads",
+        "mt_bandwidth", "mt_curve", "mt_rate", "softmax_rows",
+        "vector_overhead", "vector_rate", "core_sync", "layer_overhead",
+        "head_seconds", "tp_sync",
+    )
+
+    def __init__(self, scheduler: HdaScheduler, model: ModelConfig,
+                 batch: int, devices: int) -> None:
+        # the reference's argument checks, in its order
+        if devices < 1:
+            raise ValueError("devices must be >= 1")
+        ops = decoder_layer_operators(model, Phase.DECODE, batch, 1, 0)
+        self.slot = next(i for i, op in enumerate(ops)
+                         if op.kind == OperatorKind.ATTENTION)
+        attn = ops.pop(self.slot)
+        self.num_layers = model.num_layers
+        self.batch = batch
+        self.devices = devices
+
+        # step FLOPs -> the layer's DRAM utilization point: the Fig. 10
+        # curve with the MAC tree, a constant without it
+        self.curve = MT_BANDWIDTH_CURVE if scheduler.use_mac_tree else None
+        self.fixed_utilization = scheduler.config.sa_only_gemv_utilization
+        # attention_operator's FLOPs: 2.0 * 2.0 * query_len * head_dim,
+        # then * context * num_heads * batch
+        self.attn_flops = 2.0 * 2.0 * 1 * model.head_dim
+        self.heads = attn.heads
+        self.flops_pre = sum(op.flops for op in ops[:self.slot])
+        self.flops_post = tuple(op.flops for op in ops[self.slot:])
+
+        # every other operator of the layer, in order: GEMMs as (sharded
+        # weight bytes, compute floor) for _decode_gemm_seconds, vector
+        # ops as (None, finished seconds)
+        rates = scheduler.systolic.peak_flops \
+            * scheduler.config.sa_efficiency + scheduler._mt_rate()
+        self.bandwidth = scheduler.chip.memory_bandwidth
+        self.ops = tuple(
+            (op.weight_bytes / devices, (op.flops / devices) / rates)
+            if op.kind == OperatorKind.GEMM
+            else (None, scheduler._vector_seconds(op, devices))
+            for op in ops)
+        self.out_proj = [op.name for op in ops].index("out_proj")
+
+        # the attention slot (_decode_attention_seconds): KV bytes are
+        # 2.0 * batch * context * kv_heads * head_dim * dtype_bytes
+        self.kv_batch = 2.0 * batch
+        self.head_dim = attn.k
+        self.dtype_bytes = model.dtype_bytes
+        mac_tree = scheduler.mac_tree
+        if mac_tree is None:
+            # the whole KV stream at the layer's utilization
+            self.kv_heads = model.num_kv_heads
+            self.mt_flops = None
+        else:
+            # MacTreeTimingModel.decode_attention on this device's shard
+            heads = max(1, attn.heads // devices)
+            kv_heads = max(1, max(1, attn.heads // attn.group_size)
+                           // devices)
+            # raises the reference's error for an uneven head shard
+            mac_tree.decode_attention(batch, heads, kv_heads, attn.k, 0,
+                                      model.dtype_bytes)
+            self.kv_heads = kv_heads
+            self.mt_rereads = math.ceil(heads // kv_heads
+                                        / mac_tree.tree.lanes)
+            self.mt_flops = 2.0 * 2.0 * batch * heads * attn.k
+            self.mt_bandwidth = mac_tree.dram_bandwidth
+            self.mt_curve = mac_tree.curve
+            usable_lanes = min(mac_tree.tree.lanes, max(1, batch * heads))
+            usable_macs = mac_tree.tree.tree_size * usable_lanes \
+                * mac_tree.cores
+            self.mt_rate = 2.0 * usable_macs * mac_tree.frequency_hz
+        vector = scheduler.vector
+        if vector is None:
+            self.softmax_rows = None
+        else:
+            # _softmax_seconds: VectorTimingModel.softmax(rows, context)
+            self.softmax_rows = float(attn.m * max(1, attn.heads // devices))
+            self.vector_overhead = vector.op_overhead_s
+            self.vector_rate = vector.elements_per_second
+
+        self.core_sync = scheduler.dataflow_latency.sync_terms(
+            batch, model.hidden_size, CoreSyncMethod.ALL_GATHER)
+        self.layer_overhead = scheduler.config.layer_overhead_s
+        self.head_seconds = scheduler._lm_head_seconds(model, batch, devices)
+        self.tp_sync = None if devices <= 1 else collective_terms(
+            scheduler._tp_sync_plan(model, batch, devices),
+            scheduler.chip.p2p, model.num_layers)
+
+    def __call__(self, context_len: int) -> BaselineBreakdown:
+        if self.curve is None:
+            utilization = self.fixed_utilization
+        else:
+            attn_flops = self.attn_flops * context_len * self.heads \
+                * self.batch
+            utilization = self.curve.utilization(
+                sum(self.flops_post, self.flops_pre + attn_flops)
+                * self.num_layers)
+        bw_util = self.bandwidth * utilization
+        layer = [seconds if weight_bytes is None
+                 else max(weight_bytes / bw_util, seconds)
+                 for weight_bytes, seconds in self.ops]
+
+        kv_bytes = self.kv_batch * context_len * self.kv_heads \
+            * self.head_dim * self.dtype_bytes
+        if self.mt_flops is None:
+            attention = kv_bytes / self.devices / bw_util
+        else:
+            # at context 0 the curve takes its floor branch and both
+            # terms are 0.0, the reference's early return
+            flops = self.mt_flops * context_len
+            eff_bw = self.mt_bandwidth * self.mt_curve.utilization(flops)
+            attention = max(kv_bytes * self.mt_rereads / eff_bw,
+                            flops / self.mt_rate)
+        if self.softmax_rows is not None and context_len != 0:
+            attention += self.vector_overhead \
+                + 2.0 * (self.softmax_rows * context_len) / self.vector_rate
+
+        wire, hideable, hop = self.core_sync
+        core_sync = 2 * (wire - min(hideable, layer[self.out_proj]) + hop) \
+            + self.layer_overhead
+        weight_stream = sum(layer)
+        layer.insert(self.slot, attention)
+        layer.append(core_sync)
+        body = sum(layer) * self.num_layers + self.head_seconds
+        if self.tp_sync is None:
+            comm = 0.0
+        else:
+            wire, hideable, latency = self.tp_sync
+            comm = wire - min(hideable, body * _DECODE_TP_OVERLAP) + latency
+        return BaselineBreakdown(
+            seconds=body + comm,
+            weight_stream=weight_stream * self.num_layers + self.head_seconds,
+            attention=attention * self.num_layers,
+            communication=comm,
+            overhead=core_sync * self.num_layers,
+        )
+
+
 class AdorDeviceModel(DeviceModel):
     """:class:`DeviceModel` facade over the HDA scheduler.
 
-    ``compiled_decode=False`` forces the scheduler's uncompiled
-    per-operator decode evaluation — the reference implementation the
-    compiled plans are held bit-identical to.
+    A decode step is one call into the scheduler's compiled kernel for
+    its operating point.  ``compiled_decode=False`` forces the
+    per-operator reference evaluation the kernels are held
+    bit-identical to.
     """
 
     def __init__(self, chip: ChipSpec, use_mac_tree: bool = True,

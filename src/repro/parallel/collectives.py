@@ -126,6 +126,16 @@ def collective_time(plan: SyncPlan, p2p: P2pSpec, num_layers: int) -> float:
     return num_layers * (wire + latency)
 
 
+def collective_terms(plan: SyncPlan, p2p: P2pSpec,
+                     num_layers: int) -> tuple[float, float, float]:
+    """``(wire, hideable, latency)`` seconds of a model's TP sync: the
+    terms of :func:`visible_collective_time` that do not depend on the
+    compute time."""
+    wire = num_layers * plan.bytes_per_layer / p2p.bandwidth_bytes_per_s
+    latency = num_layers * plan.steps_per_layer * p2p.latency_s
+    return wire, wire * plan.overlappable_fraction, latency
+
+
 def visible_collective_time(plan: SyncPlan, p2p: P2pSpec, num_layers: int,
                             compute_seconds: float) -> float:
     """Sync time left exposed after overlapping with ``compute_seconds``.
@@ -135,7 +145,5 @@ def visible_collective_time(plan: SyncPlan, p2p: P2pSpec, num_layers: int,
     """
     if compute_seconds < 0:
         raise ValueError("compute time must be non-negative")
-    wire = num_layers * plan.bytes_per_layer / p2p.bandwidth_bytes_per_s
-    latency = num_layers * plan.steps_per_layer * p2p.latency_s
-    hideable = min(wire * plan.overlappable_fraction, compute_seconds)
-    return wire - hideable + latency
+    wire, hideable, latency = collective_terms(plan, p2p, num_layers)
+    return wire - min(hideable, compute_seconds) + latency

@@ -1,6 +1,10 @@
 """Unit tests for the HDA scheduler — the paper's QoS engine."""
 
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.scheduling import (
     AdorDeviceModel,
@@ -9,7 +13,7 @@ from repro.core.scheduling import (
 )
 from repro.hardware.presets import a100, ador_table3, llmcompass_latency
 from repro.models.layers import Phase
-from repro.models.zoo import get_model
+from repro.models.zoo import get_model, list_models
 
 
 @pytest.fixture
@@ -146,3 +150,84 @@ class TestScalingBehaviour:
         parts = step.weight_stream + step.attention + step.communication \
             + step.overhead
         assert parts == pytest.approx(step.seconds, rel=0.15)
+
+
+#: Table 3 and the configurations the per-operator reference covers
+#: besides it: one core, no vector unit, no MAC tree
+CHIP_VARIANTS = {
+    "table3": ador_table3(),
+    "one-core": dataclasses.replace(ador_table3(), cores=1),
+    "no-vector-unit": dataclasses.replace(ador_table3(), vector_unit=None),
+    "no-mac-tree": dataclasses.replace(ador_table3(), mac_tree=None),
+}
+
+
+def decode_outcome(device, model, batch, context, devices):
+    """Every field of one decode step as float hex, or the error text."""
+    try:
+        step = device.decode_step_time(model, batch, context, devices)
+    except ValueError as error:
+        return f"ValueError: {error}"
+    return {field.name: getattr(step, field.name).hex()
+            for field in dataclasses.fields(step)}
+
+
+def kernel_and_reference(chip, use_mac_tree):
+    chip_spec = CHIP_VARIANTS[chip]
+    return (AdorDeviceModel(chip_spec, use_mac_tree=use_mac_tree),
+            AdorDeviceModel(chip_spec, use_mac_tree=use_mac_tree,
+                            compiled_decode=False))
+
+
+class TestCompiledDecodeKernel:
+    """The compiled decode kernel against the per-operator reference
+    (``compiled_decode=False``), bit for bit at the device level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chip=st.sampled_from(sorted(CHIP_VARIANTS)),
+           use_mac_tree=st.booleans(),
+           model=st.sampled_from(list_models()),
+           batch=st.integers(1, 256),
+           context=st.integers(0, 32768),
+           devices=st.integers(1, 8))
+    @example(chip="table3", use_mac_tree=True, model="llama3-8b", batch=8,
+             context=0, devices=1)
+    @example(chip="no-mac-tree", use_mac_tree=True, model="mixtral-8x7b",
+             batch=3, context=0, devices=3)
+    @example(chip="no-vector-unit", use_mac_tree=False, model="falcon-7b",
+             batch=1, context=32768, devices=8)
+    @example(chip="one-core", use_mac_tree=True, model="opt-66b", batch=256,
+             context=1, devices=3)
+    # 64 query heads over 3 devices leave 21 per device against 2 KV
+    # heads: the MAC tree's decode attention rejects the uneven shard
+    @example(chip="table3", use_mac_tree=True, model="llama3-70b", batch=8,
+             context=512, devices=3)
+    def test_bit_identical_to_reference(self, chip, use_mac_tree, model,
+                                        batch, context, devices):
+        kernel, reference = kernel_and_reference(chip, use_mac_tree)
+        config = get_model(model)
+        assert decode_outcome(kernel, config, batch, context, devices) \
+            == decode_outcome(reference, config, batch, context, devices)
+
+    @pytest.mark.parametrize("chip", sorted(CHIP_VARIANTS))
+    @pytest.mark.parametrize("use_mac_tree", (True, False))
+    @pytest.mark.parametrize("batch, context, devices",
+                             ((0, 512, 1), (8, -1, 1), (8, 512, 0)))
+    def test_invalid_points_match_reference(self, chip, use_mac_tree, batch,
+                                            context, devices, llama3):
+        kernel, reference = kernel_and_reference(chip, use_mac_tree)
+        expected = decode_outcome(reference, llama3, batch, context, devices)
+        if batch < 1 or devices < 1:
+            assert expected.startswith("ValueError")
+        # twice: a failed build must not leave a kernel behind
+        for _ in range(2):
+            assert decode_outcome(kernel, llama3, batch, context, devices) \
+                == expected
+
+    def test_warmed_scheduler_pickles_without_kernels(self, llama3):
+        device = AdorDeviceModel(ador_table3())
+        before = device.decode_step_time(llama3, 8, 300, 2)
+        clone = pickle.loads(pickle.dumps(device))
+        assert clone.scheduler._decode_kernels == {}
+        assert device.scheduler._decode_kernels  # the original keeps its own
+        assert clone.decode_step_time(llama3, 8, 300, 2) == before

@@ -1,6 +1,6 @@
 """Parity suite for the simulator fast path.
 
-The fast path (device-model memoization, compiled decode plans,
+The fast path (device-model memoization, the compiled decode kernels,
 multi-step decode fast-forward) must be *bit-identical* to the reference
 one-iteration-at-a-time loop at ``context_bucket=1``: same
 ``SimulationResult`` counters, same per-request timestamps, same
@@ -11,6 +11,7 @@ quantization error bounds, and the fast-forward interruption cases.
 """
 
 import copy
+import pickle
 
 import pytest
 
@@ -251,6 +252,39 @@ class TestCacheKeying:
         device.clear()
         assert device.cache_info()["decode_entries"] == 0
         assert device.stats.decode_misses == 0
+
+    def test_every_decode_miss_passes_the_ador_entry_point(self,
+                                                           monkeypatch):
+        """perfbench's ``device.miss`` ledger row wraps
+        ``AdorDeviceModel.decode_step_time``; a step evaluated by any
+        other route would silently empty that row."""
+        calls = []
+        entry_point = AdorDeviceModel.decode_step_time
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return entry_point(self, *args, **kwargs)
+
+        monkeypatch.setattr(AdorDeviceModel, "decode_step_time", counting)
+        device = self._device()
+        engine = ClusterEngine(device, MODEL, LIMITS, replicas=2,
+                               router="least-outstanding")
+        result = engine.run(steady_requests(rate=20.0),
+                            max_sim_seconds=600.0)
+        assert result.merged.finished
+        assert device.stats.decode_misses > 0
+        assert len(calls) == device.stats.decode_misses
+
+    def test_warmed_device_pickles(self):
+        device = self._device()
+        cached = device.decode_step_time(MODEL, 4, 777)
+        device.decode_step_time(MODEL, 16, 90, 2)
+        clone = pickle.loads(pickle.dumps(device))
+        assert clone.decode_step_time(MODEL, 4, 777).seconds.hex() \
+            == cached.seconds.hex()
+        new = clone.decode_step_time(MODEL, 16, 91, 2)
+        assert new.seconds.hex() \
+            == device.decode_step_time(MODEL, 16, 91, 2).seconds.hex()
 
 
 class TestContextBucketing:
