@@ -226,6 +226,39 @@ class SimulationResult:
         return self.generated_tokens / self.total_time_s
 
 
+def stamp_decode_steps(batch, times, finished, on_finish=None) -> list:
+    """Stamp ``len(times)`` decode steps on every member of ``batch``.
+
+    ``times`` holds the steps' completion stamps in order, and no member
+    may reach its output length before the last one.  Each member ends
+    exactly as if :meth:`Request.record_token` had been called once per
+    stamp, without the per-step call.  Members that complete on the last
+    step are appended to ``finished``, handed to ``on_finish`` and
+    returned, all in batch order.  The one stamping loop of continuous
+    batching: a decode burst and a single timed iteration (``[now]``)
+    both stamp through it.
+    """
+    steps = len(times)
+    first = times[0]
+    last = times[-1]
+    done: list[Request] = []
+    for request in batch:
+        request.generated_tokens += steps
+        if request.record_token_times:
+            request.token_times.extend(times)
+        if request.first_token_time is None:
+            request.first_token_time = first
+        request.last_token_time = last
+        if request.generated_tokens >= request.output_tokens:
+            request.finish_time = last
+            request.state = RequestState.FINISHED
+            finished.append(request)
+            done.append(request)
+            if on_finish is not None:
+                on_finish(request)
+    return done
+
+
 def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
                      now, limit, busy, decode_time, finished,
                      on_finish=None, factor=1.0):
@@ -294,40 +327,10 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
             steps += 1
             if next_arrival is not None and next_arrival <= now:
                 break
-    # stamp the whole burst inline (record_token_burst unrolled with the
-    # shared first/last hoisted): the batch loop runs once per request
-    # per *burst*, not per step, but at million-request scale its call
-    # overhead still dominated the profile
-    burst_finished: list[Request] = []
-    if steps:
-        first = times[0]
-        last = times[-1]
-        if steps == until_finish:
-            for request in batch:
-                request.generated_tokens += steps
-                if request.record_token_times:
-                    request.token_times.extend(times)
-                if request.first_token_time is None:
-                    request.first_token_time = first
-                request.last_token_time = last
-                if request.generated_tokens >= request.output_tokens:
-                    request.finish_time = last
-                    request.state = RequestState.FINISHED
-                    finished.append(request)
-                    burst_finished.append(request)
-                    if on_finish is not None:
-                        on_finish(request)
-        else:
-            # interrupted by an arrival or the limit before the earliest
-            # completion: steps < every member's remaining tokens, so
-            # nobody can have finished
-            for request in batch:
-                request.generated_tokens += steps
-                if request.record_token_times:
-                    request.token_times.extend(times)
-                if request.first_token_time is None:
-                    request.first_token_time = first
-                request.last_token_time = last
+    # one stamping loop per burst, not per step: at million-request
+    # scale a call per member per step dominated the profile
+    burst_finished = stamp_decode_steps(batch, times, finished, on_finish) \
+        if steps else []
     scheduler.complete_burst(plan, steps, burst_finished)
     return now, steps, busy, decode_time
 
@@ -462,15 +465,8 @@ class Endpoint:
             iterations += 1
             if plan.decode_batch:
                 decode_steps += 1
-                finished_now: list[Request] = []
-                for request in plan.decode_requests:
-                    request.record_token(now)
-                    if request.done:
-                        finished.append(request)
-                        finished_now.append(request)
-                        if on_finish is not None:
-                            on_finish(request)
-                plan.finished_decodes = finished_now
+                plan.finished_decodes = stamp_decode_steps(
+                    plan.decode_requests, [now], finished, on_finish)
             scheduler.complete_iteration(plan)
         self.now = now
         self.busy = busy

@@ -4,7 +4,8 @@ The paper's serving background leans on vLLM's memory management [20]:
 KV cache is allocated in fixed-size blocks so that requests with unknown
 output lengths never need contiguous reservations.  This allocator
 provides that substrate for the serving simulator: block-granular
-allocation per request, growth one token at a time, explicit
+allocation per request, growth by any number of tokens (a new block is
+taken only when a request crosses a block boundary), explicit
 fragmentation accounting, and admission checks that replace the
 whole-request reservation of :class:`SchedulerLimits`.
 """
@@ -190,6 +191,38 @@ class PagedKvAllocator:
         self._used_blocks += growth
         self._slack_tokens += growth * self.config.block_tokens - new_tokens
         return True
+
+    def extend_within_blocks(self, request_ids: list,
+                             new_tokens: int) -> list[int]:
+        """:meth:`extend` every listed request whose last block holds
+        ``new_tokens`` more tokens; return the positions of the rest.
+
+        Growth that fits in a request's last block takes no block, so
+        it always succeeds and is plain integer arithmetic: one loop
+        for the whole batch instead of a call per request.  A request
+        that would cross a block boundary is left untouched, and its
+        position in ``request_ids`` is returned (in order) for the
+        caller to claim with :meth:`extend`.
+        """
+        if new_tokens < 0:
+            raise ValueError("new_tokens must be non-negative")
+        allocations = self._allocations
+        block_tokens = self.config.block_tokens
+        crossing = []
+        advanced = 0
+        try:
+            for position, request_id in enumerate(request_ids):
+                allocation = allocations[request_id]
+                tokens = allocation.tokens + new_tokens
+                if tokens <= allocation.blocks * block_tokens:
+                    allocation.tokens = tokens
+                    advanced += 1
+                else:
+                    crossing.append(position)
+        finally:
+            # exact even when an unknown id stops the loop part-way
+            self._slack_tokens -= advanced * new_tokens
+        return crossing
 
     def release(self, request_id: int) -> int:
         """Free a finished request's blocks; returns the block count."""

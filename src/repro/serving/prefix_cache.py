@@ -236,9 +236,12 @@ class PrefixCache:
     """Block-granular prefix store for one endpoint's paged KV pool.
 
     Owns the endpoint's :class:`PagedKvAllocator`: every active request
-    allocates through :meth:`acquire` / :meth:`extend` and releases
-    through :meth:`stash` (finish) or :meth:`forfeit` (preemption), so
-    active and cached blocks share one pool and one accounting.  A
+    allocates through :meth:`acquire`, claims growth blocks through
+    :meth:`extend` and releases through :meth:`stash` (finish) or
+    :meth:`forfeit` (preemption), so active and cached blocks share one
+    pool and one accounting.  Growth that fits in a request's last
+    block takes no block, so the scheduler advances it on the allocator
+    directly (:meth:`PagedKvAllocator.extend_within_blocks`).  A
     stashed prefix keeps its finished request's allocation alive — the
     blocks stay "used" in the allocator but become reclaimable here.
     """

@@ -163,23 +163,3 @@ class Request:
         if self.done:
             self.finish_time = now
             self.state = RequestState.FINISHED
-
-    def record_token_burst(self, times: list) -> None:
-        """Stamp ``len(times)`` consecutive tokens in one call.
-
-        The engine's decode fast-forward applies a whole run of pure
-        decode steps at once; ``times`` holds the per-step completion
-        stamps in order, so the result is indistinguishable from calling
-        :meth:`record_token` once per step.
-        """
-        if not times:
-            return
-        self.generated_tokens += len(times)
-        if self.record_token_times:
-            self.token_times.extend(times)
-        if self.first_token_time is None:
-            self.first_token_time = times[0]
-        self.last_token_time = times[-1]
-        if self.done:
-            self.finish_time = times[-1]
-            self.state = RequestState.FINISHED

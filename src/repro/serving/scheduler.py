@@ -83,9 +83,10 @@ class ContinuousBatchingScheduler:
     the scheduler additionally runs block-granular KV accounting:
     admission allocates the prompt's blocks through the cache (scoring
     a prefix hit that shrinks the chunked-prefill work to the uncached
-    suffix), decode growth claims blocks per emitted token, finished
-    session turns are released *into* the cache, and block exhaustion
-    stalls admission or preempts a running request for recompute.
+    suffix), decode growth claims a block when a member crosses a block
+    boundary, finished session turns are released *into* the cache,
+    and block exhaustion stalls admission or preempts a running request
+    for recompute.
     Without a cache (``prefix_cache=None``) not one of those code paths
     is entered — the scheduler is bit-identical to the cold path.
     """
@@ -214,10 +215,19 @@ class ContinuousBatchingScheduler:
         work is never stranded while survivors starve.  A finishing
         member whose final-step growth cannot be supplied even then is
         retired without it (its blocks are being released this instant;
-        the cached prefix just ends ``< steps`` tokens short).  When a
-        *survivor*'s growth cannot be supplied, another active request
+        the cached prefix just ends ``< steps`` tokens short).
+
+        The survivors then grow, paying only for block crossings: one
+        allocator loop advances every survivor whose new tokens fit in
+        its last block, and only the members that cross a block
+        boundary claim blocks here, one at a time in batch order.  When
+        a survivor's growth cannot be supplied, another active request
         is preempted for recompute (vLLM's recompute path) and the
-        growth retried; finished members are never victims.
+        growth retried; finished members are never victims.  Advancing
+        the in-block survivors first claims the same blocks at the same
+        call as growing each member in turn: in-block growth takes no
+        block, and a victim's release frees the same slack whether or
+        not its tokens were advanced.
         """
         exempt = set(finished)  # identity-keyed (Request has eq=False)
         preempted: set = set()
@@ -227,10 +237,14 @@ class ContinuousBatchingScheduler:
             self._retire_one(request)
         if finished:
             self._drop_from_decoding(finished)
-        for request in list(batch):
-            if request in exempt or request in preempted:
-                continue
-            self._claim_growth(request, steps, exempt, preempted)
+            batch = [r for r in batch
+                     if r not in exempt and r not in preempted]
+        crossing = self.prefix_cache.allocator.extend_within_blocks(
+            [r.request_id for r in batch], steps)
+        # snapshot before claiming: a preemption may shrink ``batch``
+        for request in [batch[i] for i in crossing]:
+            if request not in preempted:
+                self._claim_growth(request, steps, exempt, preempted)
 
     def _claim_growth(self, request: Request, steps: int,
                       exempt: set, preempted: set,
@@ -301,6 +315,9 @@ class ContinuousBatchingScheduler:
                 finished = [r for r in self.decoding
                             if r.state == RequestState.FINISHED]
             if self.prefix_cache is not None:
+                # plan.decode_requests aliases self.decoding, so a
+                # request that finished prefill above also claims a
+                # token it did not emit (a known one-token over-claim)
                 self._grow_and_retire(plan.decode_requests, 1, finished)
             elif finished:
                 self._remove_finished(finished)
@@ -314,9 +331,10 @@ class ContinuousBatchingScheduler:
         admissions happened during the burst; each decode member emitted
         ``steps`` tokens and ``finished`` lists the members that
         completed on the final step.  In prefix-cache mode the whole
-        burst's block growth is claimed here in one bulk extend per
-        member — exhaustion is resolved at the burst boundary, not
-        mid-step (the documented modeling simplification).
+        burst's block growth is claimed here at once (a member takes
+        blocks only when its ``steps`` tokens cross a block boundary) —
+        exhaustion is resolved at the burst boundary, not mid-step (the
+        documented modeling simplification).
         """
         self._decode_context_sum += plan.decode_batch * steps
         if self.prefix_cache is not None and steps > 0:

@@ -90,6 +90,51 @@ class TestBulkExtend:
             allocator.growth_blocks(1, -1)
 
 
+def allocator_state(allocator):
+    return (allocator.used_blocks, allocator._slack_tokens,
+            {rid: (a.blocks, a.tokens)
+             for rid, a in allocator._allocations.items()})
+
+
+class TestExtendWithinBlocks:
+    def test_advances_in_block_members_and_reports_crossings(self):
+        allocator = make_allocator(block_tokens=16)
+        allocator.admit(1, 10)  # 6 tokens of slack
+        allocator.admit(2, 16)  # full block: any growth crosses
+        allocator.admit(3, 20)  # 12 tokens of slack
+        used = allocator.used_blocks
+        assert allocator.extend_within_blocks([3, 2, 1], 6) == [1]
+        assert allocator.used_blocks == used
+        assert allocator.allocation_tokens(1) == 16
+        assert allocator.allocation_tokens(2) == 16  # untouched
+        assert allocator.allocation_tokens(3) == 26
+        # slack left: request 3's 6 tokens (1 filled its block, 2 is full)
+        assert allocator.internal_fragmentation() \
+            == 6 * allocator.bytes_per_token
+
+    def test_zero_tokens_and_empty_batch(self):
+        allocator = make_allocator()
+        allocator.admit(1, 16)
+        before = allocator_state(allocator)
+        assert allocator.extend_within_blocks([1], 0) == []
+        assert allocator.extend_within_blocks([], 5) == []
+        assert allocator_state(allocator) == before
+
+    def test_validation_keeps_counters_exact(self):
+        allocator = make_allocator(block_tokens=16)
+        allocator.admit(1, 10)
+        allocator.admit(2, 10)
+        with pytest.raises(ValueError):
+            allocator.extend_within_blocks([1], -1)
+        with pytest.raises(KeyError):
+            allocator.extend_within_blocks([1, 9, 2], 3)
+        # the loop stopped at the unknown id: request 1 advanced, 2 not,
+        # and the slack counter matches what was advanced
+        assert allocator.allocation_tokens(1) == 13
+        assert allocator.allocation_tokens(2) == 10
+        assert allocator._slack_tokens == 3 + 6
+
+
 class TestAccounting:
     def test_fragmentation_bounded_by_one_block_per_request(self):
         allocator = make_allocator(block_tokens=16)
@@ -175,3 +220,39 @@ def test_property_incremental_fragmentation_is_exact(prompts, growths):
     for rid in range(len(prompts)):
         allocator.release(rid)
     assert allocator.internal_fragmentation() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prompts=st.lists(st.integers(1, 80), min_size=1, max_size=12),
+    block_tokens=st.sampled_from([1, 4, 16]),
+    new_tokens=st.integers(0, 40),
+    order=st.randoms(use_true_random=False),
+)
+def test_property_extend_within_blocks_matches_per_id_extend(
+        prompts, block_tokens, new_tokens, order):
+    """The bulk loop advances exactly the ids a per-id :meth:`extend`
+    would grow without a new block, in place, and reports the others
+    by position, untouched."""
+    bulk = make_allocator(pool_gib=1.0, block_tokens=block_tokens)
+    per_id = make_allocator(pool_gib=1.0, block_tokens=block_tokens)
+    for rid, prompt in enumerate(prompts):
+        bulk.admit(rid, prompt)
+        per_id.admit(rid, prompt)
+    ids = list(range(len(prompts)))
+    order.shuffle(ids)
+    ids = ids[:order.randint(0, len(ids))]
+    crossing = []
+    for position, rid in enumerate(ids):
+        if per_id.growth_blocks(rid, new_tokens) == 0:
+            assert per_id.extend(rid, new_tokens)
+        else:
+            crossing.append(position)
+    assert bulk.extend_within_blocks(ids, new_tokens) == crossing
+    assert allocator_state(bulk) == allocator_state(per_id)
+    # the crossing ids were left for extend: claiming them now lands
+    # both allocators in the same state again
+    for position in crossing:
+        assert bulk.extend(ids[position], new_tokens)
+        assert per_id.extend(ids[position], new_tokens)
+    assert allocator_state(bulk) == allocator_state(per_id)

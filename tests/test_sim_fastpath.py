@@ -14,6 +14,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     DeploymentSpec,
@@ -31,7 +32,11 @@ from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving import engine as serving_engine
-from repro.serving.engine import ServingEngine, run_decode_burst
+from repro.serving.engine import (
+    ServingEngine,
+    run_decode_burst,
+    stamp_decode_steps,
+)
 from repro.serving.generator import (
     iter_onoff_requests,
     iter_poisson_requests,
@@ -442,12 +447,77 @@ class TestRequestSlimming:
         times = [0.5, 0.9, 1.6, 2.0, 2.7]
         for t in times:
             single.record_token(t)
-        burst.record_token_burst(times[:2])
-        burst.record_token_burst(times[2:])
+        finished = []
+        assert stamp_decode_steps([burst], times[:2], finished) == []
+        assert stamp_decode_steps([burst], times[2:], finished) == [burst]
+        assert finished == [burst]
         assert burst.token_times == single.token_times
         assert burst.tbt == single.tbt
         assert burst.finish_time == single.finish_time
         assert burst.state == single.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=st.lists(
+               st.tuples(st.integers(1, 12),    # output tokens
+                         st.integers(0, 11),    # already generated
+                         st.booleans(),         # record_token_times
+                         st.booleans()),        # first token already set
+               min_size=1, max_size=8),
+           gaps=st.lists(st.floats(0.001, 1.0), min_size=12, max_size=12),
+           raw_steps=st.integers(0, 100))
+    def test_stamping_helper_equals_record_token_per_step(
+            self, members, gaps, raw_steps):
+        """The one stamping loop leaves every member, the finished list
+        and the ``on_finish`` order as per-step ``record_token`` would,
+        for any step count that finishes members on the last step."""
+
+        def build():
+            batch = []
+            for rid, (output, generated, record, first) in \
+                    enumerate(members):
+                generated = min(generated, output - 1)
+                request = Request(request_id=rid, arrival_time=0.0,
+                                  input_tokens=4, output_tokens=output,
+                                  generated_tokens=generated,
+                                  record_token_times=record)
+                if first or generated:
+                    request.first_token_time = 0.25
+                    request.last_token_time = 0.5
+                    if record:
+                        request.token_times = [0.5] * generated
+                batch.append(request)
+            return batch
+
+        remaining = min(output - min(generated, output - 1)
+                        for output, generated, _, _ in members)
+        steps = 1 + raw_steps % remaining
+        times = [1.0]
+        for gap in gaps[:steps - 1]:
+            times.append(times[-1] + gap)
+
+        reference = build()
+        ref_finished = []
+        for request in reference:
+            for t in times:
+                request.record_token(t)
+            if request.done:
+                ref_finished.append(request.request_id)
+
+        helped = build()
+        finished, hooked = [], []
+        done = stamp_decode_steps(
+            helped, times, finished,
+            # the hook runs after the request joined ``finished``
+            on_finish=lambda r: hooked.append(
+                (r.request_id, finished[-1] is r)))
+        assert [r.request_id for r in finished] == ref_finished
+        assert [r.request_id for r in done] == ref_finished
+        assert hooked == [(rid, True) for rid in ref_finished]
+        fields = ("generated_tokens", "token_times", "first_token_time",
+                  "last_token_time", "finish_time", "state")
+        for ours, theirs in zip(helped, reference):
+            assert [getattr(ours, f) for f in fields] \
+                == [getattr(theirs, f) for f in fields]
 
     def test_qos_identical_with_and_without_recording(self):
         requests = steady_requests(count=20)
