@@ -28,7 +28,7 @@ from repro.api.specs import (
     Experiment,
     WorkloadSpec,
 )
-from repro.cluster.engine import ClusterEngine
+from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.cluster.report import ClusterResult, LoadImbalanceStats
 from repro.core.scheduling import device_model_for
 from repro.hardware.chip import ChipSpec
@@ -86,33 +86,16 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
                          context_bucket: int = 1) -> ClusterEngine:
     """The :class:`ClusterEngine` a deployment spec describes.
 
-    The one place deployment specs turn into engine fleets: the legacy
-    ``replicas=N`` form takes the exact single-spec construction it
-    always had, and an explicit ``fleet`` resolves each
-    :class:`~repro.api.specs.ReplicaGroupSpec` to its own device model
-    / model config / scheduler limits and builds the engine from
-    groups.  Shared by :func:`simulate_cluster`, the sharded runner and
-    the mixed-fleet capacity search, so every path sizes a fleet the
-    same way.
+    The one place deployment specs turn into engine fleets: every
+    :class:`~repro.api.specs.ReplicaGroupSpec` of
+    :meth:`~repro.api.specs.DeploymentSpec.fleet_groups` (a legacy
+    ``replicas=N`` deployment is one N-replica group) resolves to its
+    own device model / model config / scheduler limits.  Shared by
+    :func:`simulate_cluster`, the sharded runner and the mixed-fleet
+    capacity search, so every path sizes a fleet the same way.
     """
-    if deployment.fleet is None:
-        device = _device_for(deployment.chip_spec(), sim_cache,
-                             context_bucket)
-        return ClusterEngine(
-            device, get_model(deployment.model),
-            deployment.scheduler_limits(),
-            num_devices=deployment.num_devices,
-            replicas=deployment.replicas,
-            router=deployment.router,
-            fast_forward=sim_cache,
-            autoscale=deployment.autoscale,
-            prefix_cache=deployment.prefix_cache,
-            faults=deployment.faults,
-        )
-    from repro.cluster.engine import EngineGroup
-
     groups = []
-    for index, group in enumerate(deployment.fleet.groups):
+    for index, group in enumerate(deployment.fleet_groups()):
         chip = group.chip_spec()
         groups.append(EngineGroup(
             index, group.label, chip.name,
@@ -192,8 +175,10 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     engines' multi-step decode fast-forward.  With the default
     ``context_bucket=1`` the fast path is bit-identical to the reference
     loop (``sim_cache=False``); larger buckets quantize the decode
-    context for higher hit rates at a small, measured latency error
-    (see ``benchmarks/bench_sim_speed.py``).
+    context for higher hit rates at a small, measured latency error.
+    Bucket 32 measured 1.25-1.50x faster than exact on the seed-0
+    ``perfbench`` fleet inputs, at the ~1% max QoS error
+    ``BENCH_sim_speed.json`` records (see ``benchmarks/bench_sim_speed.py``).
 
     With continuous batching, arrivals are generated lazily and
     consumed through a bounded look-ahead window, at constant memory;
@@ -659,10 +644,9 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
         raise ValueError(
             f"cluster serving requires continuous batching, "
             f"got {deployment.batching!r}")
-    chip = deployment.chip_spec() if deployment.fleet is None \
-        else deployment.fleet.groups[0].chip_spec()
-    model = get_model(deployment.model if deployment.fleet is None
-                      else deployment.fleet.groups[0].model)
+    lead = deployment.fleet_groups()[0]
+    chip = lead.chip_spec()
+    model = get_model(lead.model)
     fleet_label = f"{deployment.replicas}x {chip.name}" \
         if deployment.fleet is None else \
         "+".join(f"{g.count}x{g.label}"
@@ -677,24 +661,12 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
         cluster = run_sharded_cluster(
             deployment, workload, max_sim_seconds, shards,
             sim_cache=sim_cache, context_bucket=context_bucket)
-        if not cluster.merged.finished:
-            raise EndpointOverloaded(
-                f"no requests finished within {max_sim_seconds:g} s — "
-                f"{fleet_label} cannot sustain "
-                f"{workload.rate_per_s:g} req/s")
-        return ClusterReport(
-            deployment=deployment,
-            workload=workload,
-            chip=chip,
-            model=model,
-            cluster=cluster,
-            qos=cluster.qos(),
-        )
-    requests = workload.request_stream()
-    engine = build_cluster_engine(deployment, sim_cache=sim_cache,
-                                  context_bucket=context_bucket)
-    cluster = engine.run(requests, max_sim_seconds=max_sim_seconds,
-                         progress=progress)
+    else:
+        requests = workload.request_stream()
+        engine = build_cluster_engine(deployment, sim_cache=sim_cache,
+                                      context_bucket=context_bucket)
+        cluster = engine.run(requests, max_sim_seconds=max_sim_seconds,
+                             progress=progress)
     if not cluster.merged.finished:
         raise EndpointOverloaded(
             f"no requests finished within {max_sim_seconds:g} s — "

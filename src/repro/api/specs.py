@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
 
 from repro.cluster.autoscaler import AutoscaleSpec
 from repro.cluster.faults import FaultSpec
+from repro.cluster.router import make_router
 from repro.hardware.chip import ChipKind, ChipSpec
 from repro.hardware.components import MacTree, SystolicArray, VectorUnit
 from repro.hardware.interconnect import NocSpec, NocTopology, P2pSpec
@@ -261,6 +262,19 @@ class WorkloadSpec(SpecCodec):
 # Fleet composition                                                      #
 # --------------------------------------------------------------------- #
 
+def _canonical_kv_budget(spec: ReplicaGroupSpec | DeploymentSpec) -> None:
+    """Reject a non-positive KV budget and store "unlimited" as
+    ``None``: ``None`` and +inf mean the same thing, and specs must
+    compare equal after a JSON round-trip."""
+    budget = spec.kv_budget_bytes
+    if budget is not None and budget <= 0:
+        raise ValueError(
+            f"kv_budget_bytes must be positive (or None for unlimited), "
+            f"got {budget!r}")
+    if budget == float("inf"):
+        object.__setattr__(spec, "kv_budget_bytes", None)
+
+
 @dataclass(frozen=True)
 class ReplicaGroupSpec(SpecCodec):
     """One homogeneous slice of a heterogeneous fleet.
@@ -316,9 +330,7 @@ class ReplicaGroupSpec(SpecCodec):
         if self.provision_latency_s is not None \
                 and self.provision_latency_s < 0:
             raise ValueError("provision_latency_s must be non-negative")
-        # canonicalize "unlimited" exactly as DeploymentSpec does
-        if self.kv_budget_bytes == float("inf"):
-            object.__setattr__(self, "kv_budget_bytes", None)
+        _canonical_kv_budget(self)
 
     @property
     def label(self) -> str:
@@ -485,10 +497,10 @@ class DeploymentSpec(SpecCodec):
             raise ValueError(
                 f"faults require continuous batching, "
                 f"got {self.batching!r}")
-        # canonicalize "unlimited": None and +inf mean the same thing,
-        # and specs must compare equal after a JSON round-trip
-        if self.kv_budget_bytes == float("inf"):
-            object.__setattr__(self, "kv_budget_bytes", None)
+        # unknown names and bad "name:N" thresholds fail here, at any
+        # fleet size, not only once a cluster engine is built
+        make_router(self.router)
+        _canonical_kv_budget(self)
 
     @property
     def total_replicas(self) -> int:

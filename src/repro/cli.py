@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 import warnings
+from typing import NamedTuple
 
 from repro.analysis.tables import format_table
 from repro.api import (
@@ -141,72 +143,145 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if result.requirements_met else 1
 
 
-_AUTOSCALE_KNOBS = (
-    ("autoscale_min", "min_replicas"),
-    ("autoscale_max", "max_replicas"),
-    ("autoscale_interval", "decision_interval_s"),
-    ("autoscale_provision_s", "provision_latency_s"),
-    ("autoscale_warm_pool", "warm_pool_size"),
-    ("autoscale_warm_provision_s", "warm_provision_s"),
+class _Section(NamedTuple):
+    """One optional deployment feature and every flag that drives it.
+
+    ``switch`` turns the feature on and is also the
+    :class:`DeploymentSpec` field it fills; ``field`` is the spec field
+    the switch sets: ``"policy"`` takes a registry name, ``"enabled"``
+    is a plain on/off flag.  The three help texts are ``serve``'s
+    switch, ``run``'s switch and ``run``'s ``--no-`` twin.  Each knob is
+    ``(flag, spec field, help)``; its argparse type and the default its
+    help names are read from the spec field, so neither can drift from
+    the spec.
+    """
+
+    switch: str
+    spec: type
+    field: str
+    serve_help: str
+    run_help: str
+    strip_help: str
+    knobs: tuple[tuple[str, str, str], ...]
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.switch.replace("_", "-")
+
+    @property
+    def strip_flag(self) -> str:
+        return "--no-" + self.flag[2:]
+
+
+_SECTIONS = (
+    _Section(
+        "autoscale", AutoscaleSpec, "policy",
+        "autoscaler policy; --replicas becomes the initial fleet size "
+        "and the fleet resizes within [--autoscale-min, --autoscale-max]",
+        "override (or enable) the experiment's autoscaler policy, "
+        "keeping its other scaling knobs",
+        "strip the experiment's autoscale section and run the fixed "
+        "fleet",
+        (("--autoscale-min", "min_replicas",
+          "smallest fleet the autoscaler may shrink to"),
+         ("--autoscale-max", "max_replicas",
+          "largest fleet the autoscaler may grow to"),
+         ("--autoscale-interval", "decision_interval_s",
+          "seconds of simulated time between scaling decisions"),
+         ("--autoscale-provision-s", "provision_latency_s",
+          "cold provision latency a scale-up pays before the replica "
+          "takes traffic"),
+         ("--autoscale-warm-pool", "warm_pool_size",
+          "warm-pool slots; each cuts one launch to the warm latency, "
+          "retirements refill the pool"),
+         ("--autoscale-warm-provision-s", "warm_provision_s",
+          "provision latency of a warm-pool launch"))),
+    _Section(
+        "prefix_cache", PrefixCacheSpec, "enabled",
+        "keep finished session turns' KV blocks resident so the next "
+        "turn re-prefills only its fresh question (pairs with "
+        "--arrival sessions)",
+        "enable prefix/KV reuse, keeping the experiment's cache knobs "
+        "when it carries a (possibly disabled) prefix_cache section",
+        "strip the experiment's prefix_cache section and run the cold "
+        "path",
+        (("--prefix-cache-fraction", "reclaimable_fraction",
+          "fraction of the block pool cached prefixes may occupy"),
+         ("--prefix-cache-eviction", "eviction",
+          "eviction policy over cached sessions"),
+         ("--prefix-cache-block-tokens", "block_tokens",
+          "tokens per KV block; hits are block-aligned"))),
+    _Section(
+        "faults", FaultSpec, "enabled",
+        "inject deterministic seeded faults (replica crashes, slowdowns, "
+        "stalls) and report goodput next to raw throughput",
+        "enable fault injection, keeping the experiment's fault knobs "
+        "when it carries a (possibly disabled) faults section",
+        "strip the experiment's faults section and run the fault-free "
+        "engine",
+        (("--fault-seed", "seed",
+          "fault-schedule RNG seed, independent of the workload seed"),
+         ("--fault-crash-mtbf-s", "crash_mtbf_s",
+          "mean seconds between crashes per replica (exponential)"),
+         ("--fault-restart-delay-s", "restart_delay_s",
+          "seconds a crashed fixed-fleet replica stays down before "
+          "restarting"),
+         ("--fault-slowdown-mtbf-s", "slowdown_mtbf_s",
+          "mean seconds between slowdown windows per replica"),
+         ("--fault-slowdown-factor", "slowdown_factor",
+          "device-step multiplier inside a slowdown window"),
+         ("--fault-stall-mtbf-s", "stall_mtbf_s",
+          "mean seconds between transient stalls per replica"),
+         ("--fault-max-retries", "max_retries",
+          "crash requeues per request before it is recorded failed"),
+         ("--fault-timeout-s", "request_timeout_s",
+          "per-request deadline from arrival; a retry past it fails the "
+          "request"))),
 )
 
 
-_PREFIX_CACHE_KNOBS = (
-    ("prefix_cache_fraction", "reclaimable_fraction"),
-    ("prefix_cache_eviction", "eviction"),
-    ("prefix_cache_block_tokens", "block_tokens"),
-)
+#: the section fields that hold a registry name, and the registry's
+#: listing (the flag's choices)
+_REGISTRY_NAMES = {
+    (AutoscaleSpec, "policy"): list_autoscalers,
+    (PrefixCacheSpec, "eviction"): list_eviction_policies,
+}
 
 
-_FAULT_KNOBS = (
-    ("fault_seed", "seed"),
-    ("fault_crash_mtbf_s", "crash_mtbf_s"),
-    ("fault_restart_delay_s", "restart_delay_s"),
-    ("fault_slowdown_mtbf_s", "slowdown_mtbf_s"),
-    ("fault_slowdown_factor", "slowdown_factor"),
-    ("fault_stall_mtbf_s", "stall_mtbf_s"),
-    ("fault_max_retries", "max_retries"),
-    ("fault_timeout_s", "request_timeout_s"),
-)
-
-
-#: ``serve``'s feature sections: the switch flag's attribute (also the
-#: DeploymentSpec field it fills), how an error names the switch, the
-#: spec it builds, and the section's knob table
-_FLAG_SECTIONS = (
-    ("autoscale", "--autoscale <policy>", AutoscaleSpec, _AUTOSCALE_KNOBS),
-    ("prefix_cache", "--prefix-cache", PrefixCacheSpec,
-     _PREFIX_CACHE_KNOBS),
-    ("faults", "--faults", FaultSpec, _FAULT_KNOBS),
-)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _section_specs(args: argparse.Namespace) -> dict[str, object]:
     """Build each feature section's spec from its flags (``None`` when
     its switch is off).
 
-    The autoscale switch carries the policy name, the others are plain
-    on/off flags.  A knob without its switch is a config mistake, not a
-    default to silently ignore — fail loudly, same contract as the JSON
-    specs.
+    A knob without its switch is a config mistake, not a default to
+    silently ignore — fail loudly, same contract as the JSON specs.
     """
     specs: dict[str, object] = {}
-    for switch, needs, spec, knobs in _FLAG_SECTIONS:
-        given = [(arg, field) for arg, field in knobs
-                 if getattr(args, arg) is not None]
-        overrides = {field: getattr(args, arg) for arg, field in given}
-        value = getattr(args, switch)
-        if not value:
+    for section in _SECTIONS:
+        given = {flag: name for flag, name, _ in section.knobs
+                 if getattr(args, _dest(flag)) is not None}
+        switch = getattr(args, section.switch)
+        if not switch:
             if given:
-                flags = ", ".join("--" + arg.replace("_", "-")
-                                  for arg, _ in given)
-                raise ValueError(f"{flags} require(s) {needs}")
-            specs[switch] = None
-        elif isinstance(value, str):
-            specs[switch] = spec(policy=value, **overrides)
+                needs = section.flag if section.field == "enabled" \
+                    else f"{section.flag} <{section.field}>"
+                raise ValueError(
+                    f"{', '.join(given)} require(s) {needs}")
+            specs[section.switch] = None
         else:
-            specs[switch] = spec(**overrides)
+            specs[section.switch] = section.spec(
+                **{section.field: switch},
+                **{name: getattr(args, _dest(flag))
+                   for flag, name in given.items()})
     return specs
+
+
+def _kv_budget_bytes(args: argparse.Namespace) -> float:
+    return float("inf") if args.kv_budget_gb is None \
+        else args.kv_budget_gb * float(1 << 30)
 
 
 def _fleet_spec(args: argparse.Namespace) -> FleetSpec | None:
@@ -251,8 +326,7 @@ def _fleet_spec(args: argparse.Namespace) -> FleetSpec | None:
             count=count,
             num_devices=args.devices,
             max_batch=args.max_batch,
-            kv_budget_bytes=float("inf") if args.kv_budget_gb is None
-            else args.kv_budget_gb * float(1 << 30),
+            kv_budget_bytes=_kv_budget_bytes(args),
         ))
     return FleetSpec(groups=tuple(groups))
 
@@ -290,23 +364,18 @@ def _progress_reporter(args: argparse.Namespace, label: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    try:
-        deployment = DeploymentSpec(
-            chip=args.chip if args.chip is not None else "ador",
-            model=args.model,
-            num_devices=args.devices,
-            max_batch=args.max_batch,
-            batching=args.policy,
-            replicas=args.replicas,
-            router=_router_name(args),
-            fleet=_fleet_spec(args),
-            kv_budget_bytes=float("inf") if args.kv_budget_gb is None
-            else args.kv_budget_gb * float(1 << 30),
-            **_section_specs(args),
-        )
-    except ValueError as exc:
-        print(f"error: {_exc_message(exc)}", file=sys.stderr)
-        return 2
+    deployment = DeploymentSpec(
+        chip=args.chip if args.chip is not None else "ador",
+        model=args.model,
+        num_devices=args.devices,
+        max_batch=args.max_batch,
+        batching=args.policy,
+        replicas=args.replicas,
+        router=_router_name(args),
+        fleet=_fleet_spec(args),
+        kv_budget_bytes=_kv_budget_bytes(args),
+        **_section_specs(args),
+    )
     workload = WorkloadSpec(
         trace=args.trace,
         rate_per_s=args.rate,
@@ -314,142 +383,84 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         arrival=args.arrival,
     )
-    try:
-        report = simulate(deployment, workload,
-                          sim_cache=not args.no_sim_cache,
-                          context_bucket=args.context_bucket,
-                          shards=args.shards,
-                          progress=_progress_reporter(args, "serve"))
-    except EndpointOverloaded as exc:
-        print(f"no requests finished — {exc}")
-        return 1
-    except MemoryError as exc:
-        # an undersized --kv-budget-gb pool that cannot hold even one
-        # request's context — an actionable config error, not a crash
-        print(f"error: {_exc_message(exc)}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
-        print(f"error: {_exc_message(exc)}", file=sys.stderr)
-        return 2
+    report = simulate(deployment, workload,
+                      sim_cache=not args.no_sim_cache,
+                      context_bucket=args.context_bucket,
+                      shards=args.shards,
+                      progress=_progress_reporter(args, "serve"))
     print(report.summary())
     return 0
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    try:
-        deployment = DeploymentSpec(
-            chip=args.chip,
-            model=args.model,
-            num_devices=args.devices,
-        )
-        workload = WorkloadSpec(
-            trace=args.trace,
-            num_requests=args.requests,
-            seed=args.seed,
-        )
-        capacity = CapacitySpec(
-            slo_tbt_s=args.slo_tbt_ms / 1e3,
-            slo_ttft_s=None if args.slo_ttft_ms is None
-            else args.slo_ttft_ms / 1e3,
-            percentile=args.percentile,
-            rate_low=args.rate_low,
-            rate_high=args.rate_high,
-            iterations=args.iterations,
-            early_abort=not args.no_early_abort,
-        )
-        report = find_capacity(deployment, workload, capacity,
-                               sim_cache=not args.no_sim_cache)
-    except EndpointUnservable as exc:
-        print(f"no capacity found — {_exc_message(exc)}")
-        return 1
-    except (KeyError, ValueError) as exc:
-        print(f"error: {_exc_message(exc)}", file=sys.stderr)
-        return 2
+    deployment = DeploymentSpec(
+        chip=args.chip,
+        model=args.model,
+        num_devices=args.devices,
+    )
+    workload = WorkloadSpec(
+        trace=args.trace,
+        num_requests=args.requests,
+        seed=args.seed,
+    )
+    capacity = CapacitySpec(
+        slo_tbt_s=args.slo_tbt_ms / 1e3,
+        slo_ttft_s=None if args.slo_ttft_ms is None
+        else args.slo_ttft_ms / 1e3,
+        percentile=args.percentile,
+        rate_low=args.rate_low,
+        rate_high=args.rate_high,
+        iterations=args.iterations,
+        early_abort=not args.no_early_abort,
+    )
+    report = find_capacity(deployment, workload, capacity,
+                           sim_cache=not args.no_sim_cache)
     print(report.summary())
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        experiment = load_experiment(args.experiment)
-        overrides = {}
-        # command-line overrides for quick cluster what-ifs without
-        # editing the experiment file
-        if args.replicas is not None:
-            overrides["replicas"] = args.replicas
-        if args.router is not None:
-            overrides["router"] = args.router
-        if args.no_autoscale and args.autoscale is not None:
-            # same loud-conflict contract as the serve-side knobs: a
-            # silently ignored policy would fake a fixed-fleet result
-            # as an autoscaled one (or vice versa)
-            raise ValueError(
-                "--autoscale and --no-autoscale are mutually exclusive")
-        if args.no_autoscale:
-            overrides["autoscale"] = None
-        elif args.autoscale is not None:
-            # switch (or turn on) the policy, keeping the experiment's
-            # other scaling knobs when it already autoscales
-            base = experiment.deployment.autoscale
-            overrides["autoscale"] = AutoscaleSpec(policy=args.autoscale) \
-                if base is None \
-                else dataclasses.replace(base, policy=args.autoscale)
-        for section, spec in (("prefix_cache", PrefixCacheSpec),
-                              ("faults", FaultSpec)):
-            enable = getattr(args, section)
-            strip = getattr(args, "no_" + section)
-            if enable and strip:
-                flag = section.replace("_", "-")
-                raise ValueError(f"--{flag} and --no-{flag} are mutually "
-                                 f"exclusive")
-            if strip:
-                overrides[section] = None
-            elif enable:
-                # turn the feature on, keeping the experiment's knobs
-                # when it already carries a (possibly disabled) spec
-                base = getattr(experiment.deployment, section)
-                overrides[section] = spec() if base is None \
-                    else dataclasses.replace(base, enabled=True)
-        if overrides:
-            experiment = dataclasses.replace(
-                experiment,
-                deployment=dataclasses.replace(experiment.deployment,
-                                               **overrides))
-        report = run_experiment(experiment,
-                                sim_cache=not args.no_sim_cache,
-                                context_bucket=args.context_bucket,
-                                shards=args.shards,
-                                progress=_progress_reporter(args, "run"))
-    except EndpointOverloaded as exc:
-        print(f"no requests finished — {exc}")
-        return 1
-    except EndpointUnservable as exc:
-        # a capacity experiment whose endpoint cannot serve even the
-        # minimum probed rate — same one-liner the capacity command
-        # prints, not a traceback (other RuntimeErrors, e.g. a broken
-        # worker pool, must still surface loudly)
-        print(f"no capacity found — {_exc_message(exc)}")
-        return 1
-    except MemoryError as exc:
-        # kv_budget_bytes too small for a single request's context —
-        # same one-line treatment as serve, not a traceback
-        print(f"error: {_exc_message(exc)}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, OSError, TypeError) as exc:
-        # bad chip/trace/policy name, malformed spec, unreadable file —
-        # a one-line CLI error, not a traceback
-        print(f"error: {_exc_message(exc)}", file=sys.stderr)
-        return 2
+    experiment = load_experiment(args.experiment)
+    overrides: dict[str, object] = {}
+    # command-line overrides for quick cluster what-ifs without editing
+    # the experiment file
+    if args.replicas is not None:
+        overrides["replicas"] = args.replicas
+    if args.router is not None:
+        overrides["router"] = args.router
+    for section in _SECTIONS:
+        switch = getattr(args, section.switch)
+        strip = getattr(args, _dest(section.strip_flag))
+        if switch and strip:
+            # a silently ignored flag would fake one run as the other
+            raise ValueError(f"{section.flag} and {section.strip_flag} "
+                             f"are mutually exclusive")
+        if strip:
+            overrides[section.switch] = None
+        elif switch:
+            # turn the feature on (or switch its policy), keeping the
+            # experiment's other knobs when it already carries a
+            # (possibly disabled) section
+            base = getattr(experiment.deployment, section.switch)
+            setting = {section.field: switch}
+            overrides[section.switch] = section.spec(**setting) \
+                if base is None else dataclasses.replace(base, **setting)
+    if overrides:
+        experiment = dataclasses.replace(
+            experiment,
+            deployment=dataclasses.replace(experiment.deployment,
+                                           **overrides))
+    report = run_experiment(experiment,
+                            sim_cache=not args.no_sim_cache,
+                            context_bucket=args.context_bucket,
+                            shards=args.shards,
+                            progress=_progress_reporter(args, "run"))
     print(report.summary())
     return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    try:
-        violations = lint_paths(args.paths, rules=args.rule or None)
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"error: {_exc_message(exc)}", file=sys.stderr)
-        return 2
+    violations = lint_paths(args.paths, rules=args.rule or None)
     print(format_json(violations) if args.format == "json"
           else format_text(violations))
     return exit_code(violations)
@@ -484,6 +495,69 @@ def _exc_message(exc: BaseException) -> str:
     # str(KeyError) wraps the message in quotes; unwrap for clean output
     return exc.args[0] if exc.args and isinstance(exc.args[0], str) \
         else str(exc)
+
+
+def _add_switch(parser: argparse.ArgumentParser, section: _Section,
+                help: str) -> None:
+    if section.field == "enabled":
+        parser.add_argument(section.flag, action="store_true", help=help)
+    else:
+        parser.add_argument(
+            section.flag, default=None,
+            choices=_REGISTRY_NAMES[section.spec, section.field](),
+            help=help)
+
+
+def _add_section_flags(parser: argparse.ArgumentParser,
+                       sections: tuple[_Section, ...]) -> None:
+    """``serve``'s switch and knob flags of each section.
+
+    A knob defaults to ``None`` (unset: the spec default applies); its
+    type is the spec field's (``float`` for ``float | None``) and its
+    help names the spec field's default.
+    """
+    for section in sections:
+        _add_switch(parser, section, section.serve_help)
+        hints = typing.get_type_hints(section.spec)
+        defaults = {field.name: field.default
+                    for field in dataclasses.fields(section.spec)}
+        for flag, name, text in section.knobs:
+            kind = next((arm for arm in typing.get_args(hints[name])
+                         if arm is not type(None)), hints[name])
+            default = defaults[name]
+            if default is None:
+                text += " (default: none)"
+            else:
+                shown = f"{default:g}" if isinstance(default, float) \
+                    else default
+                text += f" (default {shown})"
+            names = _REGISTRY_NAMES.get((section.spec, name))
+            parser.add_argument(flag, type=kind, default=None,
+                                choices=names() if names else None,
+                                help=text)
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The simulator flags ``serve`` and ``run`` share."""
+    parser.add_argument("--no-sim-cache", action="store_true",
+                        help="disable the simulator fast path (device-"
+                             "model memoization + decode fast-forward); "
+                             "results are bit-identical either way, the "
+                             "reference loop is just slower")
+    parser.add_argument("--context-bucket", type=int, default=1,
+                        help="decode-context quantization bucket for the "
+                             "sim cache; 1 (default) is exact, larger "
+                             "buckets trade a small latency error for "
+                             "faster sweeps")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="partition a fixed multi-replica fleet over "
+                             "N worker processes (modeled per-shard "
+                             "routing; 1 = the exact engine, default)")
+    parser.add_argument("--progress", nargs="?", const=5.0, type=float,
+                        default=None, metavar="SECS",
+                        help="stderr heartbeat (simulated time + "
+                             "requests done) every SECS wall-clock "
+                             "seconds (default 5 when given bare)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,32 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "routers (default 256); rewrites the "
                             "router name to its parametric "
                             "'name:N' form")
-    serve.add_argument("--autoscale", default=None,
-                       choices=list_autoscalers(),
-                       help="autoscaler policy; --replicas becomes the "
-                            "initial fleet size and the fleet resizes "
-                            "within [--autoscale-min, --autoscale-max]")
-    serve.add_argument("--autoscale-min", type=int, default=None,
-                       help="smallest fleet the autoscaler may shrink to "
-                            "(default 1)")
-    serve.add_argument("--autoscale-max", type=int, default=None,
-                       help="largest fleet the autoscaler may grow to "
-                            "(default 8)")
-    serve.add_argument("--autoscale-interval", type=float, default=None,
-                       help="seconds of simulated time between scaling "
-                            "decisions (default 2)")
-    serve.add_argument("--autoscale-provision-s", type=float, default=None,
-                       help="cold provision latency a scale-up pays "
-                            "before the replica takes traffic "
-                            "(default 10)")
-    serve.add_argument("--autoscale-warm-pool", type=int, default=None,
-                       help="warm-pool slots; each cuts one launch to "
-                            "the warm latency, retirements refill the "
-                            "pool (default 0)")
-    serve.add_argument("--autoscale-warm-provision-s", type=float,
-                       default=None,
-                       help="provision latency of a warm-pool launch "
-                            "(default 1)")
+    _add_section_flags(serve, _SECTIONS[:1])
+    # --arrival and --kv-budget-gb sit between the autoscale and the
+    # prefix-cache flags in --help
     serve.add_argument("--arrival", default="poisson",
                        choices=["poisson", "sessions"],
                        help="arrival process: independent Poisson "
@@ -585,69 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--kv-budget-gb", type=float, default=None,
                        help="KV-cache memory budget in GiB (default: "
                             "unbounded)")
-    serve.add_argument("--prefix-cache", action="store_true",
-                       help="keep finished session turns' KV blocks "
-                            "resident so the next turn re-prefills only "
-                            "its fresh question (pairs with "
-                            "--arrival sessions)")
-    serve.add_argument("--prefix-cache-fraction", type=float, default=None,
-                       help="fraction of the block pool cached prefixes "
-                            "may occupy (default 0.5)")
-    serve.add_argument("--prefix-cache-eviction", default=None,
-                       choices=list_eviction_policies(),
-                       help="eviction policy over cached sessions "
-                            "(default lru)")
-    serve.add_argument("--prefix-cache-block-tokens", type=int,
-                       default=None,
-                       help="tokens per KV block; hits are block-"
-                            "aligned (default 16)")
-    serve.add_argument("--faults", action="store_true",
-                       help="inject deterministic seeded faults (replica "
-                            "crashes, slowdowns, stalls) and report "
-                            "goodput next to raw throughput")
-    serve.add_argument("--fault-seed", type=int, default=None,
-                       help="fault-schedule RNG seed, independent of the "
-                            "workload seed (default 0)")
-    serve.add_argument("--fault-crash-mtbf-s", type=float, default=None,
-                       help="mean seconds between crashes per replica "
-                            "(exponential; default: no crashes)")
-    serve.add_argument("--fault-restart-delay-s", type=float, default=None,
-                       help="seconds a crashed fixed-fleet replica stays "
-                            "down before restarting (default 10)")
-    serve.add_argument("--fault-slowdown-mtbf-s", type=float, default=None,
-                       help="mean seconds between slowdown windows per "
-                            "replica (default: none)")
-    serve.add_argument("--fault-slowdown-factor", type=float, default=None,
-                       help="device-step multiplier inside a slowdown "
-                            "window (default 2)")
-    serve.add_argument("--fault-stall-mtbf-s", type=float, default=None,
-                       help="mean seconds between transient stalls per "
-                            "replica (default: none)")
-    serve.add_argument("--fault-max-retries", type=int, default=None,
-                       help="crash requeues per request before it is "
-                            "recorded failed (default 2)")
-    serve.add_argument("--fault-timeout-s", type=float, default=None,
-                       help="per-request deadline from arrival; a retry "
-                            "past it fails the request (default: none)")
-    serve.add_argument("--no-sim-cache", action="store_true",
-                       help="disable the simulator fast path (device-"
-                            "model memoization + decode fast-forward); "
-                            "results are bit-identical either way, the "
-                            "reference loop is just slower")
-    serve.add_argument("--context-bucket", type=int, default=1,
-                       help="decode-context quantization bucket for the "
-                            "sim cache; 1 (default) is exact, larger "
-                            "buckets trade a small latency error for "
-                            "faster sweeps")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="partition a fixed multi-replica fleet over "
-                            "N worker processes (modeled per-shard "
-                            "routing; 1 = the exact engine, default)")
-    serve.add_argument("--progress", nargs="?", const=5.0, type=float,
-                       default=None, metavar="SECS",
-                       help="stderr heartbeat (simulated time + "
-                            "requests done) every SECS wall-clock "
-                            "seconds (default 5 when given bare)")
+    _add_section_flags(serve, _SECTIONS[1:])
+    _add_engine_flags(serve)
 
     capacity = sub.add_parser(
         "capacity",
@@ -687,43 +677,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the experiment's replica count")
     run.add_argument("--router", default=None, choices=list_routers(),
                      help="override the experiment's router policy")
-    run.add_argument("--autoscale", default=None,
-                     choices=list_autoscalers(),
-                     help="override (or enable) the experiment's "
-                          "autoscaler policy, keeping its other scaling "
-                          "knobs")
-    run.add_argument("--no-autoscale", action="store_true",
-                     help="strip the experiment's autoscale section and "
-                          "run the fixed fleet")
-    run.add_argument("--prefix-cache", action="store_true",
-                     help="enable prefix/KV reuse, keeping the "
-                          "experiment's cache knobs when it carries a "
-                          "(possibly disabled) prefix_cache section")
-    run.add_argument("--no-prefix-cache", action="store_true",
-                     help="strip the experiment's prefix_cache section "
-                          "and run the cold path")
-    run.add_argument("--faults", action="store_true",
-                     help="enable fault injection, keeping the "
-                          "experiment's fault knobs when it carries a "
-                          "(possibly disabled) faults section")
-    run.add_argument("--no-faults", action="store_true",
-                     help="strip the experiment's faults section and "
-                          "run the fault-free engine")
-    run.add_argument("--no-sim-cache", action="store_true",
-                     help="disable the simulator fast path (bit-identical "
-                          "results, reference speed)")
-    run.add_argument("--context-bucket", type=int, default=1,
-                     help="decode-context quantization bucket for the sim "
-                          "cache; 1 (default) is exact")
-    run.add_argument("--shards", type=int, default=1,
-                     help="partition a fixed multi-replica fleet over N "
-                          "worker processes (modeled per-shard routing; "
-                          "1 = the exact engine, default)")
-    run.add_argument("--progress", nargs="?", const=5.0, type=float,
-                     default=None, metavar="SECS",
-                     help="stderr heartbeat (simulated time + requests "
-                          "done) every SECS wall-clock seconds "
-                          "(default 5 when given bare)")
+    for section in _SECTIONS:
+        _add_switch(run, section, section.run_help)
+        run.add_argument(section.strip_flag, action="store_true",
+                         help=section.strip_help)
+    _add_engine_flags(run)
 
     lint = sub.add_parser(
         "lint",
@@ -760,7 +718,22 @@ def main(argv: list | None = None) -> int:
         "run": _cmd_run,
         "lint": _cmd_lint,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except EndpointOverloaded as exc:
+        print(f"no requests finished — {_exc_message(exc)}")
+        return 1
+    except EndpointUnservable as exc:
+        # the endpoint cannot serve even the minimum probed rate
+        print(f"no capacity found — {_exc_message(exc)}")
+        return 1
+    except (KeyError, ValueError, MemoryError, OSError, TypeError) as exc:
+        # a bad name, a malformed spec or input, a KV pool too small
+        # for one request, an unreadable file: a one-line CLI error,
+        # not a traceback (anything else, e.g. a broken worker pool,
+        # still surfaces loudly)
+        print(f"error: {_exc_message(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

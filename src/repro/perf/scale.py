@@ -35,7 +35,7 @@ import time
 from typing import Callable, Iterator, TextIO
 
 from repro.analysis.sweep import sweep
-from repro.api.specs import DeploymentSpec, WorkloadSpec
+from repro.api.specs import DeploymentSpec, FleetSpec, WorkloadSpec
 from repro.cluster.report import ClusterResult, aggregate_cluster
 from repro.serving.engine import SimulationResult
 from repro.serving.request import Request
@@ -80,26 +80,21 @@ def _simulate_shard(deployment: DeploymentSpec, workload: WorkloadSpec,
                     max_sim_seconds: float, shards: int, sim_cache: bool,
                     context_bucket: int,
                     shard: int) -> tuple[SimulationResult, ...]:
-    """Run one shard's replica subset over its traffic slice.
+    """Run one shard's replica subset over its traffic slice: the
+    deployment's one group, resized to the shard's replica count.
 
     Module-level so the pool can pickle it (frozen specs pickle by
-    value).  Imports stay inside the function so worker start-up does
-    not pay for the full api surface before it must.
+    value).  The import stays inside the function so worker start-up
+    does not pay for the full api surface before it must.
     """
-    from repro.api.facade import _device_for
-    from repro.cluster.engine import ClusterEngine
-    from repro.models.zoo import get_model
+    from repro.api.facade import build_cluster_engine
 
-    device = _device_for(deployment.chip_spec(), sim_cache, context_bucket)
-    model = get_model(deployment.model)
-    engine = ClusterEngine(
-        device, model, deployment.scheduler_limits(),
-        num_devices=deployment.num_devices,
-        replicas=shard_replica_count(deployment.replicas, shard, shards),
-        router=deployment.router,
-        fast_forward=sim_cache,
-        prefix_cache=deployment.prefix_cache,
-    )
+    (group,) = deployment.fleet_groups()
+    count = shard_replica_count(group.count, shard, shards)
+    engine = build_cluster_engine(
+        dataclasses.replace(deployment, replicas=1, fleet=FleetSpec(
+            groups=(dataclasses.replace(group, count=count),))),
+        sim_cache=sim_cache, context_bucket=context_bucket)
     result = engine.run(shard_requests(workload, shard, shards),
                         max_sim_seconds=max_sim_seconds)
     return result.replica_results
@@ -126,10 +121,10 @@ def run_sharded_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     Elastic features are rejected loudly: autoscaling and fault
     injection coordinate the *whole* fleet each decision interval,
     which a shard cannot see; silently sharding them would change
-    semantics, not just wall-clock.  Explicit fleets shard only when
-    homogeneous — a one-group :class:`~repro.api.specs.FleetSpec`
-    flattens onto the legacy fields, a mixed fleet is rejected (its
-    capability-aware routing needs the whole-fleet view).
+    semantics, not just wall-clock.  Only a one-group fleet shards
+    (``replicas=N`` or a one-group
+    :class:`~repro.api.specs.FleetSpec`); a mixed fleet is rejected
+    (its capability-aware routing needs the whole-fleet view).
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -144,27 +139,16 @@ def run_sharded_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
                                       context_bucket=context_bucket)
         return engine.run(workload.request_stream(),
                           max_sim_seconds=max_sim_seconds)
-    if deployment.fleet is not None:
-        if len(deployment.fleet.groups) > 1:
-            raise ValueError(
-                "sharding requires a homogeneous fleet: per-shard "
-                "routing cannot weigh groups it does not own, so a "
-                "mixed fleet would silently lose its capability-aware "
-                "placement — run the exact engine (shards=1) instead")
-        # a one-group fleet is the homogeneous case spelled explicitly;
-        # flatten it onto the legacy fields the shard workers build from
-        group = deployment.fleet.groups[0]
-        deployment = dataclasses.replace(
-            deployment, fleet=None,
-            chip=group.chip, model=group.model,
-            num_devices=group.num_devices, max_batch=group.max_batch,
-            prefill_chunk_tokens=group.prefill_chunk_tokens,
-            kv_budget_bytes=float("inf") if group.kv_budget_bytes is None
-            else group.kv_budget_bytes,
-            replicas=group.count)
-    if deployment.replicas < shards:
+    groups = deployment.fleet_groups()
+    if len(groups) > 1:
         raise ValueError(
-            f"cannot shard {deployment.replicas} replicas over {shards} "
+            "sharding requires a homogeneous fleet: per-shard "
+            "routing cannot weigh groups it does not own, so a "
+            "mixed fleet would silently lose its capability-aware "
+            "placement — run the exact engine (shards=1) instead")
+    if groups[0].count < shards:
+        raise ValueError(
+            f"cannot shard {groups[0].count} replicas over {shards} "
             f"processes — every shard needs at least one replica")
     if deployment.autoscale is not None:
         raise ValueError(

@@ -133,26 +133,21 @@ class InstabilityMonitor:
     to one without a monitor.
     """
 
-    def __init__(self, request_count: int, check_every: int = 32,
-                 windows: int = 4, min_backlog: int = 16,
-                 backlog_fraction: float = 0.1,
-                 drain_tolerance: float = 0.75, escape_ratio: float = 2.75,
-                 escape_floor: float = 0.4, min_finished: int = 16) -> None:
+    check_every = 32
+    windows = 4
+    min_backlog = 16
+    backlog_fraction = 0.1
+    drain_tolerance = 0.75
+    escape_ratio = 2.75
+    escape_floor = 0.4
+    min_finished = 16
+
+    def __init__(self, request_count: int) -> None:
         if request_count < 1:
             raise ValueError("request_count must be >= 1")
-        if check_every < 1 or windows < 1:
-            raise ValueError("check_every and windows must be >= 1")
         self.request_count = request_count
-        self.check_every = check_every
-        self.windows = windows
-        self.min_backlog = min_backlog
-        self.backlog_fraction = backlog_fraction
-        self.drain_tolerance = drain_tolerance
-        self.escape_ratio = escape_ratio
-        self.escape_floor = escape_floor
-        self.min_finished = min_finished
         self._iterations = 0
-        self._samples: deque[int] = deque(maxlen=windows + 1)
+        self._samples: deque[int] = deque(maxlen=self.windows + 1)
         self.verdict: Saturated | None = None
 
     def observe(self, now: float, backlog: int, finished: list) -> bool:

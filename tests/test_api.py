@@ -12,6 +12,7 @@ from repro.api import (
     DeploymentSpec,
     EndpointOverloaded,
     Experiment,
+    ReplicaGroupSpec,
     WorkloadSpec,
     find_capacity,
     chip_from_dict,
@@ -225,6 +226,24 @@ class TestSpecRoundTrip:
     def test_deployment_validation(self):
         with pytest.raises(ValueError, match="num_devices"):
             DeploymentSpec(num_devices=0)
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_router_resolves_at_every_fleet_size(self, replicas):
+        # a single endpoint never builds a router, so the spec checks
+        # the name itself instead of letting replicas=1 ignore a typo
+        with pytest.raises(KeyError, match="no-such-router"):
+            DeploymentSpec(router="no-such-router", replicas=replicas)
+        with pytest.raises(ValueError, match="short_input_tokens"):
+            DeploymentSpec(router="slo-aware:0", replicas=replicas)
+        assert DeploymentSpec(router="slo-aware:64",
+                              replicas=replicas).router == "slo-aware:64"
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_non_positive_kv_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="kv_budget_bytes"):
+            DeploymentSpec(kv_budget_bytes=budget)
+        with pytest.raises(ValueError, match="kv_budget_bytes"):
+            ReplicaGroupSpec(kv_budget_bytes=budget)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown workload field"):

@@ -1,10 +1,14 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
+import re
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api import DeploymentSpec
+from repro.cli import _SECTIONS, build_parser, main
 from repro.hardware.registry import list_chips
 
 
@@ -264,3 +268,63 @@ class TestSectionFlags:
                                     "workload": {"num_requests": 10}}))
         assert main(["run", str(path), *pair]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestErrorExits:
+    """Every subcommand turns bad input into one ``error:`` line on
+    stderr and exit 2 — never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--rate", "-1"],
+        ["serve", "--requests", "0"],
+        ["serve", "--kv-budget-gb", "-1"],
+        ["serve", "--router", "slo-aware", "--slo-short-tokens", "0"],
+        ["evaluate", "--model", "nope"],
+        ["evaluate", "--devices", "0"],
+        ["search", "--models", "nope"],
+        ["capacity", "--requests", "0"],
+        ["run", "no/such/experiment.json"],
+        ["lint", "no/such/path"],
+    ], ids=" ".join)
+    def test_bad_input_exits_2_with_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Traceback" not in captured.err
+
+
+class TestSectionTable:
+    """The section table is the one description of the feature flags:
+    each row must name real spec fields, and each knob's help the
+    default its spec field really has."""
+
+    @staticmethod
+    def _serve_actions():
+        parser = build_parser()
+        (commands,) = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        return {action.option_strings[0]: action
+                for action in commands.choices["serve"]._actions
+                if action.option_strings}
+
+    def test_rows_name_real_fields_and_their_defaults(self):
+        deployment_fields = {f.name for f in dataclasses.fields(
+            DeploymentSpec)}
+        actions = self._serve_actions()
+        for section in _SECTIONS:
+            assert section.switch in deployment_fields
+            fields = {f.name: f for f in dataclasses.fields(section.spec)}
+            assert section.field in fields
+            for flag, name, _ in section.knobs:
+                assert name in fields, (flag, name)
+                default = fields[name].default
+                action = actions[flag]
+                assert action.default is None   # unset: the spec decides
+                shown = re.search(r"\(default:? (\S+)\)$",
+                                  action.help).group(1)
+                if default is None:
+                    assert shown == "none", flag
+                else:
+                    assert isinstance(default, action.type), flag
+                    assert action.type(shown) == default, flag

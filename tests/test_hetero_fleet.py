@@ -174,6 +174,18 @@ def _trace_requests(kind, seed, count):
                                       3.0, seed))
 
 
+class _RecordingRouter:
+    """Routes like the named router and keeps every snapshot it sees."""
+
+    def __init__(self, name):
+        self.inner = make_router(name)
+        self.snapshots = []
+
+    def route(self, request, replicas):
+        self.snapshots.append(tuple(replicas))
+        return self.inner.route(request, replicas)
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     kind=st.sampled_from(["steady", "bursty", "sessions"]),
@@ -186,7 +198,8 @@ def test_one_group_fleet_bit_identical_to_legacy(kind, replicas, elastic,
                                                  seed, count):
     """The refactor's homogeneous-parity bar: spelling the fleet as one
     explicit group must not move a single bit anywhere in the engine —
-    across trace shapes, fleet sizes, and the elastic features."""
+    across trace shapes, fleet sizes, and the elastic features — and
+    the router must see the same snapshots, chip label included."""
     def run(spelling):
         if spelling == "fleet":
             deployment = DeploymentSpec(
@@ -198,10 +211,13 @@ def test_one_group_fleet_bit_identical_to_legacy(kind, replicas, elastic,
             deployment = DeploymentSpec(replicas=replicas, max_batch=8,
                                         **ELASTIC[elastic])
         engine = build_cluster_engine(deployment)
-        return engine.run(_trace_requests(kind, seed, count),
-                          max_sim_seconds=120.0)
+        router = engine.router = _RecordingRouter(engine.router)
+        result = engine.run(_trace_requests(kind, seed, count),
+                            max_sim_seconds=120.0)
+        return result, router.snapshots
 
-    legacy, fleet = run("legacy"), run("fleet")
+    (legacy, legacy_seen), (fleet, fleet_seen) = run("legacy"), run("fleet")
+    assert legacy_seen == fleet_seen
     assert cluster_fingerprint(legacy) == cluster_fingerprint(fleet)
     assert legacy.merged.total_time_s == fleet.merged.total_time_s
     if legacy.autoscale is not None:
