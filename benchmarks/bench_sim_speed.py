@@ -10,10 +10,11 @@ perf trajectory (``BENCH_sim_speed.json``).  Two workloads:
    a saturating arrival rate, the shape of a real capacity sweep.
 
 Each runs twice: the fast path (device-model memoization via
-:class:`~repro.perf.cache.CachedDeviceModel`, compiled decode kernels,
-multi-step decode fast-forward) and the reference path
+:class:`~repro.perf.cache.CachedDeviceModel`, compiled prefill and
+decode kernels, multi-step decode fast-forward) and the reference path
 (``sim_cache=False`` — the original one-iteration-at-a-time loop with
-uncompiled device models).  With ``context_bucket=1`` the two must be
+uncompiled device models, whose per-operator prefill and decode
+evaluations both kernels are held to).  With ``context_bucket=1`` the two must be
 bit-identical; the bench asserts that before reporting any speedup.
 
 A second table quantizes the decode context (``context_bucket > 1``) and
@@ -178,8 +179,8 @@ def render(payload: dict) -> str:
             ["workload", "sim tokens", "ref wall (s)", "fast wall (s)",
              "fast tok/s", "speedup", "bit-identical"],
             speed_rows,
-            title="Simulator speed: fast path (cache + compiled decode "
-                  "kernels + fast-forward) vs reference loop"),
+            title="Simulator speed: fast path (cache + compiled prefill "
+                  "and decode kernels + fast-forward) vs reference loop"),
         format_table(
             ["context bucket", "max QoS err (%)", "worst field",
              "TBT mean err (%)"],

@@ -64,7 +64,8 @@ def _prefix_cache_lines(stats) -> list[str]:
 def _device_for(chip: ChipSpec, sim_cache: bool,
                 context_bucket: int):
     """The device model for one run: fast path (memoized, with compiled
-    decode kernels) or the uncompiled reference implementation."""
+    prefill and decode kernels) or the uncompiled reference
+    implementation."""
     from repro.hardware.chip import ChipKind
 
     if not sim_cache:
@@ -75,7 +76,7 @@ def _device_for(chip: ChipSpec, sim_cache: bool,
                 "context_bucket requires the sim cache; drop "
                 "sim_cache=False / --no-sim-cache or use context_bucket=1")
         if chip.kind == ChipKind.ADOR_HDA:
-            return device_model_for(chip, compiled_decode=False)
+            return device_model_for(chip, compiled=False)
         return device_model_for(chip)
     return CachedDeviceModel(device_model_for(chip),
                              context_bucket=context_bucket)
@@ -176,9 +177,10 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     ``context_bucket=1`` the fast path is bit-identical to the reference
     loop (``sim_cache=False``); larger buckets quantize the decode
     context for higher hit rates at a small, measured latency error.
-    Bucket 32 measured 1.25-1.50x faster than exact on the seed-0
-    ``perfbench`` fleet inputs, at the ~1% max QoS error
-    ``BENCH_sim_speed.json`` records (see ``benchmarks/bench_sim_speed.py``).
+    Bucket 32 measured 1.17-1.61x faster than exact on the seed-0
+    ``perfbench`` fleet inputs (the most on multi-turn sessions), at the
+    ~1% max QoS error ``BENCH_sim_speed.json`` records (see
+    ``benchmarks/bench_sim_speed.py``).
 
     With continuous batching, arrivals are generated lazily and
     consumed through a bounded look-ahead window, at constant memory;

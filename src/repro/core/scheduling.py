@@ -14,7 +14,12 @@ The scheduler implements the paper's operating rules:
   collectives model.
 
 Every QoS experiment (Figs. 11, 15, 16, 17) consumes these estimates, so
-calibration decisions live here and nowhere else.
+calibration decisions live here and nowhere else.  The serving hot path
+evaluates them through one compiled kernel per ``(model, batch,
+devices)`` operating point and stage (:class:`_PrefillKernel`,
+:class:`_DecodeKernel`): each hoists what its stage's varying length
+cannot move and is held bit-identical to the per-operator reference
+that ``compiled=False`` keeps.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.models.layers import (
 from repro.parallel.collectives import (
     SyncPlan,
     collective_terms,
+    layer_sync_bytes,
     layer_sync_plan,
     visible_collective_time,
 )
@@ -49,6 +55,12 @@ from repro.perf.vector import VectorTimingModel
 
 #: share of a decode step's body that TP sync can hide behind
 _DECODE_TP_OVERLAP = 0.95
+#: share of a prefill chunk's body that TP sync can hide behind
+_PREFILL_TP_OVERLAP = 0.60
+#: relative FLOP slack the decode kernel's ceiling test leaves for
+#: rounding: a step whose context-0 FLOPs, shrunk by it, still clamp at
+#: the Fig. 10 ceiling clamps there at every context
+_CEILING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,16 +86,16 @@ class HdaScheduler:
     """Stage-latency estimator for one ADOR HDA chip.
 
     :meth:`layer_breakdown` evaluates one decoder layer operator by
-    operator.  :meth:`decode_step_time` runs the serving hot path
-    through a compiled :class:`_DecodeKernel` per ``(model, batch,
-    devices)`` operating point, built on first use; it is bit-identical
-    to the per-operator reference, which ``compiled_decode=False``
-    keeps.
+    operator.  :meth:`prefill_time` and :meth:`decode_step_time` run
+    the serving hot path through one compiled kernel per ``(model,
+    batch, devices)`` operating point (:class:`_PrefillKernel`,
+    :class:`_DecodeKernel`), built on first use; both are bit-identical
+    to the per-operator reference, which ``compiled=False`` keeps.
     """
 
     def __init__(self, chip: ChipSpec, use_mac_tree: bool = True,
                  config: SchedulerConfig | None = None,
-                 compiled_decode: bool = True) -> None:
+                 compiled: bool = True) -> None:
         if chip.kind != ChipKind.ADOR_HDA:
             raise ValueError(f"{chip.name} is not an ADOR HDA chip")
         if chip.systolic_array is None:
@@ -110,18 +122,18 @@ class HdaScheduler:
             frequency_hz=chip.frequency_hz,
         ) if chip.vector_unit is not None else None
         self.dataflow_latency = MultiCoreDataflow(chip, DataflowKind.LATENCY)
-        self.compiled_decode = compiled_decode
-        # id(model) -> (model, {(batch, devices): _DecodeKernel}).  An
-        # id key spares hashing the frozen ModelConfig per miss; the
+        self.compiled = compiled
+        # id(model) -> (model, {(kernel class, batch, devices): kernel}).
+        # An id key spares hashing the frozen ModelConfig per miss; the
         # model is pinned next to its kernels so a freed id can never
         # alias a new config.
-        self._decode_kernels: dict[int, tuple[ModelConfig, dict]] = {}
+        self._kernels: dict[int, tuple[ModelConfig, dict]] = {}
 
     def __getstate__(self) -> dict:
         # object ids do not survive a pickle round-trip: ship the
         # scheduler without its kernels, which rebuild on first use
         state = self.__dict__.copy()
-        state["_decode_kernels"] = {}
+        state["_kernels"] = {}
         return state
 
     # ------------------------------------------------------------------ #
@@ -232,8 +244,10 @@ class HdaScheduler:
         if devices < 1:
             raise ValueError("devices must be >= 1")
         ops = decoder_layer_operators(model, phase, batch, query_len, context_len)
-        step_flops = sum(op.flops for op in ops) * model.num_layers
-        utilization = self._decode_utilization(step_flops)
+        # only decode streams at the Fig. 10 utilization point
+        utilization = None if phase == Phase.PREFILL else \
+            self._decode_utilization(
+                sum(op.flops for op in ops) * model.num_layers)
         breakdown: dict[str, float] = {}
         for op in ops:
             if op.kind == OperatorKind.GEMM:
@@ -260,15 +274,17 @@ class HdaScheduler:
             + self.config.layer_overhead_s
         return breakdown
 
-    def _decode_kernel(self, model: ModelConfig, batch: int,
-                       devices: int) -> "_DecodeKernel":
-        entry = self._decode_kernels.get(id(model))
+    def _kernel(self, kind: type, model: ModelConfig, batch: int,
+                devices: int) -> "_PrefillKernel | _DecodeKernel":
+        """The compiled ``kind`` kernel of one operating point, built on
+        first use (a failed build stores nothing)."""
+        entry = self._kernels.get(id(model))
         if entry is None:
-            entry = self._decode_kernels[id(model)] = (model, {})
-        kernel = entry[1].get((batch, devices))
+            entry = self._kernels[id(model)] = (model, {})
+        key = (kind, batch, devices)
+        kernel = entry[1].get(key)
         if kernel is None:
-            kernel = entry[1][batch, devices] = _DecodeKernel(
-                self, model, batch, devices)
+            kernel = entry[1][key] = kind(self, model, batch, devices)
         return kernel
 
     def _lm_head_seconds(self, model: ModelConfig, batch: int,
@@ -293,19 +309,29 @@ class HdaScheduler:
             self._tp_sync_plan(model, rows, devices), self.chip.p2p,
             model.num_layers, body_seconds * overlap_capacity)
 
+    def _prefill_weight_stream(self, model: ModelConfig,
+                               devices: int) -> float:
+        """Prefill's floor: weights must still arrive from DRAM once
+        per layer."""
+        return model.active_param_bytes_per_token / devices / (
+            self.chip.memory_bandwidth * self.systolic.dram_stream_utilization)
+
     def prefill_time(self, model: ModelConfig, batch: int, seq_len: int,
                      devices: int = 1) -> BaselineBreakdown:
         """Latency to prefill ``batch`` requests of ``seq_len`` tokens."""
+        if self.compiled and seq_len >= 1:
+            # an empty chunk is invalid: the reference below raises
+            # exactly as it always has
+            return self._kernel(_PrefillKernel, model, batch,
+                                devices)(seq_len)
         layer = self.layer_breakdown(
             model, Phase.PREFILL, batch, seq_len, seq_len, devices)
         per_layer = sum(layer.values())
         compute = per_layer * model.num_layers
-        # weights must still arrive from DRAM once per layer
-        weight_stream = model.active_param_bytes_per_token / devices / (
-            self.chip.memory_bandwidth * self.systolic.dram_stream_utilization)
+        weight_stream = self._prefill_weight_stream(model, devices)
         body = max(compute, weight_stream)
         comm = self._tp_sync_seconds(model, batch * seq_len, devices,
-                                     body, overlap_capacity=0.60)
+                                     body, _PREFILL_TP_OVERLAP)
         attn = layer.get("attention", 0.0) * model.num_layers
         return BaselineBreakdown(
             seconds=body + comm,
@@ -319,10 +345,11 @@ class HdaScheduler:
     def decode_step_time(self, model: ModelConfig, batch: int, context_len: int,
                          devices: int = 1) -> BaselineBreakdown:
         """One decode iteration over ``batch`` requests (TBT = 1/this)."""
-        if self.compiled_decode and context_len >= 0:
+        if self.compiled and context_len >= 0:
             # a negative context is invalid: the reference below raises
             # (or not) exactly as it always has
-            return self._decode_kernel(model, batch, devices)(context_len)
+            return self._kernel(_DecodeKernel, model, batch,
+                                devices)(context_len)
         layer = self.layer_breakdown(
             model, Phase.DECODE, batch, 1, context_len, devices)
         body = sum(layer.values()) * model.num_layers
@@ -341,6 +368,212 @@ class HdaScheduler:
         )
 
 
+#: _PrefillKernel operator tags
+_GEMM, _ATTENTION, _NORM, _ELEMENTWISE, _NO_VECTOR_UNIT = range(5)
+
+
+class _PrefillKernel:
+    """One prefill operating point ``(model, batch, devices)``, compiled.
+
+    A chunk of ``seq_len`` tokens per request sets the layer's row
+    count, ``rows = batch * seq_len``.  That moves every GEMM's FLOPs
+    and rows per core, every vector op's elements, the attention GEMM's
+    rows and columns and its softmax, the core-sync bubble and the TP
+    sync volume.  Everything else is hoisted here, once: each
+    operator's shape, its tile counts under both core splits and their
+    weight-tile DRAM stalls, the vector and softmax rates, the layer
+    overhead, the TP sync's method, overlap and latency, and the
+    weight-stream floor.
+    :meth:`__call__` evaluates one chunk in the float-operation order of
+    the per-operator reference (``compiled=False``): split ties go to
+    the M split, as in :meth:`SystolicTimingModel.gemm`, and every sum
+    is a ``sum()`` over the reference's ordered list, so each
+    :class:`BaselineBreakdown` field is bit-identical to the
+    reference's.  The only operations dropped are exact ones: an
+    elementwise op's ``1.0 *`` pass count, the ``+ 0`` stall of the
+    attention's resident operands, the ``0.0 +`` of summing into an
+    empty dict slot and a skipped softmax's ``+ 0.0``; and a systolic
+    GEMM's time is never zero (its head loads one tile), so the
+    reference's zero-time rate fallback never runs.
+    """
+
+    __slots__ = (
+        "batch", "devices", "num_layers", "ways", "fill_drain", "load",
+        "cols", "frequency", "head_m", "floor_m", "head_n", "floor_n",
+        "sa_efficiency", "mt_rate", "ops", "slot", "out_proj", "jobs",
+        "head_dim_tiles", "softmax_heads", "vector_overhead",
+        "vector_rate", "sync_terms", "hidden", "layer_overhead",
+        "weight_stream", "tp_method", "tp_row_bytes", "tp_bandwidth",
+        "tp_overlap", "tp_latency",
+    )
+
+    def __init__(self, scheduler: HdaScheduler, model: ModelConfig,
+                 batch: int, devices: int) -> None:
+        # the reference's argument checks, in its order
+        if devices < 1:
+            raise ValueError("devices must be >= 1")
+        ops = decoder_layer_operators(model, Phase.PREFILL, batch, 1, 1)
+        self.batch = batch
+        self.devices = devices
+        self.num_layers = model.num_layers
+
+        # SystolicTimingModel.gemm, double-buffered at its default
+        # 2-byte tiles: a core split takes
+        #   head + max(rows per core + fill_drain, floor) * tiles
+        # cycles.  The M split gives each core and lane ceil(rows /
+        # ways) rows and fetches each weight tile once for all cores;
+        # the N split gives every core all rows and splits the weight
+        # columns, each core fetching its own tile.
+        systolic = scheduler.systolic
+        array = systolic.array
+        self.ways = systolic.cores * array.lanes
+        self.fill_drain = array.rows + array.cols - 2
+        self.load = array.rows
+        self.cols = array.cols
+        self.frequency = systolic.frequency_hz
+        stream = scheduler.chip.memory_bandwidth \
+            * systolic.dram_stream_utilization
+        stall_m = array.rows * array.cols * 2 / stream * self.frequency
+        stall_n = array.rows * array.cols * 2 * systolic.cores / stream \
+            * self.frequency
+        self.head_m = array.rows + stall_m
+        self.floor_m = max(array.rows, stall_m)
+        self.head_n = array.rows + stall_n
+        self.floor_n = max(array.rows, stall_n)
+        self.sa_efficiency = scheduler.config.sa_efficiency
+        self.mt_rate = scheduler._mt_rate()
+
+        vector = scheduler.vector
+        self.vector_rate = None
+        if vector is not None:
+            self.vector_overhead = vector.op_overhead_s
+            self.vector_rate = vector.elements_per_second
+        entries = []
+        for op in ops:
+            if op.kind == OperatorKind.GEMM:
+                # _prefill_gemm_seconds: _gemm's FLOPs 2.0 * rows * k *
+                # n * weight copies over the devices; TP shards the
+                # weight columns
+                n_shard = max(1, math.ceil(op.n / devices))
+                k_tiles = math.ceil(op.k / array.rows)
+                copies = op.weight_bytes / (op.k * op.n * model.dtype_bytes)
+                entries.append((
+                    _GEMM, op.k, op.n, copies,
+                    k_tiles * math.ceil(n_shard / array.cols),
+                    k_tiles * math.ceil(math.ceil(n_shard / self.ways)
+                                        / array.cols)))
+            elif op.kind == OperatorKind.ATTENTION:
+                # _prefill_attention_seconds and _softmax_seconds: the
+                # heads shard over the devices
+                self.softmax_heads = max(1, op.heads // devices)
+                self.jobs = batch * self.softmax_heads
+                self.head_dim_tiles = math.ceil(op.k / array.rows)
+                entries.append((_ATTENTION,))
+            elif vector is None:
+                entries.append((_NO_VECTOR_UNIT,))
+            elif op.name.endswith("norm"):
+                entries.append((_NORM, max(1, op.k // devices)))
+            else:
+                entries.append((_ELEMENTWISE, op.k))
+        self.ops = tuple(entries)
+        names = [op.name for op in ops]
+        self.slot = names.index("attention")
+        self.out_proj = names.index("out_proj")
+
+        self.sync_terms = scheduler.dataflow_latency.sync_terms
+        self.hidden = model.hidden_size
+        self.layer_overhead = scheduler.config.layer_overhead_s
+        self.weight_stream = scheduler._prefill_weight_stream(model, devices)
+        self.tp_method = None
+        if devices > 1:
+            # _tp_sync_seconds: only the plan's bytes carry the rows
+            plan = scheduler._tp_sync_plan(model, batch, devices)
+            self.tp_method = plan.method
+            self.tp_row_bytes = model.hidden_size * model.dtype_bytes
+            self.tp_bandwidth = scheduler.chip.p2p.bandwidth_bytes_per_s
+            self.tp_overlap = plan.overlappable_fraction
+            self.tp_latency = collective_terms(
+                plan, scheduler.chip.p2p, model.num_layers)[2]
+
+    def _attention(self, seq_len: int, rows: int) -> float:
+        """The chunk attention: score and context as one GEMM of doubled
+        N on resident operands (no stall), then the softmax."""
+        m = seq_len * self.jobs
+        n = 2 * seq_len
+        load = self.load
+        total_m = load + max(math.ceil(m / self.ways) + self.fill_drain,
+                             load) \
+            * (self.head_dim_tiles * math.ceil(n / self.cols))
+        total_n = load + max(m + self.fill_drain, load) \
+            * (self.head_dim_tiles
+               * math.ceil(math.ceil(n / self.ways) / self.cols))
+        seconds = (total_m if total_m <= total_n else total_n) \
+            / self.frequency * (0.5 if seq_len > 1 else 1.0) \
+            / self.sa_efficiency
+        if self.vector_rate is not None:
+            seconds += self.vector_overhead + 2.0 * (
+                float(rows * self.softmax_heads) * seq_len) / self.vector_rate
+        return seconds
+
+    def __call__(self, seq_len: int) -> BaselineBreakdown:
+        rows = self.batch * seq_len
+        devices = self.devices
+        frequency = self.frequency
+        sa_efficiency = self.sa_efficiency
+        mt_rate = self.mt_rate
+        head_m = self.head_m
+        head_n = self.head_n
+        per_tile_m = max(math.ceil(rows / self.ways) + self.fill_drain,
+                         self.floor_m)
+        per_tile_n = max(rows + self.fill_drain, self.floor_n)
+        layer = []
+        for op in self.ops:
+            kind = op[0]
+            if kind == _GEMM:
+                _, k, n, copies, tiles_m, tiles_n = op
+                total_m = head_m + per_tile_m * tiles_m
+                total_n = head_n + per_tile_n * tiles_n
+                flops = 2.0 * rows * k * n * copies / devices
+                sa_rate = flops / ((total_m if total_m <= total_n
+                                    else total_n) / frequency) \
+                    * sa_efficiency
+                layer.append(flops / (sa_rate + mt_rate))
+            elif kind == _ATTENTION:
+                layer.append(self._attention(seq_len, rows))
+            elif kind == _NORM:
+                layer.append(self.vector_overhead + 2.0 * (
+                    float(rows) * op[1]) / self.vector_rate)
+            elif kind == _ELEMENTWISE:
+                layer.append(self.vector_overhead
+                             + rows * op[1] / devices / self.vector_rate)
+            else:
+                layer.append(0.0)
+
+        wire, hideable, hop = self.sync_terms(rows, self.hidden,
+                                              CoreSyncMethod.ALL_GATHER)
+        core_sync = 2 * (wire - min(hideable, layer[self.out_proj]) + hop) \
+            + self.layer_overhead
+        layer.append(core_sync)
+        compute = sum(layer) * self.num_layers
+        body = max(compute, self.weight_stream)
+        if self.tp_method is None:
+            comm = 0.0
+        else:
+            wire = self.num_layers * layer_sync_bytes(
+                self.tp_method, rows * self.tp_row_bytes, devices) \
+                / self.tp_bandwidth
+            comm = wire - min(wire * self.tp_overlap,
+                              body * _PREFILL_TP_OVERLAP) + self.tp_latency
+        return BaselineBreakdown(
+            seconds=body + comm,
+            weight_stream=self.weight_stream,
+            attention=layer[self.slot] * self.num_layers,
+            compute=compute,
+            communication=comm,
+            overhead=core_sync * self.num_layers,
+        )
+
+
 class _DecodeKernel:
     """One decode operating point ``(model, batch, devices)``, compiled.
 
@@ -348,9 +581,13 @@ class _DecodeKernel:
     the Fig. 10 utilization point, and with it every GEMM's stream
     time; its KV stream and softmax grow with it; the core-sync bubble
     and the TP sync hide behind what it leaves.  Every other term is
-    hoisted here, once.  :meth:`__call__` evaluates one context in the
+    hoisted here, once.  When the utilization cannot move — no MAC
+    tree, or a context-0 step already clamped at the curve's ceiling —
+    the whole GEMM layer, its sum and the core-sync bubble are hoisted
+    too, and a miss computes only attention, softmax, the body sum and
+    the TP sync.  :meth:`__call__` evaluates one context in the
     float-operation order of the per-operator reference
-    (``compiled_decode=False``), so its :class:`BaselineBreakdown` is
+    (``compiled=False``), so its :class:`BaselineBreakdown` is
     bit-identical to the reference's.  Products that carry the context
     keep the reference's factor order; the only operations dropped are
     exact ones: decode's ``* 1.0`` causal factor, the ``0.0 +`` of
@@ -358,13 +595,13 @@ class _DecodeKernel:
     """
 
     __slots__ = (
-        "num_layers", "curve", "fixed_utilization", "attn_flops",
-        "heads", "batch", "flops_pre", "flops_post", "bandwidth", "ops",
-        "slot", "out_proj", "kv_batch", "kv_heads", "head_dim",
-        "dtype_bytes", "devices", "mt_flops", "mt_rereads",
-        "mt_bandwidth", "mt_curve", "mt_rate", "softmax_rows",
-        "vector_overhead", "vector_rate", "core_sync", "layer_overhead",
-        "head_seconds", "tp_sync",
+        "num_layers", "curve", "attn_flops", "heads", "batch",
+        "flops_pre", "flops_post", "bandwidth", "ops", "slot",
+        "out_proj", "kv_batch", "kv_heads", "head_dim", "dtype_bytes",
+        "devices", "mt_flops", "mt_rereads", "mt_bandwidth", "mt_curve",
+        "mt_rate", "softmax_rows", "vector_overhead", "vector_rate",
+        "core_sync", "layer_overhead", "head_seconds", "tp_sync",
+        "gemm_layer",
     )
 
     def __init__(self, scheduler: HdaScheduler, model: ModelConfig,
@@ -383,7 +620,6 @@ class _DecodeKernel:
         # step FLOPs -> the layer's DRAM utilization point: the Fig. 10
         # curve with the MAC tree, a constant without it
         self.curve = MT_BANDWIDTH_CURVE if scheduler.use_mac_tree else None
-        self.fixed_utilization = scheduler.config.sa_only_gemv_utilization
         # attention_operator's FLOPs: 2.0 * 2.0 * query_len * head_dim,
         # then * context * num_heads * batch
         self.attn_flops = 2.0 * 2.0 * 1 * model.head_dim
@@ -449,19 +685,44 @@ class _DecodeKernel:
             scheduler._tp_sync_plan(model, batch, devices),
             scheduler.chip.p2p, model.num_layers)
 
-    def __call__(self, context_len: int) -> BaselineBreakdown:
+        # FLOPs only grow with the context, so a context-0 step that
+        # clamps at the curve's ceiling (less a rounding slack) clamps
+        # at every context
+        self.gemm_layer = None
         if self.curve is None:
-            utilization = self.fixed_utilization
-        else:
-            attn_flops = self.attn_flops * context_len * self.heads \
-                * self.batch
-            utilization = self.curve.utilization(
-                sum(self.flops_post, self.flops_pre + attn_flops)
-                * self.num_layers)
+            self.gemm_layer = self._gemm_layer(
+                scheduler.config.sa_only_gemv_utilization)
+        elif self.curve.utilization(
+                sum(self.flops_post, self.flops_pre) * self.num_layers
+                * (1.0 - _CEILING_SLACK)) >= self.curve.ceiling:
+            self.gemm_layer = self._gemm_layer(self.curve.ceiling)
+
+    def _gemm_layer(self, utilization: float) -> tuple:
+        """The layer at one DRAM utilization, all but its attention:
+        ``(bandwidth, the layer's seconds in order with the attention
+        slot empty and the core-sync bubble last, the bubble, the sum
+        of the operators but attention)``."""
         bw_util = self.bandwidth * utilization
         layer = [seconds if weight_bytes is None
                  else max(weight_bytes / bw_util, seconds)
                  for weight_bytes, seconds in self.ops]
+        wire, hideable, hop = self.core_sync
+        core_sync = 2 * (wire - min(hideable, layer[self.out_proj]) + hop) \
+            + self.layer_overhead
+        weight_stream = sum(layer)
+        layer.insert(self.slot, None)
+        layer.append(core_sync)
+        return bw_util, layer, core_sync, weight_stream
+
+    def __call__(self, context_len: int) -> BaselineBreakdown:
+        gemm_layer = self.gemm_layer
+        if gemm_layer is None:
+            attn_flops = self.attn_flops * context_len * self.heads \
+                * self.batch
+            gemm_layer = self._gemm_layer(self.curve.utilization(
+                sum(self.flops_post, self.flops_pre + attn_flops)
+                * self.num_layers))
+        bw_util, layer, core_sync, weight_stream = gemm_layer
 
         kv_bytes = self.kv_batch * context_len * self.kv_heads \
             * self.head_dim * self.dtype_bytes
@@ -478,12 +739,8 @@ class _DecodeKernel:
             attention += self.vector_overhead \
                 + 2.0 * (self.softmax_rows * context_len) / self.vector_rate
 
-        wire, hideable, hop = self.core_sync
-        core_sync = 2 * (wire - min(hideable, layer[self.out_proj]) + hop) \
-            + self.layer_overhead
-        weight_stream = sum(layer)
-        layer.insert(self.slot, attention)
-        layer.append(core_sync)
+        layer = layer.copy()  # a hoisted layer serves every call
+        layer[self.slot] = attention
         body = sum(layer) * self.num_layers + self.head_seconds
         if self.tp_sync is None:
             comm = 0.0
@@ -502,19 +759,18 @@ class _DecodeKernel:
 class AdorDeviceModel(DeviceModel):
     """:class:`DeviceModel` facade over the HDA scheduler.
 
-    A decode step is one call into the scheduler's compiled kernel for
-    its operating point.  ``compiled_decode=False`` forces the
-    per-operator reference evaluation the kernels are held
-    bit-identical to.
+    A prefill chunk or a decode step is one call into the scheduler's
+    compiled kernel for its stage and operating point.
+    ``compiled=False`` forces the per-operator reference evaluation the
+    kernels are held bit-identical to.
     """
 
     def __init__(self, chip: ChipSpec, use_mac_tree: bool = True,
                  config: SchedulerConfig | None = None,
-                 compiled_decode: bool = True) -> None:
+                 compiled: bool = True) -> None:
         super().__init__(chip)
         self.scheduler = HdaScheduler(chip, use_mac_tree=use_mac_tree,
-                                      config=config,
-                                      compiled_decode=compiled_decode)
+                                      config=config, compiled=compiled)
 
     def prefill_time(self, model: ModelConfig, batch: int, seq_len: int,
                      num_devices: int = 1) -> BaselineBreakdown:

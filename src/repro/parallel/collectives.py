@@ -86,34 +86,39 @@ def layer_sync_plan(method: SyncMethod, tensor_bytes: float,
     ``tensor_bytes`` is the full (un-sharded) activation tensor produced
     by one synchronized operator, i.e. ``rows x hidden x dtype``.
     """
+    bytes_per_layer = layer_sync_bytes(method, tensor_bytes, devices)
+    if devices == 1:
+        return SyncPlan(method, bytes_per_layer, 0, 1.0)
+    if method == SyncMethod.ALL_GATHER:
+        return SyncPlan(method, bytes_per_layer,
+                        steps_per_layer=_AG_SYNCS_PER_LAYER,
+                        overlappable_fraction=0.90)
+    if method == SyncMethod.ALL_REDUCE:
+        return SyncPlan(method, bytes_per_layer,
+                        steps_per_layer=_SYNCS_PER_LAYER,
+                        overlappable_fraction=0.25)
+    return SyncPlan(method, bytes_per_layer,
+                    steps_per_layer=_SYNCS_PER_LAYER,
+                    overlappable_fraction=0.50)
+
+
+def layer_sync_bytes(method: SyncMethod, tensor_bytes: float,
+                     devices: int) -> float:
+    """Wire bytes per device per decoder layer of a TP method: the
+    ``bytes_per_layer`` of :func:`layer_sync_plan`, without building
+    the plan."""
     _validate(tensor_bytes, devices)
     if devices == 1:
-        return SyncPlan(method, 0.0, 0, 1.0)
+        return 0.0
     if method == SyncMethod.ALL_GATHER:
-        per_sync = all_gather_bytes_per_device(tensor_bytes, devices)
-        return SyncPlan(
-            method,
-            bytes_per_layer=_AG_SYNCS_PER_LAYER * per_sync,
-            steps_per_layer=_AG_SYNCS_PER_LAYER,
-            overlappable_fraction=0.90,
-        )
+        return _AG_SYNCS_PER_LAYER * all_gather_bytes_per_device(
+            tensor_bytes, devices)
     if method == SyncMethod.ALL_REDUCE:
-        per_sync = all_reduce_bytes_per_device(tensor_bytes, devices)
-        return SyncPlan(
-            method,
-            bytes_per_layer=_SYNCS_PER_LAYER * per_sync,
-            steps_per_layer=_SYNCS_PER_LAYER,
-            overlappable_fraction=0.25,
-        )
+        return _SYNCS_PER_LAYER * all_reduce_bytes_per_device(
+            tensor_bytes, devices)
     if method == SyncMethod.MEGATRON:
-        gathered = all_gather_bytes_per_device(tensor_bytes, devices)
-        reduced = all_reduce_bytes_per_device(tensor_bytes, devices)
-        return SyncPlan(
-            method,
-            bytes_per_layer=gathered + reduced,
-            steps_per_layer=_SYNCS_PER_LAYER,
-            overlappable_fraction=0.50,
-        )
+        return all_gather_bytes_per_device(tensor_bytes, devices) \
+            + all_reduce_bytes_per_device(tensor_bytes, devices)
     raise ValueError(f"unknown method {method!r}")
 
 

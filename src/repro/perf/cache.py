@@ -18,11 +18,12 @@ error (the KV-attention term shifts by at most half a bucket of context)
 for a much higher hit rate — useful for coarse design-space sweeps;
 ``benchmarks/bench_sim_speed.py`` reports the measured error.
 
-Why the modeled knob exists: with exact decode misses already cheap
-(one compiled kernel per operating point), ``context_bucket=32`` still
-measured 1.25-1.50x faster than the exact run on the seed-0
-``perfbench`` inputs of ``poisson-4x`` and ``sessions-prefix-4x``
-(2-core Xeon host, median of alternating pairs), at the error
+Why the modeled knob exists: with exact prefill and decode misses
+already cheap (compiled kernels per operating point), ``context_bucket=32``
+still measured 1.17-1.19x faster than the exact run on the seed-0
+``perfbench`` inputs of ``poisson-4x`` and 1.36-1.61x on
+``sessions-prefix-4x``, whose multi-turn contexts miss the most (2-core
+Xeon host, median of 5 alternating pairs, two rounds), at the error
 ``BENCH_sim_speed.json`` records: ~1% max QoS error at 32, ~2% at 128.
 """
 

@@ -6,9 +6,12 @@ import pickle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.api import DeploymentSpec, WorkloadSpec, simulate
 from repro.core.scheduling import (
     AdorDeviceModel,
     HdaScheduler,
+    _DecodeKernel,
+    _PrefillKernel,
     device_model_for,
 )
 from repro.hardware.presets import a100, ador_table3, llmcompass_latency
@@ -57,6 +60,15 @@ class TestLayerBreakdown:
         short = ador.scheduler.layer_breakdown(llama3, Phase.DECODE, 32, 1, 256)
         long = ador.scheduler.layer_breakdown(llama3, Phase.DECODE, 32, 1, 4096)
         assert long["attention"] > 4 * short["attention"]
+
+    def test_prefill_reads_no_decode_utilization(self, ador, llama3,
+                                                 monkeypatch):
+        def decode_only(step_flops):
+            raise AssertionError("prefill evaluated the decode utilization")
+
+        monkeypatch.setattr(ador.scheduler, "_decode_utilization",
+                            decode_only)
+        ador.scheduler.layer_breakdown(llama3, Phase.PREFILL, 8, 512, 512)
 
     def test_tp_shards_gemm_time(self, ador, llama3):
         one = ador.scheduler.layer_breakdown(llama3, Phase.DECODE, 32, 1, 1024,
@@ -162,10 +174,11 @@ CHIP_VARIANTS = {
 }
 
 
-def decode_outcome(device, model, batch, context, devices):
-    """Every field of one decode step as float hex, or the error text."""
+def outcome(evaluate, model, batch, length, devices):
+    """Every field of one stage estimate as float hex, or the error
+    text."""
     try:
-        step = device.decode_step_time(model, batch, context, devices)
+        step = evaluate(model, batch, length, devices)
     except ValueError as error:
         return f"ValueError: {error}"
     return {field.name: getattr(step, field.name).hex()
@@ -176,12 +189,65 @@ def kernel_and_reference(chip, use_mac_tree):
     chip_spec = CHIP_VARIANTS[chip]
     return (AdorDeviceModel(chip_spec, use_mac_tree=use_mac_tree),
             AdorDeviceModel(chip_spec, use_mac_tree=use_mac_tree,
-                            compiled_decode=False))
+                            compiled=False))
+
+
+def built_kernels(device):
+    """Every compiled kernel a device's scheduler holds."""
+    return [kernel for _, kernels in device.scheduler._kernels.values()
+            for kernel in kernels.values()]
+
+
+class TestCompiledPrefillKernel:
+    """The compiled prefill kernel against the per-operator reference
+    (``compiled=False``), bit for bit at the device level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chip=st.sampled_from(sorted(CHIP_VARIANTS)),
+           use_mac_tree=st.booleans(),
+           model=st.sampled_from(list_models()),
+           batch=st.integers(1, 64),
+           seq_len=st.integers(1, 8192),
+           devices=st.integers(1, 8))
+    # a one-token chunk: no causal halving of the attention
+    @example(chip="table3", use_mac_tree=True, model="llama3-8b", batch=1,
+             seq_len=1, devices=1)
+    # MoE weight copies; Megatron TP sync on a one-core chip
+    @example(chip="one-core", use_mac_tree=True, model="mixtral-8x7b",
+             batch=3, seq_len=512, devices=2)
+    @example(chip="no-vector-unit", use_mac_tree=False, model="falcon-7b",
+             batch=64, seq_len=8192, devices=8)
+    # all-gather TP sync over an uneven head shard
+    @example(chip="no-mac-tree", use_mac_tree=True, model="llama3-70b",
+             batch=8, seq_len=300, devices=3)
+    def test_bit_identical_to_reference(self, chip, use_mac_tree, model,
+                                        batch, seq_len, devices):
+        kernel, reference = kernel_and_reference(chip, use_mac_tree)
+        config = get_model(model)
+        assert outcome(kernel.prefill_time, config, batch, seq_len, devices) \
+            == outcome(reference.prefill_time, config, batch, seq_len,
+                       devices)
+
+    @pytest.mark.parametrize("chip", sorted(CHIP_VARIANTS))
+    @pytest.mark.parametrize("use_mac_tree", (True, False))
+    @pytest.mark.parametrize("batch, seq_len, devices",
+                             ((0, 512, 1), (8, 0, 1), (8, 512, 0)))
+    def test_invalid_points_match_reference(self, chip, use_mac_tree, batch,
+                                            seq_len, devices, llama3):
+        kernel, reference = kernel_and_reference(chip, use_mac_tree)
+        expected = outcome(reference.prefill_time, llama3, batch, seq_len,
+                           devices)
+        assert expected.startswith("ValueError")
+        # twice: a failed build must not leave a kernel behind
+        for _ in range(2):
+            assert outcome(kernel.prefill_time, llama3, batch, seq_len,
+                           devices) == expected
+        assert built_kernels(kernel) == []
 
 
 class TestCompiledDecodeKernel:
     """The compiled decode kernel against the per-operator reference
-    (``compiled_decode=False``), bit for bit at the device level."""
+    (``compiled=False``), bit for bit at the device level."""
 
     @settings(max_examples=300, deadline=None)
     @given(chip=st.sampled_from(sorted(CHIP_VARIANTS)),
@@ -202,12 +268,33 @@ class TestCompiledDecodeKernel:
     # heads: the MAC tree's decode attention rejects the uneven shard
     @example(chip="table3", use_mac_tree=True, model="llama3-70b", batch=8,
              context=512, devices=3)
+    # hoisted GEMM layers: a context-0 step clamped at the Fig. 10
+    # ceiling, and a chip without a MAC tree
+    @example(chip="table3", use_mac_tree=True, model="llama3-70b",
+             batch=64, context=4096, devices=4)
+    @example(chip="no-mac-tree", use_mac_tree=True, model="llama3-8b",
+             batch=8, context=2048, devices=2)
     def test_bit_identical_to_reference(self, chip, use_mac_tree, model,
                                         batch, context, devices):
         kernel, reference = kernel_and_reference(chip, use_mac_tree)
         config = get_model(model)
-        assert decode_outcome(kernel, config, batch, context, devices) \
-            == decode_outcome(reference, config, batch, context, devices)
+        assert outcome(kernel.decode_step_time, config, batch, context,
+                       devices) \
+            == outcome(reference.decode_step_time, config, batch, context,
+                       devices)
+
+    @pytest.mark.parametrize("chip, use_mac_tree, model, batch, hoisted", (
+        ("table3", True, "llama3-70b", 64, True),
+        ("no-mac-tree", True, "llama3-8b", 8, True),
+        ("table3", False, "llama3-8b", 8, True),
+        ("table3", True, "llama3-8b", 1, False),
+    ))
+    def test_gemm_layer_hoisted_where_utilization_cannot_move(
+            self, chip, use_mac_tree, model, batch, hoisted):
+        kernel, _ = kernel_and_reference(chip, use_mac_tree)
+        kernel.decode_step_time(get_model(model), batch, 100, 1)
+        (built,) = built_kernels(kernel)
+        assert (built.gemm_layer is not None) == hoisted
 
     @pytest.mark.parametrize("chip", sorted(CHIP_VARIANTS))
     @pytest.mark.parametrize("use_mac_tree", (True, False))
@@ -216,18 +303,50 @@ class TestCompiledDecodeKernel:
     def test_invalid_points_match_reference(self, chip, use_mac_tree, batch,
                                             context, devices, llama3):
         kernel, reference = kernel_and_reference(chip, use_mac_tree)
-        expected = decode_outcome(reference, llama3, batch, context, devices)
+        expected = outcome(reference.decode_step_time, llama3, batch,
+                           context, devices)
         if batch < 1 or devices < 1:
             assert expected.startswith("ValueError")
         # twice: a failed build must not leave a kernel behind
         for _ in range(2):
-            assert decode_outcome(kernel, llama3, batch, context, devices) \
-                == expected
+            assert outcome(kernel.decode_step_time, llama3, batch, context,
+                           devices) == expected
+        assert built_kernels(kernel) == []
 
     def test_warmed_scheduler_pickles_without_kernels(self, llama3):
         device = AdorDeviceModel(ador_table3())
-        before = device.decode_step_time(llama3, 8, 300, 2)
+        before = (device.prefill_time(llama3, 4, 512, 2),
+                  device.decode_step_time(llama3, 8, 300, 2))
         clone = pickle.loads(pickle.dumps(device))
-        assert clone.scheduler._decode_kernels == {}
-        assert device.scheduler._decode_kernels  # the original keeps its own
-        assert clone.decode_step_time(llama3, 8, 300, 2) == before
+        assert clone.scheduler._kernels == {}
+        # the original keeps its own, of both kinds
+        assert {type(kernel) for kernel in built_kernels(device)} \
+            == {_PrefillKernel, _DecodeKernel}
+        assert (clone.prefill_time(llama3, 4, 512, 2),
+                clone.decode_step_time(llama3, 8, 300, 2)) == before
+
+
+class TestReferencePaths:
+    """``compiled=False`` and ``sim_cache=False`` build no kernel."""
+
+    def test_uncompiled_device_builds_no_kernel(self, llama3):
+        device = AdorDeviceModel(ador_table3(), compiled=False)
+        device.prefill_time(llama3, 4, 512, 2)
+        device.decode_step_time(llama3, 8, 300, 2)
+        assert device.scheduler._kernels == {}
+
+    def test_reference_simulation_builds_no_kernel(self, monkeypatch):
+        kinds = []
+        kernel = HdaScheduler._kernel
+
+        def recording(self, kind, *args):
+            kinds.append(kind)
+            return kernel(self, kind, *args)
+
+        monkeypatch.setattr(HdaScheduler, "_kernel", recording)
+        deployment = DeploymentSpec(chip="ador", max_batch=8)
+        workload = WorkloadSpec(rate_per_s=10.0, num_requests=20, seed=3)
+        simulate(deployment, workload, sim_cache=False)
+        assert kinds == []
+        simulate(deployment, workload)
+        assert set(kinds) == {_PrefillKernel, _DecodeKernel}

@@ -12,6 +12,7 @@ from repro.parallel.collectives import (
     SyncMethod,
     all_gather_bytes_per_device,
     all_reduce_bytes_per_device,
+    layer_sync_bytes,
     layer_sync_plan,
 )
 from repro.perf.effective_bandwidth import MT_BANDWIDTH_CURVE
@@ -195,6 +196,14 @@ def test_sync_plans_non_negative(tensor, d, method):
     assert plan.bytes_per_layer >= 0
     assert plan.steps_per_layer >= 0
     assert 0.0 <= plan.overlappable_fraction <= 1.0
+
+
+@given(tensor=st.floats(min_value=0, max_value=1e12),
+       d=st.integers(min_value=1, max_value=64),
+       method=st.sampled_from(list(SyncMethod)))
+def test_sync_bytes_are_the_plans(tensor, d, method):
+    assert layer_sync_bytes(method, tensor, d).hex() \
+        == layer_sync_plan(method, tensor, d).bytes_per_layer.hex()
 
 
 # --------------------------------------------------------------------- #
