@@ -9,7 +9,7 @@ at batch 150 ADOR reaches 2.36x (8B) / 2.51x (70B) the A100's TBT, and
 
 from conftest import run_once
 
-from repro.analysis.metrics import area_efficiency_gain
+from repro.analysis.metrics import area_efficiency_gain, qos_gain
 from repro.analysis.tables import format_table
 from repro.core.scheduling import device_model_for
 from repro.hardware.area import AreaModel
@@ -38,7 +38,8 @@ def _qos(model_name, devices):
 def _gains(tbt_rows, area_model, designs):
     ador = next(r for r in tbt_rows if r[0] == "ADOR")
     a100_row = next(r for r in tbt_rows if r[0] == "A100")
-    tbt_gain = ador[-1] / a100_row[-1]
+    tbt_gain = qos_gain(candidate_seconds=1.0 / ador[-1],
+                        baseline_seconds=1.0 / a100_row[-1])
     area_gain = area_efficiency_gain(
         candidate_seconds=1.0 / ador[-1],
         candidate_area=area_model.die_area_mm2(designs["ADOR"]),

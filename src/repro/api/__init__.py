@@ -58,8 +58,6 @@ from repro.api.specs import (
     FleetSpec,
     ReplicaGroupSpec,
     WorkloadSpec,
-    chip_from_dict,
-    chip_to_dict,
 )
 from repro.cluster.report import GroupBreakdown
 from repro.core.scheduling import device_model_for
@@ -118,8 +116,6 @@ __all__ = [
     "load_experiment",
     "save_experiment",
     "run_experiment",
-    "chip_to_dict",
-    "chip_from_dict",
     "get_chip",
     "list_chips",
     "register_chip",

@@ -15,14 +15,16 @@ declaration order and rejects unknown keys at every level.
 
 Chips are referenced by registry name (``"ador"``, ``"a100"``, ...) or
 embedded as a full custom :class:`~repro.hardware.chip.ChipSpec`, which
-:func:`chip_to_dict` / :func:`chip_from_dict` serialize field-by-field
-(process node by label, infinite SRAM bandwidth as ``null``).
+the same codec carries like any nested dataclass: enums by value (the
+process node by its label, ``"7nm"``), infinite SRAM bandwidth as
+``null``.  Every chip field without a default must be present; a chip
+without a systolic array, MAC tree or vector unit writes ``null`` there.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, TypeVar
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
     from repro.serving.stream import RequestStream
@@ -30,12 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
 from repro.cluster.autoscaler import AutoscaleSpec
 from repro.cluster.faults import FaultSpec
 from repro.cluster.router import make_router
-from repro.hardware.chip import ChipKind, ChipSpec
-from repro.hardware.components import MacTree, SystolicArray, VectorUnit
-from repro.hardware.interconnect import NocSpec, NocTopology, P2pSpec
-from repro.hardware.memory import Dram, DramKind, Sram
+from repro.hardware.chip import ChipSpec
 from repro.hardware.registry import get_chip
-from repro.hardware.technology import ProcessNode
 from repro.serving.capacity import check_search_inputs
 from repro.serving.dataset import ChatTraceConfig
 from repro.serving.request import Request
@@ -43,129 +41,7 @@ from repro.serving.prefix_cache import PrefixCacheSpec
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.sessions import SessionConfig
 from repro.serving.traces import get_trace
-from repro.spec_codec import (
-    OMIT_DEFAULT,
-    SpecCodec,
-    check_keys,
-    decode,
-    register_format,
-)
-
-_PROCESS_BY_LABEL = {node.label: node for node in ProcessNode}
-
-T = TypeVar("T")
-
-
-# --------------------------------------------------------------------- #
-# ChipSpec <-> dict                                                      #
-# --------------------------------------------------------------------- #
-
-def _finite(value: float | None) -> float | None:
-    """Map +inf to None so the dict stays strict-JSON clean."""
-    if value is None or value == float("inf"):
-        return None
-    return value
-
-
-def _sram_to_dict(sram: Sram) -> dict[str, float | None]:
-    return {"size_bytes": sram.size_bytes,
-            "bandwidth_bytes_per_s": _finite(sram.bandwidth_bytes_per_s)}
-
-
-def _sram_from_dict(data: Any) -> Sram:
-    bandwidth = check_keys(Sram, data).get("bandwidth_bytes_per_s")
-    return Sram(size_bytes=data["size_bytes"],
-                bandwidth_bytes_per_s=float("inf") if bandwidth is None
-                else bandwidth)
-
-
-def _optional_unit(cls: type[T], data: Any) -> T | None:
-    return decode(cls, data) if data else None
-
-
-def chip_to_dict(chip: ChipSpec) -> dict[str, Any]:
-    """Serialize a :class:`ChipSpec` to a JSON-compatible dict."""
-    return {
-        "name": chip.name,
-        "kind": chip.kind.value,
-        "frequency_hz": chip.frequency_hz,
-        "cores": chip.cores,
-        "systolic_array": asdict(chip.systolic_array)
-        if chip.systolic_array else None,
-        "mac_tree": asdict(chip.mac_tree) if chip.mac_tree else None,
-        "vector_unit": asdict(chip.vector_unit) if chip.vector_unit else None,
-        "local_memory": _sram_to_dict(chip.local_memory),
-        "global_memory": _sram_to_dict(chip.global_memory),
-        "dram": {
-            "kind": chip.dram.kind.value,
-            "size_bytes": chip.dram.size_bytes,
-            "bandwidth_bytes_per_s": chip.dram.bandwidth_bytes_per_s,
-            "modules": chip.dram.modules,
-        },
-        "noc": {
-            "bandwidth_bytes_per_s": chip.noc.bandwidth_bytes_per_s,
-            "topology": chip.noc.topology.value,
-            "hop_latency_s": chip.noc.hop_latency_s,
-        },
-        "p2p": {
-            "bandwidth_bytes_per_s": chip.p2p.bandwidth_bytes_per_s,
-            "latency_s": chip.p2p.latency_s,
-        },
-        "process": chip.process.label,
-        "die_area_mm2": chip.die_area_mm2,
-        "peak_flops_override": chip.peak_flops_override,
-        "tdp_w": chip.tdp_w,
-    }
-
-
-def chip_from_dict(data: dict[str, Any]) -> ChipSpec:
-    """Rebuild a :class:`ChipSpec` from :func:`chip_to_dict` output.
-
-    Unknown keys are rejected at the top level and in every section,
-    the same loud-typo contract as the specs that embed a chip.
-    """
-    check_keys(ChipSpec, data)
-    process = data["process"]
-    if process not in _PROCESS_BY_LABEL:
-        known = ", ".join(sorted(_PROCESS_BY_LABEL))
-        raise KeyError(f"unknown process node {process!r}; known: {known}")
-    dram = check_keys(Dram, data["dram"])
-    noc = check_keys(NocSpec, data["noc"])
-    p2p = check_keys(P2pSpec, data["p2p"])
-    return ChipSpec(
-        name=data["name"],
-        kind=ChipKind(data["kind"]),
-        frequency_hz=data["frequency_hz"],
-        cores=data["cores"],
-        systolic_array=_optional_unit(SystolicArray,
-                                      data.get("systolic_array")),
-        mac_tree=_optional_unit(MacTree, data.get("mac_tree")),
-        vector_unit=_optional_unit(VectorUnit, data.get("vector_unit")),
-        local_memory=_sram_from_dict(data["local_memory"]),
-        global_memory=_sram_from_dict(data["global_memory"]),
-        dram=Dram(
-            kind=DramKind(dram["kind"]),
-            size_bytes=dram["size_bytes"],
-            bandwidth_bytes_per_s=dram["bandwidth_bytes_per_s"],
-            modules=dram.get("modules", 8),
-        ),
-        noc=NocSpec(
-            bandwidth_bytes_per_s=noc["bandwidth_bytes_per_s"],
-            topology=NocTopology(noc.get("topology", "ring")),
-            hop_latency_s=noc.get("hop_latency_s", 2e-9),
-        ),
-        p2p=P2pSpec(
-            bandwidth_bytes_per_s=p2p["bandwidth_bytes_per_s"],
-            latency_s=p2p.get("latency_s", 1e-6),
-        ),
-        process=_PROCESS_BY_LABEL[process],
-        die_area_mm2=data.get("die_area_mm2"),
-        peak_flops_override=data.get("peak_flops_override"),
-        tdp_w=data.get("tdp_w"),
-    )
-
-
-register_format(ChipSpec, chip_to_dict, chip_from_dict)
+from repro.spec_codec import OMIT_DEFAULT, SpecCodec
 
 
 # --------------------------------------------------------------------- #
@@ -529,20 +405,15 @@ class DeploymentSpec(SpecCodec):
         ),)
 
     def chip_spec(self) -> ChipSpec:
-        """Resolve the chip reference to a concrete spec."""
-        if isinstance(self.chip, ChipSpec):
-            return self.chip
-        return get_chip(self.chip)
+        """The lead group's concrete chip: this deployment's own chip
+        unless an explicit ``fleet`` is set."""
+        return self.fleet_groups()[0].chip_spec()
 
     def scheduler_limits(self) -> SchedulerLimits:
-        """The :class:`SchedulerLimits` this deployment implies."""
-        budget = float("inf") if self.kv_budget_bytes is None \
-            else self.kv_budget_bytes
-        return SchedulerLimits(
-            max_batch=self.max_batch,
-            prefill_chunk_tokens=self.prefill_chunk_tokens,
-            kv_budget_bytes=budget,
-        )
+        """The lead group's :class:`SchedulerLimits`: the ones this
+        deployment's own knobs imply unless an explicit ``fleet`` is
+        set."""
+        return self.fleet_groups()[0].scheduler_limits()
 
 
 # --------------------------------------------------------------------- #

@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import sys
 import typing
-import warnings
 from typing import NamedTuple
 
 from repro.analysis.tables import format_table
@@ -51,7 +50,7 @@ from repro.core.scheduling import device_model_for
 from repro.core.search import AdorSearch
 from repro.hardware.area import AreaModel
 from repro.hardware.power import PowerModel
-from repro.hardware.registry import CHIP_REGISTRY, get_chip, list_chips
+from repro.hardware.registry import get_chip, list_chips
 from repro.models.zoo import get_model, list_models
 from repro.quality.lint import (
     exit_code,
@@ -61,18 +60,6 @@ from repro.quality.lint import (
 )
 from repro.quality.rules import all_rules, rule_tokens
 from repro.serving.capacity import EndpointUnservable
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the old hard-coded preset table is now the chip
-    # registry; keep ``from repro.cli import CHIP_PRESETS`` importable.
-    if name == "CHIP_PRESETS":
-        warnings.warn(
-            "repro.cli.CHIP_PRESETS is deprecated; use "
-            "repro.hardware.registry.get_chip/list_chips instead",
-            DeprecationWarning, stacklevel=2)
-        return {chip: CHIP_REGISTRY.get(chip) for chip in list_chips()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cmd_models(_args: argparse.Namespace) -> int:

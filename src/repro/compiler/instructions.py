@@ -64,14 +64,3 @@ class Instruction:
         if self.bytes_moved:
             parts.append(f"{self.bytes_moved / 1e6:.2f} MB")
         return " ".join(parts)
-
-
-def stream_summary(instructions: list[Instruction]) -> dict[str, float]:
-    """Aggregate work per target unit — used in reports and tests."""
-    summary: dict[str, float] = {}
-    for inst in instructions:
-        key = f"{inst.target.value}.flops"
-        summary[key] = summary.get(key, 0.0) + inst.flops
-        key = f"{inst.target.value}.bytes"
-        summary[key] = summary.get(key, 0.0) + inst.bytes_moved
-    return summary

@@ -12,7 +12,6 @@ Fig. 9 and emits the Table III design.
 from repro.core.requirements import ServiceLevelObjectives, VendorConstraints
 from repro.core.template import AdorTemplate, TemplateKnobs
 from repro.core.dataflow import DataflowKind, MultiCoreDataflow
-from repro.core.allocation import GemmSplit, split_gemm_work
 from repro.core.scheduling import (
     AdorDeviceModel,
     HdaScheduler,
@@ -28,8 +27,6 @@ __all__ = [
     "TemplateKnobs",
     "DataflowKind",
     "MultiCoreDataflow",
-    "GemmSplit",
-    "split_gemm_work",
     "AdorDeviceModel",
     "HdaScheduler",
     "device_model_for",

@@ -8,38 +8,6 @@ pools finish together, which minimizes the makespan of a divisible load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class GemmSplit:
-    """Fraction of a GEMM's work assigned to each compute-unit pool."""
-
-    sa_fraction: float
-    mt_fraction: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.sa_fraction <= 1.0 and 0.0 <= self.mt_fraction <= 1.0):
-            raise ValueError("fractions must be in [0, 1]")
-        if abs(self.sa_fraction + self.mt_fraction - 1.0) > 1e-9:
-            raise ValueError("fractions must sum to 1")
-
-
-def split_gemm_work(sa_rate_flops: float, mt_rate_flops: float) -> GemmSplit:
-    """Split proportional to effective rates so both pools finish together.
-
-    ``sa_rate_flops`` and ``mt_rate_flops`` are the *effective* (derated)
-    throughputs of each pool on the GEMM in question; a pool with zero
-    rate receives no work.
-    """
-    if sa_rate_flops < 0 or mt_rate_flops < 0:
-        raise ValueError("rates must be non-negative")
-    total = sa_rate_flops + mt_rate_flops
-    if total == 0:
-        raise ValueError("at least one pool must have a positive rate")
-    return GemmSplit(sa_fraction=sa_rate_flops / total,
-                     mt_fraction=mt_rate_flops / total)
-
 
 def hda_gemm_seconds(flops: float, sa_rate_flops: float,
                      mt_rate_flops: float) -> float:

@@ -16,7 +16,9 @@ class ProcessNode(enum.Enum):
     """Named fabrication nodes with logic density in Mtransistors / mm^2.
 
     Densities are the published peak logic densities for each foundry
-    node family (TSMC N4/N5/N7/N12, GF/Samsung 14 nm class).
+    node family (TSMC N4/N5/N7/N12, GF/Samsung 14 nm class).  A member's
+    value is its label, so ``ProcessNode("7nm")`` looks a node up and a
+    chip's JSON names its node by label.
     """
 
     NM_4 = ("4nm", 137.6)
@@ -25,9 +27,12 @@ class ProcessNode(enum.Enum):
     NM_12 = ("12nm", 33.8)
     NM_14 = ("14nm", 29.2)
 
-    def __init__(self, label: str, density_mtr_per_mm2: float) -> None:
-        self.label = label
-        self.density = density_mtr_per_mm2
+    def __new__(cls, label: str, density_mtr_per_mm2: float) -> ProcessNode:
+        node = object.__new__(cls)
+        node._value_ = label
+        node.label = label
+        node.density = density_mtr_per_mm2
+        return node
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.label

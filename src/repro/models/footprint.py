@@ -105,21 +105,3 @@ def peak_local_memory(
         mlp=mlp,
         lm_head=lm_head,
     )
-
-
-def required_local_memory_bytes(
-    config: ModelConfig,
-    batch: int,
-    num_cores: int,
-    headroom: float = 1.25,
-) -> float:
-    """Per-core local memory needed to keep one layer's activations on chip.
-
-    Activations are sharded across cores in the latency dataflow, so the
-    per-core requirement divides by ``num_cores``; ``headroom`` covers
-    double buffering of the next operator's inputs.
-    """
-    if num_cores < 1:
-        raise ValueError("num_cores must be >= 1")
-    report = peak_local_memory(config, batch)
-    return headroom * report.peak / num_cores

@@ -95,11 +95,6 @@ def total_flops(graph: nx.DiGraph) -> float:
     return sum(op.flops for op in flatten(graph))
 
 
-def total_weight_bytes(graph: nx.DiGraph) -> float:
-    """Sum of weight bytes streamed (counts each layer's weights once)."""
-    return sum(op.weight_bytes for op in flatten(graph))
-
-
 @dataclass(frozen=True)
 class OperationShare:
     """Breakdown of a graph's FLOPs by operator family (paper Fig. 3b)."""

@@ -11,7 +11,6 @@ from repro.parallel.collectives import (
     SyncMethod,
     all_gather_bytes_per_device,
     all_reduce_bytes_per_device,
-    collective_time,
     layer_sync_plan,
 )
 from repro.parallel.tensor_parallel import (
@@ -29,7 +28,6 @@ __all__ = [
     "SyncMethod",
     "all_gather_bytes_per_device",
     "all_reduce_bytes_per_device",
-    "collective_time",
     "layer_sync_plan",
     "TpLatencyModel",
     "tp_scalability_curve",

@@ -122,15 +122,6 @@ def layer_sync_bytes(method: SyncMethod, tensor_bytes: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def collective_time(plan: SyncPlan, p2p: P2pSpec, num_layers: int) -> float:
-    """Un-overlapped wall time of a model's TP synchronization."""
-    if num_layers < 0:
-        raise ValueError("num_layers must be non-negative")
-    wire = plan.bytes_per_layer / p2p.bandwidth_bytes_per_s
-    latency = plan.steps_per_layer * p2p.latency_s
-    return num_layers * (wire + latency)
-
-
 def collective_terms(plan: SyncPlan, p2p: P2pSpec,
                      num_layers: int) -> tuple[float, float, float]:
     """``(wire, hideable, latency)`` seconds of a model's TP sync: the

@@ -1,14 +1,13 @@
-"""Shared roofline helpers.
+"""The roofline's "which wall did we hit" tag.
 
 A kernel's time is the maximum of its compute time and its memory time;
-these helpers make the "which wall did we hit" decision explicit so that
-breakdowns can be reported everywhere (Figs. 11a, 15).
+:class:`Bound` names the resource that set it, so the timing models'
+breakdowns can report it everywhere (Figs. 11a, 15).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Bound(enum.Enum):
@@ -18,52 +17,3 @@ class Bound(enum.Enum):
     MEMORY = "memory"
     NETWORK = "network"
     LATENCY = "latency"  # fixed overheads (fill/drain, kernel launch)
-
-
-@dataclass(frozen=True)
-class RooflineEstimate:
-    """Timing estimate with its limiting resource."""
-
-    seconds: float
-    bound: Bound
-    compute_seconds: float
-    memory_seconds: float
-
-    @property
-    def efficiency(self) -> float:
-        """Achieved fraction of the compute roof."""
-        if self.seconds == 0:
-            return 1.0
-        return self.compute_seconds / self.seconds
-
-
-def roofline_time(
-    flops: float,
-    bytes_moved: float,
-    peak_flops: float,
-    peak_bandwidth: float,
-    compute_efficiency: float = 1.0,
-    bandwidth_utilization: float = 1.0,
-    overhead_seconds: float = 0.0,
-) -> RooflineEstimate:
-    """Classic roofline with derated peaks and a fixed overhead floor."""
-    if peak_flops <= 0 or peak_bandwidth <= 0:
-        raise ValueError("peaks must be positive")
-    if not 0 < compute_efficiency <= 1 or not 0 < bandwidth_utilization <= 1:
-        raise ValueError("efficiencies must be in (0, 1]")
-    compute = flops / (peak_flops * compute_efficiency)
-    memory = bytes_moved / (peak_bandwidth * bandwidth_utilization)
-    body = max(compute, memory)
-    total = body + overhead_seconds
-    if overhead_seconds > body:
-        bound = Bound.LATENCY
-    elif compute >= memory:
-        bound = Bound.COMPUTE
-    else:
-        bound = Bound.MEMORY
-    return RooflineEstimate(
-        seconds=total,
-        bound=bound,
-        compute_seconds=compute,
-        memory_seconds=memory,
-    )

@@ -36,11 +36,9 @@ from repro.serving.capacity import (
 )
 from repro.serving.utilization import UtilizationReport, utilization_report
 from repro.serving.policies import (
-    BatchingPolicy,
     get_policy,
     list_policies,
     register_policy,
-    simulate_policy,
 )
 from repro.serving.traces import get_trace, list_traces, register_trace
 from repro.serving.sessions import (
@@ -78,8 +76,6 @@ __all__ = [
     "export_timeline",
     "load_requests",
     "save_requests",
-    "BatchingPolicy",
-    "simulate_policy",
     "get_policy",
     "list_policies",
     "register_policy",

@@ -15,7 +15,6 @@ ablation bench can quantify the sketch:
 
 from __future__ import annotations
 
-import enum
 from typing import Callable
 
 from repro.models.config import ModelConfig
@@ -24,12 +23,6 @@ from repro.registry import Registry
 from repro.serving.engine import ServingEngine, SimulationResult
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
-
-
-class BatchingPolicy(enum.Enum):
-    NO_BATCHING = "no-batching"
-    STATIC = "static"
-    CONTINUOUS = "continuous"
 
 
 #: A policy runner simulates one request stream under one discipline:
@@ -203,40 +196,17 @@ def run_continuous(device: DeviceModel, model: ModelConfig, requests,
                    limits: SchedulerLimits, num_devices: int = 1,
                    max_sim_seconds: float = 3600.0,
                    fast_forward: bool = True,
-                   prefix_cache=None, sink=None,
-                   progress=None) -> SimulationResult:
+                   prefix_cache=None, progress=None) -> SimulationResult:
     """Iteration-level continuous batching (the paper's default).
 
     The only policy that accepts a lazy request stream: the engine
     consumes arrivals through a bounded look-ahead window, so
     ``requests`` may be a list or an iterator/``RequestStream``.  The
     batch-mode policies below slice and sort their inputs and stay
-    list-only.  ``sink`` / ``progress`` forward to
-    :meth:`ServingEngine.run`.
+    list-only.  ``progress`` forwards to :meth:`ServingEngine.run`.
     """
     engine = ServingEngine(device, model, limits, num_devices,
                            fast_forward=fast_forward,
                            prefix_cache=prefix_cache)
     return engine.run(requests, max_sim_seconds=max_sim_seconds,
-                      sink=sink, progress=progress)
-
-
-def simulate_policy(
-    policy: BatchingPolicy,
-    device: DeviceModel,
-    model: ModelConfig,
-    requests: list,
-    batch_size: int = 32,
-    num_devices: int = 1,
-    max_sim_seconds: float = 3600.0,
-) -> SimulationResult:
-    """Run ``requests`` under the chosen batching discipline.
-
-    Compatibility wrapper over the named policy registry; new code should
-    resolve runners with :func:`get_policy` (or go through
-    :func:`repro.api.simulate`) instead.
-    """
-    runner = get_policy(policy.value)
-    return runner(device, model, requests,
-                  SchedulerLimits(max_batch=batch_size),
-                  num_devices=num_devices, max_sim_seconds=max_sim_seconds)
+                      progress=progress)

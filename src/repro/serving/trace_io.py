@@ -83,11 +83,3 @@ def export_timeline(finished: list, path) -> None:
         for r in finished
     ]
     pathlib.Path(path).write_text(json.dumps(payload, indent=1))
-
-
-def load_timeline(path) -> list:
-    """Read a timeline export back as a list of dicts."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: expected a JSON list")
-    return payload

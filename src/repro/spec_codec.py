@@ -4,35 +4,39 @@ A spec's JSON shape is its dataclass fields: :class:`SpecCodec` gives a
 frozen spec dataclass ``to_dict()`` / ``from_dict()`` driven by
 :func:`dataclasses.fields` and the fields' type hints, so a knob added
 to a spec is serialized, parsed and validated with no second list to
-keep in step.
+keep in step.  The same rules carry every dataclass nested in a spec,
+an inline :class:`~repro.hardware.chip.ChipSpec` and its parts included.
 
 * ``to_dict`` emits fields in declaration order.  A nested dataclass,
-  or a tuple of them, recurses; a tuple becomes a JSON list.  A field
-  whose metadata is :data:`OMIT_DEFAULT` is left out while it holds its
-  default.
+  or a tuple of them, recurses; a tuple becomes a JSON list.  An
+  :class:`enum.Enum` member is written as its ``value``, and +inf in a
+  field typed plain ``float`` as ``null`` (strict JSON has no
+  infinity).  A field whose metadata is :data:`OMIT_DEFAULT` is left
+  out while it holds its default.
 * ``from_dict`` decodes a JSON object arriving for a dataclass-typed
-  field into that dataclass, and a list arriving for a
-  ``tuple[X, ...]`` field element by element.  A missing key takes the
-  field's default, so a key may be omitted exactly when its
-  constructor argument may be.
-* Unknown keys, missing required keys and non-object sections raise
-  ``ValueError`` naming the section, whose label derives from the class
-  name (``ReplicaGroupSpec`` -> ``replica group``).  A typo'd knob
-  silently running with its default would defeat the
-  reproducible-config contract.  The one exception is a key the class
-  lists in ``_RETIRED_KEYS``: a field since removed, whose old JSON
-  still loads with the key dropped.
+  field into that dataclass, a list arriving for a ``tuple[X, ...]``
+  field element by element, a value arriving for an enum-typed field
+  through the enum class, and ``null`` in a plain ``float`` field back
+  to +inf.  A missing key takes the field's default, so a key may be
+  omitted exactly when its constructor argument may be.
+* Unknown keys, missing required keys, non-object sections and enum
+  values outside the enum raise ``ValueError`` naming the section,
+  whose label derives from the class name (``ReplicaGroupSpec`` ->
+  ``replica group``).  A typo'd knob silently running with its default
+  would defeat the reproducible-config contract.  The one exception is
+  a key the class lists in ``_RETIRED_KEYS``: a field since removed,
+  whose old JSON still loads with the key dropped.
 
-Types with a hand-written format (a chip serializes its process node
-by label) plug in through :func:`register_format`.  Type hints resolve
-on first use, once per class, since the annotations are strings until
-every module they name has loaded.
+Type hints resolve on first use, once per class, since the annotations
+are strings until every module they name has loaded.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
+import math
 import re
 import types
 import typing
@@ -46,38 +50,22 @@ S = TypeVar("S", bound="SpecCodec")
 OMIT_DEFAULT: Mapping[str, bool] = types.MappingProxyType(
     {"omit_default": True})
 
-_FORMATS: dict[type[Any], tuple[Callable[[Any], Any],
-                                Callable[[Any], Any]]] = {}
 _UNIONS = (typing.Union, types.UnionType)
 
 
-def register_format(cls: type[T], encoder: Callable[[T], Any],
-                    decoder: Callable[[Any], T]) -> None:
-    """Serialize ``cls`` values through a hand-written encoder/decoder
-    pair instead of field by field."""
-    _FORMATS[cls] = (encoder, decoder)
-
-
-def check_keys(cls: type[Any], data: Any) -> dict[str, Any]:
-    """``data`` itself, once it is a JSON object whose keys all name
-    fields (or retired fields) of dataclass ``cls``."""
+def _decode(cls: type[T], data: Any) -> T:
+    """Build dataclass ``cls`` from a JSON object, field by field."""
+    label = _section_label(cls)
     if not isinstance(data, dict):
-        raise ValueError(f"{_section_label(cls)} section must be a JSON "
-                         f"object, got {type(data).__name__}")
+        raise ValueError(f"{label} section must be a JSON object, "
+                         f"got {type(data).__name__}")
     allowed = {field.name for field in _fields(cls)}
     unknown = set(data) - allowed - getattr(cls, "_RETIRED_KEYS",
                                             frozenset())
     if unknown:
         raise ValueError(
-            f"unknown {_section_label(cls)} field(s): "
-            f"{', '.join(sorted(unknown))}; "
+            f"unknown {label} field(s): {', '.join(sorted(unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}")
-    return data
-
-
-def decode(cls: type[T], data: Any) -> T:
-    """Build dataclass ``cls`` from a JSON object, field by field."""
-    check_keys(cls, data)
     hints = _hints(cls)
     kwargs: dict[str, Any] = {}
     missing: list[str] = []
@@ -89,8 +77,7 @@ def decode(cls: type[T], data: Any) -> T:
                 and field.default_factory is dataclasses.MISSING:
             missing.append(field.name)
     if missing:
-        raise ValueError(f"missing {_section_label(cls)} field(s): "
-                         f"{', '.join(missing)}")
+        raise ValueError(f"missing {label} field(s): {', '.join(missing)}")
     build: Callable[..., T] = cls
     return build(**kwargs)
 
@@ -108,7 +95,7 @@ class SpecCodec:
     @classmethod
     def from_dict(cls: type[S], data: dict[str, Any]) -> S:
         """Rebuild the spec from :meth:`to_dict` output."""
-        return decode(cls, data)
+        return _decode(cls, data)
 
 
 def _fields(cls_or_instance: Any) -> tuple[dataclasses.Field[Any], ...]:
@@ -129,9 +116,8 @@ def _hints(cls: type[Any]) -> dict[str, Any]:
 
 def _encode(value: Any) -> Any:
     """``value`` as plain JSON data."""
-    custom = _FORMATS.get(type(value))
-    if custom is not None:
-        return custom[0](value)
+    if isinstance(value, enum.Enum):
+        return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _encode_fields(value)
     if isinstance(value, (tuple, list)):
@@ -140,12 +126,14 @@ def _encode(value: Any) -> Any:
 
 
 def _encode_fields(spec: Any) -> dict[str, Any]:
+    hints = _hints(type(spec))
     data: dict[str, Any] = {}
     for field in _fields(spec):
         value = getattr(spec, field.name)
         if field.metadata.get("omit_default") and value == field.default:
             continue
-        data[field.name] = _encode(value)
+        data[field.name] = None if hints[field.name] is float \
+            and value == math.inf else _encode(value)
     return data
 
 
@@ -159,17 +147,24 @@ def _decode_value(hint: Any, value: Any, owner: type[Any],
         item = typing.get_args(hint)[0]
         return tuple(_decode_value(item, element, owner, name)
                      for element in value)
+    if hint is float and value is None:
+        return math.inf
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            allowed = ", ".join(str(member.value) for member in hint)
+            raise ValueError(
+                f"{_section_label(owner)} field {name!r} must be one of "
+                f"{allowed}; got {value!r}") from None
     members = typing.get_args(hint) if typing.get_origin(hint) in _UNIONS \
         else (hint,)
-    specs = [member for member in members if member in _FORMATS
-             or dataclasses.is_dataclass(member)]
+    specs = [member for member in members if dataclasses.is_dataclass(member)]
     if not specs:
         return value
     spec = specs[0]
     if isinstance(value, dict):
-        custom = _FORMATS.get(spec)
-        return custom[1](value) if custom is not None \
-            else decode(spec, value)
+        return _decode(spec, value)
     others = [member for member in members
               if member is not spec and member is not type(None)]
     if isinstance(value, spec) or others \

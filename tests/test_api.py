@@ -15,8 +15,6 @@ from repro.api import (
     ReplicaGroupSpec,
     WorkloadSpec,
     find_capacity,
-    chip_from_dict,
-    chip_to_dict,
     get_chip,
     get_policy,
     get_trace,
@@ -165,9 +163,9 @@ class TestSpecRoundTrip:
 
     def test_every_builtin_chip_round_trips(self):
         for name in list_chips():
-            chip = get_chip(name)
-            data = json.loads(json.dumps(chip_to_dict(chip)))
-            assert chip_from_dict(data) == chip, name
+            spec = DeploymentSpec(chip=get_chip(name))
+            data = json.loads(json.dumps(spec.to_dict()))
+            assert DeploymentSpec.from_dict(data).chip == spec.chip, name
 
     def test_kv_budget_infinity_serializes_as_null(self):
         limits = DeploymentSpec(kv_budget_bytes=None).scheduler_limits()

@@ -27,14 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["evaluate", "--chip", "tpu-v9"])
 
-    def test_chip_presets_shim_warns_but_works(self):
-        import repro.cli as cli_module
-
-        with pytest.warns(DeprecationWarning):
-            presets = cli_module.CHIP_PRESETS
-        assert set(presets) == set(list_chips())
-        assert all(callable(factory) for factory in presets.values())
-
 
 class TestCommands:
     def test_models_lists_zoo(self, capsys):

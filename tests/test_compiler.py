@@ -3,13 +3,8 @@
 import pytest
 
 from repro.compiler.binary import build_model_binary
-from repro.compiler.generator import InstructionGenerator
-from repro.compiler.instructions import (
-    Instruction,
-    Opcode,
-    TargetUnit,
-    stream_summary,
-)
+from repro.compiler.generator import CompiledProgram, InstructionGenerator
+from repro.compiler.instructions import Instruction, Opcode, TargetUnit
 from repro.hardware.presets import ador_table3
 from repro.models.graph import build_decode_graph
 from repro.models.layers import Phase
@@ -36,15 +31,20 @@ class TestInstructions:
                            flops=1e9, bytes_moved=1e6)
         assert "GEMV" in str(inst)
 
-    def test_stream_summary_aggregates(self):
-        insts = [
-            Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, "a", flops=10),
-            Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, "b", flops=5),
-            Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, "c", flops=1),
-        ]
-        summary = stream_summary(insts)
-        assert summary["sa.flops"] == 15
-        assert summary["vu.flops"] == 1
+    def test_per_unit_flops_aggregates(self, llama3):
+        program = CompiledProgram(
+            model_name=llama3.name, phase=Phase.PREFILL, num_devices=1,
+            instructions=(
+                Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, "a",
+                            flops=10),
+                Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, "b",
+                            flops=5),
+                Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, "c",
+                            flops=1),
+            ),
+            binary=build_model_binary(llama3, ador_table3()))
+        assert program.per_unit_flops() == {
+            TargetUnit.SYSTOLIC_ARRAY: 15, TargetUnit.VECTOR_UNIT: 1}
 
 
 class TestModelBinary:

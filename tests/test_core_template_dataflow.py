@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.allocation import GemmSplit, hda_gemm_seconds, split_gemm_work
+from repro.core.allocation import hda_gemm_seconds
 from repro.core.dataflow import (
     CoreSyncMethod,
     DataflowKind,
@@ -139,17 +139,20 @@ class TestDataflow:
 
 class TestAllocation:
     def test_split_proportional_to_rates(self):
-        split = split_gemm_work(300e12, 100e12)
-        assert split.sa_fraction == pytest.approx(0.75)
-        assert split.mt_fraction == pytest.approx(0.25)
+        """Both pools run for the whole makespan, so each does work in
+        proportion to its rate: 3:1 here."""
+        flops = 1e12
+        seconds = hda_gemm_seconds(flops, 300e12, 100e12)
+        assert seconds * 300e12 == pytest.approx(0.75 * flops)
+        assert seconds * 100e12 == pytest.approx(0.25 * flops)
 
     def test_zero_mt_gets_nothing(self):
-        split = split_gemm_work(300e12, 0.0)
-        assert split.mt_fraction == 0.0
+        """A pool with no rate takes no work: the SA alone sets the time."""
+        assert hda_gemm_seconds(1e12, 300e12, 0.0) == 1e12 / 300e12
 
-    def test_split_validates_fractions(self):
+    def test_rejects_negative_flops(self):
         with pytest.raises(ValueError):
-            GemmSplit(0.7, 0.7)
+            hda_gemm_seconds(-1.0, 300e12, 100e12)
 
     def test_makespan_better_than_either_alone(self):
         flops = 1e12

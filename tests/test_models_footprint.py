@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.models.footprint import (
-    peak_local_memory,
-    required_local_memory_bytes,
-)
+from repro.models.footprint import peak_local_memory
 from repro.models.zoo import get_model
 
 KIB = 1024
@@ -70,20 +67,6 @@ class TestScaling:
 
 
 class TestRequiredLocalMemory:
-    def test_divides_across_cores(self, llama3):
-        one = required_local_memory_bytes(llama3, 32, num_cores=1)
-        thirty_two = required_local_memory_bytes(llama3, 32, num_cores=32)
-        assert one == pytest.approx(32 * thirty_two)
-
-    def test_headroom_applied(self, llama3):
-        plain = required_local_memory_bytes(llama3, 32, 1, headroom=1.0)
-        padded = required_local_memory_bytes(llama3, 32, 1, headroom=1.5)
-        assert padded == pytest.approx(1.5 * plain)
-
-    def test_rejects_zero_cores(self, llama3):
-        with pytest.raises(ValueError):
-            required_local_memory_bytes(llama3, 32, 0)
-
     def test_table3_local_memory_derivation(self, llama3):
         """The Table III design's 2 MiB local memory follows from the
         batch-32 footprint with 25 % headroom, rounded to a power of two."""

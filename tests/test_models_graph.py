@@ -9,7 +9,6 @@ from repro.models.graph import (
     flatten,
     operation_share,
     total_flops,
-    total_weight_bytes,
 )
 from repro.models.layers import Phase
 from repro.models.zoo import get_model
@@ -56,9 +55,9 @@ class TestGraphStructure:
 
 class TestAggregates:
     def test_decode_weight_bytes_match_active_params(self, llama3):
-        graph = build_decode_graph(llama3, 8, 128)
-        assert total_weight_bytes(graph) == pytest.approx(
-            llama3.active_param_bytes_per_token)
+        weights = sum(op.weight_bytes
+                      for op in flatten(build_decode_graph(llama3, 8, 128)))
+        assert weights == pytest.approx(llama3.active_param_bytes_per_token)
 
     def test_prefill_flops_scale_with_seq(self, llama3):
         short = total_flops(build_prefill_graph(llama3, 1, 64))

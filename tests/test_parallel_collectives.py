@@ -7,7 +7,7 @@ from repro.parallel.collectives import (
     SyncMethod,
     all_gather_bytes_per_device,
     all_reduce_bytes_per_device,
-    collective_time,
+    collective_terms,
     layer_sync_plan,
     visible_collective_time,
 )
@@ -72,13 +72,21 @@ class TestLayerSyncPlan:
 class TestTiming:
     P2P = P2pSpec(bandwidth_bytes_per_s=64e9, latency_s=1e-6)
 
-    def test_collective_time_positive(self):
+    def test_terms_make_up_the_unoverlapped_time(self):
+        """With no compute to hide behind, the visible time is the whole
+        wire time plus the protocol latency."""
         plan = layer_sync_plan(SyncMethod.ALL_GATHER, TENSOR, 8)
-        assert collective_time(plan, self.P2P, 32) > 0
+        wire, hideable, latency = collective_terms(plan, self.P2P, 32)
+        assert wire > 0 and latency > 0
+        assert 0 < hideable <= wire
+        assert visible_collective_time(plan, self.P2P, 32, 0.0) \
+            == wire + latency
 
     def test_visible_time_never_exceeds_raw(self):
         plan = layer_sync_plan(SyncMethod.ALL_GATHER, TENSOR, 8)
-        raw = collective_time(plan, self.P2P, 32)
+        raw = visible_collective_time(plan, self.P2P, 32,
+                                      compute_seconds=0.0)
+        assert raw > 0
         visible = visible_collective_time(plan, self.P2P, 32,
                                           compute_seconds=1.0)
         assert visible <= raw

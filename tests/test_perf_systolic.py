@@ -74,6 +74,23 @@ class TestDataflowChoices:
         assert resident.bound != Bound.MEMORY
 
 
+class TestBound:
+    """Which wall each GEMM hits: the roofline tag the breakdowns of
+    Figs. 11a and 15 report."""
+
+    def test_long_m_is_compute_bound(self):
+        est = make_model(cores=1).gemm(100_000, 64, 64, BW,
+                                       weights_resident=True)
+        assert est.bound == Bound.COMPUTE
+
+    def test_short_m_is_latency_bound(self):
+        """Fewer rows than the array's fill/drain (126 cycles on 64x64)
+        leave the pipeline, not compute or DRAM, setting the time."""
+        est = make_model().gemm(16, 4096, 4096, BW, weights_resident=True,
+                                core_split="n")
+        assert est.bound == Bound.LATENCY
+
+
 class TestBandwidthStall:
     def test_slow_dram_forces_memory_bound(self):
         model = make_model()

@@ -1,9 +1,8 @@
-"""Unit tests for vector-unit timing and roofline helpers."""
+"""Unit tests for vector-unit timing."""
 
 import pytest
 
 from repro.hardware.components import VectorUnit
-from repro.perf.roofline import Bound, roofline_time
 from repro.perf.vector import VectorTimingModel
 
 
@@ -44,36 +43,3 @@ class TestVectorTiming:
     def test_rejects_negative_elements(self):
         with pytest.raises(ValueError):
             make_vu().elementwise(-1)
-
-
-class TestRoofline:
-    def test_compute_bound(self):
-        est = roofline_time(1e12, 1e6, peak_flops=1e12, peak_bandwidth=1e12)
-        assert est.bound == Bound.COMPUTE
-        assert est.seconds == pytest.approx(1.0)
-
-    def test_memory_bound(self):
-        est = roofline_time(1e6, 1e12, peak_flops=1e12, peak_bandwidth=1e12)
-        assert est.bound == Bound.MEMORY
-        assert est.seconds == pytest.approx(1.0)
-
-    def test_overhead_dominates(self):
-        est = roofline_time(1.0, 1.0, 1e12, 1e12, overhead_seconds=1.0)
-        assert est.bound == Bound.LATENCY
-
-    def test_derating_slows_down(self):
-        fast = roofline_time(1e12, 0, 1e12, 1e12)
-        slow = roofline_time(1e12, 0, 1e12, 1e12, compute_efficiency=0.5)
-        assert slow.seconds == pytest.approx(2 * fast.seconds)
-
-    def test_efficiency_property(self):
-        est = roofline_time(1e12, 1e6, 1e12, 1e12)
-        assert est.efficiency == pytest.approx(1.0, rel=0.01)
-
-    def test_rejects_bad_efficiency(self):
-        with pytest.raises(ValueError):
-            roofline_time(1.0, 1.0, 1e12, 1e12, compute_efficiency=0.0)
-
-    def test_rejects_zero_peak(self):
-        with pytest.raises(ValueError):
-            roofline_time(1.0, 1.0, 0.0, 1e12)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import hda_gemm_seconds, split_gemm_work
+from repro.core.allocation import hda_gemm_seconds
 from repro.hardware.components import MacTree, SystolicArray
 from repro.models.config import ModelConfig
 from repro.models.footprint import peak_local_memory
@@ -213,10 +213,12 @@ def test_sync_bytes_are_the_plans(tensor, d, method):
 rates = st.floats(min_value=1e9, max_value=1e15)
 
 
-@given(sa=rates, mt=rates)
-def test_split_fractions_sum_to_one(sa, mt):
-    split = split_gemm_work(sa, mt)
-    assert split.sa_fraction + split.mt_fraction == pytest.approx(1.0)
+@given(flops=st.floats(min_value=1, max_value=1e15), sa=rates, mt=rates)
+def test_split_fractions_sum_to_one(flops, sa, mt):
+    """Both pools are busy for the whole makespan, and their shares of
+    the GEMM add up to all of it."""
+    seconds = hda_gemm_seconds(flops, sa, mt)
+    assert (seconds * sa + seconds * mt) / flops == pytest.approx(1.0)
 
 
 @given(flops=st.floats(min_value=1, max_value=1e15), sa=rates, mt=rates)

@@ -9,9 +9,12 @@ from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
 from repro.serving.dataset import fixed_trace
 from repro.serving.generator import iter_poisson_requests
-from repro.serving.policies import BatchingPolicy, simulate_policy
+from repro.serving.policies import get_policy
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request
+from repro.serving.scheduler import SchedulerLimits
+
+POLICIES = ("no-batching", "static", "continuous")
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +32,17 @@ def make_requests(count=24, rate=6.0, seed=3):
     return list(iter_poisson_requests(trace, rate, seed, count))
 
 
+def simulate(policy, device, llama3, requests, batch_size=32,
+             max_sim_seconds=3600.0):
+    """Run ``requests`` under the named policy's registered runner."""
+    return get_policy(policy)(device, llama3, requests,
+                              SchedulerLimits(max_batch=batch_size),
+                              max_sim_seconds=max_sim_seconds)
+
+
 def run(policy, device, llama3, requests, **kwargs):
-    result = simulate_policy(policy, device, llama3,
-                             copy.deepcopy(requests), **kwargs)
+    result = simulate(policy, device, llama3, copy.deepcopy(requests),
+                      **kwargs)
     qos = compute_qos(result.finished, result.total_time_s)
     return result, qos
 
@@ -39,7 +50,7 @@ def run(policy, device, llama3, requests, **kwargs):
 class TestPolicies:
     def test_all_policies_finish_everything(self, device, llama3):
         requests = make_requests()
-        for policy in BatchingPolicy:
+        for policy in POLICIES:
             result, _ = run(policy, device, llama3, requests)
             assert len(result.finished) == len(requests), policy
 
@@ -50,44 +61,43 @@ class TestPolicies:
         step can be *absolutely* faster than a batch-1 step."""
         requests = make_requests()
         tbts = {policy: run(policy, device, llama3, requests)[1].tbt_mean_s
-                for policy in BatchingPolicy}
-        assert tbts[BatchingPolicy.NO_BATCHING] \
-            <= 1.10 * min(tbts.values())
+                for policy in POLICIES}
+        assert tbts["no-batching"] <= 1.10 * min(tbts.values())
 
     def test_no_batching_has_worst_completion_time(self, device, llama3):
         """Serial service is QoS-friendly per token but cannot keep up."""
         requests = make_requests()
         totals = {policy: run(policy, device, llama3, requests)[0].total_time_s
-                  for policy in BatchingPolicy}
-        assert totals[BatchingPolicy.NO_BATCHING] == max(totals.values())
+                  for policy in POLICIES}
+        assert totals["no-batching"] == max(totals.values())
 
     def test_continuous_beats_static_on_ttft(self, device, llama3):
         """Static batches make late arrivals wait for batch formation and
         stragglers; continuous batching admits at iteration granularity."""
         requests = make_requests(count=32, rate=8.0)
-        _, static_qos = run(BatchingPolicy.STATIC, device, llama3, requests,
+        _, static_qos = run("static", device, llama3, requests,
                             batch_size=16)
-        _, cont_qos = run(BatchingPolicy.CONTINUOUS, device, llama3,
-                          requests, batch_size=16)
+        _, cont_qos = run("continuous", device, llama3, requests,
+                          batch_size=16)
         assert cont_qos.ttft_p95_s < static_qos.ttft_p95_s
 
     def test_continuous_throughput_at_least_static(self, device, llama3):
         requests = make_requests(count=32, rate=8.0)
-        static_result, _ = run(BatchingPolicy.STATIC, device, llama3,
-                               requests, batch_size=16)
-        cont_result, _ = run(BatchingPolicy.CONTINUOUS, device, llama3,
-                             requests, batch_size=16)
+        static_result, _ = run("static", device, llama3, requests,
+                               batch_size=16)
+        cont_result, _ = run("continuous", device, llama3, requests,
+                             batch_size=16)
         assert cont_result.total_time_s <= static_result.total_time_s * 1.05
 
     def test_static_rejects_bad_batch(self, device, llama3):
         with pytest.raises(ValueError):
-            simulate_policy(BatchingPolicy.STATIC, device, llama3,
-                            make_requests(4), batch_size=0)
+            simulate("static", device, llama3, make_requests(4),
+                     batch_size=0)
 
     def test_token_conservation_across_policies(self, device, llama3):
         requests = make_requests(count=12)
         expected = sum(r.output_tokens for r in requests)
-        for policy in BatchingPolicy:
+        for policy in POLICIES:
             result, _ = run(policy, device, llama3, requests)
             generated = sum(r.generated_tokens for r in result.finished)
             assert generated == expected, policy
@@ -101,11 +111,11 @@ class TestHorizonAndIdentityRegressions:
         twins = [Request(request_id=i, arrival_time=0.0, input_tokens=256,
                          output_tokens=64) for i in range(4)]
         # horizon allows roughly one request to be served
-        single = simulate_policy(BatchingPolicy.NO_BATCHING, device, llama3,
-                                 [copy.deepcopy(twins[0])])
+        single = simulate("no-batching", device, llama3,
+                          [copy.deepcopy(twins[0])])
         horizon = single.total_time_s * 1.2
-        result = simulate_policy(BatchingPolicy.NO_BATCHING, device, llama3,
-                                 twins, max_sim_seconds=horizon)
+        result = simulate("no-batching", device, llama3, twins,
+                          max_sim_seconds=horizon)
         assert len(result.finished) + len(result.unfinished) == len(twins)
         assert len(result.unfinished) == len(twins) - len(result.finished)
         assert result.unfinished, "expected requests cut off by the horizon"
@@ -118,9 +128,8 @@ class TestHorizonAndIdentityRegressions:
                             input_tokens=128, output_tokens=2000)
                     for i in range(4)]
         horizon = 5.0
-        result = simulate_policy(BatchingPolicy.STATIC, device, llama3,
-                                 requests, batch_size=4,
-                                 max_sim_seconds=horizon)
+        result = simulate("static", device, llama3, requests,
+                          batch_size=4, max_sim_seconds=horizon)
         # decode steps stop at the horizon (the last step may start just
         # before it and end past it — same rule as the continuous engine)
         step = device.decode_step_time(llama3, 4, 1128, 1).seconds
@@ -137,14 +146,12 @@ class TestHorizonAndIdentityRegressions:
         requests = [Request(request_id=i, arrival_time=0.0,
                             input_tokens=64, output_tokens=4)
                     for i in range(4)]
-        result = simulate_policy(BatchingPolicy.STATIC, device, llama3,
-                                 requests, batch_size=4,
-                                 max_sim_seconds=3600.0)
+        result = simulate("static", device, llama3, requests,
+                          batch_size=4, max_sim_seconds=3600.0)
         assert len(result.finished) == 4
         assert result.unfinished == []
 
-    @pytest.mark.parametrize("policy", [BatchingPolicy.NO_BATCHING,
-                                        BatchingPolicy.STATIC])
+    @pytest.mark.parametrize("policy", ["no-batching", "static"])
     def test_post_horizon_arrival_never_inflates_wall_time(
             self, device, llama3, policy):
         """A request arriving after the horizon must stay unfinished and
@@ -156,8 +163,8 @@ class TestHorizonAndIdentityRegressions:
             Request(request_id=1, arrival_time=10_000.0,
                     input_tokens=64, output_tokens=4),
         ]
-        result = simulate_policy(policy, device, llama3, requests,
-                                 batch_size=1, max_sim_seconds=600.0)
+        result = simulate(policy, device, llama3, requests,
+                          batch_size=1, max_sim_seconds=600.0)
         assert result.total_time_s <= 600.0
         assert len(result.finished) == 1
         assert len(result.unfinished) == 1

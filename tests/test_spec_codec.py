@@ -6,9 +6,10 @@ These tests check that behaviourally: drawn nested specs of all ten
 codec classes survive a JSON round-trip with their keys in field order,
 committed experiment files keep every key and value they write, and
 typos are rejected loudly at every level — inline chips and inline
-traces included.  Retired keys (``WorkloadSpec``'s ``streaming``,
-``CapacitySpec``'s ``reuse_arrivals`` and ``parallel_probes``) still
-load and are dropped.
+traces included.  A literal pins the inline chip's JSON, and its enum
+fields reject unknown values with the allowed list.  Retired keys
+(``WorkloadSpec``'s ``streaming``, ``CapacitySpec``'s
+``reuse_arrivals`` and ``parallel_probes``) still load and are dropped.
 """
 
 import dataclasses
@@ -30,8 +31,6 @@ from repro.api import (
     ReplicaGroupSpec,
     SessionConfig,
     WorkloadSpec,
-    chip_from_dict,
-    chip_to_dict,
     get_chip,
     list_autoscalers,
     list_chips,
@@ -407,6 +406,108 @@ def test_perfbench_spec_sections_load():
 
 
 # --------------------------------------------------------------------- #
+# Inline chips                                                           #
+# --------------------------------------------------------------------- #
+
+#: The ``ador`` preset as an inline chip, as ``json.dumps`` writes the
+#: codec's output: the one place the chip's on-disk format is spelled
+#: out, so any change to it shows here.
+ADOR_CHIP_JSON = (
+    '{"name": "ADOR Design", "kind": "ador", '
+    '"frequency_hz": 1500000000.0, "cores": 32, '
+    '"systolic_array": {"rows": 64, "cols": 64, "lanes": 1}, '
+    '"mac_tree": {"tree_size": 16, "lanes": 16}, '
+    '"vector_unit": {"width": 16, "ops_per_element": 1}, '
+    '"local_memory": {"size_bytes": 2097152, '
+    '"bandwidth_bytes_per_s": null}, '
+    '"global_memory": {"size_bytes": 16777216, '
+    '"bandwidth_bytes_per_s": null}, '
+    '"dram": {"kind": "HBM2e", "size_bytes": 85899345920, '
+    '"bandwidth_bytes_per_s": 2000000000000.0, "modules": 8}, '
+    '"noc": {"bandwidth_bytes_per_s": 512000000000.0, '
+    '"topology": "ring", "hop_latency_s": 2e-09}, '
+    '"p2p": {"bandwidth_bytes_per_s": 64000000000.0, '
+    '"latency_s": 1e-06}, '
+    '"process": "7nm", "die_area_mm2": null, '
+    '"peak_flops_override": null, "tdp_w": null}'
+)
+
+
+def ador_chip_dict():
+    return DeploymentSpec(chip=get_chip("ador")).to_dict()["chip"]
+
+
+def test_inline_chip_format_is_pinned():
+    assert json.dumps(ador_chip_dict()) == ADOR_CHIP_JSON
+    data = json.loads(ADOR_CHIP_JSON)
+    assert DeploymentSpec.from_dict({"chip": data}).chip == get_chip("ador")
+
+
+def test_infinite_sram_bandwidth_is_null():
+    chip = get_chip("a100").with_updates(
+        global_memory=Sram(4096.0, float("inf")))
+    data = DeploymentSpec(chip=chip).to_dict()["chip"]
+    assert data["global_memory"] == {"size_bytes": 4096.0,
+                                     "bandwidth_bytes_per_s": None}
+    clone = DeploymentSpec.from_dict(json.loads(json.dumps({"chip": data})))
+    assert clone.chip.global_memory.bandwidth_bytes_per_s == float("inf")
+    assert clone.chip == chip
+
+
+def test_process_node_written_by_label():
+    """A chip names its node by label; the member keeps its density."""
+    for node in ProcessNode:
+        assert ProcessNode(node.label) is node
+        chip = get_chip("ador").with_updates(process=node)
+        data = json.loads(json.dumps(DeploymentSpec(chip=chip).to_dict()))
+        assert data["chip"]["process"] == node.label
+        clone = DeploymentSpec.from_dict(data).chip.process
+        assert clone is node
+        assert clone.density == node.density
+
+
+def test_null_plain_float_reads_as_infinity():
+    """The +inf rule is the codec's, not the chip's: a workload's
+    ``rate_per_s`` written as ``null`` reads back as +inf (every request
+    released at t=0) and is written as ``null`` again."""
+    spec = WorkloadSpec.from_dict({"rate_per_s": None})
+    assert spec.rate_per_s == float("inf")
+    assert spec.to_dict()["rate_per_s"] is None
+
+
+@pytest.mark.parametrize("section, key, message", [
+    (None, "kind", "chip field 'kind' must be one of ador, npu, gpu, tsp"),
+    ("dram", "kind", "dram field 'kind' must be one of HBM2, HBM2e, HBM3, "
+                     "HBM3e, LPDDR, SRAM"),
+    ("noc", "topology", "noc field 'topology' must be one of ring, "
+                        "crossbar, mesh"),
+    (None, "process", "chip field 'process' must be one of 4nm, 5nm, 7nm, "
+                      "12nm, 14nm"),
+], ids=["kind", "dram.kind", "noc.topology", "process"])
+def test_unknown_chip_enum_value_rejected(section, key, message):
+    data = ador_chip_dict()
+    (data if section is None else data[section])[key] = "bogus"
+    with pytest.raises(ValueError) as info:
+        DeploymentSpec.from_dict({"chip": data})
+    assert str(info.value) == f"{message}; got 'bogus'"
+
+
+@pytest.mark.parametrize("unit", ["systolic_array", "mac_tree",
+                                  "vector_unit"])
+def test_chip_unit_may_be_null_but_not_absent(unit):
+    data = ador_chip_dict()
+    data[unit] = None
+    assert getattr(DeploymentSpec.from_dict({"chip": data}).chip,
+                   unit) is None
+    data[unit] = {}
+    with pytest.raises(ValueError, match="missing .* field"):
+        DeploymentSpec.from_dict({"chip": data})
+    del data[unit]
+    with pytest.raises(ValueError, match=f"missing chip field.*{unit}"):
+        DeploymentSpec.from_dict({"chip": data})
+
+
+# --------------------------------------------------------------------- #
 # Typos fail loudly at every level                                       #
 # --------------------------------------------------------------------- #
 
@@ -429,12 +530,11 @@ def test_unknown_inline_trace_key_rejected():
     ("p2p", "latency"),
 ])
 def test_custom_chip_typo_rejected(section, key):
-    data = chip_to_dict(get_chip("ador"))
+    data = ador_chip_dict()
     (data if section is None else data[section])[key] = 300
-    with pytest.raises(ValueError, match=key):
-        chip_from_dict(data)
-    with pytest.raises(ValueError, match=key):
-        DeploymentSpec.from_dict({"chip": data})
+    for spec in (DeploymentSpec, ReplicaGroupSpec):
+        with pytest.raises(ValueError, match=key):
+            spec.from_dict({"chip": data})
 
 
 _EVENT = {"kind": "crash", "replica_id": 0, "time_s": 1.0}

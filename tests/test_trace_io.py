@@ -1,5 +1,7 @@
 """Unit tests for request-trace serialization and replay determinism."""
 
+import json
+
 import pytest
 
 from repro.core.scheduling import AdorDeviceModel
@@ -12,7 +14,6 @@ from repro.serving.scheduler import SchedulerLimits
 from repro.serving.trace_io import (
     export_timeline,
     load_requests,
-    load_timeline,
     save_requests,
 )
 
@@ -107,7 +108,7 @@ class TestTimelineExport:
         result = engine.run(stream)
         path = tmp_path / "timeline.json"
         export_timeline(result.finished, path)
-        timeline = load_timeline(path)
+        timeline = json.loads(path.read_text())
         assert len(timeline) == len(result.finished)
         for entry in timeline:
             assert entry["ttft"] > 0
