@@ -708,7 +708,8 @@ def main(argv: list | None = None) -> int:
     try:
         return handlers[args.command](args)
     except EndpointOverloaded as exc:
-        print(f"no requests finished — {_exc_message(exc)}")
+        # the message already reads "no requests finished within ..."
+        print(_exc_message(exc))
         return 1
     except EndpointUnservable as exc:
         # the endpoint cannot serve even the minimum probed rate

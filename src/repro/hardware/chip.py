@@ -13,6 +13,7 @@ performance layer dispatches to the appropriate baseline model.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from repro.hardware.components import MacTree, SystolicArray, VectorUnit
@@ -55,8 +56,10 @@ class ChipSpec:
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("a chip needs at least one core")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
+        if not (self.frequency_hz > 0 and math.isfinite(self.frequency_hz)):
+            # NaN fails the first test, +inf (JSON null) the second
+            raise ValueError(f"frequency must be positive and finite; "
+                             f"got {self.frequency_hz!r}")
         if self.kind == ChipKind.ADOR_HDA and self.systolic_array is None \
                 and self.mac_tree is None:
             raise ValueError("an HDA chip needs at least one compute unit type")

@@ -16,12 +16,22 @@ the cluster's replicas (``repro.cluster.engine.ReplicaSim``) are
 endpoints driven arrival by arrival, and a slowdown window drives the
 same body with a step-time factor.
 
+The scheduler stamps tokens in its completion calls,
+:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.complete_iteration`
+for one iteration and
+:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.complete_burst`
+for a decode burst.  Decode progress is derived scheduler state: a
+running member's ``generated_tokens`` and ``last_token_time`` are
+written only when it first emits, finishes or is preempted, and
+:meth:`Endpoint.result` settles the members still running.
+
 Two coordinated fast paths keep simulated iterations near-free without
 changing a single result bit:
 
 * **incremental state** — the decode-context sum and batch size ride on
-  the :class:`IterationPlan` as running counters, so iteration timing
-  never rebuilds per-request lists;
+  the :class:`IterationPlan` as running counters, and the next finish
+  comes off the scheduler's finish heap, so neither iteration timing
+  nor a decode burst rebuilds or scans per-request lists;
 * **decode fast-forward** — when the upcoming iterations are pure decode
   (no prefill chunk, nothing admissible, no pending arrival yet), the
   engine applies the whole run of steps in one shot, synthesizing each
@@ -47,7 +57,7 @@ from repro.serving.prefix_cache import (
     PrefixCacheSpec,
     PrefixCacheStats,
 )
-from repro.serving.request import Request, RequestState
+from repro.serving.request import Request
 from repro.serving.stream import as_stream
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
@@ -221,39 +231,6 @@ class SimulationResult:
         return self.generated_tokens / self.total_time_s
 
 
-def stamp_decode_steps(batch, times, finished, on_finish=None) -> list:
-    """Stamp ``len(times)`` decode steps on every member of ``batch``.
-
-    ``times`` holds the steps' completion stamps in order, and no member
-    may reach its output length before the last one.  Each member ends
-    exactly as if :meth:`Request.record_token` had been called once per
-    stamp, without the per-step call.  Members that complete on the last
-    step are appended to ``finished``, handed to ``on_finish`` and
-    returned, all in batch order.  The one stamping loop of continuous
-    batching: a decode burst and a single timed iteration (``[now]``)
-    both stamp through it.
-    """
-    steps = len(times)
-    first = times[0]
-    last = times[-1]
-    done: list[Request] = []
-    for request in batch:
-        request.generated_tokens += steps
-        if request.record_token_times:
-            request.token_times.extend(times)
-        if request.first_token_time is None:
-            request.first_token_time = first
-        request.last_token_time = last
-        if request.generated_tokens >= request.output_tokens:
-            request.finish_time = last
-            request.state = RequestState.FINISHED
-            finished.append(request)
-            done.append(request)
-            if on_finish is not None:
-                on_finish(request)
-    return done
-
-
 def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
                      now, limit, busy, decode_time, finished,
                      on_finish=None, factor=1.0):
@@ -267,16 +244,15 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     top).  Every step time is multiplied by ``factor`` (a slowdown
     window's; exact at 1.0).  ``busy``/``decode_time`` are threaded
     through and accumulated per step, preserving the reference
-    float-summation order bit for bit.  Completions are appended to
-    ``finished`` in batch order (``on_finish`` is an optional extra
-    per-completion hook) and the scheduler state is advanced via
-    ``complete_burst``.  Returns ``(now, steps, busy, decode_time)``.
+    float-summation order bit for bit.  The steps are stamped and
+    applied via the scheduler's ``complete_burst``: completions are
+    appended to ``finished`` in batch order (``on_finish`` is an
+    optional extra per-completion hook).  Returns
+    ``(now, steps, busy, decode_time)``.
     """
-    batch = plan.decode_requests
     size = plan.decode_batch
     ctx_sum = plan.decode_context_sum
-    until_finish = min(r.output_tokens - r.generated_tokens
-                       for r in batch)
+    until_finish = scheduler.steps_until_finish()
     next_arrival = pending[0].arrival_time if pending else None
     times: list[float] = []
     steps = 0
@@ -322,11 +298,10 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
             steps += 1
             if next_arrival is not None and next_arrival <= now:
                 break
-    # one stamping loop per burst, not per step: at million-request
-    # scale a call per member per step dominated the profile
-    burst_finished = stamp_decode_steps(batch, times, finished, on_finish) \
-        if steps else []
-    scheduler.complete_burst(plan, steps, burst_finished)
+    # one stamping call per burst, touching only the members an event
+    # writes: at million-request scale a call per member per step
+    # dominated the profile
+    scheduler.complete_burst(plan, times, finished, on_finish)
     return now, steps, busy, decode_time
 
 
@@ -460,9 +435,7 @@ class Endpoint:
             iterations += 1
             if plan.decode_batch:
                 decode_steps += 1
-                plan.finished_decodes = stamp_decode_steps(
-                    plan.decode_requests, [now], finished, on_finish)
-            scheduler.complete_iteration(plan)
+            scheduler.complete_iteration(plan, now, finished, on_finish)
         self.now = now
         self.busy = busy
         self.decode_time = decode_time
@@ -473,10 +446,13 @@ class Endpoint:
 
     def result(self, saturated: Saturated | None = None) -> SimulationResult:
         """The run so far in the :class:`SimulationResult` shape; the
-        unfinished list drains whatever the pending stream still holds."""
+        unfinished list drains whatever the pending stream still holds.
+        The members still decoding are settled first: their token counts
+        and last stamps are derived state until then."""
         scheduler = self.scheduler
-        unfinished = scheduler.prefilling + scheduler.decoding \
-            + list(scheduler.queued) + list(self.pending)
+        scheduler.settle()
+        unfinished = [*scheduler.prefilling, *scheduler.decoding,
+                      *scheduler.queued, *self.pending]
         finished = self.finished
         sunk_finished = sunk_tokens = 0
         if isinstance(finished, _FinishedSink):

@@ -45,6 +45,13 @@ class Request:
     ``record_token_times=True`` asks for the full per-token timeline
     (trace exports, debugging).  Recording on or off, every derived
     metric is identical.
+
+    While a request is DECODING in a
+    :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, its
+    ``generated_tokens`` and ``last_token_time`` — and so
+    ``context_len``, ``done`` and ``tbt`` — are written only at events
+    (its first token, finish or preemption); read them after
+    ``scheduler.settle()``.
     """
 
     request_id: int
@@ -80,7 +87,9 @@ class Request:
 
     @property
     def context_len(self) -> int:
-        """Current KV length: prefilled prompt plus generated tokens."""
+        """Current KV length: prefilled prompt plus generated tokens
+        (for a member of a continuous-batching decode batch, as of the
+        scheduler's last ``settle()`` or event)."""
         return self.prefilled_tokens + self.generated_tokens
 
     @property

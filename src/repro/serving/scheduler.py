@@ -12,18 +12,35 @@ Admission control uses the KV-capacity math of
 :mod:`repro.models.kv_cache`.
 
 The scheduler's per-iteration state is maintained incrementally: the
-decode batch is handed out as a stable reference (no per-iteration
-copies), the sum of decode context lengths is a running integer counter
-(so the engine never rebuilds an O(batch) context list), and the
-admission queue is a :class:`collections.deque` (O(1) FIFO pops).  All
-counters are exact — integer arithmetic has no drift — so the
-incremental state is bit-identical to recomputing from scratch.
+sum of decode context lengths is a running integer counter (so the
+engine never rebuilds an O(batch) context list), and the admission
+queue is a :class:`collections.deque` (O(1) FIFO pops).  All counters
+are exact — integer arithmetic has no drift — so the incremental state
+is bit-identical to recomputing from scratch.
+
+Decode progress is derived, not stamped.  Every decode step advances
+every member of the batch by one token, so the scheduler keeps one
+step counter and the last step's time, and each member only the step
+at which it would finish.  A member's ``generated_tokens`` and
+``last_token_time`` follow from those and are written to its
+:class:`~repro.serving.request.Request` only at events: its first step
+(the first-token stamp), its finish, its preemption, and
+:meth:`ContinuousBatchingScheduler.settle`, which
+``Endpoint.result()`` calls for the members still running at the
+horizon.  A heap keyed ``(finish step, join order)`` yields the next
+finish and each step's finishers in batch order, so stamping — which
+:meth:`~ContinuousBatchingScheduler.complete_iteration` and
+:meth:`~ContinuousBatchingScheduler.complete_burst` both do through one
+private call — costs O(events), not O(batch), per call.  Members with
+``record_token_times=True`` still get every stamp, from a side set.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import kv_bytes_per_token
@@ -47,29 +64,16 @@ class SchedulerLimits:
 class IterationPlan:
     """What one engine iteration will execute.
 
-    ``decode_requests`` may alias the scheduler's live decode list (the
-    engine consumes the plan before the scheduler mutates it again), so
-    ``decode_batch`` and ``decode_context_sum`` capture the batch size
-    and the summed context lengths at planning time.  The engine reports
-    the requests that finished during the iteration via
-    ``finished_decodes``; when left ``None`` (direct scheduler drivers),
-    :meth:`ContinuousBatchingScheduler.complete_iteration` scans for
-    finished members itself.
+    ``decode_batch`` and ``decode_context_sum`` capture the decode
+    batch's size and summed context lengths at planning time; the batch
+    itself is the scheduler's ``decoding`` set, which the completion
+    call stamps.
     """
 
-    decode_requests: list = field(default_factory=list)
     prefill_request: Request | None = None
     prefill_tokens: int = 0
     decode_batch: int = 0
     decode_context_sum: int = 0
-    finished_decodes: list | None = None
-
-    def __post_init__(self) -> None:
-        if self.decode_requests and self.decode_batch == 0:
-            # hand-built plans get the derived fields filled in
-            self.decode_batch = len(self.decode_requests)
-            self.decode_context_sum = sum(
-                r.context_len for r in self.decode_requests)
 
     @property
     def has_work(self) -> bool:
@@ -78,6 +82,9 @@ class IterationPlan:
 
 class ContinuousBatchingScheduler:
     """FIFO admission, chunked prefill, iteration-level batching.
+
+    ``decoding`` maps each decode member, in join (batch) order, to its
+    ``(finish step, join order, request)`` entry in the finish heap.
 
     With a :class:`~repro.serving.prefix_cache.PrefixCache` attached
     the scheduler additionally runs block-granular KV accounting:
@@ -98,13 +105,21 @@ class ContinuousBatchingScheduler:
         self.prefix_cache = prefix_cache
         self.queued: deque[Request] = deque()
         self.prefilling: list[Request] = []
-        self.decoding: list[Request] = []
+        self.decoding: dict[Request, tuple] = {}
         self._kv_per_token = kv_bytes_per_token(model)
         self._reserved_kv_bytes = 0.0
         # running sum of decode context lengths at planning time; exact
         # (integer) and updated on admit/finish/per-step so the engine
         # never rebuilds an O(batch) context list per iteration
         self._decode_context_sum = 0
+        # derived decode progress: steps run, the last one's time, the
+        # finish heap and the members the next step writes
+        self._step = 0
+        self._step_time: float | None = None
+        self._joins = 0
+        self._finishes: list[tuple] = []
+        self._unstamped: list[Request] = []
+        self._timelines: set[Request] = set()
 
     # ------------------------------------------------------------------ #
     # Bookkeeping                                                          #
@@ -141,6 +156,84 @@ class ContinuousBatchingScheduler:
         self.queued.append(request)
 
     # ------------------------------------------------------------------ #
+    # Derived decode progress                                              #
+    # ------------------------------------------------------------------ #
+
+    def _join(self, request: Request) -> None:
+        """Move a request whose prefill completed into the decode batch."""
+        request.state = RequestState.DECODING
+        entry = (self._step + request.output_tokens
+                 - request.generated_tokens, self._joins, request)
+        self._joins += 1
+        self.decoding[request] = entry
+        heapq.heappush(self._finishes, entry)
+        if request.first_token_time is None:
+            self._unstamped.append(request)
+        if request.record_token_times:
+            self._timelines.add(request)
+        self._decode_context_sum += request.context_len
+
+    def _progress(self, request: Request) -> tuple[int, float | None]:
+        """A decode member's ``(generated_tokens, last_token_time)``,
+        derived from the step counter without writing the request."""
+        generated = request.output_tokens + self._step \
+            - self.decoding[request][0]
+        if generated == request.generated_tokens:
+            # no step since the request was last written
+            return generated, request.last_token_time
+        return generated, self._step_time
+
+    def settle(self) -> None:
+        """Write every decode member's derived progress to its request
+        (the run's result reads the members still running)."""
+        for request in self.decoding:
+            request.generated_tokens, request.last_token_time = \
+                self._progress(request)
+
+    def steps_until_finish(self) -> int:
+        """Decode steps until the earliest member finishes."""
+        return self._finishes[0][0] - self._step
+
+    def _stamp(self, times: Sequence[float], finished: list,
+               on_finish) -> list:
+        """Run ``len(times)`` decode steps of the whole decode batch.
+
+        ``times`` holds the steps' completion stamps in order, and no
+        member may finish before the last one (at most
+        :meth:`steps_until_finish` steps).  Each member ends as if
+        :meth:`Request.record_token` had been called once per stamp: the
+        members on their first step get their first-token stamp, the
+        ``record_token_times`` members their timelines, and the members
+        that finish on the last step are written, leave the batch, and
+        are appended to ``finished``, handed to ``on_finish`` and
+        returned, all in batch order.
+        """
+        step = self._step = self._step + len(times)
+        last = self._step_time = times[-1]
+        if self._unstamped:
+            first = times[0]
+            for request in self._unstamped:
+                request.first_token_time = first
+            self._unstamped = []
+        for request in self._timelines:
+            request.token_times.extend(times)
+        done: list[Request] = []
+        finishes = self._finishes
+        while finishes and finishes[0][0] <= step:
+            request = heapq.heappop(finishes)[2]
+            del self.decoding[request]
+            self._timelines.discard(request)
+            request.generated_tokens = request.output_tokens
+            request.last_token_time = last
+            request.finish_time = last
+            request.state = RequestState.FINISHED
+            finished.append(request)
+            done.append(request)
+            if on_finish is not None:
+                on_finish(request)
+        return done
+
+    # ------------------------------------------------------------------ #
     # Iteration planning                                                   #
     # ------------------------------------------------------------------ #
 
@@ -172,7 +265,6 @@ class ContinuousBatchingScheduler:
         """Admit, pick the prefill chunk and the decode batch."""
         self._admit()
         plan = IterationPlan(
-            decode_requests=self.decoding,
             decode_batch=len(self.decoding),
             decode_context_sum=self._decode_context_sum,
         )
@@ -191,22 +283,21 @@ class ContinuousBatchingScheduler:
             # resident as the next turn's prefix
             self.prefix_cache.stash(request)
 
-    def _drop_from_decoding(self, finished: list) -> None:
-        finished_set = set(finished)  # identity-keyed (Request has eq=False)
-        self.decoding = [r for r in self.decoding
-                         if r not in finished_set]
-
-    def _remove_finished(self, finished: list) -> None:
-        for request in finished:
-            self._retire_one(request)
-        self._drop_from_decoding(finished)
+    def _retire(self, steps: int, finished: Sequence[Request]) -> None:
+        """Retire the members that finished on the last of ``steps``
+        decode steps (with their block growth in prefix-cache mode)."""
+        if self.prefix_cache is not None:
+            self._grow_and_retire(steps, finished)
+        else:
+            for request in finished:
+                self._retire_one(request)
 
     # ------------------------------------------------------------------ #
     # Block growth + preemption (prefix-cache mode only)                   #
     # ------------------------------------------------------------------ #
 
-    def _grow_and_retire(self, batch: list, steps: int,
-                         finished: list) -> None:
+    def _grow_and_retire(self, steps: int,
+                         finished: Sequence[Request]) -> None:
         """Claim the blocks the batch's ``steps`` new tokens occupy,
         then retire the finished members.
 
@@ -223,34 +314,33 @@ class ContinuousBatchingScheduler:
         boundary claim blocks here, one at a time in batch order.  When
         a survivor's growth cannot be supplied, another active request
         is preempted for recompute (vLLM's recompute path) and the
-        growth retried; finished members are never victims.  Advancing
-        the in-block survivors first claims the same blocks at the same
-        call as growing each member in turn: in-block growth takes no
-        block, and a victim's release frees the same slack whether or
-        not its tokens were advanced.
+        growth retried; finished members left the batch when they were
+        stamped, so they are never victims.  Advancing the in-block
+        survivors first claims the same blocks at the same call as
+        growing each member in turn: in-block growth takes no block, and
+        a victim's release frees the same slack whether or not its
+        tokens were advanced.
+
+        The survivors are the live batch, so a request that finished
+        prefill in this iteration also claims a token it did not emit
+        (a known one-token over-claim).
         """
-        exempt = set(finished)  # identity-keyed (Request has eq=False)
-        preempted: set = set()
         for request in finished:
-            self._claim_growth(request, steps, exempt, preempted,
-                               required=False)
+            self._claim_growth(request, steps, required=False)
             self._retire_one(request)
-        if finished:
-            self._drop_from_decoding(finished)
-            batch = [r for r in batch
-                     if r not in exempt and r not in preempted]
+        batch = list(self.decoding)
         crossing = self.prefix_cache.allocator.extend_within_blocks(
             [r.request_id for r in batch], steps)
-        # snapshot before claiming: a preemption may shrink ``batch``
-        for request in [batch[i] for i in crossing]:
-            if request not in preempted:
-                self._claim_growth(request, steps, exempt, preempted)
+        for position in crossing:
+            request = batch[position]
+            # a claim before this one may have preempted it
+            if request in self.decoding:
+                self._claim_growth(request, steps)
 
     def _claim_growth(self, request: Request, steps: int,
-                      exempt: set, preempted: set,
                       required: bool = True) -> None:
         while not self.prefix_cache.extend(request, steps):
-            victim = self._preemption_victim(request, exempt)
+            victim = self._preemption_victim(request)
             if victim is None:
                 if not required:
                     return
@@ -258,17 +348,14 @@ class ContinuousBatchingScheduler:
                     "KV block pool cannot hold a single request's "
                     "context; grow kv_budget_bytes")
             self._preempt(victim)
-            preempted.add(victim)
 
-    def _preemption_victim(self, growing: Request,
-                           exempt: set) -> Request | None:
+    def _preemption_victim(self, growing: Request) -> Request | None:
         """Youngest-first victim: last-admitted prefill, then the
-        newest decode — never the growing request or a finished one."""
+        newest decode — never the growing request."""
         for pool in (self.prefilling, self.decoding):
             for candidate in reversed(pool):
-                if candidate is growing or candidate in exempt:
-                    continue
-                return candidate
+                if candidate is not growing:
+                    return candidate
         return None
 
     def _preempt(self, victim: Request) -> None:
@@ -280,7 +367,13 @@ class ContinuousBatchingScheduler:
         ``prefill_remaining`` charges the whole recompute.
         """
         if victim.state == RequestState.DECODING:
-            self.decoding.remove(victim)
+            victim.generated_tokens, victim.last_token_time = \
+                self._progress(victim)
+            self._finishes.remove(self.decoding.pop(victim))
+            heapq.heapify(self._finishes)
+            if victim in self._unstamped:
+                self._unstamped.remove(victim)
+            self._timelines.discard(victim)
             self._decode_context_sum -= victim.context_len
         else:
             self.prefilling.remove(victim)
@@ -297,48 +390,43 @@ class ContinuousBatchingScheduler:
             self._reserved_kv_bytes = 0.0
             self._decode_context_sum = 0
 
-    def complete_iteration(self, plan: IterationPlan) -> None:
-        """Apply state transitions after the engine executed ``plan``."""
+    def complete_iteration(self, plan: IterationPlan, now: float,
+                           finished: list, on_finish=None) -> None:
+        """Apply state transitions after the engine executed ``plan``,
+        whose step completed at ``now``: every decode-batch member emits
+        one token (those that finish are appended to ``finished`` and
+        handed to ``on_finish``, in batch order), then the prefill chunk
+        lands."""
+        if plan.decode_batch:
+            done = self._stamp((now,), finished, on_finish)
         if plan.prefill_request is not None:
             request = plan.prefill_request
             request.prefilled_tokens += plan.prefill_tokens
             if request.prefill_remaining == 0:
                 self.prefilling.remove(request)
-                request.state = RequestState.DECODING
-                self.decoding.append(request)
-                self._decode_context_sum += request.context_len
+                self._join(request)
         if plan.decode_batch:
-            # every decode-batch member emitted one token this iteration
             self._decode_context_sum += plan.decode_batch
-            finished = plan.finished_decodes
-            if finished is None:
-                finished = [r for r in self.decoding
-                            if r.state == RequestState.FINISHED]
-            if self.prefix_cache is not None:
-                # plan.decode_requests aliases self.decoding, so a
-                # request that finished prefill above also claims a
-                # token it did not emit (a known one-token over-claim)
-                self._grow_and_retire(plan.decode_requests, 1, finished)
-            elif finished:
-                self._remove_finished(finished)
+            self._retire(1, done)
         self._clamp_when_drained()
 
-    def complete_burst(self, plan: IterationPlan, steps: int,
-                       finished: list) -> None:
-        """Apply ``steps`` consecutive pure-decode iterations at once.
+    def complete_burst(self, plan: IterationPlan, times: Sequence[float],
+                       finished: list, on_finish=None) -> None:
+        """Apply ``len(times)`` consecutive pure-decode iterations at
+        once, the steps completing at ``times``.
 
         The engine's fast-forward path guarantees no prefill work and no
-        admissions happened during the burst; each decode member emitted
-        ``steps`` tokens and ``finished`` lists the members that
-        completed on the final step.  In prefix-cache mode the whole
-        burst's block growth is claimed here at once (a member takes
-        blocks only when its ``steps`` tokens cross a block boundary) —
-        exhaustion is resolved at the burst boundary, not mid-step (the
-        documented modeling simplification).
+        admissions happened during the burst and that no member finishes
+        before the final step; each decode member emits one token per
+        step, and the members that finish on the final step are appended
+        to ``finished`` and handed to ``on_finish``, in batch order.  In
+        prefix-cache mode the whole burst's block growth is claimed here
+        at once (a member takes blocks only when its new tokens cross a
+        block boundary) — exhaustion is resolved at the burst boundary,
+        not mid-step (the documented modeling simplification).
         """
+        steps = len(times)
         self._decode_context_sum += plan.decode_batch * steps
-        if self.prefix_cache is not None and steps > 0:
-            self._grow_and_retire(plan.decode_requests, steps, finished)
-        elif finished:
-            self._remove_finished(finished)
+        if steps:
+            self._retire(steps, self._stamp(times, finished, on_finish))
         self._clamp_when_drained()

@@ -3,13 +3,16 @@
 import argparse
 import dataclasses
 import json
+import pathlib
 import re
 
 import pytest
 
 from repro.api import DeploymentSpec
 from repro.cli import _SECTIONS, build_parser, main
-from repro.hardware.registry import list_chips
+from repro.hardware.registry import get_chip, list_chips
+
+EXPERIMENTS = pathlib.Path(__file__).resolve().parent.parent / "experiments"
 
 
 class TestParser:
@@ -284,6 +287,38 @@ class TestErrorExits:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "Traceback" not in captured.err
+
+
+    def test_overloaded_run_prints_the_message_once(self, capsys, tmp_path):
+        """An endpoint that finishes nothing exits 1 with the overload
+        message on stdout, its opening phrase printed once."""
+        experiment = json.loads((EXPERIMENTS / "ultrachat_ador.json")
+                                .read_text())
+        experiment["max_sim_seconds"] = 0.001
+        path = tmp_path / "overloaded.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "no requests finished within 0.001 s — ADOR Design cannot "
+            "sustain 15 req/s"]
+        assert captured.err == ""
+
+
+    def test_null_chip_frequency_exits_2(self, capsys, tmp_path):
+        """An inline chip whose ``frequency_hz`` is ``null`` (+inf) is a
+        bad spec, not an overloaded endpoint."""
+        experiment = json.loads((EXPERIMENTS / "ultrachat_ador.json")
+                                .read_text())
+        chip = DeploymentSpec(chip=get_chip("ador")).to_dict()["chip"]
+        experiment["deployment"]["chip"] = dict(chip, frequency_hz=None)
+        path = tmp_path / "null_frequency.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: frequency must be positive and finite; got inf"]
+        assert captured.out == ""
 
 
 class TestSectionTable:

@@ -8,7 +8,7 @@ from repro.core.scheduling import AdorDeviceModel
 from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
 from repro.serving.engine import ServingEngine
-from repro.serving.request import Request
+from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
     SchedulerLimits,
@@ -65,19 +65,23 @@ def test_engine_time_accounting(spec):
 @settings(max_examples=20, deadline=None)
 @given(spec=request_lists, max_batch=st.integers(1, 6))
 def test_scheduler_never_exceeds_batch_limit(spec, max_batch):
+    """The batch limit holds at every plan, and the scheduler retires
+    every request (at most 10 requests of one prefill chunk and 12
+    decode steps each, so 200 iterations always suffice)."""
     scheduler = ContinuousBatchingScheduler(
         LLAMA3, SchedulerLimits(max_batch=max_batch))
-    for request in build_requests(spec):
+    requests = build_requests(spec)
+    for request in requests:
         scheduler.enqueue(request)
     for _ in range(200):
         plan = scheduler.plan_iteration()
         assert scheduler.active_count <= max_batch
         if not plan.has_work:
             break
-        now = 1.0
-        for request in plan.decode_requests:
-            request.record_token(now)
-        scheduler.complete_iteration(plan)
+        scheduler.complete_iteration(plan, 1.0, [])
+    assert not scheduler.has_work
+    assert all(r.state == RequestState.FINISHED
+               and r.generated_tokens == r.output_tokens for r in requests)
 
 
 # --------------------------------------------------------------------- #

@@ -59,7 +59,7 @@ class TestScheduler:
 
         def recompute(scheduler):
             return sum((r.input_tokens + r.output_tokens) * per_token
-                       for r in scheduler.prefilling + scheduler.decoding)
+                       for r in [*scheduler.prefilling, *scheduler.decoding])
 
         scheduler = ContinuousBatchingScheduler(
             llama3, SchedulerLimits(max_batch=4, prefill_chunk_tokens=64))
@@ -75,9 +75,7 @@ class TestScheduler:
                 == pytest.approx(recompute(scheduler))
             if not plan.has_work:
                 break
-            for request in plan.decode_requests:
-                request.record_token(1.0)
-            scheduler.complete_iteration(plan)
+            scheduler.complete_iteration(plan, 1.0, [])
             assert scheduler.kv_bytes_in_use() \
                 == pytest.approx(recompute(scheduler))
         assert all(r.state == RequestState.FINISHED for r in requests)
@@ -92,7 +90,7 @@ class TestScheduler:
         while request.state != RequestState.DECODING:
             plan = scheduler.plan_iteration()
             chunks.append(plan.prefill_tokens)
-            scheduler.complete_iteration(plan)
+            scheduler.complete_iteration(plan, 0.0, [])
         assert chunks == [32, 32, 32, 4]
 
     def test_finished_requests_leave_decode_set(self, llama3):
@@ -100,12 +98,13 @@ class TestScheduler:
         request = make_requests(1, input_tokens=8, output_tokens=1)[0]
         scheduler.enqueue(request)
         plan = scheduler.plan_iteration()
-        scheduler.complete_iteration(plan)
+        scheduler.complete_iteration(plan, 0.0, [])
         assert request.state == RequestState.DECODING
-        request.record_token(1.0)  # finishes it
         plan = scheduler.plan_iteration()
-        scheduler.complete_iteration(plan)
-        assert scheduler.decoding == []
+        finished = []
+        scheduler.complete_iteration(plan, 1.0, finished)  # finishes it
+        assert finished == [request]
+        assert not scheduler.decoding
 
     def test_rejects_double_enqueue(self, llama3):
         scheduler = ContinuousBatchingScheduler(llama3, SchedulerLimits())

@@ -32,18 +32,17 @@ from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving import engine as serving_engine
-from repro.serving.engine import (
-    ServingEngine,
-    run_decode_burst,
-    stamp_decode_steps,
-)
+from repro.serving.engine import ServingEngine, run_decode_burst
 from repro.serving.generator import (
     iter_onoff_requests,
     iter_poisson_requests,
 )
 from repro.serving.qos import compute_qos
-from repro.serving.request import Request
-from repro.serving.scheduler import SchedulerLimits
+from repro.serving.request import Request, RequestState
+from repro.serving.scheduler import (
+    ContinuousBatchingScheduler,
+    SchedulerLimits,
+)
 
 #: one registry chip per ChipKind
 CHIPS = ("ador", "a100", "tpuv4", "tsp")
@@ -418,6 +417,16 @@ class TestClusterBookkeeping:
         assert second.queued_requests == 1
 
 
+def decoding_scheduler(batch):
+    """A scheduler whose decode batch is ``batch``, joined in order with
+    the token counts and stamps the requests already carry."""
+    scheduler = ContinuousBatchingScheduler(MODEL, LIMITS)
+    for request in batch:
+        request.prefilled_tokens = request.input_tokens
+        scheduler._join(request)
+    return scheduler
+
+
 class TestRequestSlimming:
     def test_token_times_off_by_default(self):
         request = Request(request_id=0, arrival_time=0.0, input_tokens=4,
@@ -447,9 +456,13 @@ class TestRequestSlimming:
         times = [0.5, 0.9, 1.6, 2.0, 2.7]
         for t in times:
             single.record_token(t)
+        scheduler = decoding_scheduler([burst])
         finished = []
-        assert stamp_decode_steps([burst], times[:2], finished) == []
-        assert stamp_decode_steps([burst], times[2:], finished) == [burst]
+        scheduler.complete_burst(scheduler.plan_iteration(), times[:2],
+                                 finished)
+        assert finished == []
+        scheduler.complete_burst(scheduler.plan_iteration(), times[2:],
+                                 finished)
         assert finished == [burst]
         assert burst.token_times == single.token_times
         assert burst.tbt == single.tbt
@@ -467,9 +480,11 @@ class TestRequestSlimming:
            raw_steps=st.integers(0, 100))
     def test_stamping_helper_equals_record_token_per_step(
             self, members, gaps, raw_steps):
-        """The one stamping loop leaves every member, the finished list
-        and the ``on_finish`` order as per-step ``record_token`` would,
-        for any step count that finishes members on the last step."""
+        """A decode burst's stamping leaves every member, the finished
+        list and the ``on_finish`` order as per-step ``record_token``
+        would, for any step count that finishes members on the last
+        step: the running members' derived progress before they are
+        settled, and their written fields after."""
 
         def build():
             batch = []
@@ -478,6 +493,7 @@ class TestRequestSlimming:
                 generated = min(generated, output - 1)
                 request = Request(request_id=rid, arrival_time=0.0,
                                   input_tokens=4, output_tokens=output,
+                                  state=RequestState.DECODING,
                                   generated_tokens=generated,
                                   record_token_times=record)
                 if first or generated:
@@ -504,15 +520,21 @@ class TestRequestSlimming:
                 ref_finished.append(request.request_id)
 
         helped = build()
+        scheduler = decoding_scheduler(helped)
+        assert scheduler.steps_until_finish() == remaining
         finished, hooked = [], []
-        done = stamp_decode_steps(
-            helped, times, finished,
+        scheduler.complete_burst(
+            scheduler.plan_iteration(), times, finished,
             # the hook runs after the request joined ``finished``
             on_finish=lambda r: hooked.append(
                 (r.request_id, finished[-1] is r)))
         assert [r.request_id for r in finished] == ref_finished
-        assert [r.request_id for r in done] == ref_finished
         assert hooked == [(rid, True) for rid in ref_finished]
+        for ours, theirs in zip(helped, reference):
+            if ours in scheduler.decoding:
+                assert scheduler._progress(ours) \
+                    == (theirs.generated_tokens, theirs.last_token_time)
+        scheduler.settle()
         fields = ("generated_tokens", "token_times", "first_token_time",
                   "last_token_time", "finish_time", "state")
         for ours, theirs in zip(helped, reference):

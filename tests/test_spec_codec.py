@@ -492,6 +492,22 @@ def test_unknown_chip_enum_value_rejected(section, key, message):
     assert str(info.value) == f"{message}; got 'bogus'"
 
 
+@pytest.mark.parametrize("frequency, written", [
+    (float("inf"), None), (float("nan"), float("nan"))], ids=["inf", "nan"])
+def test_non_finite_chip_frequency_rejected(frequency, written):
+    """A clock of +inf (inline JSON ``null``) or NaN is rejected, on the
+    chip and through an inline-chip deployment: it used to pass and
+    make every prefill time NaN."""
+    with pytest.raises(ValueError, match="frequency must be positive and "
+                                         "finite"):
+        get_chip("ador").with_updates(frequency_hz=frequency)
+    data = ador_chip_dict()
+    data["frequency_hz"] = written
+    with pytest.raises(ValueError, match="frequency must be positive and "
+                                         "finite"):
+        DeploymentSpec.from_dict({"chip": data})
+
+
 @pytest.mark.parametrize("unit", ["systolic_array", "mac_tree",
                                   "vector_unit"])
 def test_chip_unit_may_be_null_but_not_absent(unit):
