@@ -96,7 +96,7 @@ class WorkloadSpec(SpecCodec):
             raise ValueError(
                 "a session config requires arrival='sessions' — "
                 "poisson arrivals would silently ignore it")
-        if self.rate_per_s <= 0:
+        if not self.rate_per_s > 0:
             raise ValueError("rate_per_s must be positive")
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
@@ -139,11 +139,11 @@ class WorkloadSpec(SpecCodec):
 # --------------------------------------------------------------------- #
 
 def _canonical_kv_budget(spec: ReplicaGroupSpec | DeploymentSpec) -> None:
-    """Reject a non-positive KV budget and store "unlimited" as
+    """Reject a non-positive or NaN KV budget and store "unlimited" as
     ``None``: ``None`` and +inf mean the same thing, and specs must
     compare equal after a JSON round-trip."""
     budget = spec.kv_budget_bytes
-    if budget is not None and budget <= 0:
+    if budget is not None and not budget > 0:
         raise ValueError(
             f"kv_budget_bytes must be positive (or None for unlimited), "
             f"got {budget!r}")
@@ -192,7 +192,7 @@ class ReplicaGroupSpec(SpecCodec):
             raise ValueError("group count must be >= 0")
         if self.num_devices < 1:
             raise ValueError("num_devices must be >= 1")
-        if self.cost_per_replica_s <= 0:
+        if not self.cost_per_replica_s > 0:
             raise ValueError("cost_per_replica_s must be positive")
         if self.min_count is not None and self.min_count < 0:
             raise ValueError("min_count must be >= 0")
@@ -204,7 +204,7 @@ class ReplicaGroupSpec(SpecCodec):
                 f"min_count={self.min_count} must not exceed "
                 f"max_count={self.max_count}")
         if self.provision_latency_s is not None \
-                and self.provision_latency_s < 0:
+                and not self.provision_latency_s >= 0:
             raise ValueError("provision_latency_s must be non-negative")
         _canonical_kv_budget(self)
 
@@ -475,5 +475,5 @@ class Experiment(SpecCodec):
                                           metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
-        if self.max_sim_seconds <= 0:
+        if not self.max_sim_seconds > 0:
             raise ValueError("max_sim_seconds must be positive")

@@ -97,26 +97,6 @@ class FleetObservation:
         """Routed-but-unfinished requests across the routable fleet."""
         return sum(s.outstanding_requests for s in self.replicas)
 
-    @property
-    def queue_depth_per_replica(self) -> float:
-        """Mean outstanding requests per ready replica."""
-        return self.outstanding_requests / max(self.ready, 1)
-
-    def ready_per_group(self) -> dict[int, int]:
-        """Ready replicas per fleet group (``{group_index: count}``).
-
-        On a legacy homogeneous fleet every snapshot carries group 0,
-        so the dict has one entry and policies that ignore it lose
-        nothing.  Group-aware policies can weigh this against the
-        groups' capabilities; which *group* a scale decision lands on
-        stays the engine's call (cheapest group up, most expensive
-        down — see :class:`repro.cluster.engine.EngineGroup`).
-        """
-        counts: dict[int, int] = {}
-        for snapshot in self.replicas:
-            counts[snapshot.group] = counts.get(snapshot.group, 0) + 1
-        return counts
-
 
 class AutoscalerPolicy(Protocol):
     """A (possibly stateful) fleet-sizing decision function."""
@@ -199,13 +179,13 @@ class AutoscaleSpec(SpecCodec):
             raise ValueError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if self.decision_interval_s <= 0:
+        if not self.decision_interval_s > 0:
             raise ValueError("decision_interval_s must be positive")
-        if self.provision_latency_s < 0:
+        if not self.provision_latency_s >= 0:
             raise ValueError("provision_latency_s must be non-negative")
         if self.warm_pool_size < 0:
             raise ValueError("warm_pool_size must be non-negative")
-        if self.warm_provision_s < 0:
+        if not self.warm_provision_s >= 0:
             raise ValueError("warm_provision_s must be non-negative")
         if self.warm_pool_size > 0 \
                 and self.warm_provision_s > self.provision_latency_s:

@@ -15,10 +15,12 @@ A replica (:class:`ReplicaSim`) is a :class:`repro.serving.engine.Endpoint`
 — the same iteration body, decode fast-forward and timing model as
 :class:`~repro.serving.engine.ServingEngine`, so a single-replica cluster
 reproduces the single-engine results.  Inside a slowdown window the same
-body runs with every step time scaled by the window's factor.  Idle
-replicas skip their advance/snapshot bookkeeping entirely, and an
-already-sorted arrival list is not re-sorted — together the per-arrival
-cost of a mostly-idle fleet drops to the router call itself.
+body runs with every step time scaled by the window's factor.  A
+replica with no work, or whose clock already reached the event, is not
+stepped; each routing or decision event builds one five-field
+:class:`~repro.cluster.router.ReplicaSnapshot` per routable replica
+from its live counters, and an already-sorted arrival list is not
+re-sorted.
 
 With an :class:`~repro.cluster.autoscaler.AutoscaleSpec` the fleet is
 *dynamic*: an autoscaler policy is evaluated on a fixed decision
@@ -88,13 +90,10 @@ class ReplicaSim(Endpoint):
         # --- group identity (set by the cluster engine on hetero fleets;
         # the defaults keep a directly-built replica homogeneous) ---
         self.group_index = 0
-        self.chip_label = ""
         self.prefill_rate = 0.0
         self.decode_rate = 0.0
         self.assigned_requests = 0
-        self.assigned_tokens = 0
         self._outstanding_tokens = 0
-        self._snapshot: ReplicaSnapshot | None = None
         # --- lifecycle (managed by the cluster engine) ---
         self.launched_at = 0.0
         self.ready_at = 0.0
@@ -122,28 +121,15 @@ class ReplicaSim(Endpoint):
         return bool(self.pending) or self.scheduler.has_work
 
     def snapshot(self) -> ReplicaSnapshot:
-        # idle replicas are snapshotted once and served from cache until
-        # the next submit/advance dirties them — on a lightly loaded
-        # fleet this removes most of the per-arrival bookkeeping
-        snap = self._snapshot
-        if snap is None:
-            snap = ReplicaSnapshot(
-                replica_id=self.replica_id,
-                clock_s=self.now,
-                outstanding_requests=self.outstanding_requests,
-                outstanding_tokens=self._outstanding_tokens,
-                queued_requests=len(self.pending)
-                + len(self.scheduler.queued),
-                active_requests=self.scheduler.active_count,
-                assigned_requests=self.assigned_requests,
-                assigned_tokens=self.assigned_tokens,
-                chip=self.chip_label,
-                group=self.group_index,
-                prefill_tokens_per_s=self.prefill_rate,
-                decode_tokens_per_s=self.decode_rate,
-            )
-            self._snapshot = snap
-        return snap
+        """The router's view of this replica, built from the live
+        counters at each routing or decision event."""
+        return ReplicaSnapshot(
+            replica_id=self.replica_id,
+            outstanding_requests=self.outstanding_requests,
+            outstanding_tokens=self._outstanding_tokens,
+            prefill_tokens_per_s=self.prefill_rate,
+            decode_tokens_per_s=self.decode_rate,
+        )
 
     # ------------------------------------------------------------------ #
     # Simulation                                                           #
@@ -161,10 +147,8 @@ class ReplicaSim(Endpoint):
         """
         self.pending.append(request)
         self.assigned_requests += 1
-        tokens = request.input_tokens + request.output_tokens
-        self.assigned_tokens += tokens
-        self._outstanding_tokens += tokens
-        self._snapshot = None
+        self._outstanding_tokens += request.input_tokens \
+            + request.output_tokens
 
     def advance_to(self, target: float, horizon: float,
                    factor: float = 1.0) -> None:
@@ -175,20 +159,16 @@ class ReplicaSim(Endpoint):
         (:meth:`Endpoint.advance`), with every step time multiplied by
         ``factor``: an iteration starts whenever the clock is still below
         the limit, even if it ends past it, and an idle replica's clock
-        stays at its last event (never inflated to the horizon).
+        stays at its last event (never inflated to the horizon).  A
+        replica with no work, or whose clock already reached the limit,
+        is not stepped, so its counters (and its next snapshot) are
+        unchanged.
         """
         if not self.has_work:
             return
         limit = min(target, horizon)
-        if not self.now < limit:
-            # the clock already reached the limit: zero iterations can
-            # run, so the replica state — and therefore the snapshot the
-            # router would rebuild — is unchanged.  Keeping the cached
-            # snapshot removes most per-arrival bookkeeping on busy
-            # fleets where arrivals outpace the iteration clock.
-            return
-        self._snapshot = None
-        self.advance(limit, factor)
+        if self.now < limit:
+            self.advance(limit, factor)
 
     def advance_faulty(self, target: float, horizon: float) -> None:
         """Plan-aware :meth:`advance_to`: honors the replica's stall
@@ -210,7 +190,6 @@ class ReplicaSim(Endpoint):
             # rule as advance_to — downtime with no work costs nothing)
             if not self.has_work:
                 return
-            self._snapshot = None
             self.now = min(self.restart_at, limit)
             if self.now < self.restart_at:
                 return
@@ -219,7 +198,6 @@ class ReplicaSim(Endpoint):
                 return
             window = plan.window_at(self.now)
             if window is not None and window.kind == "stall":
-                self._snapshot = None
                 self.now = min(window.end_s, limit)
                 continue
             segment = plan.next_boundary(self.now, limit)
@@ -244,10 +222,9 @@ class ReplicaSim(Endpoint):
                 + list(self.scheduler.decoding)
                 + list(self.scheduler.queued)
                 + list(self.pending))
-        tokens = sum(r.input_tokens + r.output_tokens for r in lost)
         self.assigned_requests -= len(lost)
-        self.assigned_tokens -= tokens
-        self._outstanding_tokens -= tokens
+        self._outstanding_tokens -= sum(r.input_tokens + r.output_tokens
+                                        for r in lost)
         engine = self.engine
         if self.prefix_cache is not None:
             self._prior_cache_stats.append(self.prefix_cache.stats)
@@ -257,7 +234,6 @@ class ReplicaSim(Endpoint):
         self.pending = deque()
         self.now = max(self.now, when)
         self.restart_at = restart_at
-        self._snapshot = None
         lost.sort(key=lambda r: (r.arrival_time, r.request_id))
         return lost
 
@@ -476,7 +452,6 @@ class ClusterEngine:
                           fast_forward=self.fast_forward,
                           prefix_cache=self.prefix_cache))
         replica.group_index = group.index
-        replica.chip_label = group.name
         replica.prefill_rate = group.prefill_tokens_per_s
         replica.decode_rate = group.decode_tokens_per_s
         return replica

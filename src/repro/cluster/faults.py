@@ -77,14 +77,14 @@ class FaultEvent(SpecCodec):
                 f"replica_id must be an integer, got {self.replica_id!r}")
         if self.replica_id < 0:
             raise ValueError("replica_id must be non-negative")
-        if self.time_s < 0:
+        if not self.time_s >= 0:
             raise ValueError("fault time_s must be non-negative")
-        if self.kind in ("slowdown", "stall") and self.duration_s <= 0:
+        if self.kind in ("slowdown", "stall") and not self.duration_s > 0:
             raise ValueError(
                 f"a {self.kind} window needs duration_s > 0")
-        if self.duration_s < 0:
+        if not self.duration_s >= 0:
             raise ValueError("duration_s must be non-negative")
-        if self.factor < 1:
+        if not self.factor >= 1:
             raise ValueError(
                 "slowdown factor must be >= 1 (a straggler is slower, "
                 "not faster)")
@@ -128,15 +128,15 @@ class FaultSpec(SpecCodec):
         for name in ("crash_mtbf_s", "slowdown_mtbf_s", "stall_mtbf_s",
                      "request_timeout_s"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive (or None)")
-        if self.restart_delay_s < 0:
+        if not self.restart_delay_s >= 0:
             raise ValueError("restart_delay_s must be non-negative")
-        if self.slowdown_factor < 1:
+        if not self.slowdown_factor >= 1:
             raise ValueError("slowdown_factor must be >= 1")
-        if self.slowdown_duration_s <= 0:
+        if not self.slowdown_duration_s > 0:
             raise ValueError("slowdown_duration_s must be positive")
-        if self.stall_duration_s <= 0:
+        if not self.stall_duration_s > 0:
             raise ValueError("stall_duration_s must be positive")
         if not isinstance(self.max_retries, int) \
                 or isinstance(self.max_retries, bool):
@@ -144,7 +144,7 @@ class FaultSpec(SpecCodec):
                 f"max_retries must be an integer, got {self.max_retries!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.slo_ttft_s <= 0:
+        if not self.slo_ttft_s > 0:
             raise ValueError("slo_ttft_s must be positive")
         events = self.events
         if isinstance(events, list):

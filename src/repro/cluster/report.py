@@ -167,13 +167,6 @@ class GroupBreakdown:
     cost: float                  # replica_seconds * cost_per_replica_s
     qos: QoSReport | None
 
-    @property
-    def requests_per_replica_second(self) -> float:
-        """Finished requests per replica-second — group efficiency."""
-        if self.replica_seconds <= 0:
-            return 0.0
-        return self.finished_requests / self.replica_seconds
-
 
 def group_breakdowns(replica_results: Sequence[SimulationResult],
                      group_ids: Sequence[int],

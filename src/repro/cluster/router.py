@@ -1,8 +1,13 @@
 """Router policies: which replica a newly arrived request joins.
 
 The cluster front-end sees every request before any replica does; a
-*router policy* picks the replica from a per-replica load snapshot taken
-at the request's arrival instant.  Policies follow the repo's registry
+*router policy* picks the replica from one :class:`ReplicaSnapshot` per
+routable replica, built from its live counters at the routing instant.
+A snapshot holds five fields: the durable ``replica_id``, the
+outstanding request count and token mass, and the replica group's two
+probed capability rates.  A policy that wants more (a replica's clock,
+its queue split, its chip) keeps that state itself, as session affinity
+keeps its homes.  Policies follow the repo's registry
 idiom (:class:`repro.registry.Registry`): a decorator registers a
 zero-arg factory under a string name, and experiment JSON / the CLI
 address it as ``DeploymentSpec.router``::
@@ -61,29 +66,22 @@ from repro.serving.request import Request
 
 @dataclass(frozen=True, slots=True)
 class ReplicaSnapshot:
-    """One replica's load as the router sees it at an arrival instant.
+    """One replica's load as the router sees it at a routing or decision
+    instant: the five fields the built-in routers and autoscalers read,
+    built from the replica's live counters at each call.
 
-    The capability fields (``chip``, ``group``, and the two rate
-    estimates) describe *what kind* of replica this is, not its load;
-    on a homogeneous fleet the engine leaves them at their defaults, so
-    group-blind policies — everything except ``hetero-aware`` — behave
-    bit-identically whether or not a fleet was spec'd as groups.  The
-    rates are single-request microbenchmark estimates the engine probes
-    once per group (tokens/s of a 512-token prefill, tokens/s of a
-    batch-8 decode step), comparable across chips but not a throughput
-    promise under load.
+    The two rate fields describe *what kind* of replica this is, not its
+    load.  They are single-request microbenchmark estimates the engine
+    probes once per group (tokens/s of a 512-token prefill, tokens/s of
+    a batch-8 decode step), comparable across chips but not a throughput
+    promise under load; on a homogeneous fleet the engine leaves them at
+    0.0, so every policy but ``hetero-aware`` reads the same snapshots
+    whether or not a fleet was spec'd as groups.
     """
 
     replica_id: int
-    clock_s: float
     outstanding_requests: int   # submitted to the replica, not finished
     outstanding_tokens: int     # input+output tokens of those requests
-    queued_requests: int        # waiting for admission on the replica
-    active_requests: int        # prefilling + decoding right now
-    assigned_requests: int      # everything ever routed here
-    assigned_tokens: int
-    chip: str = ""              # chip label of the replica's group
-    group: int = 0              # position of the group in the fleet spec
     prefill_tokens_per_s: float = 0.0   # 0.0 = capability unknown
     decode_tokens_per_s: float = 0.0    # 0.0 = capability unknown
 

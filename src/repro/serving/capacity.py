@@ -73,9 +73,9 @@ def check_search_inputs(slo_tbt_s: float, slo_ttft_s: float | None,
     and :func:`reference_capacity_search` all call this before any
     simulation runs.
     """
-    if slo_tbt_s <= 0:
+    if not slo_tbt_s > 0:
         raise ValueError("slo_tbt_s must be positive")
-    if slo_ttft_s is not None and slo_ttft_s <= 0:
+    if slo_ttft_s is not None and not slo_ttft_s > 0:
         raise ValueError("slo_ttft_s must be positive")
     if percentile not in _PERCENTILES:
         raise ValueError(

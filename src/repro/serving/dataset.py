@@ -35,9 +35,9 @@ class ChatTraceConfig:
     max_output: int = 2048
 
     def __post_init__(self) -> None:
-        if self.input_median <= 0 or self.output_median <= 0:
+        if not (self.input_median > 0 and self.output_median > 0):
             raise ValueError("medians must be positive")
-        if self.input_sigma < 0 or self.output_sigma < 0:
+        if not (self.input_sigma >= 0 and self.output_sigma >= 0):
             raise ValueError("sigmas must be non-negative")
 
     @property

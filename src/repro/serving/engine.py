@@ -213,12 +213,6 @@ class SimulationResult:
     sunk_tokens: int = 0
 
     @property
-    def completed_requests_per_s(self) -> float:
-        if self.total_time_s <= 0:
-            return 0.0
-        return (len(self.finished) + self.sunk_finished) / self.total_time_s
-
-    @property
     def generated_tokens(self) -> int:
         return sum(r.generated_tokens
                    for r in self.finished + self.unfinished) \
@@ -241,9 +235,16 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     before each step, like the plain loop), or the next pending arrival
     landing (checked after each step, so the step that overruns it still
     executes — the plain loop only sees arrivals at the next iteration
-    top).  Every step time is multiplied by ``factor`` (a slowdown
-    window's; exact at 1.0).  ``busy``/``decode_time`` are threaded
-    through and accumulated per step, preserving the reference
+    top).  Each step's unscaled seconds come from a raw-context map —
+    the device's ``decode_seconds_map`` when it has one, a burst-local
+    dict otherwise — and are multiplied by ``factor`` (a slowdown
+    window's; exact at 1.0).  A context missing from the map is filled
+    through ``decode_step_time``, so a cached device's breakdown cache
+    and miss counter stay exact (its map hits are bulk-accounted on
+    ``stats``).  Each step adds one token per member, so contexts never
+    repeat within a burst: an uncached device gets one
+    ``decode_step_time`` call per step.  ``busy``/``decode_time`` are
+    threaded through and accumulated per step, preserving the reference
     float-summation order bit for bit.  The steps are stamped and
     applied via the scheduler's ``complete_burst``: completions are
     appended to ``finished`` in batch order (``on_finish`` is an
@@ -254,50 +255,31 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     ctx_sum = plan.decode_context_sum
     until_finish = scheduler.steps_until_finish()
     next_arrival = pending[0].arrival_time if pending else None
-    times: list[float] = []
-    steps = 0
     seconds_map = getattr(device, "decode_seconds_map", None)
-    if seconds_map is not None and factor <= 1.0:
-        # raw-context -> seconds map: one dict probe per step instead of
-        # a decode_step_time call (re-bucketing + key tuple + breakdown
-        # fetch).  Misses are filled *through* decode_step_time so the
-        # breakdown cache and its miss counter stay exact; the probe
-        # hits are bulk-accounted below — each one stands in for a call
-        # that would have hit the breakdown cache.
-        seconds = seconds_map(model, size, num_devices)
-        fills = 0
-        while steps < until_finish and now < limit:
-            mean_context = max(1, int(ctx_sum / size))
-            step = seconds.get(mean_context)
-            if step is None:
-                step = seconds[mean_context] = device.decode_step_time(
-                    model, size, mean_context, num_devices).seconds
-                fills += 1
-            now += step
-            busy += step
-            decode_time += step
-            times.append(now)
-            ctx_sum += size
-            steps += 1
-            if next_arrival is not None and next_arrival <= now:
-                break
-        if steps > fills:
-            device.stats.decode_hits += steps - fills
-    else:
-        # one device call per step: the reference device models, and
-        # slowdown windows (the seconds map holds unscaled step times)
-        while steps < until_finish and now < limit:
-            mean_context = max(1, int(ctx_sum / size))
-            step = device.decode_step_time(
-                model, size, mean_context, num_devices).seconds * factor
-            now += step
-            busy += step
-            decode_time += step
-            times.append(now)
-            ctx_sum += size
-            steps += 1
-            if next_arrival is not None and next_arrival <= now:
-                break
+    seconds = seconds_map(model, size, num_devices) \
+        if seconds_map is not None else {}
+    times: list[float] = []
+    steps = fills = 0
+    while steps < until_finish and now < limit:
+        mean_context = max(1, int(ctx_sum / size))
+        step = seconds.get(mean_context)
+        if step is None:
+            step = seconds[mean_context] = device.decode_step_time(
+                model, size, mean_context, num_devices).seconds
+            fills += 1
+        step *= factor
+        now += step
+        busy += step
+        decode_time += step
+        times.append(now)
+        ctx_sum += size
+        steps += 1
+        if next_arrival is not None and next_arrival <= now:
+            break
+    if seconds_map is not None:
+        # each map hit stands in for a decode_step_time call that would
+        # have hit the breakdown cache
+        device.stats.decode_hits += steps - fills
     # one stamping call per burst, touching only the members an event
     # writes: at million-request scale a call per member per step
     # dominated the profile

@@ -40,7 +40,7 @@ class KvBlockConfig:
     def __post_init__(self) -> None:
         if self.block_tokens < 1:
             raise ValueError("block_tokens must be >= 1")
-        if self.pool_bytes < 0:
+        if not self.pool_bytes >= 0:
             raise ValueError("pool_bytes must be non-negative")
 
 
@@ -63,13 +63,10 @@ class PagedKvAllocator:
         self.total_blocks = UNBOUNDED_BLOCKS \
             if math.isinf(config.pool_bytes) \
             else int(config.pool_bytes // self.block_bytes)
+        # per-request blocks and tokens, and their block total: the only
+        # state the hot path keeps (fragmentation is summed on demand)
         self._allocations: dict[int, _Allocation] = {}
         self._used_blocks = 0
-        # incremental last-block slack so internal_fragmentation() is
-        # O(1) — it is polled per engine iteration by utilization
-        # reporting, and summing all live allocations there made the
-        # poll O(active requests)
-        self._slack_tokens = 0
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #
@@ -96,11 +93,13 @@ class PagedKvAllocator:
     def internal_fragmentation(self) -> float:
         """Bytes allocated but not holding tokens (last-block slack).
 
-        O(1): the slack counter is maintained incrementally on every
-        admit/append/extend/release (integer arithmetic, so it is
-        exactly the sum over live allocations at all times).
+        Summed over the live allocations at each call, O(active
+        requests): a report-time figure, which no simulation step reads.
         """
-        return self._slack_tokens * self.bytes_per_token
+        block_tokens = self.config.block_tokens
+        slack = sum(allocation.blocks * block_tokens - allocation.tokens
+                    for allocation in self._allocations.values())
+        return slack * self.bytes_per_token
 
     def blocks_for_tokens(self, tokens: int) -> int:
         if tokens < 0:
@@ -132,8 +131,6 @@ class PagedKvAllocator:
         self._allocations[request_id] = _Allocation(blocks=needed,
                                                     tokens=prompt_tokens)
         self._used_blocks += needed
-        self._slack_tokens += needed * self.config.block_tokens \
-            - prompt_tokens
 
     def append_token(self, request_id: int) -> bool:
         """Grow a request by one generated token.
@@ -147,14 +144,12 @@ class PagedKvAllocator:
             raise KeyError(f"request {request_id} has no allocation")
         if allocation.tokens < allocation.blocks * self.config.block_tokens:
             allocation.tokens += 1
-            self._slack_tokens -= 1
             return True
         if self.free_blocks < 1:
             return False
         allocation.blocks += 1
         allocation.tokens += 1
         self._used_blocks += 1
-        self._slack_tokens += self.config.block_tokens - 1
         return True
 
     def growth_blocks(self, request_id: int, new_tokens: int) -> int:
@@ -189,7 +184,6 @@ class PagedKvAllocator:
         allocation.tokens += new_tokens
         allocation.blocks = grown
         self._used_blocks += growth
-        self._slack_tokens += growth * self.config.block_tokens - new_tokens
         return True
 
     def extend_within_blocks(self, request_ids: list,
@@ -209,19 +203,13 @@ class PagedKvAllocator:
         allocations = self._allocations
         block_tokens = self.config.block_tokens
         crossing = []
-        advanced = 0
-        try:
-            for position, request_id in enumerate(request_ids):
-                allocation = allocations[request_id]
-                tokens = allocation.tokens + new_tokens
-                if tokens <= allocation.blocks * block_tokens:
-                    allocation.tokens = tokens
-                    advanced += 1
-                else:
-                    crossing.append(position)
-        finally:
-            # exact even when an unknown id stops the loop part-way
-            self._slack_tokens -= advanced * new_tokens
+        for position, request_id in enumerate(request_ids):
+            allocation = allocations[request_id]
+            tokens = allocation.tokens + new_tokens
+            if tokens <= allocation.blocks * block_tokens:
+                allocation.tokens = tokens
+            else:
+                crossing.append(position)
         return crossing
 
     def release(self, request_id: int) -> int:
@@ -230,8 +218,6 @@ class PagedKvAllocator:
         if allocation is None:
             raise KeyError(f"request {request_id} has no allocation")
         self._used_blocks -= allocation.blocks
-        self._slack_tokens -= allocation.blocks * self.config.block_tokens \
-            - allocation.tokens
         return allocation.blocks
 
     def allocation_blocks(self, request_id: int) -> int:

@@ -76,7 +76,7 @@ class Request:
     def __post_init__(self) -> None:
         if self.input_tokens < 1 or self.output_tokens < 1:
             raise ValueError("requests need at least one input and output token")
-        if self.arrival_time < 0:
+        if not self.arrival_time >= 0:
             raise ValueError("arrival time must be non-negative")
         if self.turn_index < 0:
             raise ValueError("turn_index must be non-negative")

@@ -42,9 +42,9 @@ class SessionConfig:
     max_context: int = 8192
 
     def __post_init__(self) -> None:
-        if self.mean_turns < 1:
+        if not self.mean_turns >= 1:
             raise ValueError("sessions need at least one expected turn")
-        if self.think_time_mean_s < 0:
+        if not self.think_time_mean_s >= 0:
             raise ValueError("think time must be non-negative")
 
 

@@ -236,7 +236,7 @@ class TestSpecRoundTrip:
         assert DeploymentSpec(router="slo-aware:64",
                               replicas=replicas).router == "slo-aware:64"
 
-    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
     def test_non_positive_kv_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="kv_budget_bytes"):
             DeploymentSpec(kv_budget_bytes=budget)

@@ -311,10 +311,16 @@ def _spec_search(device, model, trace, *, rate_bounds, request_count,
                  "need 0 < rate_low < rate_high", id="zero-low-bound"),
     pytest.param(dict(percentile="p90"), "unknown percentile 'p90'",
                  id="percentile-p90"),
+    pytest.param(dict(rate_bounds=(float("nan"), 64.0)),
+                 "need 0 < rate_low < rate_high", id="nan-low-bound"),
     pytest.param(dict(slo_tbt_s=0.0), "slo_tbt_s must be positive",
                  id="zero-tbt-slo"),
+    pytest.param(dict(slo_tbt_s=float("nan")), "slo_tbt_s must be positive",
+                 id="nan-tbt-slo"),
     pytest.param(dict(slo_ttft_s=-1.0), "slo_ttft_s must be positive",
                  id="negative-ttft-slo"),
+    pytest.param(dict(slo_ttft_s=float("nan")),
+                 "slo_ttft_s must be positive", id="nan-ttft-slo"),
     pytest.param(dict(iterations=-1), "iterations must be non-negative",
                  id="negative-iterations"),
 ])

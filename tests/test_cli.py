@@ -289,6 +289,26 @@ class TestErrorExits:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize("argv, field", [
+        (["serve", "--rate", "nan", "--requests", "30"], "rate_per_s"),
+        (["serve", "--kv-budget-gb", "nan", "--requests", "30"],
+         "kv_budget_bytes"),
+        (["serve", "--kv-budget-gb", "nan", "--requests", "30",
+          "--arrival", "sessions", "--prefix-cache"], "kv_budget_bytes"),
+        (["capacity", "--slo-tbt-ms", "nan", "--requests", "40",
+          "--iterations", "3"], "slo_tbt_s"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list)
+        else value)
+    def test_nan_flag_exits_2_naming_the_field(self, capsys, argv, field):
+        """argparse's ``float`` reads ``nan``; the spec check rejects it
+        before any simulation runs."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert field in lines[0]
+        assert captured.out == ""
+
     def test_overloaded_run_prints_the_message_once(self, capsys, tmp_path):
         """An endpoint that finishes nothing exits 1 with the overload
         message on stdout, its opening phrase printed once."""

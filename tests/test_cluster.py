@@ -62,10 +62,8 @@ def poisson_requests(rate, count, seed=7, trace=ULTRACHAT_LIKE):
 def snapshots(outstanding, tokens=None):
     tokens = tokens if tokens is not None else [o * 100 for o in outstanding]
     return [
-        ReplicaSnapshot(replica_id=i, clock_s=0.0,
-                        outstanding_requests=o, outstanding_tokens=t,
-                        queued_requests=0, active_requests=o,
-                        assigned_requests=o, assigned_tokens=t)
+        ReplicaSnapshot(replica_id=i,
+                        outstanding_requests=o, outstanding_tokens=t)
         for i, (o, t) in enumerate(zip(outstanding, tokens))
     ]
 
@@ -373,12 +371,9 @@ class TestClusterSpecsAndFacade:
 def snapshot_for(replica_id, outstanding, tokens=None):
     """A snapshot with an explicit (possibly non-contiguous) replica id."""
     tokens = tokens if tokens is not None else outstanding * 100
-    return ReplicaSnapshot(replica_id=replica_id, clock_s=0.0,
+    return ReplicaSnapshot(replica_id=replica_id,
                            outstanding_requests=outstanding,
-                           outstanding_tokens=tokens,
-                           queued_requests=0, active_requests=outstanding,
-                           assigned_requests=outstanding,
-                           assigned_tokens=tokens)
+                           outstanding_tokens=tokens)
 
 
 def _legacy_least_outstanding(replicas):
@@ -631,6 +626,10 @@ class TestAutoscaleSpecValidation:
             AutoscaleSpec(min_replicas=4, max_replicas=2)
         with pytest.raises(ValueError, match="decision_interval_s"):
             AutoscaleSpec(decision_interval_s=0.0)
+        for name in ("decision_interval_s", "provision_latency_s",
+                     "warm_provision_s"):
+            with pytest.raises(ValueError, match=name):
+                AutoscaleSpec(**{name: float("nan")})
         with pytest.raises(ValueError, match="warm_provision_s"):
             AutoscaleSpec(provision_latency_s=1.0, warm_provision_s=2.0,
                           warm_pool_size=1)

@@ -40,6 +40,7 @@ from repro.serving.scheduler import SchedulerLimits
 
 MODEL = get_model("llama3-8b")
 LIMITS = SchedulerLimits(max_batch=16, prefill_chunk_tokens=512)
+NAN = float("nan")
 
 BURSTY_TRACE = ChatTraceConfig(
     name="bursty-faults",
@@ -145,6 +146,12 @@ class TestFaultSpecContract:
         {"max_retries": -1}, {"max_retries": 1.5},
         {"request_timeout_s": 0.0}, {"slo_ttft_s": 0.0},
         {"events": (("crash", 0, 1.0),)},
+        # NaN fails every float range check
+        {"crash_mtbf_s": NAN}, {"slowdown_mtbf_s": NAN},
+        {"stall_mtbf_s": NAN}, {"request_timeout_s": NAN},
+        {"restart_delay_s": NAN}, {"slowdown_factor": NAN},
+        {"slowdown_duration_s": NAN}, {"stall_duration_s": NAN},
+        {"slo_ttft_s": NAN},
     ])
     def test_invalid_spec_rejected(self, bad):
         with pytest.raises((ValueError, TypeError)):
@@ -158,6 +165,13 @@ class TestFaultSpecContract:
          "duration_s": 0.0},
         {"kind": "stall", "replica_id": 0, "time_s": 1.0,
          "duration_s": 2.0, "factor": 0.0},
+        {"kind": "crash", "replica_id": 0, "time_s": NAN},
+        {"kind": "crash", "replica_id": 0, "time_s": 1.0,
+         "duration_s": NAN},
+        {"kind": "slowdown", "replica_id": 0, "time_s": 1.0,
+         "duration_s": NAN},
+        {"kind": "slowdown", "replica_id": 0, "time_s": 1.0,
+         "duration_s": 2.0, "factor": NAN},
     ])
     def test_invalid_event_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -199,7 +199,7 @@ def test_one_group_fleet_bit_identical_to_legacy(kind, replicas, elastic,
     """The refactor's homogeneous-parity bar: spelling the fleet as one
     explicit group must not move a single bit anywhere in the engine —
     across trace shapes, fleet sizes, and the elastic features — and
-    the router must see the same snapshots, chip label included."""
+    the router must see the same snapshots."""
     def run(spelling):
         if spelling == "fleet":
             deployment = DeploymentSpec(
@@ -233,11 +233,9 @@ def test_slo_aware_default_threshold_is_the_knob_default():
     # policy, decision for decision
     requests = list(iter_poisson_requests(ULTRACHAT_LIKE, 10.0, 11, 80))
     snapshots = tuple(
-        ReplicaSnapshot(replica_id=i, clock_s=0.0,
+        ReplicaSnapshot(replica_id=i,
                         outstanding_requests=int(pick[0]),
-                        outstanding_tokens=int(pick[1]),
-                        queued_requests=0, active_requests=0,
-                        assigned_requests=0, assigned_tokens=0)
+                        outstanding_tokens=int(pick[1]))
         for i, pick in enumerate(
             np.random.default_rng(12).integers(0, 500, size=(4, 2))))
     default = make_router("slo-aware")
@@ -261,13 +259,10 @@ def test_parametric_router_name_errors():
 # Capability-aware routing                                               #
 # --------------------------------------------------------------------- #
 
-def _snapshot(replica_id, outstanding, tokens, prefill=0.0, decode=0.0,
-              group=0):
+def _snapshot(replica_id, outstanding, tokens, prefill=0.0, decode=0.0):
     return ReplicaSnapshot(
-        replica_id=replica_id, clock_s=0.0,
+        replica_id=replica_id,
         outstanding_requests=outstanding, outstanding_tokens=tokens,
-        queued_requests=0, active_requests=0, assigned_requests=0,
-        assigned_tokens=0, chip="", group=group,
         prefill_tokens_per_s=prefill, decode_tokens_per_s=decode)
 
 
@@ -281,15 +276,13 @@ class TestHeteroAwareRouter:
         # replica 0 is less loaded, but replica 1 prefills 8x faster:
         # the normalized backlog (tokens / rate) favors the fast group
         replicas = (_snapshot(0, 1, 1000, prefill=1000.0, decode=100.0),
-                    _snapshot(1, 2, 2000, prefill=8000.0, decode=100.0,
-                              group=1))
+                    _snapshot(1, 2, 2000, prefill=8000.0, decode=100.0))
         router = make_router("hetero-aware")
         assert router.route(_request(0, 2048), replicas) == 1
 
     def test_short_prompts_prefer_decode_fast_queues(self):
         replicas = (_snapshot(0, 2, 500, prefill=1000.0, decode=50.0),
-                    _snapshot(1, 3, 500, prefill=1000.0, decode=400.0,
-                              group=1))
+                    _snapshot(1, 3, 500, prefill=1000.0, decode=400.0))
         router = make_router("hetero-aware")
         assert router.route(_request(0, 64), replicas) == 1
 
@@ -310,7 +303,7 @@ class TestHeteroAwareRouter:
     def test_mixed_known_unknown_prefers_probed_groups(self):
         replicas = (_snapshot(0, 0, 0),                       # unknown
                     _snapshot(1, 5, 5000, prefill=4000.0,
-                              decode=200.0, group=1))
+                              decode=200.0))
         router = make_router("hetero-aware")
         # unknown capability compares as an infinite drain, so the
         # probed replica wins despite its deeper queue

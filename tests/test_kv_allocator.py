@@ -91,7 +91,7 @@ class TestBulkExtend:
 
 
 def allocator_state(allocator):
-    return (allocator.used_blocks, allocator._slack_tokens,
+    return (allocator.used_blocks,
             {rid: (a.blocks, a.tokens)
              for rid, a in allocator._allocations.items()})
 
@@ -129,10 +129,11 @@ class TestExtendWithinBlocks:
         with pytest.raises(KeyError):
             allocator.extend_within_blocks([1, 9, 2], 3)
         # the loop stopped at the unknown id: request 1 advanced, 2 not,
-        # and the slack counter matches what was advanced
+        # and the slack matches what was advanced
         assert allocator.allocation_tokens(1) == 13
         assert allocator.allocation_tokens(2) == 10
-        assert allocator._slack_tokens == 3 + 6
+        assert allocator.internal_fragmentation() \
+            == (3 + 6) * allocator.bytes_per_token
 
 
 class TestAccounting:
@@ -161,6 +162,9 @@ class TestAccounting:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             KvBlockConfig(block_tokens=0)
+        for pool_bytes in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="pool_bytes"):
+                KvBlockConfig(pool_bytes=pool_bytes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,7 +210,8 @@ def test_property_append_token_accounting(appends):
     growths=st.lists(st.integers(0, 80), min_size=1, max_size=12),
 )
 def test_property_incremental_fragmentation_is_exact(prompts, growths):
-    """The O(1) slack counter always equals the O(n) recomputation."""
+    """Fragmentation is the per-allocation last-block slack, and zero
+    once every allocation is released."""
     allocator = make_allocator(pool_gib=16.0, block_tokens=16)
     for rid, prompt in enumerate(prompts):
         allocator.admit(rid, prompt)

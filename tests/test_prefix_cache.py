@@ -377,7 +377,6 @@ def scheduler_state(scheduler):
     allocator = cache.allocator
     return (
         allocator.used_blocks,
-        allocator._slack_tokens,
         {rid: (a.blocks, a.tokens)
          for rid, a in allocator._allocations.items()},
         cache.cached_blocks,

@@ -94,9 +94,12 @@ def run_single(chip_name, requests, fast, horizon=600.0):
 
 
 def run_cluster(chip_name, requests, fast, replicas=4, horizon=600.0,
-                faults=None):
+                faults=None, sim_cache=None):
+    """``sim_cache`` defaults to ``fast``: the fast path on a memoized
+    device, the reference loop on the uncompiled reference device."""
     chip = get_chip(chip_name)
-    device = _device_for(chip, sim_cache=fast, context_bucket=1)
+    device = _device_for(chip, sim_cache=fast if sim_cache is None
+                         else sim_cache, context_bucket=1)
     engine = ClusterEngine(device, MODEL, LIMITS, replicas=replicas,
                            router="least-outstanding", fast_forward=fast,
                            faults=faults)
@@ -141,9 +144,14 @@ class TestParityMatrix:
         assert fast.qos() == reference.qos()
 
     @pytest.mark.parametrize("replicas", (1, 4))
-    def test_slowdown_windows_fast_forward(self, replicas, monkeypatch):
+    @pytest.mark.parametrize("cached", (True, False),
+                             ids=("memoized", "uncached"))
+    def test_slowdown_windows_fast_forward(self, cached, replicas,
+                                           monkeypatch):
         """Slowdown windows run decode bursts with their step-time
-        factor and stay bit-identical to the per-iteration loop."""
+        factor and stay bit-identical to the per-iteration loop, on a
+        memoized device (its seconds map) and an uncached one (a
+        burst-local map)."""
         factors = []
 
         def recording_burst(*args):
@@ -154,7 +162,7 @@ class TestParityMatrix:
                             recording_burst)
         requests = steady_requests(rate=20.0)
         fast = run_cluster("ador", requests, fast=True, replicas=replicas,
-                           faults=SLOWDOWNS)
+                           faults=SLOWDOWNS, sim_cache=cached)
         reference = run_cluster("ador", requests, fast=False,
                                 replicas=replicas, faults=SLOWDOWNS)
         assert 2.0 in factors
@@ -325,6 +333,49 @@ class TestContextBucketing:
         assert coarse.stats.decode_hits > 100
 
 
+class _CountingDevice:
+    """An uncached device (no ``decode_seconds_map``) that records the
+    arguments of every ``decode_step_time`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def decode_step_time(self, model, batch, context_len, num_devices=1):
+        self.calls.append((batch, context_len, num_devices))
+        return self.inner.decode_step_time(model, batch, context_len,
+                                           num_devices)
+
+
+class TestUncachedBurst:
+    @pytest.mark.parametrize("factor", (1.0, 2.0))
+    def test_one_device_call_per_step(self, factor):
+        """On an uncached device a burst makes the calls the per-call
+        loop made: one ``decode_step_time`` per step, at that step's
+        mean context, each step's seconds scaled by ``factor``."""
+        batch = [Request(request_id=i, arrival_time=0.0, input_tokens=inp,
+                         output_tokens=out, state=RequestState.DECODING)
+                 for i, (inp, out) in enumerate(((100, 40), (333, 25),
+                                                 (57, 60)))]
+        scheduler = decoding_scheduler(batch)
+        plan = scheduler.plan_iteration()
+        size, context_sum = plan.decode_batch, plan.decode_context_sum
+        inner = AdorDeviceModel(ador_table3())
+        device = _CountingDevice(inner)
+        now, steps, busy, decode_time = run_decode_burst(
+            scheduler, plan, [], device, MODEL, 1, 0.0, 600.0, 0.0, 0.0,
+            [], factor=factor)
+        assert steps == 25  # the earliest completion ends the burst
+        expected = [(size, max(1, int((context_sum + k * size) / size)), 1)
+                    for k in range(steps)]
+        assert device.calls == expected
+        clock = 0.0
+        for _, context, _ in expected:
+            clock += inner.decode_step_time(MODEL, size, context).seconds \
+                * factor
+        assert now == busy == decode_time == clock
+
+
 class TestFastForwardInterruption:
     """The burst loop must stop exactly where the plain loop would."""
 
@@ -403,18 +454,20 @@ class TestClusterBookkeeping:
         assert clocks[0] > 0.0
         assert clocks[1] == 0.0 and clocks[2] == 0.0
 
-    def test_snapshot_cache_invalidated_by_submit(self):
+    def test_snapshot_after_submit_counts_the_request(self):
+        # snapshots are built from live counters at each call
         from repro.serving.engine import ServingEngine as SE
         device = CachedDeviceModel(AdorDeviceModel(ador_table3()))
         from repro.cluster.engine import ReplicaSim
         replica = ReplicaSim(0, SE(device, MODEL, LIMITS))
         first = replica.snapshot()
-        assert replica.snapshot() is first  # cached while idle
+        assert (first.outstanding_requests, first.outstanding_tokens) \
+            == (0, 0)
         replica.submit(Request(request_id=0, arrival_time=0.0,
                                input_tokens=8, output_tokens=2))
         second = replica.snapshot()
-        assert second is not first
-        assert second.queued_requests == 1
+        assert (second.outstanding_requests, second.outstanding_tokens) \
+            == (1, 10)
 
 
 def decoding_scheduler(batch):

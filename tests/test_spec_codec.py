@@ -590,3 +590,46 @@ _EVENT = {"kind": "crash", "replica_id": 0, "time_s": 1.0}
 def test_malformed_sections_raise_value_error(cls, data, match):
     with pytest.raises(ValueError, match=match):
         cls.from_dict(data)
+
+
+_NAN_TRACE = dataclasses.asdict(ULTRACHAT_LIKE)
+
+
+@pytest.mark.parametrize("cls, data, match", [
+    (WorkloadSpec, {"rate_per_s": "NaN"}, "rate_per_s"),
+    (WorkloadSpec, {"trace": dict(_NAN_TRACE, input_median="NaN")},
+     "medians"),
+    (WorkloadSpec, {"trace": dict(_NAN_TRACE, output_sigma="NaN")},
+     "sigmas"),
+    (WorkloadSpec, {"arrival": "sessions",
+                    "session": {"mean_turns": "NaN"}}, "turn"),
+    (WorkloadSpec, {"arrival": "sessions",
+                    "session": {"think_time_mean_s": "NaN"}}, "think time"),
+    (ReplicaGroupSpec, {"cost_per_replica_s": "NaN"}, "cost_per_replica_s"),
+    (ReplicaGroupSpec, {"provision_latency_s": "NaN"},
+     "provision_latency_s"),
+    (ReplicaGroupSpec, {"kv_budget_bytes": "NaN"}, "kv_budget_bytes"),
+    (DeploymentSpec, {"kv_budget_bytes": "NaN"}, "kv_budget_bytes"),
+    (CapacitySpec, {"slo_tbt_s": "NaN"}, "slo_tbt_s"),
+    (CapacitySpec, {"slo_ttft_s": "NaN"}, "slo_ttft_s"),
+    (CapacitySpec, {"rate_high": "NaN"}, "rate_high"),
+    (Experiment, {"max_sim_seconds": "NaN"}, "max_sim_seconds"),
+    (AutoscaleSpec, {"decision_interval_s": "NaN"}, "decision_interval_s"),
+    (AutoscaleSpec, {"provision_latency_s": "NaN"}, "provision_latency_s"),
+    (AutoscaleSpec, {"warm_provision_s": "NaN"}, "warm_provision_s"),
+    (FaultSpec, {"crash_mtbf_s": "NaN"}, "crash_mtbf_s"),
+    (FaultSpec, {"restart_delay_s": "NaN"}, "restart_delay_s"),
+    (FaultSpec, {"slowdown_factor": "NaN"}, "slowdown_factor"),
+    (FaultSpec, {"slo_ttft_s": "NaN"}, "slo_ttft_s"),
+    (FaultEvent, dict(_EVENT, time_s="NaN"), "time_s"),
+    (FaultEvent, dict(_EVENT, kind="stall", duration_s="NaN"),
+     "duration_s"),
+    (FaultEvent, dict(_EVENT, kind="slowdown", duration_s=1.0,
+                      factor="NaN"), "factor"),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_nan_from_json_fails_the_range_check(cls, data, match):
+    """Python's ``json`` reads a bare ``NaN``, and a check written as
+    ``x <= 0`` lets it through: every float range check must fail it."""
+    text = json.dumps(data).replace('"NaN"', "NaN")
+    with pytest.raises(ValueError, match=match):
+        cls.from_dict(json.loads(text))

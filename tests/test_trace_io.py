@@ -67,6 +67,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="expected a JSON list"):
             load_requests(path)
 
+    def test_rejects_nan_arrival(self, tmp_path):
+        # Python's json reads NaN; a NaN arrival must not reach an engine
+        path = tmp_path / "bad.json"
+        path.write_text('[{"request_id": 1, "arrival_time": NaN, '
+                        '"input_tokens": 8, "output_tokens": 8}]')
+        with pytest.raises(ValueError, match="arrival time"):
+            load_requests(path)
+
     def test_rejects_missing_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"request_id": 1}]')
