@@ -15,9 +15,10 @@ regime and seeds the recorded perf trajectory
 2. **parity** — the lazy stream vs. a list of the same request
    sequence on a 4-replica cluster workload (the engine's two input
    paths; the JSON key keeps its ``stream_vs_materialized`` name), and
-   ``shards=1`` vs. the unsharded engine: both must be bit-identical
-   (every replica counter, every request timeline) before any number
-   here is trusted.
+   two runs of ``shards=1``, the exact unsharded engine path (the JSON
+   key keeps its ``shard1_vs_unsharded`` name): both must be
+   bit-identical (every replica counter, every request timeline) before
+   any number here is trusted.
 
 3. **shard** — ``shards=2`` worker processes vs. the in-process engine
    on the same fixed fleet.  The speedup is recorded *honestly*: on a
@@ -36,12 +37,12 @@ import sys
 import time
 
 from repro.analysis.tables import format_table
-from repro.api import DeploymentSpec, WorkloadSpec, simulate
+from repro.api import DeploymentSpec, WorkloadSpec, simulate, simulate_cluster
 from repro.api.facade import _device_for
 from repro.cluster.engine import ClusterEngine
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
-from repro.perf.scale import StreamStats, run_sharded_cluster
+from repro.perf.scale import StreamStats
 from repro.serving.engine import ServingEngine
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
@@ -120,7 +121,7 @@ def _measure_stream(count):
 
 
 def _measure_parity(deployment, workload):
-    """Stream-vs-list (same sequence) and shard=1-vs-unsharded
+    """Stream-vs-list (same sequence) and repeat-run shards=1
     bit-identity."""
     device = _device_for(get_chip("ador"), True, 1)
     model = get_model(deployment.model)
@@ -136,7 +137,7 @@ def _measure_parity(deployment, workload):
     stream_identical = cluster_fingerprint(streamed) \
         == cluster_fingerprint(materialized)
 
-    shard1 = run_sharded_cluster(deployment, workload, shards=1)
+    shard1 = simulate_cluster(deployment, workload, shards=1).cluster
     reference = simulate(deployment, workload)
     shard1_identical = cluster_fingerprint(shard1) \
         == cluster_fingerprint(reference.cluster)
@@ -152,10 +153,10 @@ def _measure_parity(deployment, workload):
 def _measure_shards(deployment, workload):
     """In-process engine vs. 2 shard worker processes, wall clock."""
     start = time.perf_counter()
-    unsharded = run_sharded_cluster(deployment, workload, shards=1)
+    unsharded = simulate_cluster(deployment, workload).cluster
     unsharded_s = time.perf_counter() - start
     start = time.perf_counter()
-    sharded = run_sharded_cluster(deployment, workload, shards=2)
+    sharded = simulate_cluster(deployment, workload, shards=2).cluster
     sharded_s = time.perf_counter() - start
     conserved = (
         len(sharded.merged.finished) + len(sharded.merged.unfinished)

@@ -178,15 +178,14 @@ def _search_capacity(config) -> dict:
     report = find_fleet_capacity(
         DeploymentSpec(fleet=fleet, router="hetero-aware:2048"),
         workload, slo_tbt_s=spec["slo_tbt_s"])
-    best = report.fleet
     return {
         "rate_per_s": spec["rate_per_s"],
         "slo_tbt_s": spec["slo_tbt_s"],
         "mix": report.mix_label(),
-        "counts": list(best.counts),
-        "cost_rate": best.cost_rate,
-        "probes": len(best.probes),
-        "simulations": best.simulations,
+        "counts": list(report.counts),
+        "cost_rate": report.cost_rate,
+        "probes": len(report.probes),
+        "simulations": report.simulations,
     }
 
 

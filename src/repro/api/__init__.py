@@ -61,13 +61,7 @@ from repro.api.specs import (
 )
 from repro.cluster.report import GroupBreakdown
 from repro.core.scheduling import device_model_for
-# after specs/facade above: perf.scale imports repro.api.specs, which is
-# already initialized by this point, so the import order is cycle-free
-from repro.perf.scale import (
-    ProgressReporter,
-    StreamStats,
-    run_sharded_cluster,
-)
+from repro.perf.scale import ProgressReporter, StreamStats
 from repro.hardware.registry import get_chip, list_chips, register_chip
 from repro.models.zoo import get_model, list_models
 from repro.serving.policies import get_policy, list_policies, register_policy
@@ -128,7 +122,6 @@ __all__ = [
     "get_model",
     "list_models",
     "device_model_for",
-    "run_sharded_cluster",
     "StreamStats",
     "ProgressReporter",
 ]

@@ -18,27 +18,43 @@ reproduces the identical :class:`ServingReport`.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
+import math
 import pathlib
 from dataclasses import dataclass
+from typing import Any, Iterator
 
+from repro.analysis.sweep import sweep
 from repro.api.specs import (
     CapacitySpec,
     DeploymentSpec,
     Experiment,
+    FleetSpec,
     WorkloadSpec,
 )
 from repro.cluster.engine import ClusterEngine, EngineGroup
-from repro.cluster.report import ClusterResult, LoadImbalanceStats
+from repro.cluster.report import (
+    ClusterResult,
+    LoadImbalanceStats,
+    aggregate_cluster,
+)
 from repro.core.scheduling import device_model_for
 from repro.hardware.chip import ChipSpec
 from repro.models.config import ModelConfig
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
-from repro.serving.capacity import CapacityResult, FleetCapacityResult
+from repro.serving.capacity import (
+    CapacityResult,
+    EndpointUnservable,
+    max_capacity_under_slo,
+    meets_slo,
+)
 from repro.serving.engine import SimulationResult
 from repro.serving.policies import get_policy
 from repro.serving.qos import QoSReport, compute_qos, goodput_per_s
+from repro.serving.request import Request
 from repro.serving.utilization import UtilizationReport, utilization_report
 
 
@@ -92,7 +108,7 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
     :meth:`~repro.api.specs.DeploymentSpec.fleet_groups` (a legacy
     ``replicas=N`` deployment is one N-replica group) resolves to its
     own device model / model config / scheduler limits.  Shared by
-    :func:`simulate_cluster`, the sharded runner and the mixed-fleet
+    :func:`simulate_cluster`, its shard workers and the mixed-fleet
     capacity search, so every path sizes a fleet the same way.
     """
     groups = []
@@ -186,10 +202,9 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     consumed through a bounded look-ahead window, at constant memory;
     the batch policies slice and sort, so they take the materialized
     list.  ``shards`` (cluster runs only) partitions the
-    fleet over worker processes (see
-    :func:`repro.perf.scale.run_sharded_cluster`); ``progress`` is a
-    ``progress(sim_time, done_count)`` heartbeat callback (see
-    :class:`repro.perf.scale.ProgressReporter`).
+    fleet over worker processes (see :func:`simulate_cluster`);
+    ``progress`` is a ``progress(sim_time, done_count)`` heartbeat
+    callback (see :class:`repro.perf.scale.ProgressReporter`).
     """
     if deployment.replicas > 1 or deployment.fleet is not None \
             or deployment.autoscale is not None \
@@ -250,6 +265,22 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
 # Capacity search                                                        #
 # --------------------------------------------------------------------- #
 
+def _capacity_spec(capacity: CapacitySpec | None,
+                   overrides: dict[str, Any]) -> CapacitySpec:
+    """The spec a search runs: ``capacity`` (default
+    :class:`CapacitySpec`) with keyword ``overrides`` replacing fields."""
+    base = capacity if capacity is not None else CapacitySpec()
+    return dataclasses.replace(base, **overrides) if overrides else base
+
+
+def _slo_label(spec: CapacitySpec) -> str:
+    """The SLO a capacity summary names, e.g. ``TBT p95 <= 50 ms``."""
+    slo = f"TBT {spec.percentile} <= {spec.slo_tbt_s * 1e3:g} ms"
+    if spec.slo_ttft_s is not None:
+        slo += f", TTFT <= {spec.slo_ttft_s * 1e3:g} ms"
+    return slo
+
+
 @dataclass(frozen=True)
 class CapacityReport:
     """Unified outcome of one capacity search (paper Fig. 16).
@@ -276,18 +307,13 @@ class CapacityReport:
         return self.capacity.qos_at_max
 
     def summary_lines(self) -> list[str]:
-        spec = self.capacity_spec
         qos = self.qos
         probes = self.capacity.probes
         aborted = sum(1 for probe in probes if probe.aborted)
-        slo = f"TBT p95 <= {spec.slo_tbt_s * 1e3:g} ms" \
-            if spec.percentile == "p95" \
-            else f"TBT {spec.percentile} <= {spec.slo_tbt_s * 1e3:g} ms"
-        if spec.slo_ttft_s is not None:
-            slo += f", TTFT <= {spec.slo_ttft_s * 1e3:g} ms"
         return [
             f"capacity of {self.chip.name} serving {self.model.name} "
-            f"({self.deployment.num_devices} device(s), {slo}, "
+            f"({self.deployment.num_devices} device(s), "
+            f"{_slo_label(self.capacity_spec)}, "
             f"{self.workload.num_requests} requests/probe):",
             f"  max sustainable rate : "
             f"{self.capacity.max_requests_per_s:.2f} req/s",
@@ -308,7 +334,8 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
                   max_sim_seconds: float = 600.0, *,
                   sim_cache: bool = True,
                   context_bucket: int = 1,
-                  **overrides) -> CapacityReport:
+                  **overrides: Any
+                  ) -> "CapacityReport | FleetCapacityReport":
     """Search the highest SLO-compliant arrival rate for a deployment.
 
     ``capacity`` carries the SLO and search knobs (keyword
@@ -324,8 +351,6 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
     is then the *fixed* demand and the search finds the cheapest group
     mix sustaining it.
     """
-    from repro.serving.capacity import max_capacity_under_slo
-
     if deployment.fleet is not None:
         return find_fleet_capacity(
             deployment, workload, capacity,
@@ -362,11 +387,7 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
             "capacity search models a fault-free endpoint; drop the "
             "faults spec (benchmarks/bench_resilience.py sweeps "
             "goodput under faults instead)")
-    if overrides:
-        base = capacity if capacity is not None else CapacitySpec()
-        capacity = dataclasses.replace(base, **overrides)
-    elif capacity is None:
-        capacity = CapacitySpec()
+    capacity = _capacity_spec(capacity, overrides)
     chip = deployment.chip_spec()
     model = get_model(deployment.model)
     device = _device_for(chip, sim_cache, context_bucket)
@@ -395,63 +416,75 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
 
 
 @dataclass(frozen=True)
+class FleetProbe:
+    """Outcome of one mixed-fleet probe (one simulated group-count mix)."""
+
+    counts: tuple    # replicas per group, fleet-spec order
+    cost_rate: float  # sum(count * cost_per_replica_s) over groups
+    feasible: bool
+    qos: QoSReport | None
+    finished: int
+    total_time_s: float
+
+
+@dataclass(frozen=True)
 class FleetCapacityReport:
     """Unified outcome of one mixed-fleet capacity search.
 
     The fleet analogue of :class:`CapacityReport` with the axes
     swapped: the arrival rate is fixed (``workload.rate_per_s``) and
-    the search variable is the fleet itself — the report names the
+    the search variable is the fleet itself.  ``counts`` is the
     cheapest per-group replica mix that sustains the rate under the
-    SLO, and the QoS measured at that mix.
+    SLO, in fleet-spec group order, and ``qos`` the QoS measured at
+    it.  ``cost_rate`` is the mix's replica cost per second of wall
+    clock (the ranking key); ``replica_seconds`` and ``cost`` are that
+    mix integrated over the winning run's wall clock.  ``probes`` logs
+    every judged :class:`FleetProbe` in counts order, and
+    ``simulations`` counts the cluster runs the search paid for
+    (probe cache hits excluded).
     """
 
     deployment: DeploymentSpec
     workload: WorkloadSpec
     capacity_spec: CapacitySpec
-    fleet: FleetCapacityResult
-
-    @property
-    def counts(self) -> tuple:
-        return self.fleet.counts
-
-    @property
-    def qos(self) -> QoSReport:
-        return self.fleet.qos_at_best
-
-    @property
-    def cost(self) -> float:
-        return self.fleet.cost
+    counts: tuple
+    cost_rate: float
+    replica_seconds: float
+    cost: float
+    qos: QoSReport
+    probes: tuple
+    simulations: int
 
     def mix_label(self) -> str:
         """``"2xador+1xa100"``-style label of the winning mix."""
         return "+".join(
             f"{count}x{group.label}"
-            for count, group in zip(self.fleet.counts,
+            for count, group in zip(self.counts,
                                     self.deployment.fleet.groups))
 
     def summary_lines(self) -> list[str]:
-        spec = self.capacity_spec
         qos = self.qos
-        slo = f"TBT {spec.percentile} <= {spec.slo_tbt_s * 1e3:g} ms"
-        if spec.slo_ttft_s is not None:
-            slo += f", TTFT <= {spec.slo_ttft_s * 1e3:g} ms"
         return [
             f"cost-optimal fleet for {self.workload.rate_per_s:g} "
-            f"req/s ({slo}, {self.workload.num_requests} "
-            f"requests/probe):",
+            f"req/s ({_slo_label(self.capacity_spec)}, "
+            f"{self.workload.num_requests} requests/probe):",
             f"  cheapest mix    : {self.mix_label()} "
-            f"(cost rate {self.fleet.cost_rate:g}/s)",
-            f"  replica-seconds : {self.fleet.replica_seconds:.1f} "
-            f"(cost {self.fleet.cost:.1f})",
+            f"(cost rate {self.cost_rate:g}/s)",
+            f"  replica-seconds : {self.replica_seconds:.1f} "
+            f"(cost {self.cost:.1f})",
             f"  TTFT p95 at mix : {qos.ttft_p95_s * 1e3:.1f} ms",
             f"  TBT  p95 at mix : {qos.tbt_p95_s * 1e3:.2f} ms",
             f"  throughput      : {qos.tokens_per_s:,.0f} tokens/s",
-            f"  probes          : {len(self.fleet.probes)} "
-            f"({self.fleet.simulations} simulations)",
+            f"  probes          : {len(self.probes)} "
+            f"({self.simulations} simulations)",
         ]
 
     def summary(self) -> str:
         return "\n".join(self.summary_lines())
+
+
+#: the most trailing-group lattice columns a fleet search walks
+_MAX_FLEET_COLUMNS = 256
 
 
 def find_fleet_capacity(deployment: DeploymentSpec,
@@ -460,34 +493,145 @@ def find_fleet_capacity(deployment: DeploymentSpec,
                         max_sim_seconds: float = 600.0, *,
                         sim_cache: bool = True,
                         context_bucket: int = 1,
-                        **overrides) -> FleetCapacityReport:
-    """Find the cheapest group mix of a fleet meeting the SLO.
+                        **overrides: Any) -> FleetCapacityReport:
+    """Find the cheapest group mix of a fleet that meets the SLO.
 
-    The deployment must carry an explicit :class:`FleetSpec`; each
-    group's candidate count ranges over ``[min_count or 0, max_count
-    or count]`` and the search
-    (:func:`repro.serving.capacity.cost_optimal_fleet`) bisects the
-    leading group's count within every combination of the others,
-    ranking feasible mixes by ``sum(count * cost_per_replica_s)``.
-    Unlike :func:`find_capacity`, the workload's ``rate_per_s`` is
-    honored — it is the demand the mix must sustain.
+    :func:`find_capacity` holds the hardware fixed and bisects over the
+    arrival *rate*; this search inverts the question.  The workload's
+    ``rate_per_s`` is the fixed demand, and the search bisects over a
+    **group-count lattice**: each group's candidate counts span
+    ``[min_count or 0, max_count or count]`` (the spec'd ``count``
+    doubles as the ceiling when no ``max_count`` is given).  Every
+    combination of the trailing groups forms one lattice *column*;
+    within a column the leading group's count is bisected (capacity is
+    monotone in fleet size), so each column costs ``O(log range)``
+    cluster simulations instead of ``O(range)``.  Columns whose
+    cheapest point already costs more than the incumbent winner are
+    skipped without simulating.
+
+    A mix is feasible when a full :func:`simulate_cluster` run of it
+    passes :func:`~repro.serving.capacity.meets_slo`, the verdict a
+    rate probe gets, so routing, per-group capability and KV limits
+    all count.  Mixes rank by ``cost_rate`` (sum of ``count *
+    cost_per_replica_s``), ties by total replica count, then
+    lexicographically by counts — fully deterministic.
+
+    Raises :class:`~repro.serving.capacity.EndpointUnservable` when no
+    lattice point meets the SLO, and ``ValueError`` for a deployment
+    without an explicit :class:`FleetSpec`, with autoscaling or
+    enabled faults, or whose trailing-group lattice exceeds 256
+    columns (tighten per-group ``min_count`` / ``max_count`` bounds).
     """
-    from repro.serving.capacity import cost_optimal_fleet
+    capacity = _capacity_spec(capacity, overrides)
+    if deployment.fleet is None:
+        raise ValueError(
+            "mixed-fleet capacity search needs an explicit fleet; "
+            "give the deployment a FleetSpec (a legacy replicas=N "
+            "deployment has nothing to mix — use find_capacity)")
+    if deployment.autoscale is not None:
+        raise ValueError(
+            "mixed-fleet capacity search sizes a *fixed* fleet; drop "
+            "the autoscale spec (the search itself explores fleet "
+            "sizes)")
+    if deployment.faults is not None and deployment.faults.enabled:
+        raise ValueError(
+            "mixed-fleet capacity search models a fault-free fleet; "
+            "drop the faults spec (benchmarks/bench_resilience.py "
+            "sweeps goodput under faults instead)")
 
-    if overrides:
-        base = capacity if capacity is not None else CapacitySpec()
-        capacity = dataclasses.replace(base, **overrides)
-    elif capacity is None:
-        capacity = CapacitySpec()
-    result = cost_optimal_fleet(
-        deployment, workload, capacity,
-        max_sim_seconds=max_sim_seconds,
-        sim_cache=sim_cache, context_bucket=context_bucket)
+    groups = deployment.fleet.groups
+    bounds = []
+    for group in groups:
+        lo = group.min_count if group.min_count is not None else 0
+        hi = group.max_count if group.max_count is not None \
+            else max(group.count, lo)
+        bounds.append((lo, hi))
+    columns = math.prod(hi - lo + 1 for lo, hi in bounds[1:])
+    if columns > _MAX_FLEET_COLUMNS:
+        raise ValueError(
+            f"mixed-fleet search lattice has {columns} trailing-group "
+            f"columns (> {_MAX_FLEET_COLUMNS}); tighten per-group "
+            f"min_count/max_count bounds")
+
+    def cost_rate(counts: tuple) -> float:
+        return sum(count * group.cost_per_replica_s
+                   for count, group in zip(counts, groups))
+
+    cache: dict[tuple, FleetProbe] = {}
+    simulations = 0
+
+    def probe(counts: tuple) -> FleetProbe:
+        nonlocal simulations
+        cached = cache.get(counts)
+        if cached is not None:
+            return cached
+        if sum(counts) < 1:
+            # an empty fleet serves nothing; no simulation needed
+            outcome = FleetProbe(counts, 0.0, False, None, 0, 0.0)
+            cache[counts] = outcome
+            return outcome
+        mix = FleetSpec(groups=tuple(
+            dataclasses.replace(group, count=count)
+            for group, count in zip(groups, counts)))
+        simulations += 1
+        try:
+            report = simulate_cluster(
+                dataclasses.replace(deployment, fleet=mix), workload,
+                max_sim_seconds=max_sim_seconds, sim_cache=sim_cache,
+                context_bucket=context_bucket)
+        except EndpointOverloaded:
+            outcome = FleetProbe(counts, cost_rate(counts), False,
+                                 None, 0, 0.0)
+        else:
+            merged = report.result
+            ok = meets_slo(merged, report.qos, workload.num_requests,
+                           capacity.slo_tbt_s, capacity.slo_ttft_s,
+                           capacity.percentile)
+            outcome = FleetProbe(counts, cost_rate(counts), ok,
+                                 report.qos, len(merged.finished),
+                                 merged.total_time_s)
+        cache[counts] = outcome
+        return outcome
+
+    def rank(entry: FleetProbe) -> tuple:
+        return (entry.cost_rate, sum(entry.counts), entry.counts)
+
+    lo0, hi0 = bounds[0]
+    best: FleetProbe | None = None
+    for tail in itertools.product(*(range(lo, hi + 1)
+                                    for lo, hi in bounds[1:])):
+        floor_counts = (lo0, *tail)
+        if best is not None and cost_rate(floor_counts) > best.cost_rate:
+            continue   # even the column's cheapest point loses
+        if not probe((hi0, *tail)).feasible:
+            continue   # the column's best-provisioned point fails
+        low, high = lo0, hi0
+        while low < high:
+            mid = (low + high) // 2
+            if probe((mid, *tail)).feasible:
+                high = mid
+            else:
+                low = mid + 1
+        winner = cache[(high, *tail)]
+        if best is None or rank(winner) < rank(best):
+            best = winner
+    if best is None:
+        raise EndpointUnservable(
+            f"no fleet in the group-count lattice sustains "
+            f"{workload.rate_per_s:g} req/s under the SLO; raise the "
+            f"per-group max_count ceilings or relax the SLO")
+    assert best.qos is not None
     return FleetCapacityReport(
         deployment=deployment,
         workload=workload,
         capacity_spec=capacity,
-        fleet=result,
+        counts=best.counts,
+        cost_rate=best.cost_rate,
+        replica_seconds=best.total_time_s * sum(best.counts),
+        cost=best.total_time_s * best.cost_rate,
+        qos=best.qos,
+        probes=tuple(sorted(cache.values(), key=lambda p: p.counts)),
+        simulations=simulations,
     )
 
 
@@ -621,6 +765,54 @@ class ClusterReport:
         return "\n".join(self.summary_lines())
 
 
+def shard_requests(workload: WorkloadSpec, shard: int,
+                   shards: int) -> Iterator[Request]:
+    """Lazily yield the requests belonging to one traffic shard.
+
+    Session-affine partition: a request follows ``session_id % shards``
+    when it belongs to a session (all turns of one conversation land on
+    one shard, keeping affinity routing and prefix reuse meaningful)
+    and ``request_id % shards`` otherwise.  A monotone subsequence of a
+    time-sorted stream is time-sorted, so the filtered stream passes
+    the engines' online ordering check unchanged.
+    """
+    if not 0 <= shard < shards:
+        raise ValueError(f"shard index {shard} outside [0, {shards})")
+    for request in workload.iter_requests():
+        key = request.session_id if request.session_id is not None \
+            else request.request_id
+        if key % shards == shard:
+            yield request
+
+
+def shard_replica_count(replicas: int, shard: int, shards: int) -> int:
+    """Replicas owned by one shard: near-even split, remainder to the
+    lowest-indexed shards (deterministic for any (replicas, shards))."""
+    base, extra = divmod(replicas, shards)
+    return base + (1 if shard < extra else 0)
+
+
+def _simulate_shard(deployment: DeploymentSpec, workload: WorkloadSpec,
+                    max_sim_seconds: float, shards: int, sim_cache: bool,
+                    context_bucket: int,
+                    shard: int) -> tuple[SimulationResult, ...]:
+    """Run one shard's replica subset over its traffic slice: the
+    deployment's one group, resized to the shard's replica count.
+
+    Module-level so the pool can pickle it (frozen specs pickle by
+    value).
+    """
+    (group,) = deployment.fleet_groups()
+    count = shard_replica_count(group.count, shard, shards)
+    engine = build_cluster_engine(
+        dataclasses.replace(deployment, replicas=1, fleet=FleetSpec(
+            groups=(dataclasses.replace(group, count=count),))),
+        sim_cache=sim_cache, context_bucket=context_bucket)
+    result = engine.run(shard_requests(workload, shard, shards),
+                        max_sim_seconds=max_sim_seconds)
+    return result.replica_results
+
+
 def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
                      max_sim_seconds: float = 600.0, *,
                      sim_cache: bool = True,
@@ -636,33 +828,71 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     :func:`simulate`; the memoized device model is shared by every
     replica, so one replica's decode evaluations warm the whole fleet.
 
-    ``shards > 1`` partitions the fleet and its traffic over worker
-    processes via :func:`repro.perf.scale.run_sharded_cluster` — a
-    modeled approximation (per-shard routing), rejected loudly for
-    autoscaled or fault-injected deployments.  ``shards=1`` (default)
-    takes the exact engine path.
+    ``shards > 1`` partitions a fixed one-group fleet (``replicas=N``
+    or a one-group :class:`FleetSpec`) and its traffic over ``shards``
+    :func:`~repro.analysis.sweep.sweep` worker processes: replicas
+    split near-evenly (:func:`shard_replica_count`), traffic follows
+    :func:`shard_requests`, and the per-shard replica results are
+    concatenated in shard order and merged by
+    :func:`~repro.cluster.report.aggregate_cluster` — same spec, same
+    shard count, same report.  Sharding is a **modeled**
+    approximation: each shard routes only its own traffic slice over
+    its own replicas, so cross-shard load balancing disappears.
+    Autoscaling and fault injection coordinate the whole fleet each
+    decision interval, which a shard cannot see, and capability-aware
+    routing needs the whole mixed fleet, so all three are rejected
+    loudly, as is a router instance (shared mutable state across
+    processes).  ``shards=1`` (default) takes the exact engine path.
     """
     if deployment.batching != "continuous":
         raise ValueError(
             f"cluster serving requires continuous batching, "
             f"got {deployment.batching!r}")
-    lead = deployment.fleet_groups()[0]
-    chip = lead.chip_spec()
-    model = get_model(lead.model)
+    groups = deployment.fleet_groups()
+    chip = groups[0].chip_spec()
+    model = get_model(groups[0].model)
     fleet_label = f"{deployment.replicas}x {chip.name}" \
         if deployment.fleet is None else \
         "+".join(f"{g.count}x{g.label}"
                  for g in deployment.fleet.groups)
     if shards != 1:
-        from repro.perf.scale import run_sharded_cluster
-
         if progress is not None:
             raise ValueError(
                 "the progress heartbeat is per-process; run sharded "
                 "simulations without it (shards report on completion)")
-        cluster = run_sharded_cluster(
-            deployment, workload, max_sim_seconds, shards,
-            sim_cache=sim_cache, context_bucket=context_bucket)
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        if len(groups) > 1:
+            raise ValueError(
+                "sharding requires a homogeneous fleet: per-shard "
+                "routing cannot weigh groups it does not own, so a "
+                "mixed fleet would silently lose its capability-aware "
+                "placement — run the exact engine (shards=1) instead")
+        if groups[0].count < shards:
+            raise ValueError(
+                f"cannot shard {groups[0].count} replicas over {shards} "
+                f"processes — every shard needs at least one replica")
+        if deployment.autoscale is not None:
+            raise ValueError(
+                "sharding requires a fixed fleet: the autoscaler decides "
+                "over fleet-wide observations no shard can see")
+        if deployment.faults is not None and deployment.faults.enabled:
+            raise ValueError(
+                "sharding cannot run fault injection: the fault "
+                "coordinator replays retries against the whole fleet")
+        if not isinstance(deployment.router, str):
+            raise ValueError(
+                "sharded runs need the router by registry name — a "
+                "router instance would be shared mutable state across "
+                "processes")
+        shard_results = sweep(
+            range(shards),
+            functools.partial(_simulate_shard, deployment, workload,
+                              max_sim_seconds, shards, sim_cache,
+                              context_bucket),
+            workers=shards)
+        cluster = aggregate_cluster([
+            replica for _, replicas in shard_results for replica in replicas])
     else:
         requests = workload.request_stream()
         engine = build_cluster_engine(deployment, sim_cache=sim_cache,

@@ -88,6 +88,7 @@ class WorkloadSpec(SpecCodec):
     _RETIRED_KEYS = frozenset({"streaming"})
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.arrival not in self._ARRIVALS:
             raise ValueError(
                 f"unknown arrival process {self.arrival!r}; "
@@ -188,6 +189,7 @@ class ReplicaGroupSpec(SpecCodec):
     name: str = ""
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.count < 0:
             raise ValueError("group count must be >= 0")
         if self.num_devices < 1:
@@ -248,6 +250,7 @@ class FleetSpec(SpecCodec):
     groups: tuple[ReplicaGroupSpec, ...]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # accept any iterable of groups, store a hashable tuple
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
@@ -333,6 +336,7 @@ class DeploymentSpec(SpecCodec):
     fleet: FleetSpec | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_devices < 1:
             raise ValueError("num_devices must be >= 1")
         if self.replicas < 1:
@@ -449,6 +453,7 @@ class CapacitySpec(SpecCodec):
     _RETIRED_KEYS = frozenset({"reuse_arrivals", "parallel_probes"})
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         check_search_inputs(self.slo_tbt_s, self.slo_ttft_s,
                             self.percentile,
                             (self.rate_low, self.rate_high),
@@ -475,5 +480,6 @@ class Experiment(SpecCodec):
                                           metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.max_sim_seconds > 0:
             raise ValueError("max_sim_seconds must be positive")

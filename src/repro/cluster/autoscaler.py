@@ -168,13 +168,7 @@ class AutoscaleSpec(SpecCodec):
     warm_provision_s: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("min_replicas", "max_replicas", "warm_pool_size"):
-            value = getattr(self, name)
-            # JSON happily yields 8.0 where 8 was meant; a float count
-            # would crash deep in the engine's range() instead of here
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}")
+        super().__post_init__()
         if self.min_replicas < 1:
             raise ValueError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:

@@ -67,14 +67,11 @@ class FaultEvent(SpecCodec):
     factor: float = 2.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in _EVENT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; "
                 f"supported: {', '.join(_EVENT_KINDS)}")
-        if not isinstance(self.replica_id, int) \
-                or isinstance(self.replica_id, bool):
-            raise ValueError(
-                f"replica_id must be an integer, got {self.replica_id!r}")
         if self.replica_id < 0:
             raise ValueError("replica_id must be non-negative")
         if not self.time_s >= 0:
@@ -119,8 +116,7 @@ class FaultSpec(SpecCodec):
     events: tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        super().__post_init__()
         if self.seed < 0:
             raise ValueError(
                 "seed must be non-negative (it feeds per-replica rng "
@@ -138,10 +134,6 @@ class FaultSpec(SpecCodec):
             raise ValueError("slowdown_duration_s must be positive")
         if not self.stall_duration_s > 0:
             raise ValueError("stall_duration_s must be positive")
-        if not isinstance(self.max_retries, int) \
-                or isinstance(self.max_retries, bool):
-            raise ValueError(
-                f"max_retries must be an integer, got {self.max_retries!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if not self.slo_ttft_s > 0:

@@ -1,6 +1,6 @@
 """ADOR compiler stack (paper Fig. 14a).
 
-Lowers a model's operator graph plus a parallelism plan into the two
+Lowers a model's operators plus a parallelism plan into the two
 artifacts the simulator consumes: a *model binary* (memory-mapped weight
 layout across DRAM modules) and an *instruction binary* (a stream of
 LOAD / GEMM / GEMV / ATTN / VOP / SYNC / COMM instructions per device).

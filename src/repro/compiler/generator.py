@@ -1,4 +1,4 @@
-"""Instruction generator: operator graph -> per-device instruction stream.
+"""Instruction generator: a model's operators -> per-device instruction stream.
 
 Implements the Fig. 14(a) pipeline: the model mapper picks a parallelism
 plan, then every operator lowers to instructions targeted at the compute
@@ -48,7 +48,7 @@ class CompiledProgram:
 
 
 class InstructionGenerator:
-    """Lowers operator graphs for one chip."""
+    """Lowers a model's operators, layer by layer, for one chip."""
 
     def __init__(self, chip: ChipSpec) -> None:
         self.chip = chip

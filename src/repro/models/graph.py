@@ -1,17 +1,15 @@
-"""Whole-model operator graphs for the prefill and decoding stages.
+"""Whole-model operator lists for the prefill and decoding stages.
 
-The graphs are ``networkx.DiGraph`` instances whose nodes carry
-:class:`~repro.models.layers.Operator` payloads and whose edges encode
-data dependencies.  The compiler (:mod:`repro.compiler`) lowers these
-graphs to instruction streams; the analytical models usually only need
-the flattened operator list (:func:`flatten`).
+A decoder-only model runs its operators as one linear chain: the token
+embedding, every decoder layer's operators in order, then (in decode)
+the LM head.  The builders return that chain as a plain
+``list[Operator]`` in execution order, which the Fig. 3(b) operation
+share (:func:`operation_share`) and the compiler tests walk directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.models.config import ModelConfig
 from repro.models.layers import (
@@ -23,28 +21,15 @@ from repro.models.layers import (
     lm_head_operator,
 )
 
-OPERATOR_KEY = "operator"
 
-
-def _chain(graph: nx.DiGraph, ops: list[Operator], prefix: str,
-           previous: str | None) -> str | None:
-    """Append ``ops`` as a linear chain of nodes; return the tail node id."""
-    for index, op in enumerate(ops):
-        node_id = f"{prefix}.{index}.{op.name}"
-        graph.add_node(node_id, **{OPERATOR_KEY: op})
-        if previous is not None:
-            graph.add_edge(previous, node_id)
-        previous = node_id
-    return previous
-
-
-def build_prefill_graph(
+def prefill_operators(
     config: ModelConfig,
     batch: int,
     seq_len: int,
     include_lm_head: bool = False,
-) -> nx.DiGraph:
-    """Operator graph for prefilling ``batch`` requests of ``seq_len`` tokens.
+) -> list[Operator]:
+    """Operators, in execution order, for prefilling ``batch`` requests
+    of ``seq_len`` tokens.
 
     All ``seq_len`` tokens are processed in parallel, so GEMM ``m`` is
     ``batch * seq_len`` and the attention context equals the sequence
@@ -52,52 +37,37 @@ def build_prefill_graph(
     "is only involved in the decoding stage"); enable ``include_lm_head``
     for the first generated token's logits.
     """
-    graph = nx.DiGraph(phase=Phase.PREFILL, model=config.name,
-                       batch=batch, seq_len=seq_len)
-    tail = _chain(graph, [embedding_operator(config, Phase.PREFILL, batch * seq_len)],
-                  "embed", None)
-    for layer in range(config.num_layers):
-        ops = decoder_layer_operators(config, Phase.PREFILL, batch, seq_len, seq_len)
-        tail = _chain(graph, ops, f"layer{layer}", tail)
+    ops = [embedding_operator(config, Phase.PREFILL, batch * seq_len)]
+    for _ in range(config.num_layers):
+        ops += decoder_layer_operators(config, Phase.PREFILL, batch, seq_len,
+                                       seq_len)
     if include_lm_head:
-        _chain(graph, [lm_head_operator(config, Phase.PREFILL, batch)], "head", tail)
-    return graph
+        ops.append(lm_head_operator(config, Phase.PREFILL, batch))
+    return ops
 
 
-def build_decode_graph(
+def decode_operators(
     config: ModelConfig,
     batch: int,
     context_len: int,
-) -> nx.DiGraph:
-    """Operator graph for one decode step of ``batch`` requests.
+) -> list[Operator]:
+    """Operators, in execution order, for one decode step of ``batch``
+    requests.
 
     Each request generates one token while attending to ``context_len``
     cached tokens; GEMMs have ``m == batch`` and the LM head always runs.
     """
-    graph = nx.DiGraph(phase=Phase.DECODE, model=config.name,
-                       batch=batch, context_len=context_len)
-    tail = _chain(graph, [embedding_operator(config, Phase.DECODE, batch)],
-                  "embed", None)
-    for layer in range(config.num_layers):
-        ops = decoder_layer_operators(config, Phase.DECODE, batch, 1, context_len)
-        tail = _chain(graph, ops, f"layer{layer}", tail)
-    _chain(graph, [lm_head_operator(config, Phase.DECODE, batch)], "head", tail)
-    return graph
-
-
-def flatten(graph: nx.DiGraph) -> list[Operator]:
-    """Operators in topological (execution) order."""
-    return [graph.nodes[node][OPERATOR_KEY] for node in nx.topological_sort(graph)]
-
-
-def total_flops(graph: nx.DiGraph) -> float:
-    """Sum of FLOPs over the whole graph."""
-    return sum(op.flops for op in flatten(graph))
+    ops = [embedding_operator(config, Phase.DECODE, batch)]
+    for _ in range(config.num_layers):
+        ops += decoder_layer_operators(config, Phase.DECODE, batch, 1,
+                                       context_len)
+    ops.append(lm_head_operator(config, Phase.DECODE, batch))
+    return ops
 
 
 @dataclass(frozen=True)
 class OperationShare:
-    """Breakdown of a graph's FLOPs by operator family (paper Fig. 3b)."""
+    """Breakdown of a stage's FLOPs by operator family (paper Fig. 3b)."""
 
     attention: float
     mlp_and_projections: float
@@ -132,13 +102,13 @@ def operation_share(
     attends to the full cached context — ``phase`` defaults accordingly.
     """
     if phase == Phase.DECODE:
-        graph = build_decode_graph(config, batch, seq_len)
+        ops = decode_operators(config, batch, seq_len)
     else:
-        graph = build_prefill_graph(config, batch, seq_len)
+        ops = prefill_operators(config, batch, seq_len)
     attention = 0.0
     gemm = 0.0
     other = 0.0
-    for op in flatten(graph):
+    for op in ops:
         if op.kind == OperatorKind.ATTENTION:
             attention += op.flops
         elif op.kind == OperatorKind.GEMM:

@@ -3,8 +3,8 @@
 Every performance model in :mod:`repro.perf` consumes a stream of
 :class:`Operator` records — GEMMs, attention kernels and vector ops with
 explicit shapes and byte counts.  This module builds those records for a
-single decoder layer; :mod:`repro.models.graph` assembles whole-model
-graphs out of them.
+single decoder layer; :mod:`repro.models.graph` chains them into
+whole-model operator lists.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Fig. 2(a) and Fig. 9's input box list LMMs (image encoder + LLM) and
 DiT-style generators among the model types ADOR must serve.  Both reduce
-to transformer operator graphs the existing performance models already
+to transformer operator lists the existing performance models already
 understand:
 
 * a **vision encoder** (ViT) is a prefill-only transformer over patch

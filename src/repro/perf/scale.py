@@ -1,18 +1,8 @@
-"""Cluster-scale machinery: sharded simulation, streaming aggregates,
-and the long-run progress heartbeat.
+"""Cluster-scale machinery: streaming aggregates and the long-run
+progress heartbeat.
 
-Three pieces, all serving the million-request regime:
-
-* :func:`run_sharded_cluster` partitions a fixed fleet — and its
-  session-affine traffic — across :func:`~repro.analysis.sweep.sweep`
-  worker processes and merges the per-shard replica results into one
-  :class:`~repro.cluster.report.ClusterResult` deterministically.
-  Sharding is a **modeled** approximation: each shard routes only its
-  own traffic slice over its own replica subset, so cross-shard load
-  balancing disappears and the result is *not* bit-identical to the
-  unsharded engine (``shards=1`` is, by construction — it takes the
-  exact unsharded path).  Sessions never split across shards, so
-  affinity routing and prefix reuse stay intact per shard.
+Two pieces serve the million-request regime alongside the sharded
+run, which is :func:`repro.api.simulate` with ``shards=N``:
 
 * :class:`StreamStats` is a finished-request sink for
   ``ServingEngine.run(..., sink=...)``: constant-memory streaming runs
@@ -28,150 +18,11 @@ Three pieces, all serving the million-request regime:
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import sys
 import time
-from typing import Callable, Iterator, TextIO
+from typing import Callable, TextIO
 
-from repro.analysis.sweep import sweep
-from repro.api.specs import DeploymentSpec, FleetSpec, WorkloadSpec
-from repro.cluster.report import ClusterResult, aggregate_cluster
-from repro.serving.engine import SimulationResult
 from repro.serving.request import Request
-
-
-# --------------------------------------------------------------------- #
-# Traffic partitioning                                                   #
-# --------------------------------------------------------------------- #
-
-def shard_requests(workload: WorkloadSpec, shard: int,
-                   shards: int) -> Iterator[Request]:
-    """Lazily yield the requests belonging to one traffic shard.
-
-    Session-affine partition: a request follows ``session_id % shards``
-    when it belongs to a session (all turns of one conversation land on
-    one shard, keeping affinity routing and prefix reuse meaningful)
-    and ``request_id % shards`` otherwise.  A monotone subsequence of a
-    time-sorted stream is time-sorted, so the filtered stream passes
-    the engines' online ordering check unchanged.
-    """
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard index {shard} outside [0, {shards})")
-    for request in workload.iter_requests():
-        key = request.session_id if request.session_id is not None \
-            else request.request_id
-        if key % shards == shard:
-            yield request
-
-
-def shard_replica_count(replicas: int, shard: int, shards: int) -> int:
-    """Replicas owned by one shard: near-even split, remainder to the
-    lowest-indexed shards (deterministic for any (replicas, shards))."""
-    base, extra = divmod(replicas, shards)
-    return base + (1 if shard < extra else 0)
-
-
-# --------------------------------------------------------------------- #
-# Worker side                                                            #
-# --------------------------------------------------------------------- #
-
-def _simulate_shard(deployment: DeploymentSpec, workload: WorkloadSpec,
-                    max_sim_seconds: float, shards: int, sim_cache: bool,
-                    context_bucket: int,
-                    shard: int) -> tuple[SimulationResult, ...]:
-    """Run one shard's replica subset over its traffic slice: the
-    deployment's one group, resized to the shard's replica count.
-
-    Module-level so the pool can pickle it (frozen specs pickle by
-    value).  The import stays inside the function so worker start-up
-    does not pay for the full api surface before it must.
-    """
-    from repro.api.facade import build_cluster_engine
-
-    (group,) = deployment.fleet_groups()
-    count = shard_replica_count(group.count, shard, shards)
-    engine = build_cluster_engine(
-        dataclasses.replace(deployment, replicas=1, fleet=FleetSpec(
-            groups=(dataclasses.replace(group, count=count),))),
-        sim_cache=sim_cache, context_bucket=context_bucket)
-    result = engine.run(shard_requests(workload, shard, shards),
-                        max_sim_seconds=max_sim_seconds)
-    return result.replica_results
-
-
-# --------------------------------------------------------------------- #
-# Driver                                                                 #
-# --------------------------------------------------------------------- #
-
-def run_sharded_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
-                        max_sim_seconds: float = 600.0, shards: int = 2, *,
-                        sim_cache: bool = True,
-                        context_bucket: int = 1) -> ClusterResult:
-    """Simulate a fixed fleet partitioned over ``shards`` processes.
-
-    ``shards=1`` takes the exact unsharded engine path (bit-identical
-    to :func:`repro.api.facade.simulate_cluster` with default knobs).
-    With more shards, replicas are split near-evenly and traffic
-    follows :func:`shard_requests`; per-shard replica results are
-    concatenated in shard order and merged by
-    :func:`~repro.cluster.report.aggregate_cluster`, so the merge is
-    deterministic — same spec, same shard count, same report.
-
-    Elastic features are rejected loudly: autoscaling and fault
-    injection coordinate the *whole* fleet each decision interval,
-    which a shard cannot see; silently sharding them would change
-    semantics, not just wall-clock.  Only a one-group fleet shards
-    (``replicas=N`` or a one-group
-    :class:`~repro.api.specs.FleetSpec`); a mixed fleet is rejected
-    (its capability-aware routing needs the whole-fleet view).
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if deployment.batching != "continuous":
-        raise ValueError(
-            f"sharded cluster serving requires continuous batching, "
-            f"got {deployment.batching!r}")
-    if shards == 1:
-        from repro.api.facade import build_cluster_engine
-
-        engine = build_cluster_engine(deployment, sim_cache=sim_cache,
-                                      context_bucket=context_bucket)
-        return engine.run(workload.request_stream(),
-                          max_sim_seconds=max_sim_seconds)
-    groups = deployment.fleet_groups()
-    if len(groups) > 1:
-        raise ValueError(
-            "sharding requires a homogeneous fleet: per-shard "
-            "routing cannot weigh groups it does not own, so a "
-            "mixed fleet would silently lose its capability-aware "
-            "placement — run the exact engine (shards=1) instead")
-    if groups[0].count < shards:
-        raise ValueError(
-            f"cannot shard {groups[0].count} replicas over {shards} "
-            f"processes — every shard needs at least one replica")
-    if deployment.autoscale is not None:
-        raise ValueError(
-            "sharding requires a fixed fleet: the autoscaler decides "
-            "over fleet-wide observations no shard can see")
-    if deployment.faults is not None and deployment.faults.enabled:
-        raise ValueError(
-            "sharding cannot run fault injection: the fault coordinator "
-            "replays retries against the whole fleet")
-    if not isinstance(deployment.router, str):
-        raise ValueError(
-            "sharded runs need the router by registry name — a router "
-            "instance would be shared mutable state across processes")
-    shard_results = sweep(
-        range(shards),
-        functools.partial(_simulate_shard, deployment, workload,
-                          max_sim_seconds, shards, sim_cache,
-                          context_bucket),
-        workers=shards)
-    merged: list[SimulationResult] = []
-    for _, replica_results in shard_results:
-        merged.extend(replica_results)
-    return aggregate_cluster(merged)
 
 
 # --------------------------------------------------------------------- #

@@ -41,8 +41,6 @@ The search runs in one process: probes are sequential bisection steps.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 from dataclasses import dataclass
 
 from repro.models.config import ModelConfig
@@ -161,21 +159,24 @@ def _simulate_rate(
     return result, compute_qos(result.finished, result.total_time_s)
 
 
-def _queue_is_stable(result: SimulationResult) -> bool:
-    """The final stability verdict (see
-    :func:`~repro.serving.engine.ttft_is_stable`)."""
-    return ttft_is_stable(result.finished)
+def meets_slo(result: SimulationResult, qos: QoSReport | None,
+              request_count: int, slo_tbt_s: float,
+              slo_ttft_s: float | None, percentile: str) -> bool:
+    """Did one probe run meet the SLO?
 
-
-def _meets(result: SimulationResult, qos: QoSReport | None,
-           request_count: int, rate: float, slo_tbt_s: float,
-           slo_ttft_s: float | None, percentile: str) -> bool:
+    The verdict every capacity search judges a probe by, the rate
+    searches here and the fleet search of
+    :func:`repro.api.find_fleet_capacity` alike: at least 90% of the
+    ``request_count`` requests finished in-horizon, TTFT stayed stable
+    (:func:`~repro.serving.engine.ttft_is_stable`), and the TBT (plus
+    optional TTFT) SLO holds at ``percentile``.
+    """
     if qos is None:
         return False
     # the system must actually keep up: most requests finish in-horizon
     if len(result.finished) < 0.9 * request_count:
         return False
-    if not _queue_is_stable(result):
+    if not ttft_is_stable(result.finished):
         return False
     if not qos.meets_tbt_slo(slo_tbt_s, percentile):
         return False
@@ -216,9 +217,9 @@ class _ProbeRunner:
                               self.num_devices, self.max_sim_seconds,
                               monitor)
 
-    def _feasible(self, result: SimulationResult, qos: QoSReport | None,
-                  rate: float) -> bool:
-        return _meets(result, qos, self.workload.count, rate, *self.slo)
+    def _feasible(self, result: SimulationResult,
+                  qos: QoSReport | None) -> bool:
+        return meets_slo(result, qos, self.workload.count, *self.slo)
 
     def probe(self, rate: float) -> ProbeOutcome:
         """Simulate one rate (once: outcomes are cached by rate), judge
@@ -229,11 +230,11 @@ class _ProbeRunner:
         monitor = InstabilityMonitor(self.workload.count) \
             if self.early_abort else None
         result, qos = self._simulate(rate, monitor)
-        feasible = self._feasible(result, qos, rate)
+        feasible = self._feasible(result, qos)
         parity = None
         if self.early_abort == "verify" and result.saturated is not None:
             full, full_qos = self._simulate(rate)
-            parity = self._feasible(full, full_qos, rate) == feasible
+            parity = self._feasible(full, full_qos) == feasible
         outcome = ProbeOutcome(
             rate=rate,
             feasible=feasible,
@@ -394,8 +395,8 @@ def reference_capacity_search(
 
     def probe(rate: float) -> bool:
         result, qos = simulate(rate)
-        ok = _meets(result, qos, request_count, rate, slo_tbt_s, slo_ttft_s,
-                    percentile)
+        ok = meets_slo(result, qos, request_count, slo_tbt_s, slo_ttft_s,
+                       percentile)
         probes.append(ProbeOutcome(rate=rate, feasible=ok, qos=qos,
                                    finished=len(result.finished),
                                    total_time_s=result.total_time_s))
@@ -427,197 +428,3 @@ def reference_capacity_search(
     assert qos is not None
     return result(best_rate, qos)
 
-
-# --------------------------------------------------------------------- #
-# Mixed-fleet capacity: cheapest group mix meeting the SLO               #
-# --------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class FleetProbe:
-    """Outcome of one mixed-fleet probe (one simulated group-count mix)."""
-
-    counts: tuple    # replicas per group, fleet-spec order
-    cost_rate: float  # sum(count * cost_per_replica_s) over groups
-    feasible: bool
-    qos: QoSReport | None
-    finished: int
-    total_time_s: float
-
-
-@dataclass(frozen=True)
-class FleetCapacityResult:
-    """Outcome of a mixed-fleet capacity search.
-
-    ``counts`` is the cheapest per-group replica mix that meets the SLO
-    at the workload's fixed arrival rate.  ``cost_rate`` is the fleet's
-    replica-cost per second of wall clock (the ranking key);
-    ``replica_seconds`` and ``cost`` are that rate integrated over the
-    winning run's wall clock.
-    """
-
-    counts: tuple
-    cost_rate: float
-    replica_seconds: float
-    cost: float
-    qos_at_best: QoSReport
-    slo_tbt_s: float
-    slo_ttft_s: float | None
-    probes: tuple
-    #: cluster simulations actually run (probe cache hits excluded)
-    simulations: int = 0
-
-
-def cost_optimal_fleet(deployment, workload, capacity=None,
-                       max_sim_seconds: float = 600.0, *,
-                       sim_cache: bool = True,
-                       context_bucket: int = 1,
-                       max_columns: int = 256) -> FleetCapacityResult:
-    """Find the cheapest group mix of a fleet that meets the SLO.
-
-    The single-endpoint search above holds the hardware fixed and
-    bisects over the arrival *rate*; this one inverts the question —
-    the workload's ``rate_per_s`` is fixed and the search bisects over
-    a **group-count lattice**: for each group ``g`` the candidate
-    counts span ``[min_count or 0, max_count or count]`` (the spec'd
-    ``count`` doubles as the ceiling when no ``max_count`` is given).
-    Every combination of the trailing groups forms one lattice *column*;
-    within a column the leading group's count is bisected (capacity is
-    monotone in fleet size), so each column costs ``O(log range)``
-    cluster simulations instead of ``O(range)``.  Columns whose
-    cheapest point already costs at least as much as the incumbent
-    winner are skipped without simulating.
-
-    Feasibility of a mix is judged exactly like a rate probe
-    (:func:`_meets`): >= 90% of requests finish in-horizon, stable
-    TTFT, and the TBT (plus optional TTFT) SLO holds at the spec'd
-    percentile — measured by a full :func:`repro.api.facade.simulate_cluster`
-    run of the mixed fleet, so routing, per-group capability and KV
-    limits all count.
-
-    Mixes are ranked by ``cost_rate`` (sum of ``count *
-    cost_per_replica_s``), ties by total replica count, then
-    lexicographically by counts — fully deterministic.  Raises
-    :class:`EndpointUnservable` when no lattice point meets the SLO and
-    ``ValueError`` when the trailing-group lattice exceeds
-    ``max_columns`` columns (tighten per-group ``min_count`` /
-    ``max_count`` bounds, or raise the cap).
-    """
-    from repro.api.facade import EndpointOverloaded, simulate_cluster
-    from repro.api.specs import CapacitySpec, FleetSpec
-
-    if deployment.fleet is None:
-        raise ValueError(
-            "mixed-fleet capacity search needs an explicit fleet; "
-            "give the deployment a FleetSpec (a legacy replicas=N "
-            "deployment has nothing to mix — use find_capacity)")
-    if deployment.autoscale is not None:
-        raise ValueError(
-            "mixed-fleet capacity search sizes a *fixed* fleet; drop "
-            "the autoscale spec (the search itself explores fleet "
-            "sizes)")
-    if deployment.faults is not None and deployment.faults.enabled:
-        raise ValueError(
-            "mixed-fleet capacity search models a fault-free fleet; "
-            "drop the faults spec (benchmarks/bench_resilience.py "
-            "sweeps goodput under faults instead)")
-    if capacity is None:
-        capacity = CapacitySpec()
-    if workload.rate_per_s <= 0:
-        raise ValueError("mixed-fleet capacity search probes the "
-                         "workload's fixed rate; rate_per_s must be > 0")
-
-    groups = deployment.fleet.groups
-    bounds = []
-    for group in groups:
-        lo = group.min_count if group.min_count is not None else 0
-        hi = group.max_count if group.max_count is not None \
-            else max(group.count, lo)
-        bounds.append((lo, hi))
-    columns = 1
-    for lo, hi in bounds[1:]:
-        columns *= hi - lo + 1
-    if columns > max_columns:
-        raise ValueError(
-            f"mixed-fleet search lattice has {columns} trailing-group "
-            f"columns (> {max_columns}); tighten per-group min_count/"
-            f"max_count bounds or raise max_columns")
-
-    def cost_rate(counts) -> float:
-        return sum(count * group.cost_per_replica_s
-                   for count, group in zip(counts, groups))
-
-    cache: dict = {}
-    simulations = 0
-
-    def probe(counts) -> FleetProbe:
-        nonlocal simulations
-        cached = cache.get(counts)
-        if cached is not None:
-            return cached
-        if sum(counts) < 1:
-            # an empty fleet serves nothing; no simulation needed
-            outcome = FleetProbe(counts, 0.0, False, None, 0, 0.0)
-            cache[counts] = outcome
-            return outcome
-        mix = FleetSpec(groups=tuple(
-            dataclasses.replace(group, count=count)
-            for group, count in zip(groups, counts)))
-        candidate = dataclasses.replace(deployment, fleet=mix)
-        simulations += 1
-        try:
-            report = simulate_cluster(
-                candidate, workload, max_sim_seconds=max_sim_seconds,
-                sim_cache=sim_cache, context_bucket=context_bucket)
-        except EndpointOverloaded:
-            outcome = FleetProbe(counts, cost_rate(counts), False,
-                                 None, 0, 0.0)
-        else:
-            merged = report.cluster.merged
-            ok = _meets(merged, report.qos, workload.num_requests,
-                        workload.rate_per_s, capacity.slo_tbt_s,
-                        capacity.slo_ttft_s, capacity.percentile)
-            outcome = FleetProbe(counts, cost_rate(counts), ok,
-                                 report.qos, len(merged.finished),
-                                 merged.total_time_s)
-        cache[counts] = outcome
-        return outcome
-
-    def rank(entry: FleetProbe):
-        return (entry.cost_rate, sum(entry.counts), entry.counts)
-
-    lo0, hi0 = bounds[0]
-    best: FleetProbe | None = None
-    for tail in itertools.product(*(range(lo, hi + 1)
-                                    for lo, hi in bounds[1:])):
-        floor_counts = (lo0, *tail)
-        if best is not None and cost_rate(floor_counts) > best.cost_rate:
-            continue   # even the column's cheapest point loses
-        if not probe((hi0, *tail)).feasible:
-            continue   # the column's best-provisioned point fails
-        low, high = lo0, hi0
-        while low < high:
-            mid = (low + high) // 2
-            if probe((mid, *tail)).feasible:
-                high = mid
-            else:
-                low = mid + 1
-        winner = cache[(high, *tail)]
-        if best is None or rank(winner) < rank(best):
-            best = winner
-    if best is None:
-        raise EndpointUnservable(
-            f"no fleet in the group-count lattice sustains "
-            f"{workload.rate_per_s:g} req/s under the SLO; raise the "
-            f"per-group max_count ceilings or relax the SLO")
-    assert best.qos is not None
-    return FleetCapacityResult(
-        counts=best.counts,
-        cost_rate=best.cost_rate,
-        replica_seconds=best.total_time_s * sum(best.counts),
-        cost=best.total_time_s * best.cost_rate,
-        qos_at_best=best.qos,
-        slo_tbt_s=capacity.slo_tbt_s,
-        slo_ttft_s=capacity.slo_ttft_s,
-        probes=tuple(sorted(cache.values(), key=lambda p: p.counts)),
-        simulations=simulations,
-    )

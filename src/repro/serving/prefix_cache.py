@@ -80,6 +80,7 @@ class PrefixCacheSpec(SpecCodec):
     block_tokens: int = 16
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 < self.reclaimable_fraction <= 1.0:
             raise ValueError(
                 "reclaimable_fraction must be in (0, 1]")

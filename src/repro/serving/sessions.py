@@ -16,6 +16,7 @@ statistics DESIGN.md documents.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,10 +43,28 @@ class SessionConfig:
     max_context: int = 8192
 
     def __post_init__(self) -> None:
-        if not self.mean_turns >= 1:
-            raise ValueError("sessions need at least one expected turn")
+        if not 1 <= self.mean_turns < math.inf:
+            raise ValueError(
+                f"mean_turns must be finite and >= 1 (a session needs at "
+                f"least one expected turn), got {self.mean_turns!r}")
+        for name in ("question_median", "answer_median"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}")
+        for name in ("question_sigma", "answer_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, "
+                    f"got {value!r}")
         if not self.think_time_mean_s >= 0:
-            raise ValueError("think time must be non-negative")
+            raise ValueError(
+                f"think_time_mean_s must be non-negative (the mean think "
+                f"time between turns), got {self.think_time_mean_s!r}")
+        if not self.max_context >= 1:
+            raise ValueError(
+                f"max_context must be >= 1, got {self.max_context!r}")
 
 
 @dataclass(frozen=True)

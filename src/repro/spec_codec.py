@@ -19,6 +19,11 @@ an inline :class:`~repro.hardware.chip.ChipSpec` and its parts included.
   through the enum class, and ``null`` in a plain ``float`` field back
   to +inf.  A missing key takes the field's default, so a key may be
   omitted exactly when its constructor argument may be.
+* At construction, JSON or Python alike, a field typed ``int`` or
+  ``int | None`` rejects bools, floats (``8.0`` and NaN included) and
+  strings with ``<field> must be an integer, got <value>``; Python and
+  numpy integers pass.  A spec class with its own ``__post_init__``
+  calls ``super().__post_init__()`` first.
 * Unknown keys, missing required keys, non-object sections and enum
   values outside the enum raise ``ValueError`` naming the section,
   whose label derives from the class name (``ReplicaGroupSpec`` ->
@@ -37,6 +42,7 @@ import dataclasses
 import enum
 import functools
 import math
+import numbers
 import re
 import types
 import typing
@@ -88,6 +94,18 @@ class SpecCodec:
     #: keys of removed fields that ``from_dict`` accepts and drops
     _RETIRED_KEYS: ClassVar[frozenset[str]] = frozenset()
 
+    def __post_init__(self) -> None:
+        """Reject a non-integer in an ``int`` or ``int | None`` field:
+        a float count would fail deep in numpy or an engine's
+        ``range()`` instead of at the spec."""
+        for name, optional in _integer_fields(type(self)):
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+
     def to_dict(self) -> dict[str, Any]:
         """The spec as a JSON object, keys in field order."""
         return _encode_fields(self)
@@ -112,6 +130,20 @@ def _section_label(cls: type[Any]) -> str:
 @functools.cache
 def _hints(cls: type[Any]) -> dict[str, Any]:
     return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _integer_fields(cls: type[Any]) -> tuple[tuple[str, bool], ...]:
+    """``(name, None allowed)`` for each ``int`` / ``int | None`` field."""
+    found: list[tuple[str, bool]] = []
+    for field in _fields(cls):
+        hint = _hints(cls)[field.name]
+        if hint is int:
+            found.append((field.name, False))
+        elif typing.get_origin(hint) in _UNIONS \
+                and set(typing.get_args(hint)) == {int, type(None)}:
+            found.append((field.name, True))
+    return tuple(found)
 
 
 def _encode(value: Any) -> Any:

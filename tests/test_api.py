@@ -12,6 +12,8 @@ from repro.api import (
     DeploymentSpec,
     EndpointOverloaded,
     Experiment,
+    FleetCapacityReport,
+    FleetSpec,
     ReplicaGroupSpec,
     WorkloadSpec,
     find_capacity,
@@ -345,6 +347,25 @@ class TestFindCapacity:
                                max_sim_seconds=300.0, slo_tbt_s=0.02)
         assert strict.capacity_spec.slo_tbt_s == 0.02
         assert strict.max_requests_per_s <= relaxed.max_requests_per_s
+
+    def test_rate_and_fleet_summaries_name_the_slo_alike(self):
+        capacity = CapacitySpec(slo_tbt_s=0.050, slo_ttft_s=2.0,
+                                percentile="p99", iterations=3,
+                                rate_low=0.5, rate_high=64.0)
+        rate = find_capacity(DeploymentSpec(chip="ador"),
+                             WorkloadSpec(num_requests=40, seed=7),
+                             capacity, max_sim_seconds=300.0)
+        one_ador = FleetSpec(groups=(
+            ReplicaGroupSpec(chip="ador", count=1, max_count=1),))
+        fleet = find_capacity(DeploymentSpec(fleet=one_ador),
+                              WorkloadSpec(rate_per_s=2.0, num_requests=20,
+                                           seed=7),
+                              capacity, max_sim_seconds=300.0)
+        assert isinstance(rate, CapacityReport)
+        assert isinstance(fleet, FleetCapacityReport)
+        label = "TBT p99 <= 50 ms, TTFT <= 2000 ms, "
+        assert label in rate.summary_lines()[0]
+        assert label in fleet.summary_lines()[0]
 
     def test_rejects_multi_replica_deployments(self):
         with pytest.raises(ValueError, match="single endpoint"):

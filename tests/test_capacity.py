@@ -22,10 +22,10 @@ from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.capacity import (
-    _meets,
     _scheduler_limits,
     _simulate_rate,
     max_capacity_under_slo,
+    meets_slo,
     reference_capacity_search,
 )
 from repro.serving.dataset import ULTRACHAT_LIKE, fixed_trace
@@ -148,13 +148,13 @@ class TestEarlyAbort:
                                 count, monitor=InstabilityMonitor(count))
         assert monitored.saturated is not None
         assert monitored.total_time_s < full.total_time_s
-        slo = (count, rate, 0.050, None, "p95")
+        slo = (count, 0.050, None, "p95")
         from repro.serving.qos import compute_qos
         full_qos = compute_qos(full.finished, full.total_time_s)
         mon_qos = compute_qos(monitored.finished, monitored.total_time_s) \
             if monitored.finished else None
-        assert _meets(full, full_qos, *slo) \
-            == _meets(monitored, mon_qos, *slo) is False
+        assert meets_slo(full, full_qos, *slo) \
+            == meets_slo(monitored, mon_qos, *slo) is False
 
     def test_feasible_steady_trace_never_aborts(self, device, llama3):
         count, rate = 150, 10.0
@@ -193,12 +193,12 @@ class TestEarlyAbort:
         monitored = _run_engine(device, llama3, same, 150,
                                 monitor=InstabilityMonitor(150))
         from repro.serving.qos import compute_qos
-        slo = (150, 50.0, 0.050, None, "p95")
+        slo = (150, 0.050, None, "p95")
         full_qos = compute_qos(full.finished, full.total_time_s)
         mon_qos = compute_qos(monitored.finished, monitored.total_time_s) \
             if monitored.finished else None
-        assert _meets(full, full_qos, *slo) == _meets(monitored, mon_qos,
-                                                      *slo)
+        assert meets_slo(full, full_qos, *slo) \
+            == meets_slo(monitored, mon_qos, *slo)
 
     def test_abort_implies_final_stability_check_fails(self):
         # the structural guarantee: the monitor's escape thresholds are

@@ -309,6 +309,20 @@ class TestErrorExits:
         assert field in lines[0]
         assert captured.out == ""
 
+    def test_fractional_count_in_experiment_exits_2(self, capsys, tmp_path):
+        """A fractional count in an experiment file is a bad spec: one
+        ``error:`` line naming the field, and nothing simulated."""
+        experiment = json.loads((EXPERIMENTS / "ultrachat_ador.json")
+                                .read_text())
+        experiment["workload"]["num_requests"] = 2.5
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: num_requests must be an integer, got 2.5"]
+        assert captured.out == ""
+
     def test_overloaded_run_prints_the_message_once(self, capsys, tmp_path):
         """An endpoint that finishes nothing exits 1 with the overload
         message on stdout, its opening phrase printed once."""

@@ -1,10 +1,10 @@
 """Sharded cluster simulation and the long-run progress heartbeat.
 
-``shards=1`` must take the exact unsharded engine path (bit-identical
-fingerprints); ``shards>1`` is a *modeled* approximation that must be
-deterministic, conserve every request, and reject the elastic features
-it cannot see.  Plus units for the traffic partition, the replica
-split, and :class:`ProgressReporter` throttling with an injected clock.
+``simulate_cluster(..., shards=N)`` with ``N > 1`` is a *modeled*
+approximation that must be deterministic, conserve every request, and
+reject the elastic features it cannot see.  Plus units for the traffic
+partition, the replica split, and :class:`ProgressReporter` throttling
+with an injected clock.
 """
 
 import io
@@ -22,12 +22,8 @@ from repro.api import (
 )
 from repro.cluster.autoscaler import AutoscaleSpec
 from repro.cluster.faults import FaultSpec
-from repro.perf.scale import (
-    ProgressReporter,
-    run_sharded_cluster,
-    shard_replica_count,
-    shard_requests,
-)
+from repro.api.facade import shard_replica_count, shard_requests
+from repro.perf.scale import ProgressReporter
 
 DEPLOYMENT = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
                             max_batch=8)
@@ -91,25 +87,12 @@ def test_shard_replica_count_conserves_replicas(replicas, shards):
 
 
 # --------------------------------------------------------------------- #
-# shards=1 : exact unsharded path                                        #
-# --------------------------------------------------------------------- #
-
-def test_shards_one_is_bit_identical_to_unsharded():
-    sharded = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=1)
-    reference = simulate_cluster(DEPLOYMENT, WORKLOAD)
-    assert cluster_fingerprint(sharded) \
-        == cluster_fingerprint(reference.cluster)
-    assert sharded.merged.total_time_s \
-        == reference.cluster.merged.total_time_s
-
-
-# --------------------------------------------------------------------- #
 # shards>1 : modeled, deterministic, conservative                        #
 # --------------------------------------------------------------------- #
 
 def test_sharded_run_is_deterministic_and_conserves_requests():
-    first = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2)
-    second = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2)
+    first = simulate_cluster(DEPLOYMENT, WORKLOAD, shards=2).cluster
+    second = simulate_cluster(DEPLOYMENT, WORKLOAD, shards=2).cluster
     assert cluster_fingerprint(first) == cluster_fingerprint(second)
     assert first.replica_count == DEPLOYMENT.replicas
     total = len(first.merged.finished) + len(first.merged.unfinished)
@@ -140,7 +123,7 @@ def test_sharding_rejects_autoscale():
     deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
                                 autoscale=AutoscaleSpec())
     with pytest.raises(ValueError, match="autoscal"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
+        simulate_cluster(deployment, WORKLOAD, shards=2)
 
 
 def test_sharding_rejects_enabled_faults():
@@ -148,19 +131,19 @@ def test_sharding_rejects_enabled_faults():
                                 faults=FaultSpec(enabled=True,
                                                  crash_mtbf_s=50.0))
     with pytest.raises(ValueError, match="fault"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
+        simulate_cluster(deployment, WORKLOAD, shards=2)
 
 
 def test_sharding_allows_disabled_faults():
     deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=2,
                                 faults=FaultSpec(enabled=False))
-    result = run_sharded_cluster(deployment, WORKLOAD, shards=2)
+    result = simulate_cluster(deployment, WORKLOAD, shards=2).cluster
     assert result.replica_count == 2
 
 
 def test_sharding_rejects_more_shards_than_replicas():
     with pytest.raises(ValueError, match="at least one replica"):
-        run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=5)
+        simulate_cluster(DEPLOYMENT, WORKLOAD, shards=5)
 
 
 def test_sharding_rejects_heterogeneous_fleet():
@@ -173,7 +156,7 @@ def test_sharding_rejects_heterogeneous_fleet():
             ReplicaGroupSpec(chip="a100", count=2),
         )))
     with pytest.raises(ValueError, match="homogeneous fleet"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
+        simulate_cluster(deployment, WORKLOAD, shards=2)
 
 
 def test_sharding_flattens_one_group_fleet():
@@ -184,8 +167,8 @@ def test_sharding_flattens_one_group_fleet():
         fleet=FleetSpec(groups=(
             ReplicaGroupSpec(chip="ador", count=DEPLOYMENT.replicas,
                              max_batch=DEPLOYMENT.max_batch),)))
-    sharded = run_sharded_cluster(explicit, WORKLOAD, shards=2)
-    reference = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2)
+    sharded = simulate_cluster(explicit, WORKLOAD, shards=2).cluster
+    reference = simulate_cluster(DEPLOYMENT, WORKLOAD, shards=2).cluster
     assert cluster_fingerprint(sharded) == cluster_fingerprint(reference)
 
 
@@ -193,12 +176,12 @@ def test_sharding_rejects_non_continuous_batching():
     deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
                                 batching="static")
     with pytest.raises(ValueError, match="continuous"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
+        simulate_cluster(deployment, WORKLOAD, shards=2)
 
 
 def test_sharding_rejects_bad_shard_count():
     with pytest.raises(ValueError, match="shards must be >= 1"):
-        run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=0)
+        simulate_cluster(DEPLOYMENT, WORKLOAD, shards=0)
 
 
 def test_facade_rejects_shards_on_single_endpoint():

@@ -6,7 +6,7 @@ from repro.compiler.binary import build_model_binary
 from repro.compiler.generator import CompiledProgram, InstructionGenerator
 from repro.compiler.instructions import Instruction, Opcode, TargetUnit
 from repro.hardware.presets import ador_table3
-from repro.models.graph import build_decode_graph
+from repro.models.graph import decode_operators
 from repro.models.layers import Phase
 from repro.models.zoo import get_model
 
@@ -87,17 +87,15 @@ class TestInstructionGenerator:
         assert gemms
         assert all(i.target == TargetUnit.SYSTOLIC_ARRAY for i in gemms)
 
-    def test_flops_conserved_vs_graph(self, generator, llama3):
-        """Compiled GEMM+ATTN flops match the operator graph's."""
+    def test_flops_conserved_vs_operators(self, generator, llama3):
+        """Compiled GEMM+ATTN flops match the operator list's."""
         program = generator.compile(llama3, Phase.DECODE, 8, 1, 512)
         compiled = sum(i.flops for i in program.instructions
                        if i.opcode in (Opcode.GEMV, Opcode.GEMM, Opcode.ATTN))
-        graph = build_decode_graph(llama3, 8, 512)
-        graph_flops = sum(
-            op.flops for op in
-            [graph.nodes[n]["operator"] for n in graph.nodes]
+        operator_flops = sum(
+            op.flops for op in decode_operators(llama3, 8, 512)
             if op.kind.value in ("gemm", "attention"))
-        assert compiled == pytest.approx(graph_flops, rel=0.02)
+        assert compiled == pytest.approx(operator_flops, rel=0.02)
 
     def test_sync_points_twice_per_layer(self, generator, llama3):
         program = generator.compile(llama3, Phase.DECODE, 8, 1, 512)

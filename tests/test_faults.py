@@ -35,7 +35,7 @@ from repro.serving.generator import (
     iter_poisson_requests,
 )
 from repro.serving.qos import goodput_per_s
-from repro.serving.request import RequestState
+from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import SchedulerLimits
 
 MODEL = get_model("llama3-8b")
@@ -310,6 +310,26 @@ class TestExplicitCrash:
         for request in result.merged.finished:
             assert request.arrival_time \
                 == pytest.approx(arrivals[request.request_id])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a retried request is enqueued at the idle "
+        "replica's stale clock, before the instant it was routed, so "
+        "its first token predates the crash; fixing it changes the "
+        "elastic-faults goldens"))
+    def test_retry_emits_no_token_before_the_crash(self, ador_device):
+        engine = ClusterEngine(
+            ador_device, MODEL, SchedulerLimits(), replicas=2,
+            router="round-robin",
+            faults=FaultSpec(events=(
+                FaultEvent("crash", replica_id=1, time_s=3.0),)))
+        result = engine.run([Request(0, 0.0, 64, 8),
+                             Request(1, 0.1, 64, 4000)],
+                            max_sim_seconds=600.0)
+        (crash,) = result.faults.records
+        assert crash.lost_requests == 1 and result.faults.retries == 1
+        retried = next(r for r in result.merged.finished
+                       if r.request_id == 1)
+        assert retried.first_token_time >= crash.time_s
 
     def test_whole_fleet_down_defers_routing(self, ador_device):
         spec = FaultSpec(

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import (
     DeploymentSpec,
     Experiment,
+    FleetCapacityReport,
     FleetSpec,
     ReplicaGroupSpec,
     WorkloadSpec,
@@ -34,7 +35,7 @@ from repro.api import (
 from repro.cluster.autoscaler import AutoscaleSpec
 from repro.cluster.faults import FaultSpec
 from repro.cluster.router import ReplicaSnapshot, make_router
-from repro.serving.capacity import EndpointUnservable, cost_optimal_fleet
+from repro.serving.capacity import EndpointUnservable
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving.generator import (
     iter_onoff_requests,
@@ -406,23 +407,29 @@ class TestMixedFleet:
         workload = WorkloadSpec(rate_per_s=5.0, num_requests=60, seed=3)
         report = find_fleet_capacity(deployment, workload,
                                      slo_tbt_s=0.05)
-        result = report.fleet
         lo_hi = [(0, 3), (0, 1)]
-        for count, (lo, hi) in zip(result.counts, lo_hi):
+        for count, (lo, hi) in zip(report.counts, lo_hi):
             assert lo <= count <= hi
         # optimality within the probe log: no feasible probe is cheaper
-        feasible = [p for p in result.probes if p.feasible]
-        assert result.counts in [p.counts for p in feasible]
-        assert result.cost_rate == min(p.cost_rate for p in feasible)
+        feasible = [p for p in report.probes if p.feasible]
+        assert report.counts in [p.counts for p in feasible]
+        assert report.cost_rate == min(p.cost_rate for p in feasible)
+        winner = next(p for p in feasible if p.counts == report.counts)
+        assert report.qos == winner.qos
+        assert report.cost == pytest.approx(
+            winner.total_time_s * report.cost_rate)
+        assert report.replica_seconds == pytest.approx(
+            winner.total_time_s * sum(report.counts))
         # the winning mix re-probes from cache: simulations < probes
-        assert result.simulations <= len(result.probes)
+        assert report.simulations <= len(report.probes)
         assert report.mix_label().count("x") == 2
 
     def test_find_capacity_dispatches_on_fleet(self):
         deployment = DeploymentSpec(fleet=MIXED, router="hetero-aware")
         report = find_capacity(deployment, WORKLOAD, slo_tbt_s=0.06)
-        assert hasattr(report, "fleet")
-        assert report.counts == report.fleet.counts
+        assert isinstance(report, FleetCapacityReport)
+        assert report == find_fleet_capacity(deployment, WORKLOAD,
+                                             slo_tbt_s=0.06)
 
     def test_fleet_capacity_unservable_when_slo_impossible(self):
         deployment = DeploymentSpec(fleet=FleetSpec(groups=(
@@ -430,7 +437,7 @@ class TestMixedFleet:
         from repro.api.specs import CapacitySpec
 
         with pytest.raises(EndpointUnservable):
-            cost_optimal_fleet(
+            find_fleet_capacity(
                 deployment,
                 WorkloadSpec(rate_per_s=50.0, num_requests=60, seed=1),
                 CapacitySpec(slo_tbt_s=1e-6),
@@ -440,13 +447,16 @@ class TestMixedFleet:
         deployment = DeploymentSpec(
             fleet=MIXED, autoscale=AutoscaleSpec(policy="queue-depth"))
         with pytest.raises(ValueError, match="autoscale"):
-            cost_optimal_fleet(deployment, WORKLOAD)
+            find_fleet_capacity(deployment, WORKLOAD)
+        # 17 x 17 = 289 trailing-group columns, past the 256 cap; the
+        # check runs before any probe is simulated
         wide = DeploymentSpec(fleet=FleetSpec(groups=(
             ReplicaGroupSpec(chip="ador", count=1),
-            ReplicaGroupSpec(chip="a100", count=1, max_count=9),
+            ReplicaGroupSpec(chip="a100", count=1, max_count=16),
+            ReplicaGroupSpec(chip="h100", count=1, max_count=16),
         )))
-        with pytest.raises(ValueError, match="lattice"):
-            cost_optimal_fleet(wide, WORKLOAD, max_columns=4)
+        with pytest.raises(ValueError, match="lattice has 289"):
+            find_fleet_capacity(wide, WORKLOAD)
         legacy = DeploymentSpec(replicas=1)
         with pytest.raises(ValueError, match="fleet"):
-            cost_optimal_fleet(legacy, WORKLOAD)
+            find_fleet_capacity(legacy, WORKLOAD)

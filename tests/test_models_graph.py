@@ -1,16 +1,13 @@
-"""Unit tests for whole-model operator graphs."""
+"""Unit tests for whole-model operator lists."""
 
-import networkx as nx
 import pytest
 
 from repro.models.graph import (
-    build_decode_graph,
-    build_prefill_graph,
-    flatten,
+    decode_operators,
     operation_share,
-    total_flops,
+    prefill_operators,
 )
-from repro.models.layers import Phase
+from repro.models.layers import Phase, decoder_layer_operators
 from repro.models.zoo import get_model
 
 
@@ -19,56 +16,54 @@ def llama3():
     return get_model("llama3-8b")
 
 
-class TestGraphStructure:
-    def test_graphs_are_dags(self, llama3):
-        for graph in (build_prefill_graph(llama3, 1, 64),
-                      build_decode_graph(llama3, 4, 64)):
-            assert nx.is_directed_acyclic_graph(graph)
+def total_flops(ops):
+    return sum(op.flops for op in ops)
 
-    def test_linear_chain_edges(self, llama3):
-        graph = build_decode_graph(llama3, 1, 16)
-        assert graph.number_of_edges() == graph.number_of_nodes() - 1
 
-    def test_flatten_is_topological(self, llama3):
-        graph = build_decode_graph(llama3, 1, 16)
-        ops = flatten(graph)
-        assert len(ops) == graph.number_of_nodes()
+class TestOperatorOrder:
+    def test_decode_runs_embedding_first_lm_head_last(self, llama3):
+        ops = decode_operators(llama3, 1, 16)
         assert ops[0].name == "token_embedding"
         assert ops[-1].name == "lm_head"
 
+    def test_layers_run_in_decoder_layer_order(self, llama3):
+        layer = [op.name for op in
+                 decoder_layer_operators(llama3, Phase.DECODE, 1, 1, 16)]
+        names = [op.name for op in decode_operators(llama3, 1, 16)]
+        assert names == ["token_embedding", *layer * llama3.num_layers,
+                         "lm_head"]
+
     def test_decode_includes_lm_head_prefill_does_not(self, llama3):
-        decode_names = [op.name for op in flatten(build_decode_graph(llama3, 1, 16))]
-        prefill_names = [op.name for op in flatten(build_prefill_graph(llama3, 1, 16))]
+        decode_names = [op.name for op in decode_operators(llama3, 1, 16)]
+        prefill_names = [op.name for op in prefill_operators(llama3, 1, 16)]
         assert "lm_head" in decode_names
         assert "lm_head" not in prefill_names
 
     def test_prefill_lm_head_opt_in(self, llama3):
-        graph = build_prefill_graph(llama3, 1, 16, include_lm_head=True)
-        assert "lm_head" in [op.name for op in flatten(graph)]
+        ops = prefill_operators(llama3, 1, 16, include_lm_head=True)
+        assert ops[-1].name == "lm_head"
 
     def test_layer_count_matches_model(self, llama3):
-        graph = build_decode_graph(llama3, 1, 16)
-        layers = {node.split(".")[0] for node in graph.nodes
-                  if node.startswith("layer")}
-        assert len(layers) == llama3.num_layers
+        ops = prefill_operators(llama3, 1, 16)
+        assert sum(op.name == "qkv_proj" for op in ops) == llama3.num_layers
 
 
 class TestAggregates:
     def test_decode_weight_bytes_match_active_params(self, llama3):
         weights = sum(op.weight_bytes
-                      for op in flatten(build_decode_graph(llama3, 8, 128)))
+                      for op in decode_operators(llama3, 8, 128))
         assert weights == pytest.approx(llama3.active_param_bytes_per_token)
 
     def test_prefill_flops_scale_with_seq(self, llama3):
-        short = total_flops(build_prefill_graph(llama3, 1, 64))
-        long = total_flops(build_prefill_graph(llama3, 1, 128))
+        short = total_flops(prefill_operators(llama3, 1, 64))
+        long = total_flops(prefill_operators(llama3, 1, 128))
         # slightly superlinear because of quadratic attention
         assert long > 2 * short
         assert long < 2.5 * short
 
     def test_decode_flops_scale_with_batch(self, llama3):
-        one = total_flops(build_decode_graph(llama3, 1, 128))
-        eight = total_flops(build_decode_graph(llama3, 8, 128))
+        one = total_flops(decode_operators(llama3, 1, 128))
+        eight = total_flops(decode_operators(llama3, 8, 128))
         assert eight == pytest.approx(8 * one, rel=1e-6)
 
 

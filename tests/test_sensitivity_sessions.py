@@ -124,6 +124,31 @@ class TestSessions:
         with pytest.raises(ValueError):
             self._stream(10, 0.0, seed=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # each used to fail mid-generation with a message naming no
+        # field, or (answer_median=0.0) to yield one-token answers
+        ("question_median", -5.0, "positive and finite"),
+        ("question_median", float("nan"), "positive and finite"),
+        ("answer_median", 0.0, "positive and finite"),
+        ("answer_median", float("inf"), "positive and finite"),
+        ("question_sigma", float("inf"), "non-negative and finite"),
+        ("answer_sigma", -1.0, "non-negative and finite"),
+        ("max_context", 0, ">= 1"),
+        ("mean_turns", float("inf"), "finite and >= 1"),
+        ("mean_turns", 0.5, "finite and >= 1"),
+        ("think_time_mean_s", -1.0, "non-negative"),
+    ])
+    def test_config_names_the_field_it_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} must be {message}"):
+            SessionConfig(**{field: value})
+
+    def test_zero_sigma_draws_the_median(self):
+        generator = self._generator(seed=8, question_sigma=0.0,
+                                    answer_sigma=0.0)
+        first, *_ = generator.generate_session(0, 0.0)
+        assert first.input_tokens == SessionConfig().question_median
+        assert first.output_tokens == SessionConfig().answer_median
+
     def test_sessions_run_through_engine(self, llama3):
         from repro.core.scheduling import AdorDeviceModel
         from repro.serving.engine import ServingEngine

@@ -10,12 +10,15 @@ traces included.  A literal pins the inline chip's JSON, and its enum
 fields reject unknown values with the allowed list.  Retired keys
 (``WorkloadSpec``'s ``streaming``, ``CapacitySpec``'s
 ``reuse_arrivals`` and ``parallel_probes``) still load and are dropped.
+Every integer field rejects bools, floats and strings at construction.
 """
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -633,3 +636,77 @@ def test_nan_from_json_fails_the_range_check(cls, data, match):
     text = json.dumps(data).replace('"NaN"', "NaN")
     with pytest.raises(ValueError, match=match):
         cls.from_dict(json.loads(text))
+
+
+# --------------------------------------------------------------------- #
+# Integer fields                                                         #
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("cls, text, field", [
+    (WorkloadSpec, '{"num_requests": NaN}', "num_requests"),
+    (WorkloadSpec, '{"num_requests": 2.5}', "num_requests"),
+    (WorkloadSpec, '{"seed": 1.5}', "seed"),
+    (DeploymentSpec, '{"replicas": 2.5}', "replicas"),
+    (DeploymentSpec, '{"num_devices": NaN}', "num_devices"),
+    (DeploymentSpec, '{"max_batch": 2.5}', "max_batch"),
+    (DeploymentSpec, '{"max_batch": 8.0}', "max_batch"),
+    (DeploymentSpec, '{"prefill_chunk_tokens": "512"}',
+     "prefill_chunk_tokens"),
+    (ReplicaGroupSpec, '{"count": true}', "count"),
+    (ReplicaGroupSpec, '{"max_count": 2.0}', "max_count"),
+    (CapacitySpec, '{"iterations": 9.0}', "iterations"),
+    (PrefixCacheSpec, '{"block_tokens": 16.5}', "block_tokens"),
+    (FaultSpec, '{"seed": 1.5}', "seed"),
+    (FaultSpec, '{"max_retries": 2.0}', "max_retries"),
+    (FaultEvent, '{"kind": "crash", "replica_id": 1.0, "time_s": 3.0}',
+     "replica_id"),
+    (AutoscaleSpec, '{"min_replicas": true}', "min_replicas"),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_integer_field_rejects_non_integer_json(cls, text, field):
+    """JSON yields ``2.5``, ``8.0`` or a bare ``NaN`` where a count was
+    meant; the spec names the field instead of failing in numpy or in
+    an engine's ``range()``."""
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got "):
+        cls.from_dict(json.loads(text))
+
+
+def _integer_fields(spec):
+    hints = typing.get_type_hints(type(spec))
+    return [field.name for field in dataclasses.fields(spec)
+            if hints[field.name] in (int, int | None)]
+
+
+@pytest.mark.parametrize("value", [2.5, 8.0, float("nan"), "8", True])
+def test_every_integer_field_is_checked_at_construction(value):
+    checked = set()
+    for spec in nested_specs(EVERYTHING):
+        for name in _integer_fields(spec):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be an integer"):
+                dataclasses.replace(spec, **{name: value})
+            checked.add(f"{type(spec).__name__}.{name}")
+    assert checked == {
+        "WorkloadSpec.num_requests", "WorkloadSpec.seed",
+        "ReplicaGroupSpec.count", "ReplicaGroupSpec.num_devices",
+        "ReplicaGroupSpec.max_batch", "ReplicaGroupSpec.min_count",
+        "ReplicaGroupSpec.max_count",
+        "ReplicaGroupSpec.prefill_chunk_tokens",
+        "DeploymentSpec.num_devices", "DeploymentSpec.max_batch",
+        "DeploymentSpec.prefill_chunk_tokens", "DeploymentSpec.replicas",
+        "CapacitySpec.iterations", "AutoscaleSpec.min_replicas",
+        "AutoscaleSpec.max_replicas", "AutoscaleSpec.warm_pool_size",
+        "FaultSpec.seed", "FaultSpec.max_retries", "FaultEvent.replica_id",
+        "PrefixCacheSpec.block_tokens",
+    }
+
+
+def test_integer_fields_take_python_and_numpy_integers():
+    deployment = DeploymentSpec(replicas=np.int64(2), max_batch=np.int32(8))
+    assert deployment.total_replicas == 2
+    workload = WorkloadSpec(num_requests=np.int64(3), seed=np.uint8(7))
+    assert len(workload.build_requests()) == 3
+    group = ReplicaGroupSpec(min_count=None, max_count=np.int16(4))
+    assert group.max_count == 4
+    with pytest.raises(ValueError, match="^replicas must be an integer"):
+        DeploymentSpec(replicas=None)

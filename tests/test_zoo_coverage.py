@@ -12,7 +12,7 @@ from repro.core.scheduling import AdorDeviceModel
 from repro.hardware.presets import ador_table3
 from repro.models.kv_cache import kv_bytes_per_token, max_batch_for_memory
 from repro.models.footprint import peak_local_memory
-from repro.models.graph import build_decode_graph, flatten
+from repro.models.graph import decode_operators
 from repro.models.zoo import get_model, list_models
 
 DEVICE = AdorDeviceModel(ador_table3())
@@ -23,10 +23,9 @@ SINGLE_DEVICE = [name for name in ALL_MODELS
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
-def test_decode_graph_builds(name):
+def test_decode_operators_build(name):
     model = get_model(name)
-    graph = build_decode_graph(model, batch=2, context_len=64)
-    ops = flatten(graph)
+    ops = decode_operators(model, batch=2, context_len=64)
     assert ops[-1].name == "lm_head"
     assert all(op.flops >= 0 for op in ops)
 
