@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.cluster import AutoscaleSpec, ClusterEngine
+from repro.cluster import AutoscaleSpec, ClusterEngine, EngineGroup
 from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
@@ -97,14 +97,16 @@ def _run_pair(config, device, model, seed) -> dict:
     """Fixed max-size fleet vs autoscaled fleet on one request stream."""
     limits = SchedulerLimits(max_batch=config["max_batch"],
                              prefill_chunk_tokens=512)
-    fixed = ClusterEngine(device, model, limits,
-                          replicas=config["max_replicas"],
-                          router="least-outstanding").run(
+    fixed = ClusterEngine(
+        [EngineGroup("ador", device, model, limits,
+                     count=config["max_replicas"])],
+        router="least-outstanding").run(
         _stream(config, seed), max_sim_seconds=600.0)
-    auto = ClusterEngine(device, model, limits,
-                         replicas=config["min_replicas"],
-                         router="least-outstanding",
-                         autoscale=_autoscale_spec(config)).run(
+    auto = ClusterEngine(
+        [EngineGroup("ador", device, model, limits,
+                     count=config["min_replicas"])],
+        router="least-outstanding",
+        autoscale=_autoscale_spec(config)).run(
         _stream(config, seed), max_sim_seconds=600.0)
     trace = auto.autoscale
     fixed_rs = config["max_replicas"] * fixed.merged.total_time_s
@@ -130,12 +132,12 @@ def _run_pair(config, device, model, seed) -> dict:
 def _determinism_probe(config, device, model) -> bool:
     """Same stream + spec => identical scaling history and QoS."""
     def run_once():
+        limits = SchedulerLimits(max_batch=config["max_batch"],
+                                 prefill_chunk_tokens=512)
         engine = ClusterEngine(
-            device, model,
-            SchedulerLimits(max_batch=config["max_batch"],
-                            prefill_chunk_tokens=512),
-            replicas=config["min_replicas"], router="least-outstanding",
-            autoscale=_autoscale_spec(config))
+            [EngineGroup("ador", device, model, limits,
+                         count=config["min_replicas"])],
+            router="least-outstanding", autoscale=_autoscale_spec(config))
         result = engine.run(_stream(config, config["seeds"][0]),
                             max_sim_seconds=600.0)
         return result.autoscale, result.qos()

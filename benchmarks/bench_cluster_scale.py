@@ -39,7 +39,7 @@ import time
 from repro.analysis.tables import format_table
 from repro.api import DeploymentSpec, WorkloadSpec, simulate, simulate_cluster
 from repro.api.facade import _device_for
-from repro.cluster.engine import ClusterEngine
+from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.scale import StreamStats
@@ -127,10 +127,12 @@ def _measure_parity(deployment, workload):
     model = get_model(deployment.model)
 
     def engine():
-        return ClusterEngine(device, model, deployment.scheduler_limits(),
-                             num_devices=deployment.num_devices,
-                             replicas=deployment.replicas,
-                             router=deployment.router)
+        return ClusterEngine(
+            [EngineGroup("ador", device, model,
+                         deployment.scheduler_limits(),
+                         num_devices=deployment.num_devices,
+                         count=deployment.replicas)],
+            router=deployment.router)
 
     streamed = engine().run(workload.request_stream())
     materialized = engine().run(workload.build_requests())

@@ -18,7 +18,7 @@ from conftest import run_once
 
 from repro.analysis.tables import format_table
 from repro.api import DeploymentSpec, WorkloadSpec, simulate
-from repro.cluster import ClusterEngine
+from repro.cluster import ClusterEngine, EngineGroup
 from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
@@ -77,8 +77,9 @@ def _bursty_p99(router: str) -> float:
         requests = list(iter_onoff_requests(
             BURSTY_TRACE, on_rate_per_s=60.0, off_rate_per_s=4.0,
             phase_seconds=3.0, seed=seed, count=400))
-        engine = ClusterEngine(device, model, limits, replicas=4,
-                               router=router)
+        engine = ClusterEngine(
+            [EngineGroup("ador", device, model, limits, count=4)],
+            router=router)
         result = engine.run(requests, max_sim_seconds=600.0)
         p99s.append(result.qos().ttft_p99_s)
     return float(np.mean(p99s))

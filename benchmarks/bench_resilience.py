@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.cluster import AutoscaleSpec, ClusterEngine
+from repro.cluster import AutoscaleSpec, ClusterEngine, EngineGroup
 from repro.cluster.faults import FaultEvent, FaultSpec
 from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
@@ -86,6 +86,12 @@ def _stream(config, seed):
         ULTRACHAT_LIKE, config["rate_per_s"], seed, config["num_requests"]))
 
 
+def _fleet(config, device, model) -> list[EngineGroup]:
+    """The bench's one group: ``replicas`` ADOR replicas."""
+    return [EngineGroup("ador", device, model, _limits(config),
+                        count=config["replicas"])]
+
+
 def _limits(config) -> SchedulerLimits:
     return SchedulerLimits(max_batch=config["max_batch"],
                            prefill_chunk_tokens=512)
@@ -101,8 +107,7 @@ def _fault_spec(config, mtbf_s) -> FaultSpec | None:
 
 
 def _run_degradation(config, device, model, seed, mtbf_s) -> dict:
-    engine = ClusterEngine(device, model, _limits(config),
-                           replicas=config["replicas"],
+    engine = ClusterEngine(_fleet(config, device, model),
                            router="least-outstanding",
                            faults=_fault_spec(config, mtbf_s))
     result = engine.run(_stream(config, seed), max_sim_seconds=600.0)
@@ -148,8 +153,7 @@ def _run_recovery(config, device, model) -> dict:
     """One crash at a fixed instant: fixed fleet vs warm elastic fleet."""
     seed = config["seeds"][0]
     spec = _recovery_spec(config)
-    fixed = ClusterEngine(device, model, _limits(config),
-                          replicas=config["replicas"],
+    fixed = ClusterEngine(_fleet(config, device, model),
                           router="least-outstanding",
                           faults=spec).run(
         _stream(config, seed), max_sim_seconds=600.0)
@@ -164,8 +168,7 @@ def _run_recovery(config, device, model) -> dict:
         provision_latency_s=10.0,
         warm_pool_size=2,
         warm_provision_s=1.0)
-    elastic = ClusterEngine(device, model, _limits(config),
-                            replicas=config["replicas"],
+    elastic = ClusterEngine(_fleet(config, device, model),
                             router="least-outstanding",
                             autoscale=autoscale, faults=spec).run(
         _stream(config, seed), max_sim_seconds=600.0)
@@ -189,8 +192,7 @@ def _determinism_probe(config, device, model) -> bool:
     heaviest = config["crash_mtbfs_s"][-1]
 
     def run_once():
-        engine = ClusterEngine(device, model, _limits(config),
-                               replicas=config["replicas"],
+        engine = ClusterEngine(_fleet(config, device, model),
                                router="least-outstanding",
                                faults=_fault_spec(config, heaviest))
         result = engine.run(_stream(config, config["seeds"][0]),

@@ -36,7 +36,7 @@ import time
 from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
 from repro.api import DeploymentSpec, WorkloadSpec, simulate
-from repro.cluster.engine import ClusterEngine
+from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.core.scheduling import device_model_for
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
@@ -110,10 +110,11 @@ def _cache_stats(deployment, workload):
     """Hit rates of the shared device-model cache on one cluster run."""
     model = get_model(deployment.model)
     device = CachedDeviceModel(device_model_for(deployment.chip_spec()))
-    engine = ClusterEngine(device, model, deployment.scheduler_limits(),
-                           num_devices=deployment.num_devices,
-                           replicas=deployment.replicas,
-                           router=deployment.router)
+    engine = ClusterEngine(
+        [EngineGroup("ador", device, model, deployment.scheduler_limits(),
+                     num_devices=deployment.num_devices,
+                     count=deployment.replicas)],
+        router=deployment.router)
     engine.run(workload.build_requests())
     return device.cache_info()
 

@@ -26,7 +26,7 @@ from repro.api import (
     get_model,
     simulate,
 )
-from repro.cluster import ClusterEngine, list_autoscalers
+from repro.cluster import ClusterEngine, EngineGroup, list_autoscalers
 from repro.serving import SchedulerLimits
 from repro.serving.dataset import ULTRACHAT_LIKE
 from repro.serving.generator import iter_onoff_requests
@@ -76,15 +76,16 @@ def main() -> None:
             ULTRACHAT_LIKE, on_rate_per_s=45.0, off_rate_per_s=0.25,
             phase_seconds=20.0, seed=3, count=500))
 
-    fixed = ClusterEngine(device, model, limits, replicas=6,
-                          router="least-outstanding").run(bursty_stream())
+    fixed = ClusterEngine(
+        [EngineGroup("ador", device, model, limits, count=6)],
+        router="least-outstanding").run(bursty_stream())
     spec = AutoscaleSpec(policy="queue-depth", min_replicas=1,
                          max_replicas=6, decision_interval_s=0.25,
                          provision_latency_s=10.0, warm_pool_size=6,
                          warm_provision_s=0.1)
-    elastic = ClusterEngine(device, model, limits, replicas=1,
-                            router="least-outstanding",
-                            autoscale=spec).run(bursty_stream())
+    elastic = ClusterEngine(
+        [EngineGroup("ador", device, model, limits, count=1)],
+        router="least-outstanding", autoscale=spec).run(bursty_stream())
     fixed_rs = 6 * fixed.merged.total_time_s
     elastic_rs = elastic.autoscale.replica_seconds
     print(f"\nbursty on/off traffic, fixed 6x vs autoscaled [1, 6]:")

@@ -25,7 +25,7 @@ from repro.api import (
     list_routers,
     simulate,
 )
-from repro.cluster import ClusterEngine
+from repro.cluster import ClusterEngine, EngineGroup
 from repro.serving import (
     SchedulerLimits,
     SessionConfig,
@@ -66,8 +66,10 @@ def main() -> None:
                                           session_rate_per_s=6.0, seed=11))
     model = get_model("llama3-8b")
     device = device_model_for(get_chip("ador"))
-    engine = ClusterEngine(device, model, SchedulerLimits(max_batch=256),
-                           replicas=4, router="session-affinity")
+    engine = ClusterEngine(
+        [EngineGroup("ador", device, model, SchedulerLimits(max_batch=256),
+                     count=4)],
+        router="session-affinity")
     result = engine.run(requests, max_sim_seconds=600.0)
     homes: dict[int, set[int]] = {}
     for index, replica_result in enumerate(result.replica_results):

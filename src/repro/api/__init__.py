@@ -3,7 +3,8 @@
 One import gives the full exploration loop the ROADMAP asks for: named
 registries over chips / traces / batching policies / router policies,
 frozen serializable specs, and a :func:`simulate` facade returning a
-unified :class:`ServingReport` — or, with ``replicas > 1``, a
+unified :class:`ServingReport` — or, for a deployment with more than
+one replica, an explicit fleet, an autoscale spec or enabled faults, a
 :class:`ClusterReport` from the multi-replica cluster engine
 (:mod:`repro.cluster`)::
 

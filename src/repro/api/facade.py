@@ -77,6 +77,27 @@ def _prefix_cache_lines(stats) -> list[str]:
     ]
 
 
+def _qos_lines(qos: QoSReport) -> list[str]:
+    """The TTFT / TBT / E2E / throughput lines of a run summary."""
+    return [
+        f"  TTFT mean/p95 : {qos.ttft_mean_s * 1e3:.1f} / "
+        f"{qos.ttft_p95_s * 1e3:.1f} ms",
+        f"  TBT  mean/p95 : {qos.tbt_mean_s * 1e3:.2f} / "
+        f"{qos.tbt_p95_s * 1e3:.2f} ms",
+        f"  E2E  mean     : {qos.e2e_mean_s:.2f} s",
+        f"  throughput    : {qos.tokens_per_s:,.0f} tokens/s",
+    ]
+
+
+def _mix_label(groups, counts=None) -> str:
+    """``"2xador+1xa100"``: each fleet group's replica count (from
+    ``counts`` when given, else the group's own) and label."""
+    if counts is None:
+        counts = [group.count for group in groups]
+    return "+".join(f"{count}x{group.label}"
+                    for count, group in zip(counts, groups))
+
+
 def _device_for(chip: ChipSpec, sim_cache: bool,
                 context_bucket: int):
     """The device model for one run: fast path (memoized, with compiled
@@ -111,18 +132,17 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
     :func:`simulate_cluster`, its shard workers and the mixed-fleet
     capacity search, so every path sizes a fleet the same way.
     """
-    groups = []
-    for index, group in enumerate(deployment.fleet_groups()):
-        chip = group.chip_spec()
-        groups.append(EngineGroup(
-            index, group.label, chip.name,
-            _device_for(chip, sim_cache, context_bucket),
+    groups = [
+        EngineGroup(
+            group.label,
+            _device_for(group.chip_spec(), sim_cache, context_bucket),
             get_model(group.model), group.scheduler_limits(),
             num_devices=group.num_devices, count=group.count,
             cost_per_replica_s=group.cost_per_replica_s,
             min_count=group.min_count, max_count=group.max_count,
-            provision_latency_s=group.provision_latency_s))
-    return ClusterEngine.from_groups(
+            provision_latency_s=group.provision_latency_s)
+        for group in deployment.fleet_groups()]
+    return ClusterEngine(
         groups,
         router=deployment.router,
         fast_forward=sim_cache,
@@ -151,22 +171,16 @@ class ServingReport:
 
     def summary_lines(self) -> list[str]:
         """The human-readable report the CLI and examples print."""
-        qos, util = self.qos, self.utilization
         lines = [
             f"simulated {len(self.result.finished)} requests at "
             f"{self.workload.rate_per_s:g} req/s on {self.chip.name} "
             f"({self.deployment.num_devices} device(s), "
             f"{self.deployment.batching} batching):",
-            f"  TTFT mean/p95 : {qos.ttft_mean_s * 1e3:.1f} / "
-            f"{qos.ttft_p95_s * 1e3:.1f} ms",
-            f"  TBT  mean/p95 : {qos.tbt_mean_s * 1e3:.2f} / "
-            f"{qos.tbt_p95_s * 1e3:.2f} ms",
-            f"  E2E  mean     : {qos.e2e_mean_s:.2f} s",
-            f"  throughput    : {qos.tokens_per_s:,.0f} tokens/s",
+            *_qos_lines(self.qos),
         ]
         lines += _prefix_cache_lines(self.result.prefix_cache)
         lines += [f"  {key}: {value:.2f}"
-                  for key, value in util.as_dict().items()]
+                  for key, value in self.utilization.as_dict().items()]
         return lines
 
     def summary(self) -> str:
@@ -182,8 +196,9 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     """Run one serving experiment end-to-end and report QoS + utilization.
 
     Dispatches to :func:`simulate_cluster` when the deployment asks for
-    more than one replica — or for an autoscaled fleet (even one that
-    starts at a single replica: it can grow).  Raises
+    more than one replica, an explicit fleet, an autoscaled fleet (even
+    one that starts at a single replica: it can grow) or enabled
+    faults.  Raises
     :class:`EndpointOverloaded` if not a single request finishes within
     the horizon — the spec'd endpoint cannot sustain the load.
 
@@ -457,10 +472,7 @@ class FleetCapacityReport:
 
     def mix_label(self) -> str:
         """``"2xador+1xa100"``-style label of the winning mix."""
-        return "+".join(
-            f"{count}x{group.label}"
-            for count, group in zip(self.counts,
-                                    self.deployment.fleet.groups))
+        return _mix_label(self.deployment.fleet.groups, self.counts)
 
     def summary_lines(self) -> list[str]:
         qos = self.qos
@@ -690,8 +702,7 @@ class ClusterReport:
                          for b in load.busy_fraction_per_replica)
         trace = self.autoscale
         if self.deployment.fleet is not None:
-            mix = "+".join(f"{g.count}x{g.label}"
-                           for g in self.deployment.fleet.groups)
+            mix = _mix_label(self.deployment.fleet.groups)
             fleet = mix if trace is None else \
                 f"autoscaled (start {mix}, peak {trace.peak_replicas})"
             endpoint = "fleet"
@@ -706,12 +717,7 @@ class ClusterReport:
             f"{fleet} {endpoint} "
             f"({self.deployment.num_devices} device(s)/replica, "
             f"{self.deployment.router} routing):",
-            f"  TTFT mean/p95 : {qos.ttft_mean_s * 1e3:.1f} / "
-            f"{qos.ttft_p95_s * 1e3:.1f} ms",
-            f"  TBT  mean/p95 : {qos.tbt_mean_s * 1e3:.2f} / "
-            f"{qos.tbt_p95_s * 1e3:.2f} ms",
-            f"  E2E  mean     : {qos.e2e_mean_s:.2f} s",
-            f"  throughput    : {qos.tokens_per_s:,.0f} tokens/s",
+            *_qos_lines(qos),
             f"  requests/replica : {requests} "
             f"(imbalance {load.request_imbalance:.2f})",
             f"  busy fraction/replica : {busy}",
@@ -852,9 +858,7 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     chip = groups[0].chip_spec()
     model = get_model(groups[0].model)
     fleet_label = f"{deployment.replicas}x {chip.name}" \
-        if deployment.fleet is None else \
-        "+".join(f"{g.count}x{g.label}"
-                 for g in deployment.fleet.groups)
+        if deployment.fleet is None else _mix_label(deployment.fleet.groups)
     if shards != 1:
         if progress is not None:
             raise ValueError(

@@ -2,13 +2,22 @@
 
 The serving stack (:mod:`repro.serving`) simulates *one* endpoint; this
 package scales it to a fleet, the way Ray Serve fronts N replicas of an
-LLM deployment with a router.  A :class:`ClusterEngine` advances N
-per-replica continuous-batching endpoints under one simulated clock,
-consults a named :class:`RouterPolicy` (``round-robin``,
-``least-outstanding``, ``session-affinity``, ``slo-aware`` — see
-:mod:`repro.cluster.router`) at every arrival, and aggregates the
-per-replica outcomes into fleet QoS plus load-imbalance stats
-(:mod:`repro.cluster.report`).
+LLM deployment with a router.  A :class:`ClusterEngine` is built from
+its fleet — a list of :class:`EngineGroup` objects, each ``count``
+identical replicas of one device, model and scheduler limits — plus
+the run knobs::
+
+    engine = ClusterEngine(
+        [EngineGroup("ador", device, model, SchedulerLimits(), count=4)],
+        router="least-outstanding")
+    result = engine.run(requests)
+
+It advances the per-replica continuous-batching endpoints under one
+simulated clock, consults a named :class:`RouterPolicy`
+(``round-robin``, ``least-outstanding``, ``session-affinity``,
+``slo-aware``, ``hetero-aware`` — see :mod:`repro.cluster.router`) at
+every arrival, and aggregates the per-replica outcomes into fleet QoS
+plus load-imbalance stats (:mod:`repro.cluster.report`).
 
 Routers address replicas by *position in the snapshot sequence* they
 are handed; the engine maps positions back to concrete replicas.  That
@@ -38,9 +47,12 @@ log, retry counters and the requests that ended *failed*.
 
 The declarative API reaches it via ``DeploymentSpec(replicas=4,
 router="least-outstanding")`` — plus ``autoscale=AutoscaleSpec(...)``
-for an elastic fleet; :func:`repro.api.simulate` dispatches to
-:func:`repro.api.simulate_cluster` automatically when ``replicas > 1``
-or an autoscale spec is present.
+for an elastic fleet, or an explicit ``fleet=FleetSpec(...)`` of
+replica groups; :func:`repro.api.build_cluster_engine` turns a
+deployment into the engine, and :func:`repro.api.simulate` dispatches
+to :func:`repro.api.simulate_cluster` whenever the deployment has more
+than one replica, an explicit fleet, an autoscale spec or enabled
+faults.
 """
 
 from repro.cluster.autoscaler import (
@@ -53,7 +65,7 @@ from repro.cluster.autoscaler import (
     make_autoscaler,
     register_autoscaler,
 )
-from repro.cluster.engine import ClusterEngine, ReplicaSim
+from repro.cluster.engine import ClusterEngine, EngineGroup, ReplicaSim
 from repro.cluster.faults import (
     FaultEvent,
     FaultInjector,
@@ -84,6 +96,7 @@ from repro.cluster.router import (
 
 __all__ = [
     "ClusterEngine",
+    "EngineGroup",
     "ReplicaSim",
     "ClusterResult",
     "LoadImbalanceStats",

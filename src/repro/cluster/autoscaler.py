@@ -42,8 +42,8 @@ each unit of the difference lands on — scale-ups go to the cheapest
 group with ``max_count`` headroom, scale-downs retire from the most
 expensive group above its ``min_count`` floor, and each group's
 ``provision_latency_s`` (when set) overrides the spec-wide one.  A
-one-group fleet collapses to the legacy behavior exactly, so existing
-policies and their scaling histories are untouched.
+one-group fleet collapses to the single-pool behavior exactly, so
+existing policies and their scaling histories are untouched.
 """
 
 from __future__ import annotations
@@ -67,25 +67,16 @@ class FleetObservation:
 
     ``replicas`` snapshots only the *routable* replicas (ready and not
     draining) — the capacity that is actually taking traffic.
-    ``interval_*`` fields cover the window since the previous decision:
-    how many requests were routed, and the TTFT of every request that
-    *completed* in the window (completion-based because that is when the
-    simulated control plane learns a request's latency).
+    ``interval_ttft_s`` holds the TTFT of every request that *completed*
+    since the previous decision (completion-based because that is when
+    the simulated control plane learns a request's latency).  The
+    engine clamps a policy's answer to ``[min_replicas, max_replicas]``.
     """
 
     clock_s: float
-    interval_s: float
     replicas: tuple[ReplicaSnapshot, ...]
     provisioning: int                    # launched, not ready yet
-    draining: int                        # retiring, finishing admitted work
-    min_replicas: int
-    max_replicas: int
-    interval_arrivals: int
     interval_ttft_s: tuple[float, ...]
-
-    @property
-    def ready(self) -> int:
-        return len(self.replicas)
 
     @property
     def launched(self) -> int:

@@ -1,8 +1,9 @@
 """Multi-replica cluster simulation under one clock.
 
 A :class:`ClusterEngine` is the simulated analogue of a Ray-Serve-style
-LLM deployment: N identical replicas (each a continuous-batching
-endpoint with its own scheduler and device group) behind a router.  The
+LLM deployment: one or more groups of identical replicas
+(:class:`EngineGroup`; each replica a continuous-batching endpoint with
+its own scheduler and device group) behind a router.  The
 global event order is the arrival stream, pulled one request at a time
 and merged with a heap of crash retries and parked requests; before each
 request is routed, every replica is advanced to the event instant so the
@@ -20,7 +21,9 @@ replica with no work, or whose clock already reached the event, is not
 stepped; each routing or decision event builds one five-field
 :class:`~repro.cluster.router.ReplicaSnapshot` per routable replica
 from its live counters, and an already-sorted arrival list is not
-re-sorted.
+re-sorted.  A replica's outstanding token mass is settled lazily: each
+snapshot takes the requests appended to its ``finished`` list since the
+previous snapshot off the total.
 
 With an :class:`~repro.cluster.autoscaler.AutoscaleSpec` the fleet is
 *dynamic*: an autoscaler policy is evaluated on a fixed decision
@@ -93,7 +96,10 @@ class ReplicaSim(Endpoint):
         self.prefill_rate = 0.0
         self.decode_rate = 0.0
         self.assigned_requests = 0
+        # input+output tokens routed here and not finished or lost; the
+        # completions since the last snapshot come off at the next one
         self._outstanding_tokens = 0
+        self._counted_finished = 0
         # --- lifecycle (managed by the cluster engine) ---
         self.launched_at = 0.0
         self.ready_at = 0.0
@@ -122,7 +128,20 @@ class ReplicaSim(Endpoint):
 
     def snapshot(self) -> ReplicaSnapshot:
         """The router's view of this replica, built from the live
-        counters at each routing or decision event."""
+        counters at each routing or decision event.
+
+        ``finished`` only grows, so the requests that completed since
+        the previous snapshot are the ones past ``_counted_finished``;
+        their token mass leaves the outstanding total here.
+        """
+        finished = self.finished
+        counted = self._counted_finished
+        if counted < len(finished):
+            tokens = self._outstanding_tokens
+            for request in finished[counted:]:
+                tokens -= request.input_tokens + request.output_tokens
+            self._outstanding_tokens = tokens
+            self._counted_finished = len(finished)
         return ReplicaSnapshot(
             replica_id=self.replica_id,
             outstanding_requests=self.outstanding_requests,
@@ -134,10 +153,6 @@ class ReplicaSim(Endpoint):
     # ------------------------------------------------------------------ #
     # Simulation                                                           #
     # ------------------------------------------------------------------ #
-
-    def on_finish(self, request: Request) -> None:
-        self._outstanding_tokens -= (request.input_tokens
-                                     + request.output_tokens)
 
     def submit(self, request: Request) -> None:
         """Route ``request`` here; it arrives when the clock reaches it.
@@ -279,19 +294,20 @@ class EngineGroup:
     The engine-side mirror of
     :class:`repro.api.specs.ReplicaGroupSpec`, with the chip reference
     already resolved to a :class:`~repro.perf.baselines.DeviceModel`
-    and the scheduling knobs to :class:`SchedulerLimits`.  The two
-    capability rates are filled by the cluster engine's one-time
-    capability probe — only when the fleet actually mixes groups, so a
-    homogeneous fleet never pays (or exposes) them.
+    and the scheduling knobs to :class:`SchedulerLimits`.  A group is
+    known by its position in the engine's list; its chip is
+    ``device.chip``.  The two capability rates are filled by the
+    cluster engine's one-time capability probe — only when the fleet
+    actually mixes groups, so a homogeneous fleet never pays (or
+    exposes) them.
     """
 
-    __slots__ = ("index", "name", "chip", "device", "model", "limits",
-                 "num_devices", "count", "cost_per_replica_s",
-                 "min_count", "max_count", "provision_latency_s",
-                 "prefill_tokens_per_s", "decode_tokens_per_s")
+    __slots__ = ("name", "device", "model", "limits", "num_devices",
+                 "count", "cost_per_replica_s", "min_count", "max_count",
+                 "provision_latency_s", "prefill_tokens_per_s",
+                 "decode_tokens_per_s")
 
-    def __init__(self, index: int, name: str, chip: str,
-                 device: DeviceModel, model: ModelConfig,
+    def __init__(self, name: str, device: DeviceModel, model: ModelConfig,
                  limits: SchedulerLimits, num_devices: int = 1,
                  count: int = 1, cost_per_replica_s: float = 1.0,
                  min_count: int | None = None,
@@ -301,9 +317,7 @@ class EngineGroup:
             raise ValueError("group count must be >= 0")
         if cost_per_replica_s <= 0:
             raise ValueError("cost_per_replica_s must be positive")
-        self.index = index
         self.name = name
-        self.chip = chip
         self.device = device
         self.model = model
         self.limits = limits
@@ -322,50 +336,43 @@ class EngineGroup:
 
 
 class ClusterEngine:
-    """N replicas of one endpoint behind a router, one simulated clock.
+    """A fleet of replica groups behind a router, one simulated clock.
+
+    ``groups`` lists the fleet's :class:`EngineGroup` objects; a
+    homogeneous fleet is one group of ``count`` replicas.  Replica ids
+    are assigned group by group, every replica runs its group's
+    device/model/limits, and — only when more than one group exists — a
+    one-time capability probe stamps each group's prefill/decode rate
+    estimate into the router snapshots.
 
     ``run`` is reusable: every call builds fresh replicas and (for
     routers given by name) a fresh router instance, so two runs on one
     engine never share clocks, schedulers or session pins.  A router
     passed as an *instance* is reused as-is — the caller owns its state.
 
-    With ``autoscale`` set, ``replicas`` is the *initial* fleet size and
-    the named :class:`~repro.cluster.autoscaler.AutoscalerPolicy` is
-    consulted every ``decision_interval_s`` of simulated time; the run
-    then returns a :class:`ClusterResult` whose ``autoscale`` field
-    carries the scale-event log, fleet-size timeline and replica-seconds
+    With ``autoscale`` set, the groups' counts are the *initial* fleet
+    and the named :class:`~repro.cluster.autoscaler.AutoscalerPolicy`
+    (or the ``autoscaler`` instance) is consulted every
+    ``decision_interval_s`` of simulated time; the run then returns a
+    :class:`ClusterResult` whose ``autoscale`` field carries the
+    scale-event log, fleet-size timeline and replica-seconds
     accounting.  All built-ins are deterministic: the same stream and
     spec always reproduce the identical assignment and scaling history.
-
-    A *heterogeneous* fleet is built via :meth:`from_groups` (or the
-    keyword-only ``groups`` argument): replica ids are assigned group by
-    group, every replica runs its group's device/model/limits, and —
-    only when more than one group exists — a one-time capability probe
-    stamps each group's prefill/decode rate estimate into the router
-    snapshots.  A single-group fleet takes exactly the legacy code path
-    and is bit-identical to ``replicas=N``.
     """
 
     def __init__(
         self,
-        device: DeviceModel,
-        model: ModelConfig,
-        limits: SchedulerLimits,
-        num_devices: int = 1,
-        replicas: int = 2,
+        groups: list[EngineGroup],
         router: str | RouterPolicy = "round-robin",
         fast_forward: bool = True,
         autoscale: AutoscaleSpec | None = None,
         autoscaler: AutoscalerPolicy | None = None,
         prefix_cache=None,
         faults: FaultSpec | None = None,
-        *,
-        groups: list[EngineGroup] | None = None,
     ) -> None:
-        if groups is not None:
-            if not groups:
-                raise ValueError("groups must be a non-empty list")
-            replicas = sum(group.count for group in groups)
+        if not groups:
+            raise ValueError("groups must be a non-empty list")
+        replicas = sum(group.count for group in groups)
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if autoscale is not None and not (
@@ -381,49 +388,18 @@ class ClusterEngine:
         if faults is not None and not isinstance(faults, FaultSpec):
             raise ValueError(
                 f"faults must be a FaultSpec or None, got {faults!r}")
-        self.device = device
-        self.model = model
-        self.limits = limits
-        self.num_devices = num_devices
-        self.replicas = replicas
+        self.groups = groups
         self.router = router
         self.fast_forward = fast_forward
         self.autoscale = autoscale
         self.autoscaler = autoscaler
         self.prefix_cache = prefix_cache
         self.faults = faults
-        if groups is None:
-            chip_name = getattr(getattr(device, "chip", None), "name", "")
-            groups = [EngineGroup(0, chip_name, chip_name, device, model,
-                                  limits, num_devices, count=replicas)]
-        self.groups = groups
         if len(groups) > 1:
             self._probe_capabilities()
         make_router(router)  # fail on unknown names at construction
         if autoscale is not None and autoscaler is None:
             make_autoscaler(autoscale.policy)
-
-    @classmethod
-    def from_groups(
-        cls,
-        groups: list[EngineGroup],
-        router: str | RouterPolicy = "round-robin",
-        fast_forward: bool = True,
-        autoscale: AutoscaleSpec | None = None,
-        autoscaler: AutoscalerPolicy | None = None,
-        prefix_cache=None,
-        faults: FaultSpec | None = None,
-    ) -> "ClusterEngine":
-        """Build an engine over an explicit (possibly mixed) fleet."""
-        if not groups:
-            raise ValueError("groups must be a non-empty list")
-        lead = groups[0]
-        return cls(lead.device, lead.model, lead.limits,
-                   num_devices=lead.num_devices,
-                   router=router, fast_forward=fast_forward,
-                   autoscale=autoscale, autoscaler=autoscaler,
-                   prefix_cache=prefix_cache, faults=faults,
-                   groups=groups)
 
     def _probe_capabilities(self) -> None:
         """Single-request microbenchmark per group: estimated prefill
@@ -443,15 +419,15 @@ class ClusterEngine:
             group.decode_tokens_per_s = 8.0 / decode_s \
                 if decode_s > 0 else 0.0
 
-    def _new_replica(self, replica_id: int,
-                     group: EngineGroup) -> ReplicaSim:
+    def _new_replica(self, replica_id: int, group_index: int) -> ReplicaSim:
+        group = self.groups[group_index]
         replica = ReplicaSim(
             replica_id,
             ServingEngine(group.device, group.model,
                           group.limits, group.num_devices,
                           fast_forward=self.fast_forward,
                           prefix_cache=self.prefix_cache))
-        replica.group_index = group.index
+        replica.group_index = group_index
         replica.prefill_rate = group.prefill_tokens_per_s
         replica.decode_rate = group.decode_tokens_per_s
         return replica
@@ -533,7 +509,6 @@ class ClusterEngine:
                     fleet.park(request, now, horizon)
                     continue
                 self._route(router, request, routable).submit(request)
-                fleet.note_arrival()
                 if progress is not None:
                     progress(now, sum(len(r.finished) for r in fleet.live))
             if policy is not None and fleet.next_decision <= horizon \
@@ -602,9 +577,9 @@ class _Fleet:
         self._pushes = 0
         # the initial fleet: ids run 0..N-1 group by group, in spec order
         self.live: list[ReplicaSim] = []
-        for group in groups:
+        for index, group in enumerate(groups):
             for _ in range(group.count):
-                self.live.append(new_replica(len(self.live), group))
+                self.live.append(new_replica(len(self.live), index))
         self.everyone: list[ReplicaSim] = list(self.live)
         self.initial = len(self.live)
         self.next_id = self.initial
@@ -617,7 +592,6 @@ class _Fleet:
         self.samples: list[FleetSample] = []
         self.warm_launches = 0
         self.cold_launches = 0
-        self._interval_arrivals = 0
         self._last_decision = 0.0
         self._busy_prev = 0.0
         self._retired_busy = 0.0
@@ -632,9 +606,6 @@ class _Fleet:
         return [r for r in self.live
                 if not r.draining and r.ready_at <= now
                 and r.restart_at <= now]
-
-    def note_arrival(self) -> None:
-        self._interval_arrivals += 1
 
     def _launched(self) -> list[ReplicaSim]:
         """Ready + provisioning replicas: what counts toward ``desired``
@@ -784,13 +755,8 @@ class _Fleet:
         launched = self._launched()
         observation = FleetObservation(
             clock_s=now,
-            interval_s=now - self._last_decision,
             replicas=tuple(r.snapshot() for r in routable),
             provisioning=len(launched) - len(routable),
-            draining=len(self.live) - len(launched),
-            min_replicas=spec.min_replicas,
-            max_replicas=spec.max_replicas,
-            interval_arrivals=self._interval_arrivals,
             interval_ttft_s=tuple(interval_ttfts),
         )
         desired = int(self.policy.desired_replicas(observation))
@@ -801,7 +767,6 @@ class _Fleet:
         elif delta < 0:
             self._scale_down(now, -delta)
         self._sample(now, observation)
-        self._interval_arrivals = 0
         self._last_decision = now
 
     def _collect_interval_ttfts(self) -> list[float]:
@@ -844,20 +809,21 @@ class _Fleet:
         warm_used = 0
         ids = []
         launched = self._launched_per_group()
+        groups = self.groups
         for _ in range(count):
             # cheapest group with headroom wins each unit; ties break
             # to the earliest group, so a one-group fleet always picks
-            # its only group and reproduces the legacy single-pool path
-            eligible = [g for g in self.groups
-                        if g.max_count is None
-                        or launched[g.index] < g.max_count]
+            # its only group
+            eligible = [i for i, g in enumerate(groups)
+                        if g.max_count is None or launched[i] < g.max_count]
             if not eligible:
                 break
-            group = min(eligible,
-                        key=lambda g: (g.cost_per_replica_s, g.index))
-            warm = self.warm_stock[group.index] > 0
+            index = min(eligible,
+                        key=lambda i: (groups[i].cost_per_replica_s, i))
+            group = groups[index]
+            warm = self.warm_stock[index] > 0
             if warm:
-                self.warm_stock[group.index] -= 1
+                self.warm_stock[index] -= 1
                 warm_used += 1
                 self.warm_launches += 1
                 latency = spec.warm_provision_s
@@ -866,7 +832,7 @@ class _Fleet:
                 latency = group.provision_latency_s \
                     if group.provision_latency_s is not None \
                     else spec.provision_latency_s
-            replica = self.new_replica(self.next_id, group)
+            replica = self.new_replica(self.next_id, index)
             replica.launched_at = now
             replica.ready_at = now + latency
             replica.from_warm_pool = warm
@@ -874,7 +840,7 @@ class _Fleet:
             self.next_id += 1
             self.live.append(replica)
             self.everyone.append(replica)
-            launched[group.index] += 1
+            launched[index] += 1
         if ids:
             self.events.append(ScaleEvent(
                 clock_s=now, kind="up", delta=len(ids),
@@ -893,25 +859,26 @@ class _Fleet:
         cheap groups); within a group, still-provisioning replicas are
         cancelled newest-id first before any ready replica drains.
         """
-        eligible = [g for g in self.groups
-                    if launched[g.index] > g.floor()]
+        groups = self.groups
+        eligible = [i for i, g in enumerate(groups)
+                    if launched[i] > g.floor()]
         while eligible:
-            group = max(eligible,
-                        key=lambda g: (g.cost_per_replica_s, g.index))
+            index = max(eligible,
+                        key=lambda i: (groups[i].cost_per_replica_s, i))
             provisioning = [r for r in self.live
                             if not r.draining and r.ready_at > now
-                            and r.group_index == group.index]
+                            and r.group_index == index]
             if provisioning:
                 return max(provisioning,
                            key=lambda r: r.replica_id), True
             ready = [r for r in self.live
                      if not r.draining and r.ready_at <= now
-                     and r.group_index == group.index]
+                     and r.group_index == index]
             if ready:
                 return min(ready,
                            key=lambda r: (r.outstanding_requests,
                                           -r.replica_id)), False
-            eligible.remove(group)
+            eligible.remove(index)
         return None
 
     def _scale_down(self, now: float, count: int) -> None:
@@ -1003,17 +970,15 @@ class _Fleet:
                 f"{accounted} requests, {pulled} were pulled from the "
                 f"arrival stream")
         breakdowns: tuple[GroupBreakdown, ...] | None = None
-        group_ids: tuple[int, ...] | None = None
         if len(self.groups) > 1:
-            group_ids = tuple(replica.group_index
-                              for replica, _ in served)
-            meta = [(g.name, g.chip, g.cost_per_replica_s)
+            group_ids = [replica.group_index for replica, _ in served]
+            meta = [(g.name, g.device.chip.name, g.cost_per_replica_s)
                     for g in self.groups]
             if self.policy is None:
                 seconds = [wall * g.count for g in self.groups]
             else:
-                seconds = [self._alive_seconds(0.0, wall, group=g.index)
-                           for g in self.groups]
+                seconds = [self._alive_seconds(0.0, wall, group=index)
+                           for index in range(len(self.groups))]
             breakdowns = group_breakdowns(results, group_ids, meta,
                                           seconds)
         trace = None
@@ -1034,7 +999,7 @@ class _Fleet:
                 cold_launches=self.cold_launches,
             )
         return aggregate_cluster(results, autoscale=trace, faults=faults,
-                                 groups=breakdowns, group_ids=group_ids)
+                                 groups=breakdowns)
 
     @staticmethod
     def _ever_ready(replica: ReplicaSim, wall: float) -> bool:

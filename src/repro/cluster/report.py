@@ -18,7 +18,6 @@ fixed max-size fleet on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,89 +29,38 @@ from repro.serving.qos import QoSReport, compute_qos
 
 @dataclass(frozen=True)
 class LoadImbalanceStats:
-    """How evenly the router spread work across replicas.
+    """How evenly the router spread requests across replicas.
 
-    On a heterogeneous fleet the per-group tuples break the same
-    assigned-work totals out by replica group (index = group position
-    in the fleet spec); they stay empty on homogeneous runs, whose
-    reports are byte-identical to the pre-group engine.
+    A heterogeneous run's per-group shares are its
+    :class:`GroupBreakdown` entries.
     """
 
     requests_per_replica: tuple[int, ...]     # assigned (finished + not)
-    tokens_per_replica: tuple[int, ...]       # assigned input+output tokens
     busy_fraction_per_replica: tuple[float, ...]
     request_imbalance: float                  # max/mean assigned requests
-    token_imbalance: float                    # max/mean assigned tokens
-    token_cv: float                           # coeff. of variation of tokens
-    requests_per_group: tuple[int, ...] = ()
-    tokens_per_group: tuple[int, ...] = ()
 
     @property
     def replica_count(self) -> int:
         return len(self.requests_per_replica)
 
 
-def _max_over_mean(values: Sequence[float]) -> float:
-    mean = sum(values) / len(values)
-    if mean <= 0:
-        return 1.0
-    return max(values) / mean
-
-
-def _coefficient_of_variation(values: Sequence[float]) -> float:
-    mean = sum(values) / len(values)
-    if mean <= 0:
-        return 0.0
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
-    return math.sqrt(variance) / mean
-
-
-def load_imbalance(replica_results: Sequence[SimulationResult],
-                   group_ids: Sequence[int] | None = None
+def load_imbalance(replica_results: Sequence[SimulationResult]
                    ) -> LoadImbalanceStats:
-    """Per-replica load spread of one cluster run.
-
-    ``group_ids`` (aligned with ``replica_results``) additionally folds
-    the per-replica totals into per-group tuples — the heterogeneous
-    fleets' view of where the router actually sent the work.
-    """
+    """Per-replica load spread of one cluster run."""
     if not replica_results:
         raise ValueError("need at least one replica result")
     # one common denominator — the fleet wall clock — so replica busy
     # fractions are comparable (an early-idle replica's own clock stops
     # at its last event and would overstate its utilization)
     wall = max(r.total_time_s for r in replica_results)
-    requests, tokens, busy = [], [], []
-    for result in replica_results:
-        assigned = result.finished + result.unfinished
-        requests.append(len(assigned))
-        tokens.append(sum(r.input_tokens + r.output_tokens
-                          for r in assigned))
-        busy.append(result.busy_time_s / wall if wall > 0 else 0.0)
-    requests_per_group: tuple[int, ...] = ()
-    tokens_per_group: tuple[int, ...] = ()
-    if group_ids is not None:
-        if len(group_ids) != len(replica_results):
-            raise ValueError(
-                f"group_ids lists {len(group_ids)} entries for "
-                f"{len(replica_results)} replica results")
-        span = max(group_ids) + 1
-        group_requests = [0] * span
-        group_tokens = [0] * span
-        for group, count, mass in zip(group_ids, requests, tokens):
-            group_requests[group] += count
-            group_tokens[group] += mass
-        requests_per_group = tuple(group_requests)
-        tokens_per_group = tuple(group_tokens)
+    requests = [len(r.finished) + len(r.unfinished) for r in replica_results]
+    mean = sum(requests) / len(requests)
     return LoadImbalanceStats(
         requests_per_replica=tuple(requests),
-        tokens_per_replica=tuple(tokens),
-        busy_fraction_per_replica=tuple(busy),
-        request_imbalance=_max_over_mean(requests),
-        token_imbalance=_max_over_mean(tokens),
-        token_cv=_coefficient_of_variation(tokens),
-        requests_per_group=requests_per_group,
-        tokens_per_group=tokens_per_group,
+        busy_fraction_per_replica=tuple(
+            r.busy_time_s / wall if wall > 0 else 0.0
+            for r in replica_results),
+        request_imbalance=max(requests) / mean if mean > 0 else 1.0,
     )
 
 
@@ -309,19 +257,17 @@ class ClusterResult:
 def aggregate_cluster(replica_results: Sequence[SimulationResult],
                       autoscale: AutoscaleTrace | None = None,
                       faults: FaultTrace | None = None,
-                      groups: tuple[GroupBreakdown, ...] | None = None,
-                      group_ids: Sequence[int] | None = None
+                      groups: tuple[GroupBreakdown, ...] | None = None
                       ) -> ClusterResult:
     """Bundle per-replica results with their merged view and load stats.
 
-    ``groups`` / ``group_ids`` (heterogeneous runs only) attach the
-    per-group breakdowns and per-group load totals; the homogeneous
-    call shape — and its result — is unchanged.
+    ``groups`` (heterogeneous runs only) attaches the per-group
+    breakdowns.
     """
     return ClusterResult(
         replica_results=tuple(replica_results),
         merged=merge_results(replica_results),
-        load=load_imbalance(replica_results, group_ids=group_ids),
+        load=load_imbalance(replica_results),
         autoscale=autoscale,
         faults=faults,
         groups=groups,

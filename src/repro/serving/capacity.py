@@ -82,6 +82,10 @@ def check_search_inputs(slo_tbt_s: float, slo_ttft_s: float | None,
     low, high = rate_bounds
     if not 0 < low < high:
         raise ValueError("need 0 < rate_low < rate_high")
+    if not high < float("inf"):
+        # an infinite rate puts every probe arrival at t=0: the search
+        # would report "inf req/s" after one probe
+        raise ValueError(f"rate_high must be finite, got {high!r}")
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
 

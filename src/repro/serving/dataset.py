@@ -19,10 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.spec_codec import SpecCodec
+
 
 @dataclass(frozen=True)
-class ChatTraceConfig:
-    """Log-normal token-length marginals for a chat workload."""
+class ChatTraceConfig(SpecCodec):
+    """Log-normal token-length marginals for a chat workload.
+
+    Each length is a rounded log-normal draw clipped to its
+    ``[min_*, max_*]`` bounds, so the bounds are whole token counts
+    with ``1 <= min_* <= max_*`` and the medians and sigmas are finite.
+    """
 
     name: str
     input_median: float
@@ -35,10 +42,26 @@ class ChatTraceConfig:
     max_output: int = 2048
 
     def __post_init__(self) -> None:
-        if not (self.input_median > 0 and self.output_median > 0):
-            raise ValueError("medians must be positive")
-        if not (self.input_sigma >= 0 and self.output_sigma >= 0):
-            raise ValueError("sigmas must be non-negative")
+        super().__post_init__()
+        for name in ("input_median", "output_median"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}")
+        for name in ("input_sigma", "output_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, "
+                    f"got {value!r}")
+        for low, high in (("min_input", "max_input"),
+                          ("min_output", "max_output")):
+            bottom, top = getattr(self, low), getattr(self, high)
+            if bottom < 1:
+                raise ValueError(f"{low} must be >= 1, got {bottom!r}")
+            if bottom > top:
+                raise ValueError(f"{low} must not exceed {high}, "
+                                 f"got {bottom!r} > {top!r}")
 
     @property
     def mean_input(self) -> float:

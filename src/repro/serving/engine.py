@@ -226,8 +226,7 @@ class SimulationResult:
 
 
 def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
-                     now, limit, busy, decode_time, finished,
-                     on_finish=None, factor=1.0):
+                     now, limit, busy, decode_time, finished, factor=1.0):
     """Fast-forward one pure-decode run and apply it, in one place.
 
     Steps a fixed decode batch until the earliest completion
@@ -246,9 +245,8 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     ``decode_step_time`` call per step.  ``busy``/``decode_time`` are
     threaded through and accumulated per step, preserving the reference
     float-summation order bit for bit.  The steps are stamped and
-    applied via the scheduler's ``complete_burst``: completions are
-    appended to ``finished`` in batch order (``on_finish`` is an
-    optional extra per-completion hook).  Returns
+    applied via the scheduler's ``complete_burst``, which appends the
+    completions to ``finished`` in batch order.  Returns
     ``(now, steps, busy, decode_time)``.
     """
     size = plan.decode_batch
@@ -283,7 +281,7 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     # one stamping call per burst, touching only the members an event
     # writes: at million-request scale a call per member per step
     # dominated the profile
-    scheduler.complete_burst(plan, times, finished, on_finish)
+    scheduler.complete_burst(plan, times, finished)
     return now, steps, busy, decode_time
 
 
@@ -324,9 +322,6 @@ class Endpoint:
     routing and lifecycle state and drives it arrival by arrival.
     """
 
-    #: per-completion hook, called after the request joins ``finished``
-    on_finish = None
-
     def __init__(self, engine: "ServingEngine", pending, finished) -> None:
         self.engine = engine
         self.prefix_cache = engine.build_prefix_cache()
@@ -360,7 +355,6 @@ class Endpoint:
         scheduler = self.scheduler
         pending = self.pending
         finished = self.finished
-        on_finish = self.on_finish
         engine = self.engine
         device = engine.device
         model = engine.model
@@ -403,8 +397,7 @@ class Endpoint:
                 # the limit — whichever the per-step clock hits first.
                 now, steps, busy, decode_time = run_decode_burst(
                     scheduler, plan, pending, device, model, num_devices,
-                    now, limit, busy, decode_time, finished, on_finish,
-                    factor)
+                    now, limit, busy, decode_time, finished, factor)
                 iterations += steps
                 decode_steps += steps
                 continue
@@ -417,7 +410,7 @@ class Endpoint:
             iterations += 1
             if plan.decode_batch:
                 decode_steps += 1
-            scheduler.complete_iteration(plan, now, finished, on_finish)
+            scheduler.complete_iteration(plan, now, finished)
         self.now = now
         self.busy = busy
         self.decode_time = decode_time

@@ -132,26 +132,6 @@ class PagedKvAllocator:
                                                     tokens=prompt_tokens)
         self._used_blocks += needed
 
-    def append_token(self, request_id: int) -> bool:
-        """Grow a request by one generated token.
-
-        Returns ``True`` when the append fit (possibly by taking a new
-        block) and ``False`` when the pool is exhausted — the caller must
-        then preempt or stall (vLLM's recompute/swap decision point).
-        """
-        allocation = self._allocations.get(request_id)
-        if allocation is None:
-            raise KeyError(f"request {request_id} has no allocation")
-        if allocation.tokens < allocation.blocks * self.config.block_tokens:
-            allocation.tokens += 1
-            return True
-        if self.free_blocks < 1:
-            return False
-        allocation.blocks += 1
-        allocation.tokens += 1
-        self._used_blocks += 1
-        return True
-
     def growth_blocks(self, request_id: int, new_tokens: int) -> int:
         """Blocks a :meth:`extend` by ``new_tokens`` would allocate."""
         allocation = self._allocations.get(request_id)
@@ -165,10 +145,11 @@ class PagedKvAllocator:
     def extend(self, request_id: int, new_tokens: int) -> bool:
         """Grow a request by ``new_tokens`` at once (all-or-nothing).
 
-        The bulk analogue of :meth:`append_token` for the engine's
-        decode fast-forward: one call per burst instead of one per
-        step.  Returns ``False`` — leaving the allocation untouched —
-        when the pool cannot supply the growth blocks.
+        One call per decode burst (or per step, with ``new_tokens=1``).
+        Returns ``True`` when the growth fit (possibly by taking new
+        blocks) and ``False`` — leaving the allocation untouched — when
+        the pool cannot supply the growth blocks; the caller must then
+        preempt or stall (vLLM's recompute/swap decision point).
         """
         allocation = self._allocations.get(request_id)
         if allocation is None:

@@ -194,8 +194,7 @@ class ContinuousBatchingScheduler:
         """Decode steps until the earliest member finishes."""
         return self._finishes[0][0] - self._step
 
-    def _stamp(self, times: Sequence[float], finished: list,
-               on_finish) -> list:
+    def _stamp(self, times: Sequence[float], finished: list) -> list:
         """Run ``len(times)`` decode steps of the whole decode batch.
 
         ``times`` holds the steps' completion stamps in order, and no
@@ -205,8 +204,7 @@ class ContinuousBatchingScheduler:
         members on their first step get their first-token stamp, the
         ``record_token_times`` members their timelines, and the members
         that finish on the last step are written, leave the batch, and
-        are appended to ``finished``, handed to ``on_finish`` and
-        returned, all in batch order.
+        are appended to ``finished`` and returned, in batch order.
         """
         step = self._step = self._step + len(times)
         last = self._step_time = times[-1]
@@ -229,8 +227,6 @@ class ContinuousBatchingScheduler:
             request.state = RequestState.FINISHED
             finished.append(request)
             done.append(request)
-            if on_finish is not None:
-                on_finish(request)
         return done
 
     # ------------------------------------------------------------------ #
@@ -391,14 +387,13 @@ class ContinuousBatchingScheduler:
             self._decode_context_sum = 0
 
     def complete_iteration(self, plan: IterationPlan, now: float,
-                           finished: list, on_finish=None) -> None:
+                           finished: list) -> None:
         """Apply state transitions after the engine executed ``plan``,
         whose step completed at ``now``: every decode-batch member emits
-        one token (those that finish are appended to ``finished`` and
-        handed to ``on_finish``, in batch order), then the prefill chunk
-        lands."""
+        one token (those that finish are appended to ``finished``, in
+        batch order), then the prefill chunk lands."""
         if plan.decode_batch:
-            done = self._stamp((now,), finished, on_finish)
+            done = self._stamp((now,), finished)
         if plan.prefill_request is not None:
             request = plan.prefill_request
             request.prefilled_tokens += plan.prefill_tokens
@@ -411,7 +406,7 @@ class ContinuousBatchingScheduler:
         self._clamp_when_drained()
 
     def complete_burst(self, plan: IterationPlan, times: Sequence[float],
-                       finished: list, on_finish=None) -> None:
+                       finished: list) -> None:
         """Apply ``len(times)`` consecutive pure-decode iterations at
         once, the steps completing at ``times``.
 
@@ -419,7 +414,7 @@ class ContinuousBatchingScheduler:
         admissions happened during the burst and that no member finishes
         before the final step; each decode member emits one token per
         step, and the members that finish on the final step are appended
-        to ``finished`` and handed to ``on_finish``, in batch order.  In
+        to ``finished``, in batch order.  In
         prefix-cache mode the whole burst's block growth is claimed here
         at once (a member takes blocks only when its new tokens cross a
         block boundary) — exhaustion is resolved at the burst boundary,
@@ -428,5 +423,5 @@ class ContinuousBatchingScheduler:
         steps = len(times)
         self._decode_context_sum += plan.decode_batch * steps
         if steps:
-            self._retire(steps, self._stamp(times, finished, on_finish))
+            self._retire(steps, self._stamp(times, finished))
         self._clamp_when_drained()

@@ -28,10 +28,11 @@ from repro.serving.generator import (
     _skip_exponential,
 )
 from repro.serving.request import Request
+from repro.spec_codec import SpecCodec
 
 
 @dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(SpecCodec):
     """Shape of a multi-turn chat session."""
 
     mean_turns: float = 3.7          # ultrachat's published average
@@ -43,6 +44,7 @@ class SessionConfig:
     max_context: int = 8192
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 1 <= self.mean_turns < math.inf:
             raise ValueError(
                 f"mean_turns must be finite and >= 1 (a session needs at "

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import CapacitySpec
+from repro.api import CapacitySpec, Experiment
 from repro.core.scheduling import AdorDeviceModel
 from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
@@ -313,6 +313,8 @@ def _spec_search(device, model, trace, *, rate_bounds, request_count,
                  id="percentile-p90"),
     pytest.param(dict(rate_bounds=(float("nan"), 64.0)),
                  "need 0 < rate_low < rate_high", id="nan-low-bound"),
+    pytest.param(dict(rate_bounds=(0.5, float("inf"))),
+                 "rate_high must be finite", id="infinite-high-bound"),
     pytest.param(dict(slo_tbt_s=0.0), "slo_tbt_s must be positive",
                  id="zero-tbt-slo"),
     pytest.param(dict(slo_tbt_s=float("nan")), "slo_tbt_s must be positive",
@@ -331,6 +333,13 @@ def test_bad_inputs_rejected_before_any_simulation(check, bad, message,
     kwargs.update(bad)
     with pytest.raises(ValueError, match=message):
         check(_Untouchable(), llama3, ULTRACHAT_LIKE, **kwargs)
+
+
+def test_null_rate_high_in_an_experiment_is_rejected():
+    """The codec reads ``null`` in a float field as +inf, which would
+    release every probe request at t=0 and report an infinite rate."""
+    with pytest.raises(ValueError, match="rate_high must be finite"):
+        Experiment.from_dict({"capacity": {"rate_high": None}})
 
 
 def test_benchmark_search_knobs_still_accepted(device):

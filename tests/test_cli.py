@@ -11,6 +11,7 @@ import pytest
 from repro.api import DeploymentSpec
 from repro.cli import _SECTIONS, build_parser, main
 from repro.hardware.registry import get_chip, list_chips
+from repro.serving.dataset import ULTRACHAT_LIKE
 
 EXPERIMENTS = pathlib.Path(__file__).resolve().parent.parent / "experiments"
 
@@ -321,6 +322,32 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             "error: num_requests must be an integer, got 2.5"]
+        assert captured.out == ""
+
+    def test_infinite_rate_high_exits_2(self, capsys):
+        """``--rate-high inf`` used to report an infinite capacity after
+        one probe with every request at t=0."""
+        assert main(["capacity", "--requests", "30", "--rate-high", "inf",
+                     "--iterations", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: rate_high must be finite, got inf"]
+        assert captured.out == ""
+
+    def test_bad_inline_trace_in_experiment_exits_2(self, capsys,
+                                                     tmp_path):
+        """Inverted length bounds in an inline trace are a bad spec, not
+        a trace of 5-token prompts."""
+        experiment = json.loads((EXPERIMENTS / "ultrachat_ador.json")
+                                .read_text())
+        experiment["workload"]["trace"] = dict(
+            ULTRACHAT_LIKE.to_dict(), min_input=10, max_input=5)
+        path = tmp_path / "inverted.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: min_input must not exceed max_input, got 10 > 5"]
         assert captured.out == ""
 
     def test_overloaded_run_prints_the_message_once(self, capsys, tmp_path):

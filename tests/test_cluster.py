@@ -20,14 +20,17 @@ from repro.api import (
 from repro.cluster import (
     AutoscaleSpec,
     ClusterEngine,
+    EngineGroup,
+    FaultEvent,
+    FaultSpec,
     FleetObservation,
+    ReplicaSim,
     ReplicaSnapshot,
     list_autoscalers,
     list_routers,
     make_autoscaler,
     make_router,
 )
-from repro.cluster.engine import EngineGroup
 from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
@@ -66,6 +69,12 @@ def snapshots(outstanding, tokens=None):
                         outstanding_requests=o, outstanding_tokens=t)
         for i, (o, t) in enumerate(zip(outstanding, tokens))
     ]
+
+
+def uniform_fleet(device, model, limits, count, **knobs):
+    """An engine over one group of ``count`` identical replicas."""
+    return ClusterEngine(
+        [EngineGroup("ador", device, model, limits, count=count)], **knobs)
 
 
 def request(i=0, session=None, input_tokens=64, output_tokens=16,
@@ -127,8 +136,7 @@ class TestClusterEngine:
         limits = SchedulerLimits(max_batch=256, prefill_chunk_tokens=512)
         single = ServingEngine(ador_device, llama3, limits).run(
             poisson_requests(10.0, 80), max_sim_seconds=600.0)
-        cluster = ClusterEngine(ador_device, llama3, limits,
-                                replicas=1).run(
+        cluster = uniform_fleet(ador_device, llama3, limits, 1).run(
             poisson_requests(10.0, 80), max_sim_seconds=600.0)
         assert len(cluster.merged.finished) == len(single.finished)
         assert cluster.merged.total_time_s \
@@ -142,7 +150,7 @@ class TestClusterEngine:
         limits = SchedulerLimits(max_batch=64)
 
         def run_once():
-            engine = ClusterEngine(ador_device, llama3, limits, replicas=3,
+            engine = uniform_fleet(ador_device, llama3, limits, 3,
                                    router="least-outstanding")
             result = engine.run(poisson_requests(30.0, 150),
                                 max_sim_seconds=600.0)
@@ -153,8 +161,8 @@ class TestClusterEngine:
         assert run_once() == run_once()
 
     def test_round_robin_balances_request_counts(self, ador_device, llama3):
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=4, router="round-robin")
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 4,
+                               router="round-robin")
         result = engine.run(poisson_requests(40.0, 202),
                             max_sim_seconds=600.0)
         counts = result.load.requests_per_replica
@@ -163,8 +171,8 @@ class TestClusterEngine:
 
     def test_least_outstanding_keeps_fleet_balanced(self, ador_device,
                                                     llama3):
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=4, router="least-outstanding")
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 4,
+                               router="least-outstanding")
         result = engine.run(poisson_requests(40.0, 200),
                             max_sim_seconds=600.0)
         assert result.load.request_imbalance < 1.25
@@ -172,8 +180,8 @@ class TestClusterEngine:
     def test_session_affinity_is_sticky(self, ador_device, llama3):
         requests = list(iter_session_requests(
             SessionConfig(), sessions=60, session_rate_per_s=5.0, seed=11))
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=4, router="session-affinity")
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 4,
+                               router="session-affinity")
         result = engine.run(requests, max_sim_seconds=600.0)
         homes = {}
         for index, replica in enumerate(result.replica_results):
@@ -184,8 +192,8 @@ class TestClusterEngine:
 
     def test_no_request_lost_or_duplicated(self, ador_device, llama3):
         requests = poisson_requests(40.0, 120)
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=3, router="slo-aware")
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 3,
+                               router="slo-aware")
         result = engine.run(requests, max_sim_seconds=600.0)
         seen = result.merged.finished + result.merged.unfinished
         assert len(seen) == len(requests)
@@ -196,26 +204,30 @@ class TestClusterEngine:
             def route(self, request, replicas):
                 return len(replicas)  # out of range
 
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=2, router=BadRouter())
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 2,
+                               router=BadRouter())
         with pytest.raises(ValueError, match="replica index"):
             engine.run(poisson_requests(5.0, 4), max_sim_seconds=600.0)
 
     def test_replicas_must_be_positive(self, ador_device, llama3):
         with pytest.raises(ValueError):
-            ClusterEngine(ador_device, llama3, SchedulerLimits(), replicas=0)
+            uniform_fleet(ador_device, llama3, SchedulerLimits(), 0)
+
+    def test_groups_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ClusterEngine([])
 
     def test_unknown_router_rejected_at_construction(self, ador_device,
                                                      llama3):
         with pytest.raises(KeyError, match="router policy"):
-            ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                          replicas=2, router="no-such-router")
+            uniform_fleet(ador_device, llama3, SchedulerLimits(), 2,
+                          router="no-such-router")
 
     def test_run_is_reusable(self, ador_device, llama3):
         """A second run() must not inherit the first run's clocks,
         schedulers or finished requests."""
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=2, router="session-affinity")
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 2,
+                               router="session-affinity")
         first = engine.run(poisson_requests(10.0, 30, seed=1),
                            max_sim_seconds=600.0)
         second = engine.run(poisson_requests(10.0, 30, seed=1),
@@ -242,9 +254,8 @@ class TestClusterEngine:
         limits = SchedulerLimits()
         single = ServingEngine(ador_device, llama3, limits).run(
             stream(), max_sim_seconds=600.0)
-        cluster = ClusterEngine(ador_device, llama3, limits,
-                                replicas=1).run(stream(),
-                                                max_sim_seconds=600.0)
+        cluster = uniform_fleet(ador_device, llama3, limits, 1).run(
+            stream(), max_sim_seconds=600.0)
         assert single.total_time_s == pytest.approx(600.0)
         assert cluster.merged.total_time_s \
             == pytest.approx(single.total_time_s)
@@ -261,12 +272,77 @@ class TestClusterEngine:
                     for i in range(30)]
         requests.append(request(30, session=8, arrival=0.0,
                                 input_tokens=32, output_tokens=2))
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=2, router="session-affinity")
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 2,
+                               router="session-affinity")
         result = engine.run(requests, max_sim_seconds=600.0)
         busy = sorted(result.load.busy_fraction_per_replica)
         assert busy[0] < 0.2    # the idle replica
         assert busy[1] > 0.8    # the pinned replica
+
+
+class TestSnapshotCounters:
+    """Every snapshot's outstanding counters equal a recompute over the
+    requests its replica still holds — routed but not yet enqueued,
+    queued, prefilling or decoding — on fixed, autoscaled and crashing
+    fleets."""
+
+    @pytest.fixture
+    def snapshots(self, monkeypatch):
+        original = ReplicaSim.snapshot
+        taken = []
+
+        def checked(replica):
+            snapshot = original(replica)
+            scheduler = replica.scheduler
+            held = [*replica.pending, *scheduler.queued,
+                    *scheduler.prefilling, *scheduler.decoding]
+            assert snapshot.outstanding_requests == len(held)
+            assert snapshot.outstanding_tokens \
+                == sum(r.input_tokens + r.output_tokens for r in held)
+            taken.append(snapshot)
+            return snapshot
+
+        monkeypatch.setattr(ReplicaSim, "snapshot", checked)
+        return taken
+
+    def test_fixed_slo_aware_fleet(self, snapshots, ador_device, llama3):
+        result = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 3,
+            router="slo-aware").run(poisson_requests(30.0, 200),
+                                    max_sim_seconds=600.0)
+        assert len(result.merged.finished) == 200
+        assert any(s.outstanding_tokens for s in snapshots)
+
+    def test_autoscaled_fleet(self, snapshots, ador_device, llama3):
+        result = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 1,
+            router="slo-aware",
+            autoscale=AutoscaleSpec(policy="queue-depth", min_replicas=1,
+                                    max_replicas=4,
+                                    decision_interval_s=1.0,
+                                    provision_latency_s=1.0)).run(
+            poisson_requests(30.0, 200), max_sim_seconds=600.0)
+        trace = result.autoscale
+        assert trace.scale_ups >= 1 and trace.scale_downs >= 1
+        assert len(result.merged.finished) == 200
+        assert any(s.outstanding_tokens for s in snapshots)
+
+    def test_fleet_with_crashes(self, snapshots, ador_device, llama3):
+        crashed = (0, 2)
+        faults = FaultSpec(restart_delay_s=2.0, events=tuple(
+            FaultEvent("crash", replica_id=replica, time_s=1.0 + replica)
+            for replica in crashed))
+        result = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 3,
+            router="slo-aware", faults=faults).run(
+            poisson_requests(30.0, 200), max_sim_seconds=600.0)
+        assert result.faults.crashes == 2 and result.faults.retries > 0
+        # replica results are in id order on a fixed fleet: some retried
+        # requests finished away from the replica that lost them
+        assert any(r.retries
+                   for index, replica in enumerate(result.replica_results)
+                   if index not in crashed for r in replica.finished)
+        assert snapshots
 
 
 class TestClusterParity:
@@ -302,8 +378,8 @@ class TestBurstyRouting:
                 requests = list(iter_onoff_requests(
                     trace, on_rate_per_s=60.0, off_rate_per_s=4.0,
                     phase_seconds=3.0, seed=seed, count=400))
-                engine = ClusterEngine(ador_device, llama3, limits,
-                                       replicas=4, router=router)
+                engine = uniform_fleet(ador_device, llama3, limits, 4,
+                                       router=router)
                 result = engine.run(requests, max_sim_seconds=600.0)
                 values.append(result.qos().ttft_p99_s)
             return sum(values) / len(values)
@@ -459,10 +535,10 @@ class TestRouterContractParity:
     @pytest.mark.parametrize("router", sorted(LEGACY))
     def test_fixed_fleet_bit_identical(self, ador_device, llama3, router):
         limits = SchedulerLimits(max_batch=32)
-        new = ClusterEngine(ador_device, llama3, limits, replicas=4,
+        new = uniform_fleet(ador_device, llama3, limits, 4,
                             router=router).run(
             self._session_stream(), max_sim_seconds=600.0)
-        legacy = ClusterEngine(ador_device, llama3, limits, replicas=4,
+        legacy = uniform_fleet(ador_device, llama3, limits, 4,
                                router=self.LEGACY[router]()).run(
             self._session_stream(), max_sim_seconds=600.0)
         assert self._assignment(new) == self._assignment(legacy)
@@ -554,15 +630,12 @@ class SchedulePolicy:
         return desired
 
 
-def observation(outstanding_each, clock=10.0, provisioning=0,
-                ttfts=(), arrivals=0):
+def observation(outstanding_each, clock=10.0, provisioning=0, ttfts=()):
     return FleetObservation(
-        clock_s=clock, interval_s=1.0,
+        clock_s=clock,
         replicas=tuple(snapshot_for(i, o)
                        for i, o in enumerate(outstanding_each)),
-        provisioning=provisioning, draining=0,
-        min_replicas=1, max_replicas=64,
-        interval_arrivals=arrivals, interval_ttft_s=tuple(ttfts))
+        provisioning=provisioning, interval_ttft_s=tuple(ttfts))
 
 
 class TestAutoscalerPolicies:
@@ -604,14 +677,14 @@ class TestAutoscalerPolicies:
 
     def test_slo_attainment_treats_blind_backlog_as_risk(self):
         policy = make_autoscaler("slo-attainment")
-        obs = observation([5, 4], ttfts=(), arrivals=9)  # burst onset
+        obs = observation([5, 4], ttfts=())  # burst onset
         assert policy.desired_replicas(obs) == 4
 
     def test_slo_attainment_shrinks_an_idle_fleet(self):
         """A post-burst lull has no completions at all; the fleet must
         still converge to the minimum rather than idling at its peak."""
         policy = make_autoscaler("slo-attainment")
-        obs = observation([0, 0, 0, 0], ttfts=(), arrivals=0)
+        obs = observation([0, 0, 0, 0], ttfts=())
         assert policy.desired_replicas(obs) == 3
 
 
@@ -653,15 +726,13 @@ class TestAutoscaleSpecValidation:
     def test_engine_rejects_initial_size_outside_range(self, ador_device,
                                                        llama3):
         with pytest.raises(ValueError, match="autoscale range"):
-            ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                          replicas=9,
+            uniform_fleet(ador_device, llama3, SchedulerLimits(), 9,
                           autoscale=AutoscaleSpec(max_replicas=4))
 
     def test_engine_rejects_unknown_policy_at_construction(
             self, ador_device, llama3):
         with pytest.raises(KeyError, match="autoscaler policy"):
-            ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                          replicas=1,
+            uniform_fleet(ador_device, llama3, SchedulerLimits(), 1,
                           autoscale=AutoscaleSpec(policy="nope"))
 
 
@@ -672,11 +743,10 @@ class TestAutoscaledCluster:
                          warm_provision_s=0.5)
 
     def _engine(self, device, model, **kwargs):
-        defaults = dict(replicas=1, router="least-outstanding",
-                        autoscale=self.SPEC)
+        defaults = dict(router="least-outstanding", autoscale=self.SPEC)
         defaults.update(kwargs)
-        return ClusterEngine(device, model, SchedulerLimits(max_batch=32),
-                             **defaults)
+        return uniform_fleet(device, model, SchedulerLimits(max_batch=32),
+                             1, **defaults)
 
     def test_fleet_grows_under_load_then_drains(self, ador_device, llama3):
         result = self._engine(ador_device, llama3).run(
@@ -692,8 +762,7 @@ class TestAutoscaledCluster:
         assert len(result.merged.finished) == 300
 
     def test_static_results_carry_no_trace(self, ador_device, llama3):
-        result = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=2).run(
+        result = uniform_fleet(ador_device, llama3, SchedulerLimits(), 2).run(
             poisson_requests(10.0, 40), max_sim_seconds=600.0)
         assert result.autoscale is None
 
@@ -712,9 +781,9 @@ class TestAutoscaledCluster:
         """Scale-downs while work is in flight: every routed request is
         served exactly once, and drained replicas finish their work."""
         requests = poisson_requests(25.0, 250)  # ~10 s of traffic
-        engine = ClusterEngine(
-            ador_device, llama3, SchedulerLimits(max_batch=32),
-            replicas=4, router="least-outstanding",
+        engine = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 4,
+            router="least-outstanding",
             autoscale=AutoscaleSpec(policy="queue-depth", min_replicas=1,
                                     max_replicas=4,
                                     decision_interval_s=1.0,
@@ -756,9 +825,9 @@ class TestAutoscaledCluster:
                                   provision_latency_s=4.0)
 
         def timeline(autoscale_spec):
-            engine = ClusterEngine(ador_device, llama3,
-                                   SchedulerLimits(max_batch=32),
-                                   replicas=1, autoscale=autoscale_spec,
+            engine = uniform_fleet(ador_device, llama3,
+                                   SchedulerLimits(max_batch=32), 1,
+                                   autoscale=autoscale_spec,
                                    autoscaler=SchedulePolicy([(1.0, 3)]))
             result = engine.run(poisson_requests(6.0, 60),
                                 max_sim_seconds=600.0)
@@ -786,9 +855,9 @@ class TestAutoscaledCluster:
         """An up immediately followed by a down cancels the launches
         that never became ready, and the cancelled replicas carry no
         per-replica result."""
-        engine = ClusterEngine(
-            ador_device, llama3, SchedulerLimits(max_batch=32),
-            replicas=2, router="least-outstanding",
+        engine = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 2,
+            router="least-outstanding",
             autoscale=AutoscaleSpec(policy="queue-depth", min_replicas=1,
                                     max_replicas=6,
                                     decision_interval_s=1.0,
@@ -803,9 +872,9 @@ class TestAutoscaledCluster:
         assert len(result.merged.finished) == 60
 
     def test_min_and_max_clamp_the_policy(self, ador_device, llama3):
-        engine = ClusterEngine(
-            ador_device, llama3, SchedulerLimits(max_batch=32),
-            replicas=2, router="least-outstanding",
+        engine = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 2,
+            router="least-outstanding",
             autoscale=AutoscaleSpec(policy="queue-depth", min_replicas=2,
                                     max_replicas=3,
                                     decision_interval_s=1.0,
@@ -834,9 +903,9 @@ class TestAutoscaledCluster:
         """A fleet that starts large and immediately shrinks still ran
         its initial size before the first decision — the timeline only
         samples post-decision states, so the peak must floor there."""
-        engine = ClusterEngine(
-            ador_device, llama3, SchedulerLimits(max_batch=32),
-            replicas=6, router="least-outstanding",
+        engine = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 6,
+            router="least-outstanding",
             autoscale=AutoscaleSpec(policy="queue-depth", min_replicas=1,
                                     max_replicas=6,
                                     decision_interval_s=1.0,
@@ -852,9 +921,9 @@ class TestAutoscaledCluster:
         warm pool — no warm machine ever existed — so the next scale-up
         pays the cold latency again (a cancelled *warm* launch would
         return the slot it took)."""
-        engine = ClusterEngine(
-            ador_device, llama3, SchedulerLimits(max_batch=32),
-            replicas=2, router="least-outstanding",
+        engine = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 2,
+            router="least-outstanding",
             autoscale=AutoscaleSpec(policy="queue-depth", min_replicas=1,
                                     max_replicas=6,
                                     decision_interval_s=1.0,
@@ -879,9 +948,9 @@ class TestAutoscaledCluster:
         """Replicas whose cold provision outlives the traffic never
         served anything: no ghost all-zero per-replica results skewing
         the load stats (they still cost replica-seconds)."""
-        engine = ClusterEngine(
-            ador_device, llama3, SchedulerLimits(max_batch=32),
-            replicas=1, router="least-outstanding",
+        engine = uniform_fleet(
+            ador_device, llama3, SchedulerLimits(max_batch=32), 1,
+            router="least-outstanding",
             autoscale=AutoscaleSpec(policy="queue-depth", min_replicas=1,
                                     max_replicas=3,
                                     decision_interval_s=1.0,
@@ -930,8 +999,7 @@ class TestAutoscaledCluster:
             return outcome
 
         monkeypatch.setattr(ReplicaSim, "result", leaky)
-        engine = ClusterEngine(ador_device, llama3, SchedulerLimits(),
-                               replicas=1)
+        engine = uniform_fleet(ador_device, llama3, SchedulerLimits(), 1)
         with pytest.raises(RuntimeError, match=r"\b9\b.*\b10\b"):
             engine.run(poisson_requests(5.0, 10), max_sim_seconds=600.0)
 
@@ -942,14 +1010,12 @@ class TestAutoscaledCluster:
         arrivals in between wait for it instead of failing the run."""
         limits = SchedulerLimits(max_batch=8)
         groups = [
-            EngineGroup(0, "a100", "a100",
-                        device_model_for(get_chip("a100")), llama3, limits,
-                        count=1, cost_per_replica_s=2.5),
-            EngineGroup(1, "ador", "ador",
-                        device_model_for(get_chip("ador")), llama3, limits,
-                        count=0, cost_per_replica_s=1.0),
+            EngineGroup("a100", device_model_for(get_chip("a100")), llama3,
+                        limits, count=1, cost_per_replica_s=2.5),
+            EngineGroup("ador", device_model_for(get_chip("ador")), llama3,
+                        limits, count=0, cost_per_replica_s=1.0),
         ]
-        engine = ClusterEngine.from_groups(
+        engine = ClusterEngine(
             groups,
             autoscale=AutoscaleSpec(min_replicas=1, max_replicas=3,
                                     decision_interval_s=1.0,

@@ -24,7 +24,7 @@ from repro.api import (
     simulate,
 )
 from repro.api.specs import CapacitySpec
-from repro.cluster.engine import ClusterEngine
+from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.cluster.faults import FaultInjector, ReplicaFaultPlan
 from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
@@ -90,9 +90,9 @@ def trace_fingerprint(trace):
 
 def run_cluster(requests, device, replicas=2, faults=None, autoscale=None,
                 router="round-robin", horizon=600.0):
-    engine = ClusterEngine(device, MODEL, LIMITS, replicas=replicas,
-                           router=router, autoscale=autoscale,
-                           faults=faults)
+    engine = ClusterEngine(
+        [EngineGroup("ador", device, MODEL, LIMITS, count=replicas)],
+        router=router, autoscale=autoscale, faults=faults)
     return engine.run(copy.deepcopy(requests), max_sim_seconds=horizon)
 
 
@@ -318,7 +318,8 @@ class TestExplicitCrash:
         "elastic-faults goldens"))
     def test_retry_emits_no_token_before_the_crash(self, ador_device):
         engine = ClusterEngine(
-            ador_device, MODEL, SchedulerLimits(), replicas=2,
+            [EngineGroup("ador", ador_device, MODEL, SchedulerLimits(),
+                         count=2)],
             router="round-robin",
             faults=FaultSpec(events=(
                 FaultEvent("crash", replica_id=1, time_s=3.0),)))

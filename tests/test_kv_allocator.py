@@ -29,15 +29,15 @@ class TestLifecycle:
         allocator.admit(1, prompt_tokens=17)  # 2 blocks, 15 slack tokens
         used = allocator.used_blocks
         for _ in range(15):
-            assert allocator.append_token(1)
+            assert allocator.extend(1, 1)
         assert allocator.used_blocks == used
-        assert allocator.append_token(1)  # 33rd token takes a new block
+        assert allocator.extend(1, 1)  # 33rd token takes a new block
         assert allocator.used_blocks == used + 1
 
     def test_append_fails_when_pool_full(self):
         allocator = make_allocator(pool_gib=0.01)  # ~5 blocks
         allocator.admit(1, prompt_tokens=allocator.total_blocks * 16)
-        assert not allocator.append_token(1)
+        assert not allocator.extend(1, 1)
 
     def test_double_admit_rejected(self):
         allocator = make_allocator()
@@ -53,7 +53,7 @@ class TestLifecycle:
     def test_unknown_request_operations_raise(self):
         allocator = make_allocator()
         with pytest.raises(KeyError):
-            allocator.append_token(9)
+            allocator.extend(9, 1)
         with pytest.raises(KeyError):
             allocator.release(9)
 
@@ -70,13 +70,13 @@ class TestBulkExtend:
         assert allocator.extend(1, 30)  # 78 tokens, 5 blocks: fits
         assert allocator.allocation_tokens(1) == 78
 
-    def test_extend_matches_append_token_accounting(self):
+    def test_extend_matches_one_token_steps(self):
         bulk, steps = make_allocator(), make_allocator()
         bulk.admit(1, 100)
         steps.admit(1, 100)
         assert bulk.extend(1, 37)
         for _ in range(37):
-            assert steps.append_token(1)
+            assert steps.extend(1, 1)
         assert bulk.allocation_blocks(1) == steps.allocation_blocks(1)
         assert bulk.internal_fragmentation() \
             == steps.internal_fragmentation()
@@ -191,12 +191,12 @@ def test_property_block_conservation(prompts, block_tokens):
 
 @settings(max_examples=25, deadline=None)
 @given(appends=st.integers(0, 200))
-def test_property_append_token_accounting(appends):
+def test_property_one_token_extend_accounting(appends):
     allocator = make_allocator(pool_gib=8.0, block_tokens=16)
     allocator.admit(0, prompt_tokens=10)
     grown = 0
     for _ in range(appends):
-        if allocator.append_token(0):
+        if allocator.extend(0, 1):
             grown += 1
     # tokens tracked exactly; blocks cover tokens with < 1 block slack
     allocation = allocator._allocations[0]

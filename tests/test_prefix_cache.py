@@ -349,7 +349,7 @@ class EagerProgressScheduler(ContinuousBatchingScheduler):
         return min(r.output_tokens - r.generated_tokens
                    for r in self.decoding)
 
-    def _stamp(self, times, finished, on_finish):
+    def _stamp(self, times, finished):
         done = []
         for request in list(self.decoding):
             for now in times:
@@ -358,8 +358,6 @@ class EagerProgressScheduler(ContinuousBatchingScheduler):
                 del self.decoding[request]
                 finished.append(request)
                 done.append(request)
-                if on_finish is not None:
-                    on_finish(request)
         return done
 
 
@@ -393,10 +391,10 @@ def scheduler_state(scheduler):
     )
 
 
-def scheduler_call(scheduler, op, raw, now, finished=None, on_finish=None):
+def scheduler_call(scheduler, op, raw, now, finished=None):
     """One engine-shaped call: ``op`` picks an iteration or a burst
     (a burst only when the plan is pure decode), ``raw`` its step count.
-    Completions go to ``finished`` and ``on_finish``."""
+    Completions go to ``finished``."""
     plan = scheduler.plan_iteration()
     if not plan.has_work:
         return "idle"
@@ -406,10 +404,10 @@ def scheduler_call(scheduler, op, raw, now, finished=None, on_finish=None):
         until = scheduler.steps_until_finish()
         steps = 1 + raw % until
         times = [now + step / steps for step in range(steps)]
-        scheduler.complete_burst(plan, times, finished, on_finish)
+        scheduler.complete_burst(plan, times, finished)
         return "burst", until, [r.request_id for r in finished[before:]]
     mixed = plan.decode_batch and plan.prefill_tokens
-    scheduler.complete_iteration(plan, now, finished, on_finish)
+    scheduler.complete_iteration(plan, now, finished)
     return "mixed" if mixed else "iteration", \
         [r.request_id for r in finished[before:]]
 
@@ -551,10 +549,10 @@ class TestDerivedProgress:
                         for i, shape in enumerate(shapes)]
             for request, record in zip(requests, recording):
                 request.record_token_times = record
-            worlds.append((scheduler, requests, list(requests), [], []))
+            worlds.append((scheduler, requests, list(requests), []))
         for now, (op, raw) in enumerate(ops):
             outcomes = []
-            for scheduler, _, queue, finished, hooked in worlds:
+            for scheduler, _, queue, finished in worlds:
                 try:
                     if op == "enqueue":
                         if queue:
@@ -565,28 +563,23 @@ class TestDerivedProgress:
                         outcomes.append("settle")
                     else:
                         outcomes.append(scheduler_call(
-                            scheduler, op, raw, float(now), finished,
-                            lambda r, hooked=hooked, finished=finished:
-                            hooked.append((r.request_id,
-                                           finished[-1] is r))))
+                            scheduler, op, raw, float(now), finished))
                 except MemoryError as error:
                     outcomes.append(("MemoryError", str(error)))
             assert outcomes[0] == outcomes[1]
             if isinstance(outcomes[0], tuple) \
                     and outcomes[0][0] == "MemoryError":
                 return  # the run ends at the same call on both sides
-            (ours, requests, _, finished, hooked), \
-                (theirs, ref_requests, _, ref_finished, ref_hooked) = worlds
+            (ours, requests, _, finished), \
+                (theirs, ref_requests, _, ref_finished) = worlds
             assert [r.request_id for r in finished] \
                 == [r.request_id for r in ref_finished]
-            assert hooked == ref_hooked
-            assert all(seen for _, seen in hooked)
             settled = op == "settle"
             assert progress_view(ours, requests, settled) \
                 == progress_view(theirs, ref_requests, settled)
             if cached:
                 assert scheduler_state(ours) == scheduler_state(theirs)
-        for scheduler, requests, _, _, _ in worlds:
+        for scheduler, requests, _, _ in worlds:
             scheduler.settle()
             assert all(r.state != RequestState.FINISHED
                        or r.generated_tokens == r.output_tokens

@@ -134,6 +134,8 @@ class TestSessions:
         ("question_sigma", float("inf"), "non-negative and finite"),
         ("answer_sigma", -1.0, "non-negative and finite"),
         ("max_context", 0, ">= 1"),
+        # a fractional context used to yield float input_tokens
+        ("max_context", 100.5, "an integer"),
         ("mean_turns", float("inf"), "finite and >= 1"),
         ("mean_turns", 0.5, "finite and >= 1"),
         ("think_time_mean_s", -1.0, "non-negative"),

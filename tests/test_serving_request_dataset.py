@@ -1,5 +1,6 @@
 """Unit tests for requests, traces and the QoS calculator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +92,33 @@ class TestTraces:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             ChatTraceConfig("bad", -1.0, 0.5, 100.0, 0.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        # NaN used to fail mid-generation, 2.5 to truncate every answer
+        # to 2 tokens, an infinite median to clip every prompt to the
+        # upper bound
+        ("max_input", float("nan"), "an integer"),
+        ("max_output", 2.5, "an integer"),
+        ("min_output", True, "an integer"),
+        ("min_input", 0, ">= 1"),
+        ("min_output", -3, ">= 1"),
+        ("input_median", float("inf"), "positive and finite"),
+        ("output_median", 0.0, "positive and finite"),
+        ("input_sigma", float("nan"), "non-negative and finite"),
+        ("output_sigma", float("inf"), "non-negative and finite"),
+    ])
+    def test_config_names_the_field_it_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} must be {message}"):
+            dataclasses.replace(ULTRACHAT_LIKE, **{field: value})
+
+    @pytest.mark.parametrize("low, high", [("min_input", "max_input"),
+                                           ("min_output", "max_output")])
+    def test_lower_length_bound_may_not_exceed_the_upper(self, low, high):
+        """``min_input=10, max_input=5`` used to make every prompt 5
+        tokens long."""
+        with pytest.raises(ValueError,
+                           match=f"^{low} must not exceed {high}, got 10 > 5"):
+            dataclasses.replace(ULTRACHAT_LIKE, **{low: 10, high: 5})
 
 
 class TestPoissonGenerator:

@@ -24,7 +24,11 @@ from repro.api import (
     simulate,
 )
 from repro.api.facade import _device_for
-from repro.cluster.engine import ClusterEngine, _sorted_by_arrival
+from repro.cluster.engine import (
+    ClusterEngine,
+    EngineGroup,
+    _sorted_by_arrival,
+)
 from repro.core.scheduling import AdorDeviceModel
 from repro.hardware.presets import ador_table3
 from repro.hardware.registry import get_chip
@@ -100,9 +104,9 @@ def run_cluster(chip_name, requests, fast, replicas=4, horizon=600.0,
     chip = get_chip(chip_name)
     device = _device_for(chip, sim_cache=fast if sim_cache is None
                          else sim_cache, context_bucket=1)
-    engine = ClusterEngine(device, MODEL, LIMITS, replicas=replicas,
-                           router="least-outstanding", fast_forward=fast,
-                           faults=faults)
+    engine = ClusterEngine(
+        [EngineGroup(chip_name, device, MODEL, LIMITS, count=replicas)],
+        router="least-outstanding", fast_forward=fast, faults=faults)
     return engine.run(copy.deepcopy(requests), max_sim_seconds=horizon)
 
 
@@ -279,8 +283,9 @@ class TestCacheKeying:
 
         monkeypatch.setattr(AdorDeviceModel, "decode_step_time", counting)
         device = self._device()
-        engine = ClusterEngine(device, MODEL, LIMITS, replicas=2,
-                               router="least-outstanding")
+        engine = ClusterEngine(
+            [EngineGroup("ador", device, MODEL, LIMITS, count=2)],
+            router="least-outstanding")
         result = engine.run(steady_requests(rate=20.0),
                             max_sim_seconds=600.0)
         assert result.merged.finished
@@ -447,8 +452,9 @@ class TestClusterBookkeeping:
         requests = [Request(request_id=0, arrival_time=0.0,
                             input_tokens=64, output_tokens=16)]
         device = CachedDeviceModel(AdorDeviceModel(ador_table3()))
-        engine = ClusterEngine(device, MODEL, LIMITS, replicas=3,
-                               router="round-robin")
+        engine = ClusterEngine(
+            [EngineGroup("ador", device, MODEL, LIMITS, count=3)],
+            router="round-robin")
         result = engine.run(requests)
         clocks = [r.total_time_s for r in result.replica_results]
         assert clocks[0] > 0.0
@@ -533,11 +539,11 @@ class TestRequestSlimming:
            raw_steps=st.integers(0, 100))
     def test_stamping_helper_equals_record_token_per_step(
             self, members, gaps, raw_steps):
-        """A decode burst's stamping leaves every member, the finished
-        list and the ``on_finish`` order as per-step ``record_token``
-        would, for any step count that finishes members on the last
-        step: the running members' derived progress before they are
-        settled, and their written fields after."""
+        """A decode burst's stamping leaves every member and the
+        finished list as per-step ``record_token`` would, for any step
+        count that finishes members on the last step: the running
+        members' derived progress before they are settled, and their
+        written fields after."""
 
         def build():
             batch = []
@@ -575,14 +581,9 @@ class TestRequestSlimming:
         helped = build()
         scheduler = decoding_scheduler(helped)
         assert scheduler.steps_until_finish() == remaining
-        finished, hooked = [], []
-        scheduler.complete_burst(
-            scheduler.plan_iteration(), times, finished,
-            # the hook runs after the request joined ``finished``
-            on_finish=lambda r: hooked.append(
-                (r.request_id, finished[-1] is r)))
+        finished = []
+        scheduler.complete_burst(scheduler.plan_iteration(), times, finished)
         assert [r.request_id for r in finished] == ref_finished
-        assert hooked == [(rid, True) for rid in ref_finished]
         for ours, theirs in zip(helped, reference):
             if ours in scheduler.decoding:
                 assert scheduler._progress(ours) \

@@ -53,11 +53,11 @@ EXPERIMENTS = sorted((REPO_ROOT / "experiments").glob("*.json"))
 
 CODEC_CLASSES = (WorkloadSpec, ReplicaGroupSpec, FleetSpec, DeploymentSpec,
                  CapacitySpec, Experiment, AutoscaleSpec, FaultSpec,
-                 FaultEvent, PrefixCacheSpec)
+                 FaultEvent, PrefixCacheSpec, ChatTraceConfig, SessionConfig)
 
 
 # --------------------------------------------------------------------- #
-# Strategies: valid nested specs of all ten codec classes               #
+# Strategies: valid nested specs of all twelve codec classes            #
 # --------------------------------------------------------------------- #
 
 positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False,
@@ -223,7 +223,7 @@ experiments = st.builds(
     capacity=st.none() | capacities())
 
 #: One experiment holding every codec class at once, so each example
-#: run covers all ten even when the draws happen not to.
+#: run covers all twelve even when the draws happen not to.
 EVERYTHING = Experiment(
     deployment=DeploymentSpec(
         fleet=FleetSpec(groups=(
@@ -601,9 +601,11 @@ _NAN_TRACE = dataclasses.asdict(ULTRACHAT_LIKE)
 @pytest.mark.parametrize("cls, data, match", [
     (WorkloadSpec, {"rate_per_s": "NaN"}, "rate_per_s"),
     (WorkloadSpec, {"trace": dict(_NAN_TRACE, input_median="NaN")},
-     "medians"),
+     "input_median"),
     (WorkloadSpec, {"trace": dict(_NAN_TRACE, output_sigma="NaN")},
-     "sigmas"),
+     "output_sigma"),
+    (WorkloadSpec, {"trace": dict(_NAN_TRACE, max_input="NaN")},
+     "max_input"),
     (WorkloadSpec, {"arrival": "sessions",
                     "session": {"mean_turns": "NaN"}}, "turn"),
     (WorkloadSpec, {"arrival": "sessions",
@@ -661,6 +663,9 @@ def test_nan_from_json_fails_the_range_check(cls, data, match):
     (FaultEvent, '{"kind": "crash", "replica_id": 1.0, "time_s": 3.0}',
      "replica_id"),
     (AutoscaleSpec, '{"min_replicas": true}', "min_replicas"),
+    (WorkloadSpec,
+     '{"arrival": "sessions", "session": {"max_context": 100.5}}',
+     "max_context"),
 ], ids=lambda value: value.__name__ if isinstance(value, type) else None)
 def test_integer_field_rejects_non_integer_json(cls, text, field):
     """JSON yields ``2.5``, ``8.0`` or a bare ``NaN`` where a count was
@@ -697,7 +702,9 @@ def test_every_integer_field_is_checked_at_construction(value):
         "CapacitySpec.iterations", "AutoscaleSpec.min_replicas",
         "AutoscaleSpec.max_replicas", "AutoscaleSpec.warm_pool_size",
         "FaultSpec.seed", "FaultSpec.max_retries", "FaultEvent.replica_id",
-        "PrefixCacheSpec.block_tokens",
+        "PrefixCacheSpec.block_tokens", "ChatTraceConfig.min_input",
+        "ChatTraceConfig.max_input", "ChatTraceConfig.min_output",
+        "ChatTraceConfig.max_output", "SessionConfig.max_context",
     }
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import DeploymentSpec, WorkloadSpec, simulate
 from repro.api.facade import _device_for
 from repro.cluster.autoscaler import AutoscaleSpec
-from repro.cluster.engine import ClusterEngine
+from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.cluster.faults import FaultEvent, FaultSpec
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
@@ -230,7 +230,8 @@ def test_engine_rejects_out_of_order_stream():
 
 
 def test_cluster_engine_rejects_out_of_order_stream():
-    engine = ClusterEngine(_device(), MODEL, LIMITS, replicas=2)
+    engine = ClusterEngine(
+        [EngineGroup("ador", _device(), MODEL, LIMITS, count=2)])
     with pytest.raises(OutOfOrderArrival):
         engine.run(iter(_requests([3.0, 2.0])), max_sim_seconds=60.0)
 
@@ -307,8 +308,9 @@ def test_streaming_cluster_bit_identical(kind, replicas, elastic, seed,
     cluster configuration to the same bits — every replica's counters
     and every request's timeline."""
     def run(streaming):
-        engine = ClusterEngine(_device(), MODEL, LIMITS, replicas=replicas,
-                               **ELASTIC[elastic])
+        engine = ClusterEngine(
+            [EngineGroup("ador", _device(), MODEL, LIMITS, count=replicas)],
+            **ELASTIC[elastic])
         requests = _trace_requests(kind, seed, count)
         requests = as_stream(requests) if streaming else list(requests)
         return engine.run(requests, max_sim_seconds=120.0)
@@ -340,9 +342,9 @@ def test_fault_runs_pull_arrivals_lazily(autoscale):
         routed += 1
         lead.append(stream.emitted - routed)
 
-    engine = ClusterEngine(_device(), MODEL, LIMITS, replicas=2,
-                           router="least-outstanding", autoscale=autoscale,
-                           faults=CRASH)
+    engine = ClusterEngine(
+        [EngineGroup("ador", _device(), MODEL, LIMITS, count=2)],
+        router="least-outstanding", autoscale=autoscale, faults=CRASH)
     result = engine.run(stream, max_sim_seconds=120.0, progress=progress)
     assert result.faults.crashes == 1
     assert result.faults.retries > 0
