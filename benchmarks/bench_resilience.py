@@ -38,6 +38,7 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.cluster import AutoscaleSpec, ClusterEngine, EngineGroup
 from repro.cluster.faults import FaultEvent, FaultSpec
+from repro.cluster.report import AutoscaleTrace
 from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
@@ -138,7 +139,8 @@ def _recovery_spec(config) -> FaultSpec:
                            time_s=config["crash_time_s"]),))
 
 
-def _recovery_from_timeline(trace, crash_time_s) -> float:
+def _recovery_from_timeline(trace: AutoscaleTrace,
+                            crash_time_s: float) -> float:
     """Seconds from the crash until the ready count is back to its
     pre-crash value (timeline samples land on decision ticks)."""
     before = max((sample.ready for sample in trace.timeline

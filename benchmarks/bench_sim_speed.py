@@ -35,7 +35,13 @@ import time
 
 from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
-from repro.api import DeploymentSpec, WorkloadSpec, simulate
+from repro.api import (
+    ClusterReport,
+    DeploymentSpec,
+    ServingReport,
+    WorkloadSpec,
+    simulate,
+)
 from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.core.scheduling import device_model_for
 from repro.models.zoo import get_model
@@ -70,7 +76,7 @@ _QOS_FIELDS = ("ttft_mean_s", "ttft_p95_s", "ttft_p99_s", "tbt_mean_s",
                "tbt_p95_s", "e2e_mean_s", "tokens_per_s")
 
 
-def _qos_key(report):
+def _qos_key(report: ServingReport | ClusterReport):
     qos = report.qos
     result = report.result
     return tuple(getattr(qos, f) for f in _QOS_FIELDS) + (

@@ -36,6 +36,7 @@ from repro.api.specs import (
 )
 from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.cluster.report import (
+    AutoscaleTrace,
     ClusterResult,
     LoadImbalanceStats,
     aggregate_cluster,
@@ -164,7 +165,6 @@ class ServingReport:
     deployment: DeploymentSpec
     workload: WorkloadSpec
     chip: ChipSpec
-    model: ModelConfig
     result: SimulationResult
     qos: QoSReport
     utilization: UtilizationReport
@@ -269,7 +269,6 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
         deployment=deployment,
         workload=workload,
         chip=chip,
-        model=model,
         result=result,
         qos=qos,
         utilization=util,
@@ -438,7 +437,6 @@ class FleetProbe:
     cost_rate: float  # sum(count * cost_per_replica_s) over groups
     feasible: bool
     qos: QoSReport | None
-    finished: int
     total_time_s: float
 
 
@@ -579,7 +577,7 @@ def find_fleet_capacity(deployment: DeploymentSpec,
             return cached
         if sum(counts) < 1:
             # an empty fleet serves nothing; no simulation needed
-            outcome = FleetProbe(counts, 0.0, False, None, 0, 0.0)
+            outcome = FleetProbe(counts, 0.0, False, None, 0.0)
             cache[counts] = outcome
             return outcome
         mix = FleetSpec(groups=tuple(
@@ -593,15 +591,14 @@ def find_fleet_capacity(deployment: DeploymentSpec,
                 context_bucket=context_bucket)
         except EndpointOverloaded:
             outcome = FleetProbe(counts, cost_rate(counts), False,
-                                 None, 0, 0.0)
+                                 None, 0.0)
         else:
             merged = report.result
             ok = meets_slo(merged, report.qos, workload.num_requests,
                            capacity.slo_tbt_s, capacity.slo_ttft_s,
                            capacity.percentile)
             outcome = FleetProbe(counts, cost_rate(counts), ok,
-                                 report.qos, len(merged.finished),
-                                 merged.total_time_s)
+                                 report.qos, merged.total_time_s)
         cache[counts] = outcome
         return outcome
 
@@ -666,8 +663,6 @@ class ClusterReport:
 
     deployment: DeploymentSpec
     workload: WorkloadSpec
-    chip: ChipSpec
-    model: ModelConfig
     cluster: ClusterResult
     qos: QoSReport
 
@@ -680,7 +675,7 @@ class ClusterReport:
         return self.cluster.load
 
     @property
-    def autoscale(self):
+    def autoscale(self) -> AutoscaleTrace | None:
         return self.cluster.autoscale
 
     @property
@@ -710,7 +705,7 @@ class ClusterReport:
             fleet = f"{self.deployment.replicas}x" if trace is None else \
                 f"autoscaled (start {self.deployment.replicas}, " \
                 f"peak {trace.peak_replicas})"
-            endpoint = self.chip.name
+            endpoint = self.deployment.chip_spec().name
         lines = [
             f"simulated {len(self.result.finished)} requests at "
             f"{self.workload.rate_per_s:g} req/s on "
@@ -855,8 +850,10 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
             f"cluster serving requires continuous batching, "
             f"got {deployment.batching!r}")
     groups = deployment.fleet_groups()
+    # resolve the lead group here, so an unknown chip or model fails
+    # before any shard's worker process starts
     chip = groups[0].chip_spec()
-    model = get_model(groups[0].model)
+    get_model(groups[0].model)
     fleet_label = f"{deployment.replicas}x {chip.name}" \
         if deployment.fleet is None else _mix_label(deployment.fleet.groups)
     if shards != 1:
@@ -911,8 +908,6 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     return ClusterReport(
         deployment=deployment,
         workload=workload,
-        chip=chip,
-        model=model,
         cluster=cluster,
         qos=cluster.qos(),
     )

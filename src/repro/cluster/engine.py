@@ -693,7 +693,7 @@ class _Fleet:
         if request.retries >= spec.max_retries \
                 or (spec.request_timeout_s is not None and when
                     - request.arrival_time > spec.request_timeout_s):
-            self.injector.fail(request, when)
+            self.injector.fail(request)
         else:
             request.reset_for_retry()
             self.injector.retries += 1
@@ -706,7 +706,7 @@ class _Fleet:
             return False
         timeout = self.injector.spec.request_timeout_s
         if timeout is not None and now - request.arrival_time > timeout:
-            self.injector.fail(request, now)
+            self.injector.fail(request)
             return True
         return False
 
@@ -731,7 +731,7 @@ class _Fleet:
         if candidates:
             self.push(min(candidates), request)
         else:
-            self.injector.fail(request, now)
+            self.injector.fail(request)
 
     # ------------------------------------------------------------------ #
     # Decision instants                                                    #
@@ -972,8 +972,7 @@ class _Fleet:
         breakdowns: tuple[GroupBreakdown, ...] | None = None
         if len(self.groups) > 1:
             group_ids = [replica.group_index for replica, _ in served]
-            meta = [(g.name, g.device.chip.name, g.cost_per_replica_s)
-                    for g in self.groups]
+            meta = [(g.name, g.cost_per_replica_s) for g in self.groups]
             if self.policy is None:
                 seconds = [wall * g.count for g in self.groups]
             else:

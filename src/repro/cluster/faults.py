@@ -367,8 +367,8 @@ class FaultInjector:
             duration_s=downtime_s, factor=1.0,
             lost_requests=lost_requests))
 
-    def fail(self, request: "Request", when: float) -> None:
-        request.mark_failed(when)
+    def fail(self, request: "Request") -> None:
+        request.mark_failed()
         self.failed.append(request)
 
     def trace(self, wall: float) -> FaultTrace:

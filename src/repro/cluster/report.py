@@ -106,25 +106,22 @@ class GroupBreakdown:
 
     group: int                   # position of the group in the fleet spec
     name: str                    # group label (defaults to the chip name)
-    chip: str
     replica_count: int           # replicas of this group that served
     finished_requests: int
-    generated_tokens: int
     replica_seconds: float
-    cost_per_replica_s: float
     cost: float                  # replica_seconds * cost_per_replica_s
     qos: QoSReport | None
 
 
 def group_breakdowns(replica_results: Sequence[SimulationResult],
                      group_ids: Sequence[int],
-                     meta: Sequence[tuple[str, str, float]],
+                     meta: Sequence[tuple[str, float]],
                      replica_seconds: Sequence[float]
                      ) -> tuple[GroupBreakdown, ...]:
     """Fold per-replica results into per-group shares.
 
     ``group_ids`` aligns with ``replica_results``; ``meta`` is one
-    ``(name, chip, cost_per_replica_s)`` per group position and
+    ``(name, cost_per_replica_s)`` per group position and
     ``replica_seconds`` the capacity each group consumed (the caller
     knows whether that is wall-clock * count or an autoscale
     integration).  Per-group QoS uses the *fleet* wall clock, so group
@@ -140,7 +137,7 @@ def group_breakdowns(replica_results: Sequence[SimulationResult],
             f"lists {len(replica_seconds)}")
     wall = max((r.total_time_s for r in replica_results), default=0.0)
     breakdowns = []
-    for index, (name, chip, cost_rate) in enumerate(meta):
+    for index, (name, cost_rate) in enumerate(meta):
         results = [result for group, result
                    in zip(group_ids, replica_results) if group == index]
         finished = [r for result in results for r in result.finished]
@@ -148,12 +145,9 @@ def group_breakdowns(replica_results: Sequence[SimulationResult],
         breakdowns.append(GroupBreakdown(
             group=index,
             name=name,
-            chip=chip,
             replica_count=len(results),
             finished_requests=len(finished),
-            generated_tokens=sum(r.generated_tokens for r in finished),
             replica_seconds=seconds,
-            cost_per_replica_s=cost_rate,
             cost=seconds * cost_rate,
             qos=compute_qos(finished, wall)
             if finished and wall > 0 else None,

@@ -39,7 +39,6 @@ class MemoryRegion:
 class ModelBinary:
     """Weight layout of one model across one or more devices."""
 
-    model_name: str
     num_devices: int
     regions: tuple
 
@@ -81,14 +80,12 @@ def build_model_binary(model: ModelConfig, chip: ChipSpec,
     streams load-balance the memory system; embeddings and the LM head
     land on the last module.
     """
-    mapper = ModelParallelMapper(model)
-    shards = mapper.shard(num_devices)
+    ModelParallelMapper(model).validate(num_devices)
     modules = chip.dram.modules
     regions: list[MemoryRegion] = []
     d = model.dtype_bytes
-    for shard in shards:
+    for device in range(num_devices):
         cursors = [0] * modules
-        device = shard.device_index
 
         def place(name: str, size: int, module: int) -> None:
             regions.append(MemoryRegion(
@@ -105,7 +102,6 @@ def build_model_binary(model: ModelConfig, chip: ChipSpec,
         embed_bytes = model.embedding_params * d // num_devices
         place("embeddings", embed_bytes, modules - 1)
     return ModelBinary(
-        model_name=model.name,
         num_devices=num_devices,
         regions=tuple(regions),
     )

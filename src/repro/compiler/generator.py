@@ -30,9 +30,6 @@ from repro.parallel.mapper import ModelParallelMapper
 class CompiledProgram:
     """Everything the simulator needs to run one stage of one model."""
 
-    model_name: str
-    phase: Phase
-    num_devices: int
     instructions: tuple
     binary: ModelBinary
 
@@ -53,7 +50,7 @@ class InstructionGenerator:
     def __init__(self, chip: ChipSpec) -> None:
         self.chip = chip
 
-    def _lower_operator(self, op: Operator, phase: Phase, layer: int,
+    def _lower_operator(self, op: Operator, phase: Phase,
                         devices: int) -> list[Instruction]:
         share = 1.0 / devices
         shape = {"m": op.m, "k": op.k, "n": op.n, "batch": op.batch,
@@ -65,17 +62,15 @@ class InstructionGenerator:
                 return [
                     Instruction(Opcode.LOAD, TargetUnit.DMA, f"{op.name}.w",
                                 bytes_moved=op.weight_bytes * share,
-                                layer=layer, meta=shape),
-                    Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, op.name,
-                                flops=op.flops * share, layer=layer,
                                 meta=shape),
+                    Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, op.name,
+                                flops=op.flops * share, meta=shape),
                 ]
             # decode: the MAC tree consumes the weight stream directly
             return [
                 Instruction(Opcode.GEMV, TargetUnit.MAC_TREE, op.name,
                             flops=op.flops * share,
-                            bytes_moved=op.weight_bytes * share, layer=layer,
-                            meta=shape),
+                            bytes_moved=op.weight_bytes * share, meta=shape),
             ]
         if op.kind == OperatorKind.ATTENTION:
             if phase == Phase.PREFILL:
@@ -83,23 +78,22 @@ class InstructionGenerator:
                 return [
                     Instruction(Opcode.ATTN, TargetUnit.SYSTOLIC_ARRAY,
                                 "attention", flops=op.flops * share,
-                                layer=layer, meta=shape),
+                                meta=shape),
                     Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, "softmax",
                                 flops=op.m * op.context_len * 4.0 * share,
-                                layer=layer, meta=shape),
+                                meta=shape),
                 ]
             return [
                 Instruction(Opcode.ATTN, TargetUnit.MAC_TREE, "attention",
                             flops=op.flops * share,
-                            bytes_moved=op.io_bytes * share, layer=layer,
-                            meta=shape),
+                            bytes_moved=op.io_bytes * share, meta=shape),
                 Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, "softmax",
                             flops=op.m * op.context_len * 4.0 * share,
-                            layer=layer, meta=shape),
+                            meta=shape),
             ]
         return [
             Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, op.name,
-                        flops=op.flops * share, layer=layer, meta=shape),
+                        flops=op.flops * share, meta=shape),
         ]
 
     def compile(self, model: ModelConfig, phase: Phase, batch: int,
@@ -116,40 +110,34 @@ class InstructionGenerator:
         sync_bytes = rows * model.hidden_size * model.dtype_bytes
 
         for layer in range(model.num_layers):
-            ops = decoder_layer_operators(model, phase, batch, query_len,
+            ops = decoder_layer_operators(model, batch, query_len,
                                           context_len)
             for op in ops:
                 instructions.extend(
-                    self._lower_operator(op, phase, layer, num_devices))
+                    self._lower_operator(op, phase, num_devices))
                 if op.name in ("out_proj", "mlp_down", "mlp_fc2"):
                     # multi-core all-gather at the latency dataflow's
                     # synchronization points (Fig. 6b)
                     instructions.append(Instruction(
                         Opcode.SYNC, TargetUnit.NOC, f"{op.name}.gather",
                         bytes_moved=sync_bytes
-                        * (self.chip.cores - 1) / self.chip.cores,
-                        layer=layer))
+                        * (self.chip.cores - 1) / self.chip.cores))
                     if num_devices > 1:
                         instructions.append(Instruction(
                             Opcode.COMM, TargetUnit.P2P,
                             f"{op.name}.{sync_method.value}",
                             bytes_moved=sync_bytes
-                            * (num_devices - 1) / num_devices,
-                            layer=layer))
+                            * (num_devices - 1) / num_devices))
             instructions.append(Instruction(
-                Opcode.BARRIER, TargetUnit.NOC, f"layer{layer}.end",
-                layer=layer))
+                Opcode.BARRIER, TargetUnit.NOC, f"layer{layer}.end"))
 
         if phase == Phase.DECODE:
-            head = lm_head_operator(model, phase, batch)
+            head = lm_head_operator(model, batch)
             instructions.extend(self._lower_operator(
-                head, phase, model.num_layers, num_devices))
+                head, phase, num_devices))
 
         binary = build_model_binary(model, self.chip, num_devices)
         return CompiledProgram(
-            model_name=model.name,
-            phase=phase,
-            num_devices=num_devices,
             instructions=tuple(instructions),
             binary=binary,
         )

@@ -49,7 +49,6 @@ class Instruction:
     operand: str
     flops: float = 0.0
     bytes_moved: float = 0.0
-    layer: int = -1
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:

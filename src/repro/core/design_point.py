@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.requirements import ServiceLevelObjectives, VendorConstraints
 from repro.hardware.area import AreaModel
 from repro.hardware.chip import ChipSpec
 
@@ -18,11 +17,9 @@ from repro.hardware.chip import ChipSpec
 class DesignEvaluation:
     """Measured merit of one candidate on one model."""
 
-    model_name: str
     ttft_s: float
     tbt_s: float
     decode_bandwidth_utilization: float
-    prefill_compute_utilization: float
 
     @property
     def tokens_per_s(self) -> float:
@@ -50,16 +47,6 @@ class DesignPoint:
     def min_utilization(self) -> float:
         return min((e.decode_bandwidth_utilization for e in self.evaluations),
                    default=0.0)
-
-    def meets(self, slos: ServiceLevelObjectives,
-              vendor: VendorConstraints) -> bool:
-        """Does this point satisfy both requirement sets?"""
-        return (
-            self.worst_ttft_s <= slos.ttft_slo_s
-            and self.worst_tbt_s <= slos.tbt_slo_s
-            and self.area_mm2 <= vendor.area_budget_mm2
-            and self.min_utilization >= vendor.min_hardware_utilization
-        )
 
     def throughput_per_area(self) -> float:
         """tokens/s/mm^2 at the SLO batch — the vendor's figure of merit."""

@@ -1,7 +1,9 @@
 """Inputs to the ADOR search: end-user SLAs and vendor constraints.
 
-Fig. 9's input box: users supply QoS targets (TTFT, TBT, request rate);
-vendors supply hardware budgets (area, power, SRAM, memory system).
+Fig. 9's input box: users supply QoS targets; vendors supply hardware
+budgets (area, power, SRAM, memory system).  The design search checks
+TTFT, TBT, utilization, area and power.  It checks no request rate:
+Fig. 9 also lists one, but no candidate is simulated serving a stream.
 """
 
 from __future__ import annotations
@@ -17,26 +19,21 @@ class ServiceLevelObjectives:
 
     ``tbt_slo_s`` bounds the time between tokens (the paper reports its
     reciprocal, tokens/sec, in Fig. 15); ``ttft_slo_s`` bounds the time
-    to first token; ``target_requests_per_s`` is the vendor-visible
-    demand the serving simulator must sustain.
+    to first token.  The design search checks both at ``batch_size``
+    and ``seq_len``; it checks no request rate.  +inf leaves an SLO
+    unconstrained; NaN is rejected.
     """
 
     ttft_slo_s: float = 0.5
     tbt_slo_s: float = 0.05
-    target_requests_per_s: float = 10.0
     batch_size: int = 128
     seq_len: int = 1024
 
     def __post_init__(self) -> None:
-        if self.ttft_slo_s <= 0 or self.tbt_slo_s <= 0:
+        if not (self.ttft_slo_s > 0 and self.tbt_slo_s > 0):
             raise ValueError("SLOs must be positive")
         if self.batch_size < 1 or self.seq_len < 1:
             raise ValueError("batch and sequence length must be >= 1")
-
-    @property
-    def min_tokens_per_s(self) -> float:
-        """TBT SLO expressed as a per-request decode rate floor."""
-        return 1.0 / self.tbt_slo_s
 
 
 @dataclass(frozen=True)
@@ -59,9 +56,9 @@ class VendorConstraints:
     dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
-        if self.area_budget_mm2 <= 0 or self.power_budget_w <= 0:
+        if not (self.area_budget_mm2 > 0 and self.power_budget_w > 0):
             raise ValueError("budgets must be positive")
-        if self.dram_bandwidth <= 0 or self.frequency_hz <= 0:
+        if not (self.dram_bandwidth > 0 and self.frequency_hz > 0):
             raise ValueError("bandwidth and frequency must be positive")
         if not 0 < self.min_hardware_utilization <= 1:
             raise ValueError("utilization target must be in (0, 1]")

@@ -77,9 +77,6 @@ class SchedulerConfig:
     sa_only_gemv_utilization: float = 0.58
     #: per-layer scheduling overhead (descriptor fetch, DMA programming)
     layer_overhead_s: float = 1.0e-6
-    #: fraction of a decode step's KV that is fresh enough to still be in
-    #: global memory, served to the SA without DRAM traffic (Section IV-E)
-    global_memory_kv_fraction_cap: float = 1.0
 
 
 class HdaScheduler:
@@ -243,7 +240,7 @@ class HdaScheduler:
         """Per-operator seconds for one decoder layer (Fig. 11a bars)."""
         if devices < 1:
             raise ValueError("devices must be >= 1")
-        ops = decoder_layer_operators(model, phase, batch, query_len, context_len)
+        ops = decoder_layer_operators(model, batch, query_len, context_len)
         # only decode streams at the Fig. 10 utilization point
         utilization = None if phase == Phase.PREFILL else \
             self._decode_utilization(
@@ -290,7 +287,7 @@ class HdaScheduler:
     def _lm_head_seconds(self, model: ModelConfig, batch: int,
                          devices: int) -> float:
         """The LM head: a weight-streamed GEMM over the vocabulary."""
-        head = lm_head_operator(model, Phase.DECODE, batch)
+        head = lm_head_operator(model, batch)
         step_flops = 2.0 * batch * model.active_params_per_token
         return self._decode_gemm_seconds(
             head, devices, self._decode_utilization(step_flops))
@@ -412,7 +409,7 @@ class _PrefillKernel:
         # the reference's argument checks, in its order
         if devices < 1:
             raise ValueError("devices must be >= 1")
-        ops = decoder_layer_operators(model, Phase.PREFILL, batch, 1, 1)
+        ops = decoder_layer_operators(model, batch, 1, 1)
         self.batch = batch
         self.devices = devices
         self.num_layers = model.num_layers
@@ -609,7 +606,7 @@ class _DecodeKernel:
         # the reference's argument checks, in its order
         if devices < 1:
             raise ValueError("devices must be >= 1")
-        ops = decoder_layer_operators(model, Phase.DECODE, batch, 1, 0)
+        ops = decoder_layer_operators(model, batch, 1, 0)
         self.slot = next(i for i, op in enumerate(ops)
                          if op.kind == OperatorKind.ATTENTION)
         attn = ops.pop(self.slot)

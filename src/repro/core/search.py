@@ -6,9 +6,11 @@ of Section V-A), then lane count by sweeping self-attention latency
 (Fig. 11a).  Step 2 sizes local/global memory from the activation
 footprint simulator (Fig. 12).  Step 3 sets NoC and P2P bandwidths from
 the dataflow and overlap models (Fig. 13).  Candidates are then
-evaluated with the HDA scheduler; if no candidate meets both requirement
-sets the loop relaxes the binding budget and reports what extra hardware
-would be needed — the paper's feedback path.
+evaluated with the HDA scheduler and checked against TTFT, TBT,
+utilization, area and power; no request rate is checked, since no
+candidate is simulated serving a stream.  If no candidate meets both
+requirement sets the loop relaxes the binding budget and reports what
+extra hardware would be needed — the paper's feedback path.
 """
 
 from __future__ import annotations
@@ -214,15 +216,10 @@ class AdorSearch:
                 model, slos.batch_size, slos.seq_len, devices)
             util = device.decode_bandwidth_utilization(
                 model, slos.batch_size, slos.seq_len, devices)
-            flops = 2.0 * slos.seq_len * model.active_params_per_token / devices
-            prefill_util = flops / (prefill.seconds * chip.peak_flops) \
-                if prefill.seconds > 0 else 0.0
             evaluations.append(DesignEvaluation(
-                model_name=model.name,
                 ttft_s=prefill.seconds,
                 tbt_s=decode.seconds,
                 decode_bandwidth_utilization=util,
-                prefill_compute_utilization=min(1.0, prefill_util),
             ))
         return DesignPoint(
             chip=chip,

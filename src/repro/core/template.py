@@ -115,31 +115,6 @@ class AdorTemplate:
             process=self.process,
         )
 
-    # ------------------------------------------------------------------ #
-    # Candidate enumeration (Section V-A: "multiples of 32")              #
-    # ------------------------------------------------------------------ #
-
-    def systolic_candidates(
-        self,
-        mac_budget: int,
-        sizes: tuple = (32, 64, 96, 128),
-        max_cores: int = 256,
-    ) -> list[tuple[int, int, int]]:
-        """(rows, cols, cores) candidates near a total-MAC budget.
-
-        For each square array size the core count is chosen to meet the
-        MAC budget as closely as possible without exceeding it by more
-        than one core's worth.
-        """
-        if mac_budget < 32 * 32:
-            raise ValueError("MAC budget below one minimal array")
-        candidates = []
-        for size in sizes:
-            per_core = size * size
-            cores = max(1, min(max_cores, round(mac_budget / per_core)))
-            candidates.append((size, size, cores))
-        return candidates
-
     def memory_split(self, local_bytes_per_core: float,
                      cores: int) -> tuple[float, float]:
         """Split the SRAM budget: local per core, remainder global.

@@ -122,8 +122,3 @@ class AreaModel:
         if chip.die_area_mm2 is not None:
             return chip.die_area_mm2
         return self.breakdown(chip).total
-
-    def die_area_at(self, chip: ChipSpec, node: ProcessNode) -> float:
-        """Die area normalized to another process node (paper Fig. 4a)."""
-        area = self.die_area_mm2(chip)
-        return area * area_scaling_factor(chip.process, node)

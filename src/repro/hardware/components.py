@@ -71,33 +71,25 @@ class MacTree:
         """Peak FLOPS of one core's MAC tree."""
         return 2.0 * self.macs * frequency_hz
 
-    def stream_bytes_per_cycle(self, dtype_bytes: int = 2) -> int:
-        """Bytes of streamed operand one lane consumes per cycle.
-
-        This is the quantity ADOR's sizing rule matches against the
-        per-core DRAM bandwidth share (Section V-A's
-        ``data_size_per_cycle`` formula).
-        """
-        return self.tree_size * dtype_bytes
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"MT {self.tree_size}x{self.lanes}"
 
 
 @dataclass(frozen=True)
 class VectorUnit:
-    """A SIMD vector unit for softmax / norms / elementwise ops (Fig. 5c)."""
+    """A SIMD vector unit for softmax / norms / elementwise ops (Fig. 5c).
+
+    Chip JSON written before ``ops_per_element`` was removed still
+    loads: the codec drops that key.
+    """
 
     width: int
-    ops_per_element: int = 1
+
+    _RETIRED_KEYS = frozenset({"ops_per_element"})
 
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError("vector width must be >= 1")
-
-    def peak_elements_per_second(self, frequency_hz: float) -> float:
-        """Elements processed per second at full occupancy."""
-        return self.width * frequency_hz
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"VU {self.width}-wide"

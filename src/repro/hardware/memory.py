@@ -42,10 +42,6 @@ class Dram:
         if self.modules < 1:
             raise ValueError("DRAM must expose at least one module")
 
-    @property
-    def bandwidth_per_module(self) -> float:
-        return self.bandwidth_bytes_per_s / self.modules
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.kind.value} {self.size_bytes / GIB:.0f} GiB @ "
@@ -55,18 +51,19 @@ class Dram:
 
 @dataclass(frozen=True)
 class Sram:
-    """An on-chip SRAM pool (local-per-core or global-shared)."""
+    """An on-chip SRAM pool (local-per-core or global-shared).
+
+    Chip JSON written before ``bandwidth_bytes_per_s`` was removed
+    still loads: the codec drops that key.
+    """
 
     size_bytes: float
-    bandwidth_bytes_per_s: float = float("inf")
+
+    _RETIRED_KEYS = frozenset({"bandwidth_bytes_per_s"})
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
             raise ValueError("SRAM size must be >= 0")
-
-    def fits(self, bytes_needed: float) -> bool:
-        """Whether a working set fits in this pool."""
-        return bytes_needed <= self.size_bytes
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.size_bytes >= MIB:

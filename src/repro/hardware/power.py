@@ -7,7 +7,7 @@ module prices a workload's energy from per-event coefficients at a 7 nm
 reference node:
 
 * MAC energy (systolic; MAC-tree MACs carry a wiring penalty),
-* SRAM access energy (local and shared global),
+* SRAM access energy (one coefficient for local and global pools),
 * DRAM access energy (HBM-class, ~7.5 pJ/bit),
 * NoC and P2P transfer energy,
 * static power as a fraction of the peak dynamic power plus a floor.
@@ -61,7 +61,6 @@ class PowerModel:
     #: full-bandwidth streaming datapath)
     mt_energy_penalty: float = 1.3
     sram_pj_per_byte: float = 1.2
-    global_sram_pj_per_byte: float = 2.0
     dram_pj_per_byte: float = 60.0
     noc_pj_per_byte: float = 0.5
     p2p_pj_per_byte: float = 8.0
@@ -135,20 +134,3 @@ class PowerModel:
             p2p=scale * p2p_bytes * self.p2p_pj_per_byte * 1e-12,
             static=self.static_power_w(chip) * duration_s,
         )
-
-    def average_power_w(self, chip: ChipSpec, duration_s: float,
-                        **workload) -> float:
-        """Mean power over the workload's duration."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        energy = self.workload_energy(chip, duration_s, **workload)
-        return energy.total / duration_s
-
-    def energy_per_token(self, chip: ChipSpec, step_seconds: float,
-                         batch: int, flops: float,
-                         dram_bytes: float) -> float:
-        """Joules per generated token for a decode step."""
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        energy = self.workload_energy(chip, step_seconds, flops, dram_bytes)
-        return energy.total / batch

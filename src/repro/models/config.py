@@ -10,7 +10,7 @@ KV-cache byte math, FLOP counts — is derived from these constants.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 class AttentionKind(enum.Enum):
@@ -77,7 +77,6 @@ class ModelConfig:
     max_position_embeddings: int = 8192
     dtype_bytes: int = 2
     tie_word_embeddings: bool = False
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_layers <= 0 or self.hidden_size <= 0:
@@ -187,10 +186,6 @@ class ModelConfig:
     @property
     def active_param_bytes_per_token(self) -> int:
         return self.active_params_per_token * self.dtype_bytes
-
-    def flops_per_token(self) -> float:
-        """Dense FLOPs to process one token (2 FLOPs per MAC), ex-attention."""
-        return 2.0 * self.active_params_per_token
 
     def with_dtype(self, dtype_bytes: int) -> "ModelConfig":
         """A copy quantized to ``dtype_bytes`` per element.

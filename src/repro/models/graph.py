@@ -37,12 +37,12 @@ def prefill_operators(
     "is only involved in the decoding stage"); enable ``include_lm_head``
     for the first generated token's logits.
     """
-    ops = [embedding_operator(config, Phase.PREFILL, batch * seq_len)]
+    ops = [embedding_operator(config, batch * seq_len)]
     for _ in range(config.num_layers):
-        ops += decoder_layer_operators(config, Phase.PREFILL, batch, seq_len,
+        ops += decoder_layer_operators(config, batch, seq_len,
                                        seq_len)
     if include_lm_head:
-        ops.append(lm_head_operator(config, Phase.PREFILL, batch))
+        ops.append(lm_head_operator(config, batch))
     return ops
 
 
@@ -57,11 +57,11 @@ def decode_operators(
     Each request generates one token while attending to ``context_len``
     cached tokens; GEMMs have ``m == batch`` and the LM head always runs.
     """
-    ops = [embedding_operator(config, Phase.DECODE, batch)]
+    ops = [embedding_operator(config, batch)]
     for _ in range(config.num_layers):
-        ops += decoder_layer_operators(config, Phase.DECODE, batch, 1,
+        ops += decoder_layer_operators(config, batch, 1,
                                        context_len)
-    ops.append(lm_head_operator(config, Phase.DECODE, batch))
+    ops.append(lm_head_operator(config, batch))
     return ops
 
 

@@ -51,8 +51,6 @@ class Operator:
         Human-readable identifier, e.g. ``"qkv_proj"``.
     kind:
         Operator class (see :class:`OperatorKind`).
-    phase:
-        Prefill or decode.
     m, k, n:
         GEMM dimensions; for attention these hold per-head shapes.
     flops:
@@ -62,9 +60,6 @@ class Operator:
     io_bytes:
         Bytes of per-request state streamed from DRAM (KV cache); zero
         for weight-stationary GEMMs whose activations stay on chip.
-    activation_bytes:
-        Peak on-chip activation footprint of the operator (input + output),
-        used by the local-memory simulator.
     batch / heads / context_len / group_size:
         Attention bookkeeping: request count, query-head count, KV length
         and the GQA sharing factor.
@@ -72,14 +67,12 @@ class Operator:
 
     name: str
     kind: OperatorKind
-    phase: Phase
     m: int
     k: int
     n: int
     flops: float
     weight_bytes: float
     io_bytes: float = 0.0
-    activation_bytes: float = 0.0
     batch: int = 1
     heads: int = 1
     context_len: int = 0
@@ -94,18 +87,9 @@ class Operator:
             io_bytes=self.io_bytes * factor,
         )
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per DRAM byte — the roofline x-coordinate."""
-        bytes_moved = self.weight_bytes + self.io_bytes
-        if bytes_moved == 0:
-            return float("inf")
-        return self.flops / bytes_moved
-
 
 def _gemm(
     name: str,
-    phase: Phase,
     m: int,
     k: int,
     n: int,
@@ -120,36 +104,31 @@ def _gemm(
     return Operator(
         name=name,
         kind=OperatorKind.GEMM,
-        phase=phase,
         m=m,
         k=k,
         n=n,
         flops=2.0 * m * k * n * weight_copies,
         weight_bytes=float(k * n * dtype_bytes * weight_copies),
-        activation_bytes=float((m * k + m * n) * dtype_bytes),
     )
 
 
-def _vector(name: str, phase: Phase, m: int, width: int, dtype_bytes: int,
+def _vector(name: str, m: int, width: int, dtype_bytes: int,
             flops_per_element: float = 4.0) -> Operator:
     """Build a vector operator (norm / activation / residual)."""
     elements = m * width
     return Operator(
         name=name,
         kind=OperatorKind.VECTOR,
-        phase=phase,
         m=m,
         k=width,
         n=1,
         flops=flops_per_element * elements,
         weight_bytes=0.0,
-        activation_bytes=float(2 * elements * dtype_bytes),
     )
 
 
 def attention_operator(
     config: ModelConfig,
-    phase: Phase,
     batch: int,
     query_len: int,
     context_len: int,
@@ -172,20 +151,15 @@ def attention_operator(
         2.0 * batch * context_len * config.num_kv_heads * config.head_dim
         * config.dtype_bytes
     )
-    # FlashAttention-style decomposition keeps only a tile of the score
-    # matrix resident (paper Section V-B); footprint modelled in footprint.py.
-    activation = 2.0 * batch * query_len * config.q_dim * config.dtype_bytes
     return Operator(
         name="attention",
         kind=OperatorKind.ATTENTION,
-        phase=phase,
         m=batch * query_len,
         k=config.head_dim,
         n=context_len,
         flops=flops,
         weight_bytes=0.0,
         io_bytes=kv_bytes,
-        activation_bytes=activation,
         batch=batch,
         heads=config.num_heads,
         context_len=context_len,
@@ -195,7 +169,6 @@ def attention_operator(
 
 def decoder_layer_operators(
     config: ModelConfig,
-    phase: Phase,
     batch: int,
     query_len: int,
     context_len: int,
@@ -214,40 +187,40 @@ def decoder_layer_operators(
     h = config.hidden_size
     ops: list[Operator] = []
 
-    ops.append(_vector("input_norm", phase, m, h, d))
-    ops.append(_gemm("qkv_proj", phase, m, h, config.q_dim + 2 * config.kv_dim, d))
-    ops.append(attention_operator(config, phase, batch, query_len, context_len))
-    ops.append(_gemm("out_proj", phase, m, config.q_dim, h, d))
-    ops.append(_vector("post_attn_norm", phase, m, h, d))
+    ops.append(_vector("input_norm", m, h, d))
+    ops.append(_gemm("qkv_proj", m, h, config.q_dim + 2 * config.kv_dim, d))
+    ops.append(attention_operator(config, batch, query_len, context_len))
+    ops.append(_gemm("out_proj", m, config.q_dim, h, d))
+    ops.append(_vector("post_attn_norm", m, h, d))
 
     if config.is_moe:
-        ops.append(_gemm("moe_router", phase, m, h, config.num_experts, d))
+        ops.append(_gemm("moe_router", m, h, config.num_experts, d))
     # MoE: per token only experts_per_token experts run, but in a batch all
     # (or most) experts' weights are streamed; model weight traffic as the
     # active-expert count, compute as per-token expert count.
     expert_copies = config.experts_per_token
     inter = config.intermediate_size
     if config.gated_mlp:
-        ops.append(_gemm("mlp_gate", phase, m, h, inter, d, weight_copies=expert_copies))
-        ops.append(_gemm("mlp_up", phase, m, h, inter, d, weight_copies=expert_copies))
-        ops.append(_vector("mlp_act_mul", phase, m, inter, d, flops_per_element=2.0))
-        ops.append(_gemm("mlp_down", phase, m, inter, h, d, weight_copies=expert_copies))
+        ops.append(_gemm("mlp_gate", m, h, inter, d, weight_copies=expert_copies))
+        ops.append(_gemm("mlp_up", m, h, inter, d, weight_copies=expert_copies))
+        ops.append(_vector("mlp_act_mul", m, inter, d, flops_per_element=2.0))
+        ops.append(_gemm("mlp_down", m, inter, h, d, weight_copies=expert_copies))
     else:
-        ops.append(_gemm("mlp_fc1", phase, m, h, inter, d, weight_copies=expert_copies))
-        ops.append(_vector("mlp_act", phase, m, inter, d, flops_per_element=2.0))
-        ops.append(_gemm("mlp_fc2", phase, m, inter, h, d, weight_copies=expert_copies))
+        ops.append(_gemm("mlp_fc1", m, h, inter, d, weight_copies=expert_copies))
+        ops.append(_vector("mlp_act", m, inter, d, flops_per_element=2.0))
+        ops.append(_gemm("mlp_fc2", m, inter, h, d, weight_copies=expert_copies))
 
-    ops.append(_vector("residual_add", phase, m, h, d, flops_per_element=1.0))
+    ops.append(_vector("residual_add", m, h, d, flops_per_element=1.0))
     return ops
 
 
-def lm_head_operator(config: ModelConfig, phase: Phase, batch: int) -> Operator:
+def lm_head_operator(config: ModelConfig, batch: int) -> Operator:
     """The LM-head GEMM, executed once per generated token per request."""
-    return _gemm("lm_head", phase, batch, config.hidden_size, config.vocab_size,
+    return _gemm("lm_head", batch, config.hidden_size, config.vocab_size,
                  config.dtype_bytes)
 
 
-def embedding_operator(config: ModelConfig, phase: Phase, m: int) -> Operator:
+def embedding_operator(config: ModelConfig, m: int) -> Operator:
     """Token-embedding lookup; a gather, modelled as a vector op."""
-    return _vector("token_embedding", phase, m, config.hidden_size,
+    return _vector("token_embedding", m, config.hidden_size,
                    config.dtype_bytes, flops_per_element=0.0)

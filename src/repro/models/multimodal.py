@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.models.config import ModelConfig
-from repro.models.layers import Operator, Phase, decoder_layer_operators
+from repro.models.layers import Operator, decoder_layer_operators
 from repro.models.zoo import get_model, register_model
 
 
@@ -60,8 +60,7 @@ class VisionEncoderWorkload:
             raise ValueError("batch must be >= 1")
         ops: list[Operator] = []
         for _ in range(self.encoder.num_layers):
-            ops.extend(decoder_layer_operators(
-                self.encoder, Phase.PREFILL, batch,
+            ops.extend(decoder_layer_operators(self.encoder, batch,
                 self.num_tokens, self.num_tokens))
         return ops
 
@@ -108,15 +107,3 @@ class DitWorkload:
     @classmethod
     def default(cls) -> "DitWorkload":
         return cls(dit=DIT_XL_2)
-
-    def step_operators(self, batch: int = 1) -> list[Operator]:
-        ops: list[Operator] = []
-        for _ in range(self.dit.num_layers):
-            ops.extend(decoder_layer_operators(
-                self.dit, Phase.PREFILL, batch,
-                self.latent_tokens, self.latent_tokens))
-        return ops
-
-    def total_flops(self, batch: int = 1) -> float:
-        per_step = sum(op.flops for op in self.step_operators(batch))
-        return per_step * self.sampling_steps

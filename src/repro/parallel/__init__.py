@@ -4,7 +4,8 @@ Implements the paper's Section IV-D and V-C analyses: synchronization
 volumes of all-gather / all-reduce / Megatron hybrids (Fig. 7c), tensor-
 parallel latency scalability (Fig. 13a), the computation-communication
 overlap model that determines minimum P2P bandwidth (Fig. 13b), and the
-model-parallelism mapper that shards a model across devices (Fig. 7a).
+model-parallelism mapper that checks a model shards across devices
+(Fig. 7a).
 """
 
 from repro.parallel.collectives import (
@@ -19,7 +20,7 @@ from repro.parallel.tensor_parallel import (
 )
 from repro.parallel.pipeline_parallel import PipelineParallelModel
 from repro.parallel.overlap import OverlapModel, minimum_p2p_bandwidth
-from repro.parallel.mapper import DeviceShard, ModelParallelMapper
+from repro.parallel.mapper import ModelParallelMapper
 from repro.parallel.hybrid import HybridParallelPlanner, HybridPlan
 
 __all__ = [
@@ -34,6 +35,5 @@ __all__ = [
     "PipelineParallelModel",
     "OverlapModel",
     "minimum_p2p_bandwidth",
-    "DeviceShard",
     "ModelParallelMapper",
 ]

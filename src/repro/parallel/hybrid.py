@@ -90,11 +90,3 @@ class HybridParallelPlanner:
             raise ValueError(
                 f"{self.model.name}: no valid factorization of {devices}")
         return min(candidates, key=lambda p: p.decode_step_seconds)
-
-    def best_for_throughput(self, devices: int, batch: int,
-                            context_len: int) -> HybridPlan:
-        candidates = self.plans(devices, batch, context_len)
-        if not candidates:
-            raise ValueError(
-                f"{self.model.name}: no valid factorization of {devices}")
-        return max(candidates, key=lambda p: p.throughput_tokens_per_s)

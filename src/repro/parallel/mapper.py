@@ -1,42 +1,20 @@
 """Model-parallelism mapper (paper Fig. 7a).
 
-Shards a model's parameters and KV cache across devices and emits the
-per-device view the compiler and serving simulator consume.  Sharding is
-tensor-parallel along heads (attention) and the intermediate dimension
-(MLP), with the synchronization method chosen per the paper's rule:
-Megatron at 2 devices, all-gather at 4+ (Section V-C).
+Checks that a model shards across devices and picks its synchronization
+method.  Sharding is tensor-parallel along heads (attention) and the
+intermediate dimension (MLP), with the synchronization method chosen
+per the paper's rule: Megatron at 2 devices, all-gather at 4+
+(Section V-C).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from repro.models.config import ModelConfig
-from repro.models.kv_cache import kv_bytes_per_token
 from repro.parallel.collectives import SyncMethod
 
 
-@dataclass(frozen=True)
-class DeviceShard:
-    """One device's slice of a tensor-parallel model."""
-
-    device_index: int
-    num_devices: int
-    heads: int
-    kv_heads: int
-    intermediate_size: int
-    param_bytes: float
-    kv_bytes_per_token: float
-    sync_method: SyncMethod
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.device_index < self.num_devices:
-            raise ValueError("device index out of range")
-
-
 class ModelParallelMapper:
-    """Produces balanced :class:`DeviceShard` plans."""
+    """Tensor-parallel checks and the sync-method rule for one model."""
 
     def __init__(self, model: ModelConfig) -> None:
         self.model = model
@@ -55,45 +33,3 @@ class ModelParallelMapper:
                 f"{self.model.name}: {self.model.num_heads} heads do not "
                 f"shard evenly over {devices} devices"
             )
-
-    def shard(self, devices: int) -> list[DeviceShard]:
-        """Balanced TP shards for ``devices`` devices.
-
-        KV heads are replicated when there are fewer KV heads than
-        devices (each device keeps the KV groups its query heads need),
-        which inflates per-device KV bytes — real GQA serving does the
-        same.
-        """
-        self.validate(devices)
-        heads = self.model.num_heads // devices
-        kv_heads = max(1, self.model.num_kv_heads // devices)
-        inter = math.ceil(self.model.intermediate_size / devices)
-        kv_replication = max(1, devices // self.model.num_kv_heads)
-        per_device_kv = kv_bytes_per_token(self.model) / devices * kv_replication
-        param = self.model.param_bytes / devices
-        method = self.choose_sync_method(devices)
-        return [
-            DeviceShard(
-                device_index=i,
-                num_devices=devices,
-                heads=heads,
-                kv_heads=kv_heads,
-                intermediate_size=inter,
-                param_bytes=param,
-                kv_bytes_per_token=per_device_kv,
-                sync_method=method,
-            )
-            for i in range(devices)
-        ]
-
-    def min_devices_for_capacity(self, dram_bytes: float,
-                                 kv_budget_fraction: float = 0.3) -> int:
-        """Fewest devices whose DRAM holds the weights plus a KV budget."""
-        if dram_bytes <= 0:
-            raise ValueError("dram_bytes must be positive")
-        needed = self.model.param_bytes / (1.0 - kv_budget_fraction)
-        devices = max(1, math.ceil(needed / dram_bytes))
-        # round up to a head-divisible count
-        while self.model.num_heads % devices != 0:
-            devices += 1
-        return devices

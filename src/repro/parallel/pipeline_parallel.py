@@ -9,7 +9,6 @@ TP for serving; PP stays available for capacity scaling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.hardware.interconnect import P2pSpec
@@ -22,12 +21,6 @@ class PipelineParallelModel:
 
     model: ModelConfig
     p2p: P2pSpec
-
-    def stage_layers(self, devices: int) -> int:
-        """Layers per pipeline stage (last stage may be smaller)."""
-        if devices < 1:
-            raise ValueError("devices must be >= 1")
-        return math.ceil(self.model.num_layers / devices)
 
     def token_latency_seconds(self, single_device_seconds: float,
                               devices: int, batch: int) -> float:
@@ -44,21 +37,8 @@ class PipelineParallelModel:
         hop = self.p2p.transfer_time(activation_bytes)
         return single_device_seconds + (devices - 1) * hop
 
-    def latency_speedup(self, single_device_seconds: float, devices: int,
-                        batch: int) -> float:
-        """Always <= 1.0 — the Fig. 7(b) contrast with TP."""
-        multi = self.token_latency_seconds(single_device_seconds, devices, batch)
-        return single_device_seconds / multi if multi > 0 else 1.0
-
     def throughput_scaling(self, devices: int, bubble_fraction: float = 0.05) -> float:
         """Steady-state throughput multiplier with a small pipeline bubble."""
         if not 0 <= bubble_fraction < 1:
             raise ValueError("bubble fraction must be in [0, 1)")
         return devices * (1.0 - bubble_fraction)
-
-    def aggregate_memory_bandwidth(self, per_device_bandwidth: float,
-                                   devices: int) -> float:
-        """Effective bandwidth grows with devices (Fig. 7b's PP column)."""
-        if per_device_bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        return per_device_bandwidth * devices

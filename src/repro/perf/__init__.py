@@ -7,8 +7,6 @@
 * :mod:`repro.perf.mac_tree` — streaming dot-product engine timing with
   lane-level KV reuse for MHA/GQA/MQA (Fig. 11b).
 * :mod:`repro.perf.vector` — vector-unit timing for softmax/norms.
-* :mod:`repro.perf.roofline` — the :class:`Bound` tag naming which
-  resource limited a kernel.
 * :mod:`repro.perf.baselines` — device-level models for the GPU / NPU /
   TSP comparison points (Figs. 1, 4, 15).
 """
@@ -21,7 +19,6 @@ from repro.perf.effective_bandwidth import (
 from repro.perf.systolic import SaGemmEstimate, SystolicTimingModel
 from repro.perf.mac_tree import MacTreeTimingModel, MtEstimate
 from repro.perf.vector import VectorTimingModel
-from repro.perf.roofline import Bound
 from repro.perf.baselines import (
     BaselineBreakdown,
     DeviceModel,
@@ -41,7 +38,6 @@ __all__ = [
     "MacTreeTimingModel",
     "MtEstimate",
     "VectorTimingModel",
-    "Bound",
     "BaselineBreakdown",
     "DeviceModel",
     "GpuModel",

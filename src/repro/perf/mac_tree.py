@@ -25,7 +25,6 @@ from repro.perf.effective_bandwidth import (
     EffectiveBandwidthCurve,
     MT_BANDWIDTH_CURVE,
 )
-from repro.perf.roofline import Bound
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,6 @@ class MtEstimate:
     """Timing of one streamed operation on the MAC-tree pool."""
 
     seconds: float
-    bound: Bound
-    stream_seconds: float
-    compute_seconds: float
-    effective_bandwidth: float
 
 
 @dataclass(frozen=True)
@@ -70,15 +65,7 @@ class MacTreeTimingModel:
         usable_lanes = min(self.tree.lanes, max(1, parallel_jobs))
         usable_macs = self.tree.tree_size * usable_lanes * self.cores
         compute = flops / (2.0 * usable_macs * self.frequency_hz)
-        seconds = max(stream, compute)
-        bound = Bound.MEMORY if stream >= compute else Bound.COMPUTE
-        return MtEstimate(
-            seconds=seconds,
-            bound=bound,
-            stream_seconds=stream,
-            compute_seconds=compute,
-            effective_bandwidth=eff_bw,
-        )
+        return MtEstimate(seconds=max(stream, compute))
 
     def gemv(
         self,
@@ -118,16 +105,10 @@ class MacTreeTimingModel:
         if num_heads % num_kv_heads != 0:
             raise ValueError("num_heads must be divisible by num_kv_heads")
         if context_len == 0:
-            return MtEstimate(0.0, Bound.MEMORY, 0.0, 0.0, self.dram_bandwidth)
+            return MtEstimate(0.0)
         group = num_heads // num_kv_heads
         kv_bytes = 2.0 * batch * context_len * num_kv_heads * head_dim * dtype_bytes
         rereads = math.ceil(group / self.tree.lanes)
         flops = 2.0 * 2.0 * batch * num_heads * head_dim * context_len
         return self._estimate(flops, kv_bytes * rereads,
                               parallel_jobs=batch * num_heads)
-
-    def stream_weights(self, weight_bytes: float, flops: float) -> MtEstimate:
-        """Generic weight-stream op (used for whole-layer aggregates)."""
-        if weight_bytes < 0 or flops < 0:
-            raise ValueError("bytes and flops must be non-negative")
-        return self._estimate(flops, weight_bytes, parallel_jobs=1 << 30)

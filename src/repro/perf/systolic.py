@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from repro.hardware.components import SystolicArray
-from repro.perf.roofline import Bound
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,6 @@ class SaGemmEstimate:
     cycles: float
     seconds: float
     utilization: float
-    bound: Bound
-    tiles: int
 
     def __post_init__(self) -> None:
         if self.seconds < 0 or self.cycles < 0:
@@ -152,25 +149,11 @@ class SystolicTimingModel:
             / (rows * cols * self.array.lanes * self.cores)
         )
         utilization = min(1.0, ideal / total) if total > 0 else 0.0
-
-        if stall_per_tile > compute_per_tile and not weights_resident:
-            bound = Bound.MEMORY
-        elif m_per_core < fill_drain:
-            bound = Bound.LATENCY
-        else:
-            bound = Bound.COMPUTE
         return SaGemmEstimate(
             cycles=total,
             seconds=total / self.frequency_hz,
             utilization=utilization,
-            bound=bound,
-            tiles=tiles,
         )
-
-    def gemm_seconds(self, m: int, k: int, n: int, dram_bandwidth: float,
-                     **kwargs) -> float:
-        """Shorthand returning only the latency."""
-        return self.gemm(m, k, n, dram_bandwidth, **kwargs).seconds
 
     @property
     def peak_flops(self) -> float:

@@ -22,7 +22,6 @@ from repro.serving.generator import (
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
 from repro.serving.engine import (
     InstabilityMonitor,
-    Saturated,
     ServingEngine,
     SimulationResult,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "ContinuousBatchingScheduler",
     "SchedulerLimits",
     "InstabilityMonitor",
-    "Saturated",
     "ServingEngine",
     "SimulationResult",
     "QoSReport",

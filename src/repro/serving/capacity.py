@@ -120,9 +120,7 @@ class CapacityResult:
 
     max_requests_per_s: float
     qos_at_max: QoSReport
-    slo_tbt_s: float
-    slo_ttft_s: float | None
-    probes: tuple
+    probes: tuple[ProbeOutcome, ...]
     #: serving simulations actually run (probe cache hits excluded)
     simulations: int = 0
 
@@ -236,7 +234,7 @@ class _ProbeRunner:
         result, qos = self._simulate(rate, monitor)
         feasible = self._feasible(result, qos)
         parity = None
-        if self.early_abort == "verify" and result.saturated is not None:
+        if self.early_abort == "verify" and result.saturated:
             full, full_qos = self._simulate(rate)
             parity = self._feasible(full, full_qos) == feasible
         outcome = ProbeOutcome(
@@ -245,7 +243,7 @@ class _ProbeRunner:
             qos=qos,
             finished=len(result.finished),
             total_time_s=result.total_time_s,
-            aborted=result.saturated is not None,
+            aborted=result.saturated,
             abort_verdict_matches=parity,
         )
         self.outcomes[rate] = outcome
@@ -329,8 +327,7 @@ def max_capacity_under_slo(
         early_abort)
 
     def result(rate: float, qos: QoSReport) -> CapacityResult:
-        return CapacityResult(rate, qos, slo_tbt_s, slo_ttft_s,
-                              tuple(runner.outcomes.values()),
+        return CapacityResult(rate, qos, tuple(runner.outcomes.values()),
                               runner.simulations)
 
     low, high = rate_bounds
@@ -407,8 +404,7 @@ def reference_capacity_search(
         return ok
 
     def result(rate: float, qos: QoSReport) -> CapacityResult:
-        return CapacityResult(rate, qos, slo_tbt_s, slo_ttft_s,
-                              tuple(probes), simulations)
+        return CapacityResult(rate, qos, tuple(probes), simulations)
 
     if not probe(low):
         _, qos = simulate(low)

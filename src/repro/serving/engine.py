@@ -75,26 +75,6 @@ _OVERLAP_BY_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class Saturated:
-    """Typed verdict of an online saturation abort.
-
-    Attached to :attr:`SimulationResult.saturated` when an
-    :class:`InstabilityMonitor` cut the run short: the endpoint's
-    admission backlog grew across consecutive observation windows while
-    late requests' TTFT escaped far past the early requests' — the
-    signature of an unbounded queue.  A saturated run can never satisfy
-    the capacity search's feasibility test (the abort condition strictly
-    implies the final :func:`ttft_is_stable` check fails), so the probe
-    verdict is decided without simulating the rest of the horizon.
-    """
-
-    time_s: float
-    queued: int
-    finished: int
-    reason: str
-
-
 def ttft_is_stable(finished: list, ratio: float = 2.5,
                    floor: float = 0.25, min_count: int = 8) -> bool:
     """Detect an unbounded backlog: TTFT must not balloon over the run.
@@ -140,7 +120,10 @@ class InstabilityMonitor:
     the final check, so the feasibility verdict of an aborted probe is
     structurally identical to finishing the simulation and failing it.
     The monitor only observes — a run it never fires on is bit-identical
-    to one without a monitor.
+    to one without a monitor.  A run it stops carries
+    :attr:`SimulationResult.saturated`: such a run can never satisfy the
+    capacity search's feasibility test, so the probe verdict is decided
+    without simulating the rest of the horizon.
     """
 
     check_every = 32
@@ -158,9 +141,8 @@ class InstabilityMonitor:
         self.request_count = request_count
         self._iterations = 0
         self._samples: deque[int] = deque(maxlen=self.windows + 1)
-        self.verdict: Saturated | None = None
 
-    def observe(self, now: float, backlog: int, finished: list) -> bool:
+    def observe(self, backlog: int, finished: list) -> bool:
         """Record one engine iteration; ``True`` means abort (saturated)."""
         self._iterations += 1
         if self._iterations % self.check_every:
@@ -177,18 +159,9 @@ class InstabilityMonitor:
             return False
         if len(finished) < self.min_finished:
             return False
-        if ttft_is_stable(finished, ratio=self.escape_ratio,
-                          floor=self.escape_floor,
-                          min_count=self.min_finished):
-            return False
-        self.verdict = Saturated(
-            time_s=now,
-            queued=backlog,
-            finished=len(finished),
-            reason=(f"backlog of {backlog} held across {self.windows} "
-                    f"windows with TTFT escape > {self.escape_ratio:g}x"),
-        )
-        return True
+        return not ttft_is_stable(finished, ratio=self.escape_ratio,
+                                  floor=self.escape_floor,
+                                  min_count=self.min_finished)
 
 
 @dataclass
@@ -203,13 +176,12 @@ class SimulationResult:
     busy_time_s: float
     decode_time_s: float
     prefill_time_s: float
-    #: non-None when an InstabilityMonitor aborted the run early
-    saturated: Saturated | None = None
+    #: true when an InstabilityMonitor aborted the run early
+    saturated: bool = False
     #: non-None when the endpoint ran with a prefix cache enabled
     prefix_cache: PrefixCacheStats | None = None
-    #: completed requests handed to a ``sink`` instead of being retained
-    #: (constant-memory streaming runs); zero on the default path
-    sunk_finished: int = 0
+    #: tokens of the completed requests handed to a ``sink`` instead of
+    #: being retained (constant-memory streaming runs); zero by default
     sunk_tokens: int = 0
 
     @property
@@ -338,7 +310,7 @@ class Endpoint:
 
     def advance(self, limit: float, factor: float = 1.0,
                 monitor: InstabilityMonitor | None = None,
-                progress=None) -> Saturated | None:
+                progress=None) -> bool:
         """Run iterations while the clock is below ``limit``.
 
         Each pass enqueues the arrivals due by now, then plans; an idle
@@ -349,8 +321,8 @@ class Endpoint:
         An iteration starts whenever the clock is below ``limit``, even
         if it ends past it.  ``factor`` multiplies every step time (a
         slowdown window).  ``progress(now, done)`` and the monitor are
-        called once per pass; the monitor's verdict is returned when it
-        stops the run.
+        called once per pass; the return value says whether the monitor
+        stopped the run.
         """
         scheduler = self.scheduler
         pending = self.pending
@@ -366,7 +338,7 @@ class Endpoint:
         prefill_time = self.prefill_time
         iterations = self.iterations
         decode_steps = self.decode_steps
-        saturated = None
+        saturated = False
         while now < limit:
             while pending and pending[0].arrival_time <= now:
                 scheduler.enqueue(pending.popleft())
@@ -376,9 +348,9 @@ class Endpoint:
             # (admission may be generous, so saturation can pile up in
             # the prefill queue rather than the admission queue)
             if monitor is not None and monitor.observe(
-                    now, len(scheduler.queued) + len(scheduler.prefilling),
+                    len(scheduler.queued) + len(scheduler.prefilling),
                     finished):
-                saturated = monitor.verdict
+                saturated = True
                 break
             plan = scheduler.plan_iteration()
             if not plan.has_work:
@@ -419,7 +391,7 @@ class Endpoint:
         self.decode_steps = decode_steps
         return saturated
 
-    def result(self, saturated: Saturated | None = None) -> SimulationResult:
+    def result(self, saturated: bool = False) -> SimulationResult:
         """The run so far in the :class:`SimulationResult` shape; the
         unfinished list drains whatever the pending stream still holds.
         The members still decoding are settled first: their token counts
@@ -429,9 +401,9 @@ class Endpoint:
         unfinished = [*scheduler.prefilling, *scheduler.decoding,
                       *scheduler.queued, *self.pending]
         finished = self.finished
-        sunk_finished = sunk_tokens = 0
+        sunk_tokens = 0
         if isinstance(finished, _FinishedSink):
-            sunk_finished, sunk_tokens = finished.count, finished.tokens
+            sunk_tokens = finished.tokens
             finished = []
         cache = self.prefix_cache
         return SimulationResult(
@@ -445,7 +417,6 @@ class Endpoint:
             prefill_time_s=self.prefill_time,
             saturated=saturated,
             prefix_cache=cache.stats if cache is not None else None,
-            sunk_finished=sunk_finished,
             sunk_tokens=sunk_tokens,
         )
 
@@ -528,13 +499,13 @@ class ServingEngine:
 
         An optional :class:`InstabilityMonitor` observes the admission
         backlog and the finished set each loop pass; when it fires, the
-        run stops early and the result carries a :class:`Saturated`
-        verdict.  A run the monitor never fires on is bit-identical to
-        one without a monitor.
+        run stops early and the result's ``saturated`` is true.  A run
+        the monitor never fires on is bit-identical to one without a
+        monitor.
 
         ``sink`` (streaming runs) receives each completed request
         instead of it being retained on the result — aggregates stay
-        exact via ``sunk_finished``/``sunk_tokens``.  A sink cannot be
+        exact via ``sunk_tokens``.  A sink cannot be
         combined with a monitor, which needs the retained finished list.
         ``progress`` is called as ``progress(sim_time, done_count)``
         once per outer loop pass; wall-clock throttling lives in the

@@ -201,10 +201,6 @@ class PrefixCacheStats:
     preemptions: int = 0
 
     @property
-    def misses(self) -> int:
-        return self.eligible - self.hits
-
-    @property
     def hit_rate(self) -> float:
         """Hits over prefix-bearing lookups (0.0 when none occurred)."""
         if self.eligible == 0:
@@ -272,19 +268,6 @@ class PrefixCache:
         return cls(allocator,
                    reclaimable_fraction=spec.reclaimable_fraction,
                    eviction=spec.eviction)
-
-    # ------------------------------------------------------------------ #
-    # Introspection                                                       #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def cached_sessions(self) -> int:
-        return len(self._entries)
-
-    def cached_tokens(self, session_id: int) -> int:
-        """Resident prefix length for one session (0 when absent)."""
-        entry = self._entries.get(session_id)
-        return entry.tokens if entry is not None else 0
 
     # ------------------------------------------------------------------ #
     # Active-request lifecycle (called by the scheduler)                  #

@@ -7,7 +7,6 @@ token and request throughput a vendor cares about.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +32,6 @@ class QoSReport:
     tokens_per_s: float
     requests_per_s: float
     failed_requests: int = 0    # terminal failures (fault injection)
-
-    @property
-    def mean_tokens_per_s_per_request(self) -> float:
-        """The paper's Fig. 15/17 "TBT (token/sec)" axis.
-
-        ``nan`` when TBT was unmeasurable (no request emitted a second
-        token) — an unmeasured rate must not masquerade as infinite.
-        """
-        if math.isnan(self.tbt_mean_s):
-            return float("nan")
-        if self.tbt_mean_s <= 0:
-            return float("inf")
-        return 1.0 / self.tbt_mean_s
 
     def meets_tbt_slo(self, slo_s: float, percentile: str = "p95") -> bool:
         """Does the chosen TBT percentile meet the SLO?"""

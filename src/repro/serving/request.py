@@ -36,8 +36,7 @@ class Request:
     and ``history_tokens`` counts the leading prompt tokens that repeat
     the previous turns verbatim — the reusable prefix a
     :class:`~repro.serving.prefix_cache.PrefixCache` can serve from
-    cached KV blocks; ``cached_prefix_tokens`` records how many of them
-    a cache hit actually covered (0 on cold paths).
+    cached KV blocks.
 
     Token tracking is slim by default: QoS needs only the first/last
     emission stamps and the token count (TTFT, the mean inter-token gap
@@ -69,9 +68,7 @@ class Request:
     record_token_times: bool = False
     turn_index: int = 0
     history_tokens: int = 0
-    cached_prefix_tokens: int = 0
     retries: int = 0
-    failed_time: float | None = None
 
     def __post_init__(self) -> None:
         if self.input_tokens < 1 or self.output_tokens < 1:
@@ -140,24 +137,21 @@ class Request:
         self.first_token_time = None
         self.last_token_time = None
         self.finish_time = None
-        self.cached_prefix_tokens = 0
         if self.token_times:
             self.token_times.clear()
 
-    def mark_failed(self, now: float) -> None:
+    def mark_failed(self) -> None:
         """Terminal failure: retry budget or deadline exhausted.
 
         A failed request keeps its arrival stamp and loses everything
-        else; ``failed_time`` records when the system gave up on it.
+        else.
         """
         self.state = RequestState.FAILED
-        self.failed_time = now
         self.prefilled_tokens = 0
         self.generated_tokens = 0
         self.first_token_time = None
         self.last_token_time = None
         self.finish_time = None
-        self.cached_prefix_tokens = 0
         if self.token_times:
             self.token_times.clear()
 

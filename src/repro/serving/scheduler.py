@@ -107,6 +107,10 @@ class ContinuousBatchingScheduler:
         self.prefilling: list[Request] = []
         self.decoding: dict[Request, tuple] = {}
         self._kv_per_token = kv_bytes_per_token(model)
+        # reserved KV bytes: each active request holds its full final
+        # context (prompt + all output tokens), so admission never has to
+        # evict mid-generation; kept on admit/finish, since a per-candidate
+        # recompute made every iteration O(active^2)
         self._reserved_kv_bytes = 0.0
         # running sum of decode context lengths at planning time; exact
         # (integer) and updated on admit/finish/per-step so the engine
@@ -137,14 +141,6 @@ class ContinuousBatchingScheduler:
     def _request_kv_bytes(self, request: Request) -> float:
         return (request.input_tokens + request.output_tokens) \
             * self._kv_per_token
-
-    def kv_bytes_in_use(self) -> float:
-        """Reserved KV bytes: each active request holds its full final
-        context (prompt + all output tokens) so admission never has to
-        evict mid-generation.  Maintained incrementally on admit/finish —
-        recomputing the sum per admission candidate made every engine
-        iteration O(active^2)."""
-        return self._reserved_kv_bytes
 
     def decode_context_sum(self) -> int:
         """Summed context lengths of the decode batch (running counter)."""
@@ -251,7 +247,6 @@ class ContinuousBatchingScheduler:
                     # the cached prefix is already resident — chunked
                     # prefill only charges the uncached suffix
                     candidate.prefilled_tokens = hit
-                    candidate.cached_prefix_tokens = hit
             self.queued.popleft()
             candidate.state = RequestState.PREFILLING
             self.prefilling.append(candidate)
@@ -376,7 +371,6 @@ class ContinuousBatchingScheduler:
         self._reserved_kv_bytes -= self._request_kv_bytes(victim)
         self.prefix_cache.forfeit(victim)
         victim.prefilled_tokens = -victim.generated_tokens
-        victim.cached_prefix_tokens = 0
         victim.state = RequestState.QUEUED
         self.queued.appendleft(victim)
 

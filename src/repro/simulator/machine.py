@@ -32,7 +32,6 @@ from repro.perf.systolic import SystolicTimingModel
 class UnitTimeline:
     """Busy-time bookkeeping for one hardware unit."""
 
-    name: str
     free_at: float = 0.0
     busy: float = 0.0
 
@@ -148,7 +147,7 @@ class InstructionLevelSimulator:
 
     def run(self, program: CompiledProgram) -> ExecutionReport:
         """Execute the stream; returns makespan and per-unit busy time."""
-        timelines = {unit: UnitTimeline(unit.value) for unit in TargetUnit}
+        timelines = {unit: UnitTimeline() for unit in TargetUnit}
         program_flops = sum(i.flops for i in program.instructions)
         chain = 0.0  # completion time of the dependency chain
         pending_load_done = 0.0

@@ -146,7 +146,7 @@ class TestEarlyAbort:
                            count)
         monitored = _run_engine(device, llama3, template.requests_at(rate),
                                 count, monitor=InstabilityMonitor(count))
-        assert monitored.saturated is not None
+        assert monitored.saturated
         assert monitored.total_time_s < full.total_time_s
         slo = (count, 0.050, None, "p95")
         from repro.serving.qos import compute_qos
@@ -163,7 +163,7 @@ class TestEarlyAbort:
                            count)
         monitored = _run_engine(device, llama3, template.requests_at(rate),
                                 count, monitor=InstabilityMonitor(count))
-        assert monitored.saturated is None
+        assert not monitored.saturated
         # a monitor that never fires leaves the run bit-identical
         assert monitored.total_time_s == full.total_time_s
         assert monitored.iterations == full.iterations
@@ -179,7 +179,7 @@ class TestEarlyAbort:
         monitor = InstabilityMonitor(150)
         monitored = _run_engine(device, llama3, requests, 150,
                                 monitor=monitor)
-        assert monitored.saturated is None
+        assert not monitored.saturated
         assert len(monitored.finished) == 150
 
     def test_saturated_bursty_trace_verdict_parity(self, device, llama3):

@@ -278,6 +278,7 @@ class TestErrorExits:
         ["evaluate", "--model", "nope"],
         ["evaluate", "--devices", "0"],
         ["search", "--models", "nope"],
+        ["search", "--ttft-ms", "nan"],
         ["capacity", "--requests", "0"],
         ["run", "no/such/experiment.json"],
         ["lint", "no/such/path"],

@@ -33,7 +33,6 @@ class TestInstructions:
 
     def test_per_unit_flops_aggregates(self, llama3):
         program = CompiledProgram(
-            model_name=llama3.name, phase=Phase.PREFILL, num_devices=1,
             instructions=(
                 Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, "a",
                             flops=10),

@@ -95,18 +95,6 @@ class TestKnobValidation:
         assert make_knobs().total_macs == 32 * (64 * 64 + 16 * 16)
 
 
-class TestSystolicCandidates:
-    def test_candidates_track_budget(self):
-        template = make_template()
-        for rows, cols, cores in template.systolic_candidates(131072):
-            assert rows == cols
-            assert abs(rows * cols * cores - 131072) <= rows * cols
-
-    def test_rejects_tiny_budget(self):
-        with pytest.raises(ValueError):
-            make_template().systolic_candidates(100)
-
-
 class TestDataflow:
     def test_all_reduce_moves_more_bytes(self):
         flow = MultiCoreDataflow(ador_table3(), DataflowKind.LATENCY)
@@ -170,9 +158,27 @@ class TestRequirements:
         with pytest.raises(ValueError):
             ServiceLevelObjectives(ttft_slo_s=0.0)
 
-    def test_min_tokens_per_s(self):
-        slos = ServiceLevelObjectives(tbt_slo_s=0.025)
-        assert slos.min_tokens_per_s == pytest.approx(40.0)
+    @pytest.mark.parametrize("field", ["ttft_slo_s", "tbt_slo_s"])
+    def test_slo_rejects_nan(self, field):
+        with pytest.raises(ValueError, match="SLOs must be positive"):
+            ServiceLevelObjectives(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field, message", [
+        ("area_budget_mm2", "budgets must be positive"),
+        ("power_budget_w", "budgets must be positive"),
+        ("dram_bandwidth", "bandwidth and frequency must be positive"),
+        ("frequency_hz", "bandwidth and frequency must be positive"),
+    ])
+    def test_vendor_rejects_nan(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            VendorConstraints(**{field: float("nan")})
+
+    def test_infinity_leaves_a_requirement_unconstrained(self):
+        inf = float("inf")
+        assert ServiceLevelObjectives(ttft_slo_s=inf,
+                                      tbt_slo_s=inf).ttft_slo_s == inf
+        assert VendorConstraints(area_budget_mm2=inf,
+                                 power_budget_w=inf).power_budget_w == inf
 
     def test_vendor_validation(self):
         with pytest.raises(ValueError):

@@ -104,7 +104,6 @@ def assert_conserved(result, admitted):
     if result.faults:
         for request in result.faults.failed:
             assert request.state is RequestState.FAILED
-            assert request.failed_time is not None
 
 
 # --------------------------------------------------------------------- #

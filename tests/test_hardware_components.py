@@ -39,9 +39,6 @@ class TestMacTree:
         # 32 cores x 256 MACs x 2 x 1.5 GHz = 24.6 TFLOPS
         assert 32 * mt.peak_flops(1.5e9) == pytest.approx(24.6e12, rel=0.01)
 
-    def test_stream_bytes_per_cycle(self):
-        assert MacTree(16, 4).stream_bytes_per_cycle(2) == 32
-
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             MacTree(0)
@@ -50,10 +47,6 @@ class TestMacTree:
 
 
 class TestVectorUnit:
-    def test_throughput(self):
-        vu = VectorUnit(width=16)
-        assert vu.peak_elements_per_second(1e9) == 16e9
-
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             VectorUnit(width=0)

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.hardware.interconnect import NocSpec, NocTopology, P2pSpec
-from repro.hardware.memory import Dram, DramKind, Sram, GIB, MIB
+from repro.hardware.memory import Dram, DramKind, Sram, GIB
 
 
 class TestDram:
-    def test_bandwidth_per_module(self):
-        dram = Dram(DramKind.HBM2E, 80 * GIB, 2e12, modules=8)
-        assert dram.bandwidth_per_module == 2.5e11
-
     def test_rejects_zero_bandwidth(self):
         with pytest.raises(ValueError):
             Dram(DramKind.HBM2, 1 * GIB, 0.0)
@@ -24,13 +20,8 @@ class TestDram:
 
 
 class TestSram:
-    def test_fits(self):
-        sram = Sram(2 * MIB)
-        assert sram.fits(2 * MIB)
-        assert not sram.fits(2 * MIB + 1)
-
     def test_zero_size_allowed(self):
-        assert not Sram(0).fits(1)
+        assert Sram(0).size_bytes == 0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

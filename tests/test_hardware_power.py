@@ -73,16 +73,8 @@ class TestWorkloadEnergy:
 
 class TestDerivedMetrics:
     def test_average_power(self, pm):
-        power = pm.average_power_w(ador_table3(), 0.02,
-                                   flops=2.4e12, dram_bytes=36e9)
-        assert 100.0 < power < 400.0
-
-    def test_energy_per_token_scales_inverse_batch(self, pm):
-        chip = ador_table3()
-        one = pm.energy_per_token(chip, 0.02, 1, 2.4e12, 36e9)
-        many = pm.energy_per_token(chip, 0.02, 150, 2.4e12, 36e9)
-        assert many == pytest.approx(one / 150)
-
-    def test_rejects_zero_duration(self, pm):
-        with pytest.raises(ValueError):
-            pm.average_power_w(ador_table3(), 0.0, flops=1.0, dram_bytes=1.0)
+        """A 20 ms decode step's energy over its duration is a plausible
+        accelerator power."""
+        energy = pm.workload_energy(ador_table3(), 0.02,
+                                    flops=2.4e12, dram_bytes=36e9)
+        assert 100.0 < energy.total / 0.02 < 400.0

@@ -85,10 +85,11 @@ class TestAreaModelBehaviour:
             model.sa_mac_mm2 * model.mt_density_penalty)
 
     def test_die_area_at_other_node(self):
+        """The modelled area scales with the chip's process node."""
         model = AreaModel()
         chip = ador_table3()  # 7 nm
-        at_4nm = model.die_area_at(chip, ProcessNode.NM_4)
-        assert at_4nm < model.die_area_mm2(chip)
+        at_4nm = chip.with_updates(process=ProcessNode.NM_4)
+        assert model.die_area_mm2(at_4nm) < model.die_area_mm2(chip)
 
 
 class TestPresetSpecs:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.models.config import AttentionKind, ModelConfig
+from repro.models.graph import decode_operators
+from repro.models.layers import OperatorKind
 
 
 def make_config(**overrides) -> ModelConfig:
@@ -100,8 +102,12 @@ class TestParameterCounts:
         assert active_mlp == moe.num_layers * 2 * dense.mlp_params_per_expert
 
     def test_flops_per_token_is_two_per_active_param(self):
+        """A decode step's GEMMs do one multiply-add per active weight."""
         config = make_config()
-        assert config.flops_per_token() == 2.0 * config.active_params_per_token
+        gemms = [op for op in decode_operators(config, 1, 16)
+                 if op.kind == OperatorKind.GEMM]
+        assert sum(op.flops for op in gemms) \
+            == 2.0 * config.active_params_per_token
 
 
 class TestKnownModels:

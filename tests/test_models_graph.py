@@ -28,7 +28,7 @@ class TestOperatorOrder:
 
     def test_layers_run_in_decoder_layer_order(self, llama3):
         layer = [op.name for op in
-                 decoder_layer_operators(llama3, Phase.DECODE, 1, 1, 16)]
+                 decoder_layer_operators(llama3, 1, 1, 16)]
         names = [op.name for op in decode_operators(llama3, 1, 16)]
         assert names == ["token_embedding", *layer * llama3.num_layers,
                          "lm_head"]

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.compiler.binary import build_model_binary
+from repro.compiler.generator import InstructionGenerator
+from repro.compiler.instructions import Opcode
 from repro.hardware.interconnect import P2pSpec
+from repro.hardware.presets import ador_table3
+from repro.models.layers import Phase
 from repro.models.zoo import get_model
 from repro.parallel.collectives import SyncMethod
 from repro.parallel.mapper import ModelParallelMapper
@@ -86,34 +91,26 @@ class TestMapper:
         assert mapper.choose_sync_method(16) == SyncMethod.ALL_GATHER
 
     def test_shards_balance_params(self, llama3):
-        mapper = ModelParallelMapper(llama3)
-        shards = mapper.shard(8)
-        assert len(shards) == 8
-        total = sum(s.param_bytes for s in shards)
-        assert total == pytest.approx(llama3.param_bytes)
+        """Eight devices hold equal weight shards that add up to the
+        whole model."""
+        binary = build_model_binary(llama3, ador_table3(), 8)
+        shards = [binary.device_bytes(device) for device in range(8)]
+        assert len(set(shards)) == 1
+        assert sum(shards) == pytest.approx(llama3.param_bytes)
 
     def test_heads_divide(self, llama3):
-        shards = ModelParallelMapper(llama3).shard(8)
-        assert all(s.heads == llama3.num_heads // 8 for s in shards)
+        """32 heads shard evenly over 8 devices: each device computes an
+        eighth of the attention."""
+        generator = InstructionGenerator(ador_table3())
+
+        def attention_flops(devices):
+            program = generator.compile(llama3, Phase.DECODE, 8, 1, 512,
+                                        num_devices=devices)
+            return sum(inst.flops for inst in program.instructions
+                       if inst.opcode == Opcode.ATTN)
+
+        assert attention_flops(8) == pytest.approx(attention_flops(1) / 8)
 
     def test_rejects_indivisible(self, llama3):
         with pytest.raises(ValueError, match="shard evenly"):
-            ModelParallelMapper(llama3).shard(3)
-
-    def test_kv_replication_when_devices_exceed_kv_heads(self):
-        falcon = get_model("falcon-7b")  # 1 KV head
-        # falcon has 71 heads: only divisible by 71 or 1; use a GQA model
-        llama70 = get_model("llama3-70b")  # 8 KV heads, 64 query heads
-        mapper = ModelParallelMapper(llama70)
-        shards16 = mapper.shard(16)  # 16 devices > 8 KV heads
-        shards8 = mapper.shard(8)
-        # replication doubles per-device KV relative to perfect sharding
-        assert shards16[0].kv_bytes_per_token \
-            == pytest.approx(shards8[0].kv_bytes_per_token)
-
-    def test_min_devices_for_capacity(self):
-        llama70 = get_model("llama3-70b")
-        mapper = ModelParallelMapper(llama70)
-        devices = mapper.min_devices_for_capacity(80 * 2**30)
-        assert devices >= 2
-        assert llama70.num_heads % devices == 0
+            ModelParallelMapper(llama3).validate(3)

@@ -75,7 +75,7 @@ class TestPipelineParallel:
         """The paper's Fig. 7(b) point: PP gives no latency benefit."""
         pp = PipelineParallelModel(llama3, P2P_128)
         for devices in (2, 4, 8):
-            assert pp.latency_speedup(0.01, devices, batch=32) <= 1.0
+            assert pp.token_latency_seconds(0.01, devices, batch=32) >= 0.01
 
     def test_hops_add_latency(self, llama3):
         pp = PipelineParallelModel(llama3, P2P_128)
@@ -84,14 +84,6 @@ class TestPipelineParallel:
     def test_throughput_scales(self, llama3):
         pp = PipelineParallelModel(llama3, P2P_128)
         assert pp.throughput_scaling(8) == pytest.approx(8 * 0.95)
-
-    def test_stage_layers(self, llama3):
-        pp = PipelineParallelModel(llama3, P2P_128)
-        assert pp.stage_layers(8) == 4  # 32 layers / 8 stages
-
-    def test_aggregate_bandwidth(self, llama3):
-        pp = PipelineParallelModel(llama3, P2P_128)
-        assert pp.aggregate_memory_bandwidth(2e12, 4) == 8e12
 
     def test_rejects_bad_bubble(self, llama3):
         pp = PipelineParallelModel(llama3, P2P_128)

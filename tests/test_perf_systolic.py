@@ -3,7 +3,6 @@
 import pytest
 
 from repro.hardware.components import SystolicArray
-from repro.perf.roofline import Bound
 from repro.perf.systolic import SystolicTimingModel
 
 BW = 2e12
@@ -25,12 +24,14 @@ class TestClosedForm:
                          core_split="m")
         # pipeline head (load=64) + compute (256 + 126)
         assert est.cycles == 64 + 256 + 64 + 64 - 2
-        assert est.tiles == 1
 
     def test_tiles_count(self):
+        """A 256x256 weight is 4 x 4 tiles of 64x64, each streaming the
+        128 activation rows through the 126-cycle fill and drain."""
         model = make_model(cores=1)
-        est = model.gemm(128, 256, 256, BW, core_split="m")
-        assert est.tiles == (256 // 64) * (256 // 64)
+        est = model.gemm(128, 256, 256, BW, weights_resident=True,
+                         core_split="m")
+        assert est.cycles == 64 + (128 + 126) * (256 // 64) * (256 // 64)
 
     def test_utilization_at_most_one(self):
         model = make_model()
@@ -66,36 +67,53 @@ class TestDataflowChoices:
         n_split = model.gemm(64, 4096, 4096, BW, core_split="n")
         assert n_split.seconds < m_split.seconds
 
-    def test_weights_resident_removes_memory_bound(self):
+    def test_weights_resident_is_no_slower(self):
         model = make_model()
         resident = model.gemm(16, 4096, 4096, BW, weights_resident=True)
         streamed = model.gemm(16, 4096, 4096, BW, weights_resident=False)
         assert resident.seconds <= streamed.seconds
-        assert resident.bound != Bound.MEMORY
+
+    def test_weights_resident_removes_memory_bound(self):
+        """Resident weights take DRAM out of the time: a 40x slower
+        memory leaves it unchanged."""
+        model = make_model()
+        fast = model.gemm(16, 4096, 4096, BW, weights_resident=True)
+        slow = model.gemm(16, 4096, 4096, 50e9, weights_resident=True)
+        assert slow.seconds == fast.seconds
 
 
 class TestBound:
-    """Which wall each GEMM hits: the roofline tag the breakdowns of
-    Figs. 11a and 15 report."""
+    """Which wall sets each GEMM's time: compute, the pipeline's
+    fill/drain, or (in ``TestBandwidthStall``) DRAM."""
 
     def test_long_m_is_compute_bound(self):
-        est = make_model(cores=1).gemm(100_000, 64, 64, BW,
-                                       weights_resident=True)
-        assert est.bound == Bound.COMPUTE
+        """Enough rows hide the fill/drain and the weight stream, even
+        over a slow DRAM: the time is the FLOPs over the peak."""
+        model = make_model(cores=1)
+        est = model.gemm(100_000, 64, 64, dram_bandwidth=50e9)
+        flops = 2.0 * 100_000 * 64 * 64
+        assert est.seconds == pytest.approx(flops / model.peak_flops,
+                                            rel=0.01)
 
     def test_short_m_is_latency_bound(self):
         """Fewer rows than the array's fill/drain (126 cycles on 64x64)
         leave the pipeline, not compute or DRAM, setting the time."""
         est = make_model().gemm(16, 4096, 4096, BW, weights_resident=True,
                                 core_split="n")
-        assert est.bound == Bound.LATENCY
+        # 64 x 2 tiles per core, each 16 rows plus the 126-cycle fill/drain
+        assert est.cycles == 64 + (16 + 126) * 64 * 2
+        assert est.utilization <= 16 / (16 + 126)
 
 
 class TestBandwidthStall:
     def test_slow_dram_forces_memory_bound(self):
+        """At 50 GB/s the weight stream sets the time: every weight byte
+        once, at the usable share of the bandwidth."""
         model = make_model()
         est = model.gemm(64, 4096, 4096, dram_bandwidth=50e9)
-        assert est.bound == Bound.MEMORY
+        weight_bytes = 4096 * 4096 * 2
+        assert est.seconds == pytest.approx(
+            weight_bytes / (50e9 * model.dram_stream_utilization), rel=0.01)
 
     def test_monotonic_in_bandwidth(self):
         model = make_model()
@@ -130,11 +148,6 @@ class TestValidation:
     def test_peak_flops(self):
         model = make_model(rows=64, cols=64, cores=32)
         assert model.peak_flops == pytest.approx(2 * 4096 * 32 * 1.5e9)
-
-    def test_gemm_seconds_shorthand(self):
-        model = make_model()
-        assert model.gemm_seconds(64, 64, 64, BW) \
-            == model.gemm(64, 64, 64, BW).seconds
 
 
 class TestFig11aShape:

@@ -34,6 +34,12 @@ from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
 GIB = 1024 ** 3
 
 
+def cached_tokens(cache, session_id):
+    """Resident prefix length for one session (0 when absent)."""
+    entry = cache._entries.get(session_id)
+    return entry.tokens if entry is not None else 0
+
+
 def make_cache(pool_gib=0.25, block_tokens=16, fraction=0.5,
                eviction="lru"):
     model = get_model("llama3-8b")  # 128 KiB KV per token
@@ -94,7 +100,7 @@ class TestHitSemantics:
         turn0 = make_request(1, input_tokens=100, output_tokens=20,
                              session=5)
         finish_turn(cache, turn0)  # 120 resident tokens
-        assert cache.cached_tokens(5) == 120
+        assert cached_tokens(cache, 5) == 120
 
         turn1 = make_request(2, input_tokens=150, output_tokens=10,
                              session=5, history=120, turn=1)
@@ -138,10 +144,10 @@ class TestHitSemantics:
         turn1 = make_request(2, input_tokens=128, output_tokens=16,
                              session=5, history=80, turn=1)
         cache.acquire(turn1)
-        assert cache.cached_sessions == 0  # entry consumed by the hit
+        assert len(cache._entries) == 0  # entry consumed by the hit
         assert cache.extend(turn1, 16)
         cache.stash(turn1)
-        assert cache.cached_tokens(5) == 144  # the longer prefix
+        assert cached_tokens(cache, 5) == 144  # the longer prefix
 
 
 class TestEviction:
@@ -162,12 +168,12 @@ class TestEviction:
         cache = make_cache(eviction=eviction, fraction=1.0)
         self._stash_three(cache)
         evicted = []
-        while cache.cached_sessions:
+        while len(cache._entries):
             survivors = {sid for sid in (1, 2, 3)
-                         if cache.cached_tokens(sid) > 0}
+                         if cached_tokens(cache, sid) > 0}
             assert cache._evict_one()
             gone = survivors - {sid for sid in (1, 2, 3)
-                                if cache.cached_tokens(sid) > 0}
+                                if cached_tokens(cache, sid) > 0}
             evicted.extend(sorted(gone))
         assert evicted == order
 
@@ -179,7 +185,7 @@ class TestEviction:
                             session=1, history=64, turn=1)
         finish_turn(cache, turn)
         cache._evict_one()
-        assert cache.cached_tokens(1) > 0  # survived: session 2 went
+        assert cached_tokens(cache, 1) > 0  # survived: session 2 went
 
     def test_reclaim_never_touches_active_allocations(self):
         cache = make_cache(pool_gib=0.25, fraction=1.0)  # 128 blocks
@@ -199,7 +205,7 @@ class TestEviction:
         # leaves the active allocation alone
         fits = make_request(4, input_tokens=900, output_tokens=10)
         assert cache.acquire(fits) == 0
-        assert cache.cached_sessions == 0
+        assert len(cache._entries) == 0
         assert cache.allocator.allocation_tokens(1) == 1000
 
     def test_reclaimable_cap_rejects_oversized_stash(self):
@@ -207,7 +213,7 @@ class TestEviction:
         too_big = make_request(1, input_tokens=560, output_tokens=16,
                                session=5)  # 36 blocks > cap
         finish_turn(cache, too_big)
-        assert cache.cached_sessions == 0
+        assert len(cache._entries) == 0
         assert cache.stats.rejected_stashes == 1
         assert cache.allocator.used_blocks == 0  # released outright
 
@@ -220,8 +226,8 @@ class TestEviction:
         finish_turn(cache, make_request(3, input_tokens=224,
                                         output_tokens=16, session=3))
         assert cache.cached_blocks <= cache.reclaimable_block_cap
-        assert cache.cached_tokens(1) == 0  # LRU victim
-        assert cache.cached_tokens(3) > 0
+        assert cached_tokens(cache, 1) == 0  # LRU victim
+        assert cached_tokens(cache, 3) > 0
 
 
 class TestEvictionPolicies:
@@ -254,7 +260,7 @@ class TestStats:
         merged = PrefixCacheStats.merged([a, b])
         assert merged.lookups == 16
         assert merged.hits == 6
-        assert merged.misses == 6
+        assert merged.eligible - merged.hits == 6
         assert merged.hit_rate == 6 / 12
         assert merged.saved_prefill_tokens == 150
         assert merged.preemptions == 1

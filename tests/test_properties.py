@@ -148,8 +148,11 @@ mt_models = st.builds(
 @given(model=mt_models, batch=st.integers(1, 256), k=dims, n=dims)
 def test_mt_gemv_at_least_stream_time(model, batch, k, n):
     est = model.gemv(batch, k, n)
-    assert est.seconds >= est.stream_seconds - 1e-15
-    assert est.seconds >= est.compute_seconds - 1e-15
+    flops = 2.0 * batch * k * n
+    stream = k * n * 2 / model.curve.effective_bandwidth(
+        model.dram_bandwidth, flops)
+    assert est.seconds >= stream - 1e-15
+    assert est.seconds >= flops / model.peak_flops - 1e-15
 
 
 @settings(max_examples=50)

@@ -168,10 +168,6 @@ class TestQosReport:
         assert report.meets_tbt_slo(0.025)
         assert not report.meets_tbt_slo(0.01)
 
-    def test_tokens_per_s_per_request(self):
-        report = compute_qos(self._finished_requests(), wall_time_s=30.0)
-        assert report.mean_tokens_per_s_per_request == pytest.approx(50.0)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             compute_qos([], 1.0)
@@ -179,7 +175,7 @@ class TestQosReport:
     def test_single_token_requests_report_nan_tbt(self):
         """Regression: with no request emitting >= 2 tokens, TBT used to
         be substituted with 0.0 — a perfect inter-token latency nobody
-        observed — and tokens/s/request came out infinite."""
+        observed."""
         requests = []
         for i in range(4):
             request = make_request(request_id=i, arrival_time=float(i),
@@ -192,7 +188,6 @@ class TestQosReport:
         assert math.isnan(report.tbt_p50_s)
         assert math.isnan(report.tbt_p95_s)
         assert math.isnan(report.tbt_p99_s)
-        assert math.isnan(report.mean_tokens_per_s_per_request)
         # an unmeasured TBT must never satisfy an SLO
         assert not report.meets_tbt_slo(1.0)
         # TTFT and throughput stay measured

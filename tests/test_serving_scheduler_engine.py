@@ -50,10 +50,11 @@ class TestScheduler:
         assert scheduler.active_count == 3
 
     def test_reserved_kv_counter_tracks_admit_and_finish(self, llama3):
-        """Regression: kv_bytes_in_use used to re-sum all active requests
-        per admission candidate (O(active^2) per iteration); it is now an
-        incrementally-maintained counter that must stay equal to the
-        recomputed sum through admissions and completions."""
+        """Regression: the reserved KV bytes used to be re-summed over all
+        active requests per admission candidate (O(active^2) per
+        iteration); they are now an incrementally-maintained counter that
+        must stay equal to the recomputed sum through admissions and
+        completions."""
         from repro.models.kv_cache import kv_bytes_per_token
         per_token = kv_bytes_per_token(llama3)
 
@@ -66,20 +67,20 @@ class TestScheduler:
         requests = make_requests(6, input_tokens=32, output_tokens=2)
         for request in requests:
             scheduler.enqueue(request)
-        assert scheduler.kv_bytes_in_use() == 0.0
+        assert scheduler._reserved_kv_bytes == 0.0
         # drive the scheduler to completion, checking the invariant at
         # every iteration boundary
         for _ in range(200):
             plan = scheduler.plan_iteration()
-            assert scheduler.kv_bytes_in_use() \
+            assert scheduler._reserved_kv_bytes \
                 == pytest.approx(recompute(scheduler))
             if not plan.has_work:
                 break
             scheduler.complete_iteration(plan, 1.0, [])
-            assert scheduler.kv_bytes_in_use() \
+            assert scheduler._reserved_kv_bytes \
                 == pytest.approx(recompute(scheduler))
         assert all(r.state == RequestState.FINISHED for r in requests)
-        assert scheduler.kv_bytes_in_use() == 0.0
+        assert scheduler._reserved_kv_bytes == 0.0
 
     def test_chunked_prefill_progression(self, llama3):
         scheduler = ContinuousBatchingScheduler(

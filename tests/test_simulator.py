@@ -36,7 +36,7 @@ def compile_stage(chip, model, phase, batch, q, ctx, devices=1):
 
 class TestUnitTimeline:
     def test_serializes_reservations(self):
-        timeline = UnitTimeline("mt")
+        timeline = UnitTimeline()
         first = timeline.reserve(0.0, 1.0)
         second = timeline.reserve(0.0, 1.0)
         assert first == 1.0
@@ -44,13 +44,13 @@ class TestUnitTimeline:
         assert timeline.busy == 2.0
 
     def test_waits_for_earliest_start(self):
-        timeline = UnitTimeline("sa")
+        timeline = UnitTimeline()
         done = timeline.reserve(5.0, 1.0)
         assert done == 6.0
 
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
-            UnitTimeline("vu").reserve(0.0, -1.0)
+            UnitTimeline().reserve(0.0, -1.0)
 
 
 class TestExecution:

@@ -9,7 +9,9 @@ typos are rejected loudly at every level — inline chips and inline
 traces included.  A literal pins the inline chip's JSON, and its enum
 fields reject unknown values with the allowed list.  Retired keys
 (``WorkloadSpec``'s ``streaming``, ``CapacitySpec``'s
-``reuse_arrivals`` and ``parallel_probes``) still load and are dropped.
+``reuse_arrivals`` and ``parallel_probes``, ``VectorUnit``'s
+``ops_per_element`` and ``Sram``'s ``bandwidth_bytes_per_s``) still
+load and are dropped.
 Every integer field rejects bools, floats and strings at construction.
 """
 
@@ -74,8 +76,7 @@ def inline_chips(draw):
     return chip.with_updates(
         name=draw(labels),
         cores=draw(st.integers(1, 64)),
-        global_memory=Sram(draw(non_negative),
-                           draw(st.just(float("inf")) | positive)),
+        global_memory=Sram(draw(non_negative)),
         dram=Dram(draw(st.sampled_from(list(DramKind))), draw(non_negative),
                   draw(positive), draw(st.integers(1, 16))),
         noc=dataclasses.replace(
@@ -420,6 +421,27 @@ ADOR_CHIP_JSON = (
     '"frequency_hz": 1500000000.0, "cores": 32, '
     '"systolic_array": {"rows": 64, "cols": 64, "lanes": 1}, '
     '"mac_tree": {"tree_size": 16, "lanes": 16}, '
+    '"vector_unit": {"width": 16}, '
+    '"local_memory": {"size_bytes": 2097152}, '
+    '"global_memory": {"size_bytes": 16777216}, '
+    '"dram": {"kind": "HBM2e", "size_bytes": 85899345920, '
+    '"bandwidth_bytes_per_s": 2000000000000.0, "modules": 8}, '
+    '"noc": {"bandwidth_bytes_per_s": 512000000000.0, '
+    '"topology": "ring", "hop_latency_s": 2e-09}, '
+    '"p2p": {"bandwidth_bytes_per_s": 64000000000.0, '
+    '"latency_s": 1e-06}, '
+    '"process": "7nm", "die_area_mm2": null, '
+    '"peak_flops_override": null, "tdp_w": null}'
+)
+
+#: The same chip as the codec wrote it before ``VectorUnit`` lost
+#: ``ops_per_element`` and ``Sram`` lost ``bandwidth_bytes_per_s``:
+#: old chip JSON carries those retired keys, and must still load.
+ADOR_CHIP_JSON_RETIRED_KEYS = (
+    '{"name": "ADOR Design", "kind": "ador", '
+    '"frequency_hz": 1500000000.0, "cores": 32, '
+    '"systolic_array": {"rows": 64, "cols": 64, "lanes": 1}, '
+    '"mac_tree": {"tree_size": 16, "lanes": 16}, '
     '"vector_unit": {"width": 16, "ops_per_element": 1}, '
     '"local_memory": {"size_bytes": 2097152, '
     '"bandwidth_bytes_per_s": null}, '
@@ -440,21 +462,46 @@ def ador_chip_dict():
     return DeploymentSpec(chip=get_chip("ador")).to_dict()["chip"]
 
 
+def with_retired_keys(data):
+    """A chip dict as the codec wrote it while the retired keys were
+    fields: every vector unit carried ``ops_per_element``, and every
+    SRAM an infinite bandwidth, written ``null``."""
+    data = json.loads(json.dumps(data))
+    if data["vector_unit"] is not None:
+        data["vector_unit"]["ops_per_element"] = 1
+    for pool in ("local_memory", "global_memory"):
+        data[pool]["bandwidth_bytes_per_s"] = None
+    return data
+
+
 def test_inline_chip_format_is_pinned():
     assert json.dumps(ador_chip_dict()) == ADOR_CHIP_JSON
     data = json.loads(ADOR_CHIP_JSON)
     assert DeploymentSpec.from_dict({"chip": data}).chip == get_chip("ador")
 
 
-def test_infinite_sram_bandwidth_is_null():
-    chip = get_chip("a100").with_updates(
-        global_memory=Sram(4096.0, float("inf")))
-    data = DeploymentSpec(chip=chip).to_dict()["chip"]
-    assert data["global_memory"] == {"size_bytes": 4096.0,
-                                     "bandwidth_bytes_per_s": None}
-    clone = DeploymentSpec.from_dict(json.loads(json.dumps({"chip": data})))
-    assert clone.chip.global_memory.bandwidth_bytes_per_s == float("inf")
-    assert clone.chip == chip
+def test_retired_chip_keys_still_load():
+    data = json.loads(ADOR_CHIP_JSON_RETIRED_KEYS)
+    assert with_retired_keys(ador_chip_dict()) == data
+    assert DeploymentSpec.from_dict({"chip": data}).chip == get_chip("ador")
+
+
+@pytest.mark.parametrize("name", list_chips())
+def test_every_preset_loads_from_its_retired_key_form(name):
+    data = with_retired_keys(
+        DeploymentSpec(chip=get_chip(name)).to_dict()["chip"])
+    for spec in (DeploymentSpec, ReplicaGroupSpec):
+        assert spec.from_dict({"chip": data}).chip == get_chip(name)
+
+
+def test_misspelt_key_in_a_chip_part_names_its_section():
+    data = ador_chip_dict()
+    data["vector_unit"] = {"width": 16, "ops_per_elemnt": 1}
+    with pytest.raises(ValueError,
+                       match=r"unknown vector unit field\(s\): "
+                             r"ops_per_elemnt;") as info:
+        DeploymentSpec.from_dict({"chip": data})
+    assert "ops_per_element" not in str(info.value)
 
 
 def test_process_node_written_by_label():
