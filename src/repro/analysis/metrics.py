@@ -11,25 +11,24 @@ from repro.hardware.chip import ChipSpec
 from repro.hardware.technology import ProcessNode, normalize_area
 
 
-def area_efficiency_gflops_mm2(throughput_flops: float, chip: ChipSpec,
-                               area_model: AreaModel | None = None) -> float:
+def area_efficiency_gflops_mm2(throughput_flops: float,
+                               chip: ChipSpec) -> float:
     """Achieved GFLOPS per mm^2 of die (Fig. 4a's absolute panel)."""
     if throughput_flops < 0:
         raise ValueError("throughput must be non-negative")
-    area = (area_model or AreaModel()).die_area_mm2(chip)
+    area = AreaModel().die_area_mm2(chip)
     return throughput_flops / 1e9 / area
 
 
-def normalized_area_efficiency(throughput_flops: float, chip: ChipSpec,
-                               target: ProcessNode = ProcessNode.NM_4,
-                               area_model: AreaModel | None = None) -> float:
-    """GFLOPS/mm^2 with the die normalized to ``target`` (Fig. 4a right).
+def normalized_area_efficiency(throughput_flops: float,
+                               chip: ChipSpec) -> float:
+    """GFLOPS/mm^2 with the die normalized to 4 nm (Fig. 4a right).
 
     A 14 nm die shrinks ~4.7x when re-expressed at 4 nm, which is how the
     paper makes the TSP comparable to the H100.
     """
-    area = (area_model or AreaModel()).die_area_mm2(chip)
-    normalized = normalize_area(area, chip.process, target)
+    area = AreaModel().die_area_mm2(chip)
+    normalized = normalize_area(area, chip.process, ProcessNode.NM_4)
     return throughput_flops / 1e9 / normalized
 
 

@@ -313,10 +313,6 @@ class CapacityReport:
     capacity: CapacityResult
 
     @property
-    def max_requests_per_s(self) -> float:
-        return self.capacity.max_requests_per_s
-
-    @property
     def qos(self) -> QoSReport:
         return self.capacity.qos_at_max
 
@@ -679,12 +675,6 @@ class ClusterReport:
         return self.cluster.autoscale
 
     @property
-    def faults(self):
-        """The run's :class:`~repro.cluster.faults.FaultTrace`
-        (``None`` when fault injection was off)."""
-        return self.cluster.faults
-
-    @property
     def groups(self):
         """Per-group :class:`~repro.cluster.report.GroupBreakdown`
         tuple (``None`` on homogeneous fleets)."""
@@ -697,20 +687,26 @@ class ClusterReport:
                          for b in load.busy_fraction_per_replica)
         trace = self.autoscale
         if self.deployment.fleet is not None:
-            mix = _mix_label(self.deployment.fleet.groups)
+            groups = self.deployment.fleet.groups
+            mix = _mix_label(groups)
             fleet = mix if trace is None else \
                 f"autoscaled (start {mix}, peak {trace.peak_replicas})"
             endpoint = "fleet"
+            # one count when the groups agree, else one per group
+            counts = [str(group.num_devices) for group in groups]
+            devices = counts[0] if len(set(counts)) == 1 \
+                else "/".join(counts)
         else:
             fleet = f"{self.deployment.replicas}x" if trace is None else \
                 f"autoscaled (start {self.deployment.replicas}, " \
                 f"peak {trace.peak_replicas})"
             endpoint = self.deployment.chip_spec().name
+            devices = str(self.deployment.num_devices)
         lines = [
             f"simulated {len(self.result.finished)} requests at "
             f"{self.workload.rate_per_s:g} req/s on "
             f"{fleet} {endpoint} "
-            f"({self.deployment.num_devices} device(s)/replica, "
+            f"({devices} device(s)/replica, "
             f"{self.deployment.router} routing):",
             *_qos_lines(qos),
             f"  requests/replica : {requests} "
@@ -806,7 +802,7 @@ def _simulate_shard(deployment: DeploymentSpec, workload: WorkloadSpec,
     (group,) = deployment.fleet_groups()
     count = shard_replica_count(group.count, shard, shards)
     engine = build_cluster_engine(
-        dataclasses.replace(deployment, replicas=1, fleet=FleetSpec(
+        deployment.with_fleet(FleetSpec(
             groups=(dataclasses.replace(group, count=count),))),
         sim_cache=sim_cache, context_bucket=context_bucket)
     result = engine.run(shard_requests(workload, shard, shards),

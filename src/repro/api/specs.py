@@ -23,7 +23,7 @@ without a systolic array, MAC tree or vector unit writes ``null`` there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
@@ -274,6 +274,12 @@ class FleetSpec(SpecCodec):
 # Deployment                                                             #
 # --------------------------------------------------------------------- #
 
+#: the per-endpoint knobs a fleet's groups carry in place of the
+#: deployment's own
+_ENDPOINT_KNOBS = ("chip", "model", "num_devices", "max_batch",
+                   "prefill_chunk_tokens", "kv_budget_bytes")
+
+
 @dataclass(frozen=True)
 class DeploymentSpec(SpecCodec):
     """The endpoint side of an experiment: hardware, model, scheduling.
@@ -290,12 +296,12 @@ class DeploymentSpec(SpecCodec):
 
     ``fleet`` generalizes ``replicas`` to a heterogeneous fleet: an
     explicit :class:`FleetSpec` of :class:`ReplicaGroupSpec` slices,
-    each with its own chip/model/batching/KV knobs.  When set, the
-    top-level chip/model/batching knobs describe nothing (each group
-    carries its own) and ``replicas`` must stay at its default of 1 —
-    the two are competing ways to size the fleet, and silently
-    preferring one would hide a config mistake.  A one-group fleet is
-    bit-identical to the legacy ``replicas=N`` path.
+    each with its own chip/model/device/batch/KV knobs.  When set, the
+    top-level endpoint knobs (``chip``, ``model``, ``num_devices``,
+    ``max_batch``, ``prefill_chunk_tokens``, ``kv_budget_bytes``) and
+    ``replicas`` must stay at their defaults: each group carries its
+    own, and silently ignoring one would hide a config mistake.  A
+    one-group fleet is bit-identical to the legacy ``replicas=N`` path.
 
     ``autoscale`` makes the fleet elastic: ``replicas`` becomes the
     *initial* size and the spec'd
@@ -341,6 +347,7 @@ class DeploymentSpec(SpecCodec):
             raise ValueError("num_devices must be >= 1")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        _canonical_kv_budget(self)
         if self.fleet is not None:
             if self.replicas != 1:
                 raise ValueError(
@@ -348,6 +355,14 @@ class DeploymentSpec(SpecCodec):
                     f"competing ways to size the fleet — with an "
                     f"explicit fleet, leave replicas at 1 and size each "
                     f"group via its count")
+            defaults = type(self).__dataclass_fields__
+            for knob in _ENDPOINT_KNOBS:
+                value = getattr(self, knob)
+                if value != defaults[knob].default:
+                    raise ValueError(
+                        f"fleet and {knob}={value!r}: an explicit fleet "
+                        f"ignores the top-level {knob} — set it on each "
+                        f"group instead")
             if self.batching != "continuous":
                 raise ValueError(
                     f"an explicit fleet requires continuous batching, "
@@ -380,7 +395,6 @@ class DeploymentSpec(SpecCodec):
         # unknown names and bad "name:N" thresholds fail here, at any
         # fleet size, not only once a cluster engine is built
         make_router(self.router)
-        _canonical_kv_budget(self)
 
     @property
     def total_replicas(self) -> int:
@@ -407,6 +421,15 @@ class DeploymentSpec(SpecCodec):
             prefill_chunk_tokens=self.prefill_chunk_tokens,
             kv_budget_bytes=self.kv_budget_bytes,
         ),)
+
+    def with_fleet(self, fleet: FleetSpec) -> DeploymentSpec:
+        """This deployment's batching, router and sections over an
+        explicit ``fleet``: the endpoint knobs and ``replicas`` go back
+        to their defaults, since the fleet's groups carry their own."""
+        defaults = type(self).__dataclass_fields__
+        return replace(self, fleet=fleet, **{
+            knob: defaults[knob].default
+            for knob in (*_ENDPOINT_KNOBS, "replicas")})
 
     def chip_spec(self) -> ChipSpec:
         """The lead group's concrete chip: this deployment's own chip
@@ -469,15 +492,18 @@ class Experiment(SpecCodec):
     """A complete, runnable, serializable experiment description.
 
     With a ``capacity`` section the experiment describes a capacity
-    search instead of a single fixed-rate simulation.
+    search instead of a single fixed-rate simulation.  The retired
+    ``name`` key, which nothing read, is accepted and dropped, so older
+    JSON still loads.
     """
 
     deployment: DeploymentSpec = DeploymentSpec()
     workload: WorkloadSpec = WorkloadSpec()
     max_sim_seconds: float = 600.0
-    name: str = field(default="", metadata=OMIT_DEFAULT)
     capacity: CapacitySpec | None = field(default=None,
                                           metadata=OMIT_DEFAULT)
+
+    _RETIRED_KEYS = frozenset({"name"})
 
     def __post_init__(self) -> None:
         super().__post_init__()

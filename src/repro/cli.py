@@ -351,16 +351,21 @@ def _progress_reporter(args: argparse.Namespace, label: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    deployment = DeploymentSpec(
+    fleet = _fleet_spec(args)
+    # with --group, each group carries the endpoint knobs instead
+    endpoint = {} if fleet is not None else dict(
         chip=args.chip if args.chip is not None else "ador",
         model=args.model,
         num_devices=args.devices,
         max_batch=args.max_batch,
+        kv_budget_bytes=_kv_budget_bytes(args),
+    )
+    deployment = DeploymentSpec(
         batching=args.policy,
         replicas=args.replicas,
         router=_router_name(args),
-        fleet=_fleet_spec(args),
-        kv_budget_bytes=_kv_budget_bytes(args),
+        fleet=fleet,
+        **endpoint,
         **_section_specs(args),
     )
     workload = WorkloadSpec(

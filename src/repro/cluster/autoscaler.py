@@ -24,11 +24,11 @@ Policies follow the repo's registry idiom
 Built-ins:
 
 * ``queue-depth``     — size the fleet so each ready replica carries
-  about ``target_per_replica`` outstanding requests, with hysteresis on
-  the way down (shrink only when the smaller fleet would still sit
-  comfortably under target);
+  about 4 outstanding requests, with hysteresis on the way down
+  (shrink only when the smaller fleet would still sit comfortably under
+  target);
 * ``slo-attainment``  — grow when the fraction of requests completed in
-  the last interval that met the TTFT SLO falls below the target,
+  the last interval that met a 0.5 s TTFT falls below 95 %,
   shrink when attainment holds and the fleet is nearly idle — the
   SLO-feedback loop of Ray-Serve-style deployments.
 
@@ -187,36 +187,25 @@ class AutoscaleSpec(SpecCodec):
 
 @register_autoscaler("queue-depth")
 class QueueDepthAutoscaler:
-    """Size the fleet to a target outstanding-requests-per-replica.
+    """Size the fleet to 4 outstanding requests per replica.
 
-    Scale-up is immediate: as soon as the fleet would need more than
-    ``target_per_replica`` outstanding requests per launched replica,
-    the desired size jumps straight to ``ceil(outstanding / target)`` —
-    no incremental stepping, because queue depth already measures *how
-    much* capacity is missing.  Scale-down is hysteretic: the fleet only
-    shrinks to the size that keeps every replica under
-    ``target_per_replica * down_headroom`` (headroom < 1, i.e. a
+    Scale-up is immediate: as soon as the fleet would need more than 4
+    outstanding requests per launched replica, the desired size jumps
+    straight to ``ceil(outstanding / 4)`` — no incremental stepping,
+    because queue depth already measures *how much* capacity is
+    missing.  Scale-down is hysteretic: the fleet only shrinks to the
+    size that keeps every replica under 2 (half the scale-up target, a
     stricter bar), so a load level hovering near the threshold does not
     flap the fleet.
     """
 
-    def __init__(self, target_per_replica: float = 4.0,
-                 down_headroom: float = 0.5) -> None:
-        if target_per_replica <= 0:
-            raise ValueError("target_per_replica must be positive")
-        if not 0 < down_headroom <= 1:
-            raise ValueError("down_headroom must be in (0, 1]")
-        self.target_per_replica = target_per_replica
-        self.down_headroom = down_headroom
-
     def desired_replicas(self, observation: FleetObservation) -> int:
         outstanding = observation.outstanding_requests
         launched = observation.launched
-        up = math.ceil(outstanding / self.target_per_replica)
+        up = math.ceil(outstanding / 4.0)
         if up > launched:
             return up
-        down = math.ceil(outstanding / (self.target_per_replica
-                                        * self.down_headroom))
+        down = math.ceil(outstanding / 2.0)
         return min(down, launched)
 
 
@@ -225,52 +214,31 @@ class SloAttainmentAutoscaler:
     """Grow on missed TTFT SLOs, shrink when attainment holds while idle.
 
     Attainment is the fraction of requests completed in the last
-    interval whose TTFT met ``slo_ttft_s``.  Below
-    ``target_attainment`` the fleet grows by ``step_up``; while
-    attainment holds *and* the fleet could absorb its outstanding work
-    with one replica fewer (at most ``drain_occupancy`` outstanding per
-    remaining replica), it shrinks by one.  With no completions to
-    judge, a queue deeper than two per launched replica counts as an SLO
-    risk and triggers the same ``step_up`` — that is what a burst onset
-    looks like before any request finishes — while a (nearly) empty
-    fleet shrinks by one, so an idle fleet still converges to the
-    minimum instead of idling at its burst peak.
+    interval whose TTFT met 0.5 s.  Below 95 % the fleet grows by two
+    replicas; while attainment holds *and* the fleet could absorb its
+    outstanding work with one replica fewer (at most one outstanding
+    request per remaining replica), it shrinks by one.  With no
+    completions to judge, a queue deeper than two per launched replica
+    counts as an SLO risk and triggers the same step up — that is what
+    a burst onset looks like before any request finishes — while a
+    (nearly) empty fleet shrinks by one, so an idle fleet still
+    converges to the minimum instead of idling at its burst peak.
     """
-
-    def __init__(self, slo_ttft_s: float = 0.5,
-                 target_attainment: float = 0.95,
-                 step_up: int = 2,
-                 drain_occupancy: float = 1.0) -> None:
-        if slo_ttft_s <= 0:
-            raise ValueError("slo_ttft_s must be positive")
-        if not 0 < target_attainment <= 1:
-            raise ValueError("target_attainment must be in (0, 1]")
-        if step_up < 1:
-            raise ValueError("step_up must be >= 1")
-        if drain_occupancy < 0:
-            raise ValueError("drain_occupancy must be non-negative")
-        self.slo_ttft_s = slo_ttft_s
-        self.target_attainment = target_attainment
-        self.step_up = step_up
-        self.drain_occupancy = drain_occupancy
 
     def desired_replicas(self, observation: FleetObservation) -> int:
         launched = observation.launched
         ttfts = observation.interval_ttft_s
         if not ttfts:
             if observation.outstanding_requests > 2 * launched:
-                return launched + self.step_up
-            if observation.outstanding_requests \
-                    <= (launched - 1) * self.drain_occupancy:
+                return launched + 2
+            if observation.outstanding_requests <= launched - 1:
                 # nothing completed because (almost) nothing is here:
                 # an idle fleet must still converge to the minimum
                 return launched - 1
             return launched
-        attained = sum(1 for t in ttfts if t <= self.slo_ttft_s) \
-            / len(ttfts)
-        if attained < self.target_attainment:
-            return launched + self.step_up
-        if observation.outstanding_requests \
-                <= (launched - 1) * self.drain_occupancy:
+        attained = sum(1 for t in ttfts if t <= 0.5) / len(ttfts)
+        if attained < 0.95:
+            return launched + 2
+        if observation.outstanding_requests <= launched - 1:
             return launched - 1
         return launched

@@ -39,10 +39,6 @@ class LoadImbalanceStats:
     busy_fraction_per_replica: tuple[float, ...]
     request_imbalance: float                  # max/mean assigned requests
 
-    @property
-    def replica_count(self) -> int:
-        return len(self.requests_per_replica)
-
 
 def load_imbalance(replica_results: Sequence[SimulationResult]
                    ) -> LoadImbalanceStats:
@@ -234,10 +230,6 @@ class ClusterResult:
     autoscale: AutoscaleTrace | None = None
     faults: FaultTrace | None = None
     groups: tuple[GroupBreakdown, ...] | None = None
-
-    @property
-    def replica_count(self) -> int:
-        return len(self.replica_results)
 
     def qos(self) -> QoSReport:
         """Fleet QoS over every finished request, against the fleet wall

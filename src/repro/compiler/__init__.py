@@ -1,9 +1,9 @@
 """ADOR compiler stack (paper Fig. 14a).
 
-Lowers a model's operators plus a parallelism plan into the two
-artifacts the simulator consumes: a *model binary* (memory-mapped weight
-layout across DRAM modules) and an *instruction binary* (a stream of
-LOAD / GEMM / GEMV / ATTN / VOP / SYNC / COMM instructions per device).
+Lowers a model's operators into the two artifacts the simulator
+consumes for one device: a *model binary* (memory-mapped weight layout
+across DRAM modules) and an *instruction binary* (a stream of LOAD /
+GEMM / GEMV / ATTN / VOP / SYNC instructions).
 """
 
 from repro.compiler.instructions import Instruction, Opcode, TargetUnit

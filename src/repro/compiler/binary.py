@@ -3,8 +3,8 @@
 The model mapper assigns each layer's weight slices to DRAM modules so
 that, under the latency dataflow, "each core fetches data from the
 nearest DRAM module" (Section IV-C).  The binary records region offsets
-per device and per DRAM module; the simulator uses it for capacity
-checks and the tests assert its invariants (no overlap, full coverage).
+per DRAM module; the simulator uses it for capacity checks and the
+tests assert its invariants (no overlap, full coverage).
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 from repro.hardware.chip import ChipSpec
 from repro.models.config import ModelConfig
-from repro.parallel.mapper import ModelParallelMapper
 
 
 @dataclass(frozen=True)
 class MemoryRegion:
-    """A contiguous weight region in one device's DRAM."""
+    """A contiguous weight region in the device's DRAM."""
 
     name: str
-    device: int
     dram_module: int
     offset: int
     size: int
@@ -37,71 +35,55 @@ class MemoryRegion:
 
 @dataclass(frozen=True)
 class ModelBinary:
-    """Weight layout of one model across one or more devices."""
+    """Weight layout of one model on one device."""
 
-    num_devices: int
     regions: tuple
-
-    def device_regions(self, device: int) -> list[MemoryRegion]:
-        return [r for r in self.regions if r.device == device]
-
-    def device_bytes(self, device: int) -> int:
-        return sum(r.size for r in self.device_regions(device))
 
     @property
     def total_bytes(self) -> int:
         return sum(r.size for r in self.regions)
 
     def validate_against(self, chip: ChipSpec) -> None:
-        """Raise if any device's layout exceeds DRAM or regions overlap."""
-        for device in range(self.num_devices):
-            regions = sorted(self.device_regions(device),
-                             key=lambda r: (r.dram_module, r.offset))
-            per_module: dict[int, int] = {}
-            for region in regions:
-                cursor = per_module.get(region.dram_module, 0)
-                if region.offset < cursor:
-                    raise ValueError(
-                        f"{region.name}: overlaps previous region in module "
-                        f"{region.dram_module}")
-                per_module[region.dram_module] = region.end
-            used = self.device_bytes(device)
-            if used > chip.dram.size_bytes:
+        """Raise if the layout exceeds DRAM or regions overlap."""
+        regions = sorted(self.regions,
+                         key=lambda r: (r.dram_module, r.offset))
+        per_module: dict[int, int] = {}
+        for region in regions:
+            cursor = per_module.get(region.dram_module, 0)
+            if region.offset < cursor:
                 raise ValueError(
-                    f"device {device}: weights ({used / 2**30:.1f} GiB) exceed "
-                    f"DRAM ({chip.dram.size_bytes / 2**30:.1f} GiB)")
+                    f"{region.name}: overlaps previous region in module "
+                    f"{region.dram_module}")
+            per_module[region.dram_module] = region.end
+        used = self.total_bytes
+        if used > chip.dram.size_bytes:
+            raise ValueError(
+                f"weights ({used / 2**30:.1f} GiB) exceed "
+                f"DRAM ({chip.dram.size_bytes / 2**30:.1f} GiB)")
 
 
-def build_model_binary(model: ModelConfig, chip: ChipSpec,
-                       num_devices: int = 1) -> ModelBinary:
-    """Lay a TP-sharded model out over each device's DRAM modules.
+def build_model_binary(model: ModelConfig, chip: ChipSpec) -> ModelBinary:
+    """Lay a model out over one device's DRAM modules.
 
     Layer weights round-robin across DRAM modules so that concurrent
     streams load-balance the memory system; embeddings and the LM head
     land on the last module.
     """
-    ModelParallelMapper(model).validate(num_devices)
     modules = chip.dram.modules
     regions: list[MemoryRegion] = []
     d = model.dtype_bytes
-    for device in range(num_devices):
-        cursors = [0] * modules
+    cursors = [0] * modules
 
-        def place(name: str, size: int, module: int) -> None:
-            regions.append(MemoryRegion(
-                name=name, device=device, dram_module=module,
-                offset=cursors[module], size=size))
-            cursors[module] += size
+    def place(name: str, size: int, module: int) -> None:
+        regions.append(MemoryRegion(
+            name=name, dram_module=module,
+            offset=cursors[module], size=size))
+        cursors[module] += size
 
-        for layer in range(model.num_layers):
-            module = layer % modules
-            attn_bytes = model.attention_params_per_layer * d // num_devices
-            mlp_bytes = model.mlp_params_per_layer * d // num_devices
-            place(f"layer{layer}.attn", attn_bytes, module)
-            place(f"layer{layer}.mlp", mlp_bytes, module)
-        embed_bytes = model.embedding_params * d // num_devices
-        place("embeddings", embed_bytes, modules - 1)
-    return ModelBinary(
-        num_devices=num_devices,
-        regions=tuple(regions),
-    )
+    for layer in range(model.num_layers):
+        module = layer % modules
+        place(f"layer{layer}.attn", model.attention_params_per_layer * d,
+              module)
+        place(f"layer{layer}.mlp", model.mlp_params_per_layer * d, module)
+    place("embeddings", model.embedding_params * d, modules - 1)
+    return ModelBinary(regions=tuple(regions))

@@ -1,11 +1,10 @@
-"""Instruction generator: a model's operators -> per-device instruction stream.
+"""Instruction generator: a model's operators -> one device's instruction stream.
 
-Implements the Fig. 14(a) pipeline: the model mapper picks a parallelism
-plan, then every operator lowers to instructions targeted at the compute
-unit the Fig. 8 schedule assigns it — GEMMs to the systolic array in
-prefill and to the MAC tree (weight stream) in decode, attention to the
-MAC tree in decode, vector work to the vector units, with SYNC/COMM
-instructions at dataflow boundaries.
+Implements the Fig. 14(a) pipeline on one device: every operator lowers
+to instructions targeted at the compute unit the Fig. 8 schedule assigns
+it — GEMMs to the systolic array in prefill and to the MAC tree (weight
+stream) in decode, attention to the MAC tree in decode, vector work to
+the vector units, with SYNC instructions at dataflow boundaries.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.models.layers import (
     decoder_layer_operators,
     lm_head_operator,
 )
-from repro.parallel.mapper import ModelParallelMapper
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,8 @@ class InstructionGenerator:
     def __init__(self, chip: ChipSpec) -> None:
         self.chip = chip
 
-    def _lower_operator(self, op: Operator, phase: Phase,
-                        devices: int) -> list[Instruction]:
-        share = 1.0 / devices
+    def _lower_operator(self, op: Operator,
+                        phase: Phase) -> list[Instruction]:
         shape = {"m": op.m, "k": op.k, "n": op.n, "batch": op.batch,
                  "heads": op.heads, "group": op.group_size,
                  "context": op.context_len}
@@ -61,50 +58,46 @@ class InstructionGenerator:
                 # weights prefetched, GEMM on the systolic array
                 return [
                     Instruction(Opcode.LOAD, TargetUnit.DMA, f"{op.name}.w",
-                                bytes_moved=op.weight_bytes * share,
+                                bytes_moved=op.weight_bytes,
                                 meta=shape),
                     Instruction(Opcode.GEMM, TargetUnit.SYSTOLIC_ARRAY, op.name,
-                                flops=op.flops * share, meta=shape),
+                                flops=op.flops, meta=shape),
                 ]
             # decode: the MAC tree consumes the weight stream directly
             return [
                 Instruction(Opcode.GEMV, TargetUnit.MAC_TREE, op.name,
-                            flops=op.flops * share,
-                            bytes_moved=op.weight_bytes * share, meta=shape),
+                            flops=op.flops,
+                            bytes_moved=op.weight_bytes, meta=shape),
             ]
         if op.kind == OperatorKind.ATTENTION:
             if phase == Phase.PREFILL:
                 # current-chunk KV lives in global memory; SA computes
                 return [
                     Instruction(Opcode.ATTN, TargetUnit.SYSTOLIC_ARRAY,
-                                "attention", flops=op.flops * share,
+                                "attention", flops=op.flops,
                                 meta=shape),
                     Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, "softmax",
-                                flops=op.m * op.context_len * 4.0 * share,
+                                flops=op.m * op.context_len * 4.0,
                                 meta=shape),
                 ]
             return [
                 Instruction(Opcode.ATTN, TargetUnit.MAC_TREE, "attention",
-                            flops=op.flops * share,
-                            bytes_moved=op.io_bytes * share, meta=shape),
+                            flops=op.flops,
+                            bytes_moved=op.io_bytes, meta=shape),
                 Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, "softmax",
-                            flops=op.m * op.context_len * 4.0 * share,
+                            flops=op.m * op.context_len * 4.0,
                             meta=shape),
             ]
         return [
             Instruction(Opcode.VOP, TargetUnit.VECTOR_UNIT, op.name,
-                        flops=op.flops * share, meta=shape),
+                        flops=op.flops, meta=shape),
         ]
 
     def compile(self, model: ModelConfig, phase: Phase, batch: int,
-                query_len: int, context_len: int,
-                num_devices: int = 1) -> CompiledProgram:
-        """Emit the per-device instruction stream for one stage."""
+                query_len: int, context_len: int) -> CompiledProgram:
+        """Emit one device's instruction stream for one stage."""
         if batch < 1 or query_len < 1:
             raise ValueError("batch and query_len must be >= 1")
-        mapper = ModelParallelMapper(model)
-        mapper.validate(num_devices)
-        sync_method = mapper.choose_sync_method(num_devices)
         instructions: list[Instruction] = []
         rows = batch * query_len
         sync_bytes = rows * model.hidden_size * model.dtype_bytes
@@ -113,8 +106,7 @@ class InstructionGenerator:
             ops = decoder_layer_operators(model, batch, query_len,
                                           context_len)
             for op in ops:
-                instructions.extend(
-                    self._lower_operator(op, phase, num_devices))
+                instructions.extend(self._lower_operator(op, phase))
                 if op.name in ("out_proj", "mlp_down", "mlp_fc2"):
                     # multi-core all-gather at the latency dataflow's
                     # synchronization points (Fig. 6b)
@@ -122,21 +114,14 @@ class InstructionGenerator:
                         Opcode.SYNC, TargetUnit.NOC, f"{op.name}.gather",
                         bytes_moved=sync_bytes
                         * (self.chip.cores - 1) / self.chip.cores))
-                    if num_devices > 1:
-                        instructions.append(Instruction(
-                            Opcode.COMM, TargetUnit.P2P,
-                            f"{op.name}.{sync_method.value}",
-                            bytes_moved=sync_bytes
-                            * (num_devices - 1) / num_devices))
             instructions.append(Instruction(
                 Opcode.BARRIER, TargetUnit.NOC, f"layer{layer}.end"))
 
         if phase == Phase.DECODE:
             head = lm_head_operator(model, batch)
-            instructions.extend(self._lower_operator(
-                head, phase, num_devices))
+            instructions.extend(self._lower_operator(head, phase))
 
-        binary = build_model_binary(model, self.chip, num_devices)
+        binary = build_model_binary(model, self.chip)
         return CompiledProgram(
             instructions=tuple(instructions),
             binary=binary,

@@ -1,6 +1,6 @@
 """Instruction set of the ADOR simulator.
 
-The compiler emits a linear instruction stream per device; the serving
+The compiler emits a linear instruction stream for one device; the serving
 simulator's task manager walks it to attribute time to compute units.
 Instructions are deliberately coarse (one per operator, not per tile) —
 the timing models already integrate over tiles.
@@ -21,7 +21,6 @@ class Opcode(enum.Enum):
     ATTN = "attn"          # fused score+softmax+context
     VOP = "vop"            # vector op (norm/activation/residual)
     SYNC = "sync"          # on-chip all-gather between cores
-    COMM = "comm"          # device-to-device collective
     BARRIER = "barrier"    # layer boundary
 
 
@@ -33,7 +32,6 @@ class TargetUnit(enum.Enum):
     VECTOR_UNIT = "vu"
     DMA = "dma"
     NOC = "noc"
-    P2P = "p2p"
 
 
 @dataclass(frozen=True)

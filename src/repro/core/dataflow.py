@@ -58,9 +58,9 @@ class MultiCoreDataflow:
     kind: DataflowKind
 
     def sync_bytes_per_gemv(self, rows: int, output_dim: int,
-                            method: CoreSyncMethod,
-                            dtype_bytes: int = 2) -> float:
-        """On-chip bytes a core exchanges to synchronize one GEMV output.
+                            method: CoreSyncMethod) -> float:
+        """On-chip bytes a core exchanges to synchronize one GEMV output
+        of 2-byte elements.
 
         All-gather moves each core's final-sum slice (``1/cores`` of the
         output); all-reduce moves full partial sums — ``cores`` times
@@ -69,7 +69,7 @@ class MultiCoreDataflow:
         """
         if rows < 1 or output_dim < 1:
             raise ValueError("rows and output_dim must be >= 1")
-        full = float(rows) * output_dim * dtype_bytes
+        full = float(rows) * output_dim * 2
         cores = self.chip.cores
         if cores == 1:
             return 0.0
@@ -78,8 +78,8 @@ class MultiCoreDataflow:
         return full * (cores - 1)
 
     def sync_terms(self, rows: int, output_dim: int,
-                   method: CoreSyncMethod = CoreSyncMethod.ALL_GATHER,
-                   dtype_bytes: int = 2) -> tuple[float, float, float]:
+                   method: CoreSyncMethod = CoreSyncMethod.ALL_GATHER
+                   ) -> tuple[float, float, float]:
         """``(wire, hideable, hop)`` seconds of one GEMV sync: the terms
         of :meth:`sync_bubble` that do not depend on the compute time.
 
@@ -87,8 +87,7 @@ class MultiCoreDataflow:
         all-reduce serializes accumulation after transfer (bottom), so
         only a small fraction of its wire time can hide.
         """
-        bytes_moved = self.sync_bytes_per_gemv(rows, output_dim, method,
-                                               dtype_bytes)
+        bytes_moved = self.sync_bytes_per_gemv(rows, output_dim, method)
         wire = bytes_moved / self.chip.noc.bandwidth_bytes_per_s
         hop = self.chip.cores / 2 * self.chip.noc.hop_latency_s
         overlappable = 0.95 if method == CoreSyncMethod.ALL_GATHER else 0.25
@@ -96,16 +95,15 @@ class MultiCoreDataflow:
 
     def sync_bubble(self, rows: int, output_dim: int,
                     compute_seconds: float,
-                    method: CoreSyncMethod = CoreSyncMethod.ALL_GATHER,
-                    dtype_bytes: int = 2) -> SyncBubble:
+                    method: CoreSyncMethod = CoreSyncMethod.ALL_GATHER
+                    ) -> SyncBubble:
         """Exposed sync time after overlapping with ``compute_seconds``."""
-        wire, hideable, hop = self.sync_terms(rows, output_dim, method,
-                                              dtype_bytes)
+        wire, hideable, hop = self.sync_terms(rows, output_dim, method)
         hidden = min(hideable, compute_seconds)
         return SyncBubble(wire_seconds=wire,
                           exposed_seconds=wire - hidden + hop)
 
-    def required_noc_bandwidth(self, dtype_bytes: int = 2) -> float:
+    def required_noc_bandwidth(self) -> float:
         """NoC bandwidth the dataflow needs to not throttle the cores.
 
         Latency dataflow: gathered final sums are tiny; the floor is set
@@ -118,7 +116,8 @@ class MultiCoreDataflow:
         sa = self.chip.systolic_array
         if sa is None:
             return self.chip.memory_bandwidth
-        # one weight element per column per cycle during steady prefetch
-        per_core = sa.cols * sa.lanes * dtype_bytes * self.chip.frequency_hz
+        # one 2-byte weight element per column per cycle during steady
+        # prefetch
+        per_core = sa.cols * sa.lanes * 2 * self.chip.frequency_hz
         # broadcast: one stream serves all cores
         return per_core

@@ -55,6 +55,6 @@ class DesignPoint:
         return min(e.tokens_per_s for e in self.evaluations) / self.area_mm2
 
 
-def evaluate_area(chip: ChipSpec, area_model: AreaModel | None = None) -> float:
+def evaluate_area(chip: ChipSpec) -> float:
     """Die area of a candidate under the calibrated cost model."""
-    return (area_model or AreaModel()).die_area_mm2(chip)
+    return AreaModel().die_area_mm2(chip)

@@ -40,12 +40,12 @@ from repro.models.layers import (
 )
 from repro.parallel.collectives import (
     SyncPlan,
+    choose_sync_method,
     collective_terms,
     layer_sync_bytes,
     layer_sync_plan,
     visible_collective_time,
 )
-from repro.parallel.mapper import ModelParallelMapper
 from repro.perf.baselines import BaselineBreakdown, DeviceModel, baseline_for
 from repro.perf.effective_bandwidth import MT_BANDWIDTH_CURVE
 from repro.perf.mac_tree import MacTreeTimingModel
@@ -294,7 +294,7 @@ class HdaScheduler:
 
     def _tp_sync_plan(self, model: ModelConfig, rows: int,
                       devices: int) -> SyncPlan:
-        method = ModelParallelMapper(model).choose_sync_method(devices)
+        method = choose_sync_method(devices)
         tensor_bytes = rows * model.hidden_size * model.dtype_bytes
         return layer_sync_plan(method, tensor_bytes, devices)
 

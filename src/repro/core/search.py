@@ -22,7 +22,6 @@ from repro.core.requirements import SearchRequest
 from repro.core.scheduling import AdorDeviceModel
 from repro.core.template import AdorTemplate, TemplateKnobs
 from repro.core.dataflow import DataflowKind, MultiCoreDataflow
-from repro.hardware.area import AreaModel
 from repro.hardware.components import MacTree
 from repro.hardware.power import PowerModel
 from repro.models.footprint import peak_local_memory
@@ -64,12 +63,8 @@ class AdorSearch:
     """
 
     def __init__(self, request: SearchRequest,
-                 area_model: AreaModel | None = None,
-                 power_model: PowerModel | None = None,
                  memoize: bool = True) -> None:
         self.request = request
-        self.area_model = area_model or AreaModel()
-        self.power_model = power_model or PowerModel()
         self.template = AdorTemplate(request.vendor)
         self.models = [get_model(name) for name in request.model_names]
         self.memoize = memoize
@@ -223,7 +218,7 @@ class AdorSearch:
             ))
         return DesignPoint(
             chip=chip,
-            area_mm2=evaluate_area(chip, self.area_model),
+            area_mm2=evaluate_area(chip),
             evaluations=tuple(evaluations),
         )
 
@@ -238,6 +233,7 @@ class AdorSearch:
         log: list[str] = []
         all_points: list[DesignPoint] = []
         budget = vendor.area_budget_mm2
+        power = PowerModel()
 
         for iteration in range(max_iterations):
             log.append(f"iteration {iteration}: area budget {budget:.0f} mm2")
@@ -259,7 +255,7 @@ class AdorSearch:
             within_budget = [
                 p for p in points
                 if p.area_mm2 <= budget
-                and self.power_model.tdp_w(p.chip) <= vendor.power_budget_w
+                and power.tdp_w(p.chip) <= vendor.power_budget_w
             ]
             feasible = [
                 p for p in within_budget

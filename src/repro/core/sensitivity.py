@@ -81,22 +81,20 @@ def sensitivity_table(
     model: ModelConfig,
     batch: int = 128,
     seq_len: int = 1024,
-    devices: int = 1,
-    area_model: AreaModel | None = None,
 ) -> list[SensitivityRow]:
-    """Relative TTFT / TBT / area response to each knob perturbation."""
-    area_model = area_model or AreaModel()
+    """Relative TTFT / TBT / area response to each knob perturbation, on
+    one device."""
+    area_model = AreaModel()
     base_device = AdorDeviceModel(chip)
-    base_ttft = base_device.prefill_time(model, 1, seq_len, devices).seconds
-    base_tbt = base_device.decode_step_time(model, batch, seq_len,
-                                            devices).seconds
+    base_ttft = base_device.prefill_time(model, 1, seq_len).seconds
+    base_tbt = base_device.decode_step_time(model, batch, seq_len).seconds
     base_area = area_model.die_area_mm2(chip)
 
     rows = []
     for knob, direction, variant in _variants(chip):
         device = AdorDeviceModel(variant)
-        ttft = device.prefill_time(model, 1, seq_len, devices).seconds
-        tbt = device.decode_step_time(model, batch, seq_len, devices).seconds
+        ttft = device.prefill_time(model, 1, seq_len).seconds
+        tbt = device.decode_step_time(model, batch, seq_len).seconds
         area = area_model.die_area_mm2(variant)
         rows.append(SensitivityRow(
             knob=knob,

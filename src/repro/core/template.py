@@ -59,20 +59,13 @@ class TemplateKnobs:
         if self.noc_bandwidth <= 0 or self.p2p_bandwidth <= 0:
             raise ValueError("interconnect bandwidths must be positive")
 
-    @property
-    def total_macs(self) -> int:
-        sa = self.sa_rows * self.sa_cols * self.cores
-        mt = self.mt_tree_size * self.mt_lanes * self.cores
-        return sa + mt
-
 
 class AdorTemplate:
-    """Materializes knobs into chips and applies the paper's sizing rules."""
+    """Materializes knobs into 7 nm chips and applies the paper's sizing
+    rules."""
 
-    def __init__(self, vendor: VendorConstraints,
-                 process: ProcessNode = ProcessNode.NM_7) -> None:
+    def __init__(self, vendor: VendorConstraints) -> None:
         self.vendor = vendor
-        self.process = process
 
     # ------------------------------------------------------------------ #
     # Section V-A closed-form starting points                             #
@@ -112,7 +105,7 @@ class AdorTemplate:
             ),
             noc=NocSpec(bandwidth_bytes_per_s=knobs.noc_bandwidth),
             p2p=P2pSpec(bandwidth_bytes_per_s=knobs.p2p_bandwidth),
-            process=self.process,
+            process=ProcessNode.NM_7,
         )
 
     def memory_split(self, local_bytes_per_core: float,

@@ -56,18 +56,6 @@ class AreaBreakdown:
             + self.fixed_overhead
         )
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "systolic array": self.systolic_array,
-            "MAC tree": self.mac_tree,
-            "vector unit": self.vector_unit,
-            "SRAM": self.sram,
-            "DRAM interface": self.dram_interface,
-            "P2P interface": self.p2p_interface,
-            "core overhead": self.core_overhead,
-            "fixed overhead": self.fixed_overhead,
-        }
-
 
 @dataclass(frozen=True)
 class AreaModel:

@@ -33,10 +33,6 @@ class SystolicArray:
         """MAC units in all lanes of one core's array."""
         return self.rows * self.cols * self.lanes
 
-    def peak_flops(self, frequency_hz: float) -> float:
-        """Peak FLOPS of one core's array (2 FLOPs per MAC per cycle)."""
-        return 2.0 * self.macs * frequency_hz
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         lanes = f" x{self.lanes} lanes" if self.lanes > 1 else ""
         return f"SA {self.rows}x{self.cols}{lanes}"
@@ -66,10 +62,6 @@ class MacTree:
     def macs(self) -> int:
         """MAC units in all lanes of one core's tree."""
         return self.tree_size * self.lanes
-
-    def peak_flops(self, frequency_hz: float) -> float:
-        """Peak FLOPS of one core's MAC tree."""
-        return 2.0 * self.macs * frequency_hz
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"MT {self.tree_size}x{self.lanes}"

@@ -32,12 +32,6 @@ class NocSpec:
         if self.hop_latency_s < 0:
             raise ValueError("hop latency must be non-negative")
 
-    def transfer_time(self, payload_bytes: float, hops: int = 1) -> float:
-        """Seconds to move ``payload_bytes`` across ``hops`` routers."""
-        if payload_bytes < 0 or hops < 0:
-            raise ValueError("payload and hops must be non-negative")
-        return payload_bytes / self.bandwidth_bytes_per_s + hops * self.hop_latency_s
-
 
 @dataclass(frozen=True)
 class P2pSpec:

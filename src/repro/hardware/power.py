@@ -6,10 +6,10 @@ over CGRA partly on power (Section II-C cites 41.3 % savings).  This
 module prices a workload's energy from per-event coefficients at a 7 nm
 reference node:
 
-* MAC energy (systolic; MAC-tree MACs carry a wiring penalty),
+* MAC energy (systolic; MAC-tree MACs carry a wiring penalty in the
+  peak power),
 * SRAM access energy (one coefficient for local and global pools),
 * DRAM access energy (HBM-class, ~7.5 pJ/bit),
-* NoC and P2P transfer energy,
 * static power as a fraction of the peak dynamic power plus a floor.
 
 Coefficients are standard circuit-level figures for 7 nm-class silicon;
@@ -32,24 +32,11 @@ class EnergyBreakdown:
     compute: float
     sram: float
     dram: float
-    noc: float
-    p2p: float
     static: float
 
     @property
     def total(self) -> float:
-        return (self.compute + self.sram + self.dram + self.noc + self.p2p
-                + self.static)
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "compute": self.compute,
-            "SRAM": self.sram,
-            "DRAM": self.dram,
-            "NoC": self.noc,
-            "P2P": self.p2p,
-            "static": self.static,
-        }
+        return self.compute + self.sram + self.dram + self.static
 
 
 @dataclass(frozen=True)
@@ -62,8 +49,6 @@ class PowerModel:
     mt_energy_penalty: float = 1.3
     sram_pj_per_byte: float = 1.2
     dram_pj_per_byte: float = 60.0
-    noc_pj_per_byte: float = 0.5
-    p2p_pj_per_byte: float = 8.0
     #: leakage + clock tree as a fraction of peak dynamic power
     static_fraction: float = 0.12
     static_floor_w: float = 20.0
@@ -98,39 +83,23 @@ class PowerModel:
             return chip.tdp_w
         return self.peak_dynamic_power_w(chip) + self.static_power_w(chip)
 
-    def workload_energy(
-        self,
-        chip: ChipSpec,
-        duration_s: float,
-        flops: float,
-        dram_bytes: float,
-        sram_bytes: float | None = None,
-        noc_bytes: float = 0.0,
-        p2p_bytes: float = 0.0,
-        mt_flop_fraction: float = 0.0,
-    ) -> EnergyBreakdown:
+    def workload_energy(self, chip: ChipSpec, duration_s: float,
+                        flops: float, dram_bytes: float) -> EnergyBreakdown:
         """Energy of a workload that ran for ``duration_s``.
 
-        ``sram_bytes`` defaults to twice the DRAM traffic (stream in, use
-        once from a buffer); ``mt_flop_fraction`` routes that share of the
-        FLOPs through the costlier MAC-tree coefficient.
+        Every FLOP is priced at the systolic MAC coefficient, and SRAM
+        traffic is twice the DRAM traffic (stream in, use once from a
+        buffer).
         """
         if duration_s < 0 or flops < 0 or dram_bytes < 0:
             raise ValueError("workload quantities must be non-negative")
-        if not 0.0 <= mt_flop_fraction <= 1.0:
-            raise ValueError("mt_flop_fraction must be in [0, 1]")
         scale = self._scale(chip)
-        if sram_bytes is None:
-            sram_bytes = 2.0 * dram_bytes
+        sram_bytes = 2.0 * dram_bytes
         macs = flops / 2.0
-        mac_energy = macs * self.sa_mac_pj * (
-            1.0 - mt_flop_fraction + mt_flop_fraction * self.mt_energy_penalty
-        ) * 1e-12
+        mac_energy = macs * self.sa_mac_pj * 1e-12
         return EnergyBreakdown(
             compute=scale * mac_energy,
             sram=scale * sram_bytes * self.sram_pj_per_byte * 1e-12,
             dram=scale * dram_bytes * self.dram_pj_per_byte * 1e-12,
-            noc=scale * noc_bytes * self.noc_pj_per_byte * 1e-12,
-            p2p=scale * p2p_bytes * self.p2p_pj_per_byte * 1e-12,
             static=self.static_power_w(chip) * duration_s,
         )

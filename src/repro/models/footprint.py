@@ -48,11 +48,6 @@ class LocalMemoryReport:
         }
 
     @property
-    def peak(self) -> float:
-        """Overall peak — the minimum local memory a core group needs."""
-        return max(self.as_dict().values())
-
-    @property
     def peak_excluding_lm_head(self) -> float:
         """Peak over the per-layer types (the paper notes only the LM head
         exceeds 1.5 MB for LLaMA3-8B at batch 32)."""
@@ -61,12 +56,7 @@ class LocalMemoryReport:
         return max(values.values())
 
 
-def peak_local_memory(
-    config: ModelConfig,
-    batch: int,
-    flash_tile: int = FLASH_TILE,
-    lm_head_tiles: int = LM_HEAD_VOCAB_TILES,
-) -> LocalMemoryReport:
+def peak_local_memory(config: ModelConfig, batch: int) -> LocalMemoryReport:
     """Peak activation bytes by layer type for a decode step at ``batch``.
 
     The decode stage is the local-memory sizing case ADOR uses: prefill
@@ -88,7 +78,8 @@ def peak_local_memory(
     # attention: q/k/v rows for the new token, a flash tile of scores per
     # head, and the accumulated context output
     qkv_rows = row * (config.q_dim + 2 * config.kv_dim)
-    score_tile = batch * config.num_heads * min(flash_tile, config.max_position_embeddings) * d
+    score_tile = batch * config.num_heads \
+        * min(FLASH_TILE, config.max_position_embeddings) * d
     attn_out = row * config.q_dim
     self_attention = qkv_rows + score_tile + attn_out
     # MLP: input row + intermediate + output row.  SwiGLU kernels fuse the
@@ -96,7 +87,7 @@ def peak_local_memory(
     # intermediate tensor is ever resident.
     mlp = row * h + row * config.intermediate_size + row * h
     # LM head: input row + one vocabulary tile of logits
-    lm_head = row * h + row * (config.vocab_size / lm_head_tiles)
+    lm_head = row * h + row * (config.vocab_size / LM_HEAD_VOCAB_TILES)
     return LocalMemoryReport(
         token_embedding=token_embedding,
         residual_elementwise=residual,

@@ -52,16 +52,15 @@ def max_batch_for_memory(
     seq_len: int,
     dram_bytes: float,
     num_devices: int = 1,
-    reserve_fraction: float = 0.05,
 ) -> int:
     """Largest batch whose weights + KV fit in aggregate DRAM.
 
-    The serving simulator uses this as the admission-control limit, with a
-    small ``reserve_fraction`` held back for activations and fragmentation.
+    The serving simulator uses this as the admission-control limit, with
+    5 % held back for activations and fragmentation.
     """
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
-    capacity = dram_bytes * num_devices * (1.0 - reserve_fraction)
+    capacity = dram_bytes * num_devices * 0.95
     available = capacity - config.param_bytes
     if available <= 0:
         return 0

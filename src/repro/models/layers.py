@@ -10,7 +10,7 @@ whole-model operator lists.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.models.config import ModelConfig
 
@@ -77,15 +77,6 @@ class Operator:
     heads: int = 1
     context_len: int = 0
     group_size: int = 1
-
-    def scaled(self, factor: float) -> "Operator":
-        """Return a copy with work quantities scaled (used by TP sharding)."""
-        return replace(
-            self,
-            flops=self.flops * factor,
-            weight_bytes=self.weight_bytes * factor,
-            io_bytes=self.io_bytes * factor,
-        )
 
 
 def _gemm(

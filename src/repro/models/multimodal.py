@@ -82,8 +82,9 @@ class LmmWorkload:
     encoder_workload: VisionEncoderWorkload
 
     @classmethod
-    def default(cls, llm_name: str = "llama3-8b") -> "LmmWorkload":
-        return cls(llm=get_model(llm_name),
+    def default(cls) -> "LmmWorkload":
+        """LLaMA3-8B behind a ViT-L/14 encoder."""
+        return cls(llm=get_model("llama3-8b"),
                    encoder_workload=VisionEncoderWorkload(VIT_L_14))
 
     def effective_input_tokens(self, text_tokens: int,
@@ -92,8 +93,9 @@ class LmmWorkload:
             raise ValueError("token and image counts must be non-negative")
         return text_tokens + images * self.encoder_workload.num_tokens
 
-    def encoder_flops(self, images: int = 1) -> float:
-        return self.encoder_workload.flops(batch=max(1, images))
+    def encoder_flops(self) -> float:
+        """Encoder FLOPs for one image."""
+        return self.encoder_workload.flops(batch=1)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,13 @@ Implements the paper's Section IV-D and V-C analyses: synchronization
 volumes of all-gather / all-reduce / Megatron hybrids (Fig. 7c), tensor-
 parallel latency scalability (Fig. 13a), the computation-communication
 overlap model that determines minimum P2P bandwidth (Fig. 13b), and the
-model-parallelism mapper that checks a model shards across devices
-(Fig. 7a).
+rule that picks a shard count's synchronization method (Fig. 7a).
 """
 
 from repro.parallel.collectives import (
     SyncMethod,
     all_gather_bytes_per_device,
+    choose_sync_method,
     all_reduce_bytes_per_device,
     layer_sync_plan,
 )
@@ -20,7 +20,6 @@ from repro.parallel.tensor_parallel import (
 )
 from repro.parallel.pipeline_parallel import PipelineParallelModel
 from repro.parallel.overlap import OverlapModel, minimum_p2p_bandwidth
-from repro.parallel.mapper import ModelParallelMapper
 from repro.parallel.hybrid import HybridParallelPlanner, HybridPlan
 
 __all__ = [
@@ -29,11 +28,11 @@ __all__ = [
     "SyncMethod",
     "all_gather_bytes_per_device",
     "all_reduce_bytes_per_device",
+    "choose_sync_method",
     "layer_sync_plan",
     "TpLatencyModel",
     "tp_scalability_curve",
     "PipelineParallelModel",
     "OverlapModel",
     "minimum_p2p_bandwidth",
-    "ModelParallelMapper",
 ]

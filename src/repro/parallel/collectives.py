@@ -34,6 +34,14 @@ class SyncMethod(enum.Enum):
     MEGATRON = "megatron"
 
 
+def choose_sync_method(devices: int) -> SyncMethod:
+    """The paper's rule (Fig. 7a, Section V-C): Megatron <= 2 devices,
+    all-gather beyond."""
+    if devices <= 2:
+        return SyncMethod.MEGATRON
+    return SyncMethod.ALL_GATHER
+
+
 def all_gather_bytes_per_device(tensor_bytes: float, devices: int) -> float:
     """Per-device wire traffic of a direct all-gather."""
     _validate(tensor_bytes, devices)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from repro.hardware.interconnect import P2pSpec
 from repro.models.config import ModelConfig
-from repro.parallel.collectives import SyncMethod
-from repro.parallel.mapper import ModelParallelMapper
+from repro.parallel.collectives import SyncMethod, choose_sync_method
 from repro.parallel.pipeline_parallel import PipelineParallelModel
 from repro.parallel.tensor_parallel import TpLatencyModel
 
@@ -30,10 +29,6 @@ class HybridPlan:
     decode_step_seconds: float
     throughput_tokens_per_s: float
 
-    @property
-    def devices(self) -> int:
-        return self.tp * self.pp
-
 
 class HybridParallelPlanner:
     """Enumerates and scores TP x PP plans for one model on one fabric."""
@@ -43,7 +38,6 @@ class HybridParallelPlanner:
         self.model = model
         self.tp_model = TpLatencyModel(model, memory_bandwidth, p2p)
         self.pp_model = PipelineParallelModel(model, p2p)
-        self.mapper = ModelParallelMapper(model)
 
     def factorizations(self, devices: int) -> list[tuple[int, int]]:
         """All (tp, pp) with tp*pp == devices and tp sharding heads evenly."""
@@ -64,7 +58,7 @@ class HybridParallelPlanner:
     def evaluate(self, tp: int, pp: int, batch: int,
                  context_len: int) -> HybridPlan:
         """Score one factorization."""
-        method = self.mapper.choose_sync_method(tp)
+        method = choose_sync_method(tp)
         tp_step = self.tp_model.decode_step_seconds(batch, context_len, tp,
                                                     method)
         # PP leaves per-token latency at the full traversal plus hops...

@@ -127,17 +127,18 @@ class OverlapModel:
 def minimum_p2p_bandwidth(
     overlap: OverlapModel,
     devices: int,
-    method: SyncMethod = SyncMethod.ALL_GATHER,
     efficiency_target: float = 0.95,
     candidates_gbps: tuple = (8, 16, 32, 64, 128, 256, 600, 900),
 ) -> float:
-    """Smallest candidate P2P bandwidth reaching the scalability target.
+    """Smallest candidate P2P bandwidth reaching the scalability target
+    under all-gather synchronization.
 
     The target is relative to an infinite-bandwidth link; the paper finds
     ~32 GB/s (PCIe-4 x16) sufficient for the all-gather dataflow.
     """
     if devices < 2:
         return 0.0
+    method = SyncMethod.ALL_GATHER
     infinite = P2pSpec(bandwidth_bytes_per_s=1e18)
     ideal = overlap.iteration_seconds(devices, infinite, method)
     for gbps in sorted(candidates_gbps):

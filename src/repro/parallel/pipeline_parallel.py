@@ -37,8 +37,6 @@ class PipelineParallelModel:
         hop = self.p2p.transfer_time(activation_bytes)
         return single_device_seconds + (devices - 1) * hop
 
-    def throughput_scaling(self, devices: int, bubble_fraction: float = 0.05) -> float:
-        """Steady-state throughput multiplier with a small pipeline bubble."""
-        if not 0 <= bubble_fraction < 1:
-            raise ValueError("bubble fraction must be in [0, 1)")
-        return devices * (1.0 - bubble_fraction)
+    def throughput_scaling(self, devices: int) -> float:
+        """Steady-state throughput multiplier with a 5 % pipeline bubble."""
+        return devices * 0.95

@@ -14,7 +14,6 @@
 from repro.perf.effective_bandwidth import (
     EffectiveBandwidthCurve,
     MT_BANDWIDTH_CURVE,
-    effective_bandwidth,
 )
 from repro.perf.systolic import SaGemmEstimate, SystolicTimingModel
 from repro.perf.mac_tree import MacTreeTimingModel, MtEstimate
@@ -32,7 +31,6 @@ from repro.perf.cache import CachedDeviceModel, CacheStats
 __all__ = [
     "EffectiveBandwidthCurve",
     "MT_BANDWIDTH_CURVE",
-    "effective_bandwidth",
     "SaGemmEstimate",
     "SystolicTimingModel",
     "MacTreeTimingModel",

@@ -42,22 +42,12 @@ class BaselineBreakdown:
         if self.seconds < 0:
             raise ValueError("negative stage time")
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "weight stream": self.weight_stream,
-            "attention": self.attention,
-            "compute": self.compute,
-            "communication": self.communication,
-            "overhead": self.overhead,
-        }
-
 
 def _tp_allreduce_seconds(
     chip: ChipSpec,
     model: ModelConfig,
     rows: int,
     num_devices: int,
-    syncs_per_layer: int = 2,
 ) -> float:
     """Megatron-style tensor-parallel sync cost per forward pass.
 
@@ -71,7 +61,7 @@ def _tp_allreduce_seconds(
     wire = per_sync / chip.p2p.bandwidth_bytes_per_s
     steps = 2 * (num_devices - 1)
     latency = steps * chip.p2p.latency_s
-    return model.num_layers * syncs_per_layer * (wire + latency)
+    return model.num_layers * 2 * (wire + latency)
 
 
 class DeviceModel(abc.ABC):
@@ -140,14 +130,14 @@ class GpuEfficiency:
 
 
 class GpuModel(DeviceModel):
-    """A100/H100-class SMT GPU."""
+    """A100/H100-class SMT GPU, derated by :class:`GpuEfficiency`'s
+    defaults."""
 
-    def __init__(self, chip: ChipSpec,
-                 efficiency: GpuEfficiency | None = None) -> None:
+    def __init__(self, chip: ChipSpec) -> None:
         if chip.kind != ChipKind.GPU:
             raise ValueError(f"{chip.name} is not a GPU spec")
         super().__init__(chip)
-        self.eff = efficiency or GpuEfficiency()
+        self.eff = GpuEfficiency()
 
     def _overhead(self, model: ModelConfig) -> float:
         return self.eff.kernel_overhead_s * self.eff.kernels_per_layer \
@@ -229,15 +219,15 @@ NPU_EFFICIENCY_PRESETS: dict[str, NpuEfficiency] = {
 
 
 class SystolicNpuModel(DeviceModel):
-    """TPU / LLMCompass-class systolic-array NPU."""
+    """TPU / LLMCompass-class systolic-array NPU, derated by the chip's
+    :data:`NPU_EFFICIENCY_PRESETS` entry (the :class:`NpuEfficiency`
+    defaults for any other chip)."""
 
-    def __init__(self, chip: ChipSpec,
-                 efficiency: NpuEfficiency | None = None) -> None:
+    def __init__(self, chip: ChipSpec) -> None:
         if chip.kind != ChipKind.SYSTOLIC_NPU:
             raise ValueError(f"{chip.name} is not a systolic NPU spec")
         super().__init__(chip)
-        self.eff = efficiency or NPU_EFFICIENCY_PRESETS.get(
-            chip.name, NpuEfficiency())
+        self.eff = NPU_EFFICIENCY_PRESETS.get(chip.name, NpuEfficiency())
 
     def _overhead(self, model: ModelConfig) -> float:
         return self.eff.op_overhead_s * self.eff.ops_per_layer * model.num_layers

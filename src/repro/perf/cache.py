@@ -69,11 +69,10 @@ class CachedDeviceModel(DeviceModel):
     """Memoizes ``decode_step_time`` / ``prefill_time`` of a wrapped model.
 
     Keys are ``(model, batch, context, num_devices)``; ``ModelConfig`` is
-    a frozen dataclass, so equal configs share entries.  The wrapper is
-    transparent for everything else: unknown attributes (``scheduler``,
-    ``devices_required``, ...) delegate to the inner model, and the
-    inherited :class:`DeviceModel` helpers (bandwidth utilization,
-    prefill FLOPS) route their stage-time calls through the cache.
+    a frozen dataclass, so equal configs share entries.  The inherited
+    :class:`DeviceModel` helpers (bandwidth utilization, prefill FLOPS)
+    route their stage-time calls through the cache; anything else of the
+    wrapped model is reached through ``inner``.
     """
 
     def __init__(self, inner: DeviceModel, context_bucket: int = 1) -> None:
@@ -96,15 +95,6 @@ class CachedDeviceModel(DeviceModel):
         # raw-context -> step-seconds maps, keyed (model id, batch,
         # devices).  See decode_seconds_map.
         self._decode_seconds: dict[tuple[int, int, int], dict[int, float]] = {}
-
-    def __getattr__(self, name: str):
-        # only called when normal lookup fails: delegate e.g.
-        # TspModel.devices_required or AdorDeviceModel.scheduler
-        if name == "inner":
-            # during unpickling the instance dict is still empty;
-            # delegating would recurse on self.inner forever
-            raise AttributeError(name)
-        return getattr(self.inner, name)
 
     def bucketed_context(self, context_len: int) -> int:
         """The context length actually evaluated for ``context_len``."""
@@ -141,7 +131,7 @@ class CachedDeviceModel(DeviceModel):
         return value
 
     def decode_seconds_map(self, model: ModelConfig, batch: int,
-                           num_devices: int = 1) -> dict[int, float]:
+                           num_devices: int) -> dict[int, float]:
         """Mutable ``{raw context -> decode-step seconds}`` map for one
         ``(model, batch, num_devices)`` operating point.
 
@@ -186,11 +176,3 @@ class CachedDeviceModel(DeviceModel):
         info["prefill_entries"] = sum(len(e) for e in self._prefill.values())
         info["context_bucket"] = self.context_bucket
         return info
-
-    def clear(self) -> None:
-        """Drop all entries and reset counters."""
-        self._models.clear()
-        self._decode.clear()
-        self._prefill.clear()
-        self._decode_seconds.clear()
-        self.stats = CacheStats()

@@ -55,27 +55,18 @@ class EffectiveBandwidthCurve:
             raise ValueError("peak bandwidth must be positive")
         return peak_bytes_per_s * self.utilization(ops_per_device)
 
-    def noisy_measurements(
-        self,
-        ops: np.ndarray,
-        rng: np.random.Generator,
-        relative_sigma: float = 0.015,
-    ) -> np.ndarray:
-        """Synthetic "FPGA measurement" points with multiplicative noise.
+    def noisy_measurements(self, ops: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+        """Synthetic "FPGA measurement" points with 1.5 % multiplicative
+        noise.
 
         Used by the Fig. 10 bench to recreate the measurement scatter; the
         noise never pushes a sample above 1.0 utilization.
         """
         clean = self.utilization_array(ops)
-        noisy = clean * rng.normal(1.0, relative_sigma, size=clean.shape)
+        noisy = clean * rng.normal(1.0, 0.015, size=clean.shape)
         return np.clip(noisy, 0.0, 1.0)
 
 
 #: The calibrated curve used by every MAC-tree timing estimate.
 MT_BANDWIDTH_CURVE = EffectiveBandwidthCurve()
-
-
-def effective_bandwidth(peak_bytes_per_s: float, ops_per_device: float,
-                        curve: EffectiveBandwidthCurve = MT_BANDWIDTH_CURVE) -> float:
-    """Convenience wrapper over :class:`EffectiveBandwidthCurve`."""
-    return curve.effective_bandwidth(peak_bytes_per_s, ops_per_device)

@@ -67,14 +67,9 @@ class MacTreeTimingModel:
         compute = flops / (2.0 * usable_macs * self.frequency_hz)
         return MtEstimate(seconds=max(stream, compute))
 
-    def gemv(
-        self,
-        batch: int,
-        k: int,
-        n: int,
-        dtype_bytes: int = 2,
-    ) -> MtEstimate:
-        """Batched weight GEMV: ``batch`` rows against a ``K x N`` weight.
+    def gemv(self, batch: int, k: int, n: int) -> MtEstimate:
+        """Batched weight GEMV: ``batch`` rows against a ``K x N`` weight
+        of 2-byte elements.
 
         Weights stream once from DRAM and are consumed by all batch rows,
         so the stream term is weight bytes only — exactly the dataflow of
@@ -83,7 +78,7 @@ class MacTreeTimingModel:
         if batch < 1 or k < 1 or n < 1:
             raise ValueError("GEMV dims must be >= 1")
         flops = 2.0 * batch * k * n
-        stream_bytes = float(k * n * dtype_bytes)
+        stream_bytes = float(k * n * 2)
         return self._estimate(flops, stream_bytes, parallel_jobs=batch)
 
     def decode_attention(

@@ -70,16 +70,6 @@ class StreamStats:
     def mean_e2e_s(self) -> float:
         return self.e2e_sum / self.finished if self.finished else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "finished": self.finished,
-            "tokens": self.tokens,
-            "mean_ttft_s": self.mean_ttft_s,
-            "max_ttft_s": self.ttft_max,
-            "mean_e2e_s": self.mean_e2e_s,
-            "max_e2e_s": self.e2e_max,
-        }
-
 
 # --------------------------------------------------------------------- #
 # Progress heartbeat                                                     #

@@ -190,15 +190,11 @@ class SimulationResult:
                    for r in self.finished + self.unfinished) \
             + self.sunk_tokens
 
-    @property
-    def tokens_per_s(self) -> float:
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.generated_tokens / self.total_time_s
 
-
-def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
-                     now, limit, busy, decode_time, finished, factor=1.0):
+def run_decode_burst(scheduler: ContinuousBatchingScheduler,
+                     plan: IterationPlan, pending, device: DeviceModel,
+                     model, num_devices, now, limit, busy, decode_time,
+                     finished, factor=1.0):
     """Fast-forward one pure-decode run and apply it, in one place.
 
     Steps a fixed decode batch until the earliest completion

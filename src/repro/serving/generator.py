@@ -101,9 +101,9 @@ class PoissonArrivalTemplate:
         self._unit_gaps = rng.standard_exponential(size=count)
         self._lengths = sample_trace(trace, count, rng)
 
-    def requests_at(self, rate_per_s: float,
-                    start_time: float = 0.0) -> list[Request]:
-        """Fresh :class:`Request` objects for one probed arrival rate."""
+    def requests_at(self, rate_per_s: float) -> list[Request]:
+        """Fresh :class:`Request` objects for one probed arrival rate,
+        arriving from time zero."""
         if rate_per_s <= 0:
             raise ValueError("arrival rate must be positive")
         if self.count == 0:
@@ -112,7 +112,7 @@ class PoissonArrivalTemplate:
         # numpy's exponential(scale) multiplies each standard draw by the
         # scale, and IEEE multiplication is commutative bit-for-bit
         gaps = self._unit_gaps * (1.0 / rate_per_s)
-        arrivals = start_time + np.cumsum(gaps)
+        arrivals = np.cumsum(gaps)
         return [
             Request(
                 request_id=i,
@@ -129,9 +129,9 @@ class PoissonArrivalTemplate:
 # --------------------------------------------------------------------- #
 
 def iter_poisson_requests(trace: ChatTraceConfig, rate_per_s: float,
-                          seed: int, count: int, start_time: float = 0.0,
+                          seed: int, count: int,
                           chunk: int = STREAM_CHUNK) -> Iterator[Request]:
-    """``count`` requests with Poisson arrivals from ``start_time``.
+    """``count`` requests with Poisson arrivals from time zero.
 
     Three replay generators cover the draw order (all gaps, then all
     inputs, then all outputs): the gap stream starts at position zero,
@@ -161,7 +161,7 @@ def iter_poisson_requests(trace: ChatTraceConfig, rate_per_s: float,
             total += float(gaps[i])
             yield Request(
                 request_id=request_id,
-                arrival_time=float(start_time + total),
+                arrival_time=total,
                 input_tokens=int(inputs[i]),
                 output_tokens=int(outputs[i]),
             )
@@ -170,9 +170,10 @@ def iter_poisson_requests(trace: ChatTraceConfig, rate_per_s: float,
 
 def iter_onoff_requests(trace: ChatTraceConfig, on_rate_per_s: float,
                         off_rate_per_s: float, phase_seconds: float,
-                        seed: int, count: int, start_time: float = 0.0,
+                        seed: int, count: int,
                         chunk: int = STREAM_CHUNK) -> Iterator[Request]:
-    """Bursty arrivals: a Markov-modulated Poisson (on/off) process.
+    """Bursty arrivals from time zero: a Markov-modulated Poisson (on/off)
+    process.
 
     Time alternates between fixed-length phases; arrivals are Poisson at
     ``on_rate_per_s`` during even phases and ``off_rate_per_s`` during
@@ -196,7 +197,7 @@ def iter_onoff_requests(trace: ChatTraceConfig, on_rate_per_s: float,
     _skip_lengths(out_rng, count, chunk)
     _skip_lengths(gap_rng, count, chunk)
     _skip_lengths(gap_rng, count, chunk)
-    now = start_time
+    now = 0.0
     request_id = 0
     for step in _chunk_sizes(count, chunk):
         inputs = sample_inputs(trace, step, in_rng)

@@ -84,12 +84,6 @@ class PagedKvAllocator:
     def active_requests(self) -> int:
         return len(self._allocations)
 
-    def utilization(self) -> float:
-        """Fraction of pool blocks allocated."""
-        if self.total_blocks == 0:
-            return 0.0
-        return self._used_blocks / self.total_blocks
-
     def internal_fragmentation(self) -> float:
         """Bytes allocated but not holding tokens (last-block slack).
 

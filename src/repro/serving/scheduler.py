@@ -41,10 +41,15 @@ import heapq
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import kv_bytes_per_token
 from repro.serving.request import Request, RequestState
+
+if TYPE_CHECKING:   # both modules import this one
+    from repro.serving.engine import _FinishedSink
+    from repro.serving.prefix_cache import PrefixCache
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class ContinuousBatchingScheduler:
     """
 
     def __init__(self, model: ModelConfig, limits: SchedulerLimits,
-                 prefix_cache=None) -> None:
+                 prefix_cache: PrefixCache | None = None) -> None:
         self.model = model
         self.limits = limits
         self.prefix_cache = prefix_cache
@@ -141,10 +146,6 @@ class ContinuousBatchingScheduler:
     def _request_kv_bytes(self, request: Request) -> float:
         return (request.input_tokens + request.output_tokens) \
             * self._kv_per_token
-
-    def decode_context_sum(self) -> int:
-        """Summed context lengths of the decode batch (running counter)."""
-        return self._decode_context_sum
 
     def enqueue(self, request: Request) -> None:
         if request.state != RequestState.QUEUED:
@@ -190,7 +191,8 @@ class ContinuousBatchingScheduler:
         """Decode steps until the earliest member finishes."""
         return self._finishes[0][0] - self._step
 
-    def _stamp(self, times: Sequence[float], finished: list) -> list:
+    def _stamp(self, times: Sequence[float],
+               finished: list[Request] | _FinishedSink) -> list:
         """Run ``len(times)`` decode steps of the whole decode batch.
 
         ``times`` holds the steps' completion stamps in order, and no
@@ -381,7 +383,7 @@ class ContinuousBatchingScheduler:
             self._decode_context_sum = 0
 
     def complete_iteration(self, plan: IterationPlan, now: float,
-                           finished: list) -> None:
+                           finished: list[Request] | _FinishedSink) -> None:
         """Apply state transitions after the engine executed ``plan``,
         whose step completed at ``now``: every decode-batch member emits
         one token (those that finish are appended to ``finished``, in
@@ -400,7 +402,7 @@ class ContinuousBatchingScheduler:
         self._clamp_when_drained()
 
     def complete_burst(self, plan: IterationPlan, times: Sequence[float],
-                       finished: list) -> None:
+                       finished: list[Request] | _FinishedSink) -> None:
         """Apply ``len(times)`` consecutive pure-decode iterations at
         once, the steps completing at ``times``.
 

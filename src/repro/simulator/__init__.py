@@ -2,7 +2,7 @@
 
 Executes compiled instruction streams (:mod:`repro.compiler`) against
 per-unit resource timelines — MAC tree, systolic array, vector units,
-DMA/DRAM, NoC and P2P — honoring dependencies and double-buffered weight
+DMA/DRAM and NoC — honoring dependencies and double-buffered weight
 prefetch.  It is the deeper-fidelity counterpart of the closed-form
 :class:`~repro.core.scheduling.HdaScheduler`; integration tests assert
 the two agree on stage latencies.

@@ -7,9 +7,8 @@ layer are data-dependent), with two sanctioned overlaps:
 * **weight prefetch** — a ``LOAD`` may start up to one operator ahead of
   its consumer (double buffering, Fig. 6c), contending for DRAM with any
   MAC-tree streams;
-* **synchronization** — ``SYNC``/``COMM`` wire time overlaps the
-  preceding compute according to the dataflow's overlappable fraction
-  (Fig. 6d), with protocol latency always exposed.
+* **synchronization** — ``SYNC`` wire time overlaps the preceding
+  compute according to the dataflow's overlappable fraction (Fig. 6d).
 
 Durations come from the same primitives as the analytical scheduler
 (effective-bandwidth curve, systolic estimates, vector rates) so
@@ -63,20 +62,19 @@ class ExecutionReport:
 class InstructionLevelSimulator:
     """Executes :class:`CompiledProgram` streams on an HDA chip."""
 
-    #: fraction of SYNC/COMM wire time hidden behind compute
+    #: fraction of SYNC wire time hidden behind compute
     SYNC_OVERLAP = 0.90
-    COMM_OVERLAP = 0.90
+    #: achieved fraction of peak on systolic-array work and on the MAC
+    #: tree's weight-streamed GEMMs
+    SA_EFFICIENCY = 0.92
+    MT_GEMM_EFFICIENCY = 0.90
 
-    def __init__(self, chip: ChipSpec,
-                 sa_efficiency: float = 0.92,
-                 mt_gemm_efficiency: float = 0.90) -> None:
+    def __init__(self, chip: ChipSpec) -> None:
         if chip.kind != ChipKind.ADOR_HDA:
             raise ValueError("the instruction simulator models HDA chips")
         if chip.systolic_array is None:
             raise ValueError("an HDA chip needs a systolic array")
         self.chip = chip
-        self.sa_efficiency = sa_efficiency
-        self.mt_gemm_efficiency = mt_gemm_efficiency
         self.systolic = SystolicTimingModel(
             array=chip.systolic_array,
             cores=chip.cores,
@@ -97,11 +95,11 @@ class InstructionLevelSimulator:
                 and inst.target == TargetUnit.MAC_TREE:
             stream = self._stream_seconds(inst.bytes_moved, program_flops)
             mt_rate = 2.0 * self.chip.mt_macs * self.chip.frequency_hz \
-                * self.mt_gemm_efficiency
+                * self.MT_GEMM_EFFICIENCY
             if inst.opcode == Opcode.GEMV:
                 # Fig. 8: at batch, the systolic array assists weight-
                 # streamed GEMMs while the MAC tree owns the DRAM stream
-                rate = mt_rate + self.systolic.peak_flops * self.sa_efficiency
+                rate = mt_rate + self.systolic.peak_flops * self.SA_EFFICIENCY
             else:
                 rate = mt_rate
             compute = inst.flops / rate if rate else float("inf")
@@ -118,13 +116,13 @@ class InstructionLevelSimulator:
                     max(1, m), max(1, k), max(1, 2 * inst.meta.get("context", n)),
                     self.chip.memory_bandwidth, weights_resident=True)
                 rate = self.systolic.peak_flops * est.utilization \
-                    * self.sa_efficiency
+                    * self.SA_EFFICIENCY
             else:
                 est = self.systolic.gemm(m, k, n, self.chip.memory_bandwidth,
                                          double_buffered=True,
                                          weights_resident=True)
                 rate = self.systolic.peak_flops * est.utilization \
-                    * self.sa_efficiency
+                    * self.SA_EFFICIENCY
             return inst.flops / rate if rate > 0 else 0.0
         if inst.target == TargetUnit.VECTOR_UNIT:
             if self.chip.vector_unit is None:
@@ -136,9 +134,6 @@ class InstructionLevelSimulator:
             return self._stream_seconds(inst.bytes_moved, program_flops)
         if inst.target == TargetUnit.NOC:
             return inst.bytes_moved / self.chip.noc.bandwidth_bytes_per_s
-        if inst.target == TargetUnit.P2P:
-            return self.chip.p2p.latency_s \
-                + inst.bytes_moved / self.chip.p2p.bandwidth_bytes_per_s
         return 0.0
 
     # ------------------------------------------------------------------ #
@@ -164,12 +159,8 @@ class InstructionLevelSimulator:
                 done = timeline.reserve(0.0, duration)
                 pending_load_done = max(pending_load_done, done)
                 continue
-            if inst.opcode in (Opcode.SYNC, Opcode.COMM):
-                overlap = self.SYNC_OVERLAP if inst.opcode == Opcode.SYNC \
-                    else self.COMM_OVERLAP
-                exposed = duration * (1.0 - overlap)
-                if inst.opcode == Opcode.COMM:
-                    exposed += self.chip.p2p.latency_s * overlap
+            if inst.opcode == Opcode.SYNC:
+                exposed = duration * (1.0 - self.SYNC_OVERLAP)
                 done = timeline.reserve(chain, exposed)
                 chain = done
                 continue

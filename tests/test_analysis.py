@@ -11,7 +11,6 @@ from repro.analysis.metrics import (
 from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
 from repro.hardware.presets import a100, groq_tsp
-from repro.hardware.technology import ProcessNode
 
 
 class TestMetrics:
@@ -22,8 +21,7 @@ class TestMetrics:
 
     def test_normalization_helps_old_nodes(self):
         absolute = area_efficiency_gflops_mm2(100e12, groq_tsp())
-        normalized = normalized_area_efficiency(100e12, groq_tsp(),
-                                                ProcessNode.NM_4)
+        normalized = normalized_area_efficiency(100e12, groq_tsp())
         assert normalized == pytest.approx(absolute * 4.712, rel=0.001)
 
     def test_qos_gain(self):

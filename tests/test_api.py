@@ -180,7 +180,6 @@ class TestSpecRoundTrip:
             deployment=DeploymentSpec(chip="a100", max_batch=32),
             workload=WorkloadSpec(rate_per_s=3.0, num_requests=12, seed=9),
             max_sim_seconds=120.0,
-            name="round-trip",
         )
         clone = Experiment.from_dict(
             json.loads(json.dumps(experiment.to_dict())))
@@ -192,7 +191,6 @@ class TestSpecRoundTrip:
             workload=WorkloadSpec(num_requests=40, seed=9),
             capacity=CapacitySpec(slo_tbt_s=0.025, slo_ttft_s=0.5,
                                   iterations=4, rate_high=64.0),
-            name="capacity-round-trip",
         )
         clone = Experiment.from_dict(
             json.loads(json.dumps(experiment.to_dict())))
@@ -334,7 +332,7 @@ class TestFindCapacity:
             ULTRACHAT_LIKE, slo_tbt_s=0.050, request_count=40, seed=7,
             rate_bounds=(0.5, 64.0), iterations=3, max_sim_seconds=300.0)
         assert isinstance(report, CapacityReport)
-        assert report.max_requests_per_s == direct.max_requests_per_s
+        assert report.capacity.max_requests_per_s == direct.max_requests_per_s
         assert report.qos == direct.qos_at_max
         assert "max sustainable rate" in report.summary()
 
@@ -346,7 +344,8 @@ class TestFindCapacity:
         strict = find_capacity(deployment, workload, self.CAPACITY,
                                max_sim_seconds=300.0, slo_tbt_s=0.02)
         assert strict.capacity_spec.slo_tbt_s == 0.02
-        assert strict.max_requests_per_s <= relaxed.max_requests_per_s
+        assert strict.capacity.max_requests_per_s \
+            <= relaxed.capacity.max_requests_per_s
 
     def test_rate_and_fleet_summaries_name_the_slo_alike(self):
         capacity = CapacitySpec(slo_tbt_s=0.050, slo_ttft_s=2.0,
@@ -394,7 +393,7 @@ class TestFindCapacity:
         )
         report = run_experiment(experiment)
         assert isinstance(report, CapacityReport)
-        assert report.max_requests_per_s > 0.0
+        assert report.capacity.max_requests_per_s > 0.0
 
     def test_committed_capacity_experiment_loads(self):
         import pathlib
@@ -494,7 +493,6 @@ class TestAutoscaleSpecApi:
                                         warm_provision_s=0.5)),
             workload=WorkloadSpec(rate_per_s=30.0, num_requests=60,
                                   seed=3),
-            name="autoscale-round-trip",
         )
         clone = Experiment.from_dict(
             json.loads(json.dumps(experiment.to_dict())))

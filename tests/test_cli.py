@@ -56,6 +56,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "TTFT" in out and "tokens/s" in out
 
+    def test_serve_group_sets_endpoint_knobs_per_group(self, capsys):
+        # --devices and --max-batch go into each group, not the top
+        # level, which an explicit fleet rejects
+        assert main(["serve", "--group", "ador:1", "--devices", "2",
+                     "--max-batch", "8", "--rate", "4",
+                     "--requests", "12"]) == 0
+        assert "1xador fleet (2 device(s)/replica" \
+            in capsys.readouterr().out
+
     def test_serve_seed_is_reproducible(self, capsys):
         assert main(["serve", "--rate", "5", "--requests", "20",
                      "--seed", "21"]) == 0

@@ -94,7 +94,7 @@ def test_sharded_run_is_deterministic_and_conserves_requests():
     first = simulate_cluster(DEPLOYMENT, WORKLOAD, shards=2).cluster
     second = simulate_cluster(DEPLOYMENT, WORKLOAD, shards=2).cluster
     assert cluster_fingerprint(first) == cluster_fingerprint(second)
-    assert first.replica_count == DEPLOYMENT.replicas
+    assert len(first.replica_results) == DEPLOYMENT.replicas
     total = len(first.merged.finished) + len(first.merged.unfinished)
     assert total == WORKLOAD.num_requests
 
@@ -109,8 +109,7 @@ def test_sharded_facade_returns_cluster_report():
 
 
 def test_run_experiment_forwards_shards():
-    experiment = Experiment(name="sharded", deployment=DEPLOYMENT,
-                            workload=WORKLOAD)
+    experiment = Experiment(deployment=DEPLOYMENT, workload=WORKLOAD)
     report = run_experiment(experiment, shards=2)
     assert isinstance(report, ClusterReport)
 
@@ -138,7 +137,7 @@ def test_sharding_allows_disabled_faults():
     deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=2,
                                 faults=FaultSpec(enabled=False))
     result = simulate_cluster(deployment, WORKLOAD, shards=2).cluster
-    assert result.replica_count == 2
+    assert len(result.replica_results) == 2
 
 
 def test_sharding_rejects_more_shards_than_replicas():
@@ -198,8 +197,7 @@ def test_facade_rejects_progress_with_shards():
 
 def test_capacity_experiment_rejects_shards():
     from repro.api.specs import CapacitySpec
-    experiment = Experiment(name="cap", deployment=DEPLOYMENT,
-                            workload=WORKLOAD,
+    experiment = Experiment(deployment=DEPLOYMENT, workload=WORKLOAD,
                             capacity=CapacitySpec())
     with pytest.raises(ValueError, match="capacity"):
         run_experiment(experiment, shards=2)

@@ -57,15 +57,9 @@ class TestModelBinary:
 
     def test_oversized_model_rejected(self):
         llama70 = get_model("llama3-70b")
-        binary = build_model_binary(llama70, ador_table3(), num_devices=1)
+        binary = build_model_binary(llama70, ador_table3())
         with pytest.raises(ValueError, match="exceed"):
             binary.validate_against(ador_table3())
-
-    def test_sharding_splits_bytes(self, llama3):
-        single = build_model_binary(llama3, ador_table3(), 1)
-        double = build_model_binary(llama3, ador_table3(), 2)
-        assert double.device_bytes(0) == pytest.approx(
-            single.device_bytes(0) / 2, rel=0.01)
 
     def test_regions_spread_across_modules(self, llama3):
         binary = build_model_binary(llama3, ador_table3())
@@ -101,12 +95,6 @@ class TestInstructionGenerator:
         syncs = [i for i in program.instructions if i.opcode == Opcode.SYNC]
         assert len(syncs) == 2 * llama3.num_layers
 
-    def test_comm_only_with_multiple_devices(self, generator, llama3):
-        single = generator.compile(llama3, Phase.DECODE, 8, 1, 512, 1)
-        multi = generator.compile(llama3, Phase.DECODE, 8, 1, 512, 4)
-        assert not [i for i in single.instructions if i.opcode == Opcode.COMM]
-        assert [i for i in multi.instructions if i.opcode == Opcode.COMM]
-
     def test_barriers_per_layer(self, generator, llama3):
         program = generator.compile(llama3, Phase.DECODE, 8, 1, 512)
         barriers = [i for i in program.instructions
@@ -122,10 +110,6 @@ class TestInstructionGenerator:
         per_unit = program.per_unit_flops()
         assert per_unit[TargetUnit.MAC_TREE] > 0
         assert per_unit[TargetUnit.VECTOR_UNIT] > 0
-
-    def test_rejects_indivisible_sharding(self, generator, llama3):
-        with pytest.raises(ValueError):
-            generator.compile(llama3, Phase.DECODE, 8, 1, 512, num_devices=3)
 
     def test_rejects_zero_batch(self, generator, llama3):
         with pytest.raises(ValueError):

@@ -91,9 +91,6 @@ class TestKnobValidation:
         with pytest.raises(ValueError):
             make_knobs(cores=0)
 
-    def test_total_macs(self):
-        assert make_knobs().total_macs == 32 * (64 * 64 + 16 * 16)
-
 
 class TestDataflow:
     def test_all_reduce_moves_more_bytes(self):

@@ -3,16 +3,17 @@
 import pytest
 
 from repro.hardware.components import MacTree, SystolicArray, VectorUnit
+from repro.hardware.presets import (
+    ador_table3,
+    llmcompass_latency,
+    llmcompass_throughput,
+)
 
 
 class TestSystolicArray:
     def test_mac_count(self):
         assert SystolicArray(64, 64).macs == 4096
         assert SystolicArray(16, 16, lanes=4).macs == 1024
-
-    def test_peak_flops(self):
-        sa = SystolicArray(64, 64)
-        assert sa.peak_flops(1.5e9) == 2 * 4096 * 1.5e9
 
     def test_rejects_zero_dims(self):
         with pytest.raises(ValueError):
@@ -22,12 +23,12 @@ class TestSystolicArray:
 
     def test_table3_sa_peaks(self):
         """LLMCompass-L/T and ADOR peak FLOPS from Table III."""
-        llmc_l = SystolicArray(16, 16, lanes=4)
-        llmc_t = SystolicArray(32, 32, lanes=4)
-        ador = SystolicArray(64, 64)
-        assert 64 * llmc_l.peak_flops(1.5e9) == pytest.approx(196.6e12, rel=0.01)
-        assert 64 * llmc_t.peak_flops(1.5e9) == pytest.approx(786.4e12, rel=0.01)
-        assert 32 * ador.peak_flops(1.5e9) == pytest.approx(393.2e12, rel=0.01)
+        assert llmcompass_latency().sa_peak_flops \
+            == pytest.approx(196.6e12, rel=0.01)
+        assert llmcompass_throughput().sa_peak_flops \
+            == pytest.approx(786.4e12, rel=0.01)
+        assert ador_table3().sa_peak_flops \
+            == pytest.approx(393.2e12, rel=0.01)
 
 
 class TestMacTree:
@@ -35,9 +36,9 @@ class TestMacTree:
         assert MacTree(16, 16).macs == 256
 
     def test_ador_mt_peak(self):
-        mt = MacTree(16, 16)
         # 32 cores x 256 MACs x 2 x 1.5 GHz = 24.6 TFLOPS
-        assert 32 * mt.peak_flops(1.5e9) == pytest.approx(24.6e12, rel=0.01)
+        assert ador_table3().mt_peak_flops \
+            == pytest.approx(24.6e12, rel=0.01)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -54,7 +55,4 @@ class TestVectorUnit:
 
 class TestTable3TotalPerformance:
     def test_ador_design_reaches_417_tflops(self):
-        sa = SystolicArray(64, 64)
-        mt = MacTree(16, 16)
-        total = 32 * (sa.peak_flops(1.5e9) + mt.peak_flops(1.5e9))
-        assert total == pytest.approx(417e12, rel=0.01)
+        assert ador_table3().peak_flops == pytest.approx(417e12, rel=0.01)

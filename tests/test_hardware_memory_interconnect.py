@@ -29,16 +29,8 @@ class TestSram:
 
 
 class TestNoc:
-    def test_transfer_time(self):
-        noc = NocSpec(bandwidth_bytes_per_s=1e12, hop_latency_s=1e-9)
-        assert noc.transfer_time(1e9, hops=2) == pytest.approx(1e-3 + 2e-9)
-
     def test_default_topology_is_ring(self):
         assert NocSpec(1e12).topology == NocTopology.RING
-
-    def test_rejects_negative_payload(self):
-        with pytest.raises(ValueError):
-            NocSpec(1e12).transfer_time(-1)
 
 
 class TestP2p:

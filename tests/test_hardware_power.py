@@ -1,5 +1,7 @@
 """Unit tests for the energy/power model."""
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.power import PowerModel
@@ -29,16 +31,26 @@ class TestTdp:
     def test_static_includes_floor(self, pm):
         assert pm.static_power_w(ador_table3()) > pm.static_floor_w
 
+    def test_mac_tree_penalty_raises_peak_power(self, pm):
+        """A MAC-tree MAC costs ``mt_energy_penalty`` systolic MACs of
+        peak power (the ADOR chip sits at the 7 nm reference node)."""
+        chip = ador_table3()
+        flat = PowerModel(mt_energy_penalty=1.0)
+        extra = chip.frequency_hz * chip.mt_macs \
+            * (pm.mt_energy_penalty - 1.0) * pm.sa_mac_pj * 1e-12
+        assert pm.peak_dynamic_power_w(chip) \
+            - flat.peak_dynamic_power_w(chip) == pytest.approx(extra)
+
 
 class TestWorkloadEnergy:
     def test_components_non_negative(self, pm):
         energy = pm.workload_energy(ador_table3(), 0.02, 1e12, 30e9)
-        for name, value in energy.as_dict().items():
-            assert value >= 0, name
+        for part in dataclasses.fields(energy):
+            assert getattr(energy, part.name) >= 0, part.name
 
     def test_total_is_sum(self, pm):
         energy = pm.workload_energy(ador_table3(), 0.02, 1e12, 30e9)
-        assert energy.total == pytest.approx(sum(energy.as_dict().values()))
+        assert energy.total == pytest.approx(sum(dataclasses.astuple(energy)))
 
     def test_dram_traffic_dominates_decode(self, pm):
         """Decode energy is memory-movement energy — the architectural
@@ -46,14 +58,6 @@ class TestWorkloadEnergy:
         energy = pm.workload_energy(ador_table3(), 0.02,
                                     flops=2.4e12, dram_bytes=36e9)
         assert energy.dram > energy.compute
-
-    def test_mt_fraction_raises_compute_energy(self, pm):
-        base = pm.workload_energy(ador_table3(), 0.02, 1e12, 1e9,
-                                  mt_flop_fraction=0.0)
-        mt = pm.workload_energy(ador_table3(), 0.02, 1e12, 1e9,
-                                mt_flop_fraction=1.0)
-        assert mt.compute == pytest.approx(
-            base.compute * pm.mt_energy_penalty)
 
     def test_denser_node_cheaper(self, pm):
         from repro.hardware.technology import ProcessNode
@@ -66,9 +70,6 @@ class TestWorkloadEnergy:
     def test_rejects_negative_quantities(self, pm):
         with pytest.raises(ValueError):
             pm.workload_energy(ador_table3(), -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            pm.workload_energy(ador_table3(), 1.0, 1.0, 1.0,
-                               mt_flop_fraction=2.0)
 
 
 class TestDerivedMetrics:

@@ -1,5 +1,7 @@
 """Unit tests for process scaling and the calibrated area model."""
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.area import AreaModel
@@ -70,8 +72,8 @@ class TestTable3Calibration:
 class TestAreaModelBehaviour:
     def test_breakdown_components_non_negative(self):
         breakdown = AreaModel().breakdown(ador_table3())
-        for name, value in breakdown.as_dict().items():
-            assert value >= 0, name
+        for part in dataclasses.fields(breakdown):
+            assert getattr(breakdown, part.name) >= 0, part.name
 
     def test_more_cores_cost_more_area(self):
         chip = ador_table3()

@@ -93,7 +93,6 @@ class TestSpecs:
 
     def test_deployment_with_fleet_round_trips_via_experiment(self):
         experiment = Experiment(
-            name="hetero-rt",
             deployment=DeploymentSpec(fleet=FleetSpec(groups=(
                 ReplicaGroupSpec(chip="ador", count=2),
                 ReplicaGroupSpec(chip="a100", count=1),
@@ -127,6 +126,21 @@ class TestSpecs:
             DeploymentSpec(replicas=2,
                            fleet=FleetSpec(groups=(ReplicaGroupSpec(),)))
 
+    @pytest.mark.parametrize("knob, value", [
+        ("chip", "a100"), ("model", "llama3-70b"), ("num_devices", 2),
+        ("max_batch", 8), ("prefill_chunk_tokens", 256),
+        ("kv_budget_bytes", 2.0 ** 30)])
+    def test_fleet_rejects_top_level_endpoint_knobs(self, knob, value):
+        fleet = FleetSpec(groups=(ReplicaGroupSpec(),))
+        with pytest.raises(ValueError, match=f"fleet and {knob}="):
+            DeploymentSpec(fleet=fleet, **{knob: value})
+
+    def test_fleet_accepts_top_level_defaults_spelt_out(self):
+        fleet = FleetSpec(groups=(ReplicaGroupSpec(),))
+        spec = DeploymentSpec(fleet=fleet, chip="ador",
+                              kv_budget_bytes=float("inf"))
+        assert spec == DeploymentSpec(fleet=fleet)
+
     def test_group_count_bounds_validated(self):
         with pytest.raises(ValueError, match="min_count"):
             ReplicaGroupSpec(min_count=2, max_count=1)
@@ -141,6 +155,16 @@ class TestSpecs:
         assert groups[0].count == 3
         assert groups[0].max_batch == 64
         assert spec.total_replicas == 3
+
+    def test_with_fleet_keeps_sections_and_resets_endpoint_knobs(self):
+        """What a sharded run builds: the deployment's batching, router
+        and sections over the given fleet, everything else default."""
+        faults = FaultSpec(crash_mtbf_s=30.0)
+        spec = DeploymentSpec(chip="a100", replicas=3, max_batch=64,
+                              router="least-outstanding", faults=faults)
+        fleet = FleetSpec(groups=spec.fleet_groups())
+        assert spec.with_fleet(fleet) == DeploymentSpec(
+            router="least-outstanding", faults=faults, fleet=fleet)
 
     def test_explicit_fleet_total(self):
         spec = DeploymentSpec(fleet=FleetSpec(groups=(
@@ -337,6 +361,20 @@ class TestMixedFleet:
         text = report.summary()
         assert "2xador+1xa100" in text
         assert "group 0 [ador]" in text and "group 1 [a100]" in text
+
+    def test_summary_takes_device_counts_from_the_groups(self):
+        workload = WorkloadSpec(rate_per_s=4.0, num_requests=12, seed=3)
+        one = FleetSpec(groups=(
+            ReplicaGroupSpec(chip="ador", count=2, num_devices=2),))
+        text = simulate(DeploymentSpec(fleet=one), workload).summary()
+        assert "on 2xador fleet (2 device(s)/replica," in text
+        mixed = FleetSpec(groups=(
+            ReplicaGroupSpec(chip="ador", num_devices=2),
+            ReplicaGroupSpec(chip="a100"),
+        ))
+        text = simulate(DeploymentSpec(fleet=mixed, router="hetero-aware"),
+                        workload).summary()
+        assert "1xador+1xa100 fleet (2/1 device(s)/replica," in text
 
     def test_mixed_fleet_is_deterministic(self):
         deployment = DeploymentSpec(fleet=MIXED, router="hetero-aware")

@@ -145,12 +145,6 @@ class TestAccounting:
         bound = 10 * 16 * allocator.bytes_per_token
         assert 0 < frag < bound
 
-    def test_utilization_between_zero_and_one(self):
-        allocator = make_allocator()
-        assert allocator.utilization() == 0.0
-        allocator.admit(1, 1000)
-        assert 0.0 < allocator.utilization() <= 1.0
-
     def test_paged_admits_more_than_reservation(self):
         """The PagedAttention headline: admission scales with prompt
         bytes, not prompt+output reservations."""

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.models.graph import (
-    decode_operators,
-    operation_share,
-    prefill_operators,
-)
-from repro.models.layers import Phase, decoder_layer_operators
+from repro.models.graph import decode_operators, operation_share
+from repro.models.layers import decoder_layer_operators
 from repro.models.zoo import get_model
 
 
@@ -33,33 +29,12 @@ class TestOperatorOrder:
         assert names == ["token_embedding", *layer * llama3.num_layers,
                          "lm_head"]
 
-    def test_decode_includes_lm_head_prefill_does_not(self, llama3):
-        decode_names = [op.name for op in decode_operators(llama3, 1, 16)]
-        prefill_names = [op.name for op in prefill_operators(llama3, 1, 16)]
-        assert "lm_head" in decode_names
-        assert "lm_head" not in prefill_names
-
-    def test_prefill_lm_head_opt_in(self, llama3):
-        ops = prefill_operators(llama3, 1, 16, include_lm_head=True)
-        assert ops[-1].name == "lm_head"
-
-    def test_layer_count_matches_model(self, llama3):
-        ops = prefill_operators(llama3, 1, 16)
-        assert sum(op.name == "qkv_proj" for op in ops) == llama3.num_layers
-
 
 class TestAggregates:
     def test_decode_weight_bytes_match_active_params(self, llama3):
         weights = sum(op.weight_bytes
                       for op in decode_operators(llama3, 8, 128))
         assert weights == pytest.approx(llama3.active_param_bytes_per_token)
-
-    def test_prefill_flops_scale_with_seq(self, llama3):
-        short = total_flops(prefill_operators(llama3, 1, 64))
-        long = total_flops(prefill_operators(llama3, 1, 128))
-        # slightly superlinear because of quadratic attention
-        assert long > 2 * short
-        assert long < 2.5 * short
 
     def test_decode_flops_scale_with_batch(self, llama3):
         one = total_flops(decode_operators(llama3, 1, 128))
@@ -88,10 +63,3 @@ class TestOperationShare:
         total = share.attention_fraction + share.mlp_fraction \
             + share.other / share.total
         assert total == pytest.approx(1.0)
-
-    def test_prefill_phase_option(self, llama3):
-        decode = operation_share(llama3, 8192, phase=Phase.DECODE)
-        prefill = operation_share(llama3, 8192, phase=Phase.PREFILL)
-        # causal masking halves prefill attention relative to decode's
-        # full-context reads
-        assert prefill.attention_fraction < decode.attention_fraction

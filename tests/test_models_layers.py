@@ -118,10 +118,3 @@ class TestHeadAndEmbedding:
         op = embedding_operator(llama3, m=128)
         assert op.flops == 0.0
         assert op.kind == OperatorKind.VECTOR
-
-    def test_scaled_preserves_shape(self, llama3):
-        op = lm_head_operator(llama3, batch=4)
-        half = op.scaled(0.5)
-        assert half.flops == op.flops / 2
-        assert half.weight_bytes == op.weight_bytes / 2
-        assert (half.m, half.k, half.n) == (op.m, op.k, op.n)

@@ -1,16 +1,10 @@
-"""Unit tests for overlap analysis (Fig. 13b) and the model mapper."""
+"""Unit tests for overlap analysis (Fig. 13b) and the sync-method rule."""
 
 import pytest
 
-from repro.compiler.binary import build_model_binary
-from repro.compiler.generator import InstructionGenerator
-from repro.compiler.instructions import Opcode
 from repro.hardware.interconnect import P2pSpec
-from repro.hardware.presets import ador_table3
-from repro.models.layers import Phase
 from repro.models.zoo import get_model
-from repro.parallel.collectives import SyncMethod
-from repro.parallel.mapper import ModelParallelMapper
+from repro.parallel.collectives import SyncMethod, choose_sync_method
 from repro.parallel.overlap import (
     OverlapModel,
     WorkloadPhase,
@@ -84,33 +78,7 @@ class TestOverlap:
 
 
 class TestMapper:
-    def test_sync_method_rule(self, llama3):
-        mapper = ModelParallelMapper(llama3)
-        assert mapper.choose_sync_method(2) == SyncMethod.MEGATRON
-        assert mapper.choose_sync_method(4) == SyncMethod.ALL_GATHER
-        assert mapper.choose_sync_method(16) == SyncMethod.ALL_GATHER
-
-    def test_shards_balance_params(self, llama3):
-        """Eight devices hold equal weight shards that add up to the
-        whole model."""
-        binary = build_model_binary(llama3, ador_table3(), 8)
-        shards = [binary.device_bytes(device) for device in range(8)]
-        assert len(set(shards)) == 1
-        assert sum(shards) == pytest.approx(llama3.param_bytes)
-
-    def test_heads_divide(self, llama3):
-        """32 heads shard evenly over 8 devices: each device computes an
-        eighth of the attention."""
-        generator = InstructionGenerator(ador_table3())
-
-        def attention_flops(devices):
-            program = generator.compile(llama3, Phase.DECODE, 8, 1, 512,
-                                        num_devices=devices)
-            return sum(inst.flops for inst in program.instructions
-                       if inst.opcode == Opcode.ATTN)
-
-        assert attention_flops(8) == pytest.approx(attention_flops(1) / 8)
-
-    def test_rejects_indivisible(self, llama3):
-        with pytest.raises(ValueError, match="shard evenly"):
-            ModelParallelMapper(llama3).validate(3)
+    def test_sync_method_rule(self):
+        assert choose_sync_method(2) == SyncMethod.MEGATRON
+        assert choose_sync_method(4) == SyncMethod.ALL_GATHER
+        assert choose_sync_method(16) == SyncMethod.ALL_GATHER

@@ -84,8 +84,3 @@ class TestPipelineParallel:
     def test_throughput_scales(self, llama3):
         pp = PipelineParallelModel(llama3, P2P_128)
         assert pp.throughput_scaling(8) == pytest.approx(8 * 0.95)
-
-    def test_rejects_bad_bubble(self, llama3):
-        pp = PipelineParallelModel(llama3, P2P_128)
-        with pytest.raises(ValueError):
-            pp.throughput_scaling(4, bubble_fraction=1.0)

@@ -1,5 +1,7 @@
 """Unit tests for GPU / NPU / TSP baseline device models."""
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.presets import (
@@ -136,5 +138,5 @@ class TestTsp:
     def test_breakdown_parts_non_negative(self, llama3):
         tsp = baseline_for(groq_tsp())
         step = tsp.decode_step_time(llama3, 4, 512)
-        for name, value in step.as_dict().items():
-            assert value >= 0, name
+        for part in dataclasses.fields(step):
+            assert getattr(step, part.name) >= 0, part.name

@@ -6,7 +6,6 @@ import pytest
 from repro.perf.effective_bandwidth import (
     EffectiveBandwidthCurve,
     MT_BANDWIDTH_CURVE,
-    effective_bandwidth,
 )
 
 
@@ -46,7 +45,8 @@ class TestCurveBehaviour:
         assert vector == pytest.approx(scalar)
 
     def test_effective_bandwidth_scales_peak(self):
-        assert effective_bandwidth(2e12, 1e10) == pytest.approx(1.6e12)
+        assert MT_BANDWIDTH_CURVE.effective_bandwidth(2e12, 1e10) \
+            == pytest.approx(1.6e12)
 
     def test_rejects_bad_peak(self):
         with pytest.raises(ValueError):
@@ -65,11 +65,14 @@ class TestNoisyMeasurements:
         assert np.array_equal(a, b)
 
     def test_noise_stays_in_unit_interval(self):
+        """On a curve that tops out at 1.0, about half the samples at the
+        ceiling draw noise above 1.0; the clip holds them there."""
         ops = np.logspace(6, 14, 200)
-        samples = MT_BANDWIDTH_CURVE.noisy_measurements(
-            ops, np.random.default_rng(0), relative_sigma=0.2)
+        samples = EffectiveBandwidthCurve(ceiling=1.0).noisy_measurements(
+            ops, np.random.default_rng(0))
         assert np.all(samples >= 0.0)
         assert np.all(samples <= 1.0)
+        assert samples.max() == 1.0
 
     def test_noise_centred_on_curve(self):
         ops = np.full(4000, 1e10)

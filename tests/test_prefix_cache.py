@@ -389,7 +389,7 @@ def scheduler_state(scheduler):
         [r.request_id for r in scheduler.queued],
         [r.request_id for r in scheduler.prefilling],
         [r.request_id for r in scheduler.decoding],
-        scheduler.decode_context_sum(),
+        scheduler._decode_context_sum,
         [(r.request_id, r.prefilled_tokens, r.generated_tokens, r.state)
          for r in scheduler.prefilling],
         [(r.request_id, r.prefilled_tokens, scheduler._progress(r), r.state)
@@ -520,7 +520,7 @@ def progress_view(scheduler, requests, settled):
                      r.first_token_time, last, r.finish_time,
                      list(r.token_times)))
     return rows, [r.request_id for r in scheduler.decoding], \
-        scheduler.decode_context_sum()
+        scheduler._decode_context_sum
 
 
 class TestDerivedProgress:

@@ -258,17 +258,6 @@ class TestCacheKeying:
             CachedDeviceModel(AdorDeviceModel(ador_table3()),
                               context_bucket=0)
 
-    def test_delegates_unknown_attributes(self):
-        device = self._device()
-        assert device.scheduler is device.inner.scheduler
-
-    def test_clear_resets(self):
-        device = self._device()
-        device.decode_step_time(MODEL, 4, 777)
-        device.clear()
-        assert device.cache_info()["decode_entries"] == 0
-        assert device.stats.decode_misses == 0
-
     def test_every_decode_miss_passes_the_ador_entry_point(self,
                                                            monkeypatch):
         """perfbench's ``device.miss`` ledger row wraps

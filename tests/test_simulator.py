@@ -29,9 +29,8 @@ def sim(chip):
     return InstructionLevelSimulator(chip)
 
 
-def compile_stage(chip, model, phase, batch, q, ctx, devices=1):
-    return InstructionGenerator(chip).compile(model, phase, batch, q, ctx,
-                                              devices)
+def compile_stage(chip, model, phase, batch, q, ctx):
+    return InstructionGenerator(chip).compile(model, phase, batch, q, ctx)
 
 
 class TestUnitTimeline:
@@ -75,11 +74,6 @@ class TestExecution:
         small = sim.run(compile_stage(chip, llama3, Phase.DECODE, 8, 1, 1024))
         large = sim.run(compile_stage(chip, llama3, Phase.DECODE, 128, 1, 1024))
         assert large.seconds > small.seconds
-
-    def test_tp_shards_work(self, sim, chip, llama3):
-        one = sim.run(compile_stage(chip, llama3, Phase.DECODE, 64, 1, 1024, 1))
-        four = sim.run(compile_stage(chip, llama3, Phase.DECODE, 64, 1, 1024, 4))
-        assert four.seconds < one.seconds
 
 
 class TestCrossValidation:

@@ -189,13 +189,17 @@ def deployments(draw):
     continuous_only = fleet is not None \
         or (prefix_cache is not None and prefix_cache.enabled) \
         or (fault_spec is not None and fault_spec.enabled)
-    return DeploymentSpec(
+    # an explicit fleet's groups carry the endpoint knobs
+    endpoint = {} if fleet is not None else dict(
         chip=draw(chips),
         model=draw(st.sampled_from(["llama3-8b", "llama3-70b"])),
         num_devices=draw(st.integers(1, 8)),
         max_batch=draw(st.integers(1, 512)),
         prefill_chunk_tokens=draw(st.integers(1, 4096)),
         kv_budget_bytes=draw(st.none() | positive | st.just(float("inf"))),
+    )
+    return DeploymentSpec(
+        **endpoint,
         batching="continuous" if continuous_only
         else draw(st.sampled_from(["continuous", "static"])),
         replicas=replicas,
@@ -220,8 +224,7 @@ def capacities(draw):
 
 experiments = st.builds(
     Experiment, deployment=deployments(), workload=workloads(),
-    max_sim_seconds=positive, name=st.just("") | labels,
-    capacity=st.none() | capacities())
+    max_sim_seconds=positive, capacity=st.none() | capacities())
 
 #: One experiment holding every codec class at once, so each example
 #: run covers all twelve even when the draws happen not to.
@@ -243,7 +246,6 @@ EVERYTHING = Experiment(
     ),
     workload=WorkloadSpec(trace=ULTRACHAT_LIKE, arrival="sessions",
                           session=SessionConfig(mean_turns=2.0)),
-    name="everything",
     capacity=CapacitySpec(slo_ttft_s=0.5),
 )
 
@@ -259,11 +261,11 @@ def nested_specs(spec):
 
 
 def expected_keys(spec):
-    """The field names, minus the two ``Experiment`` fields ``to_dict``
-    omits while they hold their defaults."""
+    """The field names, minus ``Experiment.capacity``, which ``to_dict``
+    omits while it holds its default."""
     return [field.name for field in dataclasses.fields(spec)
             if not (isinstance(spec, Experiment)
-                    and field.name in ("name", "capacity")
+                    and field.name == "capacity"
                     and getattr(spec, field.name) == field.default)]
 
 
@@ -375,10 +377,16 @@ def test_retired_key_is_dropped(spec, key, value):
     section, data = SECTIONS[spec]
     plain = spec.from_dict(data)
     assert spec.from_dict(dict(data, **{key: value})) == plain
-    old = {"name": "old", section: dict(data, **{key: value})}
-    assert Experiment.from_dict(old) \
-        == Experiment.from_dict({"name": "old", section: data})
+    old = {section: dict(data, **{key: value})}
+    assert Experiment.from_dict(old) == Experiment.from_dict({section: data})
     assert plain.to_dict() == data
+
+
+def test_retired_experiment_name_is_dropped():
+    plain = Experiment.from_dict({"workload": WORKLOAD_DICT})
+    assert Experiment.from_dict(
+        {"name": "old", "workload": WORKLOAD_DICT}) == plain
+    assert "name" not in plain.to_dict()
 
 
 @pytest.mark.parametrize(

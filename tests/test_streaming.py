@@ -91,12 +91,12 @@ def cluster_fingerprint(result):
 # implementation of each arrival process.
 
 def reference_onoff_requests(trace, on_rate, off_rate, phase_seconds,
-                             seed, count, start_time=0.0):
+                             seed, count):
     """Reference on/off draw order: all lengths, then one exponential
     per arrival, from one generator."""
     rng = np.random.default_rng(seed)
     lengths = sample_trace(trace, count, rng)
-    now = start_time
+    now = 0.0
     arrivals = []
     for _ in range(count):
         phase = int(now / phase_seconds) % 2
@@ -185,24 +185,6 @@ def test_workload_spec_iter_matches_build():
         assert [request_fields(r) for r in spec.iter_requests()] == expected
         assert [request_fields(r) for r in spec.build_requests()] \
             == expected
-
-
-def test_start_time_offset_matches():
-    reference = PoissonArrivalTemplate(
-        ULTRACHAT_LIKE, 64, 2).requests_at(8.0, start_time=100.0)
-    streamed = list(iter_poisson_requests(
-        ULTRACHAT_LIKE, 8.0, 2, 64, start_time=100.0))
-    assert [request_fields(r) for r in streamed] \
-        == [request_fields(r) for r in reference]
-
-
-def test_onoff_start_time_offset_matches():
-    reference = reference_onoff_requests(BURSTY, 30.0, 2.0, 2.0, 4, 64,
-                                         start_time=100.0)
-    streamed = list(iter_onoff_requests(BURSTY, 30.0, 2.0, 2.0, 4, 64,
-                                        start_time=100.0))
-    assert [request_fields(r) for r in streamed] \
-        == [request_fields(r) for r in reference]
 
 
 # --------------------------------------------------------------------- #

@@ -33,7 +33,7 @@ def test_decode_operators_build(name):
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_footprint_positive_and_finite(name):
     report = peak_local_memory(get_model(name), batch=8)
-    assert 0 < report.peak < 1e9
+    assert 0 < max(report.as_dict().values()) < 1e9
 
 
 @pytest.mark.parametrize("name", SINGLE_DEVICE)
