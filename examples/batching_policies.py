@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Batching-policy comparison (paper Fig. 2b, quantified).
 
-Replays one Poisson request stream through the three registered serving
+Replays one Poisson request stream through the three serving
 disciplines — no batching, static batching and continuous batching — on
 the ADOR design, and prints the QoS/throughput trade each makes.  Each
 run is one ``simulate()`` call over the same :class:`WorkloadSpec`; the
@@ -11,7 +11,7 @@ Run:  python examples/batching_policies.py
 """
 
 from repro.analysis.tables import format_table
-from repro.api import DeploymentSpec, WorkloadSpec, list_policies, simulate
+from repro.api import BATCHING_POLICIES, DeploymentSpec, WorkloadSpec, simulate
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
                             num_requests=48, seed=23)
 
     rows = []
-    for policy in list_policies():
+    for policy in BATCHING_POLICIES:
         deployment = DeploymentSpec(chip="ador", model="llama3-8b",
                                     max_batch=32, batching=policy)
         report = simulate(deployment, workload, max_sim_seconds=3600.0)

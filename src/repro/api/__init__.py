@@ -1,10 +1,11 @@
 """``repro.api`` — the declarative experiment surface of the framework.
 
 One import gives the full exploration loop the ROADMAP asks for: named
-registries over chips / traces / batching policies / router policies,
-frozen serializable specs, and a :func:`simulate` facade returning a
-unified :class:`ServingReport` — or, for a deployment with more than
-one replica, an explicit fleet, an autoscale spec or enabled faults, a
+registries over chips / traces / router policies, the three batching
+disciplines a deployment may name (:data:`BATCHING_POLICIES`), frozen
+serializable specs, and a :func:`simulate` facade returning a unified
+:class:`ServingReport` — or, for a deployment with more than one
+replica, an explicit fleet, an autoscale spec or a fault spec, a
 :class:`ClusterReport` from the multi-replica cluster engine
 (:mod:`repro.cluster`)::
 
@@ -65,7 +66,7 @@ from repro.core.scheduling import device_model_for
 from repro.perf.scale import ProgressReporter, StreamStats
 from repro.hardware.registry import get_chip, list_chips, register_chip
 from repro.models.zoo import get_model, list_models
-from repro.serving.policies import get_policy, list_policies, register_policy
+from repro.serving.policies import BATCHING_POLICIES
 from repro.serving.prefix_cache import (
     PrefixCacheSpec,
     get_eviction_policy,
@@ -117,9 +118,7 @@ __all__ = [
     "get_trace",
     "list_traces",
     "register_trace",
-    "get_policy",
-    "list_policies",
-    "register_policy",
+    "BATCHING_POLICIES",
     "get_model",
     "list_models",
     "device_model_for",

@@ -52,8 +52,8 @@ from repro.serving.capacity import (
     max_capacity_under_slo,
     meets_slo,
 )
-from repro.serving.engine import SimulationResult
-from repro.serving.policies import get_policy
+from repro.serving.engine import ServingEngine, SimulationResult
+from repro.serving.policies import simulate_no_batching, simulate_static
 from repro.serving.qos import QoSReport, compute_qos, goodput_per_s
 from repro.serving.request import Request
 from repro.serving.utilization import UtilizationReport, utilization_report
@@ -133,6 +133,13 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
     :func:`simulate_cluster`, its shard workers and the mixed-fleet
     capacity search, so every path sizes a fleet the same way.
     """
+    if deployment.batching != "continuous":
+        # the spec already rejects any bigger fleet under another
+        # discipline; a one-endpoint spec must not run here as
+        # continuous batching under the other discipline's name
+        raise ValueError(
+            f"cluster serving requires continuous batching, "
+            f"got {deployment.batching!r}")
     groups = [
         EngineGroup(
             group.label,
@@ -197,8 +204,11 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
 
     Dispatches to :func:`simulate_cluster` when the deployment asks for
     more than one replica, an explicit fleet, an autoscaled fleet (even
-    one that starts at a single replica: it can grow) or enabled
-    faults.  Raises
+    one that starts at a single replica: it can grow) or faults.  A
+    single endpoint runs its ``batching`` discipline: the
+    :class:`~repro.serving.engine.ServingEngine` for continuous
+    batching, else one of the two loops of
+    :mod:`repro.serving.policies`.  Raises
     :class:`EndpointOverloaded` if not a single request finishes within
     the horizon — the spec'd endpoint cannot sustain the load.
 
@@ -215,16 +225,16 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
 
     With continuous batching, arrivals are generated lazily and
     consumed through a bounded look-ahead window, at constant memory;
-    the batch policies slice and sort, so they take the materialized
+    the batch loops slice and sort, so they take the materialized
     list.  ``shards`` (cluster runs only) partitions the
     fleet over worker processes (see :func:`simulate_cluster`);
     ``progress`` is a ``progress(sim_time, done_count)`` heartbeat
-    callback (see :class:`repro.perf.scale.ProgressReporter`).
+    callback (see :class:`repro.perf.scale.ProgressReporter`), which
+    only continuous batching drives.
     """
     if deployment.replicas > 1 or deployment.fleet is not None \
             or deployment.autoscale is not None \
-            or (deployment.faults is not None
-                and deployment.faults.enabled):
+            or deployment.faults is not None:
         # fault injection lives in the cluster engine — a single faulty
         # endpoint is a fleet of one; an explicit fleet always is a
         # cluster, even a fleet of one group of one
@@ -240,25 +250,26 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     chip = deployment.chip_spec()
     model = get_model(deployment.model)
     device = _device_for(chip, sim_cache, context_bucket)
-    runner = get_policy(deployment.batching)
-    requests = workload.request_stream() \
-        if deployment.batching == "continuous" else workload.build_requests()
-    extra = {}
-    if deployment.prefix_cache is not None \
-            and deployment.prefix_cache.enabled:
-        # only passed when live, so runners that predate the knob (and
-        # disabled specs, which mean the cold path) see the unchanged
-        # call signature
-        extra["prefix_cache"] = deployment.prefix_cache
-    if progress is not None:
-        if deployment.batching != "continuous":
-            raise ValueError(
-                "the progress heartbeat requires continuous batching")
-        extra["progress"] = progress
-    result = runner(device, model, requests, deployment.scheduler_limits(),
-                    num_devices=deployment.num_devices,
-                    max_sim_seconds=max_sim_seconds,
-                    fast_forward=sim_cache, **extra)
+    limits = deployment.scheduler_limits()
+    if deployment.batching == "continuous":
+        engine = ServingEngine(device, model, limits, deployment.num_devices,
+                               fast_forward=sim_cache,
+                               prefix_cache=deployment.prefix_cache)
+        result = engine.run(workload.request_stream(),
+                            max_sim_seconds=max_sim_seconds,
+                            progress=progress)
+    elif progress is not None:
+        raise ValueError(
+            "the progress heartbeat requires continuous batching")
+    elif deployment.batching == "static":
+        result = simulate_static(device, model, workload.build_requests(),
+                                 limits.max_batch, deployment.num_devices,
+                                 max_sim_seconds)
+    else:
+        result = simulate_no_batching(device, model,
+                                      workload.build_requests(),
+                                      deployment.num_devices,
+                                      max_sim_seconds)
     if not result.finished:
         raise EndpointOverloaded(
             f"no requests finished within {max_sim_seconds:g} s — "
@@ -354,7 +365,12 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
     ``rate_per_s`` is ignored — its trace, request count and seed
     define the probe workload.  The endpoint's scheduler limits follow
     the capacity engine's memory-derived admission policy (paper
-    Fig. 16), not ``deployment.max_batch``.
+    Fig. 16), so a deployment whose ``max_batch``,
+    ``prefill_chunk_tokens`` or ``kv_budget_bytes`` is not the default
+    is rejected rather than silently searched under other limits; the
+    chip, model and ``num_devices`` are honoured.  The search runs
+    continuous batching on a single fault-free, cold-cache endpoint,
+    and rejects any other deployment.
 
     A deployment with an explicit ``fleet`` dispatches to
     :func:`find_fleet_capacity` instead: the workload's ``rate_per_s``
@@ -371,6 +387,14 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
             "capacity search simulates a single endpoint; "
             "set replicas=1 and drop the autoscale spec (scale the "
             "found rate by the fleet size)")
+    defaults = DeploymentSpec.__dataclass_fields__
+    for knob in ("max_batch", "prefill_chunk_tokens", "kv_budget_bytes"):
+        value = getattr(deployment, knob)
+        if value != defaults[knob].default:
+            raise ValueError(
+                f"capacity search and {knob}={value!r}: the search "
+                f"derives its admission limits from memory (paper "
+                f"Fig. 16) and ignores {knob} — leave it at its default")
     if deployment.batching != "continuous":
         # the capacity engine is iteration-faithful only for continuous
         # batching; a capacity figure silently measured under a
@@ -378,8 +402,7 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
         raise ValueError(
             f"capacity search requires continuous batching, "
             f"got {deployment.batching!r}")
-    if deployment.prefix_cache is not None \
-            and deployment.prefix_cache.enabled:
+    if deployment.prefix_cache is not None:
         # the capacity engine derives its own memory-based admission
         # limits and probes single-turn Poisson streams — a prefix
         # cache would be silently inert, faking a cold-path capacity
@@ -389,7 +412,7 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
             "capacity search does not model prefix caching; drop the "
             "prefix_cache spec (or bisect simulate() over session "
             "rates, as benchmarks/bench_prefix_reuse.py does)")
-    if deployment.faults is not None and deployment.faults.enabled:
+    if deployment.faults is not None:
         # a capacity figure quietly measured on a fault-free endpoint
         # while the spec asks for crashes would overstate resilience;
         # sweep simulate() under the fault spec instead
@@ -525,7 +548,7 @@ def find_fleet_capacity(deployment: DeploymentSpec,
     Raises :class:`~repro.serving.capacity.EndpointUnservable` when no
     lattice point meets the SLO, and ``ValueError`` for a deployment
     without an explicit :class:`FleetSpec`, with autoscaling or
-    enabled faults, or whose trailing-group lattice exceeds 256
+    faults, or whose trailing-group lattice exceeds 256
     columns (tighten per-group ``min_count`` / ``max_count`` bounds).
     """
     capacity = _capacity_spec(capacity, overrides)
@@ -539,7 +562,7 @@ def find_fleet_capacity(deployment: DeploymentSpec,
             "mixed-fleet capacity search sizes a *fixed* fleet; drop "
             "the autoscale spec (the search itself explores fleet "
             "sizes)")
-    if deployment.faults is not None and deployment.faults.enabled:
+    if deployment.faults is not None:
         raise ValueError(
             "mixed-fleet capacity search models a fault-free fleet; "
             "drop the faults spec (benchmarks/bench_resilience.py "
@@ -819,11 +842,12 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     """Run one cluster experiment: N replicas behind the spec'd router.
 
     The cluster engine is iteration-faithful only for continuous
-    batching (each replica is a live, steppable endpoint); other
-    batching policies are rejected loudly rather than silently
-    approximated.  ``sim_cache`` / ``context_bucket`` behave as in
-    :func:`simulate`; the memoized device model is shared by every
-    replica, so one replica's decode evaluations warm the whole fleet.
+    batching (each replica is a live, steppable endpoint);
+    :func:`build_cluster_engine` rejects other disciplines loudly
+    rather than silently approximating them.  ``sim_cache`` /
+    ``context_bucket`` behave as in :func:`simulate`; the memoized
+    device model is shared by every replica, so one replica's decode
+    evaluations warm the whole fleet.
 
     ``shards > 1`` partitions a fixed one-group fleet (``replicas=N``
     or a one-group :class:`FleetSpec`) and its traffic over ``shards``
@@ -838,13 +862,8 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     Autoscaling and fault injection coordinate the whole fleet each
     decision interval, which a shard cannot see, and capability-aware
     routing needs the whole mixed fleet, so all three are rejected
-    loudly, as is a router instance (shared mutable state across
-    processes).  ``shards=1`` (default) takes the exact engine path.
+    loudly.  ``shards=1`` (default) takes the exact engine path.
     """
-    if deployment.batching != "continuous":
-        raise ValueError(
-            f"cluster serving requires continuous batching, "
-            f"got {deployment.batching!r}")
     groups = deployment.fleet_groups()
     # resolve the lead group here, so an unknown chip or model fails
     # before any shard's worker process starts
@@ -873,15 +892,10 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
             raise ValueError(
                 "sharding requires a fixed fleet: the autoscaler decides "
                 "over fleet-wide observations no shard can see")
-        if deployment.faults is not None and deployment.faults.enabled:
+        if deployment.faults is not None:
             raise ValueError(
                 "sharding cannot run fault injection: the fault "
                 "coordinator replays retries against the whole fleet")
-        if not isinstance(deployment.router, str):
-            raise ValueError(
-                "sharded runs need the router by registry name — a "
-                "router instance would be shared mutable state across "
-                "processes")
         shard_results = sweep(
             range(shards),
             functools.partial(_simulate_shard, deployment, workload,

@@ -37,11 +37,12 @@ from repro.hardware.registry import get_chip
 from repro.serving.capacity import check_search_inputs
 from repro.serving.dataset import ChatTraceConfig
 from repro.serving.request import Request
+from repro.serving.policies import BATCHING_POLICIES
 from repro.serving.prefix_cache import PrefixCacheSpec
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.sessions import SessionConfig
 from repro.serving.traces import get_trace
-from repro.spec_codec import OMIT_DEFAULT, SpecCodec
+from repro.spec_codec import ANY_VALUE, OMIT_DEFAULT, SpecCodec
 
 
 # --------------------------------------------------------------------- #
@@ -70,7 +71,7 @@ class WorkloadSpec(SpecCodec):
       session-affinity routing are about.
 
     The facade feeds a continuous-batching deployment the lazy
-    :meth:`request_stream` and the batch policies the
+    :meth:`request_stream` and the two batch loops the
     :meth:`build_requests` list; both hold the same requests.  A
     ``"streaming"`` key (a retired knob whose two values gave
     bit-identical results) is accepted and dropped, so older JSON still
@@ -85,7 +86,7 @@ class WorkloadSpec(SpecCodec):
     session: SessionConfig | None = None
 
     _ARRIVALS = ("poisson", "sessions")
-    _RETIRED_KEYS = frozenset({"streaming"})
+    _RETIRED_KEYS = {"streaming": ANY_VALUE}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -285,14 +286,19 @@ class DeploymentSpec(SpecCodec):
     """The endpoint side of an experiment: hardware, model, scheduling.
 
     ``chip`` is a registry name or an inline custom :class:`ChipSpec`;
-    ``batching`` names a policy from
-    :mod:`repro.serving.policies`' registry; ``kv_budget_bytes`` of
-    ``None`` means unlimited KV memory (the scheduler's default).
+    ``batching`` names one of
+    :data:`~repro.serving.policies.BATCHING_POLICIES`; ``kv_budget_bytes``
+    of ``None`` means unlimited KV memory (the scheduler's default).
 
     ``replicas`` scales the deployment to a fleet of identical endpoints
     behind a router named by ``router`` (a
-    :mod:`repro.cluster.router` registry entry); with ``replicas > 1``
-    :func:`repro.api.simulate` dispatches to the cluster engine.
+    :mod:`repro.cluster.router` registry name; a router *instance*
+    belongs in ``ClusterEngine(router=...)``, whose caller owns its
+    state); with ``replicas > 1`` :func:`repro.api.simulate` dispatches
+    to the cluster engine.  Only continuous batching runs a fleet of
+    more than one replica, an explicit ``fleet``, ``autoscale``,
+    ``prefix_cache`` or ``faults``: the spec rejects any of them under
+    another discipline.
 
     ``fleet`` generalizes ``replicas`` to a heterogeneous fleet: an
     explicit :class:`FleetSpec` of :class:`ReplicaGroupSpec` slices,
@@ -316,7 +322,7 @@ class DeploymentSpec(SpecCodec):
     turns keep their KV blocks resident per session, so follow-up turns
     re-prefill only the fresh question.  The paged pool is sized by
     ``kv_budget_bytes``; every replica of a fleet owns its own pool and
-    cache.  Continuous batching only.
+    cache.
 
     ``faults`` injects deterministic failures into the fleet
     (:class:`~repro.cluster.faults.FaultSpec`): seeded replica crashes,
@@ -324,7 +330,9 @@ class DeploymentSpec(SpecCodec):
     requeued under a retry budget and recorded as failed once it (or
     the deadline) is spent.  The cluster engine runs even when
     ``replicas == 1`` — a single faulty endpoint is still a fleet of
-    one.  Continuous batching only.
+    one.
+
+    A section is on when it is present and off when it is ``None``.
     """
 
     chip: str | ChipSpec = "ador"
@@ -347,6 +355,10 @@ class DeploymentSpec(SpecCodec):
             raise ValueError("num_devices must be >= 1")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if self.batching not in BATCHING_POLICIES:
+            raise ValueError(
+                f"unknown batching policy {self.batching!r}; "
+                f"supported: {', '.join(BATCHING_POLICIES)}")
         _canonical_kv_budget(self)
         if self.fleet is not None:
             if self.replicas != 1:
@@ -363,11 +375,6 @@ class DeploymentSpec(SpecCodec):
                         f"fleet and {knob}={value!r}: an explicit fleet "
                         f"ignores the top-level {knob} — set it on each "
                         f"group instead")
-            if self.batching != "continuous":
-                raise ValueError(
-                    f"an explicit fleet requires continuous batching, "
-                    f"got {self.batching!r} — the cluster engine is "
-                    f"iteration-faithful only for continuous batching")
         if self.autoscale is not None and not (
                 self.autoscale.min_replicas <= self.total_replicas
                 <= self.autoscale.max_replicas):
@@ -376,22 +383,28 @@ class DeploymentSpec(SpecCodec):
                 f"size) must lie within the autoscale range "
                 f"[{self.autoscale.min_replicas}, "
                 f"{self.autoscale.max_replicas}]")
-        if self.prefix_cache is not None and self.prefix_cache.enabled \
-                and self.batching != "continuous":
-            # the cache rides the continuous scheduler's block
-            # accounting; a spec that silently dropped it under another
-            # policy would fake a reuse result
+        if self.batching != "continuous":
+            # the cluster engine is iteration-faithful only for
+            # continuous batching, and the prefix cache rides its
+            # scheduler's block accounting: a spec that silently
+            # dropped one of these would fake its result
+            for knob, present in (
+                    (f"replicas={self.replicas}", self.replicas > 1),
+                    ("fleet", self.fleet is not None),
+                    ("autoscale", self.autoscale is not None),
+                    ("prefix_cache", self.prefix_cache is not None),
+                    ("faults", self.faults is not None)):
+                if present:
+                    raise ValueError(
+                        f"{knob} requires continuous batching, "
+                        f"got {self.batching!r}")
+        if not isinstance(self.router, str):
+            # an instance cannot be serialized, and its state would
+            # carry from one run of the spec into the next
             raise ValueError(
-                f"prefix_cache requires continuous batching, "
-                f"got {self.batching!r}")
-        if self.faults is not None and self.faults.enabled \
-                and self.batching != "continuous":
-            # fault injection lives in the cluster engine, which is
-            # iteration-faithful only for continuous batching — a spec
-            # that silently dropped it would fake a resilience result
-            raise ValueError(
-                f"faults require continuous batching, "
-                f"got {self.batching!r}")
+                f"router must be a registry name, got a "
+                f"{type(self.router).__name__} instance (pass instances "
+                f"to ClusterEngine(router=...))")
         # unknown names and bad "name:N" thresholds fail here, at any
         # fleet size, not only once a cluster engine is built
         make_router(self.router)
@@ -473,7 +486,8 @@ class CapacitySpec(SpecCodec):
     iterations: int = 9
     early_abort: bool = True
 
-    _RETIRED_KEYS = frozenset({"reuse_arrivals", "parallel_probes"})
+    _RETIRED_KEYS = {"reuse_arrivals": ANY_VALUE,
+                     "parallel_probes": ANY_VALUE}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -503,7 +517,7 @@ class Experiment(SpecCodec):
     capacity: CapacitySpec | None = field(default=None,
                                           metadata=OMIT_DEFAULT)
 
-    _RETIRED_KEYS = frozenset({"name"})
+    _RETIRED_KEYS = {"name": ANY_VALUE}
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from repro.analysis.tables import format_table
 from repro.api import (
+    BATCHING_POLICIES,
     AutoscaleSpec,
     CapacitySpec,
     DeploymentSpec,
@@ -135,8 +136,8 @@ class _Section(NamedTuple):
 
     ``switch`` turns the feature on and is also the
     :class:`DeploymentSpec` field it fills; ``field`` is the spec field
-    the switch sets: ``"policy"`` takes a registry name, ``"enabled"``
-    is a plain on/off flag.  The three help texts are ``serve``'s
+    the switch sets to a registry name (``"policy"``), or ``None`` for a
+    plain on/off flag.  The three help texts are ``serve``'s
     switch, ``run``'s switch and ``run``'s ``--no-`` twin.  Each knob is
     ``(flag, spec field, help)``; its argparse type and the default its
     help names are read from the spec field, so neither can drift from
@@ -145,7 +146,7 @@ class _Section(NamedTuple):
 
     switch: str
     spec: type
-    field: str
+    field: str | None
     serve_help: str
     run_help: str
     strip_help: str
@@ -184,12 +185,12 @@ _SECTIONS = (
          ("--autoscale-warm-provision-s", "warm_provision_s",
           "provision latency of a warm-pool launch"))),
     _Section(
-        "prefix_cache", PrefixCacheSpec, "enabled",
+        "prefix_cache", PrefixCacheSpec, None,
         "keep finished session turns' KV blocks resident so the next "
         "turn re-prefills only its fresh question (pairs with "
         "--arrival sessions)",
         "enable prefix/KV reuse, keeping the experiment's cache knobs "
-        "when it carries a (possibly disabled) prefix_cache section",
+        "when it carries a prefix_cache section",
         "strip the experiment's prefix_cache section and run the cold "
         "path",
         (("--prefix-cache-fraction", "reclaimable_fraction",
@@ -199,11 +200,11 @@ _SECTIONS = (
          ("--prefix-cache-block-tokens", "block_tokens",
           "tokens per KV block; hits are block-aligned"))),
     _Section(
-        "faults", FaultSpec, "enabled",
+        "faults", FaultSpec, None,
         "inject deterministic seeded faults (replica crashes, slowdowns, "
         "stalls) and report goodput next to raw throughput",
         "enable fault injection, keeping the experiment's fault knobs "
-        "when it carries a (possibly disabled) faults section",
+        "when it carries a faults section",
         "strip the experiment's faults section and run the fault-free "
         "engine",
         (("--fault-seed", "seed",
@@ -253,14 +254,16 @@ def _section_specs(args: argparse.Namespace) -> dict[str, object]:
         switch = getattr(args, section.switch)
         if not switch:
             if given:
-                needs = section.flag if section.field == "enabled" \
+                needs = section.flag if section.field is None \
                     else f"{section.flag} <{section.field}>"
                 raise ValueError(
                     f"{', '.join(given)} require(s) {needs}")
             specs[section.switch] = None
         else:
+            setting = {} if section.field is None \
+                else {section.field: switch}
             specs[section.switch] = section.spec(
-                **{section.field: switch},
+                **setting,
                 **{name: getattr(args, _dest(flag))
                    for flag, name in given.items()})
     return specs
@@ -431,10 +434,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             overrides[section.switch] = None
         elif switch:
             # turn the feature on (or switch its policy), keeping the
-            # experiment's other knobs when it already carries a
-            # (possibly disabled) section
+            # experiment's other knobs when it already carries the
+            # section
             base = getattr(experiment.deployment, section.switch)
-            setting = {section.field: switch}
+            setting = {} if section.field is None \
+                else {section.field: switch}
             overrides[section.switch] = section.spec(**setting) \
                 if base is None else dataclasses.replace(base, **setting)
     if overrides:
@@ -491,7 +495,7 @@ def _exc_message(exc: BaseException) -> str:
 
 def _add_switch(parser: argparse.ArgumentParser, section: _Section,
                 help: str) -> None:
-    if section.field == "enabled":
+    if section.field is None:
         parser.add_argument(section.flag, action="store_true", help=help)
     else:
         parser.add_argument(
@@ -589,6 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload trace name (e.g. ultrachat, "
                             "fixed-512x128)")
     serve.add_argument("--policy", default="continuous",
+                       choices=BATCHING_POLICIES,
                        help="batching policy name")
     serve.add_argument("--rate", type=float, default=15.0)
     serve.add_argument("--requests", type=int, default=200)

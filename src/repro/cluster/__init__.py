@@ -51,8 +51,10 @@ for an elastic fleet, or an explicit ``fleet=FleetSpec(...)`` of
 replica groups; :func:`repro.api.build_cluster_engine` turns a
 deployment into the engine, and :func:`repro.api.simulate` dispatches
 to :func:`repro.api.simulate_cluster` whenever the deployment has more
-than one replica, an explicit fleet, an autoscale spec or enabled
-faults.
+than one replica, an explicit fleet, an autoscale spec or a fault
+spec.  A deployment names its router by registry name; a router
+instance goes straight to ``ClusterEngine(router=...)``, and its
+caller owns its state.
 """
 
 from repro.cluster.autoscaler import (

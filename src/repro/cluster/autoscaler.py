@@ -179,6 +179,9 @@ class AutoscaleSpec(SpecCodec):
             raise ValueError(
                 "warm_provision_s must not exceed provision_latency_s "
                 "(a warm start cannot be slower than a cold one)")
+        # unknown policy names fail here, at spec construction, not
+        # once a cluster engine is built
+        get_autoscaler(self.policy)
 
 
 # --------------------------------------------------------------------- #

@@ -398,8 +398,6 @@ class ClusterEngine:
         if len(groups) > 1:
             self._probe_capabilities()
         make_router(router)  # fail on unknown names at construction
-        if autoscale is not None and autoscaler is None:
-            make_autoscaler(autoscale.policy)
 
     def _probe_capabilities(self) -> None:
         """Single-request microbenchmark per group: estimated prefill
@@ -472,10 +470,8 @@ class ClusterEngine:
         if self.autoscale is not None:
             policy = self.autoscaler if self.autoscaler is not None \
                 else make_autoscaler(self.autoscale.policy)
-        faults = self.faults \
-            if self.faults is not None and self.faults.enabled else None
         fleet = _Fleet(self._new_replica, self.groups, self.autoscale,
-                       policy, faults, horizon)
+                       policy, self.faults, horizon)
         arrivals = as_stream(_sorted_by_arrival(requests))
         retries = fleet.retries
         last = 0.0

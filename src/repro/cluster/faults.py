@@ -28,9 +28,8 @@ Semantics, matched to what the serving layer can honestly model:
   Stalled replicas stay routable — a router cannot see a stall that has
   not happened yet, only the queue it causes.
 
-The cluster engine consults the spec only when faults are enabled;
-with ``faults=None`` (or ``enabled=False``) a run makes zero calls into
-this module.
+The cluster engine consults the spec only when a deployment carries
+one; with ``faults=None`` a run makes zero calls into this module.
 """
 
 from __future__ import annotations
@@ -99,9 +98,11 @@ class FaultSpec(SpecCodec):
     from the original arrival) after which a request is recorded as
     failed instead of retried.  ``slo_ttft_s`` defines goodput: finished
     requests whose TTFT met the SLO, per second of fleet wall time.
+    Injection is on when a deployment carries this spec.  JSON carrying
+    the retired ``"enabled": true`` still loads; ``"enabled": false``
+    fails, since dropping it would turn injection on.
     """
 
-    enabled: bool = True
     seed: int = 0
     crash_mtbf_s: float | None = None
     restart_delay_s: float = 10.0
@@ -114,6 +115,8 @@ class FaultSpec(SpecCodec):
     request_timeout_s: float | None = None
     slo_ttft_s: float = 1.0
     events: tuple[FaultEvent, ...] = ()
+
+    _RETIRED_KEYS = {"enabled": True}
 
     def __post_init__(self) -> None:
         super().__post_init__()

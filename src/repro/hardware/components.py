@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.spec_codec import ANY_VALUE
+
 
 @dataclass(frozen=True)
 class SystolicArray:
@@ -77,7 +79,7 @@ class VectorUnit:
 
     width: int
 
-    _RETIRED_KEYS = frozenset({"ops_per_element"})
+    _RETIRED_KEYS = {"ops_per_element": ANY_VALUE}
 
     def __post_init__(self) -> None:
         if self.width < 1:

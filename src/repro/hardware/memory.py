@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.spec_codec import ANY_VALUE
+
 GIB = 1024 ** 3
 MIB = 1024 ** 2
 KIB = 1024
@@ -59,7 +61,7 @@ class Sram:
 
     size_bytes: float
 
-    _RETIRED_KEYS = frozenset({"bandwidth_bytes_per_s"})
+    _RETIRED_KEYS = {"bandwidth_bytes_per_s": ANY_VALUE}
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

@@ -3,8 +3,8 @@
 The model zoo established the repo's extension idiom: named entries in a
 flat string-keyed table, loud ``KeyError`` on a typo, no subclassing
 required to plug in.  This module generalizes that idiom so chips,
-batching policies and workload traces (and anything a later PR adds)
-share one implementation instead of three hand-rolled dicts.
+workload traces, routers, autoscalers, eviction policies and lint
+rules share one implementation instead of hand-rolled dicts.
 
 Usage, decorator style (the common case — registering a factory)::
 

@@ -34,11 +34,7 @@ from repro.serving.capacity import (
     reference_capacity_search,
 )
 from repro.serving.utilization import UtilizationReport, utilization_report
-from repro.serving.policies import (
-    get_policy,
-    list_policies,
-    register_policy,
-)
+from repro.serving.policies import BATCHING_POLICIES
 from repro.serving.traces import get_trace, list_traces, register_trace
 from repro.serving.sessions import (
     MultiTurnSessionGenerator,
@@ -75,9 +71,7 @@ __all__ = [
     "export_timeline",
     "load_requests",
     "save_requests",
-    "get_policy",
-    "list_policies",
-    "register_policy",
+    "BATCHING_POLICIES",
     "get_trace",
     "list_traces",
     "register_trace",

@@ -178,7 +178,7 @@ class SimulationResult:
     prefill_time_s: float
     #: true when an InstabilityMonitor aborted the run early
     saturated: bool = False
-    #: non-None when the endpoint ran with a prefix cache enabled
+    #: non-None when the endpoint ran with a prefix cache
     prefix_cache: PrefixCacheStats | None = None
     #: tokens of the completed requests handed to a ``sink`` instead of
     #: being retained (constant-memory streaming runs); zero by default
@@ -436,10 +436,7 @@ class ServingEngine:
         self.limits = limits
         self.num_devices = num_devices
         self.fast_forward = fast_forward
-        # a disabled spec is the same as no spec: the cold path, bit
-        # for bit (the scheduler never even sees a cache object)
-        self.prefix_cache_spec = prefix_cache \
-            if prefix_cache is not None and prefix_cache.enabled else None
+        self.prefix_cache_spec = prefix_cache
         self.overlap = _OVERLAP_BY_KIND.get(device.chip.kind, 0.15)
 
     def build_prefix_cache(self) -> PrefixCache | None:

@@ -1,73 +1,37 @@
 """Batching-policy baselines (paper Fig. 2b).
 
 The paper's Fig. 2(b) sketches how TTFT and TBT shift across three
-serving disciplines; this module makes each one runnable so the
-ablation bench can quantify the sketch:
+serving disciplines.  ``DeploymentSpec.batching`` names one of
+:data:`BATCHING_POLICIES` and :func:`repro.api.simulate` runs it, so
+the ablation bench can quantify the sketch:
 
-* **no batching** — requests are served one at a time, FIFO: superb TBT,
-  terrible throughput, queueing-dominated TTFT;
-* **static batching** — requests are grouped into fixed batches; the
-  whole batch prefills together and decodes until the *longest* member
-  finishes (stragglers hold the batch — the classic inefficiency);
+* **no batching** (:func:`simulate_no_batching`) — requests are served
+  one at a time, FIFO: superb TBT, terrible throughput,
+  queueing-dominated TTFT;
+* **static batching** (:func:`simulate_static`) — requests are grouped
+  into fixed batches; the whole batch prefills together and decodes
+  until the *longest* member finishes (stragglers hold the batch — the
+  classic inefficiency);
 * **continuous batching** — the iteration-level scheduler of
-  :mod:`repro.serving.engine` (Orca-style), the paper's default.
+  :class:`repro.serving.engine.ServingEngine` (Orca-style), the paper's
+  default, and the only discipline the cluster engine, the prefix
+  cache and fault injection run on.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.models.config import ModelConfig
 from repro.perf.baselines import DeviceModel
-from repro.registry import Registry
-from repro.serving.engine import ServingEngine, SimulationResult
+from repro.serving.engine import SimulationResult
 from repro.serving.request import Request
-from repro.serving.scheduler import SchedulerLimits
+
+#: The batching disciplines a deployment may name, sorted.
+BATCHING_POLICIES = ("continuous", "no-batching", "static")
 
 
-#: A policy runner simulates one request stream under one discipline:
-#: ``runner(device, model, requests, limits, num_devices, max_sim_seconds,
-#: fast_forward)``.  ``fast_forward`` opts into simulator fast paths that
-#: are bit-identical to the plain loop (see
-#: :class:`repro.serving.engine.ServingEngine`); runners without such a
-#: path accept and ignore it.  ``prefix_cache`` (a
-#: :class:`~repro.serving.prefix_cache.PrefixCacheSpec`) is passed only
-#: when a deployment carries one — today only the continuous runner
-#: models it, and :func:`repro.api.simulate` rejects the combination
-#: for other built-ins before ever calling them.
-PolicyRunner = Callable[..., SimulationResult]
-
-POLICY_REGISTRY = Registry("batching policy")
-
-
-def register_policy(name: str) -> Callable[[PolicyRunner], PolicyRunner]:
-    """Decorator: register a :data:`PolicyRunner` under ``name``.
-
-    Third-party disciplines (priority queues, SLO-aware admission, ...)
-    plug in here and become addressable from ``DeploymentSpec.batching``
-    and experiment JSON files without touching core.
-    """
-
-    def _decorate(runner: PolicyRunner) -> PolicyRunner:
-        POLICY_REGISTRY.register(name, runner)
-        return runner
-
-    return _decorate
-
-
-def get_policy(name: str) -> PolicyRunner:
-    """Look up a policy runner by name."""
-    return POLICY_REGISTRY.get(name)
-
-
-def list_policies() -> list[str]:
-    """Registered policy names, sorted."""
-    return POLICY_REGISTRY.names()
-
-
-def _simulate_no_batching(device: DeviceModel, model: ModelConfig,
-                          requests: list, num_devices: int,
-                          max_sim_seconds: float) -> SimulationResult:
+def simulate_no_batching(device: DeviceModel, model: ModelConfig,
+                         requests: list, num_devices: int,
+                         max_sim_seconds: float) -> SimulationResult:
     """One request at a time: prefill fully, then decode to completion."""
     now = 0.0
     finished: list[Request] = []
@@ -109,9 +73,9 @@ def _simulate_no_batching(device: DeviceModel, model: ModelConfig,
     )
 
 
-def _simulate_static(device: DeviceModel, model: ModelConfig,
-                     requests: list, batch_size: int, num_devices: int,
-                     max_sim_seconds: float) -> SimulationResult:
+def simulate_static(device: DeviceModel, model: ModelConfig,
+                    requests: list, batch_size: int, num_devices: int,
+                    max_sim_seconds: float) -> SimulationResult:
     """Fixed batches; each batch decodes until its longest member ends."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -169,44 +133,3 @@ def _simulate_static(device: DeviceModel, model: ModelConfig,
         busy_time_s=busy, decode_time_s=decode_time,
         prefill_time_s=prefill_time,
     )
-
-
-@register_policy("no-batching")
-def run_no_batching(device: DeviceModel, model: ModelConfig, requests: list,
-                    limits: SchedulerLimits, num_devices: int = 1,
-                    max_sim_seconds: float = 3600.0,
-                    fast_forward: bool = True) -> SimulationResult:
-    """FIFO, one request at a time (``limits`` is ignored by design)."""
-    return _simulate_no_batching(device, model, requests, num_devices,
-                                 max_sim_seconds)
-
-
-@register_policy("static")
-def run_static(device: DeviceModel, model: ModelConfig, requests: list,
-               limits: SchedulerLimits, num_devices: int = 1,
-               max_sim_seconds: float = 3600.0,
-               fast_forward: bool = True) -> SimulationResult:
-    """Fixed batches of ``limits.max_batch`` requests."""
-    return _simulate_static(device, model, requests, limits.max_batch,
-                            num_devices, max_sim_seconds)
-
-
-@register_policy("continuous")
-def run_continuous(device: DeviceModel, model: ModelConfig, requests,
-                   limits: SchedulerLimits, num_devices: int = 1,
-                   max_sim_seconds: float = 3600.0,
-                   fast_forward: bool = True,
-                   prefix_cache=None, progress=None) -> SimulationResult:
-    """Iteration-level continuous batching (the paper's default).
-
-    The only policy that accepts a lazy request stream: the engine
-    consumes arrivals through a bounded look-ahead window, so
-    ``requests`` may be a list or an iterator/``RequestStream``.  The
-    batch-mode policies below slice and sort their inputs and stay
-    list-only.  ``progress`` forwards to :meth:`ServingEngine.run`.
-    """
-    engine = ServingEngine(device, model, limits, num_devices,
-                           fast_forward=fast_forward,
-                           prefix_cache=prefix_cache)
-    return engine.run(requests, max_sim_seconds=max_sim_seconds,
-                      progress=progress)

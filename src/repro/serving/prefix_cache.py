@@ -30,7 +30,7 @@ is applied at iteration (or fast-forward burst) boundaries, not
 mid-step.
 
 Eviction policies follow the repo's registry idiom, exactly like
-routers, autoscalers and batching policies::
+routers and autoscalers::
 
     from repro.serving.prefix_cache import register_eviction_policy
 
@@ -69,15 +69,18 @@ class PrefixCacheSpec(SpecCodec):
     registered eviction policy; ``block_tokens`` is the paged-pool
     block size.  The pool itself is sized by the deployment's
     ``kv_budget_bytes`` (``None``/unlimited budget means an unbounded
-    pool: everything is cached and nothing is ever evicted).  With
-    ``enabled=False`` the subsystem is entirely bypassed — results are
-    bit-identical to a deployment without the spec.
+    pool: everything is cached and nothing is ever evicted).  The cache
+    is on when a deployment carries this spec; without one the
+    subsystem is entirely bypassed.  JSON carrying the retired
+    ``"enabled": true`` still loads; ``"enabled": false`` fails, since
+    dropping it would turn the cache on.
     """
 
-    enabled: bool = True
     reclaimable_fraction: float = 0.5
     eviction: str = "lru"
     block_tokens: int = 16
+
+    _RETIRED_KEYS = {"enabled": True}
 
     def __post_init__(self) -> None:
         super().__post_init__()

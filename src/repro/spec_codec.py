@@ -30,7 +30,12 @@ an inline :class:`~repro.hardware.chip.ChipSpec` and its parts included.
   ``replica group``).  A typo'd knob silently running with its default
   would defeat the reproducible-config contract.  The one exception is
   a key the class lists in ``_RETIRED_KEYS``: a field since removed,
-  whose old JSON still loads with the key dropped.
+  whose old JSON still loads with the key dropped.  ``_RETIRED_KEYS``
+  maps each such key to the one value it still loads with, or to
+  :data:`ANY_VALUE` when no value of the removed field changed a
+  result; any other value raises ``ValueError`` naming the section,
+  since dropping it would change what runs (``"enabled": false`` on a
+  prefix-cache or fault section).
 
 Type hints resolve on first use, once per class, since the annotations
 are strings until every module they name has loaded.
@@ -46,7 +51,7 @@ import numbers
 import re
 import types
 import typing
-from typing import Any, Callable, ClassVar, Mapping, TypeVar
+from typing import Any, Callable, ClassVar, Final, Mapping, TypeVar
 
 T = TypeVar("T")
 S = TypeVar("S", bound="SpecCodec")
@@ -55,6 +60,9 @@ S = TypeVar("S", bound="SpecCodec")
 #: its default (``from_dict`` fills the default back in).
 OMIT_DEFAULT: Mapping[str, bool] = types.MappingProxyType(
     {"omit_default": True})
+
+#: A ``_RETIRED_KEYS`` value: the retired key loads whatever it holds.
+ANY_VALUE: Final[object] = object()
 
 _UNIONS = (typing.Union, types.UnionType)
 
@@ -66,12 +74,17 @@ def _decode(cls: type[T], data: Any) -> T:
         raise ValueError(f"{label} section must be a JSON object, "
                          f"got {type(data).__name__}")
     allowed = {field.name for field in _fields(cls)}
-    unknown = set(data) - allowed - getattr(cls, "_RETIRED_KEYS",
-                                            frozenset())
+    retired: Mapping[str, object] = getattr(cls, "_RETIRED_KEYS", {})
+    unknown = set(data) - allowed - set(retired)
     if unknown:
         raise ValueError(
             f"unknown {label} field(s): {', '.join(sorted(unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}")
+    for key, kept in retired.items():
+        if key in data and kept is not ANY_VALUE and data[key] != kept:
+            raise ValueError(
+                f"retired {label} field {key!r} loads only as {kept!r}, "
+                f"got {data[key]!r}: drop the {label} section instead")
     hints = _hints(cls)
     kwargs: dict[str, Any] = {}
     missing: list[str] = []
@@ -91,8 +104,10 @@ def _decode(cls: type[T], data: Any) -> T:
 class SpecCodec:
     """Mixin: the JSON round-trip of a frozen spec dataclass."""
 
-    #: keys of removed fields that ``from_dict`` accepts and drops
-    _RETIRED_KEYS: ClassVar[frozenset[str]] = frozenset()
+    #: keys of removed fields that ``from_dict`` accepts and drops, each
+    #: with the one value it may hold (or :data:`ANY_VALUE`)
+    _RETIRED_KEYS: ClassVar[Mapping[str, object]] = \
+        types.MappingProxyType({})
 
     def __post_init__(self) -> None:
         """Reject a non-integer in an ``int`` or ``int | None`` field:

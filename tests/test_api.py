@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import (
+    BATCHING_POLICIES,
     AutoscaleSpec,
     CapacityReport,
     CapacitySpec,
@@ -18,14 +19,11 @@ from repro.api import (
     WorkloadSpec,
     find_capacity,
     get_chip,
-    get_policy,
     get_trace,
     list_chips,
-    list_policies,
     list_traces,
     load_experiment,
     register_chip,
-    register_policy,
     register_trace,
     run_experiment,
     save_experiment,
@@ -38,7 +36,6 @@ from repro.models.zoo import get_model
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving.engine import ServingEngine
 from repro.serving.generator import iter_poisson_requests
-from repro.serving.policies import POLICY_REGISTRY
 from repro.serving.qos import compute_qos
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.traces import TRACE_REGISTRY
@@ -106,26 +103,26 @@ class TestTraceRegistry:
             TRACE_REGISTRY.unregister("tiny-test-trace")
 
 
-class TestPolicyRegistry:
-    def test_builtin_policies(self):
-        assert list_policies() == ["continuous", "no-batching", "static"]
+class TestBatchingPolicies:
+    def test_three_disciplines_sorted(self):
+        assert BATCHING_POLICIES == ("continuous", "no-batching", "static")
 
-    def test_unknown_policy_raises(self):
-        with pytest.raises(KeyError, match="unknown batching policy"):
-            get_policy("priority")
+    def test_unknown_policy_rejected_at_the_spec(self):
+        with pytest.raises(ValueError, match="unknown batching policy "
+                           "'priority'; supported: continuous, "
+                           "no-batching, static"):
+            DeploymentSpec(batching="priority")
 
-    def test_register_policy_decorator(self):
-        @register_policy("test-passthrough")
-        def runner(device, model, requests, limits, num_devices=1,
-                   max_sim_seconds=600.0):
-            return get_policy("continuous")(
-                device, model, requests, limits,
-                num_devices=num_devices, max_sim_seconds=max_sim_seconds)
-
-        try:
-            assert get_policy("test-passthrough") is runner
-        finally:
-            POLICY_REGISTRY.unregister("test-passthrough")
+    @pytest.mark.parametrize("batching", ["static", "no-batching"])
+    @pytest.mark.parametrize("section", [
+        pytest.param(dict(replicas=2), id="replicas"),
+        pytest.param(dict(autoscale=AutoscaleSpec()), id="autoscale"),
+    ])
+    def test_fleet_needs_continuous_batching(self, batching, section):
+        # the cluster engine runs only continuous batching: such a spec
+        # fails at construction, not once a cluster run starts
+        with pytest.raises(ValueError, match="requires continuous batching"):
+            DeploymentSpec(batching=batching, **section)
 
 
 # --------------------------------------------------------------------- #
@@ -235,6 +232,14 @@ class TestSpecRoundTrip:
             DeploymentSpec(router="slo-aware:0", replicas=replicas)
         assert DeploymentSpec(router="slo-aware:64",
                               replicas=replicas).router == "slo-aware:64"
+
+    def test_router_instance_rejected(self):
+        # an instance cannot be serialized and would carry its state
+        # from one simulate() of the spec into the next
+        from repro.cluster.router import RoundRobinRouter
+
+        with pytest.raises(ValueError, match="registry name"):
+            DeploymentSpec(replicas=3, router=RoundRobinRouter())
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
     def test_non_positive_kv_budget_rejected(self, budget):
@@ -376,6 +381,30 @@ class TestFindCapacity:
             find_capacity(DeploymentSpec(batching="static"),
                           WorkloadSpec(), self.CAPACITY)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("max_batch", 8),
+        ("prefill_chunk_tokens", 64),
+        ("kv_budget_bytes", 2e9),
+    ])
+    def test_rejects_endpoint_knobs_it_would_ignore(self, knob, value):
+        # the search derives its admission limits from memory (Fig. 16),
+        # so it used to ignore these knobs silently
+        with pytest.raises(ValueError, match=f"{knob}={value!r}"):
+            find_capacity(DeploymentSpec(**{knob: value}),
+                          WorkloadSpec(num_requests=40, seed=7),
+                          self.CAPACITY, max_sim_seconds=300.0)
+
+    def test_accepts_endpoint_knobs_spelt_out_at_their_defaults(self):
+        workload = WorkloadSpec(trace="fixed-64x16", num_requests=20,
+                                seed=1)
+        capacity = CapacitySpec(iterations=2, rate_low=0.5, rate_high=8.0)
+        spelt = find_capacity(
+            DeploymentSpec(max_batch=256, prefill_chunk_tokens=512,
+                           kv_budget_bytes=float("inf")),
+            workload, capacity)
+        plain = find_capacity(DeploymentSpec(), workload, capacity)
+        assert spelt.capacity == plain.capacity
+
     def test_rejects_context_bucket_without_sim_cache(self):
         # the capacity path must not silently drop the bucket the way
         # _device_for's guard prevents for fixed-rate simulations
@@ -507,6 +536,13 @@ class TestAutoscaleSpecApi:
         with pytest.raises(ValueError, match="unknown autoscale field"):
             AutoscaleSpec.from_dict({"policy": "queue-depth",
                                      "max_replicass": 4})
+
+    def test_unknown_policy_rejected_at_the_spec(self):
+        # fails here, not once a cluster engine is built
+        with pytest.raises(KeyError, match="unknown autoscaler policy"):
+            AutoscaleSpec(policy="bogus")
+        with pytest.raises(KeyError, match="unknown autoscaler policy"):
+            DeploymentSpec.from_dict({"autoscale": {"policy": "bogus"}})
 
     def test_autoscale_section_must_be_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):

@@ -192,26 +192,30 @@ class TestFaultsCli:
         experiment = {
             "deployment": {"chip": "ador", "max_batch": 64,
                            "replicas": 2,
-                           "faults": {"seed": 3, "crash_mtbf_s": 30.0,
-                                      "enabled": False}},
+                           "faults": {"seed": 3, "crash_mtbf_s": 30.0}},
             "workload": {"trace": "ultrachat", "rate_per_s": 20.0,
                          "num_requests": 40, "seed": 7},
         }
         path = tmp_path / "faults.json"
         path.write_text(json.dumps(experiment))
-        # the committed spec carries faults disabled: fault-free run
+        # the spec carries a faults section: injection is on
         assert main(["run", str(path)]) == 0
-        assert "goodput" not in capsys.readouterr().out
-        # flip injection on, keeping the experiment's fault knobs
-        assert main(["run", str(path), "--faults"]) == 0
         out = capsys.readouterr().out
         assert "goodput" in out and "crashes" in out
+        # --faults keeps the experiment's fault knobs
+        assert main(["run", str(path), "--faults"]) == 0
+        assert capsys.readouterr().out == out
         # strip the section entirely
         assert main(["run", str(path), "--no-faults"]) == 0
         assert "goodput" not in capsys.readouterr().out
         # conflicting flags fail loudly instead of silently picking one
         assert main(["run", str(path), "--faults", "--no-faults"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
+        # without a section, --faults turns injection on at the defaults
+        del experiment["deployment"]["faults"]
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path), "--faults"]) == 0
+        assert "goodput" in capsys.readouterr().out
 
     def test_serve_kv_exhaustion_is_one_line_error(self, capsys,
                                                    monkeypatch):
@@ -320,6 +324,34 @@ class TestErrorExits:
         assert field in lines[0]
         assert captured.out == ""
 
+    def test_unknown_policy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--policy", "bogus"])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            "repro-ador serve: error: argument --policy: invalid choice: "
+            "'bogus' (choose from 'continuous', 'no-batching', 'static')"]
+
+    @pytest.mark.parametrize("section, label", [
+        ("prefix_cache", "prefix cache"), ("faults", "fault")])
+    def test_disabled_section_in_experiment_exits_2(self, capsys, tmp_path,
+                                                    section, label):
+        """A section is on when present: ``"enabled": false`` fails
+        instead of running the section it once switched off."""
+        experiment = json.loads((EXPERIMENTS / "ultrachat_ador.json")
+                                .read_text())
+        experiment["deployment"][section] = {"enabled": False}
+        path = tmp_path / "disabled.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert f"drop the {label} section" in lines[0]
+        assert captured.out == ""
+
     def test_fractional_count_in_experiment_exits_2(self, capsys, tmp_path):
         """A fractional count in an experiment file is a bad spec: one
         ``error:`` line naming the field, and nothing simulated."""
@@ -413,7 +445,7 @@ class TestSectionTable:
         for section in _SECTIONS:
             assert section.switch in deployment_fields
             fields = {f.name: f for f in dataclasses.fields(section.spec)}
-            assert section.field in fields
+            assert section.field is None or section.field in fields
             for flag, name, _ in section.knobs:
                 assert name in fields, (flag, name)
                 default = fields[name].default

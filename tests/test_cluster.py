@@ -414,10 +414,15 @@ class TestClusterSpecsAndFacade:
         assert isinstance(cluster, ClusterReport)
 
     def test_cluster_requires_continuous_batching(self):
+        # the spec rejects a static fleet; a one-endpoint static spec
+        # handed straight to the cluster path fails there instead of
+        # running continuous batching under the static name
+        static = DeploymentSpec(chip="ador", batching="static")
         with pytest.raises(ValueError, match="continuous"):
-            simulate_cluster(
-                DeploymentSpec(chip="ador", replicas=2, batching="static"),
-                WorkloadSpec(rate_per_s=5.0, num_requests=10))
+            simulate_cluster(static,
+                             WorkloadSpec(rate_per_s=5.0, num_requests=10))
+        with pytest.raises(ValueError, match="continuous"):
+            build_cluster_engine(static)
 
     def test_cluster_report_summary_mentions_fleet(self):
         report = simulate(

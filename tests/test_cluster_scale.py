@@ -127,17 +127,9 @@ def test_sharding_rejects_autoscale():
 
 def test_sharding_rejects_enabled_faults():
     deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
-                                faults=FaultSpec(enabled=True,
-                                                 crash_mtbf_s=50.0))
+                                faults=FaultSpec(crash_mtbf_s=50.0))
     with pytest.raises(ValueError, match="fault"):
         simulate_cluster(deployment, WORKLOAD, shards=2)
-
-
-def test_sharding_allows_disabled_faults():
-    deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=2,
-                                faults=FaultSpec(enabled=False))
-    result = simulate_cluster(deployment, WORKLOAD, shards=2).cluster
-    assert len(result.replica_results) == 2
 
 
 def test_sharding_rejects_more_shards_than_replicas():
@@ -172,10 +164,11 @@ def test_sharding_flattens_one_group_fleet():
 
 
 def test_sharding_rejects_non_continuous_batching():
-    deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
-                                batching="static")
+    # a static fleet fails at the spec, before any shard could start
     with pytest.raises(ValueError, match="continuous"):
-        simulate_cluster(deployment, WORKLOAD, shards=2)
+        simulate_cluster(DeploymentSpec(chip="ador", model="llama3-8b",
+                                        replicas=4, batching="static"),
+                         WORKLOAD, shards=2)
 
 
 def test_sharding_rejects_bad_shard_count():

@@ -3,8 +3,7 @@
 Covers the FaultSpec/FaultEvent serialization contract, the seeded
 per-replica schedule, crash/slowdown/stall semantics on fixed and
 autoscaled fleets, retry/timeout accounting (no request is ever lost
-silently), disabled-faults bit-parity with the fault-free engine, and
-the drain-during-crash interaction with scale-downs.
+silently), and the drain-during-crash interaction with scale-downs.
 """
 
 import copy
@@ -192,11 +191,6 @@ class TestFaultSpecContract:
     def test_faults_require_continuous_batching(self):
         with pytest.raises(ValueError, match="continuous"):
             DeploymentSpec(batching="static", faults=FaultSpec())
-
-    def test_disabled_faults_allowed_with_static_batching(self):
-        spec = DeploymentSpec(batching="static",
-                              faults=FaultSpec(enabled=False))
-        assert spec.faults.enabled is False
 
 
 # --------------------------------------------------------------------- #
@@ -446,30 +440,6 @@ class TestAutoscaledFaults:
 
 
 # --------------------------------------------------------------------- #
-# Disabled parity: faults=None enters zero new code paths                #
-# --------------------------------------------------------------------- #
-
-class TestDisabledParity:
-    @pytest.mark.parametrize("replicas", (1, 4))
-    @pytest.mark.parametrize("trace", ("steady", "bursty"))
-    def test_disabled_spec_is_bit_identical_to_none(self, ador_device,
-                                                    replicas, trace):
-        requests = steady_requests() if trace == "steady" \
-            else bursty_requests()
-        plain = run_cluster(requests, ador_device, replicas=replicas)
-        disabled = run_cluster(requests, ador_device, replicas=replicas,
-                               faults=FaultSpec(enabled=False))
-        assert result_fingerprint(plain.merged) \
-            == result_fingerprint(disabled.merged)
-        for lhs, rhs in zip(plain.replica_results,
-                            disabled.replica_results):
-            assert result_fingerprint(lhs) == result_fingerprint(rhs)
-        assert plain.load == disabled.load
-        assert plain.qos() == disabled.qos()
-        assert disabled.faults is None
-
-
-# --------------------------------------------------------------------- #
 # Facade and reporting                                                   #
 # --------------------------------------------------------------------- #
 
@@ -498,7 +468,7 @@ class TestFacade:
         path = pathlib.Path(__file__).parent.parent / "experiments" \
             / "resilience_ador_4x.json"
         experiment = Experiment.from_dict(json.loads(path.read_text()))
-        assert experiment.deployment.faults.enabled
+        assert experiment.deployment.faults is not None
         assert experiment.deployment.faults.crash_mtbf_s \
             == pytest.approx(60.0)
         report = run_experiment(path)
@@ -557,19 +527,3 @@ class TestScheduleProperties:
             return injector.trace(300.0)
 
         assert trace_fingerprint(build()) == trace_fingerprint(build())
-
-
-class TestParityProperties:
-    @given(replicas=st.sampled_from([1, 4]),
-           trace=st.sampled_from(["steady", "bursty"]))
-    @settings(max_examples=8, deadline=None)
-    def test_disabled_faults_parity_property(self, replicas, trace):
-        device = device_model_for(get_chip("ador"))
-        requests = steady_requests(count=24, rate=20.0) \
-            if trace == "steady" else bursty_requests(count=24)
-        plain = run_cluster(requests, device, replicas=replicas)
-        disabled = run_cluster(requests, device, replicas=replicas,
-                               faults=FaultSpec(enabled=False))
-        assert result_fingerprint(plain.merged) \
-            == result_fingerprint(disabled.merged)
-        assert plain.qos() == disabled.qos()

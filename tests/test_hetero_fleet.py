@@ -182,8 +182,7 @@ ELASTIC = {
     "autoscale": {"autoscale": AutoscaleSpec(
         policy="queue-depth", min_replicas=1, max_replicas=4,
         provision_latency_s=3.0)},
-    "faults": {"faults": FaultSpec(enabled=True, seed=3,
-                                   crash_mtbf_s=40.0,
+    "faults": {"faults": FaultSpec(seed=3, crash_mtbf_s=40.0,
                                    restart_delay_s=2.0)},
 }
 

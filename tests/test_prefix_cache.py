@@ -2,9 +2,8 @@
 
 Covers the cache in isolation (hit clamping, eviction ordering, the
 reclaimable cap, the never-touch-active invariant), the scheduler's
-stall/preempt responses under block-pool pressure, and the headline
-contract: a deployment without a cache — or with ``enabled=False`` —
-is bit-identical to the cold path.
+stall/preempt responses under block-pool pressure, and the facade:
+a cached deployment reports its hit statistics.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.api import (
     WorkloadSpec,
     find_capacity,
     simulate,
-    simulate_cluster,
 )
 from repro.models.zoo import get_model
 from repro.serving.kv_allocator import KvBlockConfig, PagedKvAllocator
@@ -68,10 +66,6 @@ class TestSpec:
     def test_round_trip(self):
         spec = PrefixCacheSpec(reclaimable_fraction=0.8, eviction="fifo",
                                block_tokens=32)
-        assert PrefixCacheSpec.from_dict(spec.to_dict()) == spec
-
-    def test_disabled_round_trip(self):
-        spec = PrefixCacheSpec(enabled=False)
         assert PrefixCacheSpec.from_dict(spec.to_dict()) == spec
 
     def test_rejects_unknown_keys(self):
@@ -626,39 +620,7 @@ class TestDerivedProgress:
         assert young.first_token_time == 5.0
 
 
-def run_signature(report):
-    result = report.result
-    return (
-        [(r.request_id, r.first_token_time, r.finish_time,
-          r.generated_tokens) for r in result.finished],
-        result.total_time_s,
-        result.iterations,
-    )
-
-
-class TestDisabledParity:
-    """``enabled=False`` (or no spec) must be bit-identical to cold."""
-
-    @pytest.mark.parametrize("replicas", [1, 4])
-    @pytest.mark.parametrize("arrival", ["poisson", "sessions"])
-    def test_disabled_is_bit_identical(self, replicas, arrival):
-        deploy = dict(chip="ador", model="llama3-8b", replicas=replicas,
-                      kv_budget_bytes=4 * GIB)
-        if replicas > 1:
-            deploy["router"] = "session-affinity"
-        workload = WorkloadSpec(
-            trace="ultrachat", rate_per_s=4.0, num_requests=120, seed=9,
-            arrival=arrival,
-            session=SessionConfig() if arrival == "sessions" else None)
-        runner = simulate if replicas == 1 else simulate_cluster
-        cold = runner(DeploymentSpec(**deploy), workload)
-        off = runner(DeploymentSpec(
-            **deploy, prefix_cache=PrefixCacheSpec(enabled=False)),
-            workload)
-        assert run_signature(cold) == run_signature(off)
-        assert cold.result.prefix_cache is None
-        assert off.result.prefix_cache is None
-
+class TestApiIntegration:
     def test_enabled_reports_stats_and_hits(self):
         workload = WorkloadSpec(
             trace="ultrachat", rate_per_s=2.0, num_requests=150, seed=9,
@@ -672,8 +634,6 @@ class TestDisabledParity:
         assert stats.saved_prefill_tokens > 0
         assert "prefix cache" in hot.summary()
 
-
-class TestApiIntegration:
     def test_deployment_spec_round_trip(self):
         spec = DeploymentSpec(
             chip="ador", model="llama3-8b",
@@ -693,16 +653,6 @@ class TestApiIntegration:
         workload = WorkloadSpec(trace="ultrachat", num_requests=50, seed=1)
         with pytest.raises(ValueError, match="prefix_cache"):
             find_capacity(deployment, workload)
-
-    def test_disabled_spec_passes_capacity(self):
-        deployment = DeploymentSpec(
-            chip="ador", model="llama3-8b",
-            prefix_cache=PrefixCacheSpec(enabled=False))
-        workload = WorkloadSpec(trace="fixed-64x16", num_requests=20,
-                                seed=1)
-        report = find_capacity(deployment, workload, iterations=2,
-                               rate_low=0.5, rate_high=8.0)
-        assert report.capacity.max_requests_per_s > 0
 
     def test_session_workload_round_trip(self):
         workload = WorkloadSpec(

@@ -72,8 +72,8 @@ def untyped(where):
 
 #: every name the scan may report, with the one-line reason it stays
 ALLOWED = {
-    # registries: routers, autoscalers, eviction policies, batching
-    # policies and lint rules are reached through their registry
+    # registries: routers, autoscalers, eviction policies and lint
+    # rules are reached through their registry
     "repro.cluster.router.LeastOutstandingRouter": REGISTRY,
     "repro.cluster.router.RoundRobinRouter": REGISTRY,
     "repro.cluster.router.SessionAffinityRouter": REGISTRY,
@@ -82,18 +82,12 @@ ALLOWED = {
     "repro.serving.prefix_cache.FifoEviction": REGISTRY,
     "repro.serving.prefix_cache.LargestEviction": REGISTRY,
     "repro.serving.prefix_cache.LruEviction": REGISTRY,
-    "repro.serving.policies.run_continuous": REGISTRY,
-    "repro.serving.policies.run_no_batching": REGISTRY,
-    "repro.serving.policies.run_static": REGISTRY,
     "repro.quality.rules.DeterminismRule": REGISTRY,
     "repro.quality.rules.ExceptionHygieneRule": REGISTRY,
     "repro.quality.rules.FloatEqualityRule": REGISTRY,
     "repro.quality.rules.MutableDefaultRule": REGISTRY,
     "repro.quality.rules.RouterContractRule": REGISTRY,
     "repro.quality.rules.SpecHygieneRule": REGISTRY,
-    # simulate() passes these through ``runner(..., **extra)``
-    "repro.serving.policies.run_continuous(prefix_cache=)": REGISTRY,
-    "repro.serving.policies.run_continuous(progress=)": REGISTRY,
     # the lint rules' node visitors
     "repro.quality.rules.DeterminismRule.visit_Call": VISITOR,
     "repro.quality.rules.DeterminismRule.visit_Import": VISITOR,
@@ -122,6 +116,8 @@ ALLOWED = {
     # the capacity search the fast one is held to, probe for probe
     "repro.serving.capacity.reference_capacity_search(percentile=)": ORACLE,
     "repro.serving.capacity.reference_capacity_search(slo_ttft_s=)": ORACLE,
+    "repro.serving.capacity.reference_capacity_search(max_sim_seconds=)":
+        ORACLE,
     # test seams
     "repro.registry.Registry.unregister":
         seam("lets a test undo what it registered"),

@@ -9,7 +9,8 @@ from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
 from repro.serving.dataset import fixed_trace
 from repro.serving.generator import iter_poisson_requests
-from repro.serving.policies import get_policy
+from repro.serving.engine import ServingEngine
+from repro.serving.policies import simulate_no_batching, simulate_static
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
@@ -34,10 +35,16 @@ def make_requests(count=24, rate=6.0, seed=3):
 
 def simulate(policy, device, llama3, requests, batch_size=32,
              max_sim_seconds=3600.0):
-    """Run ``requests`` under the named policy's registered runner."""
-    return get_policy(policy)(device, llama3, requests,
-                              SchedulerLimits(max_batch=batch_size),
-                              max_sim_seconds=max_sim_seconds)
+    """Run ``requests`` under the named discipline, on one device."""
+    if policy == "no-batching":
+        return simulate_no_batching(device, llama3, requests, 1,
+                                    max_sim_seconds)
+    if policy == "static":
+        return simulate_static(device, llama3, requests, batch_size, 1,
+                               max_sim_seconds)
+    engine = ServingEngine(device, llama3,
+                           SchedulerLimits(max_batch=batch_size))
+    return engine.run(requests, max_sim_seconds=max_sim_seconds)
 
 
 def run(policy, device, llama3, requests, **kwargs):

@@ -11,7 +11,8 @@ fields reject unknown values with the allowed list.  Retired keys
 (``WorkloadSpec``'s ``streaming``, ``CapacitySpec``'s
 ``reuse_arrivals`` and ``parallel_probes``, ``VectorUnit``'s
 ``ops_per_element`` and ``Sram``'s ``bandwidth_bytes_per_s``) still
-load and are dropped.
+load and are dropped, as is a prefix-cache or fault section's
+``"enabled": true``; ``"enabled": false`` fails, naming the section.
 Every integer field rejects bools, floats and strings at construction.
 """
 
@@ -151,7 +152,7 @@ def autoscales(draw, total):
 
 
 prefix_caches = st.builds(
-    PrefixCacheSpec, enabled=st.booleans(),
+    PrefixCacheSpec,
     reclaimable_fraction=st.floats(0.01, 1.0),
     eviction=st.sampled_from(list_eviction_policies()),
     block_tokens=st.integers(1, 64))
@@ -168,7 +169,7 @@ def fault_events(draw):
 
 
 faults = st.builds(
-    FaultSpec, enabled=st.booleans(), seed=st.integers(0, 2 ** 32),
+    FaultSpec, seed=st.integers(0, 2 ** 32),
     crash_mtbf_s=st.none() | positive, restart_delay_s=non_negative,
     slowdown_mtbf_s=st.none() | positive, slowdown_factor=at_least_one,
     slowdown_duration_s=positive, stall_mtbf_s=st.none() | positive,
@@ -186,9 +187,10 @@ def deployments(draw):
     total = replicas if fleet is None else fleet.total_replicas
     prefix_cache = draw(st.none() | prefix_caches)
     fault_spec = draw(st.none() | faults)
-    continuous_only = fleet is not None \
-        or (prefix_cache is not None and prefix_cache.enabled) \
-        or (fault_spec is not None and fault_spec.enabled)
+    autoscale = draw(st.none() | autoscales(total))
+    continuous_only = total > 1 or fleet is not None \
+        or autoscale is not None or prefix_cache is not None \
+        or fault_spec is not None
     # an explicit fleet's groups carry the endpoint knobs
     endpoint = {} if fleet is not None else dict(
         chip=draw(chips),
@@ -204,7 +206,7 @@ def deployments(draw):
         else draw(st.sampled_from(["continuous", "static"])),
         replicas=replicas,
         router=draw(st.sampled_from(list_routers())),
-        autoscale=draw(st.none() | autoscales(total)),
+        autoscale=autoscale,
         prefix_cache=prefix_cache,
         faults=fault_spec,
         fleet=fleet,
@@ -402,9 +404,36 @@ def test_retired_key_not_offered_as_allowed(spec, key):
     assert key not in allowed.split(", ")
 
 
+#: the sections that are on when present: class, deployment key, label
+SWITCHED_SECTIONS = [
+    pytest.param(PrefixCacheSpec, "prefix_cache", "prefix cache",
+                 id="prefix_cache"),
+    pytest.param(FaultSpec, "faults", "fault", id="faults"),
+]
+
+
+@pytest.mark.parametrize("spec, key, label", SWITCHED_SECTIONS)
+def test_retired_enabled_true_loads_as_no_key(spec, key, label):
+    loaded = spec.from_dict({"enabled": True})
+    assert loaded == spec.from_dict({})
+    assert "enabled" not in loaded.to_dict()
+    assert DeploymentSpec.from_dict({key: {"enabled": True}}) \
+        == DeploymentSpec(**{key: spec()})
+
+
+@pytest.mark.parametrize("spec, key, label", SWITCHED_SECTIONS)
+def test_retired_enabled_false_fails_naming_the_section(spec, key, label):
+    # dropping the key would turn the section on: fail instead
+    with pytest.raises(ValueError, match=f"drop the {label} section"):
+        spec.from_dict({"enabled": False})
+    with pytest.raises(ValueError, match=f"drop the {label} section"):
+        DeploymentSpec.from_dict({key: {"enabled": False}})
+
+
 def test_perfbench_spec_sections_load():
     """Every deployment/workload section of the benchmark definition,
-    which still carries ``"streaming": true``, loads."""
+    which still carries ``"streaming": true`` and ``"enabled": true``,
+    loads."""
     path = REPO_ROOT / "perfbench" / "workloads.json"
     sections = 0
     for config in json.loads(path.read_text())["workloads"].values():

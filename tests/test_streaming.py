@@ -261,8 +261,7 @@ ELASTIC = {
     "none": {},
     "autoscale": {"autoscale": AutoscaleSpec(
         policy="queue-depth", min_replicas=1, max_replicas=4)},
-    "faults": {"faults": FaultSpec(enabled=True, seed=3,
-                                   crash_mtbf_s=40.0,
+    "faults": {"faults": FaultSpec(seed=3, crash_mtbf_s=40.0,
                                    restart_delay_s=2.0)},
 }
 
