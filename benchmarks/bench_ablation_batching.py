@@ -23,8 +23,10 @@ def _compare():
     rows = []
     outcomes = {}
     for policy in POLICIES:
+        # no-batching serves one request at a time: it has no batch
+        batch = {} if policy == "no-batching" else {"max_batch": 32}
         deployment = DeploymentSpec(chip="ador", model="llama3-8b",
-                                    max_batch=32, batching=policy)
+                                    batching=policy, **batch)
         report = simulate(deployment, workload, max_sim_seconds=3600.0)
         qos = report.qos
         rows.append([

@@ -39,6 +39,7 @@ from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.dataset import ULTRACHAT_LIKE
+from repro.serving.engine import ServingEngine
 from repro.serving.generator import iter_onoff_requests
 from repro.serving.scheduler import SchedulerLimits
 
@@ -95,16 +96,14 @@ def _stream(config, seed):
 
 def _run_pair(config, device, model, seed) -> dict:
     """Fixed max-size fleet vs autoscaled fleet on one request stream."""
-    limits = SchedulerLimits(max_batch=config["max_batch"],
-                             prefill_chunk_tokens=512)
+    endpoint = ServingEngine(device, model, SchedulerLimits(
+        max_batch=config["max_batch"], prefill_chunk_tokens=512))
     fixed = ClusterEngine(
-        [EngineGroup("ador", device, model, limits,
-                     count=config["max_replicas"])],
+        [EngineGroup("ador", endpoint, count=config["max_replicas"])],
         router="least-outstanding").run(
         _stream(config, seed), max_sim_seconds=600.0)
     auto = ClusterEngine(
-        [EngineGroup("ador", device, model, limits,
-                     count=config["min_replicas"])],
+        [EngineGroup("ador", endpoint, count=config["min_replicas"])],
         router="least-outstanding",
         autoscale=_autoscale_spec(config)).run(
         _stream(config, seed), max_sim_seconds=600.0)
@@ -132,11 +131,10 @@ def _run_pair(config, device, model, seed) -> dict:
 def _determinism_probe(config, device, model) -> bool:
     """Same stream + spec => identical scaling history and QoS."""
     def run_once():
-        limits = SchedulerLimits(max_batch=config["max_batch"],
-                                 prefill_chunk_tokens=512)
+        endpoint = ServingEngine(device, model, SchedulerLimits(
+            max_batch=config["max_batch"], prefill_chunk_tokens=512))
         engine = ClusterEngine(
-            [EngineGroup("ador", device, model, limits,
-                         count=config["min_replicas"])],
+            [EngineGroup("ador", endpoint, count=config["min_replicas"])],
             router="least-outstanding", autoscale=_autoscale_spec(config))
         result = engine.run(_stream(config, config["seeds"][0]),
                             max_sim_seconds=600.0)

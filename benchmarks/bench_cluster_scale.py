@@ -123,15 +123,14 @@ def _measure_stream(count):
 def _measure_parity(deployment, workload):
     """Stream-vs-list (same sequence) and repeat-run shards=1
     bit-identity."""
-    device = _device_for(get_chip("ador"), True, 1)
-    model = get_model(deployment.model)
+    endpoint = ServingEngine(_device_for(get_chip("ador"), True, 1),
+                             get_model(deployment.model),
+                             deployment.scheduler_limits(),
+                             deployment.num_devices)
 
     def engine():
         return ClusterEngine(
-            [EngineGroup("ador", device, model,
-                         deployment.scheduler_limits(),
-                         num_devices=deployment.num_devices,
-                         count=deployment.replicas)],
+            [EngineGroup("ador", endpoint, count=deployment.replicas)],
             router=deployment.router)
 
     streamed = engine().run(workload.request_stream())

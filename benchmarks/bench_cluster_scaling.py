@@ -23,6 +23,7 @@ from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.serving.dataset import ChatTraceConfig
+from repro.serving.engine import ServingEngine
 from repro.serving.generator import iter_onoff_requests
 from repro.serving.scheduler import SchedulerLimits
 
@@ -69,17 +70,16 @@ def _scaling_rows():
 
 def _bursty_p99(router: str) -> float:
     """Mean p99 TTFT over seeds for one router on the bursty trace."""
-    model = get_model("llama3-8b")
-    device = device_model_for(get_chip("ador"))
-    limits = SchedulerLimits(max_batch=12, prefill_chunk_tokens=512)
+    endpoint = ServingEngine(
+        device_model_for(get_chip("ador")), get_model("llama3-8b"),
+        SchedulerLimits(max_batch=12, prefill_chunk_tokens=512))
     p99s = []
     for seed in BURSTY_SEEDS:
         requests = list(iter_onoff_requests(
             BURSTY_TRACE, on_rate_per_s=60.0, off_rate_per_s=4.0,
             phase_seconds=3.0, seed=seed, count=400))
-        engine = ClusterEngine(
-            [EngineGroup("ador", device, model, limits, count=4)],
-            router=router)
+        engine = ClusterEngine([EngineGroup("ador", endpoint, count=4)],
+                               router=router)
         result = engine.run(requests, max_sim_seconds=600.0)
         p99s.append(result.qos().ttft_p99_s)
     return float(np.mean(p99s))

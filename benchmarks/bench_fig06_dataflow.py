@@ -26,8 +26,8 @@ def _bubbles():
     chip = ador_table3()
     flow = MultiCoreDataflow(chip, DataflowKind.LATENCY)
     model = get_model("llama3-8b")
-    scheduler = AdorDeviceModel(chip).scheduler
-    breakdown = scheduler.layer_breakdown(model, Phase.DECODE, BATCH, 1, 1024)
+    breakdown = AdorDeviceModel(chip).layer_breakdown(
+        model, Phase.DECODE, BATCH, 1, 1024)
     compute = breakdown["out_proj"]
     rows = []
     for method in CoreSyncMethod:

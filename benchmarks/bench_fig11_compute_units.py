@@ -39,7 +39,7 @@ def _fig11a():
         rows = []
         for size, cores in SA_CONFIGS:
             device = AdorDeviceModel(_chip_with_sa(size, cores))
-            breakdown = device.scheduler.layer_breakdown(
+            breakdown = device.layer_breakdown(
                 model, phase, batch, q, ctx)
             row = [f"{size}x{size} x{cores}c"]
             row += [breakdown.get(op, 0.0) * model.num_layers * 1e3

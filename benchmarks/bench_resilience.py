@@ -44,6 +44,7 @@ from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.dataset import ULTRACHAT_LIKE
+from repro.serving.engine import ServingEngine
 from repro.serving.generator import iter_poisson_requests
 from repro.serving.qos import goodput_per_s
 from repro.serving.scheduler import SchedulerLimits
@@ -89,7 +90,7 @@ def _stream(config, seed):
 
 def _fleet(config, device, model) -> list[EngineGroup]:
     """The bench's one group: ``replicas`` ADOR replicas."""
-    return [EngineGroup("ador", device, model, _limits(config),
+    return [EngineGroup("ador", ServingEngine(device, model, _limits(config)),
                         count=config["replicas"])]
 
 

@@ -46,6 +46,7 @@ from repro.cluster.engine import ClusterEngine, EngineGroup
 from repro.core.scheduling import device_model_for
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
+from repro.serving.engine import ServingEngine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_sim_speed.json"
@@ -114,12 +115,12 @@ def _measure(name, deployment, workload):
 
 def _cache_stats(deployment, workload):
     """Hit rates of the shared device-model cache on one cluster run."""
-    model = get_model(deployment.model)
     device = CachedDeviceModel(device_model_for(deployment.chip_spec()))
+    endpoint = ServingEngine(device, get_model(deployment.model),
+                             deployment.scheduler_limits(),
+                             deployment.num_devices)
     engine = ClusterEngine(
-        [EngineGroup("ador", device, model, deployment.scheduler_limits(),
-                     num_devices=deployment.num_devices,
-                     count=deployment.replicas)],
+        [EngineGroup("ador", endpoint, count=deployment.replicas)],
         router=deployment.router)
     engine.run(workload.build_requests())
     return device.cache_info()

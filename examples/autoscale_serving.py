@@ -27,7 +27,7 @@ from repro.api import (
     simulate,
 )
 from repro.cluster import ClusterEngine, EngineGroup, list_autoscalers
-from repro.serving import SchedulerLimits
+from repro.serving import SchedulerLimits, ServingEngine
 from repro.serving.dataset import ULTRACHAT_LIKE
 from repro.serving.generator import iter_onoff_requests
 
@@ -67,9 +67,9 @@ def main() -> None:
               f"util={sample.utilization:4.2f}  {bar}")
 
     # 3) elastic vs fixed fleet on bursty on/off traffic
-    model = get_model("llama3-8b")
-    device = device_model_for(get_chip("ador"))
-    limits = SchedulerLimits(max_batch=12, prefill_chunk_tokens=512)
+    endpoint = ServingEngine(
+        device_model_for(get_chip("ador")), get_model("llama3-8b"),
+        SchedulerLimits(max_batch=12, prefill_chunk_tokens=512))
 
     def bursty_stream():
         return list(iter_onoff_requests(
@@ -77,14 +77,14 @@ def main() -> None:
             phase_seconds=20.0, seed=3, count=500))
 
     fixed = ClusterEngine(
-        [EngineGroup("ador", device, model, limits, count=6)],
+        [EngineGroup("ador", endpoint, count=6)],
         router="least-outstanding").run(bursty_stream())
     spec = AutoscaleSpec(policy="queue-depth", min_replicas=1,
                          max_replicas=6, decision_interval_s=0.25,
                          provision_latency_s=10.0, warm_pool_size=6,
                          warm_provision_s=0.1)
     elastic = ClusterEngine(
-        [EngineGroup("ador", device, model, limits, count=1)],
+        [EngineGroup("ador", endpoint, count=1)],
         router="least-outstanding", autoscale=spec).run(bursty_stream())
     fixed_rs = 6 * fixed.merged.total_time_s
     elastic_rs = elastic.autoscale.replica_seconds

@@ -28,6 +28,7 @@ from repro.api import (
 from repro.cluster import ClusterEngine, EngineGroup
 from repro.serving import (
     SchedulerLimits,
+    ServingEngine,
     SessionConfig,
     iter_session_requests,
 )
@@ -64,12 +65,11 @@ def main() -> None:
     # 3) sticky sessions on a multi-turn chat workload
     requests = list(iter_session_requests(SessionConfig(), sessions=120,
                                           session_rate_per_s=6.0, seed=11))
-    model = get_model("llama3-8b")
-    device = device_model_for(get_chip("ador"))
-    engine = ClusterEngine(
-        [EngineGroup("ador", device, model, SchedulerLimits(max_batch=256),
-                     count=4)],
-        router="session-affinity")
+    endpoint = ServingEngine(device_model_for(get_chip("ador")),
+                             get_model("llama3-8b"),
+                             SchedulerLimits(max_batch=256))
+    engine = ClusterEngine([EngineGroup("ador", endpoint, count=4)],
+                           router="session-affinity")
     result = engine.run(requests, max_sim_seconds=600.0)
     homes: dict[int, set[int]] = {}
     for index, replica_result in enumerate(result.replica_results):

@@ -32,6 +32,7 @@ from repro.api.specs import (
     DeploymentSpec,
     Experiment,
     FleetSpec,
+    ReplicaGroupSpec,
     WorkloadSpec,
 )
 from repro.cluster.engine import ClusterEngine, EngineGroup
@@ -120,6 +121,24 @@ def _device_for(chip: ChipSpec, sim_cache: bool,
                              context_bucket=context_bucket)
 
 
+def _endpoint(group: ReplicaGroupSpec, deployment: DeploymentSpec,
+              sim_cache: bool, context_bucket: int) -> ServingEngine:
+    """The one :class:`ServingEngine` a replica group describes.
+
+    The one place a spec turns into an endpoint: the group's chip
+    (resolved to its device model), model, scheduler limits and device
+    count, with the deployment's prefix-cache spec and the fast path's
+    decode fast-forward.  A single endpoint is its deployment's one
+    group; a fleet group's replicas all step the engine built here.
+    """
+    chip = group.chip_spec()
+    model = get_model(group.model)
+    return ServingEngine(_device_for(chip, sim_cache, context_bucket),
+                         model, group.scheduler_limits(), group.num_devices,
+                         fast_forward=sim_cache,
+                         prefix_cache=deployment.prefix_cache)
+
+
 def build_cluster_engine(deployment: DeploymentSpec, *,
                          sim_cache: bool = True,
                          context_bucket: int = 1) -> ClusterEngine:
@@ -128,10 +147,11 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
     The one place deployment specs turn into engine fleets: every
     :class:`~repro.api.specs.ReplicaGroupSpec` of
     :meth:`~repro.api.specs.DeploymentSpec.fleet_groups` (a legacy
-    ``replicas=N`` deployment is one N-replica group) resolves to its
-    own device model / model config / scheduler limits.  Shared by
-    :func:`simulate_cluster`, its shard workers and the mixed-fleet
-    capacity search, so every path sizes a fleet the same way.
+    ``replicas=N`` deployment is one N-replica group) becomes an
+    :class:`EngineGroup` holding the one endpoint :func:`_endpoint`
+    builds for it.  Shared by :func:`simulate_cluster`, its shard
+    workers and the mixed-fleet capacity search, so every path sizes a
+    fleet the same way.
     """
     if deployment.batching != "continuous":
         # the spec already rejects any bigger fleet under another
@@ -143,9 +163,8 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
     groups = [
         EngineGroup(
             group.label,
-            _device_for(group.chip_spec(), sim_cache, context_bucket),
-            get_model(group.model), group.scheduler_limits(),
-            num_devices=group.num_devices, count=group.count,
+            _endpoint(group, deployment, sim_cache, context_bucket),
+            count=group.count,
             cost_per_replica_s=group.cost_per_replica_s,
             min_count=group.min_count, max_count=group.max_count,
             provision_latency_s=group.provision_latency_s)
@@ -153,9 +172,7 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
     return ClusterEngine(
         groups,
         router=deployment.router,
-        fast_forward=sim_cache,
         autoscale=deployment.autoscale,
-        prefix_cache=deployment.prefix_cache,
         faults=deployment.faults,
     )
 
@@ -247,14 +264,11 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     if shards != 1:
         raise ValueError(
             "shards apply to multi-replica cluster deployments only")
-    chip = deployment.chip_spec()
-    model = get_model(deployment.model)
-    device = _device_for(chip, sim_cache, context_bucket)
-    limits = deployment.scheduler_limits()
+    (group,) = deployment.fleet_groups()
+    engine = _endpoint(group, deployment, sim_cache, context_bucket)
+    device, model = engine.device, engine.model
+    chip = device.chip
     if deployment.batching == "continuous":
-        engine = ServingEngine(device, model, limits, deployment.num_devices,
-                               fast_forward=sim_cache,
-                               prefix_cache=deployment.prefix_cache)
         result = engine.run(workload.request_stream(),
                             max_sim_seconds=max_sim_seconds,
                             progress=progress)
@@ -263,19 +277,18 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
             "the progress heartbeat requires continuous batching")
     elif deployment.batching == "static":
         result = simulate_static(device, model, workload.build_requests(),
-                                 limits.max_batch, deployment.num_devices,
+                                 engine.limits.max_batch, engine.num_devices,
                                  max_sim_seconds)
     else:
         result = simulate_no_batching(device, model,
                                       workload.build_requests(),
-                                      deployment.num_devices,
-                                      max_sim_seconds)
+                                      engine.num_devices, max_sim_seconds)
     if not result.finished:
         raise EndpointOverloaded(
             f"no requests finished within {max_sim_seconds:g} s — "
             f"{chip.name} cannot sustain {workload.rate_per_s:g} req/s")
     qos = compute_qos(result.finished, result.total_time_s)
-    util = utilization_report(result, model, chip, deployment.num_devices)
+    util = utilization_report(result, model, chip, engine.num_devices)
     return ServingReport(
         deployment=deployment,
         workload=workload,

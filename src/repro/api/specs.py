@@ -298,7 +298,9 @@ class DeploymentSpec(SpecCodec):
     to the cluster engine.  Only continuous batching runs a fleet of
     more than one replica, an explicit ``fleet``, ``autoscale``,
     ``prefix_cache`` or ``faults``: the spec rejects any of them under
-    another discipline.
+    another discipline.  The two Fig. 2b loops read no
+    ``prefill_chunk_tokens`` or ``kv_budget_bytes``, and no-batching no
+    ``max_batch``, so the spec rejects a non-default value there too.
 
     ``fleet`` generalizes ``replicas`` to a heterogeneous fleet: an
     explicit :class:`FleetSpec` of :class:`ReplicaGroupSpec` slices,
@@ -398,6 +400,19 @@ class DeploymentSpec(SpecCodec):
                     raise ValueError(
                         f"{knob} requires continuous batching, "
                         f"got {self.batching!r}")
+            # the two Fig. 2b loops chunk no prefill and budget no KV,
+            # and no-batching has no batch: a knob they ignore is a
+            # config mistake, not a setting
+            ignored = ["prefill_chunk_tokens", "kv_budget_bytes"]
+            if self.batching == "no-batching":
+                ignored.append("max_batch")
+            defaults = type(self).__dataclass_fields__
+            for knob in ignored:
+                value = getattr(self, knob)
+                if value != defaults[knob].default:
+                    raise ValueError(
+                        f"{self.batching} batching ignores "
+                        f"{knob}={value!r} — leave it at its default")
         if not isinstance(self.router, str):
             # an instance cannot be serialized, and its state would
             # carry from one run of the spec into the next

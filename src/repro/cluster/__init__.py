@@ -4,15 +4,17 @@ The serving stack (:mod:`repro.serving`) simulates *one* endpoint; this
 package scales it to a fleet, the way Ray Serve fronts N replicas of an
 LLM deployment with a router.  A :class:`ClusterEngine` is built from
 its fleet — a list of :class:`EngineGroup` objects, each ``count``
-identical replicas of one device, model and scheduler limits — plus
+replicas of one :class:`~repro.serving.engine.ServingEngine` — plus
 the run knobs::
 
-    engine = ClusterEngine(
-        [EngineGroup("ador", device, model, SchedulerLimits(), count=4)],
-        router="least-outstanding")
+    endpoint = ServingEngine(device, model, SchedulerLimits())
+    engine = ClusterEngine([EngineGroup("ador", endpoint, count=4)],
+                           router="least-outstanding")
     result = engine.run(requests)
 
-It advances the per-replica continuous-batching endpoints under one
+Every replica of a group steps the group's engine with its own
+scheduler, prefix cache and clock.  The engine advances the
+per-replica continuous-batching endpoints under one
 simulated clock, consults a named :class:`RouterPolicy`
 (``round-robin``, ``least-outstanding``, ``session-affinity``,
 ``slo-aware``, ``hetero-aware`` — see :mod:`repro.cluster.router`) at

@@ -119,11 +119,9 @@ def get_autoscaler(name: str) -> Callable[[], AutoscalerPolicy]:
     return AUTOSCALER_REGISTRY.get(name)
 
 
-def make_autoscaler(policy: str | AutoscalerPolicy) -> AutoscalerPolicy:
-    """Resolve a name to a fresh policy instance; pass instances through."""
-    if isinstance(policy, str):
-        return get_autoscaler(policy)()
-    return policy
+def make_autoscaler(policy: str) -> AutoscalerPolicy:
+    """A fresh instance of the policy registered as ``policy``."""
+    return get_autoscaler(policy)()
 
 
 def list_autoscalers() -> list[str]:

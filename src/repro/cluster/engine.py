@@ -2,8 +2,9 @@
 
 A :class:`ClusterEngine` is the simulated analogue of a Ray-Serve-style
 LLM deployment: one or more groups of identical replicas
-(:class:`EngineGroup`; each replica a continuous-batching endpoint with
-its own scheduler and device group) behind a router.  The
+(:class:`EngineGroup`: ``count`` replicas of one
+:class:`~repro.serving.engine.ServingEngine`, each replica with its own
+scheduler, cache and clock) behind a router.  The
 global event order is the arrival stream, pulled one request at a time
 and merged with a heap of crash retries and parked requests; before each
 request is routed, every replica is advanced to the event instant so the
@@ -60,12 +61,9 @@ from repro.cluster.report import (
     group_breakdowns,
 )
 from repro.cluster.router import ReplicaSnapshot, RouterPolicy, make_router
-from repro.models.config import ModelConfig
-from repro.perf.baselines import DeviceModel
 from repro.serving.engine import Endpoint, ServingEngine, SimulationResult
 from repro.serving.prefix_cache import PrefixCacheStats
 from repro.serving.request import Request
-from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
 from repro.serving.stream import RequestStream, as_stream
 
 
@@ -83,18 +81,19 @@ class ReplicaSim(Endpoint):
     ready_at == 0.0`` and retires implicitly at the end of the run.
     """
 
-    def __init__(self, replica_id: int, engine: ServingEngine) -> None:
-        # each replica owns its cache and paged pool — prefix residency
-        # is per-endpoint, which is exactly what makes the router
-        # choice (session-affinity vs round-robin) show up in hit rates
-        # ``pending`` holds routed requests not yet enqueued
-        super().__init__(engine, deque(), [])
+    def __init__(self, replica_id: int, group_index: int,
+                 group: EngineGroup) -> None:
+        # the replica steps its group's engine but owns its scheduler,
+        # cache and paged pool — prefix residency is per-endpoint, which
+        # is exactly what makes the router choice (session-affinity vs
+        # round-robin) show up in hit rates.  ``pending`` holds routed
+        # requests not yet enqueued
+        super().__init__(group.engine, deque(), [])
         self.replica_id = replica_id
-        # --- group identity (set by the cluster engine on hetero fleets;
-        # the defaults keep a directly-built replica homogeneous) ---
-        self.group_index = 0
-        self.prefill_rate = 0.0
-        self.decode_rate = 0.0
+        self.group_index = group_index
+        # the group's probed rates (0.0 on a homogeneous fleet)
+        self.prefill_rate = group.prefill_tokens_per_s
+        self.decode_rate = group.decode_tokens_per_s
         self.assigned_requests = 0
         # input+output tokens routed here and not finished or lost; the
         # completions since the last snapshot come off at the next one
@@ -240,12 +239,9 @@ class ReplicaSim(Endpoint):
         self.assigned_requests -= len(lost)
         self._outstanding_tokens -= sum(r.input_tokens + r.output_tokens
                                         for r in lost)
-        engine = self.engine
         if self.prefix_cache is not None:
             self._prior_cache_stats.append(self.prefix_cache.stats)
-            self.prefix_cache = engine.build_prefix_cache()
-        self.scheduler = ContinuousBatchingScheduler(
-            engine.model, engine.limits, prefix_cache=self.prefix_cache)
+        self._cold_start()
         self.pending = deque()
         self.now = max(self.now, when)
         self.restart_at = restart_at
@@ -289,27 +285,27 @@ def _sorted_by_arrival(requests):
 
 
 class EngineGroup:
-    """Runtime descriptor of one homogeneous slice of the fleet.
+    """One homogeneous slice of the fleet: ``count`` replicas of one
+    endpoint.
 
-    The engine-side mirror of
-    :class:`repro.api.specs.ReplicaGroupSpec`, with the chip reference
-    already resolved to a :class:`~repro.perf.baselines.DeviceModel`
-    and the scheduling knobs to :class:`SchedulerLimits`.  A group is
-    known by its position in the engine's list; its chip is
-    ``device.chip``.  The two capability rates are filled by the
-    cluster engine's one-time capability probe — only when the fleet
-    actually mixes groups, so a homogeneous fleet never pays (or
-    exposes) them.
+    The runtime form of :class:`repro.api.specs.ReplicaGroupSpec`:
+    ``engine`` is the group's one
+    :class:`~repro.serving.engine.ServingEngine` (device, model,
+    limits, device count, fast-forward switch and prefix-cache spec),
+    which every replica of the group steps — it holds no run state, so
+    sharing it is safe.  A group is known by its position in the
+    engine's list; its chip is ``engine.device.chip``.  The two
+    capability rates are filled by the cluster engine's one-time
+    capability probe — only when the fleet actually mixes groups, so a
+    homogeneous fleet never pays (or exposes) them.
     """
 
-    __slots__ = ("name", "device", "model", "limits", "num_devices",
-                 "count", "cost_per_replica_s", "min_count", "max_count",
-                 "provision_latency_s", "prefill_tokens_per_s",
-                 "decode_tokens_per_s")
+    __slots__ = ("name", "engine", "count", "cost_per_replica_s",
+                 "min_count", "max_count", "provision_latency_s",
+                 "prefill_tokens_per_s", "decode_tokens_per_s")
 
-    def __init__(self, name: str, device: DeviceModel, model: ModelConfig,
-                 limits: SchedulerLimits, num_devices: int = 1,
-                 count: int = 1, cost_per_replica_s: float = 1.0,
+    def __init__(self, name: str, engine: ServingEngine, count: int = 1,
+                 cost_per_replica_s: float = 1.0,
                  min_count: int | None = None,
                  max_count: int | None = None,
                  provision_latency_s: float | None = None) -> None:
@@ -318,10 +314,7 @@ class EngineGroup:
         if cost_per_replica_s <= 0:
             raise ValueError("cost_per_replica_s must be positive")
         self.name = name
-        self.device = device
-        self.model = model
-        self.limits = limits
-        self.num_devices = num_devices
+        self.engine = engine
         self.count = count
         self.cost_per_replica_s = cost_per_replica_s
         self.min_count = min_count
@@ -340,10 +333,10 @@ class ClusterEngine:
 
     ``groups`` lists the fleet's :class:`EngineGroup` objects; a
     homogeneous fleet is one group of ``count`` replicas.  Replica ids
-    are assigned group by group, every replica runs its group's
-    device/model/limits, and — only when more than one group exists — a
-    one-time capability probe stamps each group's prefill/decode rate
-    estimate into the router snapshots.
+    are assigned group by group, every replica steps its group's
+    engine, and — only when more than one group exists — a one-time
+    capability probe stamps each group's prefill/decode rate estimate
+    into the router snapshots.
 
     ``run`` is reusable: every call builds fresh replicas and (for
     routers given by name) a fresh router instance, so two runs on one
@@ -364,10 +357,8 @@ class ClusterEngine:
         self,
         groups: list[EngineGroup],
         router: str | RouterPolicy = "round-robin",
-        fast_forward: bool = True,
         autoscale: AutoscaleSpec | None = None,
         autoscaler: AutoscalerPolicy | None = None,
-        prefix_cache=None,
         faults: FaultSpec | None = None,
     ) -> None:
         if not groups:
@@ -390,10 +381,8 @@ class ClusterEngine:
                 f"faults must be a FaultSpec or None, got {faults!r}")
         self.groups = groups
         self.router = router
-        self.fast_forward = fast_forward
         self.autoscale = autoscale
         self.autoscaler = autoscaler
-        self.prefix_cache = prefix_cache
         self.faults = faults
         if len(groups) > 1:
             self._probe_capabilities()
@@ -408,27 +397,15 @@ class ClusterEngine:
         (and code paths) stay byte-identical to the pre-group engine.
         """
         for group in self.groups:
-            prefill_s = group.device.prefill_time(
-                group.model, 1, 512, group.num_devices).seconds
+            engine = group.engine
+            prefill_s = engine.device.prefill_time(
+                engine.model, 1, 512, engine.num_devices).seconds
             group.prefill_tokens_per_s = 512.0 / prefill_s \
                 if prefill_s > 0 else 0.0
-            decode_s = group.device.decode_step_time(
-                group.model, 8, 512, group.num_devices).seconds
+            decode_s = engine.device.decode_step_time(
+                engine.model, 8, 512, engine.num_devices).seconds
             group.decode_tokens_per_s = 8.0 / decode_s \
                 if decode_s > 0 else 0.0
-
-    def _new_replica(self, replica_id: int, group_index: int) -> ReplicaSim:
-        group = self.groups[group_index]
-        replica = ReplicaSim(
-            replica_id,
-            ServingEngine(group.device, group.model,
-                          group.limits, group.num_devices,
-                          fast_forward=self.fast_forward,
-                          prefix_cache=self.prefix_cache))
-        replica.group_index = group_index
-        replica.prefill_rate = group.prefill_tokens_per_s
-        replica.decode_rate = group.decode_tokens_per_s
-        return replica
 
     @staticmethod
     def _route(router: RouterPolicy, request: Request,
@@ -470,8 +447,8 @@ class ClusterEngine:
         if self.autoscale is not None:
             policy = self.autoscaler if self.autoscaler is not None \
                 else make_autoscaler(self.autoscale.policy)
-        fleet = _Fleet(self._new_replica, self.groups, self.autoscale,
-                       policy, self.faults, horizon)
+        fleet = _Fleet(self.groups, self.autoscale, policy, self.faults,
+                       horizon)
         arrivals = as_stream(_sorted_by_arrival(requests))
         retries = fleet.retries
         last = 0.0
@@ -559,11 +536,10 @@ class _Fleet:
     compares two :class:`Request` objects.
     """
 
-    def __init__(self, new_replica, groups: list[EngineGroup],
+    def __init__(self, groups: list[EngineGroup],
                  spec: AutoscaleSpec | None,
                  policy: AutoscalerPolicy | None,
                  faults: FaultSpec | None, horizon: float) -> None:
-        self.new_replica = new_replica
         self.groups = groups
         self.spec = spec
         self.policy = policy
@@ -575,7 +551,7 @@ class _Fleet:
         self.live: list[ReplicaSim] = []
         for index, group in enumerate(groups):
             for _ in range(group.count):
-                self.live.append(new_replica(len(self.live), index))
+                self.live.append(ReplicaSim(len(self.live), index, group))
         self.everyone: list[ReplicaSim] = list(self.live)
         self.initial = len(self.live)
         self.next_id = self.initial
@@ -828,7 +804,7 @@ class _Fleet:
                 latency = group.provision_latency_s \
                     if group.provision_latency_s is not None \
                     else spec.provision_latency_s
-            replica = self.new_replica(self.next_id, index)
+            replica = ReplicaSim(self.next_id, index, group)
             replica.launched_at = now
             replica.ready_at = now + latency
             replica.from_warm_pool = warm

@@ -1,6 +1,6 @@
 """Dynamic HDA scheduling: the decoder-layer latency estimator (Fig. 8).
 
-The scheduler implements the paper's operating rules:
+:class:`AdorDeviceModel` implements the paper's operating rules:
 
 * **decode** — the MAC tree owns the full DRAM bandwidth, streaming
   weights and KV cache at the Fig. 10 effective bandwidth; the systolic
@@ -65,7 +65,7 @@ _CEILING_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Calibration constants of the HDA scheduler."""
+    """Calibration constants of the HDA scheduling model."""
 
     #: SA compute efficiency on large prefill GEMMs beyond the analytical
     #: tiling losses (bank conflicts, edge tiles)
@@ -79,8 +79,9 @@ class SchedulerConfig:
     layer_overhead_s: float = 1.0e-6
 
 
-class HdaScheduler:
-    """Stage-latency estimator for one ADOR HDA chip.
+class AdorDeviceModel(DeviceModel):
+    """Stage-latency model of one ADOR HDA chip: the Fig. 8 scheduling
+    rules behind the :class:`DeviceModel` interface.
 
     :meth:`layer_breakdown` evaluates one decoder layer operator by
     operator.  :meth:`prefill_time` and :meth:`decode_step_time` run
@@ -97,7 +98,7 @@ class HdaScheduler:
             raise ValueError(f"{chip.name} is not an ADOR HDA chip")
         if chip.systolic_array is None:
             raise ValueError("HDA scheduling requires a systolic array")
-        self.chip = chip
+        super().__init__(chip)
         self.use_mac_tree = use_mac_tree and chip.mac_tree is not None
         self.config = config or SchedulerConfig()
         self.systolic = SystolicTimingModel(
@@ -128,7 +129,7 @@ class HdaScheduler:
 
     def __getstate__(self) -> dict:
         # object ids do not survive a pickle round-trip: ship the
-        # scheduler without its kernels, which rebuild on first use
+        # device without its kernels, which rebuild on first use
         state = self.__dict__.copy()
         state["_kernels"] = {}
         return state
@@ -314,20 +315,20 @@ class HdaScheduler:
             self.chip.memory_bandwidth * self.systolic.dram_stream_utilization)
 
     def prefill_time(self, model: ModelConfig, batch: int, seq_len: int,
-                     devices: int = 1) -> BaselineBreakdown:
+                     num_devices: int = 1) -> BaselineBreakdown:
         """Latency to prefill ``batch`` requests of ``seq_len`` tokens."""
         if self.compiled and seq_len >= 1:
             # an empty chunk is invalid: the reference below raises
             # exactly as it always has
             return self._kernel(_PrefillKernel, model, batch,
-                                devices)(seq_len)
+                                num_devices)(seq_len)
         layer = self.layer_breakdown(
-            model, Phase.PREFILL, batch, seq_len, seq_len, devices)
+            model, Phase.PREFILL, batch, seq_len, seq_len, num_devices)
         per_layer = sum(layer.values())
         compute = per_layer * model.num_layers
-        weight_stream = self._prefill_weight_stream(model, devices)
+        weight_stream = self._prefill_weight_stream(model, num_devices)
         body = max(compute, weight_stream)
-        comm = self._tp_sync_seconds(model, batch * seq_len, devices,
+        comm = self._tp_sync_seconds(model, batch * seq_len, num_devices,
                                      body, _PREFILL_TP_OVERLAP)
         attn = layer.get("attention", 0.0) * model.num_layers
         return BaselineBreakdown(
@@ -340,19 +341,19 @@ class HdaScheduler:
         )
 
     def decode_step_time(self, model: ModelConfig, batch: int, context_len: int,
-                         devices: int = 1) -> BaselineBreakdown:
+                         num_devices: int = 1) -> BaselineBreakdown:
         """One decode iteration over ``batch`` requests (TBT = 1/this)."""
         if self.compiled and context_len >= 0:
             # a negative context is invalid: the reference below raises
             # (or not) exactly as it always has
             return self._kernel(_DecodeKernel, model, batch,
-                                devices)(context_len)
+                                num_devices)(context_len)
         layer = self.layer_breakdown(
-            model, Phase.DECODE, batch, 1, context_len, devices)
+            model, Phase.DECODE, batch, 1, context_len, num_devices)
         body = sum(layer.values()) * model.num_layers
-        head_seconds = self._lm_head_seconds(model, batch, devices)
+        head_seconds = self._lm_head_seconds(model, batch, num_devices)
         body += head_seconds
-        comm = self._tp_sync_seconds(model, batch, devices, body,
+        comm = self._tp_sync_seconds(model, batch, num_devices, body,
                                      overlap_capacity=_DECODE_TP_OVERLAP)
         return BaselineBreakdown(
             seconds=body + comm,
@@ -404,7 +405,7 @@ class _PrefillKernel:
         "tp_overlap", "tp_latency",
     )
 
-    def __init__(self, scheduler: HdaScheduler, model: ModelConfig,
+    def __init__(self, device: AdorDeviceModel, model: ModelConfig,
                  batch: int, devices: int) -> None:
         # the reference's argument checks, in its order
         if devices < 1:
@@ -421,14 +422,14 @@ class _PrefillKernel:
         # ways) rows and fetches each weight tile once for all cores;
         # the N split gives every core all rows and splits the weight
         # columns, each core fetching its own tile.
-        systolic = scheduler.systolic
+        systolic = device.systolic
         array = systolic.array
         self.ways = systolic.cores * array.lanes
         self.fill_drain = array.rows + array.cols - 2
         self.load = array.rows
         self.cols = array.cols
         self.frequency = systolic.frequency_hz
-        stream = scheduler.chip.memory_bandwidth \
+        stream = device.chip.memory_bandwidth \
             * systolic.dram_stream_utilization
         stall_m = array.rows * array.cols * 2 / stream * self.frequency
         stall_n = array.rows * array.cols * 2 * systolic.cores / stream \
@@ -437,10 +438,10 @@ class _PrefillKernel:
         self.floor_m = max(array.rows, stall_m)
         self.head_n = array.rows + stall_n
         self.floor_n = max(array.rows, stall_n)
-        self.sa_efficiency = scheduler.config.sa_efficiency
-        self.mt_rate = scheduler._mt_rate()
+        self.sa_efficiency = device.config.sa_efficiency
+        self.mt_rate = device._mt_rate()
 
-        vector = scheduler.vector
+        vector = device.vector
         self.vector_rate = None
         if vector is not None:
             self.vector_overhead = vector.op_overhead_s
@@ -477,20 +478,20 @@ class _PrefillKernel:
         self.slot = names.index("attention")
         self.out_proj = names.index("out_proj")
 
-        self.sync_terms = scheduler.dataflow_latency.sync_terms
+        self.sync_terms = device.dataflow_latency.sync_terms
         self.hidden = model.hidden_size
-        self.layer_overhead = scheduler.config.layer_overhead_s
-        self.weight_stream = scheduler._prefill_weight_stream(model, devices)
+        self.layer_overhead = device.config.layer_overhead_s
+        self.weight_stream = device._prefill_weight_stream(model, devices)
         self.tp_method = None
         if devices > 1:
             # _tp_sync_seconds: only the plan's bytes carry the rows
-            plan = scheduler._tp_sync_plan(model, batch, devices)
+            plan = device._tp_sync_plan(model, batch, devices)
             self.tp_method = plan.method
             self.tp_row_bytes = model.hidden_size * model.dtype_bytes
-            self.tp_bandwidth = scheduler.chip.p2p.bandwidth_bytes_per_s
+            self.tp_bandwidth = device.chip.p2p.bandwidth_bytes_per_s
             self.tp_overlap = plan.overlappable_fraction
             self.tp_latency = collective_terms(
-                plan, scheduler.chip.p2p, model.num_layers)[2]
+                plan, device.chip.p2p, model.num_layers)[2]
 
     def _attention(self, seq_len: int, rows: int) -> float:
         """The chunk attention: score and context as one GEMM of doubled
@@ -601,7 +602,7 @@ class _DecodeKernel:
         "gemm_layer",
     )
 
-    def __init__(self, scheduler: HdaScheduler, model: ModelConfig,
+    def __init__(self, device: AdorDeviceModel, model: ModelConfig,
                  batch: int, devices: int) -> None:
         # the reference's argument checks, in its order
         if devices < 1:
@@ -616,7 +617,7 @@ class _DecodeKernel:
 
         # step FLOPs -> the layer's DRAM utilization point: the Fig. 10
         # curve with the MAC tree, a constant without it
-        self.curve = MT_BANDWIDTH_CURVE if scheduler.use_mac_tree else None
+        self.curve = MT_BANDWIDTH_CURVE if device.use_mac_tree else None
         # attention_operator's FLOPs: 2.0 * 2.0 * query_len * head_dim,
         # then * context * num_heads * batch
         self.attn_flops = 2.0 * 2.0 * 1 * model.head_dim
@@ -627,13 +628,13 @@ class _DecodeKernel:
         # every other operator of the layer, in order: GEMMs as (sharded
         # weight bytes, compute floor) for _decode_gemm_seconds, vector
         # ops as (None, finished seconds)
-        rates = scheduler.systolic.peak_flops \
-            * scheduler.config.sa_efficiency + scheduler._mt_rate()
-        self.bandwidth = scheduler.chip.memory_bandwidth
+        rates = device.systolic.peak_flops \
+            * device.config.sa_efficiency + device._mt_rate()
+        self.bandwidth = device.chip.memory_bandwidth
         self.ops = tuple(
             (op.weight_bytes / devices, (op.flops / devices) / rates)
             if op.kind == OperatorKind.GEMM
-            else (None, scheduler._vector_seconds(op, devices))
+            else (None, device._vector_seconds(op, devices))
             for op in ops)
         self.out_proj = [op.name for op in ops].index("out_proj")
 
@@ -642,7 +643,7 @@ class _DecodeKernel:
         self.kv_batch = 2.0 * batch
         self.head_dim = attn.k
         self.dtype_bytes = model.dtype_bytes
-        mac_tree = scheduler.mac_tree
+        mac_tree = device.mac_tree
         if mac_tree is None:
             # the whole KV stream at the layer's utilization
             self.kv_heads = model.num_kv_heads
@@ -665,7 +666,7 @@ class _DecodeKernel:
             usable_macs = mac_tree.tree.tree_size * usable_lanes \
                 * mac_tree.cores
             self.mt_rate = 2.0 * usable_macs * mac_tree.frequency_hz
-        vector = scheduler.vector
+        vector = device.vector
         if vector is None:
             self.softmax_rows = None
         else:
@@ -674,13 +675,13 @@ class _DecodeKernel:
             self.vector_overhead = vector.op_overhead_s
             self.vector_rate = vector.elements_per_second
 
-        self.core_sync = scheduler.dataflow_latency.sync_terms(
+        self.core_sync = device.dataflow_latency.sync_terms(
             batch, model.hidden_size, CoreSyncMethod.ALL_GATHER)
-        self.layer_overhead = scheduler.config.layer_overhead_s
-        self.head_seconds = scheduler._lm_head_seconds(model, batch, devices)
+        self.layer_overhead = device.config.layer_overhead_s
+        self.head_seconds = device._lm_head_seconds(model, batch, devices)
         self.tp_sync = None if devices <= 1 else collective_terms(
-            scheduler._tp_sync_plan(model, batch, devices),
-            scheduler.chip.p2p, model.num_layers)
+            device._tp_sync_plan(model, batch, devices),
+            device.chip.p2p, model.num_layers)
 
         # FLOPs only grow with the context, so a context-0 step that
         # clamps at the curve's ceiling (less a rounding slack) clamps
@@ -688,7 +689,7 @@ class _DecodeKernel:
         self.gemm_layer = None
         if self.curve is None:
             self.gemm_layer = self._gemm_layer(
-                scheduler.config.sa_only_gemv_utilization)
+                device.config.sa_only_gemv_utilization)
         elif self.curve.utilization(
                 sum(self.flops_post, self.flops_pre) * self.num_layers
                 * (1.0 - _CEILING_SLACK)) >= self.curve.ceiling:
@@ -751,32 +752,6 @@ class _DecodeKernel:
             communication=comm,
             overhead=core_sync * self.num_layers,
         )
-
-
-class AdorDeviceModel(DeviceModel):
-    """:class:`DeviceModel` facade over the HDA scheduler.
-
-    A prefill chunk or a decode step is one call into the scheduler's
-    compiled kernel for its stage and operating point.
-    ``compiled=False`` forces the per-operator reference evaluation the
-    kernels are held bit-identical to.
-    """
-
-    def __init__(self, chip: ChipSpec, use_mac_tree: bool = True,
-                 config: SchedulerConfig | None = None,
-                 compiled: bool = True) -> None:
-        super().__init__(chip)
-        self.scheduler = HdaScheduler(chip, use_mac_tree=use_mac_tree,
-                                      config=config, compiled=compiled)
-
-    def prefill_time(self, model: ModelConfig, batch: int, seq_len: int,
-                     num_devices: int = 1) -> BaselineBreakdown:
-        return self.scheduler.prefill_time(model, batch, seq_len, num_devices)
-
-    def decode_step_time(self, model: ModelConfig, batch: int, context_len: int,
-                         num_devices: int = 1) -> BaselineBreakdown:
-        return self.scheduler.decode_step_time(model, batch, context_len,
-                                               num_devices)
 
 
 def device_model_for(chip: ChipSpec, **kwargs) -> DeviceModel:

@@ -37,7 +37,7 @@ def register_chip(name: str) -> Callable:
 
 
 def get_chip(name: str) -> ChipSpec:
-    """Instantiate the chip registered under ``name`` (case-insensitive)."""
+    """Instantiate the chip registered under exactly ``name``."""
     factory = CHIP_REGISTRY.get(name)
     chip = factory()
     if not isinstance(chip, ChipSpec):

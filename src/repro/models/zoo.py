@@ -9,35 +9,29 @@ Configurations follow the models' published ``config.json`` files.
 from __future__ import annotations
 
 from repro.models.config import ModelConfig
+from repro.registry import Registry
 
-_REGISTRY: dict[str, ModelConfig] = {}
+MODEL_REGISTRY = Registry("model")
 
 
 def register_model(config: ModelConfig) -> ModelConfig:
-    """Add a model to the zoo; returns the config for chaining."""
-    key = config.name.lower()
-    if key in _REGISTRY:
-        raise ValueError(f"model {config.name!r} is already registered")
-    _REGISTRY[key] = config
-    return config
+    """Add a model to the zoo under its ``name``; returns the config for
+    chaining."""
+    return MODEL_REGISTRY.register(config.name, config)
 
 
 def get_model(name: str) -> ModelConfig:
-    """Look up a model by name (case-insensitive).
+    """Look up a model by exactly its registered name.
 
     Raises ``KeyError`` with the list of known names on a miss so typos in
     experiment scripts fail loudly.
     """
-    key = name.lower()
-    if key not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown model {name!r}; known models: {known}")
-    return _REGISTRY[key]
+    return MODEL_REGISTRY.get(name)
 
 
 def list_models() -> list[str]:
     """Names of all registered models, sorted."""
-    return sorted(_REGISTRY)
+    return MODEL_REGISTRY.names()
 
 
 # --------------------------------------------------------------------- #

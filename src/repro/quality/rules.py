@@ -128,7 +128,7 @@ def resolve_rule(token: str) -> type[Rule]:
     if token in RULE_REGISTRY:
         return RULE_REGISTRY.get(token)
     for cls in all_rules():
-        if cls.name == token.lower():
+        if cls.name == token:
             return cls
     known = ", ".join(f"{cls.id} ({cls.name})" for cls in all_rules())
     raise KeyError(f"unknown lint rule {token!r}; known rules: {known}")

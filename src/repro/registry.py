@@ -2,9 +2,9 @@
 
 The model zoo established the repo's extension idiom: named entries in a
 flat string-keyed table, loud ``KeyError`` on a typo, no subclassing
-required to plug in.  This module generalizes that idiom so chips,
-workload traces, routers, autoscalers, eviction policies and lint
-rules share one implementation instead of hand-rolled dicts.
+required to plug in.  This module generalizes that idiom so models,
+chips, workload traces, routers, autoscalers, eviction policies and
+lint rules share one implementation instead of hand-rolled dicts.
 
 Usage, decorator style (the common case — registering a factory)::
 
@@ -24,7 +24,12 @@ from typing import Any, Callable, Iterator
 
 
 class Registry:
-    """A flat, case-insensitive name -> object table.
+    """A flat name -> object table that matches names exactly.
+
+    A name has one spelling, the one it was registered under: a spec
+    that names an entry compares, prints and resolves the same way
+    everywhere, so ``"LRU"`` is an unknown name, not a second spelling
+    of ``"lru"``.
 
     ``names()`` and iteration are always **sorted**: help output, error
     messages and sweep orderings derived from a registry must not depend
@@ -94,4 +99,4 @@ class Registry:
     def _key(name: str) -> str:
         if not isinstance(name, str) or not name:
             raise ValueError("registry names must be non-empty strings")
-        return name.lower()
+        return name

@@ -125,26 +125,26 @@ class CapacityResult:
     simulations: int = 0
 
 
-def _scheduler_limits(device: DeviceModel, model: ModelConfig,
-                      trace: ChatTraceConfig,
-                      num_devices: int) -> SchedulerLimits:
+def _probe_engine(device: DeviceModel, model: ModelConfig,
+                  trace: ChatTraceConfig, num_devices: int) -> ServingEngine:
+    """The one endpoint every probe of a search runs, under the
+    memory-derived admission limits of paper Fig. 16."""
     kv_budget = device.chip.dram.size_bytes * num_devices * 0.9 \
         - model.param_bytes
-    return SchedulerLimits(
+    limits = SchedulerLimits(
         max_batch=max(1, max_batch_for_memory(
             model, int(trace.mean_input + trace.mean_output),
             device.chip.dram.size_bytes, num_devices)),
         prefill_chunk_tokens=512,
         kv_budget_bytes=max(kv_budget, 1.0),
     )
+    return ServingEngine(device, model, limits, num_devices)
 
 
 def _simulate_rate(
-    device: DeviceModel,
-    model: ModelConfig,
+    engine: ServingEngine,
     workload: PoissonArrivalTemplate,
     rate: float,
-    num_devices: int,
     max_sim_seconds: float,
     monitor: InstabilityMonitor | None = None,
 ) -> tuple[SimulationResult, QoSReport | None]:
@@ -152,8 +152,6 @@ def _simulate_rate(
     # the horizon must cover the arrival span plus a generous drain
     max_sim_seconds = max(max_sim_seconds,
                           1.5 * workload.count / rate + 120.0)
-    limits = _scheduler_limits(device, model, workload.trace, num_devices)
-    engine = ServingEngine(device, model, limits, num_devices)
     result = engine.run(requests, max_sim_seconds=max_sim_seconds,
                         monitor=monitor)
     if not result.finished:
@@ -194,18 +192,17 @@ def meets_slo(result: SimulationResult, qos: QoSReport | None,
 class _ProbeRunner:
     """Runs, caches and records the probes of one capacity search.
 
-    Every probe rescales the one arrival template the runner holds.
+    Every probe runs the one engine the runner holds over the one
+    arrival template it rescales.
     """
 
-    def __init__(self, device: DeviceModel, model: ModelConfig,
-                 workload: PoissonArrivalTemplate, num_devices: int,
+    def __init__(self, engine: ServingEngine,
+                 workload: PoissonArrivalTemplate,
                  max_sim_seconds: float, slo_tbt_s: float,
                  slo_ttft_s: float | None, percentile: str,
                  early_abort: bool | str) -> None:
-        self.device = device
-        self.model = model
+        self.engine = engine
         self.workload = workload
-        self.num_devices = num_devices
         self.max_sim_seconds = max_sim_seconds
         self.slo = (slo_tbt_s, slo_ttft_s, percentile)
         self.early_abort = early_abort
@@ -215,9 +212,8 @@ class _ProbeRunner:
     def _simulate(self, rate: float, monitor: InstabilityMonitor | None = None
                   ) -> tuple[SimulationResult, QoSReport | None]:
         self.simulations += 1
-        return _simulate_rate(self.device, self.model, self.workload, rate,
-                              self.num_devices, self.max_sim_seconds,
-                              monitor)
+        return _simulate_rate(self.engine, self.workload, rate,
+                              self.max_sim_seconds, monitor)
 
     def _feasible(self, result: SimulationResult,
                   qos: QoSReport | None) -> bool:
@@ -322,9 +318,9 @@ def max_capacity_under_slo(
     if sim_cache and not isinstance(device, CachedDeviceModel):
         device = CachedDeviceModel(device)
     runner = _ProbeRunner(
-        device, model, PoissonArrivalTemplate(trace, request_count, seed),
-        num_devices, max_sim_seconds, slo_tbt_s, slo_ttft_s, percentile,
-        early_abort)
+        _probe_engine(device, model, trace, num_devices),
+        PoissonArrivalTemplate(trace, request_count, seed),
+        max_sim_seconds, slo_tbt_s, slo_ttft_s, percentile, early_abort)
 
     def result(rate: float, qos: QoSReport) -> CapacityResult:
         return CapacityResult(rate, qos, tuple(runner.outcomes.values()),
@@ -384,6 +380,7 @@ def reference_capacity_search(
     check_search_inputs(slo_tbt_s, slo_ttft_s, percentile, rate_bounds,
                         iterations)
     low, high = rate_bounds
+    engine = _probe_engine(device, model, trace, num_devices)
     probes: list[ProbeOutcome] = []
     simulations = 0
 
@@ -391,8 +388,7 @@ def reference_capacity_search(
         nonlocal simulations
         simulations += 1
         workload = PoissonArrivalTemplate(trace, request_count, seed)
-        return _simulate_rate(device, model, workload, rate, num_devices,
-                              max_sim_seconds)
+        return _simulate_rate(engine, workload, rate, max_sim_seconds)
 
     def probe(rate: float) -> bool:
         result, qos = simulate(rate)

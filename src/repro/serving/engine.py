@@ -285,16 +285,16 @@ class Endpoint:
 
     Holds the scheduler and prefix cache, the pending arrivals (a deque
     or :class:`~repro.serving.stream.RequestStream`), the finished sink
-    and the clock and counters.  :meth:`ServingEngine.run` drives one
-    to the horizon; ``repro.cluster.engine.ReplicaSim`` extends it with
-    routing and lifecycle state and drives it arrival by arrival.
+    and the clock and counters; the :class:`ServingEngine` it steps is
+    configuration only, so a fleet group's replicas share one.
+    :meth:`ServingEngine.run` drives one to the horizon;
+    ``repro.cluster.engine.ReplicaSim`` extends it with routing and
+    lifecycle state and drives it arrival by arrival.
     """
 
     def __init__(self, engine: "ServingEngine", pending, finished) -> None:
         self.engine = engine
-        self.prefix_cache = engine.build_prefix_cache()
-        self.scheduler = ContinuousBatchingScheduler(
-            engine.model, engine.limits, prefix_cache=self.prefix_cache)
+        self._cold_start()
         self.pending = pending
         self.finished = finished
         self.now = 0.0
@@ -303,6 +303,23 @@ class Endpoint:
         self.busy = 0.0
         self.decode_time = 0.0
         self.prefill_time = 0.0
+
+    def _cold_start(self) -> None:
+        """A fresh prefix cache (``None`` when the engine runs without
+        one) and the scheduler over it.
+
+        Each endpoint — each run, and each cluster replica after every
+        crash — gets its own cache and paged pool, so two runs on one
+        engine never share residency and a fleet's hit rate honestly
+        reflects its router (session affinity concentrates a session's
+        turns on one replica's cache; round-robin scatters them).
+        """
+        engine = self.engine
+        spec = engine.prefix_cache_spec
+        self.prefix_cache = None if spec is None else \
+            PrefixCache.for_deployment(engine.model, engine.limits, spec)
+        self.scheduler = ContinuousBatchingScheduler(
+            engine.model, engine.limits, prefix_cache=self.prefix_cache)
 
     def advance(self, limit: float, factor: float = 1.0,
                 monitor: InstabilityMonitor | None = None,
@@ -418,7 +435,13 @@ class Endpoint:
 
 
 class ServingEngine:
-    """Simulates one endpoint (one device group) serving one model."""
+    """Simulates one endpoint (one device group) serving one model.
+
+    Configuration only: the device, model, limits, device count, the
+    fast-forward switch and the prefix-cache spec.  Every run state —
+    scheduler, cache, queue, clock — lives on the :class:`Endpoint` that
+    steps it, so one engine serves any number of runs and replicas.
+    """
 
     def __init__(
         self,
@@ -438,20 +461,6 @@ class ServingEngine:
         self.fast_forward = fast_forward
         self.prefix_cache_spec = prefix_cache
         self.overlap = _OVERLAP_BY_KIND.get(device.chip.kind, 0.15)
-
-    def build_prefix_cache(self) -> PrefixCache | None:
-        """A fresh per-run cache (``None`` when the feature is off).
-
-        Each run — and each cluster replica — gets its own cache and
-        paged pool, so two runs on one engine never share residency and
-        a fleet's hit rate honestly reflects its router (session
-        affinity concentrates a session's turns on one replica's cache;
-        round-robin scatters them).
-        """
-        if self.prefix_cache_spec is None:
-            return None
-        return PrefixCache.for_deployment(self.model, self.limits,
-                                          self.prefix_cache_spec)
 
     # ------------------------------------------------------------------ #
     # Iteration timing                                                     #

@@ -47,8 +47,8 @@ def register_trace(name: str, config: ChatTraceConfig | None = None):
 
 def get_trace(name: str) -> ChatTraceConfig:
     """Resolve a trace name to its :class:`ChatTraceConfig`."""
-    match = _FIXED_PATTERN.match(name.lower())
-    if match and name.lower() not in TRACE_REGISTRY:
+    match = _FIXED_PATTERN.match(name)
+    if match and name not in TRACE_REGISTRY:
         return fixed_trace(int(match.group(1)), int(match.group(2)))
     entry = TRACE_REGISTRY.get(name)
     return entry() if callable(entry) else entry

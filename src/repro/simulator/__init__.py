@@ -4,7 +4,7 @@ Executes compiled instruction streams (:mod:`repro.compiler`) against
 per-unit resource timelines — MAC tree, systolic array, vector units,
 DMA/DRAM and NoC — honoring dependencies and double-buffered weight
 prefetch.  It is the deeper-fidelity counterpart of the closed-form
-:class:`~repro.core.scheduling.HdaScheduler`; integration tests assert
+:class:`~repro.core.scheduling.AdorDeviceModel`; integration tests assert
 the two agree on stage latencies.
 """
 

@@ -36,6 +36,7 @@ from repro.models.zoo import get_model
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving.engine import ServingEngine
 from repro.serving.generator import iter_poisson_requests
+from repro.serving.prefix_cache import PrefixCacheSpec
 from repro.serving.qos import compute_qos
 from repro.serving.scheduler import SchedulerLimits
 from repro.serving.traces import TRACE_REGISTRY
@@ -57,8 +58,9 @@ class TestChipRegistry:
         assert first == second
         assert first is not second
 
-    def test_lookup_is_case_insensitive(self):
-        assert get_chip("ADOR") == get_chip("ador")
+    def test_lookup_matches_names_exactly(self):
+        with pytest.raises(KeyError, match="unknown chip 'ADOR'"):
+            get_chip("ADOR")
 
     def test_unknown_chip_lists_known_names(self):
         with pytest.raises(KeyError, match="ador"):
@@ -124,6 +126,42 @@ class TestBatchingPolicies:
         with pytest.raises(ValueError, match="requires continuous batching"):
             DeploymentSpec(batching=batching, **section)
 
+    @pytest.mark.parametrize("batching, knob, value", [
+        ("static", "prefill_chunk_tokens", 16),
+        ("static", "kv_budget_bytes", 1e6),
+        ("no-batching", "prefill_chunk_tokens", 16),
+        ("no-batching", "kv_budget_bytes", 1e6),
+        ("no-batching", "max_batch", 4),
+    ])
+    def test_ignored_knob_rejected_at_the_spec(self, batching, knob, value):
+        # the Fig. 2b loops never read these: a spec setting one would
+        # report the same numbers as the defaults
+        with pytest.raises(ValueError,
+                           match=f"{batching} batching ignores {knob}="):
+            DeploymentSpec(batching=batching, **{knob: value})
+
+
+class TestExactRegistryNames:
+    """A registry name has one spelling: an upper-cased one is unknown,
+    at spec construction where the spec checks the name, else at the
+    first lookup (chips and models: ``test_lookup_matches_names_exactly``
+    here and in ``tests/test_models_zoo.py``)."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: DeploymentSpec(router="SLO-AWARE", replicas=2),
+                     id="router"),
+        pytest.param(lambda: DeploymentSpec(router="SLO-AWARE:128"),
+                     id="parametric-router"),
+        pytest.param(lambda: AutoscaleSpec(policy="QUEUE-DEPTH"),
+                     id="autoscaler"),
+        pytest.param(lambda: PrefixCacheSpec(eviction="LRU"), id="eviction"),
+        pytest.param(lambda: get_trace("ULTRACHAT"), id="trace"),
+        pytest.param(lambda: get_trace("FIXED-512x128"), id="fixed-trace"),
+    ])
+    def test_upper_cased_name_is_unknown(self, build):
+        with pytest.raises(KeyError, match="unknown"):
+            build()
+
 
 # --------------------------------------------------------------------- #
 # Spec serialization                                                     #
@@ -146,8 +184,7 @@ class TestSpecRoundTrip:
     def test_deployment_round_trip(self):
         spec = DeploymentSpec(chip="h100", model="llama3-70b",
                               num_devices=8, max_batch=64,
-                              prefill_chunk_tokens=256,
-                              kv_budget_bytes=40e9, batching="static")
+                              batching="static")
         clone = DeploymentSpec.from_dict(
             json.loads(json.dumps(spec.to_dict())))
         assert clone == spec

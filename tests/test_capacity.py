@@ -22,18 +22,14 @@ from repro.hardware.presets import ador_table3
 from repro.models.zoo import get_model
 from repro.perf.cache import CachedDeviceModel
 from repro.serving.capacity import (
-    _scheduler_limits,
+    _probe_engine,
     _simulate_rate,
     max_capacity_under_slo,
     meets_slo,
     reference_capacity_search,
 )
 from repro.serving.dataset import ULTRACHAT_LIKE, fixed_trace
-from repro.serving.engine import (
-    InstabilityMonitor,
-    ServingEngine,
-    ttft_is_stable,
-)
+from repro.serving.engine import InstabilityMonitor, ttft_is_stable
 from repro.serving.generator import (
     PoissonArrivalTemplate,
     iter_onoff_requests,
@@ -130,8 +126,7 @@ class TestProbeCache:
 
 def _run_engine(device, model, requests, count, monitor=None,
                 horizon=400.0):
-    limits = _scheduler_limits(device, model, ULTRACHAT_LIKE, 1)
-    engine = ServingEngine(device, model, limits, 1)
+    engine = _probe_engine(device, model, ULTRACHAT_LIKE, 1)
     return engine.run(requests, max_sim_seconds=horizon, monitor=monitor)
 
 
@@ -267,9 +262,11 @@ class TestReferenceParity:
         plain = AdorDeviceModel(ador_table3())
         cached = CachedDeviceModel(AdorDeviceModel(ador_table3()))
         workload = PoissonArrivalTemplate(ULTRACHAT_LIKE, 60, seed=7)
+        plain = _probe_engine(plain, llama3, ULTRACHAT_LIKE, 1)
+        cached = _probe_engine(cached, llama3, ULTRACHAT_LIKE, 1)
         for rate in (4.0, 24.0):
-            a, qa = _simulate_rate(plain, llama3, workload, rate, 1, 300.0)
-            b, qb = _simulate_rate(cached, llama3, workload, rate, 1, 300.0)
+            a, qa = _simulate_rate(plain, workload, rate, 300.0)
+            b, qb = _simulate_rate(cached, workload, rate, 300.0)
             assert qa == qb
             assert a.total_time_s == b.total_time_s
 

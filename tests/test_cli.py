@@ -352,6 +352,28 @@ class TestErrorExits:
         assert f"drop the {label} section" in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("cluster_ador_4x", "router", "LEAST-OUTSTANDING",
+         "unknown router policy 'LEAST-OUTSTANDING'"),
+        ("fig2b_static_batching", "prefill_chunk_tokens", 16,
+         "static batching ignores prefill_chunk_tokens=16"),
+    ], ids=["upper-cased-router", "ignored-static-knob"])
+    def test_spec_mistake_in_experiment_exits_2(self, capsys, tmp_path,
+                                                name, key, value, message):
+        """A registry name spelled other than it was registered, and a
+        knob the Fig. 2b loops never read, fail the spec: one ``error:``
+        line, and nothing simulated."""
+        experiment = json.loads((EXPERIMENTS / f"{name}.json").read_text())
+        experiment["deployment"][key] = value
+        path = tmp_path / "mistake.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert message in lines[0]
+        assert captured.out == ""
+
     def test_fractional_count_in_experiment_exits_2(self, capsys, tmp_path):
         """A fractional count in an experiment file is a bad spec: one
         ``error:`` line naming the field, and nothing simulated."""

@@ -40,6 +40,7 @@ from repro.serving.generator import (
     iter_onoff_requests,
     iter_poisson_requests,
 )
+from repro.serving.prefix_cache import PrefixCacheSpec
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
@@ -72,9 +73,10 @@ def snapshots(outstanding, tokens=None):
 
 
 def uniform_fleet(device, model, limits, count, **knobs):
-    """An engine over one group of ``count`` identical replicas."""
+    """An engine over one group of ``count`` replicas of one endpoint."""
     return ClusterEngine(
-        [EngineGroup("ador", device, model, limits, count=count)], **knobs)
+        [EngineGroup("ador", ServingEngine(device, model, limits),
+                     count=count)], **knobs)
 
 
 def request(i=0, session=None, input_tokens=64, output_tokens=16,
@@ -198,6 +200,30 @@ class TestClusterEngine:
         seen = result.merged.finished + result.merged.unfinished
         assert len(seen) == len(requests)
         assert len(set(seen)) == len(requests)  # identity-unique
+
+    def test_replicas_share_their_groups_engine_and_nothing_else(
+            self, ador_device, llama3, monkeypatch):
+        """Every replica of a group steps the group's one ServingEngine;
+        its scheduler, prefix cache and pending queue are its own."""
+        built = []
+        init = ReplicaSim.__init__
+
+        def recording(replica, *args):
+            init(replica, *args)
+            built.append(replica)
+
+        monkeypatch.setattr(ReplicaSim, "__init__", recording)
+        endpoint = ServingEngine(ador_device, llama3,
+                                 SchedulerLimits(kv_budget_bytes=8e9),
+                                 prefix_cache=PrefixCacheSpec())
+        ClusterEngine([EngineGroup("ador", endpoint, count=2)]).run(
+            poisson_requests(5.0, 4), max_sim_seconds=600.0)
+        first, second = built
+        assert first.engine is second.engine is endpoint
+        assert first.scheduler is not second.scheduler
+        assert first.prefix_cache is not None
+        assert first.prefix_cache is not second.prefix_cache
+        assert first.pending is not second.pending
 
     def test_bad_router_index_rejected(self, ador_device, llama3):
         class BadRouter:
@@ -1015,10 +1041,12 @@ class TestAutoscaledCluster:
         arrivals in between wait for it instead of failing the run."""
         limits = SchedulerLimits(max_batch=8)
         groups = [
-            EngineGroup("a100", device_model_for(get_chip("a100")), llama3,
-                        limits, count=1, cost_per_replica_s=2.5),
-            EngineGroup("ador", device_model_for(get_chip("ador")), llama3,
-                        limits, count=0, cost_per_replica_s=1.0),
+            EngineGroup("a100", ServingEngine(
+                device_model_for(get_chip("a100")), llama3, limits),
+                count=1, cost_per_replica_s=2.5),
+            EngineGroup("ador", ServingEngine(
+                device_model_for(get_chip("ador")), llama3, limits),
+                count=0, cost_per_replica_s=1.0),
         ]
         engine = ClusterEngine(
             groups,

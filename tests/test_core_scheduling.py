@@ -1,4 +1,4 @@
-"""Unit tests for the HDA scheduler — the paper's QoS engine."""
+"""Unit tests for the HDA scheduling device model — the paper's QoS engine."""
 
 import dataclasses
 import pickle
@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.api import DeploymentSpec, WorkloadSpec, simulate
 from repro.core.scheduling import (
     AdorDeviceModel,
-    HdaScheduler,
     _DecodeKernel,
     _PrefillKernel,
     device_model_for,
@@ -39,12 +38,12 @@ class TestDispatch:
 
     def test_scheduler_rejects_non_hda(self):
         with pytest.raises(ValueError):
-            HdaScheduler(a100())
+            AdorDeviceModel(a100())
 
 
 class TestLayerBreakdown:
     def test_contains_expected_operators(self, ador, llama3):
-        breakdown = ador.scheduler.layer_breakdown(
+        breakdown = ador.layer_breakdown(
             llama3, Phase.DECODE, 32, 1, 1024)
         for name in ("qkv_proj", "attention", "out_proj", "mlp_gate",
                      "mlp_down", "core_sync"):
@@ -52,13 +51,13 @@ class TestLayerBreakdown:
 
     def test_all_components_non_negative(self, ador, llama3):
         for phase, q in ((Phase.DECODE, 1), (Phase.PREFILL, 512)):
-            breakdown = ador.scheduler.layer_breakdown(
+            breakdown = ador.layer_breakdown(
                 llama3, phase, 8, q, 512)
             assert all(v >= 0 for v in breakdown.values())
 
     def test_decode_attention_grows_with_context(self, ador, llama3):
-        short = ador.scheduler.layer_breakdown(llama3, Phase.DECODE, 32, 1, 256)
-        long = ador.scheduler.layer_breakdown(llama3, Phase.DECODE, 32, 1, 4096)
+        short = ador.layer_breakdown(llama3, Phase.DECODE, 32, 1, 256)
+        long = ador.layer_breakdown(llama3, Phase.DECODE, 32, 1, 4096)
         assert long["attention"] > 4 * short["attention"]
 
     def test_prefill_reads_no_decode_utilization(self, ador, llama3,
@@ -66,15 +65,14 @@ class TestLayerBreakdown:
         def decode_only(step_flops):
             raise AssertionError("prefill evaluated the decode utilization")
 
-        monkeypatch.setattr(ador.scheduler, "_decode_utilization",
-                            decode_only)
-        ador.scheduler.layer_breakdown(llama3, Phase.PREFILL, 8, 512, 512)
+        monkeypatch.setattr(ador, "_decode_utilization", decode_only)
+        ador.layer_breakdown(llama3, Phase.PREFILL, 8, 512, 512)
 
     def test_tp_shards_gemm_time(self, ador, llama3):
-        one = ador.scheduler.layer_breakdown(llama3, Phase.DECODE, 32, 1, 1024,
-                                             devices=1)
-        four = ador.scheduler.layer_breakdown(llama3, Phase.DECODE, 32, 1, 1024,
-                                              devices=4)
+        one = ador.layer_breakdown(llama3, Phase.DECODE, 32, 1, 1024,
+                                   devices=1)
+        four = ador.layer_breakdown(llama3, Phase.DECODE, 32, 1, 1024,
+                                    devices=4)
         assert four["mlp_down"] < one["mlp_down"]
 
 
@@ -193,8 +191,8 @@ def kernel_and_reference(chip, use_mac_tree):
 
 
 def built_kernels(device):
-    """Every compiled kernel a device's scheduler holds."""
-    return [kernel for _, kernels in device.scheduler._kernels.values()
+    """Every compiled kernel a device holds."""
+    return [kernel for _, kernels in device._kernels.values()
             for kernel in kernels.values()]
 
 
@@ -318,7 +316,7 @@ class TestCompiledDecodeKernel:
         before = (device.prefill_time(llama3, 4, 512, 2),
                   device.decode_step_time(llama3, 8, 300, 2))
         clone = pickle.loads(pickle.dumps(device))
-        assert clone.scheduler._kernels == {}
+        assert clone._kernels == {}
         # the original keeps its own, of both kinds
         assert {type(kernel) for kernel in built_kernels(device)} \
             == {_PrefillKernel, _DecodeKernel}
@@ -333,17 +331,17 @@ class TestReferencePaths:
         device = AdorDeviceModel(ador_table3(), compiled=False)
         device.prefill_time(llama3, 4, 512, 2)
         device.decode_step_time(llama3, 8, 300, 2)
-        assert device.scheduler._kernels == {}
+        assert device._kernels == {}
 
     def test_reference_simulation_builds_no_kernel(self, monkeypatch):
         kinds = []
-        kernel = HdaScheduler._kernel
+        kernel = AdorDeviceModel._kernel
 
         def recording(self, kind, *args):
             kinds.append(kind)
             return kernel(self, kind, *args)
 
-        monkeypatch.setattr(HdaScheduler, "_kernel", recording)
+        monkeypatch.setattr(AdorDeviceModel, "_kernel", recording)
         deployment = DeploymentSpec(chip="ador", max_batch=8)
         workload = WorkloadSpec(rate_per_s=10.0, num_requests=20, seed=3)
         simulate(deployment, workload, sim_cache=False)

@@ -29,10 +29,12 @@ from repro.core.scheduling import device_model_for
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
 from repro.serving.dataset import ChatTraceConfig, ULTRACHAT_LIKE
+from repro.serving.engine import ServingEngine
 from repro.serving.generator import (
     iter_onoff_requests,
     iter_poisson_requests,
 )
+from repro.serving.prefix_cache import PrefixCacheSpec
 from repro.serving.qos import goodput_per_s
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler import SchedulerLimits
@@ -90,7 +92,8 @@ def trace_fingerprint(trace):
 def run_cluster(requests, device, replicas=2, faults=None, autoscale=None,
                 router="round-robin", horizon=600.0):
     engine = ClusterEngine(
-        [EngineGroup("ador", device, MODEL, LIMITS, count=replicas)],
+        [EngineGroup("ador", ServingEngine(device, MODEL, LIMITS),
+                     count=replicas)],
         router=router, autoscale=autoscale, faults=faults)
     return engine.run(copy.deepcopy(requests), max_sim_seconds=horizon)
 
@@ -288,6 +291,30 @@ class TestExplicitCrash:
         assert result.qos().failed_requests == trace.failed_count
         assert_conserved(result, 60)
 
+    @pytest.mark.parametrize("crash, hits", ((False, 1), (True, 0)))
+    def test_crash_restarts_the_prefix_cache_cold(self, ador_device, crash,
+                                                  hits):
+        """A session's second turn hits the prefix its first turn left
+        behind, unless the replica crashed in between: the restart
+        builds a fresh cache, and the stats merge both incarnations."""
+        endpoint = ServingEngine(ador_device, MODEL,
+                                 SchedulerLimits(kv_budget_bytes=8e9),
+                                 prefix_cache=PrefixCacheSpec())
+        events = (FaultEvent("crash", 0, 5.0),) if crash else ()
+        engine = ClusterEngine(
+            [EngineGroup("ador", endpoint)],
+            faults=FaultSpec(restart_delay_s=1.0, events=events))
+        turns = [Request(0, 0.0, 200, 50, session_id=1),
+                 Request(1, 10.0, 300, 50, session_id=1, turn_index=1,
+                         history_tokens=250)]
+        result = engine.run(turns, max_sim_seconds=600.0)
+        assert result.faults.crashes == int(crash)
+        assert len(result.merged.finished) == 2
+        stats = result.merged.prefix_cache
+        assert (stats.lookups, stats.stashed) == (2, 2)
+        assert stats.hits == hits
+        assert stats.saved_prefill_tokens == 240 * hits
+
     def test_timeout_fails_late_retries(self, ador_device):
         spec = dataclasses.replace(CRASH_SPEC, request_timeout_s=1.0,
                                    restart_delay_s=30.0)
@@ -311,7 +338,8 @@ class TestExplicitCrash:
         "elastic-faults goldens"))
     def test_retry_emits_no_token_before_the_crash(self, ador_device):
         engine = ClusterEngine(
-            [EngineGroup("ador", ador_device, MODEL, SchedulerLimits(),
+            [EngineGroup("ador", ServingEngine(ador_device, MODEL,
+                                               SchedulerLimits()),
                          count=2)],
             router="round-robin",
             faults=FaultSpec(events=(

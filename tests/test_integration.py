@@ -9,7 +9,7 @@ from repro.core.requirements import (
     ServiceLevelObjectives,
     VendorConstraints,
 )
-from repro.core.scheduling import AdorDeviceModel, device_model_for
+from repro.core.scheduling import device_model_for
 from repro.core.search import AdorSearch
 from repro.hardware.presets import a100, ador_table3, ader_reference_designs
 from repro.models.layers import Phase
@@ -96,11 +96,3 @@ class TestCrossDesignConsistency:
                                    SchedulerLimits(max_batch=64))
             result = engine.run(copy.deepcopy(requests))
             assert len(result.finished) == 20, name
-
-    def test_decode_estimates_consistent_between_paths(self, llama3):
-        """AdorDeviceModel and a fresh HdaScheduler agree exactly."""
-        from repro.core.scheduling import HdaScheduler
-        chip = ador_table3()
-        direct = HdaScheduler(chip).decode_step_time(llama3, 64, 1024)
-        wrapped = AdorDeviceModel(chip).decode_step_time(llama3, 64, 1024)
-        assert direct.seconds == wrapped.seconds

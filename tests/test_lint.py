@@ -463,7 +463,14 @@ class TestRegistryAndCliConsistency:
             registry.register(name, name)
         assert registry.names() == sorted(registry.names())
         assert list(registry) == registry.names()
-        assert registry.names() == ["alpha", "mid", "zeta"]
+        # names keep the spelling they were registered under
+        assert registry.names() == ["Alpha", "mid", "zeta"]
+        assert "alpha" not in registry
+
+    @pytest.mark.parametrize("token", ["r1", "DETERMINISM"])
+    def test_rule_lookup_matches_names_exactly(self, token):
+        with pytest.raises(KeyError, match="unknown lint rule"):
+            resolve_rule(token)
 
     def test_rule_registry_sorted_and_resolvable(self):
         assert RULE_REGISTRY.names() == sorted(RULE_REGISTRY.names())

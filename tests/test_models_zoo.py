@@ -7,8 +7,9 @@ from repro.models.zoo import get_model, list_models, register_model
 
 
 class TestRegistry:
-    def test_lookup_is_case_insensitive(self):
-        assert get_model("LLaMA3-8B") is get_model("llama3-8b")
+    def test_lookup_matches_names_exactly(self):
+        with pytest.raises(KeyError, match="unknown model 'LLaMA3-8B'"):
+            get_model("LLaMA3-8B")
 
     def test_unknown_model_lists_known_names(self):
         with pytest.raises(KeyError, match="llama3-8b"):

@@ -105,8 +105,10 @@ def run_cluster(chip_name, requests, fast, replicas=4, horizon=600.0,
     device = _device_for(chip, sim_cache=fast if sim_cache is None
                          else sim_cache, context_bucket=1)
     engine = ClusterEngine(
-        [EngineGroup(chip_name, device, MODEL, LIMITS, count=replicas)],
-        router="least-outstanding", fast_forward=fast, faults=faults)
+        [EngineGroup(chip_name,
+                     ServingEngine(device, MODEL, LIMITS, fast_forward=fast),
+                     count=replicas)],
+        router="least-outstanding", faults=faults)
     return engine.run(copy.deepcopy(requests), max_sim_seconds=horizon)
 
 
@@ -273,7 +275,8 @@ class TestCacheKeying:
         monkeypatch.setattr(AdorDeviceModel, "decode_step_time", counting)
         device = self._device()
         engine = ClusterEngine(
-            [EngineGroup("ador", device, MODEL, LIMITS, count=2)],
+            [EngineGroup("ador", ServingEngine(device, MODEL, LIMITS),
+                         count=2)],
             router="least-outstanding")
         result = engine.run(steady_requests(rate=20.0),
                             max_sim_seconds=600.0)
@@ -442,7 +445,8 @@ class TestClusterBookkeeping:
                             input_tokens=64, output_tokens=16)]
         device = CachedDeviceModel(AdorDeviceModel(ador_table3()))
         engine = ClusterEngine(
-            [EngineGroup("ador", device, MODEL, LIMITS, count=3)],
+            [EngineGroup("ador", ServingEngine(device, MODEL, LIMITS),
+                         count=3)],
             router="round-robin")
         result = engine.run(requests)
         clocks = [r.total_time_s for r in result.replica_results]
@@ -451,10 +455,10 @@ class TestClusterBookkeeping:
 
     def test_snapshot_after_submit_counts_the_request(self):
         # snapshots are built from live counters at each call
-        from repro.serving.engine import ServingEngine as SE
         device = CachedDeviceModel(AdorDeviceModel(ador_table3()))
         from repro.cluster.engine import ReplicaSim
-        replica = ReplicaSim(0, SE(device, MODEL, LIMITS))
+        replica = ReplicaSim(0, 0, EngineGroup(
+            "ador", ServingEngine(device, MODEL, LIMITS)))
         first = replica.snapshot()
         assert (first.outstanding_requests, first.outstanding_tokens) \
             == (0, 0)

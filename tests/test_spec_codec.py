@@ -191,19 +191,24 @@ def deployments(draw):
     continuous_only = total > 1 or fleet is not None \
         or autoscale is not None or prefix_cache is not None \
         or fault_spec is not None
-    # an explicit fleet's groups carry the endpoint knobs
+    batching = "continuous" if continuous_only \
+        else draw(st.sampled_from(["continuous", "static"]))
+    # an explicit fleet's groups carry the endpoint knobs; static
+    # batching reads max_batch and leaves the other two at default
     endpoint = {} if fleet is not None else dict(
         chip=draw(chips),
         model=draw(st.sampled_from(["llama3-8b", "llama3-70b"])),
         num_devices=draw(st.integers(1, 8)),
         max_batch=draw(st.integers(1, 512)),
-        prefill_chunk_tokens=draw(st.integers(1, 4096)),
-        kv_budget_bytes=draw(st.none() | positive | st.just(float("inf"))),
     )
+    if fleet is None and batching == "continuous":
+        endpoint.update(
+            prefill_chunk_tokens=draw(st.integers(1, 4096)),
+            kv_budget_bytes=draw(st.none() | positive
+                                 | st.just(float("inf"))))
     return DeploymentSpec(
         **endpoint,
-        batching="continuous" if continuous_only
-        else draw(st.sampled_from(["continuous", "static"])),
+        batching=batching,
         replicas=replicas,
         router=draw(st.sampled_from(list_routers())),
         autoscale=autoscale,

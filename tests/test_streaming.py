@@ -213,7 +213,8 @@ def test_engine_rejects_out_of_order_stream():
 
 def test_cluster_engine_rejects_out_of_order_stream():
     engine = ClusterEngine(
-        [EngineGroup("ador", _device(), MODEL, LIMITS, count=2)])
+        [EngineGroup("ador", ServingEngine(_device(), MODEL, LIMITS),
+                     count=2)])
     with pytest.raises(OutOfOrderArrival):
         engine.run(iter(_requests([3.0, 2.0])), max_sim_seconds=60.0)
 
@@ -290,7 +291,8 @@ def test_streaming_cluster_bit_identical(kind, replicas, elastic, seed,
     and every request's timeline."""
     def run(streaming):
         engine = ClusterEngine(
-            [EngineGroup("ador", _device(), MODEL, LIMITS, count=replicas)],
+            [EngineGroup("ador", ServingEngine(_device(), MODEL, LIMITS),
+                         count=replicas)],
             **ELASTIC[elastic])
         requests = _trace_requests(kind, seed, count)
         requests = as_stream(requests) if streaming else list(requests)
@@ -324,7 +326,8 @@ def test_fault_runs_pull_arrivals_lazily(autoscale):
         lead.append(stream.emitted - routed)
 
     engine = ClusterEngine(
-        [EngineGroup("ador", _device(), MODEL, LIMITS, count=2)],
+        [EngineGroup("ador", ServingEngine(_device(), MODEL, LIMITS),
+                     count=2)],
         router="least-outstanding", autoscale=autoscale, faults=CRASH)
     result = engine.run(stream, max_sim_seconds=120.0, progress=progress)
     assert result.faults.crashes == 1
